@@ -192,4 +192,15 @@ class DeviceBatch {
   T* arr_[9] = {};  ///< a0 b0 c0 d0 a1 b1 c1 d1 x
 };
 
+/// A contiguous system of `len` equations in the block's lane scratch
+/// (zero- or poison-filled like every scratch allocation).
+template <typename T>
+tridiag::SystemView<T> scratch_system(gpusim::BlockContext& ctx,
+                                      std::size_t len) {
+  T* p = ctx.scratch_alloc<T>(4 * len).data();
+  return {StridedView<T>(p, len, 1), StridedView<T>(p + len, len, 1),
+          StridedView<T>(p + 2 * len, len, 1),
+          StridedView<T>(p + 3 * len, len, 1)};
+}
+
 }  // namespace tda::kernels

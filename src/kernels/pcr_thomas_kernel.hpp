@@ -105,15 +105,14 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     auto sx = ctx.shared_alloc<T>(n_sub);
     // Register staging for the PCR steps: on the real device every thread
     // holds its equation's next coefficients in registers between the two
-    // syncs of a step; the simulator models that register file with a
-    // host-side buffer (its capacity is enforced through regs_per_thread
-    // in the launch configuration, not through the shared budget). The
-    // buffer comes from the lane's bump arena — one warm slab per worker
-    // thread instead of four heap allocations per block.
-    auto ra = ctx.scratch_alloc<T>(n_sub);
-    auto rb = ctx.scratch_alloc<T>(n_sub);
-    auto rc = ctx.scratch_alloc<T>(n_sub);
-    auto rd = ctx.scratch_alloc<T>(n_sub);
+    // syncs of a step, then writes them back to shared. The simulator
+    // models that register file with a host-side buffer (its capacity is
+    // enforced through regs_per_thread in the launch configuration, not
+    // through the shared budget) and lets it ping-pong with shared
+    // instead of copying back: each step reads the buffer the previous
+    // step wrote. The buffer comes from the lane's bump arena — one warm
+    // slab per worker thread instead of heap allocations per block.
+    const tridiag::SystemView<T> reg_view = scratch_system<T>(ctx, len);
 
     // --- load ---
     if (mode == ExecMode::Full) {
@@ -133,33 +132,20 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     ctx.sync();
 
     // --- stage 3: PCR splits in shared memory (register-staged) ---
-    tridiag::SystemView<T> shared_view{
-        tda::StridedView<T>(sa.data(), len, 1),
-        tda::StridedView<T>(sb.data(), len, 1),
-        tda::StridedView<T>(sc.data(), len, 1),
-        tda::StridedView<T>(sd.data(), len, 1)};
-    tridiag::SystemView<T> reg_view{
-        tda::StridedView<T>(ra.data(), len, 1),
-        tda::StridedView<T>(rb.data(), len, 1),
-        tda::StridedView<T>(rc.data(), len, 1),
-        tda::StridedView<T>(rd.data(), len, 1)};
+    const tridiag::SystemView<T> views[2] = {
+        {tda::StridedView<T>(sa.data(), len, 1),
+         tda::StridedView<T>(sb.data(), len, 1),
+         tda::StridedView<T>(sc.data(), len, 1),
+         tda::StridedView<T>(sd.data(), len, 1)},
+        reg_view};
+    int cur = 0;
     const std::size_t j = tridiag::pcr_thomas_split_steps(len, thomas_switch);
     for (std::size_t t = 0; t < j; ++t) {
       if (mode == ExecMode::Full) {
-        // compute into registers ...
-        tridiag::pcr_step(
-            tridiag::SystemView<const T>{
-                shared_view.a.as_const(), shared_view.b.as_const(),
-                shared_view.c.as_const(), shared_view.d.as_const()},
-            reg_view, std::size_t{1} << t);
-        // ... sync, write back to shared, sync (the two charged syncs).
-        for (std::size_t i = 0; i < len; ++i) {
-          shared_view.a[i] = reg_view.a[i];
-          shared_view.b[i] = reg_view.b[i];
-          shared_view.c[i] = reg_view.c[i];
-          shared_view.d[i] = reg_view.d[i];
-        }
+        tridiag::pcr_step(views[cur].as_const(), views[1 - cur],
+                          std::size_t{1} << t);
       }
+      cur = 1 - cur;
       ctx.charge_phase(static_cast<int>(std::min<std::size_t>(
                            len, ctx.threads())),
                        std::ceil(static_cast<double>(len) / ctx.threads()),
@@ -170,6 +156,7 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
         ctx.charge_global(8.0 * static_cast<double>(stride) * sizeof(T),
                           stride, sizeof(T));
       }
+      // Device: compute into registers, sync, write back to shared, sync.
       ctx.sync();
       ctx.sync();
     }
@@ -178,7 +165,7 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     const std::size_t thomas_parts = std::min(std::size_t{1} << j, len);
     if (mode == ExecMode::Full) {
       for (std::size_t q = 0; q < thomas_parts; ++q) {
-        auto sub = shared_view.subsystem(j, q);
+        auto sub = views[cur].subsystem(j, q);
         if (sub.size() == 0) continue;
         auto xshared =
             tda::StridedView<T>(sx.data(), len, 1).subsystem(j, q);

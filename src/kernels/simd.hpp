@@ -17,6 +17,8 @@
 #include <cstddef>
 #include <cstdlib>
 
+#include "common/simd_loop.hpp"
+
 namespace tda::kernels {
 
 /// Hardware vector width in bytes the build can use. Detected from the
@@ -64,14 +66,3 @@ inline std::size_t simd_strip_width() {
 }
 
 }  // namespace tda::kernels
-
-/// Hint that a strip loop has no loop-carried dependence. The loops are
-/// correct without it; it only helps the vectorizer past the aliasing
-/// analysis (the a/b/c/d lanes come from one slab).
-#if defined(__clang__)
-#define TDA_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define TDA_SIMD_LOOP _Pragma("GCC ivdep")
-#else
-#define TDA_SIMD_LOOP
-#endif

@@ -126,21 +126,28 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
     const std::size_t s = ctx.block_index() / entry_parts;
     const std::size_t p = ctx.block_index() % entry_parts;
-    // Ping-pong locally: the block's subsystem is disjoint from every
-    // other block's, so flipping buffers per step is hazard-free.
-    tridiag::SystemView<T> views[2] = {
+    // The device kernel ping-pongs the block's stride-entry_parts
+    // subsystem between the two global buffers; the subsystem is
+    // disjoint from every other block's, so that is hazard-free. The
+    // host stages it contiguously in lane scratch and ping-pongs there,
+    // so every step runs the unit-stride PCR core, then writes the last
+    // step into the global buffer the device's ping-pong ends in. The
+    // charges model the device's strided passes either way.
+    const tridiag::SystemView<T> global[2] = {
         batch.cur_system(s).subsystem(st.splits, p),
         batch.alt_system(s).subsystem(st.splits, p)};
+    const std::size_t len = global[0].size();
+    tridiag::SystemView<T> staged[2];
+    if (mode == ExecMode::Full) {
+      staged[0] = scratch_system<T>(ctx, len);
+      staged[1] = scratch_system<T>(ctx, len);
+      tridiag::copy_system(global[0], staged[0]);
+    }
     int cur = 0;
-    const std::size_t len = views[0].size();
     for (std::size_t t = 0; t < steps; ++t) {
       const std::size_t shift = std::size_t{1} << t;  // subsystem-local
       if (mode == ExecMode::Full) {
-        tridiag::pcr_step(
-            tridiag::SystemView<const T>{
-                views[cur].a.as_const(), views[cur].b.as_const(),
-                views[cur].c.as_const(), views[cur].d.as_const()},
-            views[1 - cur], shift);
+        tridiag::pcr_step(staged[cur].as_const(), staged[1 - cur], shift);
       }
       cur = 1 - cur;
 
@@ -150,6 +157,9 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
       ctx.charge_phase(ctx.threads(), std::ceil(dlen / ctx.threads()),
                        kPcrStepWarpInsts);
       if (t + 1 < steps) ctx.sync();
+    }
+    if (mode == ExecMode::Full) {
+      tridiag::copy_system(staged[cur], global[cur]);
     }
   }, "stage2_independent_split");
   if (steps % 2 == 1) batch.swap_buffers();

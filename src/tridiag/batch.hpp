@@ -94,7 +94,26 @@ struct SystemView {
     return SystemView{a.subsystem(k, j), b.subsystem(k, j),
                       c.subsystem(k, j), d.subsystem(k, j)};
   }
+
+  /// Rebind to const.
+  [[nodiscard]] SystemView<const T> as_const() const {
+    return {a.as_const(), b.as_const(), c.as_const(), d.as_const()};
+  }
 };
+
+/// Copies src's coefficients into dst element by element; the two views
+/// may differ in stride (gathering a strided subsystem into a contiguous
+/// buffer, or scattering it back).
+template <typename T>
+void copy_system(const SystemView<T>& src, const SystemView<T>& dst) {
+  TDA_REQUIRE(src.size() == dst.size(), "copy_system: size mismatch");
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    dst.a[i] = src.a[i];
+    dst.b[i] = src.b[i];
+    dst.c[i] = src.c[i];
+    dst.d[i] = src.d[i];
+  }
+}
 
 /// Owning batch of m tridiagonal systems of size n (SoA, system-major).
 /// Storage is either five fresh AlignedBuffers or one pooled slab (see

@@ -57,9 +57,7 @@ void pcr_thomas_solve(SystemView<T> sys, SystemView<T> scratch,
   SystemView<T>* src = &sys;
   SystemView<T>* dst = &scratch;
   for (std::size_t step = 0; step < j; ++step) {
-    pcr_step(SystemView<const T>{src->a.as_const(), src->b.as_const(),
-                                 src->c.as_const(), src->d.as_const()},
-             *dst, std::size_t{1} << step);
+    pcr_step(src->as_const(), *dst, std::size_t{1} << step);
     std::swap(src, dst);
   }
 

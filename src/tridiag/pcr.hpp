@@ -11,100 +11,116 @@
 //
 // All functions operate on SystemView (strided), so the same code serves
 // the CPU reference, the global-memory splitting kernels and the
-// shared-memory stage.
+// shared-memory stage. A step splits its equations by neighbour set into
+// branch-free loops; when every view is unit-stride those loops run on
+// raw pointers and vectorize, with the same per-equation arithmetic as
+// the strided path.
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/simd_loop.hpp"
 #include "tridiag/batch.hpp"
 
 namespace tda::tridiag {
 
-/// One PCR step with the given shift (in view-local index space).
-/// Reads src, writes dst; src and dst must not alias and must have the
-/// same size. Boundary neighbours (i-s < 0, i+s >= n) are treated as
-/// absent, which makes the step valid for any n, power of two or not.
-template <typename T>
-void pcr_step(const SystemView<const T>& src, const SystemView<T>& dst,
-              std::size_t shift) {
-  const std::size_t n = src.size();
-  TDA_REQUIRE(dst.size() == n, "pcr_step: size mismatch");
-  TDA_REQUIRE(shift >= 1, "pcr_step: shift must be >= 1");
-  const auto s = static_cast<std::ptrdiff_t>(shift);
-  const auto nn = static_cast<std::ptrdiff_t>(n);
+namespace detail {
 
-  for (std::ptrdiff_t i = 0; i < nn; ++i) {
-    const std::ptrdiff_t im = i - s;
-    const std::ptrdiff_t ip = i + s;
-    const auto ui = static_cast<std::size_t>(i);
-
-    T alpha{0}, gamma{0};
-    T nb = src.b[ui];
+/// Equations [i0, i1) of one PCR step, all of which have the same
+/// neighbour set: HasLeft says i-s exists, HasRight says i+s exists.
+/// The body has no branches, so with raw unit-stride pointers for In/Out
+/// the loop vectorizes; with StridedViews it serves any stride. Every
+/// instantiation evaluates one equation in the same operation order,
+/// so the result is bitwise independent of which loop an equation
+/// lands in.
+template <typename T, bool HasLeft, bool HasRight, typename In, typename Out>
+void pcr_equations(In a, In b, In c, In d, Out oa, Out ob, Out oc, Out od,
+                   std::size_t s, std::size_t i0, std::size_t i1) {
+  TDA_SIMD_LOOP
+  for (std::size_t i = i0; i < i1; ++i) {
+    T nb = b[i];
     T na{0}, nc{0};
-    T nd = src.d[ui];
-
-    if (im >= 0) {
-      const auto uim = static_cast<std::size_t>(im);
-      alpha = -src.a[ui] / src.b[uim];
-      nb += alpha * src.c[uim];
-      na = alpha * src.a[uim];
-      nd += alpha * src.d[uim];
+    T nd = d[i];
+    if constexpr (HasLeft) {
+      const std::size_t im = i - s;
+      const T alpha = -a[i] / b[im];
+      nb += alpha * c[im];
+      na = alpha * a[im];
+      nd += alpha * d[im];
     }
-    if (ip < nn) {
-      const auto uip = static_cast<std::size_t>(ip);
-      gamma = -src.c[ui] / src.b[uip];
-      nb += gamma * src.a[uip];
-      nc = gamma * src.c[uip];
-      nd += gamma * src.d[uip];
+    if constexpr (HasRight) {
+      const std::size_t ip = i + s;
+      const T gamma = -c[i] / b[ip];
+      nb += gamma * a[ip];
+      nc = gamma * c[ip];
+      nd += gamma * d[ip];
     }
-    dst.a[ui] = na;
-    dst.b[ui] = nb;
-    dst.c[ui] = nc;
-    dst.d[ui] = nd;
+    oa[i] = na;
+    ob[i] = nb;
+    oc[i] = nc;
+    od[i] = nd;
   }
 }
 
+/// Splits [begin, end) of a PCR step over n equations by neighbour set:
+/// the left edge (i < s: no i-s), the middle (both neighbours when
+/// n > 2s, neither when n < 2s) and the right edge (i >= n-s: no i+s).
+template <typename T, typename In, typename Out>
+void pcr_step_regions(In a, In b, In c, In d, Out oa, Out ob, Out oc,
+                      Out od, std::size_t n, std::size_t s,
+                      std::size_t begin, std::size_t end) {
+  const std::size_t r = n > s ? n - s : 0;  // first equation without i+s
+  const auto clip = [&](std::size_t i) { return std::clamp(i, begin, end); };
+  const std::size_t lo = clip(std::min(s, r));
+  const std::size_t hi = clip(std::max(s, r));
+  pcr_equations<T, false, true>(a, b, c, d, oa, ob, oc, od, s, begin, lo);
+  if (s < r) {
+    pcr_equations<T, true, true>(a, b, c, d, oa, ob, oc, od, s, lo, hi);
+  } else {
+    pcr_equations<T, false, false>(a, b, c, d, oa, ob, oc, od, s, lo, hi);
+  }
+  pcr_equations<T, true, false>(a, b, c, d, oa, ob, oc, od, s, hi, end);
+}
+
+}  // namespace detail
+
 /// PCR step restricted to equations [begin, end) of the view — the work a
 /// single cooperating block contributes to a grid-wide split (Stage 1).
+/// Reads src, writes dst; src and dst must not alias and must have the
+/// same size. Boundary neighbours (i-s < 0, i+s >= n) are treated as
+/// absent, which makes the step valid for any n, power of two or not.
 /// Neighbour reads may fall outside [begin, end); they read `src`, which
 /// holds pre-step values, so chunked execution equals a full pcr_step.
 template <typename T>
 void pcr_step_range(const SystemView<const T>& src, const SystemView<T>& dst,
                     std::size_t shift, std::size_t begin, std::size_t end) {
   const std::size_t n = src.size();
-  TDA_REQUIRE(dst.size() == n, "pcr_step_range: size mismatch");
-  TDA_REQUIRE(begin <= end && end <= n, "pcr_step_range: bad range");
-  TDA_REQUIRE(shift >= 1, "pcr_step_range: shift must be >= 1");
-  const auto s = static_cast<std::ptrdiff_t>(shift);
-  const auto nn = static_cast<std::ptrdiff_t>(n);
-
-  for (std::size_t ui = begin; ui < end; ++ui) {
-    const auto i = static_cast<std::ptrdiff_t>(ui);
-    const std::ptrdiff_t im = i - s;
-    const std::ptrdiff_t ip = i + s;
-    T nb = src.b[ui];
-    T na{0}, nc{0};
-    T nd = src.d[ui];
-    if (im >= 0) {
-      const auto uim = static_cast<std::size_t>(im);
-      const T alpha = -src.a[ui] / src.b[uim];
-      nb += alpha * src.c[uim];
-      na = alpha * src.a[uim];
-      nd += alpha * src.d[uim];
-    }
-    if (ip < nn) {
-      const auto uip = static_cast<std::size_t>(ip);
-      const T gamma = -src.c[ui] / src.b[uip];
-      nb += gamma * src.a[uip];
-      nc = gamma * src.c[uip];
-      nd += gamma * src.d[uip];
-    }
-    dst.a[ui] = na;
-    dst.b[ui] = nb;
-    dst.c[ui] = nc;
-    dst.d[ui] = nd;
+  TDA_REQUIRE(dst.size() == n, "pcr_step: size mismatch");
+  TDA_REQUIRE(begin <= end && end <= n, "pcr_step: bad range");
+  TDA_REQUIRE(shift >= 1, "pcr_step: shift must be >= 1");
+  const bool unit = src.a.stride() == 1 && src.b.stride() == 1 &&
+                    src.c.stride() == 1 && src.d.stride() == 1 &&
+                    dst.a.stride() == 1 && dst.b.stride() == 1 &&
+                    dst.c.stride() == 1 && dst.d.stride() == 1;
+  if (unit) {
+    detail::pcr_step_regions<T>(src.a.data(), src.b.data(), src.c.data(),
+                                src.d.data(), dst.a.data(), dst.b.data(),
+                                dst.c.data(), dst.d.data(), n, shift, begin,
+                                end);
+  } else {
+    detail::pcr_step_regions<T>(src.a, src.b, src.c, src.d, dst.a, dst.b,
+                                dst.c, dst.d, n, shift, begin, end);
   }
+}
+
+/// One PCR step with the given shift (in view-local index space) over
+/// the whole view.
+template <typename T>
+void pcr_step(const SystemView<const T>& src, const SystemView<T>& dst,
+              std::size_t shift) {
+  pcr_step_range(src, dst, shift, 0, src.size());
 }
 
 /// Number of PCR steps with doubling shifts needed to fully decouple a
@@ -134,9 +150,7 @@ void pcr_solve(SystemView<T> sys, SystemView<T> scratch, StridedView<T> x) {
   SystemView<T>* src = &sys;
   SystemView<T>* dst = &scratch;
   for (std::size_t shift = 1; shift < n; shift *= 2) {
-    pcr_step(SystemView<const T>{src->a.as_const(), src->b.as_const(),
-                                 src->c.as_const(), src->d.as_const()},
-             *dst, shift);
+    pcr_step(src->as_const(), *dst, shift);
     std::swap(src, dst);
   }
   for (std::size_t i = 0; i < n; ++i) x[i] = src->d[i] / src->b[i];

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -14,7 +15,8 @@ namespace tda::tridiag {
 
 /// Scaled max residual of one system: max_i |A x - d|_i / max(1, |d|_inf,
 /// |x|_inf * |A|_row). A good solve of a well-conditioned system yields a
-/// value near machine epsilon of T.
+/// value near machine epsilon of T. Returns +inf when any term is not
+/// finite (a NaN or inf in x or in the coefficients).
 template <typename T>
 double residual_inf(const SystemView<const T>& sys,
                     const StridedView<const T>& x) {
@@ -33,8 +35,15 @@ double residual_inf(const SystemView<const T>& sys,
       acc += static_cast<double>(sys.c[i]) * static_cast<double>(x[i + 1]);
       row += std::abs(static_cast<double>(sys.c[i]));
     }
-    worst = std::max(worst, std::abs(acc - static_cast<double>(sys.d[i])));
-    scale = std::max(scale, row * std::abs(static_cast<double>(x[i])));
+    const double term = std::abs(acc - static_cast<double>(sys.d[i]));
+    const double weight = row * std::abs(static_cast<double>(x[i]));
+    // std::max drops NaN, so a non-finite term is caught here: a NaN or
+    // inf solution never verifies.
+    if (!std::isfinite(term) || !std::isfinite(weight)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    worst = std::max(worst, term);
+    scale = std::max(scale, weight);
     scale = std::max(scale, std::abs(static_cast<double>(sys.d[i])));
   }
   return worst / scale;

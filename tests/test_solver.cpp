@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string_view>
 #include <tuple>
 
 #include "gpusim/launch.hpp"
+#include "net/protocol.hpp"
 #include "solver/gpu_solver.hpp"
 #include "solver/plan.hpp"
 #include "tridiag/generators.hpp"
@@ -231,6 +235,67 @@ TEST(Solver, DoublePrecisionUsesSmallerOnChipSystems) {
   auto spd = tuning::static_switch_points<double>(dev.query());
   EXPECT_EQ(spf.stage3_system_size, 512u);
   EXPECT_EQ(spd.stage3_system_size, 256u);
+}
+
+// ---------- golden solve: solutions and cost accounting are pinned ----------
+
+struct GoldenSolve {
+  std::uint64_t x_fnv;
+  SolveStats stats;
+};
+
+// Fixed switch points so stage 1 (cooperative split), stage 2
+// (independent split) and stage 3/4 (on-chip PCR-Thomas) all run.
+template <typename T>
+GoldenSolve golden_solve(std::size_t m, std::size_t n,
+                         kernels::LoadVariant variant) {
+  gpusim::Device dev(gpusim::geforce_gtx_470());
+  SwitchPoints sp;
+  sp.stage1_target_systems = 16;
+  sp.stage3_system_size = 256;
+  sp.thomas_switch = 32;
+  sp.variant = variant;
+  GpuTridiagonalSolver<T> solver(dev, sp);
+  auto batch = make_diag_dominant<T>(m, n, 2011);
+  const SolveStats stats = solver.solve(batch);
+  // FNV-1a over the solution bytes: any change to the host arithmetic,
+  // however small, changes the digest.
+  const std::span<const T> x = batch.x();
+  return {net::fnv1a64(std::string_view(
+              reinterpret_cast<const char*>(x.data()), x.size_bytes())),
+          stats};
+}
+
+// Values recorded from the scalar strided PCR path that preceded the
+// unit-stride host core. A change to the host arithmetic moves the
+// digest; a change to the charged access pattern moves the sim fields.
+TEST(SolverGolden, FloatStridedSolveIsPinned) {
+  const auto g = golden_solve<float>(4, 4096, kernels::LoadVariant::Strided);
+  EXPECT_EQ(g.stats.plan.stage1_steps, 2u);
+  EXPECT_EQ(g.stats.plan.stage2_steps, 2u);
+  EXPECT_EQ(g.x_fnv, 0xdfc5628b25ab560aull);
+  EXPECT_EQ(g.stats.total_ms, 0x1.9a905a415361bp-2);
+  EXPECT_EQ(g.stats.stage1_ms, 0x1.3692ae7c45c7dp-3);
+  EXPECT_EQ(g.stats.stage2_ms, 0x1.dd15ad73d3cb7p-3);
+  EXPECT_EQ(g.stats.stage3_ms, 0x1.0bc2c4946980dp-6);
+  EXPECT_EQ(g.stats.transpose_ms, 0.0);
+  EXPECT_EQ(g.stats.kernel_launches, 4u);
+}
+
+// Odd n leaves uneven subsystems at every split; the coalesced variant
+// charges the window-boundary leakage on top of the strided load.
+TEST(SolverGolden, DoubleCoalescedRaggedSolveIsPinned) {
+  const auto g =
+      golden_solve<double>(3, 5001, kernels::LoadVariant::Coalesced);
+  EXPECT_EQ(g.stats.plan.stage1_steps, 3u);
+  EXPECT_EQ(g.stats.plan.stage2_steps, 2u);
+  EXPECT_EQ(g.x_fnv, 0xc91169f35f48042eull);
+  EXPECT_EQ(g.stats.total_ms, 0x1.f90566f977204p-1);
+  EXPECT_EQ(g.stats.stage1_ms, 0x1.05fa01a2bc9c4p-1);
+  EXPECT_EQ(g.stats.stage2_ms, 0x1.af591cf2430ffp-2);
+  EXPECT_EQ(g.stats.stage3_ms, 0x1.b5ed6dd98fbfdp-5);
+  EXPECT_EQ(g.stats.transpose_ms, 0.0);
+  EXPECT_EQ(g.stats.kernel_launches, 5u);
 }
 
 }  // namespace

@@ -4,11 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <span>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "common/rng.hpp"
 #include "tridiag/batch.hpp"
 #include "tridiag/cr.hpp"
 #include "tridiag/generators.hpp"
@@ -322,6 +328,146 @@ TEST(Pcr, RangeStepEqualsFullStep) {
   }
 }
 
+// ---------- PCR core: bitwise equal to the scalar strided loop ----------
+
+// The scalar strided PCR step that preceded the split-by-neighbour core,
+// kept verbatim as the bitwise reference.
+template <typename T>
+void reference_pcr_step(const SystemView<const T>& src,
+                        const SystemView<T>& dst, std::size_t shift) {
+  const std::size_t n = src.size();
+  const auto s = static_cast<std::ptrdiff_t>(shift);
+  const auto nn = static_cast<std::ptrdiff_t>(n);
+
+  for (std::ptrdiff_t i = 0; i < nn; ++i) {
+    const std::ptrdiff_t im = i - s;
+    const std::ptrdiff_t ip = i + s;
+    const auto ui = static_cast<std::size_t>(i);
+
+    T alpha{0}, gamma{0};
+    T nb = src.b[ui];
+    T na{0}, nc{0};
+    T nd = src.d[ui];
+
+    if (im >= 0) {
+      const auto uim = static_cast<std::size_t>(im);
+      alpha = -src.a[ui] / src.b[uim];
+      nb += alpha * src.c[uim];
+      na = alpha * src.a[uim];
+      nd += alpha * src.d[uim];
+    }
+    if (ip < nn) {
+      const auto uip = static_cast<std::size_t>(ip);
+      gamma = -src.c[ui] / src.b[uip];
+      nb += gamma * src.a[uip];
+      nc = gamma * src.c[uip];
+      nd += gamma * src.d[uip];
+    }
+    dst.a[ui] = na;
+    dst.b[ui] = nb;
+    dst.c[ui] = nc;
+    dst.d[ui] = nd;
+  }
+}
+
+// Four coefficient arrays of n equations at a given element stride in
+// one buffer, filled with a poison byte. Elements are re-poisoned before
+// every step; the gaps between them never are, so a final whole-buffer
+// memcmp also catches writes outside the view.
+template <typename T>
+struct StridedSystem {
+  static constexpr unsigned char kPoison = 0xA5;
+
+  StridedSystem(std::size_t n, std::size_t stride)
+      : n_(n), lane_(std::max<std::size_t>(n, 1) * stride), stride_(stride),
+        buf(4 * lane_) {
+    std::memset(buf.data(), kPoison, buf.size() * sizeof(T));
+  }
+  SystemView<T> view() {
+    return SystemView<T>{StridedView<T>(buf.data(), n_, stride_),
+                         StridedView<T>(buf.data() + lane_, n_, stride_),
+                         StridedView<T>(buf.data() + 2 * lane_, n_, stride_),
+                         StridedView<T>(buf.data() + 3 * lane_, n_, stride_)};
+  }
+  T* at(int k, std::size_t i) { return buf.data() + k * lane_ + i * stride_; }
+  void poison_elements() {
+    for (int k = 0; k < 4; ++k)
+      for (std::size_t i = 0; i < n_; ++i)
+        std::memset(at(k, i), kPoison, sizeof(T));
+  }
+  bool same_elements(StridedSystem& o) {
+    for (int k = 0; k < 4; ++k)
+      for (std::size_t i = 0; i < n_; ++i)
+        if (std::memcmp(at(k, i), o.at(k, i), sizeof(T)) != 0) return false;
+    return true;
+  }
+  bool same_bytes(const StridedSystem& o) const {
+    return std::memcmp(buf.data(), o.buf.data(), buf.size() * sizeof(T)) == 0;
+  }
+
+  std::size_t n_, lane_, stride_;
+  std::vector<T> buf;
+};
+
+template <typename T>
+void check_pcr_core_bitwise() {
+  Rng rng(0x9c7u);
+  // (input, output) strides: the unit-stride path, either side strided
+  // alone, and both strided; each side sees 1, 3 and 64.
+  const std::pair<std::size_t, std::size_t> strides[] = {
+      {1, 1}, {1, 64}, {3, 1}, {64, 3}};
+  for (std::size_t n : {1u, 2u, 3u, 5u, 17u, 64u, 1000u, 1025u}) {
+    for (const auto& [in_stride, out_stride] : strides) {
+      StridedSystem<T> src(n, in_stride);
+      auto sv = src.view();
+      for (std::size_t i = 0; i < n; ++i) {
+        sv.a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+        sv.b[i] = static_cast<T>(rng.uniform(2.0, 3.0));
+        sv.c[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+        sv.d[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+      }
+      const auto in = const_view(sv);
+      StridedSystem<T> want(n, out_stride), full(n, out_stride),
+          ranged(n, out_stride);
+      // Every shift below n (so n < 2*shift is covered) and one at n,
+      // where no equation has a neighbour.
+      for (std::size_t shift = 1; shift <= n; ++shift) {
+        reference_pcr_step(in, want.view(), shift);
+
+        full.poison_elements();
+        pcr_step(in, full.view(), shift);
+        ASSERT_TRUE(full.same_elements(want))
+            << "pcr_step n=" << n << " shift=" << shift
+            << " strides=" << in_stride << "/" << out_stride;
+
+        // Ranges cut at the edge-region boundaries (shift, n-shift) and
+        // at a random point, run back to front.
+        const std::size_t edge = std::min(shift, n);
+        std::vector<std::size_t> cuts{
+            0, n, edge, n - edge, static_cast<std::size_t>(rng.below(n + 1))};
+        std::sort(cuts.begin(), cuts.end());
+        ranged.poison_elements();
+        for (std::size_t k = cuts.size() - 1; k-- > 0;) {
+          pcr_step_range(in, ranged.view(), shift, cuts[k], cuts[k + 1]);
+        }
+        ASSERT_TRUE(ranged.same_elements(want))
+            << "pcr_step_range n=" << n << " shift=" << shift
+            << " strides=" << in_stride << "/" << out_stride;
+      }
+      EXPECT_TRUE(full.same_bytes(want)) << "write outside the view";
+      EXPECT_TRUE(ranged.same_bytes(want)) << "write outside the view";
+    }
+  }
+}
+
+TEST(Pcr, CoreBitwiseEqualsScalarReferenceFloat) {
+  check_pcr_core_bitwise<float>();
+}
+
+TEST(Pcr, CoreBitwiseEqualsScalarReferenceDouble) {
+  check_pcr_core_bitwise<double>();
+}
+
 // ---------- CR ----------
 
 TEST(Cr, MatchesDenseAcrossSizes) {
@@ -448,6 +594,27 @@ TEST(Verify, ResidualLargeForWrongSolution) {
   for (auto& v : x_true) v += 1.0;
   EXPECT_GT(batch_residual_inf(batch, std::span<const double>(x_true)),
             1e-3);
+}
+
+TEST(Verify, NonFiniteSolutionNeverVerifies) {
+  std::vector<double> x_true;
+  auto batch = make_with_known_solution<double>(3, 50, 79, &x_true);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    // One bad unknown in the middle system, and every unknown bad.
+    std::vector<double> one = x_true;
+    one[50 + 17] = bad;
+    std::vector<double> all(x_true.size(), bad);
+    for (const auto* x : {&one, &all}) {
+      const std::span<const double> xs(*x);
+      EXPECT_EQ(batch_residual_inf(batch, xs), inf) << bad;
+      EXPECT_EQ(residual_inf(const_view(batch.system(1)),
+                             StridedView<const double>(xs.data() + 50, 50, 1)),
+                inf)
+          << bad;
+    }
+  }
 }
 
 // ---------- property sweep: every solver, random dominant systems ----------
