@@ -13,12 +13,41 @@
 
 namespace tda {
 
-/// SplitMix64 — used to expand a user seed into xoshiro state.
-inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+/// SplitMix64's increment (2^64 / golden ratio).
+inline constexpr std::uint64_t kSplitMixGamma = 0x9E3779B97F4A7C15ull;
+
+/// Stateless SplitMix64: one well-mixed word from `z` (counters, hashing).
+inline std::uint64_t mix64(std::uint64_t z) noexcept {
+  z += kSplitMixGamma;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
+}
+
+/// SplitMix64 stream step — used to expand a user seed into xoshiro
+/// state and as a cheap caller-owned RNG.
+inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  const std::uint64_t out = mix64(state);
+  state += kSplitMixGamma;
+  return out;
+}
+
+/// Uniform double in [0, 1) from the top 53 bits of `x`.
+inline double unit_double(std::uint64_t x) noexcept {
+  return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+/// One decorrelated-jitter backoff step (AWS-style): a uniform draw from
+/// [base_ms, max(base_ms, 3 * prev_ms)], capped at max_ms; pass the last
+/// result back as prev_ms (0 at first). `state` is the caller's
+/// splitmix64 stream: equal seeds sleep equal schedules.
+inline double decorrelated_backoff_ms(double base_ms, double prev_ms,
+                                      double max_ms,
+                                      std::uint64_t& state) noexcept {
+  const double hi = prev_ms * 3.0 > base_ms ? prev_ms * 3.0 : base_ms;
+  const double sleep =
+      base_ms + unit_double(splitmix64(state)) * (hi - base_ms);
+  return sleep > max_ms ? max_ms : sleep;
 }
 
 /// xoshiro256++ generator (Blackman & Vigna). Satisfies
@@ -50,9 +79,7 @@ class Rng {
   }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
+  double uniform() noexcept { return unit_double((*this)()); }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept {

@@ -4,25 +4,18 @@
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/rng.hpp"
 
 namespace tda::faults {
 
 namespace {
-
-/// SplitMix64 finalizer — one well-mixed 64-bit word from a counter.
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
 
 /// Uniform double in [0, 1) from (seed, site, decision index).
 double decision_uniform(std::uint64_t seed, int site, std::uint64_t index) {
   const std::uint64_t h =
       mix64(seed ^ mix64(static_cast<std::uint64_t>(site + 1)) ^
             mix64(index * 0x2545F4914F6CDD1Dull));
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
+  return unit_double(h);
 }
 
 struct KeyName {

@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "net/socket.hpp"
 
 namespace tda::net {
@@ -145,18 +146,6 @@ class ChaosProxy {
     }
   };
 
-  static std::uint64_t splitmix64(std::uint64_t& s) {
-    s += 0x9E3779B97F4A7C15ull;
-    std::uint64_t z = s;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  }
-
-  static double uniform01(std::uint64_t& s) {
-    return static_cast<double>(splitmix64(s) >> 11) * 0x1.0p-53;
-  }
-
   void accept_loop() {
     while (!stop_.load(std::memory_order_relaxed)) {
       const int fd = ::accept(listener_.get(), nullptr, nullptr);
@@ -200,12 +189,12 @@ class ChaosProxy {
       if (got <= 0) return;  // EOF or error: peer (or tear_down) closed
       const auto len = static_cast<std::size_t>(got);
       if (enabled_.load(std::memory_order_relaxed)) {
-        if (uniform01(rng) < cfg_.drop_rate) {
+        if (unit_double(splitmix64(rng)) < cfg_.drop_rate) {
           drops_.fetch_add(1, std::memory_order_relaxed);
           link.tear_down();
           return;
         }
-        if (uniform01(rng) < cfg_.reset_rate) {
+        if (unit_double(splitmix64(rng)) < cfg_.reset_rate) {
           // Mid-frame tear: forward part of the chunk, then kill the
           // connection. len == 1 still forwards 1 byte then dies, which
           // is the worst case (a lone header byte).
@@ -215,12 +204,12 @@ class ChaosProxy {
           link.tear_down();
           return;
         }
-        if (uniform01(rng) < cfg_.latency_rate) {
+        if (unit_double(splitmix64(rng)) < cfg_.latency_rate) {
           latency_.fetch_add(1, std::memory_order_relaxed);
           std::this_thread::sleep_for(
               std::chrono::duration<double, std::milli>(cfg_.latency_ms));
         }
-        if (len > 1 && uniform01(rng) < cfg_.partial_rate) {
+        if (len > 1 && unit_double(splitmix64(rng)) < cfg_.partial_rate) {
           partials_.fetch_add(1, std::memory_order_relaxed);
           const std::size_t cut = 1 + splitmix64(rng) % (len - 1);
           if (!write_all(to, buf.data(), cut)) return;

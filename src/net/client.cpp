@@ -4,19 +4,9 @@
 #include <random>
 #include <thread>
 
+#include "common/rng.hpp"
+
 namespace tda::net {
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& s) {
-  s += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 bool Client::connect(const std::string& spec, const std::string& token,
                      std::string* err) {
@@ -85,27 +75,18 @@ std::uint64_t Client::mint_key() {
   return key_nonce_ ^ ++key_counter_;
 }
 
-double Client::next_backoff_ms() {
-  // Decorrelated jitter: sleep = min(cap, uniform(base, prev * 3)).
-  // Independent streams desynchronize even clients that failed on the
-  // same instant, so a reconnect wave spreads instead of stampeding.
-  if (jitter_state_ == 0) jitter_state_ = retry_.seed | 1;
-  const double lo = retry_.base_backoff_ms;
-  const double hi = prev_backoff_ms_ * 3.0 > lo ? prev_backoff_ms_ * 3.0
-                                                : lo;
-  const double u =
-      static_cast<double>(splitmix64(jitter_state_) >> 11) * 0x1.0p-53;
-  double sleep = lo + u * (hi - lo);
-  if (sleep > retry_.max_backoff_ms) sleep = retry_.max_backoff_ms;
-  prev_backoff_ms_ = sleep;
-  return sleep;
-}
-
 bool Client::recover(std::string* err) {
   if (retry_.max_attempts <= 0) return false;
+  // Independent jitter streams desynchronize even clients that failed
+  // on the same instant, so a reconnect wave spreads instead of
+  // stampeding.
+  if (jitter_state_ == 0) jitter_state_ = retry_.seed | 1;
   for (int attempt = 0; attempt < retry_.max_attempts; ++attempt) {
+    prev_backoff_ms_ =
+        decorrelated_backoff_ms(retry_.base_backoff_ms, prev_backoff_ms_,
+                                retry_.max_backoff_ms, jitter_state_);
     std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(next_backoff_ms()));
+        std::chrono::duration<double, std::milli>(prev_backoff_ms_));
     std::string connect_err;
     if (!do_connect(&connect_err)) continue;
     ++stats_.reconnects;

@@ -221,7 +221,6 @@ class Client {
   /// jitter backoff. False when retry is off or attempts run out.
   bool recover(std::string* err);
   bool do_connect(std::string* err);
-  double next_backoff_ms();
   void close_fd();
 
   Fd fd_;

@@ -23,6 +23,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/rng.hpp"
+
 namespace tda::net {
 
 struct DedupConfig {
@@ -42,6 +44,13 @@ struct DedupStats {
   std::size_t bytes = 0;          ///< retained result bytes right now
   std::size_t entries = 0;        ///< live entries right now
 };
+
+/// Bucket hash of a (tenant, key) slot. The client picks the key, so the
+/// tenant id is mixed in too. Exposed for tests.
+inline std::uint64_t dedup_key_hash(std::uint64_t tenant_id,
+                                    std::uint64_t key) {
+  return mix64(key + kSplitMixGamma * tenant_id);
+}
 
 /// Resp is whatever the owner wants replayed to a duplicate requester
 /// (the front door stores the full solve response). Waiter identifies a
@@ -223,12 +232,7 @@ class DedupCache {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      // splitmix-style mix of both words; either alone is attacker-ish
-      // controlled (client picks the key), so mix with the tenant id.
-      std::uint64_t x = k.key + 0x9E3779B97F4A7C15ull * (k.tenant_id + 1);
-      x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-      x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-      return static_cast<std::size_t>(x ^ (x >> 31));
+      return static_cast<std::size_t>(dedup_key_hash(k.tenant_id, k.key));
     }
   };
   struct Entry {

@@ -76,6 +76,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "faults/faults.hpp"
 #include "net/dedup.hpp"
 #include "net/protocol.hpp"
@@ -787,7 +788,8 @@ class FrontDoor {
       // snapshot): a resend must be byte-identical to its original, so
       // a reused key with a different payload is a client bug answered
       // with KeyReuse, never a silent wrong replay.
-      const std::uint64_t payload_hash = fnv1a64(frame.payload);
+      const std::uint64_t payload_hash =
+          fnv1a64(frame.payload, kFnv64LegacyBasis);
       const State state =
           dedup_.begin(tid, solve->idem_key, payload_hash, mono_ms());
       if (state == State::Mismatch) {

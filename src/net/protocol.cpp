@@ -3,32 +3,13 @@
 #include <chrono>
 #include <cstring>
 
+#include "common/le_codec.hpp"
+
 namespace tda::net {
 
 namespace {
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
+using namespace le;
 
 template <typename T>
 void put_values(std::string& out, const std::vector<T>& v) {
@@ -36,38 +17,6 @@ void put_values(std::string& out, const std::vector<T>& v) {
   const std::size_t at = out.size();
   out.resize(at + bytes);
   if (bytes > 0) std::memcpy(out.data() + at, v.data(), bytes);
-}
-
-std::uint16_t get_u16(std::string_view b, std::size_t at) {
-  return static_cast<std::uint16_t>(
-      static_cast<std::uint8_t>(b[at]) |
-      (static_cast<std::uint16_t>(static_cast<std::uint8_t>(b[at + 1]))
-       << 8));
-}
-
-std::uint32_t get_u32(std::string_view b, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<std::uint8_t>(b[at + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(std::string_view b, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) |
-        static_cast<std::uint8_t>(b[at + static_cast<std::size_t>(i)]);
-  }
-  return v;
-}
-
-double get_f64(std::string_view b, std::size_t at) {
-  const std::uint64_t bits = get_u64(b, at);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
 }
 
 template <typename T>
@@ -78,9 +27,11 @@ std::vector<T> get_values(std::string_view b, std::size_t at,
   return out;
 }
 
-/// Appends a header + payload with the checksum patched in. The header
-/// is built first with checksum 0, then the hash runs over the first 20
-/// header bytes and the payload.
+/// Offset of the checksum field = length of the header prefix it covers.
+constexpr std::size_t kChecksumAt = 20;
+
+/// Appends a header + payload, the checksum covering the 20 header
+/// bytes before it and the payload.
 void append_frame(std::string& out, FrameType type,
                   std::uint64_t request_id, std::string_view payload,
                   std::uint16_t version = kVersion) {
@@ -90,9 +41,8 @@ void append_frame(std::string& out, FrameType type,
   put_u16(out, static_cast<std::uint16_t>(type));
   put_u64(out, request_id);
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  std::uint32_t sum = fnv1a32(std::string_view(out).substr(head, 20));
-  sum = fnv1a32(payload, sum);
-  put_u32(out, sum);
+  put_u32(out, frame_checksum(std::string_view(out).substr(head, kChecksumAt),
+                              payload));
   out.append(payload);
 }
 
@@ -145,23 +95,6 @@ double unix_now_ms() {
   return std::chrono::duration<double, std::milli>(now).count();
 }
 
-std::uint32_t fnv1a32(std::string_view bytes, std::uint32_t state) {
-  for (const char c : bytes) {
-    state ^= static_cast<std::uint8_t>(c);
-    state *= 0x01000193u;
-  }
-  return state;
-}
-
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 DecodeResult decode_frame(std::string_view buf, std::size_t max_payload) {
   DecodeResult r;
   if (buf.size() < kHeaderSize) {
@@ -207,9 +140,8 @@ DecodeResult decode_frame(std::string_view buf, std::size_t max_payload) {
     return r;
   }
   const std::string_view payload = buf.substr(kHeaderSize, payload_len);
-  std::uint32_t sum = fnv1a32(buf.substr(0, 20));
-  sum = fnv1a32(payload, sum);
-  if (sum != get_u32(buf, 20)) {
+  if (frame_checksum(buf.substr(0, kChecksumAt), payload) !=
+      get_u32(buf, kChecksumAt)) {
     r.status = DecodeStatus::Corrupt;
     r.error = "checksum mismatch";
     return r;

@@ -25,11 +25,9 @@
 // idempotency key (0 = none) that lets the server deduplicate
 // reconnect-and-resend retries instead of re-executing them.
 //
-// The checksum makes corruption detectable rather than merely unlikely
-// to parse: every FNV-1a step s' = (s ^ byte) * prime is a bijection of
-// the 32-bit state, so any single flipped byte in the covered range
-// always lands on a different checksum — the fuzz harness leans on that
-// to assert "no mutated frame is ever accepted".
+// The checksum rule (common/le_codec.hpp) changes on any single flipped
+// byte in the covered range — the fuzz harness leans on that to assert
+// "no mutated frame is ever accepted".
 //
 // decode_frame is strictly bounds-checked and allocation-free: it
 // either needs more bytes, yields a view into the caller's buffer, or
@@ -110,17 +108,6 @@ double unix_now_ms();
 
 const char* to_string(FrameType t);
 const char* to_string(ErrorCode c);
-
-/// FNV-1a-32 over `bytes` continuing from `state` (pass the offset
-/// basis for a fresh hash). Exposed for tests.
-std::uint32_t fnv1a32(std::string_view bytes,
-                      std::uint32_t state = 0x811C9DC5u);
-
-/// FNV-1a-64 of `bytes` — the payload fingerprint stored per
-/// idempotency key, so a key reused for a *different* system is
-/// rejected (ErrorCode::KeyReuse) instead of silently replayed, and the
-/// fingerprint survives a restart inside the ops snapshot.
-std::uint64_t fnv1a64(std::string_view bytes);
 
 /// One decoded frame: a non-owning view into the receive buffer.
 struct FrameView {

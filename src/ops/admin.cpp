@@ -1,47 +1,21 @@
 #include "ops/admin.hpp"
 
-#include <cstring>
+#include <string_view>
 
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/le_codec.hpp"
+
 namespace tda::ops {
 
 namespace {
 
-std::uint32_t fnv1a32(const char* data, std::size_t len,
-                      std::uint32_t h = 2166136261u) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
+using namespace le;
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint16_t get_u16(const char* p) {
-  return static_cast<std::uint16_t>(
-      static_cast<unsigned char>(p[0]) |
-      (static_cast<unsigned char>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-         << (8 * i);
-  return v;
-}
+/// Offset of the checksum field = length of the header prefix it covers.
+constexpr std::size_t kChecksumAt = 12;
 
 /// Blocking full read; false on EOF/error.
 bool read_exact(int fd, char* buf, std::size_t len) {
@@ -83,32 +57,29 @@ void encode_admin(std::string& out, AdminCmd cmd,
   put_u16(out, kAdminVersion);
   put_u16(out, static_cast<std::uint16_t>(cmd));
   put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, 0);  // checksum, patched below
+  put_u32(out, frame_checksum(std::string_view(out).substr(at, kChecksumAt),
+                              payload));
   out += payload;
-  std::uint32_t sum = fnv1a32(out.data() + at, 12);
-  sum = fnv1a32(payload.data(), payload.size(), sum);
-  std::string patched;
-  put_u32(patched, sum);
-  out.replace(at + 12, 4, patched);
 }
 
 bool read_admin_frame(int fd, AdminFrame* out, std::string* err) {
-  char header[kAdminHeaderSize];
-  if (!read_exact(fd, header, sizeof(header)))
+  char buf[kAdminHeaderSize];
+  if (!read_exact(fd, buf, sizeof(buf)))
     return fail(err, "admin: short header read");
-  if (get_u32(header) != kAdminMagic) return fail(err, "admin: bad magic");
-  if (get_u16(header + 4) != kAdminVersion)
+  const std::string_view header(buf, sizeof(buf));
+  if (get_u32(header, 0) != kAdminMagic) return fail(err, "admin: bad magic");
+  if (get_u16(header, 4) != kAdminVersion)
     return fail(err, "admin: unsupported version");
-  const std::uint16_t cmd = get_u16(header + 6);
-  const std::uint32_t len = get_u32(header + 8);
-  const std::uint32_t want = get_u32(header + 12);
+  const std::uint16_t cmd = get_u16(header, 6);
+  const std::uint32_t len = get_u32(header, 8);
   if (len > kAdminMaxPayload) return fail(err, "admin: oversized payload");
   std::string payload(len, '\0');
   if (len > 0 && !read_exact(fd, payload.data(), len))
     return fail(err, "admin: short payload read");
-  std::uint32_t sum = fnv1a32(header, 12);
-  sum = fnv1a32(payload.data(), payload.size(), sum);
-  if (sum != want) return fail(err, "admin: checksum mismatch");
+  if (frame_checksum(header.substr(0, kChecksumAt), payload) !=
+      get_u32(header, kChecksumAt)) {
+    return fail(err, "admin: checksum mismatch");
+  }
   out->cmd = static_cast<AdminCmd>(cmd);
   out->payload = std::move(payload);
   return true;

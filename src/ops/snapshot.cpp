@@ -1,29 +1,21 @@
 #include "ops/snapshot.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "common/durable_file.hpp"
 #include "faults/faults.hpp"
 
 namespace tda::ops {
 
 namespace {
 
-std::uint64_t fnv1a64(const std::string& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : bytes) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+constexpr SealedFormat kFormat{kSnapshotHeader, kFnv64LegacyBasis};
 
 /// %-escapes bytes that would break the tab/newline framing (or an
 /// unescape pass): anything outside printable ASCII, '%' itself, tab,
@@ -76,13 +68,6 @@ std::string fmt_f64(double v) {
 
 std::string fmt_u64(std::uint64_t v) { return std::to_string(v); }
 
-std::string fmt_hex64(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 bool parse_f64(const std::string& tok, double* out) {
   if (tok.empty()) return false;
   char* end = nullptr;
@@ -94,13 +79,6 @@ bool parse_u64(const std::string& tok, std::uint64_t* out) {
   if (tok.empty()) return false;
   char* end = nullptr;
   *out = std::strtoull(tok.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool parse_hex64(const std::string& tok, std::uint64_t* out) {
-  if (tok.size() != 16) return false;
-  char* end = nullptr;
-  *out = std::strtoull(tok.c_str(), &end, 16);
   return end != nullptr && *end == '\0';
 }
 
@@ -168,35 +146,24 @@ std::string serialize_snapshot(const ServerState& state) {
             "\t" + fmt_u64(e->retries) + "\t" + fmt_u64(e->chunks) + "\t" +
             escape(e->device) + "\t" + escape(e->error) + "\t" +
             fmt_u64(e->x.size());
-    for (const double v : e->x) body += "\t" + fmt_f64(v);
+    for (const double v : e->x) {
+      body += '\t';
+      body += fmt_f64(v);
+    }
     body += "\n";
   }
 
-  std::string out = kSnapshotHeader;
-  out += fmt_hex64(fnv1a64(body));
-  out += "\n";
-  out += body;
-  return out;
+  return seal(kFormat, body);
 }
 
 bool parse_snapshot(const std::string& bytes, ServerState* out,
                     std::string* why) {
-  const std::size_t header_len = sizeof(kSnapshotHeader) - 1;
-  if (bytes.size() < header_len + 17 ||
-      bytes.compare(0, header_len, kSnapshotHeader) != 0) {
-    return fail(why, "bad or missing snapshot header");
-  }
-  std::uint64_t want = 0;
-  if (!parse_hex64(bytes.substr(header_len, 16), &want) ||
-      bytes[header_len + 16] != '\n') {
-    return fail(why, "unparsable header checksum");
-  }
-  const std::string body = bytes.substr(header_len + 17);
-  if (fnv1a64(body) != want) return fail(why, "checksum mismatch");
+  const auto body = verify_sealed(kFormat, bytes, why);
+  if (!body) return false;
 
   ServerState scratch;
   bool saw_meta = false;
-  std::istringstream in(body);
+  std::istringstream in{std::string(*body)};
   std::string line;
   while (std::getline(in, line)) {
     const auto f = split_tabs(line);
@@ -268,24 +235,7 @@ bool parse_snapshot(const std::string& bytes, ServerState* out,
 
 bool save_snapshot(const std::string& path, const ServerState& state,
                    std::string* why) {
-  static std::atomic<std::uint64_t> temp_counter{0};
-  const std::string bytes = serialize_snapshot(state);
-  const std::string tmp =
-      path + ".tmp" + std::to_string(temp_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return fail(why, "cannot open temp file " + tmp);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-      std::remove(tmp.c_str());
-      return fail(why, "short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return fail(why, "rename to " + path + " failed");
-  }
-  return true;
+  return replace_file_atomic(path, serialize_snapshot(state), why);
 }
 
 bool load_snapshot(const std::string& path, ServerState* out,

@@ -1,11 +1,9 @@
 #pragma once
-// Versioned, checksummed, crash-safe serialization of ops::ServerState
-// — the same discipline as the v2 tuning cache: a header line carrying
-// a 64-bit FNV-1a checksum of everything after it, whole-file rejection
-// on any version/checksum/parse failure (a damaged snapshot falls back
-// to cold start, never to a half-restored registry), and atomic
-// replacement via unique temp file + rename so a crash mid-write leaves
-// the previous snapshot intact.
+// Versioned, checksummed, crash-safe serialization of ops::ServerState,
+// sealed and saved through common/durable_file.hpp like the v2 tuning
+// cache. Any version/checksum/parse failure rejects the whole file: a
+// damaged snapshot falls back to cold start, never to a half-restored
+// registry.
 //
 // The format is line-based text: doubles are printed as C99 hex floats
 // (%a), which round-trip exactly and make save -> load -> save
@@ -36,8 +34,8 @@ std::string serialize_snapshot(const ServerState& state);
 bool parse_snapshot(const std::string& bytes, ServerState* out,
                     std::string* why = nullptr);
 
-/// Writes atomically: serialize to `path + ".tmp<N>"`, rename over
-/// `path`. Returns false (and removes the temp) when any step fails.
+/// Writes atomically (replace_file_atomic). Returns false, with `path`
+/// untouched and no temp file left, when any step fails.
 bool save_snapshot(const std::string& path, const ServerState& state,
                    std::string* why = nullptr);
 

@@ -25,13 +25,6 @@ enum class DispatchPolicy {
 const char* to_string(BackpressurePolicy p);
 const char* to_string(DispatchPolicy p);
 
-/// One decorrelated-jitter backoff step (AWS-style): a uniform draw
-/// from [base_ms, 3 * prev_ms] capped at max_ms. Pass the previous
-/// return value back in as prev_ms (or 0 on the first attempt); `state`
-/// is the caller-owned RNG stream. Exposed for tests.
-double decorrelated_backoff_ms(double base_ms, double prev_ms,
-                               double max_ms, std::uint64_t& state);
-
 /// Fault-tolerance policy of the service (docs/ROBUSTNESS.md). Defaults
 /// are the production setting: guards on, retries with failover, breaker
 /// armed — with injection disabled none of it touches the hot path
@@ -48,17 +41,13 @@ struct ResilienceConfig {
 
   /// Device-fault retries on the same worker before failing over.
   int max_retries = 2;
-  /// Base of the retry backoff (wall-clock ms). With jitter on (the
-  /// default), attempt k sleeps a decorrelated-jitter draw from
-  /// [base, 3 * previous sleep] capped at retry_backoff_max_ms; with
-  /// jitter off, attempt k sleeps exactly retry_backoff_ms * 2^k.
+  /// Base of the retry backoff (wall-clock ms); 0 retries at once.
+  /// Attempt k sleeps a decorrelated-jitter draw from [base, 3 * previous
+  /// sleep] capped at retry_backoff_max_ms, so workers failed by one
+  /// flaky device do not retry in lockstep.
   double retry_backoff_ms = 0.25;
   /// Ceiling of a single jittered backoff sleep (wall-clock ms).
   double retry_backoff_max_ms = 8.0;
-  /// Decorrelated jitter on the retry backoff. Correlated faults (one
-  /// flaky device failing many workers at once) make synchronized
-  /// exponential waves retry in lockstep; jitter spreads them out.
-  bool retry_jitter = true;
   /// After retries are exhausted, hand the batch to up to
   /// (num_workers - 1) other workers before the CPU path.
   bool device_failover = true;

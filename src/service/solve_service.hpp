@@ -71,6 +71,7 @@
 #include "common/alloc_stats.hpp"
 #include "common/buffer_pool.hpp"
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "faults/faults.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/memory.hpp"
@@ -156,7 +157,7 @@ class SolveService {
     }
     workers_.reserve(devices.size());
     for (const auto& spec : devices) {
-      workers_.push_back(std::make_unique<Worker>(spec));
+      workers_.push_back(std::make_unique<Worker>(spec, workers_.size()));
       // Every worker device records into the service session, but must
       // NOT adopt the simulated clock: kernel spans need wall timestamps
       // to nest under the service's wall-clock batch spans.
@@ -584,7 +585,8 @@ class SolveService {
   enum class Breaker { Closed, Open, HalfOpen };
 
   struct Worker {
-    explicit Worker(const gpusim::DeviceSpec& spec) : dev(spec) {}
+    Worker(const gpusim::DeviceSpec& spec, std::size_t index)
+        : dev(spec), backoff_rng(mix64(index)) {}
     gpusim::Device dev;
     std::thread thread;
     std::condition_variable cv;       // waits on the service mutex
@@ -609,10 +611,10 @@ class SolveService {
     bool crashed = false;     ///< thread died; scheduler must revive it
     std::size_t restarts = 0;
 
-    /// Decorrelated-jitter stream of the retry backoff (worker thread
-    /// only). Seeded from the worker's address so concurrent workers
-    /// hit by the same fault desynchronize their retries.
-    std::uint64_t backoff_rng = 0;
+    /// Retry-backoff jitter stream (worker thread only), seeded from the
+    /// worker's index: workers hit by one fault desynchronize, and a
+    /// seeded fault run sleeps the same schedule every time.
+    std::uint64_t backoff_rng;
   };
 
   [[nodiscard]] double wall_s(TimePoint tp) const {
@@ -1284,10 +1286,8 @@ class SolveService {
     bool device_exhausted = false;
     bool cancelled = false;
     std::string error;
-    // Decorrelated-jitter state for the retry backoff: one stream per
-    // worker so correlated faults don't retry in lockstep across
-    // workers (the stream survives batches — that's fine, any seed is
-    // as good as another).
+    // Previous retry sleep of this batch; the jitter stream itself is
+    // per worker and survives batches.
     double backoff_prev_ms = 0.0;
 
     for (int attempt = 0; !solved; ++attempt) {
@@ -1345,22 +1345,11 @@ class SolveService {
             telemetry_.metrics.add("service.retries");
           }
           if (res.retry_backoff_ms > 0.0) {
-            double sleep_ms;
-            if (res.retry_jitter) {
-              if (w.backoff_rng == 0) {
-                w.backoff_rng =
-                    reinterpret_cast<std::uintptr_t>(&w) | 1u;
-              }
-              sleep_ms = decorrelated_backoff_ms(
-                  res.retry_backoff_ms, backoff_prev_ms,
-                  res.retry_backoff_max_ms, w.backoff_rng);
-              backoff_prev_ms = sleep_ms;
-            } else {
-              sleep_ms = res.retry_backoff_ms *
-                         static_cast<double>(1 << attempt);
-            }
+            backoff_prev_ms = decorrelated_backoff_ms(
+                res.retry_backoff_ms, backoff_prev_ms,
+                res.retry_backoff_max_ms, w.backoff_rng);
             std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(sleep_ms));
+                std::chrono::duration<double, std::milli>(backoff_prev_ms));
           }
           continue;
         }

@@ -1,14 +1,13 @@
 #include "tuning/cache.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 
+#include "common/durable_file.hpp"
 #include "common/log.hpp"
 #include "faults/faults.hpp"
 
@@ -26,21 +25,13 @@ std::mutex& file_mutex() {
 }
 
 // v1: bare header, no integrity check (still readable).
-// v2: header carries an FNV-1a checksum of everything after the header
-// line; any flipped bit rejects the whole file, falling back to
-// re-tuning rather than solving with corrupted switch points.
+// v2: sealed (common/durable_file.hpp): the header carries an FNV-1a
+// checksum of everything after the header line, so any flipped bit
+// rejects the whole file, falling back to re-tuning rather than solving
+// with corrupted switch points.
 constexpr std::string_view kHeaderV1 = "# tridiag_autotune tuning cache v1";
-constexpr std::string_view kHeaderV2 =
-    "# tridiag_autotune tuning cache v2 checksum=";
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char ch : bytes) {
-    h ^= static_cast<unsigned char>(ch);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
+constexpr SealedFormat kFormatV2{
+    "# tridiag_autotune tuning cache v2 checksum="};
 
 /// Positive-integer field with explicit rejection of negatives,
 /// non-numbers and fractions (istream would happily wrap "-3" into a
@@ -50,6 +41,98 @@ bool parse_count(std::istream& in, std::size_t& out) {
   if (!(in >> v)) return false;
   if (!std::isfinite(v) || v < 1.0 || v != std::floor(v)) return false;
   out = static_cast<std::size_t>(v);
+  return true;
+}
+
+/// Parses a cache file into `out`. Returns the number of records read,
+/// or nullopt when the header or checksum rejects the whole file.
+/// Malformed records of an intact file are counted, log-warned and
+/// skipped.
+std::optional<std::size_t> parse(std::string_view contents,
+                                 std::map<std::string, CacheEntry>& out) {
+  const std::string_view header = contents.substr(0, contents.find('\n'));
+  std::optional<std::string_view> records;
+  std::string why;
+  if (header == kHeaderV1) {
+    // Legacy file: readable, but carries no integrity check.
+    records = contents.substr(std::min(header.size() + 1, contents.size()));
+  } else if (header.starts_with(kFormatV2.header)) {
+    records = verify_sealed(kFormatV2, contents, &why);
+  } else {
+    why = "unrecognized header '" + std::string(header) + "'";
+  }
+  if (!records) {
+    if (!contents.empty()) {
+      TDA_WARN("tuning cache: " << why
+                                << " — ignoring the whole file (will "
+                                   "re-tune)");
+    }
+    return std::nullopt;
+  }
+
+  std::size_t loaded = 0, skipped = 0;
+  std::istringstream body{std::string(*records)};
+  std::string line;
+  while (std::getline(body, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    // key \t stage1 stage3 thomas variant layout ms
+    // Records written before layout was a tuner dimension omit the
+    // layout token; the token after `variant` is then the ms itself, so
+    // peek at it and default those records to system-major.
+    std::istringstream ls(line);
+    std::string key, variant, tok;
+    CacheEntry e;
+    bool ok = static_cast<bool>(std::getline(ls, key, '\t')) &&
+              !key.empty() &&
+              parse_count(ls, e.points.stage1_target_systems) &&
+              parse_count(ls, e.points.stage3_system_size) &&
+              parse_count(ls, e.points.thomas_switch) &&
+              static_cast<bool>(ls >> variant >> tok) &&
+              (variant == "coalesced" || variant == "strided");
+    if (ok) {
+      if (tok == "system" || tok == "element") {
+        e.points.layout = (tok == "element")
+                              ? tridiag::BatchLayout::ElementMajor
+                              : tridiag::BatchLayout::SystemMajor;
+        ok = static_cast<bool>(ls >> e.tuned_ms);
+      } else {
+        char* end = nullptr;
+        e.tuned_ms = std::strtod(tok.c_str(), &end);
+        ok = end != nullptr && *end == '\0';
+      }
+      ok = ok && std::isfinite(e.tuned_ms) && e.tuned_ms >= 0.0;
+    }
+    if (!ok) {
+      ++skipped;
+      continue;
+    }
+    e.points.variant = (variant == "coalesced")
+                           ? kernels::LoadVariant::Coalesced
+                           : kernels::LoadVariant::Strided;
+    out[key] = e;
+    ++loaded;
+  }
+  if (skipped > 0) {
+    TDA_WARN("tuning cache: skipped " << skipped << " malformed record(s)");
+  }
+  return loaded;
+}
+
+bool write_atomic(const std::string& path,
+                  const std::map<std::string, CacheEntry>& entries) {
+  std::ostringstream payload;
+  for (const auto& [key, e] : entries) {
+    payload << key << '\t' << e.points.stage1_target_systems << ' '
+        << e.points.stage3_system_size << ' ' << e.points.thomas_switch
+        << ' ' << kernels::to_string(e.points.variant) << ' '
+        << tridiag::to_string(e.points.layout) << ' ' << e.tuned_ms
+        << '\n';
+  }
+  std::string why;
+  if (!replace_file_atomic(path, seal(kFormatV2, payload.str()), &why)) {
+    TDA_WARN("tuning cache: save failed (" << why << ")");
+    return false;
+  }
   return true;
 }
 }  // namespace
@@ -89,117 +172,6 @@ std::map<std::string, CacheEntry> TuningCache::snapshot() const {
   return entries_;
 }
 
-TuningCache::ParseResult TuningCache::parse_stream(
-    std::istream& in, std::map<std::string, CacheEntry>& out) {
-  ParseResult result;
-  std::string header;
-  if (!std::getline(in, header)) {
-    result.header_ok = false;  // empty/unreadable file
-    return result;
-  }
-  std::string payload{std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>()};
-  if (header == kHeaderV1) {
-    // Legacy file: readable, but carries no integrity check.
-  } else if (header.compare(0, kHeaderV2.size(), kHeaderV2) == 0) {
-    const std::string stored = header.substr(kHeaderV2.size());
-    char* end = nullptr;
-    const std::uint64_t want = std::strtoull(stored.c_str(), &end, 16);
-    if (end == nullptr || *end != '\0' || stored.empty() ||
-        want != fnv1a(payload)) {
-      TDA_WARN("tuning cache: checksum mismatch — ignoring the whole "
-               "file (will re-tune)");
-      result.header_ok = false;
-      return result;
-    }
-  } else {
-    TDA_WARN("tuning cache: unrecognized header '"
-             << header << "' — ignoring the whole file");
-    result.header_ok = false;
-    return result;
-  }
-
-  std::istringstream body(payload);
-  std::string line;
-  while (std::getline(body, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    // key \t stage1 stage3 thomas variant layout ms
-    // Records written before layout was a tuner dimension omit the
-    // layout token; the token after `variant` is then the ms itself, so
-    // peek at it and default those records to system-major.
-    std::istringstream ls(line);
-    std::string key, variant, tok;
-    CacheEntry e;
-    bool ok = static_cast<bool>(std::getline(ls, key, '\t')) &&
-              !key.empty() &&
-              parse_count(ls, e.points.stage1_target_systems) &&
-              parse_count(ls, e.points.stage3_system_size) &&
-              parse_count(ls, e.points.thomas_switch) &&
-              static_cast<bool>(ls >> variant >> tok) &&
-              (variant == "coalesced" || variant == "strided");
-    if (ok) {
-      if (tok == "system" || tok == "element") {
-        e.points.layout = (tok == "element")
-                              ? tridiag::BatchLayout::ElementMajor
-                              : tridiag::BatchLayout::SystemMajor;
-        ok = static_cast<bool>(ls >> e.tuned_ms);
-      } else {
-        char* end = nullptr;
-        e.tuned_ms = std::strtod(tok.c_str(), &end);
-        ok = end != nullptr && *end == '\0';
-      }
-      ok = ok && std::isfinite(e.tuned_ms) && e.tuned_ms >= 0.0;
-    }
-    if (!ok) {
-      ++result.skipped;
-      continue;
-    }
-    e.points.variant = (variant == "coalesced")
-                           ? kernels::LoadVariant::Coalesced
-                           : kernels::LoadVariant::Strided;
-    out[key] = e;
-    ++result.loaded;
-  }
-  if (result.skipped > 0) {
-    TDA_WARN("tuning cache: skipped " << result.skipped
-                                      << " malformed record(s)");
-  }
-  return result;
-}
-
-bool TuningCache::write_atomic(
-    const std::string& path,
-    const std::map<std::string, CacheEntry>& entries) {
-  // Unique temp name per call: concurrent saves to one path each write
-  // their own staging file, and the renames land whole snapshots.
-  static std::atomic<unsigned> counter{0};
-  const std::string tmp =
-      path + ".tmp" + std::to_string(counter.fetch_add(1));
-  std::ostringstream payload;
-  for (const auto& [key, e] : entries) {
-    payload << key << '\t' << e.points.stage1_target_systems << ' '
-        << e.points.stage3_system_size << ' ' << e.points.thomas_switch
-        << ' ' << kernels::to_string(e.points.variant) << ' '
-        << tridiag::to_string(e.points.layout) << ' ' << e.tuned_ms
-        << '\n';
-  }
-  const std::string body = payload.str();
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    char checksum[17];
-    std::snprintf(checksum, sizeof(checksum), "%016llx",
-                  static_cast<unsigned long long>(fnv1a(body)));
-    out << kHeaderV2 << checksum << '\n' << body;
-    if (!out) return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 std::size_t TuningCache::load(const std::string& path) {
   std::ifstream in(path);
   if (!in) return 0;
@@ -212,15 +184,14 @@ std::size_t TuningCache::load(const std::string& path) {
     faults::corrupt_bytes(contents, inj.config().seed, 8);
     TDA_WARN("faults: corrupted tuning-cache bytes before parsing");
   }
-  std::istringstream ss(contents);
   // Parse into a scratch map: a file that fails the header/checksum
   // check must not leave a partial cache behind.
   std::map<std::string, CacheEntry> parsed;
-  const ParseResult result = parse_stream(ss, parsed);
-  if (!result.header_ok) return 0;
+  const std::optional<std::size_t> loaded = parse(contents, parsed);
+  if (!loaded) return 0;
   std::lock_guard lk(mu_);
   for (auto& [key, e] : parsed) entries_[key] = e;
-  return result.loaded;
+  return *loaded;
 }
 
 bool TuningCache::save(const std::string& path) const {
@@ -231,7 +202,11 @@ bool TuningCache::save(const std::string& path) const {
 bool TuningCache::save_merged(const std::string& path) const {
   std::lock_guard file_lk(file_mutex());
   std::map<std::string, CacheEntry> merged;
-  if (std::ifstream in(path); in) parse_stream(in, merged);
+  if (std::ifstream in(path); in) {
+    const std::string contents{std::istreambuf_iterator<char>(in),
+                               std::istreambuf_iterator<char>()};
+    parse(contents, merged);
+  }
   {
     std::lock_guard lk(mu_);
     for (const auto& [key, e] : entries_) merged[key] = e;

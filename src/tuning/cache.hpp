@@ -5,14 +5,14 @@
 //
 // Thread-safe: every member takes an internal mutex, so one cache can be
 // shared by concurrent solver workers (the solve service shares a single
-// cache across all its devices). Saves are atomic — contents are written
-// to a temp file and renamed into place — so a reader never observes a
-// half-written cache. save_merged() additionally folds in records that
-// another process/instance has persisted since we loaded, keeping
-// multiple writers of one cache_path from clobbering each other.
+// cache across all its devices). Saves are atomic
+// (common/durable_file.hpp), so a reader never observes a half-written
+// cache and a failed save keeps the previous file. save_merged()
+// additionally folds in records that another process/instance has
+// persisted since we loaded, keeping multiple writers of one cache_path
+// from clobbering each other.
 
 #include <cstddef>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -61,16 +61,6 @@ class TuningCache {
   bool save_merged(const std::string& path) const;
 
  private:
-  struct ParseResult {
-    std::size_t loaded = 0;   ///< valid records stored into `out`
-    std::size_t skipped = 0;  ///< malformed records dropped (log-warned)
-    bool header_ok = true;    ///< false = whole file rejected
-  };
-  static ParseResult parse_stream(std::istream& in,
-                                  std::map<std::string, CacheEntry>& out);
-  static bool write_atomic(const std::string& path,
-                           const std::map<std::string, CacheEntry>& entries);
-
   mutable std::mutex mu_;
   std::map<std::string, CacheEntry> entries_;
 };

@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -11,6 +19,7 @@
 #include "common/aligned_buffer.hpp"
 #include "common/check.hpp"
 #include "common/cli.hpp"
+#include "common/durable_file.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/strided_view.hpp"
@@ -232,6 +241,131 @@ TEST(Rng, MeanIsCentered) {
 }
 
 // ---------- stats ----------
+
+TEST(Rng, UnitDoubleSpansHalfOpenInterval) {
+  EXPECT_EQ(unit_double(0), 0.0);
+  EXPECT_EQ(unit_double(std::uint64_t{1} << 63), 0.5);
+  EXPECT_LT(unit_double(~std::uint64_t{0}), 1.0);
+}
+
+TEST(Backoff, DrawsStayInsideTheDecorrelatedWindow) {
+  for (const double base : {0.25, 1.0}) {
+    for (const double cap : {8.0, 250.0}) {
+      for (const std::uint64_t seed : {1ull, 7ull, 12345ull}) {
+        std::uint64_t state = seed;
+        double prev = 0.0;
+        double longest = 0.0;
+        for (int i = 0; i < 200; ++i) {
+          const double d = decorrelated_backoff_ms(base, prev, cap, state);
+          const double hi = std::min(cap, std::max(base, 3.0 * prev));
+          ASSERT_GE(d, base) << "draw " << i;
+          ASSERT_LE(d, hi) << "draw " << i;
+          longest = std::max(longest, d);
+          prev = d;
+        }
+        EXPECT_EQ(longest, cap) << "base " << base << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Backoff, EqualSeedsGiveEqualSchedules) {
+  const auto schedule = [](std::uint64_t seed) {
+    std::vector<double> out;
+    double prev = 0.0;
+    for (int i = 0; i < 32; ++i) {
+      prev = decorrelated_backoff_ms(0.25, prev, 8.0, seed);
+      out.push_back(prev);
+    }
+    return out;
+  };
+  EXPECT_EQ(schedule(42), schedule(42));
+  EXPECT_NE(schedule(42), schedule(43));
+}
+
+// -------------------------------------------------------- durable files
+
+constexpr SealedFormat kTestFormat{"# test format v1 checksum="};
+
+TEST(DurableFile, SealVerifyRoundTrip) {
+  for (const std::string body : {"", "one line\n", "a\tb\nc\td\n"}) {
+    const std::string bytes = seal(kTestFormat, body);
+    EXPECT_EQ(bytes.rfind(kTestFormat.header, 0), 0u);
+    EXPECT_EQ(bytes.size(), kTestFormat.header.size() + 17 + body.size());
+    const auto back = verify_sealed(kTestFormat, bytes);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, body);
+  }
+}
+
+TEST(DurableFile, VerifyRejectsEveryDamagedHeaderOrBody) {
+  const std::string bytes = seal(kTestFormat, "payload\n");
+  const std::size_t h = kTestFormat.header.size();
+  std::vector<std::string> bad;
+  bad.push_back(bytes.substr(0, bytes.size() - 1));     // truncated body
+  bad.push_back(bytes.substr(0, h + 16));               // no newline
+  bad.push_back("# other format v1 checksum=" + bytes.substr(h));
+  std::string short_digits = bytes;
+  short_digits.erase(h, 1);                             // 15 digits
+  bad.push_back(short_digits);
+  std::string not_hex = bytes;
+  not_hex[h + 3] = 'g';
+  bad.push_back(not_hex);
+  std::string signed_digits = bytes;
+  signed_digits[h] = '+';
+  bad.push_back(signed_digits);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::string flipped = bytes;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0x04);
+    bad.push_back(flipped);
+  }
+  for (const std::string& b : bad) {
+    std::string why;
+    EXPECT_FALSE(verify_sealed(kTestFormat, b, &why).has_value()) << b;
+    EXPECT_FALSE(why.empty()) << b;
+  }
+  // Upper-case digits verify: the spelling is case-insensitive.
+  std::string upper = bytes;
+  for (std::size_t i = h; i < h + 16; ++i) {
+    upper[i] = static_cast<char>(std::toupper(upper[i]));
+  }
+  EXPECT_TRUE(verify_sealed(kTestFormat, upper).has_value());
+}
+
+TEST(DurableFile, ChecksumStartStateIsPartOfTheFormat) {
+  constexpr SealedFormat kOtherBasis{kTestFormat.header, kFnv64LegacyBasis};
+  const std::string bytes = seal(kTestFormat, "payload\n");
+  EXPECT_FALSE(verify_sealed(kOtherBasis, bytes).has_value());
+  EXPECT_TRUE(
+      verify_sealed(kOtherBasis, seal(kOtherBasis, "payload\n")).has_value());
+}
+
+TEST(DurableFile, ReplaceWritesThenReplacesWholeFiles) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("tda_durable_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  const std::string path = (dir / "state.txt").string();
+  const auto slurp = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string{std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>()};
+  };
+  std::string why;
+  ASSERT_TRUE(replace_file_atomic(path, "first", &why)) << why;
+  EXPECT_EQ(slurp(), "first");
+  ASSERT_TRUE(replace_file_atomic(path, "second, longer", &why)) << why;
+  EXPECT_EQ(slurp(), "second, longer");
+
+  // A missing directory fails cleanly with a reason.
+  EXPECT_FALSE(
+      replace_file_atomic((dir / "missing" / "x.txt").string(), "x", &why));
+  EXPECT_FALSE(why.empty());
+  std::size_t files = 0;
+  for ([[maybe_unused]] const auto& e : fs::directory_iterator(dir)) ++files;
+  EXPECT_EQ(files, 1u);  // no temp file left behind
+  fs::remove_all(dir);
+}
 
 TEST(Stats, SummarizeBasics) {
   std::vector<double> xs{1, 2, 3, 4};

@@ -13,7 +13,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.hpp"
+#include "common/rng.hpp"
 #include "faults/faults.hpp"
+#include "golden_hex.hpp"
 #include "gpusim/device.hpp"
 #include "net/chaos_proxy.hpp"
 #include "net/client.hpp"
@@ -304,6 +307,142 @@ TEST(NetProtocol, ParseSolveShapeViolations) {
   zero[4] = zero[5] = zero[6] = zero[7] = 0;
   EXPECT_FALSE(
       parse_solve<double>(std::string_view(zero).substr(0, 16)).has_value());
+}
+
+// ------------------------------------------------------- golden bytes
+//
+// Exact wire bytes of one frame of every type, pinned as hex. These were
+// recorded before the byte helpers and checksum moved to common/, and
+// must never be edited to make a change pass: a diff here is a wire
+// incompatibility with every deployed peer.
+
+namespace {
+
+using tda::golden::to_hex;
+
+/// The frame matches its pinned bytes and decodes back as exactly one
+/// frame of the given type.
+void expect_golden_frame(const std::string& frame, FrameType type,
+                         const std::string& want_hex) {
+  EXPECT_EQ(to_hex(frame), want_hex) << to_string(type);
+  const auto r = decode_frame(frame, 1 << 20);
+  ASSERT_EQ(r.status, DecodeStatus::Ok) << to_string(type);
+  EXPECT_EQ(r.consumed, frame.size());
+  EXPECT_EQ(r.frame.type, type);
+}
+
+template <typename T>
+void encode_golden_solve(std::string& out, bool v2) {
+  const std::vector<T> a{0, 1}, b{4, 4}, c{1, 0}, d{1, 2};
+  if (v2) {
+    encode_solve_v2<T>(out, 13, a, b, c, d, 1754650001000.0,
+                       0xFEEDFACECAFEBEEFull);
+  } else {
+    encode_solve<T>(out, 11, a, b, c, d, 12.5);
+  }
+}
+
+}  // namespace
+
+TEST(NetGolden, ControlFrameBytesArePinned) {
+  std::string f;
+  encode_hello(f, "token-0", kVersion2, 1754650000123.5);
+  expect_golden_frame(f, FrameType::Hello,
+                      "5444415001000100000000000000000013000000e3bcad10"
+                      "07000200746f6b656e2d3000b8afa394887942");
+  f.clear();
+  encode_hello_ok(f, "alpha", kVersion2, 1754650000456.25);
+  expect_golden_frame(f, FrameType::HelloOk,
+                      "5444415001000200000000000000000011000000254f9638"
+                      "05000200616c7068610084c4a394887942");
+  f.clear();
+  encode_goodbye(f);
+  expect_golden_frame(f, FrameType::Goodbye,
+                      "5444415001000600000000000000000000000000e3a049ec");
+  f.clear();
+  encode_solve_err(f, 0x0102030405060708ull, ErrorCode::KeyReuse,
+                   "key reused", kVersion2);
+  expect_golden_frame(f, FrameType::SolveErr,
+                      "54444150020005000807060504030201120000008ca423ef"
+                      "120000000a0000006b657920726575736564");
+}
+
+TEST(NetGolden, SolveV1FrameBytesArePinned) {
+  std::string f;
+  encode_golden_solve<float>(f, false);
+  expect_golden_frame(f, FrameType::Solve,
+                      "54444150010003000b0000000000000030000000fb5a3494"
+                      "04000000020000000000000000002940000000000000803f0000804000008040"
+                      "0000803f000000000000803f00000040");
+  f.clear();
+  encode_golden_solve<double>(f, false);
+  expect_golden_frame(f, FrameType::Solve,
+                      "54444150010003000b0000000000000050000000ef3a9fdc"
+                      "080000000200000000000000000029400000000000000000000000000000f03f"
+                      "00000000000010400000000000001040000000000000f03f0000000000000000"
+                      "000000000000f03f0000000000000040");
+}
+
+TEST(NetGolden, SolveV2FrameBytesArePinned) {
+  std::string f;
+  encode_golden_solve<float>(f, true);
+  expect_golden_frame(f, FrameType::Solve,
+                      "54444150020003000d000000000000003800000039b3ac84"
+                      "04000000020000000080e6a394887942efbefecacefaedfe000000000000803f"
+                      "00008040000080400000803f000000000000803f00000040");
+  f.clear();
+  encode_golden_solve<double>(f, true);
+  expect_golden_frame(f, FrameType::Solve,
+                      "54444150020003000d0000000000000058000000c587bf91"
+                      "08000000020000000080e6a394887942efbefecacefaedfe0000000000000000"
+                      "000000000000f03f00000000000010400000000000001040000000000000f03f"
+                      "0000000000000000000000000000f03f0000000000000040");
+}
+
+TEST(NetGolden, SolveOkFrameBytesArePinned) {
+  std::string f;
+  encode_solve_ok<float>(f, 21, {0.25f, -1.5f}, 0xABCDEFull, 0.5, 1.25,
+                         true);
+  expect_golden_frame(f, FrameType::SolveOk,
+                      "54444150010004001500000000000000280000005563ef7d"
+                      "0401000002000000efcdab0000000000000000000000e03f000000000000f43f"
+                      "0000803e0000c0bf");
+  f.clear();
+  encode_solve_ok<double>(f, 22, {0.25, -1.5}, 0xABCDEFull, 0.5, 1.25,
+                          false, kVersion2);
+  expect_golden_frame(f, FrameType::SolveOk,
+                      "544441500200040016000000000000003000000065036be3"
+                      "0800000002000000efcdab0000000000000000000000e03f000000000000f43f"
+                      "000000000000d03f000000000000f8bf");
+}
+
+TEST(NetGolden, HashKnownAnswers) {
+  // Published FNV-1a test vectors, plus the continuation form the frame
+  // checksum uses (header prefix, then payload).
+  EXPECT_EQ(fnv1a32(""), 0x811C9DC5u);
+  EXPECT_EQ(fnv1a32("a"), 0xE40C292Cu);
+  EXPECT_EQ(fnv1a32("foobar"), 0xBF9CF968u);
+  EXPECT_EQ(fnv1a32("bar", fnv1a32("foo")), 0xBF9CF968u);
+  // The 64-bit Solve-payload fingerprint, which ops snapshots persist,
+  // starts from 1469598103934665603 rather than the published basis.
+  EXPECT_EQ(fnv1a64("", kFnv64LegacyBasis), 0x14650FB0739D0383ull);
+  EXPECT_EQ(fnv1a64("a", kFnv64LegacyBasis), 0x44BD8AD473CD9906ull);
+  EXPECT_EQ(fnv1a64("foobar", kFnv64LegacyBasis), 0x88FAD7C0A8FF07F2ull);
+  // The published basis, which the tuning-cache checksum uses.
+  EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171F73967E8ull);
+
+  // SplitMix64 from state 0 (Vigna's reference outputs).
+  std::uint64_t state = 0;
+  EXPECT_EQ(splitmix64(state), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(splitmix64(state), 0x6E789E6AA1B965F4ull);
+  EXPECT_EQ(splitmix64(state), 0x06C45D188009454Full);
+
+  // Dedup bucket hash of (tenant, key).
+  EXPECT_EQ(dedup_key_hash(0, 0), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(dedup_key_hash(1, 0xDEADBEEFull), 0xDE586A3141A10922ull);
+  EXPECT_EQ(dedup_key_hash(7, ~0ull), 0x405DA438A39E8064ull);
 }
 
 // ---------------------------------------------------------------- sockets

@@ -5,16 +5,22 @@
 // exactly-once replay across a simulated generation boundary).
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "faults/faults.hpp"
+#include "golden_hex.hpp"
 #include "gpusim/device.hpp"
 #include "net/client.hpp"
 #include "net/dedup.hpp"
@@ -26,6 +32,7 @@
 #include "ops/snapshot.hpp"
 #include "ops/state.hpp"
 #include "service/solve_service.hpp"
+#include "tuning/cache.hpp"
 
 using namespace tda;
 using namespace tda::ops;
@@ -324,7 +331,151 @@ TEST(OpsSnapshot, SaveIsAtomicReplacement) {
   ::unlink(path.c_str());
 }
 
+TEST(OpsSnapshot, GoldenBytesArePinned) {
+  // One tenant and one dedup entry, pinned byte for byte. Recorded
+  // before the checksum and durable write moved to common/; never edit
+  // the expected bytes to make a change pass — a diff here means every
+  // snapshot on disk stops loading.
+  ServerState st;
+  st.generation = 7;
+  st.saved_unix_ms = 1754650000123.25;
+  st.dedup_stats = {5, 4, 3, 2, 0};
+  TenantState t;
+  t.name = "alpha";
+  t.token = "tok en";
+  t.weight = 1.5;
+  t.max_inflight = 8;
+  t.max_inflight_bytes = 4096;
+  t.requests_per_sec = 10.0;
+  t.burst = 20.0;
+  t.default_deadline_ms = 100.0;
+  t.aimd_limit = 6.0;
+  t.admitted = 12;
+  t.rejected = 1;
+  st.tenants.push_back(t);
+  DedupEntryState e;
+  e.tenant = "alpha";
+  e.key = 0xDEADBEEFCAFE1234ULL;
+  e.payload_hash = 0x0123456789ABCDEFULL;
+  e.device = "GTX 280";
+  e.x = {1.0, -2.5};
+  e.solve_ms = 0.125;
+  e.wait_ms = 3.5;
+  e.batch_systems = 8;
+  e.retries = 1;
+  e.chunks = 2;
+  st.entries.push_back(e);
+
+  const std::string bytes = serialize_snapshot(st);
+  EXPECT_EQ(golden::to_hex(bytes),
+            "2320747269646961675f6f707320736e617073686f7420763120636865636b73"
+            "756d3d633166376535373061306162613233640a6d6574610937093078312e39"
+            "38383934613361666234702b34300a7374617473093509340933093209300a74"
+            "656e616e7409616c70686109746f6b253230656e093078312e38702b30093809"
+            "34303936093078312e34702b33093078312e34702b34093078312e39702b3609"
+            "30093078312e38702b3209313209310a656e74727909616c7068610964656164"
+            "6265656663616665313233340930313233343536373839616263646566093009"
+            "3009307831702d33093078312e63702b31093809310932094754582532303238"
+            "3009093209307831702b30092d3078312e34702b310a");
+  ServerState back;
+  std::string why;
+  ASSERT_TRUE(parse_snapshot(bytes, &back, &why)) << why;
+  expect_states_equal(st, back);
+}
+
+// ------------------------------------------------------------ durable save
+
+namespace {
+
+/// Lowers RLIMIT_FSIZE for one scope, with SIGXFSZ ignored so a write
+/// past the limit fails with EFBIG instead of killing the process.
+/// Restores both on exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    ::getrlimit(RLIMIT_FSIZE, &old_);
+    rlimit lowered = old_;
+    lowered.rlim_cur = bytes;
+    ::setrlimit(RLIMIT_FSIZE, &lowered);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit old_{};
+  void (*old_handler_)(int) = SIG_DFL;
+};
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+}  // namespace
+
+TEST(DurableSave, FailedWriteKeepsPreviousFile) {
+  namespace fs = std::filesystem;
+  const fs::path dir = unique_path("fsize", "");
+  fs::create_directory(dir);
+  const std::string cache_path = (dir / "cache.txt").string();
+  const std::string snap_path = (dir / "state.snap").string();
+
+  tuning::TuningCache cache;
+  tuning::CacheEntry e;
+  e.tuned_ms = 1.5;
+  cache.store(tuning::TuningCache::make_key("dev", 4, 1, 64), e);
+  ServerState st = sample_state();
+  std::string why;
+  ASSERT_TRUE(cache.save(cache_path));
+  ASSERT_TRUE(save_snapshot(snap_path, st, &why)) << why;
+  const std::string cache_before = slurp(cache_path);
+  const std::string snap_before = slurp(snap_path);
+
+  // The next saves are larger than either limit below.
+  for (std::size_t m = 2; m <= 12; ++m) {
+    cache.store(tuning::TuningCache::make_key("dev", 4, m, 64), e);
+  }
+  st.generation = 4;
+
+  for (const rlim_t limit : {rlim_t{64}, rlim_t{256}}) {
+    bool cache_saved = true;
+    bool snap_saved = true;
+    {
+      FileSizeLimit cap(limit);
+      cache_saved = cache.save(cache_path);
+      snap_saved = save_snapshot(snap_path, st, &why);
+    }
+    EXPECT_FALSE(cache_saved) << "limit " << limit;
+    EXPECT_FALSE(snap_saved) << "limit " << limit;
+    EXPECT_EQ(slurp(cache_path), cache_before) << "limit " << limit;
+    EXPECT_EQ(slurp(snap_path), snap_before) << "limit " << limit;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+                std::string::npos)
+          << "leftover " << entry.path() << " at limit " << limit;
+    }
+  }
+  fs::remove_all(dir);
+}
+
 // ------------------------------------------------------------------- admin
+
+TEST(OpsAdmin, ReloadFrameGoldenBytes) {
+  // TDAO frame bytes, pinned before the byte helpers and checksum moved
+  // to common/; a diff here breaks every deployed admin client.
+  std::string buf;
+  encode_admin(buf, AdminCmd::Reload, "tenant=alpha\nweight=3\n");
+  EXPECT_EQ(golden::to_hex(buf),
+            "5444414f01000400160000006757de01"
+            "74656e616e743d616c7068610a7765696768743d330a");
+}
+
 
 TEST(OpsAdmin, FrameCodecRoundTripAndChecksumRejection) {
   std::string buf;

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "faults/faults.hpp"
+#include "golden_hex.hpp"
 #include "gpusim/launch.hpp"
 #include "solver/gpu_solver.hpp"
 #include "tridiag/generators.hpp"
@@ -349,6 +350,38 @@ TEST(CacheRobustness, InjectedCorruptionTriggersWholeFileFallback) {
   // catch it and the cache must come up empty rather than poisoned.
   EXPECT_EQ(loaded.load(path), 0u);
   EXPECT_EQ(loaded.size(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(CacheRobustness, TwoEntryV2FileGoldenBytes) {
+  // A v2 cache file, pinned byte for byte. Recorded before the checksum
+  // and durable write moved to common/; never edit the expected bytes to
+  // make a change pass — a diff here means every cache on disk goes cold.
+  const std::string path = "/tmp/tda_cache_golden.txt";
+  std::remove(path.c_str());
+  TuningCache cache;
+  CacheEntry large;
+  large.points.stage1_target_systems = 64;
+  large.points.stage3_system_size = 128;
+  large.points.thomas_switch = 16;
+  large.points.variant = kernels::LoadVariant::Coalesced;
+  large.tuned_ms = 11.548326470023644;
+  cache.store(TuningCache::make_key("GeForce GTX 280", 4, 16, 65536), large);
+  CacheEntry small;
+  small.points.layout = tridiag::BatchLayout::ElementMajor;
+  small.tuned_ms = 0.25;
+  cache.store(TuningCache::make_key("GeForce GTX 470", 8, 21504, 64), small);
+  ASSERT_TRUE(cache.save(path));
+
+  EXPECT_EQ(golden::to_hex(cache_files::read_file(path)),
+            "2320747269646961675f6175746f74756e652074756e696e6720636163686520"
+            "763220636865636b73756d3d363763636139376631383866383562340a476546"
+            "6f72636520475458203238307c667033327c3136783635353336093634203132"
+            "3820313620636f616c65736365642073797374656d2031312e353438330a4765"
+            "466f72636520475458203437307c667036347c32313530347836340931362032"
+            "3536203332207374726964656420656c656d656e7420302e32350a");
+  TuningCache loaded;
+  EXPECT_EQ(loaded.load(path), 2u);
   std::remove(path.c_str());
 }
 
