@@ -10,7 +10,7 @@
 // budget throws the typed OutOfMemory error — deliberately distinct
 // from faults::DeviceFault, because OOM is not transient: retrying the
 // same allocation fails forever, so the recovery story is *shrinking
-// the work* (solver::ChunkedSolver) rather than retry/failover.
+// the work* (solver::Pipeline) rather than retry/failover.
 //
 // The tracker also serves as the principled target of the `oom` fault
 // site (faults::Site::DeviceOOM): injection exercises the same error

@@ -25,20 +25,11 @@ enum class DispatchPolicy {
 const char* to_string(BackpressurePolicy p);
 const char* to_string(DispatchPolicy p);
 
-/// Fault-tolerance policy of the service (docs/ROBUSTNESS.md). Defaults
-/// are the production setting: guards on, retries with failover, breaker
-/// armed — with injection disabled none of it touches the hot path
-/// beyond one O(n) screening pass per system.
+/// Fault-tolerance policy of the service around solver::Pipeline
+/// (docs/ROBUSTNESS.md). Defaults are the production setting: retries
+/// with failover, breaker armed — with injection disabled none of it
+/// touches the hot path.
 struct ResilienceConfig {
-  /// Route solves through solver::GuardedSolver (prescreen, quarantine
-  /// bisect, residual postcheck, pivoting CPU fallback). Off restores
-  /// the legacy all-or-nothing batch behavior.
-  bool guards = true;
-  /// Dominance floor / residual tolerance forwarded to the guards
-  /// (see solver::GuardConfig).
-  double dominance_floor = 0.0;
-  double residual_tol = 0.0;
-
   /// Device-fault retries on the same worker before failing over.
   int max_retries = 2;
   /// Base of the retry backoff (wall-clock ms); 0 retries at once.
@@ -120,7 +111,7 @@ struct ServiceConfig {
 
   /// Per-worker device memory budget override in bytes; 0 keeps each
   /// device's own default (its spec / $TDA_MEM_BUDGET). Solves that
-  /// exceed the budget are chunked (solver::ChunkedSolver).
+  /// exceed the budget are chunked (solver::Pipeline).
   std::size_t mem_budget_bytes = 0;
   /// Memory-aware admission: reject/shed a request when the projected
   /// device-resident footprint of everything admitted-but-unfinished

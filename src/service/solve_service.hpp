@@ -21,8 +21,8 @@
 //   * per-request deadlines produce TimedOut responses instead of
 //     unbounded queueing; shutdown() drains in-flight work.
 //
-// Resilience (docs/ROBUSTNESS.md): solves run through the numerical
-// guards (solver/guards.hpp), so one singular or NaN system returns a
+// Resilience (docs/ROBUSTNESS.md): solves run through solver::Pipeline
+// (solver/pipeline.hpp), so one singular or NaN system returns a
 // typed Singular/NonFinite response while its batchmates complete.
 // Device faults (faults::DeviceFault, injectable via TDA_FAULTS) are
 // retried with exponential backoff, then failed over to another worker
@@ -62,7 +62,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -80,15 +79,12 @@
 #include "service/config.hpp"
 #include "service/request.hpp"
 #include "solver/cancel.hpp"
-#include "solver/chunked.hpp"
-#include "solver/gpu_solver.hpp"
-#include "solver/guards.hpp"
+#include "solver/pipeline.hpp"
 #include "solver/ragged.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tridiag/batch.hpp"
 #include "tuning/cache.hpp"
-#include "tuning/dynamic_tuner.hpp"
 
 namespace tda::service {
 
@@ -1276,12 +1272,21 @@ class SolveService {
 
     const auto& res = cfg_.resilience;
     const TimePoint t_solve0 = Clock::now();
-    solver::SolveStats stats;
-    std::vector<solver::SystemStatus> sys_status(
-        m, solver::SystemStatus::Ok);
+    // Tuning happens once per batch, before the retry loop: the pipeline
+    // runs it with the device's fault sites disarmed, so it cannot fail
+    // the way a solve attempt can.
+    solver::Pipeline<T> pipeline(w.dev, cache_, {m, n});
+    if (pipeline.tuned_fresh()) {
+      counters_tunes_.fetch_add(1, std::memory_order_relaxed);
+    }
+    // The tuned layout decides which pipeline this coalesced batch takes
+    // (staged PCR vs interleaved SIMD Thomas) — surface it on the batch
+    // span so a trace shows the choice per flush.
+    if (batch_span.active()) {
+      batch_span.attr("layout", tridiag::to_string(pipeline.points().layout));
+    }
+    solver::PipelineResult out;
     std::size_t batch_retries = 0;
-    std::size_t quarantined = 0;
-    solver::ChunkStats chunk_stats;
     bool solved = false;
     bool device_exhausted = false;
     bool cancelled = false;
@@ -1292,42 +1297,11 @@ class SolveService {
 
     for (int attempt = 0; !solved; ++attempt) {
       try {
-        // The tuning search is cost-model introspection (hundreds of
-        // cost-only launches), not production traffic: run it with the
-        // device's fault sites disarmed so an injected launch failure
-        // exercises the solve path, not the tuner.
-        const bool armed = w.dev.faults_armed();
-        w.dev.arm_faults(false);
-        tuning::DynamicTuner<T> tuner(w.dev, &cache_);
-        const auto tuned = tuner.tune({m, n});
-        w.dev.arm_faults(armed);
-        if (!tuned.from_cache)
-          counters_tunes_.fetch_add(1, std::memory_order_relaxed);
-        // The tuned layout decides which pipeline this coalesced batch
-        // takes (staged PCR vs interleaved SIMD Thomas) — surface it on
-        // the batch span so a trace shows the choice per flush.
-        if (batch_span.active()) {
-          batch_span.attr("layout",
-                          tridiag::to_string(tuned.points.layout));
-        }
-        solver::GpuTridiagonalSolver<T> solver(w.dev, tuned.points);
-        solver.set_cancel_token(token);
-        std::optional<solver::GuardConfig> gc;
-        if (res.guards) {
-          gc.emplace();
-          gc->dominance_floor = res.dominance_floor;
-          gc->residual_tol = res.residual_tol;
-        }
-        // ChunkedSolver splits the batch when its device footprint
-        // exceeds the worker's memory budget and absorbs OutOfMemory
-        // (genuine or injected) by bisecting down to a CPU-fallback
-        // floor — so OOM never reaches the retry loop below.
-        solver::ChunkedSolver<T> chunked(w.dev, solver, gc);
-        auto cres = chunked.solve(batch);
-        stats = cres.guarded.stats;
-        sys_status = std::move(cres.guarded.status);
-        quarantined = cres.guarded.quarantined;
-        chunk_stats = cres.chunking;
+        // The pipeline screens, chunks to the worker's memory budget
+        // (absorbing OutOfMemory), quarantines numerical failures and
+        // falls back to the pivoting CPU path: only device faults and
+        // cancellation reach the handlers below.
+        out = pipeline.solve(batch, token);
         record_device_result(w, true);
         solved = true;
       } catch (const solver::SolveCancelled&) {
@@ -1357,8 +1331,8 @@ class SolveService {
         error = e.what();
         break;
       } catch (const std::exception& e) {
-        // Numerical errors are absorbed by the guards; anything else
-        // here is non-retryable (e.g. legacy no-guards mode).
+        // Numerical errors are absorbed by the pipeline; anything else
+        // here is non-retryable.
         error = e.what();
         break;
       }
@@ -1437,11 +1411,12 @@ class SolveService {
         if (telemetry_.metrics.enabled()) {
           telemetry_.metrics.add("service.cpu_failovers");
         }
+        out = {};
+        out.status.resize(m);
         for (std::size_t i = 0; i < m; ++i) {
-          sys_status[i] = solver::pivoting_fallback<T>(batch.system(i),
+          out.status[i] = solver::pivoting_fallback<T>(batch.system(i),
                                                        batch.solution(i));
         }
-        stats = {};
         solved = true;
         error.clear();
       }
@@ -1457,24 +1432,22 @@ class SolveService {
       return;
     }
 
-    std::size_t n_ok = 0, n_fallback = 0, n_singular = 0, n_nonfinite = 0;
-    for (const auto s : sys_status) {
-      switch (s) {
-        case solver::SystemStatus::Ok: ++n_ok; break;
-        case solver::SystemStatus::FallbackUsed: ++n_fallback; break;
-        case solver::SystemStatus::Singular: ++n_singular; break;
-        case solver::SystemStatus::NonFinite: ++n_nonfinite; break;
-      }
-    }
+    const solver::StatusCounts tally = out.counts();
+    const std::size_t n_fallback = tally.fallback_used;
+    const std::size_t quarantined = out.quarantined;
+    const solver::SolveStats& stats = out.stats;
 
     counters_device_ms_.fetch_add(stats.total_ms,
                                   std::memory_order_relaxed);
     // Account BEFORE fulfilling promises: anyone who has observed a
     // future resolve must see counters that include that request.
-    count_terminal(SolveStatus::Ok, n_ok + n_fallback);
-    if (n_singular > 0) count_terminal(SolveStatus::Singular, n_singular);
-    if (n_nonfinite > 0)
-      count_terminal(SolveStatus::NonFinite, n_nonfinite);
+    count_terminal(SolveStatus::Ok, tally.solved());
+    if (tally.singular > 0) {
+      count_terminal(SolveStatus::Singular, tally.singular);
+    }
+    if (tally.nonfinite > 0) {
+      count_terminal(SolveStatus::NonFinite, tally.nonfinite);
+    }
     if (n_fallback > 0) {
       counters_fallbacks_.fetch_add(n_fallback, std::memory_order_relaxed);
     }
@@ -1482,41 +1455,41 @@ class SolveService {
       counters_quarantined_.fetch_add(quarantined,
                                       std::memory_order_relaxed);
     }
-    if (chunk_stats.chunks > 0) {
-      counters_chunks_.fetch_add(chunk_stats.chunks,
+    if (out.chunks > 0) {
+      counters_chunks_.fetch_add(out.chunks,
                                  std::memory_order_relaxed);
-      if (chunk_stats.chunks > 1) {
+      if (out.chunks > 1) {
         counters_chunked_solves_.fetch_add(1, std::memory_order_relaxed);
       }
     }
-    if (chunk_stats.oom_events > 0) {
-      counters_oom_events_.fetch_add(chunk_stats.oom_events,
+    if (out.oom_events > 0) {
+      counters_oom_events_.fetch_add(out.oom_events,
                                      std::memory_order_relaxed);
     }
-    if (chunk_stats.oom_fallback_systems > 0) {
-      counters_oom_fallbacks_.fetch_add(chunk_stats.oom_fallback_systems,
+    if (out.oom_fallback_systems > 0) {
+      counters_oom_fallbacks_.fetch_add(out.oom_fallback_systems,
                                         std::memory_order_relaxed);
     }
     if (telemetry_.metrics.enabled()) {
       auto& mx = telemetry_.metrics;
-      if (chunk_stats.chunks > 1) {
+      if (out.chunks > 1) {
         mx.add("service.chunked_solves");
         mx.add("service.chunks",
-               static_cast<double>(chunk_stats.chunks));
+               static_cast<double>(out.chunks));
       }
-      if (chunk_stats.oom_events > 0) {
+      if (out.oom_events > 0) {
         mx.add("service.oom_events",
-               static_cast<double>(chunk_stats.oom_events));
+               static_cast<double>(out.oom_events));
       }
-      if (chunk_stats.oom_fallback_systems > 0) {
+      if (out.oom_fallback_systems > 0) {
         mx.add("service.oom_fallbacks",
-               static_cast<double>(chunk_stats.oom_fallback_systems));
+               static_cast<double>(out.oom_fallback_systems));
       }
     }
     if (telemetry_.metrics.enabled()) {
       telemetry_.metrics.observe("service.solve_ms", stats.total_ms);
       telemetry_.metrics.add("service.solved_systems",
-                             static_cast<double>(n_ok + n_fallback));
+                             static_cast<double>(tally.solved()));
       if (n_fallback > 0) {
         telemetry_.metrics.add("service.fallback_used",
                                static_cast<double>(n_fallback));
@@ -1529,7 +1502,7 @@ class SolveService {
     for (std::size_t i = 0; i < m; ++i) {
       SolveResponse<T> resp;
       const char* outcome = "ok";
-      switch (sys_status[i]) {
+      switch (out.status[i]) {
         case solver::SystemStatus::Ok:
           resp.status = SolveStatus::Ok;
           break;
@@ -1556,7 +1529,7 @@ class SolveService {
       resp.trace_id = live[i].ctx.trace_id;
       resp.batch_systems = m;
       resp.retries = batch_retries;
-      resp.chunks = chunk_stats.chunks;
+      resp.chunks = out.chunks;
       resp.wait_ms = std::chrono::duration<double, std::milli>(
                          job.flush_tp - live[i].enqueue_tp)
                          .count();

@@ -6,20 +6,26 @@
 // run (sub-second), later solves of that shape reuse the cached result —
 // exactly the deployment model the paper advocates ("save those results
 // for future runs"). Handles uniform and ragged batches.
+//
+// Every solve runs through solver::Pipeline, the same guarded path the
+// solve service uses: screened, chunked to the device memory budget,
+// residual-checked, with the pivoting CPU fallback behind it. A batch
+// either comes back fully solved or throws UnsolvedSystems.
 
 #include <cstddef>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "gpusim/launch.hpp"
 #include "solver/gpu_solver.hpp"
+#include "solver/pipeline.hpp"
 #include "solver/ragged.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tridiag/batch.hpp"
 #include "tuning/cache.hpp"
-#include "tuning/dynamic_tuner.hpp"
 
 namespace tda::solver {
 
@@ -55,31 +61,43 @@ class AutoSolver {
 
   /// Tuned switch points for a workload shape (tunes on first use).
   SwitchPoints points_for(const Workload& w) {
-    tuning::DynamicTuner<T> tuner(*dev_, &cache_);
-    auto result = tuner.tune(w);
-    tunes_performed_ += result.from_cache ? 0 : 1;
-    return result.points;
+    return pipeline_for(w).points();
   }
 
-  /// Solves a uniform batch with per-shape tuned parameters.
+  /// Solves a uniform batch with per-shape tuned parameters. Systems the
+  /// pivot-free GPU chain cannot be trusted with (zero diagonal, failed
+  /// residual check, a zero pivot mid-chain) are solved by the pivoting
+  /// CPU fallback; a batch too large for the device budget is solved in
+  /// chunks. Returns the summed stats of the GPU sub-solves. Throws
+  /// UnsolvedSystems, after writing every solved x, when a system is
+  /// singular or has non-finite coefficients.
   SolveStats solve(tridiag::TridiagBatch<T>& batch) {
     RequestRoot root(*this, "uniform");
-    const Workload w{batch.num_systems(), batch.system_size()};
-    GpuTridiagonalSolver<T> solver(*dev_, points_for(w));
-    return solver.solve(batch);
+    PipelineResult r =
+        pipeline_for({batch.num_systems(), batch.system_size()}).solve(batch);
+    throw_if_unsolved(std::move(r.status));
+    return r.stats;
   }
 
   /// Solves a ragged batch by grouping equal-sized systems; each group
   /// is solved with its own tuned parameters. Returns the total
-  /// simulated milliseconds.
+  /// simulated milliseconds. Throws UnsolvedSystems (statuses in ragged
+  /// order) like the uniform solve, after every group is scattered back.
   double solve(RaggedBatch<T>& batch) {
     RequestRoot root(*this, "ragged");
     double total_ms = 0.0;
+    std::vector<SystemStatus> status(batch.num_systems());
     for (auto& [n, members] : batch.groups_by_size()) {
       auto group = batch.gather_group(n, members);
-      total_ms += solve(group).total_ms;
+      const PipelineResult r =
+          pipeline_for({members.size(), n}).solve(group);
+      total_ms += r.stats.total_ms;
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        status[members[i]] = r.status[i];
+      }
       batch.scatter_group(group, members);
     }
+    throw_if_unsolved(std::move(status));
     return total_ms;
   }
 
@@ -109,6 +127,19 @@ class AutoSolver {
   }
 
  private:
+  Pipeline<T> pipeline_for(const Workload& w) {
+    Pipeline<T> pipe(*dev_, cache_, w);
+    tunes_performed_ += pipe.tuned_fresh() ? 1 : 0;
+    return pipe;
+  }
+
+  static void throw_if_unsolved(std::vector<SystemStatus> status) {
+    const StatusCounts c = tally(status);
+    if (c.singular + c.nonfinite > 0) {
+      throw UnsolvedSystems(std::move(status));
+    }
+  }
+
   /// Opens a per-call "request" root span with a fresh trace id when the
   /// calling thread is not already inside a trace (the in-process
   /// counterpart of the service's admission-time minting). Joins the

@@ -52,6 +52,25 @@ struct SolveStats {
   double host_stage3_ms = 0.0;
   double host_transpose_ms = 0.0;
   std::size_t kernel_launches = 0;
+
+  /// Accumulates another solve of the same batch (a chunk or a bisect
+  /// half) into this one: every timing field and the launch count add
+  /// up; the plan is the first solve's.
+  SolveStats& operator+=(const SolveStats& o) {
+    if (kernel_launches == 0) plan = o.plan;
+    total_ms += o.total_ms;
+    stage1_ms += o.stage1_ms;
+    stage2_ms += o.stage2_ms;
+    stage3_ms += o.stage3_ms;
+    transpose_ms += o.transpose_ms;
+    host_total_ms += o.host_total_ms;
+    host_stage1_ms += o.host_stage1_ms;
+    host_stage2_ms += o.host_stage2_ms;
+    host_stage3_ms += o.host_stage3_ms;
+    host_transpose_ms += o.host_transpose_ms;
+    kernel_launches += o.kernel_launches;
+    return *this;
+  }
 };
 
 template <typename T>
@@ -90,7 +109,7 @@ class GpuTridiagonalSolver {
   /// Coefficient arrays of `batch` are left untouched (work happens in a
   /// device-side copy). Returns the simulated timing breakdown. The
   /// device copy counts against the device's memory budget (throws
-  /// gpusim::OutOfMemory when it does not fit — see ChunkedSolver).
+  /// gpusim::OutOfMemory when it does not fit — see solver::Pipeline).
   SolveStats solve(tridiag::TridiagBatch<T>& batch) {
     kernels::DeviceBatch<T> dbatch(*dev_, batch);
     SolveStats stats = run(dbatch, kernels::ExecMode::Full);

@@ -1,41 +1,32 @@
 #pragma once
-// Numerical guards around the multi-stage GPU solver (docs/ROBUSTNESS.md).
+// Per-system numerical guards of the solve pipeline (docs/ROBUSTNESS.md).
 //
 // The paper's PCR/Thomas chain is pivot-free: it is fast and exact on
 // diagonally dominant systems and silently wrong (or worse, throwing from
-// a zero pivot mid-batch) outside that envelope. GuardedSolver wraps
-// GpuTridiagonalSolver with the three defenses a production service
-// needs, and turns "exception or garbage" into a typed per-system
-// SystemStatus:
+// a zero pivot mid-batch) outside that envelope. These are the checks
+// solver::Pipeline (solver/pipeline.hpp) runs around it, one system at a
+// time:
 //
-//   1. pre-solve screening — finiteness and diagonal-dominance
-//      classification per system; non-finite systems are rejected
-//      outright, zero-diagonal (or below-floor dominance) systems are
-//      routed to the pivoting CPU fallback before they can poison a
-//      GPU batch;
-//   2. quarantine bisect — when the GPU chain still throws a numerical
-//      ContractError (PCR can manufacture a zero pivot from nonzero
-//      input), the batch is bisected so only the culprit systems are
-//      quarantined to the CPU path and every batchmate completes;
-//   3. post-solve residual check — each GPU solution is verified against
-//      a relative residual tolerance; failures escalate to the CPU
-//      fallback (cpu/gtsv.hpp: LU with partial pivoting).
+//   * screen_verdict — finiteness and zero-diagonal classification
+//     before the GPU runs (prescreen_system adds the dominance ratio for
+//     diagnostics);
+//   * relative_residual — verification of a candidate solution;
+//   * pivoting_fallback — the pivoting CPU solve (cpu/gtsv.hpp) for
+//     every system the chain cannot be trusted with;
 //
-// Infrastructure failures (faults::DeviceFault) are deliberately NOT
-// handled here: they are retryable and the service owns retry/failover.
-// Only numerical errors are quarantined.
+// plus the typed per-system outcome, SystemStatus, and its one tally.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/strided_view.hpp"
 #include "cpu/gtsv.hpp"
-#include "solver/gpu_solver.hpp"
 #include "tridiag/batch.hpp"
 
 namespace tda::solver {
@@ -48,33 +39,32 @@ enum class SystemStatus {
   NonFinite,     ///< input contained NaN/Inf coefficients
 };
 
-inline const char* to_string(SystemStatus s) {
-  switch (s) {
-    case SystemStatus::Ok: return "ok";
-    case SystemStatus::FallbackUsed: return "fallback_used";
-    case SystemStatus::Singular: return "singular";
-    case SystemStatus::NonFinite: return "nonfinite";
-  }
-  return "?";
-}
+/// How many systems ended in each status.
+struct StatusCounts {
+  std::size_t ok = 0;
+  std::size_t fallback_used = 0;
+  std::size_t singular = 0;
+  std::size_t nonfinite = 0;
 
-/// Guard policy. Defaults are the production setting: everything on.
-struct GuardConfig {
-  bool prescreen = true;      ///< finiteness + dominance classification
-  bool postcheck = true;      ///< residual verification of GPU solutions
-  bool cpu_fallback = true;   ///< escalate failures to cpu::gtsv_solve
-  /// Systems whose dominance ratio min_i |b_i|/(|a_i|+|c_i|) falls below
-  /// this are routed straight to the pivoting fallback. 0 keeps weakly-
-  /// and non-dominant systems on the GPU (the residual check still
-  /// verifies them); 1.0 requires strict dominance for the GPU path.
-  double dominance_floor = 0.0;
-  /// Relative residual acceptance threshold; 0 selects the automatic
-  /// tolerance 1e4 * epsilon(T) (see auto_residual_tol).
-  double residual_tol = 0.0;
+  /// Systems with a correct solution (Ok or FallbackUsed).
+  [[nodiscard]] std::size_t solved() const { return ok + fallback_used; }
 };
 
-/// The default residual tolerance for element type T. Generous enough
-/// for legitimate weakly-dominant systems, tight enough that a PCR chain
+[[nodiscard]] inline StatusCounts tally(std::span<const SystemStatus> st) {
+  StatusCounts c;
+  for (const SystemStatus s : st) {
+    switch (s) {
+      case SystemStatus::Ok: ++c.ok; break;
+      case SystemStatus::FallbackUsed: ++c.fallback_used; break;
+      case SystemStatus::Singular: ++c.singular; break;
+      case SystemStatus::NonFinite: ++c.nonfinite; break;
+    }
+  }
+  return c;
+}
+
+/// The residual tolerance for element type T. Generous enough for
+/// legitimate weakly-dominant systems, tight enough that a PCR chain
 /// that lost the solution cannot pass.
 template <typename T>
 [[nodiscard]] constexpr double auto_residual_tol() {
@@ -88,6 +78,55 @@ enum class ScreenVerdict {
   NonFinite,      ///< contains NaN or Inf
 };
 
+namespace detail {
+/// Runs fn(stride) with a compile-time 1 when `stride` is 1, so the
+/// scans below vectorize on the contiguous views every batch system has;
+/// any other stride runs the same code with the runtime value.
+template <typename Fn>
+decltype(auto) with_unit_stride(std::size_t stride, const Fn& fn) {
+  if (stride == 1) return fn(std::integral_constant<std::size_t, 1>{});
+  return fn(stride);
+}
+
+/// True when every one of `count` elements (at `stride`) is finite.
+/// v - v is 0 exactly when v is finite, so the scan is a branch-free
+/// compare-and-or (an unsigned accumulator: a bool one does not
+/// vectorize).
+template <typename T, typename Stride>
+[[nodiscard]] bool all_finite(const T* p, std::size_t count, Stride stride) {
+  unsigned bad = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const T v = p[i * stride];
+    bad |= v - v != T{0};
+  }
+  return bad == 0;
+}
+}  // namespace detail
+
+/// The pipeline's screen, one O(n) pass per coefficient lane: NonFinite
+/// when any coefficient inside the matrix (a[0] and c[n-1] lie outside
+/// it) is NaN/Inf, NeedsPivoting on a zero diagonal entry, else Pass.
+template <typename T>
+[[nodiscard]] ScreenVerdict screen_verdict(const tridiag::SystemView<T>& sys) {
+  const std::size_t n = sys.size();
+  if (n == 0) return ScreenVerdict::Pass;
+  return detail::with_unit_stride(sys.stride(), [&](auto s) {
+    const T* b = sys.b.data();
+    unsigned bad = 0, zero = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const T v = b[i * s];
+      bad |= v - v != T{0};
+      zero |= v == T{0};
+    }
+    if (bad != 0 || !detail::all_finite(sys.a.data() + s, n - 1, s) ||
+        !detail::all_finite(sys.c.data(), n - 1, s) ||
+        !detail::all_finite(sys.d.data(), n, s)) {
+      return ScreenVerdict::NonFinite;
+    }
+    return zero != 0 ? ScreenVerdict::NeedsPivoting : ScreenVerdict::Pass;
+  });
+}
+
 template <typename T>
 struct ScreenResult {
   ScreenVerdict verdict = ScreenVerdict::Pass;
@@ -95,35 +134,96 @@ struct ScreenResult {
   bool zero_diagonal = false;
 };
 
-/// One O(n) pass over a system: finiteness, zero pivots, dominance.
+/// screen_verdict plus the dominance ratio, for diagnostics: a system
+/// whose ratio falls below `dominance_floor` is also NeedsPivoting.
 template <typename T>
 [[nodiscard]] ScreenResult<T> prescreen_system(
     const tridiag::SystemView<T>& sys, double dominance_floor = 0.0) {
   ScreenResult<T> r;
+  r.verdict = screen_verdict(sys);
+  if (r.verdict == ScreenVerdict::NonFinite) return r;
+  r.zero_diagonal = r.verdict == ScreenVerdict::NeedsPivoting;
   r.dominance = std::numeric_limits<double>::infinity();
   const std::size_t n = sys.size();
   for (std::size_t i = 0; i < n; ++i) {
     const double ai = i > 0 ? static_cast<double>(sys.a[i]) : 0.0;
-    const double bi = static_cast<double>(sys.b[i]);
     const double ci = i + 1 < n ? static_cast<double>(sys.c[i]) : 0.0;
-    const double di = static_cast<double>(sys.d[i]);
-    if (!std::isfinite(ai) || !std::isfinite(bi) || !std::isfinite(ci) ||
-        !std::isfinite(di)) {
-      r.verdict = ScreenVerdict::NonFinite;
-      return r;
-    }
-    if (bi == 0.0) r.zero_diagonal = true;
     const double offsum = std::abs(ai) + std::abs(ci);
-    const double ratio = offsum == 0.0
-                             ? std::numeric_limits<double>::infinity()
-                             : std::abs(bi) / offsum;
-    if (ratio < r.dominance) r.dominance = ratio;
+    if (offsum == 0.0) continue;
+    r.dominance =
+        std::min(r.dominance, std::abs(static_cast<double>(sys.b[i])) / offsum);
   }
-  if (r.zero_diagonal || r.dominance < dominance_floor) {
-    r.verdict = ScreenVerdict::NeedsPivoting;
-  }
+  if (r.dominance < dominance_floor) r.verdict = ScreenVerdict::NeedsPivoting;
   return r;
 }
+
+namespace detail {
+/// relative_residual's scan over n >= 1 rows. Interior rows run in
+/// blocks of kLanes independent accumulators, so the loop vectorizes
+/// without reassociating anything: every row's terms are formed in the
+/// same order as a scalar loop would, and a maximum does not depend on
+/// the order it is taken in.
+template <typename T, typename Stride>
+[[nodiscard]] double residual_scan(const tridiag::SystemView<T>& sys,
+                                   const StridedView<T>& x, Stride s,
+                                   Stride xs) {
+  constexpr std::size_t kLanes = 8;
+  const std::size_t n = sys.size();
+  const T *A = sys.a.data(), *B = sys.b.data(), *C = sys.c.data(),
+          *D = sys.d.data(), *X = x.data();
+  // Per lane: max |d - Ax|, max row sum, max |x|, max |d|, and the sum of
+  // x - x, which stays 0 exactly while every x is finite.
+  double res[kLanes] = {}, row[kLanes] = {}, xmax[kLanes] = {},
+         dmax[kLanes] = {}, nonfinite[kLanes] = {};
+  const auto keep_max = [](double& acc, double v) { acc = acc < v ? v : acc; };
+  // Row i with its neighbours passed in, so the boundary rows can pass 0
+  // for the term outside the matrix.
+  const auto add_row = [&](std::size_t lane, double ai, double bi, double ci,
+                           double di, double xl, double xi, double xr) {
+    double ax = bi * xi;
+    ax += ai * xl;
+    ax += ci * xr;
+    keep_max(res[lane], std::abs(di - ax));
+    keep_max(row[lane], std::abs(ai) + std::abs(bi) + std::abs(ci));
+    keep_max(xmax[lane], std::abs(xi));
+    keep_max(dmax[lane], std::abs(di));
+    nonfinite[lane] += xi - xi;
+  };
+  const auto at = [](const T* p, std::size_t i, auto stride) {
+    return static_cast<double>(p[i * stride]);
+  };
+  const bool two = n > 1;
+  add_row(0, 0.0, at(B, 0, s), two ? at(C, 0, s) : 0.0, at(D, 0, s), 0.0,
+          at(X, 0, xs), two ? at(X, 1, xs) : 0.0);
+  std::size_t i = 1;
+  for (; i + kLanes < n; i += kLanes) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const std::size_t k = i + l;
+      add_row(l, at(A, k, s), at(B, k, s), at(C, k, s), at(D, k, s),
+              at(X, k - 1, xs), at(X, k, xs), at(X, k + 1, xs));
+    }
+  }
+  for (; i + 1 < n; ++i) {
+    add_row(0, at(A, i, s), at(B, i, s), at(C, i, s), at(D, i, s),
+            at(X, i - 1, xs), at(X, i, xs), at(X, i + 1, xs));
+  }
+  if (two) {
+    add_row(0, at(A, n - 1, s), at(B, n - 1, s), 0.0, at(D, n - 1, s),
+            at(X, n - 2, xs), at(X, n - 1, xs), 0.0);
+  }
+  double max_r = 0.0, norm_a = 0.0, norm_x = 0.0, norm_d = 0.0;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if (nonfinite[l] != 0.0) return std::numeric_limits<double>::infinity();
+    keep_max(max_r, res[l]);
+    keep_max(norm_a, row[l]);
+    keep_max(norm_x, xmax[l]);
+    keep_max(norm_d, dmax[l]);
+  }
+  const double scale = norm_a * norm_x + norm_d;
+  if (scale == 0.0) return max_r;
+  return max_r / scale;
+}
+}  // namespace detail
 
 /// Relative infinity-norm residual of a candidate solution:
 /// max_i |d_i - (A x)_i| / (||A||_inf * ||x||_inf + ||d||_inf).
@@ -131,27 +231,13 @@ template <typename T>
 template <typename T>
 [[nodiscard]] double relative_residual(const tridiag::SystemView<T>& sys,
                                        const StridedView<T>& x) {
-  const std::size_t n = sys.size();
-  TDA_REQUIRE(x.size() == n, "residual: solution size mismatch");
-  double max_r = 0.0, norm_a = 0.0, norm_x = 0.0, norm_d = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xi = static_cast<double>(x[i]);
-    if (!std::isfinite(xi)) return std::numeric_limits<double>::infinity();
-    const double ai = i > 0 ? static_cast<double>(sys.a[i]) : 0.0;
-    const double bi = static_cast<double>(sys.b[i]);
-    const double ci = i + 1 < n ? static_cast<double>(sys.c[i]) : 0.0;
-    const double di = static_cast<double>(sys.d[i]);
-    double ax = bi * xi;
-    if (i > 0) ax += ai * static_cast<double>(x[i - 1]);
-    if (i + 1 < n) ax += ci * static_cast<double>(x[i + 1]);
-    max_r = std::max(max_r, std::abs(di - ax));
-    norm_a = std::max(norm_a, std::abs(ai) + std::abs(bi) + std::abs(ci));
-    norm_x = std::max(norm_x, std::abs(xi));
-    norm_d = std::max(norm_d, std::abs(di));
+  TDA_REQUIRE(x.size() == sys.size(), "residual: solution size mismatch");
+  if (sys.size() == 0) return 0.0;
+  if (sys.stride() == 1 && x.stride() == 1) {
+    const std::integral_constant<std::size_t, 1> unit;
+    return detail::residual_scan(sys, x, unit, unit);
   }
-  const double scale = norm_a * norm_x + norm_d;
-  if (scale == 0.0) return max_r == 0.0 ? 0.0 : max_r;
-  return max_r / scale;
+  return detail::residual_scan(sys, x, sys.stride(), x.stride());
 }
 
 /// Solves one system with the pivoting CPU solver (cpu/gtsv.hpp). The
@@ -188,195 +274,5 @@ SystemStatus pivoting_fallback(const tridiag::SystemView<T>& sys,
   for (std::size_t i = 0; i < n; ++i) x[i] = xs[i];
   return SystemStatus::FallbackUsed;
 }
-
-/// Outcome of one guarded batch solve.
-template <typename T>
-struct GuardedSolveResult {
-  SolveStats stats;  ///< aggregate GPU timing (zero when nothing ran on GPU)
-  std::vector<SystemStatus> status;  ///< one entry per system
-  std::size_t gpu_solved = 0;        ///< systems whose GPU result was kept
-  std::size_t fallback_used = 0;
-  std::size_t singular = 0;
-  std::size_t nonfinite = 0;
-  std::size_t prescreen_routed = 0;   ///< routed to CPU before the GPU ran
-  std::size_t quarantined = 0;        ///< isolated by the bisect
-  std::size_t residual_rejects = 0;   ///< GPU solutions failing the check
-
-  [[nodiscard]] bool all_ok() const {
-    for (const SystemStatus s : status) {
-      if (s != SystemStatus::Ok) return false;
-    }
-    return true;
-  }
-  /// True when every system has a correct solution (Ok or FallbackUsed).
-  [[nodiscard]] bool all_solved() const {
-    for (const SystemStatus s : status) {
-      if (s != SystemStatus::Ok && s != SystemStatus::FallbackUsed) {
-        return false;
-      }
-    }
-    return true;
-  }
-};
-
-/// GpuTridiagonalSolver plus the guard pipeline. Non-owning: the inner
-/// solver (and its device) must outlive the guard.
-template <typename T>
-class GuardedSolver {
- public:
-  explicit GuardedSolver(GpuTridiagonalSolver<T>& inner, GuardConfig cfg = {})
-      : inner_(&inner), cfg_(cfg) {}
-
-  [[nodiscard]] const GuardConfig& config() const { return cfg_; }
-  void set_config(const GuardConfig& cfg) { cfg_ = cfg; }
-
-  [[nodiscard]] double residual_tol() const {
-    return cfg_.residual_tol > 0.0 ? cfg_.residual_tol
-                                   : auto_residual_tol<T>();
-  }
-
-  /// Solves every system of the batch, routing through the guards.
-  /// batch.x() holds the solution of every system whose status is Ok or
-  /// FallbackUsed; other systems' x rows are untouched. Throws only for
-  /// infrastructure errors (faults::DeviceFault) — numerical failure is
-  /// always reported through the per-system status.
-  GuardedSolveResult<T> solve(tridiag::TridiagBatch<T>& batch) {
-    const std::size_t m = batch.num_systems();
-    GuardedSolveResult<T> result;
-    result.status.assign(m, SystemStatus::Ok);
-
-    std::vector<std::size_t> gpu_list;
-    gpu_list.reserve(m);
-    if (cfg_.prescreen) {
-      for (std::size_t s = 0; s < m; ++s) {
-        const auto screen =
-            prescreen_system<T>(batch.system(s), cfg_.dominance_floor);
-        switch (screen.verdict) {
-          case ScreenVerdict::Pass:
-            gpu_list.push_back(s);
-            break;
-          case ScreenVerdict::NonFinite:
-            result.status[s] = SystemStatus::NonFinite;
-            break;
-          case ScreenVerdict::NeedsPivoting:
-            ++result.prescreen_routed;
-            result.status[s] =
-                cfg_.cpu_fallback
-                    ? pivoting_fallback<T>(batch.system(s),
-                                           batch.solution(s))
-                    : SystemStatus::Singular;
-            break;
-        }
-      }
-    } else {
-      for (std::size_t s = 0; s < m; ++s) gpu_list.push_back(s);
-    }
-
-    if (!gpu_list.empty()) solve_group(batch, gpu_list, result);
-
-    if (cfg_.postcheck) {
-      const double tol = residual_tol();
-      for (std::size_t s = 0; s < m; ++s) {
-        if (result.status[s] != SystemStatus::Ok) continue;
-        const double res =
-            relative_residual<T>(batch.system(s), batch.solution(s));
-        if (res <= tol) continue;
-        ++result.residual_rejects;
-        result.status[s] =
-            cfg_.cpu_fallback
-                ? pivoting_fallback<T>(batch.system(s), batch.solution(s))
-                : (std::isfinite(res) ? SystemStatus::Singular
-                                      : SystemStatus::NonFinite);
-      }
-    }
-
-    for (std::size_t s = 0; s < m; ++s) {
-      switch (result.status[s]) {
-        case SystemStatus::Ok: ++result.gpu_solved; break;
-        case SystemStatus::FallbackUsed: ++result.fallback_used; break;
-        case SystemStatus::Singular: ++result.singular; break;
-        case SystemStatus::NonFinite: ++result.nonfinite; break;
-      }
-    }
-    return result;
-  }
-
- private:
-  /// Solves the listed systems on the GPU, bisecting on numerical
-  /// ContractError so one bad system cannot take down its batchmates.
-  /// Statuses of quarantined systems are written into `result`; systems
-  /// solved on the GPU keep status Ok (the residual check runs later).
-  void solve_group(tridiag::TridiagBatch<T>& batch,
-                   std::span<const std::size_t> list,
-                   GuardedSolveResult<T>& result) {
-    try {
-      if (list.size() == batch.num_systems()) {
-        // Common case: everything passed the screen — solve in place.
-        accumulate(result.stats, inner_->solve(batch));
-      } else {
-        tridiag::TridiagBatch<T> sub(list.size(), batch.system_size());
-        pack(batch, list, sub);
-        accumulate(result.stats, inner_->solve(sub));
-        unpack_solutions(sub, list, batch);
-      }
-      return;
-    } catch (const ContractError&) {
-      // Numerical failure somewhere in this group — bisect.
-    }
-    if (list.size() == 1) {
-      const std::size_t s = list.front();
-      ++result.quarantined;
-      result.status[s] =
-          cfg_.cpu_fallback
-              ? pivoting_fallback<T>(batch.system(s), batch.solution(s))
-              : SystemStatus::Singular;
-      return;
-    }
-    const std::size_t half = list.size() / 2;
-    solve_group(batch, list.subspan(0, half), result);
-    solve_group(batch, list.subspan(half), result);
-  }
-
-  static void accumulate(SolveStats& into, const SolveStats& part) {
-    if (into.kernel_launches == 0) into.plan = part.plan;
-    into.total_ms += part.total_ms;
-    into.stage1_ms += part.stage1_ms;
-    into.stage2_ms += part.stage2_ms;
-    into.stage3_ms += part.stage3_ms;
-    into.kernel_launches += part.kernel_launches;
-  }
-
-  static void pack(tridiag::TridiagBatch<T>& from,
-                   std::span<const std::size_t> list,
-                   tridiag::TridiagBatch<T>& to) {
-    const std::size_t n = from.system_size();
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      const std::size_t src = list[j] * n;
-      const std::size_t dst = j * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        to.a()[dst + i] = from.a()[src + i];
-        to.b()[dst + i] = from.b()[src + i];
-        to.c()[dst + i] = from.c()[src + i];
-        to.d()[dst + i] = from.d()[src + i];
-      }
-    }
-  }
-
-  static void unpack_solutions(tridiag::TridiagBatch<T>& from,
-                               std::span<const std::size_t> list,
-                               tridiag::TridiagBatch<T>& to) {
-    const std::size_t n = from.system_size();
-    for (std::size_t j = 0; j < list.size(); ++j) {
-      const std::size_t src = j * n;
-      const std::size_t dst = list[j] * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        to.x()[dst + i] = from.x()[src + i];
-      }
-    }
-  }
-
-  GpuTridiagonalSolver<T>* inner_;
-  GuardConfig cfg_;
-};
 
 }  // namespace tda::solver

@@ -1,6 +1,6 @@
 // Tests for graceful degradation under resource exhaustion: device
 // memory accounting (gpusim/memory.hpp), the `oom` fault site, adaptive
-// batch splitting (solver/chunked.hpp), memory-aware admission and the
+// batch splitting (solver/pipeline.hpp), memory-aware admission and the
 // in-flight watchdog of the solve service. Every test pins its own
 // budgets and fault config so an ambient TDA_MEM_BUDGET / TDA_FAULTS
 // (the CI memory-pressure job sets both) cannot change the outcome.
@@ -20,8 +20,7 @@
 #include "gpusim/memory.hpp"
 #include "kernels/device_batch.hpp"
 #include "service/solve_service.hpp"
-#include "solver/chunked.hpp"
-#include "solver/guards.hpp"
+#include "solver/pipeline.hpp"
 #include "solver/ragged.hpp"
 #include "tuning/tuners.hpp"
 
@@ -142,7 +141,7 @@ TEST(OomInjection, SpecRoundTripsOomKey) {
   EXPECT_NE(cfg.describe().find("oom=0.25"), std::string::npos);
 }
 
-// ---------- adaptive batch splitting ----------
+// ---------- adaptive batch splitting (solver::Pipeline step 3) ----------
 
 tridiag::TridiagBatch<double> random_batch(std::size_t m, std::size_t n,
                                            std::uint64_t seed) {
@@ -183,29 +182,27 @@ TEST(ChunkedSolver, MatchesUnchunkedAcrossSwitchPoints) {
   const std::size_t m = 40;
   for (const std::size_t n : sizes) {
     gpusim::Device dev(gpusim::geforce_gtx_470());
-    auto points = tuning::default_switch_points<double>();
-    solver::GpuTridiagonalSolver<double> inner(dev, points);
+    solver::Pipeline<double> pipe(
+        dev, tuning::default_switch_points<double>());
 
     auto reference = random_batch(m, n, 1000 + n);
     auto chunked_in = reference;  // identical coefficients
 
     // Unchunked reference under an unlimited budget.
     dev.set_mem_budget(0);
-    solver::GuardedSolver<double> guard(inner);
-    const auto ref = guard.solve(reference);
-    ASSERT_TRUE(ref.all_solved()) << "n=" << n;
+    const auto ref = pipe.solve(reference);
+    ASSERT_EQ(ref.counts().solved(), m) << "n=" << n;
+    EXPECT_EQ(ref.chunks, 1u) << "n=" << n;
 
     // 10% of the full footprint forces ~10 chunks.
     const std::size_t full =
         kernels::DeviceBatch<double>::footprint_bytes(m, n);
     dev.set_mem_budget(std::max<std::size_t>(full / 10,
         kernels::DeviceBatch<double>::footprint_bytes(1, n)));
-    solver::ChunkedSolver<double> chunked(dev, inner);
-    const auto got = chunked.solve(chunked_in);
-    ASSERT_TRUE(got.guarded.all_solved()) << "n=" << n;
-    EXPECT_GT(got.chunking.chunks, 1u) << "n=" << n;
-    EXPECT_LE(got.chunking.max_chunk_systems,
-              got.chunking.planned_chunk_systems);
+    const auto got = pipe.solve(chunked_in);
+    ASSERT_EQ(got.counts().solved(), m) << "n=" << n;
+    EXPECT_GT(got.chunks, 1u) << "n=" << n;
+    EXPECT_LE(got.max_chunk_systems, got.planned_chunk_systems);
 
     // Chunked sub-batches may execute a different stage plan than the
     // full batch (the plan depends on m), so the contract is residual
@@ -218,19 +215,17 @@ TEST(ChunkedSolver, MatchesUnchunkedAcrossSwitchPoints) {
 TEST(ChunkedSolver, BisectsToCpuFallbackWhenNothingFits) {
   faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  auto points = tuning::default_switch_points<double>();
-  solver::GpuTridiagonalSolver<double> inner(dev, points);
+  solver::Pipeline<double> pipe(dev,
+                                tuning::default_switch_points<double>());
   // Budget below even one system's footprint: every chunk bisects to
-  // the floor and degrades to the pivoting CPU path.
+  // one system and degrades to the pivoting CPU path.
   dev.set_mem_budget(16);
   auto batch = random_batch(6, 32, 77);
-  solver::ChunkedSolver<double> chunked(dev, inner);
-  const auto res = chunked.solve(batch);
-  ASSERT_TRUE(res.guarded.all_solved());
-  EXPECT_EQ(res.guarded.fallback_used, 6u);
-  EXPECT_EQ(res.chunking.oom_fallback_systems, 6u);
-  EXPECT_GT(res.chunking.oom_events, 0u);
-  EXPECT_EQ(res.chunking.chunks, 0u);  // nothing ran on the device
+  const auto res = pipe.solve(batch);
+  EXPECT_EQ(res.counts().fallback_used, 6u);
+  EXPECT_EQ(res.oom_fallback_systems, 6u);
+  EXPECT_GT(res.oom_events, 0u);
+  EXPECT_EQ(res.chunks, 0u);  // nothing ran on the device
   EXPECT_LT(batch_residual(batch), 1e-8);
 }
 
@@ -243,12 +238,11 @@ TEST(ChunkedSolver, AbsorbsInjectedOomViaBisect) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
   dev.arm_faults();
   dev.set_mem_budget(0);  // only injected OOM, never genuine
-  auto points = tuning::default_switch_points<double>();
-  solver::GpuTridiagonalSolver<double> inner(dev, points);
+  solver::Pipeline<double> pipe(dev,
+                                tuning::default_switch_points<double>());
   auto batch = random_batch(24, 64, 42);
-  solver::ChunkedSolver<double> chunked(dev, inner);
-  const auto res = chunked.solve(batch);
-  ASSERT_TRUE(res.guarded.all_solved());
+  const auto res = pipe.solve(batch);
+  ASSERT_EQ(res.counts().solved(), 24u);
   EXPECT_LT(batch_residual(batch), 1e-8);
 }
 
@@ -258,17 +252,16 @@ TEST(ChunkedSolver, EmitsChunkTelemetry) {
   telemetry::Telemetry tel;
   tel.enable_all();
   dev.set_telemetry(&tel);
-  auto points = tuning::default_switch_points<double>();
-  solver::GpuTridiagonalSolver<double> inner(dev, points);
+  solver::Pipeline<double> pipe(dev,
+                                tuning::default_switch_points<double>());
   const std::size_t m = 16, n = 64;
   dev.set_mem_budget(kernels::DeviceBatch<double>::footprint_bytes(m, n) / 4);
   auto batch = random_batch(m, n, 3);
-  solver::ChunkedSolver<double> chunked(dev, inner);
-  const auto res = chunked.solve(batch);
-  EXPECT_GT(res.chunking.chunks, 1u);
+  const auto res = pipe.solve(batch);
+  EXPECT_GT(res.chunks, 1u);
   EXPECT_DOUBLE_EQ(tel.metrics.counter("solver.chunked_solves"), 1.0);
   EXPECT_DOUBLE_EQ(tel.metrics.counter("solver.chunks"),
-                   static_cast<double>(res.chunking.chunks));
+                   static_cast<double>(res.chunks));
   EXPECT_GT(tel.metrics.gauge("device.mem_high_water"), 0.0);
 }
 

@@ -1,7 +1,8 @@
-// End-to-end numerical robustness: the guard pipeline (prescreen,
-// quarantine bisect, residual postcheck, pivoting fallback) and
-// ill-conditioned inputs pushed through every stage of the multi-stage
-// solver — stage-1/2 splits and both stage-3 shared-memory variants.
+// End-to-end numerical robustness: the guards of solver::Pipeline
+// (prescreen, quarantine bisect, residual postcheck, pivoting fallback)
+// and ill-conditioned inputs pushed through every stage of the
+// multi-stage solver — stage-1/2 splits and both stage-3 shared-memory
+// variants.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +11,12 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "faults/faults.hpp"
 #include "gpusim/device.hpp"
 #include "solver/gpu_solver.hpp"
 #include "solver/guards.hpp"
+#include "solver/pipeline.hpp"
 #include "tridiag/generators.hpp"
 #include "tridiag/verify.hpp"
 
@@ -91,6 +94,88 @@ TEST(Residual, NonFiniteSolutionIsInfinite) {
   EXPECT_TRUE(std::isinf(system_residual(batch, batch, 0)));
 }
 
+// The vectorized scans must reproduce the plain scalar definitions
+// exactly — every verdict and every residual bit — for unit-stride and
+// element-major (stride m) views, short systems and every corrupted
+// position, including the a[0] and c[n-1] slots outside the matrix.
+
+ScreenVerdict scalar_verdict(const tridiag::SystemView<float>& sys) {
+  const std::size_t n = sys.size();
+  bool zero = false;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ai = i > 0 ? sys.a[i] : 0.0;
+    const double ci = i + 1 < n ? sys.c[i] : 0.0;
+    if (!std::isfinite(ai) || !std::isfinite(double{sys.b[i]}) ||
+        !std::isfinite(ci) || !std::isfinite(double{sys.d[i]})) {
+      return ScreenVerdict::NonFinite;
+    }
+    zero |= sys.b[i] == 0.0f;
+  }
+  return zero ? ScreenVerdict::NeedsPivoting : ScreenVerdict::Pass;
+}
+
+double scalar_residual(const tridiag::SystemView<float>& sys,
+                       const StridedView<float>& x) {
+  const std::size_t n = sys.size();
+  double max_r = 0.0, norm_a = 0.0, norm_x = 0.0, norm_d = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double xi = x[i];
+    if (!std::isfinite(xi)) return std::numeric_limits<double>::infinity();
+    const double ai = i > 0 ? sys.a[i] : 0.0;
+    const double bi = sys.b[i];
+    const double ci = i + 1 < n ? sys.c[i] : 0.0;
+    const double di = sys.d[i];
+    double ax = bi * xi;
+    if (i > 0) ax += ai * static_cast<double>(x[i - 1]);
+    if (i + 1 < n) ax += ci * static_cast<double>(x[i + 1]);
+    max_r = std::max(max_r, std::abs(di - ax));
+    norm_a = std::max(norm_a, std::abs(ai) + std::abs(bi) + std::abs(ci));
+    norm_x = std::max(norm_x, std::abs(xi));
+    norm_d = std::max(norm_d, std::abs(di));
+  }
+  const double scale = norm_a * norm_x + norm_d;
+  return scale == 0.0 ? max_r : max_r / scale;
+}
+
+TEST(Residual, VectorizedScansMatchScalarDefinitions) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::size_t n : {1u, 2u, 3u, 9u, 17u, 100u}) {
+    for (const auto layout : {tridiag::BatchLayout::SystemMajor,
+                              tridiag::BatchLayout::ElementMajor}) {
+      auto batch = tridiag::make_random_general<float>(3, n, 30 + n);
+      Rng rng(n);
+      for (auto& v : batch.x()) v = static_cast<float>(rng.uniform(-2, 2));
+      batch.convert_layout(layout);
+      for (std::size_t s = 0; s < 3; ++s) {
+        EXPECT_EQ(screen_verdict<float>(batch.system(s)),
+                  scalar_verdict(batch.system(s)));
+        EXPECT_EQ(relative_residual<float>(batch.system(s),
+                                           batch.solution(s)),
+                  scalar_residual(batch.system(s), batch.solution(s)));
+      }
+      // One bad value at a time, in every lane and row.
+      auto sys = batch.system(1);
+      auto x = batch.solution(1);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (StridedView<float>* lane : {&sys.a, &sys.b, &sys.c, &sys.d, &x}) {
+          for (const float bad : {nan, inf, 0.0f}) {
+            const float keep = (*lane)[i];
+            (*lane)[i] = bad;
+            EXPECT_EQ(screen_verdict<float>(sys), scalar_verdict(sys))
+                << "n=" << n << " row " << i;
+            const double want = scalar_residual(sys, x);
+            const double got = relative_residual<float>(sys, x);
+            EXPECT_TRUE(got == want || (std::isnan(got) && std::isnan(want)))
+                << "n=" << n << " row " << i << ": " << got << " vs " << want;
+            (*lane)[i] = keep;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------- pivoting_fallback ----------
 
 TEST(PivotingFallback, SolvesZeroLeadingPivot) {
@@ -121,37 +206,49 @@ TEST(PivotingFallback, ReportsNonFinite) {
   EXPECT_EQ(st, SystemStatus::NonFinite);
 }
 
-// ---------- GuardedSolver ----------
+// ---------- the guard stages of Pipeline ----------
+
+// Rows 0-1 of system s become [[1, 1], [1, 1 + eps]]: finite, nonzero
+// diagonal — the screen passes it — but Thomas elimination's second
+// pivot is 1 + eps - 1 = eps. The rest of the system stays dominant, so
+// it remains solvable with pivoting.
+void manufacture_pivot(tridiag::TridiagBatch<double>& batch, std::size_t s,
+                       double eps) {
+  const std::size_t k = s * batch.system_size();
+  batch.b()[k] = 1.0;
+  batch.c()[k] = 1.0;
+  batch.a()[k + 1] = 1.0;
+  batch.b()[k + 1] = 1.0 + eps;
+}
 
 TEST(GuardedSolver, CleanBatchSolvesOnGpu) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardedSolver<double> guard(inner);
+  Pipeline<double> pipe(dev, SwitchPoints{});
   auto batch = tridiag::make_diag_dominant<double>(8, 1024, 11);
   auto pristine = batch;
-  const auto r = guard.solve(batch);
-  EXPECT_TRUE(r.all_ok());
-  EXPECT_EQ(r.gpu_solved, 8u);
-  EXPECT_EQ(r.fallback_used, 0u);
+  const auto r = pipe.solve(batch);
+  const auto c = r.counts();
+  EXPECT_EQ(c.ok, 8u);
+  EXPECT_EQ(c.fallback_used, 0u);
   EXPECT_EQ(r.quarantined, 0u);
   EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-10);
 }
 
 TEST(GuardedSolver, PoisonedSystemsGetTypedStatusAndBatchmatesSolve) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardedSolver<double> guard(inner);
+  Pipeline<double> pipe(dev, SwitchPoints{});
   auto batch = tridiag::make_diag_dominant<double>(8, 512, 12);
   poison(batch, 2, faults::Poison::NaN);
   poison(batch, 5, faults::Poison::ZeroPivot);
   auto pristine = batch;
 
-  const auto r = guard.solve(batch);
+  const auto r = pipe.solve(batch);
+  const auto c = r.counts();
   EXPECT_EQ(r.status[2], SystemStatus::NonFinite);
   EXPECT_EQ(r.status[5], SystemStatus::Singular);
-  EXPECT_EQ(r.nonfinite, 1u);
-  EXPECT_EQ(r.singular, 1u);
-  EXPECT_EQ(r.gpu_solved, 6u);
+  EXPECT_EQ(c.nonfinite, 1u);
+  EXPECT_EQ(c.singular, 1u);
+  EXPECT_EQ(c.ok, 6u);
   for (std::size_t s : {0u, 1u, 3u, 4u, 6u, 7u}) {
     EXPECT_EQ(r.status[s], SystemStatus::Ok) << "system " << s;
     EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
@@ -160,99 +257,78 @@ TEST(GuardedSolver, PoisonedSystemsGetTypedStatusAndBatchmatesSolve) {
 
 TEST(GuardedSolver, RecoverablePivotProblemUsesFallback) {
   gpusim::Device dev(gpusim::geforce_gtx_280());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardedSolver<double> guard(inner);
+  Pipeline<double> pipe(dev, SwitchPoints{});
   auto batch = tridiag::make_diag_dominant<double>(4, 256, 13);
   // System 1: zero leading pivot but solvable with pivoting.
   batch.b()[256] = 0.0;
   batch.c()[256] = 1.0;
   auto pristine = batch;
 
-  const auto r = guard.solve(batch);
+  const auto r = pipe.solve(batch);
   EXPECT_EQ(r.status[1], SystemStatus::FallbackUsed);
-  EXPECT_EQ(r.fallback_used, 1u);
+  EXPECT_EQ(r.counts().fallback_used, 1u);
   EXPECT_EQ(r.prescreen_routed, 1u);
-  EXPECT_TRUE(r.all_solved());
+  EXPECT_EQ(r.counts().solved(), 4u);
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
   }
 }
 
-TEST(GuardedSolver, DominanceFloorRoutesWholeBatchToFallback) {
-  gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardConfig cfg;
-  cfg.dominance_floor = 10.0;  // above the generator's dominance of 2
-  GuardedSolver<double> guard(inner, cfg);
-  auto batch = tridiag::make_diag_dominant<double>(4, 128, 14);
-  auto pristine = batch;
-
-  const auto r = guard.solve(batch);
-  EXPECT_EQ(r.prescreen_routed, 4u);
-  EXPECT_EQ(r.fallback_used, 4u);
-  EXPECT_EQ(r.gpu_solved, 0u);
-  EXPECT_TRUE(r.all_solved());
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-10);
-}
-
 TEST(GuardedSolver, BisectQuarantinesCulpritWithoutPrescreen) {
-  // With the screen off, the zero pivot reaches the kernel. thomas_switch
-  // >= n sends the whole system to the Thomas path, whose pivot check
-  // throws ContractError deterministically; the bisect must isolate the
-  // single culprit and every batchmate must still solve.
+  // The screen cannot see a pivot that elimination manufactures.
+  // thomas_switch = 1 asks for one subsystem, so no PCR step splits the
+  // system and Thomas meets the zero pivot, whose check throws
+  // ContractError deterministically; the bisect must isolate the single
+  // culprit, the fallback must solve it, and every batchmate must keep
+  // its GPU solution.
   gpusim::Device dev(gpusim::geforce_gtx_470());
   SwitchPoints points;
   points.stage3_system_size = 64;
-  points.thomas_switch = 64;
-  GpuTridiagonalSolver<double> inner(dev, points);
-  GuardConfig cfg;
-  cfg.prescreen = false;
-  GuardedSolver<double> guard(inner, cfg);
+  points.thomas_switch = 1;
+  Pipeline<double> pipe(dev, points);
 
   auto batch = tridiag::make_diag_dominant<double>(8, 64, 15);
-  poison(batch, 3, faults::Poison::ZeroPivot);
+  manufacture_pivot(batch, 3, 0.0);
   auto pristine = batch;
+  ASSERT_EQ(screen_verdict<double>(pristine.system(3)), ScreenVerdict::Pass);
 
-  const auto r = guard.solve(batch);
+  const auto r = pipe.solve(batch);
+  EXPECT_EQ(r.prescreen_routed, 0u);
   EXPECT_EQ(r.quarantined, 1u);
-  EXPECT_EQ(r.status[3], SystemStatus::Singular);
+  EXPECT_EQ(r.status[3], SystemStatus::FallbackUsed);
   for (std::size_t s = 0; s < 8; ++s) {
-    if (s == 3) continue;
-    EXPECT_EQ(r.status[s], SystemStatus::Ok) << "system " << s;
+    if (s != 3) {
+      EXPECT_EQ(r.status[s], SystemStatus::Ok) << "system " << s;
+    }
     EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
   }
 }
 
 TEST(GuardedSolver, ResidualPostcheckEscalatesToFallback) {
-  // An absurdly tight tolerance forces every GPU solution through the
-  // escalation path; the fallback must still deliver correct solutions.
+  // A near-zero manufactured pivot neither trips the screen nor throws,
+  // but the pivot-free solution it yields fails the automatic residual
+  // tolerance; the fallback must deliver correct solutions instead.
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardConfig cfg;
-  cfg.residual_tol = 1e-300;
-  GuardedSolver<double> guard(inner, cfg);
+  SwitchPoints points;
+  points.stage3_system_size = 256;
+  points.thomas_switch = 1;  // pure Thomas, as above
+  Pipeline<double> pipe(dev, points);
   auto batch = tridiag::make_diag_dominant<double>(4, 256, 16);
+  manufacture_pivot(batch, 1, 1e-12);
+  manufacture_pivot(batch, 2, 1e-12);
   auto pristine = batch;
 
-  const auto r = guard.solve(batch);
-  EXPECT_EQ(r.residual_rejects, 4u);
-  EXPECT_EQ(r.fallback_used, 4u);
-  EXPECT_TRUE(r.all_solved());
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-10);
-}
-
-TEST(GuardedSolver, NoFallbackReportsSingularInsteadOfSolving) {
-  gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardConfig cfg;
-  cfg.cpu_fallback = false;
-  GuardedSolver<double> guard(inner, cfg);
-  auto batch = tridiag::make_diag_dominant<double>(2, 128, 17);
-  poison(batch, 0, faults::Poison::ZeroPivot);
-
-  const auto r = guard.solve(batch);
-  EXPECT_EQ(r.status[0], SystemStatus::Singular);
-  EXPECT_EQ(r.status[1], SystemStatus::Ok);
+  const auto r = pipe.solve(batch);
+  EXPECT_EQ(r.prescreen_routed, 0u);
+  EXPECT_EQ(r.quarantined, 0u);
+  EXPECT_EQ(r.residual_rejects, 2u);
+  EXPECT_EQ(r.status[0], SystemStatus::Ok);
+  EXPECT_EQ(r.status[1], SystemStatus::FallbackUsed);
+  EXPECT_EQ(r.status[2], SystemStatus::FallbackUsed);
+  EXPECT_EQ(r.status[3], SystemStatus::Ok);
+  for (std::size_t s = 0; s < 4; ++s) {
+    EXPECT_LT(system_residual(pristine, batch, s), 1e-10) << "system " << s;
+  }
 }
 
 // ---------- ill-conditioned inputs through every solver stage ----------
@@ -287,14 +363,13 @@ TEST(IllConditioned, TypedStatusAcrossAllStages) {
   for (const auto& tc : stage_cases()) {
     SCOPED_TRACE(tc.name);
     gpusim::Device dev(gpusim::geforce_gtx_470());
-    GpuTridiagonalSolver<double> inner(dev, tc.points);
-    GuardedSolver<double> guard(inner);
+    Pipeline<double> pipe(dev, tc.points);
     auto batch = tridiag::make_diag_dominant<double>(tc.m, tc.n, 18);
     poison(batch, 0, faults::Poison::NaN);
     poison(batch, tc.m - 1, faults::Poison::ZeroPivot);
     auto pristine = batch;
 
-    const auto r = guard.solve(batch);
+    const auto r = pipe.solve(batch);
     EXPECT_EQ(r.status[0], SystemStatus::NonFinite);
     EXPECT_EQ(r.status[tc.m - 1], SystemStatus::Singular);
     for (std::size_t s = 1; s + 1 < tc.m; ++s) {
@@ -322,12 +397,11 @@ TEST(IllConditioned, NonDominantSolvableSystemPassesPostcheck) {
   // only if the residual check accepts it; either way the answer must be
   // correct.
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  GpuTridiagonalSolver<double> inner(dev, SwitchPoints{});
-  GuardedSolver<double> guard(inner);
+  Pipeline<double> pipe(dev, SwitchPoints{});
   auto batch = tridiag::make_random_general<double>(4, 512, 20);
   auto pristine = batch;
-  const auto r = guard.solve(batch);
-  EXPECT_TRUE(r.all_solved());
+  const auto r = pipe.solve(batch);
+  EXPECT_EQ(r.counts().solved(), 4u);
   for (std::size_t s = 0; s < 4; ++s) {
     EXPECT_LT(system_residual(pristine, batch, s), 1e-8) << "system " << s;
   }

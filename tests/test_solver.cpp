@@ -11,6 +11,7 @@
 
 #include "common/hash.hpp"
 #include "gpusim/launch.hpp"
+#include "solver/auto_solver.hpp"
 #include "solver/gpu_solver.hpp"
 #include "solver/plan.hpp"
 #include "tridiag/generators.hpp"
@@ -244,6 +245,16 @@ struct GoldenSolve {
   SolveStats stats;
 };
 
+// FNV-1a over the solution bytes: any change to the host arithmetic,
+// however small, changes the digest. The pinned digests were taken from
+// the wire fingerprint's start state.
+template <typename T>
+std::uint64_t digest(std::span<const T> x) {
+  return fnv1a64(std::string_view(reinterpret_cast<const char*>(x.data()),
+                                  x.size_bytes()),
+                 kFnv64LegacyBasis);
+}
+
 // Fixed switch points so stage 1 (cooperative split), stage 2
 // (independent split) and stage 3/4 (on-chip PCR-Thomas) all run.
 template <typename T>
@@ -258,14 +269,7 @@ GoldenSolve golden_solve(std::size_t m, std::size_t n,
   GpuTridiagonalSolver<T> solver(dev, sp);
   auto batch = make_diag_dominant<T>(m, n, 2011);
   const SolveStats stats = solver.solve(batch);
-  // FNV-1a over the solution bytes: any change to the host arithmetic,
-  // however small, changes the digest. The pinned digests were taken
-  // from the wire fingerprint's start state.
-  const std::span<const T> x = batch.x();
-  return {fnv1a64(std::string_view(reinterpret_cast<const char*>(x.data()),
-                                   x.size_bytes()),
-                  kFnv64LegacyBasis),
-          stats};
+  return {digest<T>(batch.x()), stats};
 }
 
 // Values recorded from the scalar strided PCR path that preceded the
@@ -298,6 +302,44 @@ TEST(SolverGolden, DoubleCoalescedRaggedSolveIsPinned) {
   EXPECT_EQ(g.stats.stage3_ms, 0x1.b5ed6dd98fbfdp-5);
   EXPECT_EQ(g.stats.transpose_ms, 0.0);
   EXPECT_EQ(g.stats.kernel_launches, 5u);
+}
+
+// The public entry point, tuned on the GTX 470 the benches use. These
+// values were recorded from the unguarded AutoSolver::solve; they must
+// not move when the numerical guards run on the same clean batch.
+template <typename T>
+GoldenSolve golden_auto_solve(std::size_t m, std::size_t n) {
+  gpusim::Device dev(gpusim::geforce_gtx_470());
+  AutoSolver<T> solver(dev);
+  auto batch = make_diag_dominant<T>(m, n, 2011);
+  const SolveStats stats = solver.solve(batch);
+  return {digest<T>(batch.x()), stats};
+}
+
+TEST(SolverGolden, AutoSolverSystemMajorSolveIsPinned) {
+  const auto g = golden_auto_solve<float>(4, 4096);
+  EXPECT_EQ(g.stats.plan.layout, tridiag::BatchLayout::SystemMajor);
+  EXPECT_EQ(g.x_fnv, 0xea6fd6748f45ea0bull);
+  EXPECT_EQ(g.stats.total_ms, 0x1.6ecdf89c8b2bp-3);
+  EXPECT_EQ(g.stats.stage1_ms, 0x1.3692ae7c45c7dp-3);
+  EXPECT_EQ(g.stats.stage2_ms, 0.0);
+  EXPECT_EQ(g.stats.stage3_ms, 0x1.c1da51022b19ap-6);
+  EXPECT_EQ(g.stats.transpose_ms, 0.0);
+  EXPECT_EQ(g.stats.kernel_launches, 3u);
+}
+
+// 21,504 systems of 64: the many-small shape, where the tuner picks the
+// interleaved (element-major) pipeline and its two transposes.
+TEST(SolverGolden, AutoSolverElementMajorSolveIsPinned) {
+  const auto g = golden_auto_solve<float>(21504, 64);
+  EXPECT_EQ(g.stats.plan.layout, tridiag::BatchLayout::ElementMajor);
+  EXPECT_EQ(g.x_fnv, 0x45ed685f1d36fab0ull);
+  EXPECT_EQ(g.stats.total_ms, 0x1.97a0747915b13p-1);
+  EXPECT_EQ(g.stats.stage1_ms, 0.0);
+  EXPECT_EQ(g.stats.stage2_ms, 0.0);
+  EXPECT_EQ(g.stats.stage3_ms, 0x1.800456a10fb32p-2);
+  EXPECT_EQ(g.stats.transpose_ms, 0x1.af3c92511baf4p-2);
+  EXPECT_EQ(g.stats.kernel_launches, 3u);
 }
 
 }  // namespace

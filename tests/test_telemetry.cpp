@@ -474,6 +474,13 @@ TEST(Integration, AutoSolverCacheHitMissCounters) {
                        "tuner.cache_hits"), 1.0);
   EXPECT_DOUBLE_EQ(auto_solver.telemetry().metrics.counter(
                        "solver.solves"), 2.0);
+  // Both solves ran through the guarded pipeline, one chunk each.
+  EXPECT_DOUBLE_EQ(auto_solver.telemetry().metrics.counter(
+                       "solver.chunked_solves"), 2.0);
+  EXPECT_DOUBLE_EQ(auto_solver.telemetry().metrics.counter(
+                       "solver.chunks"), 2.0);
+  EXPECT_DOUBLE_EQ(auto_solver.telemetry().metrics.counter(
+                       "solver.split_solves"), 0.0);
 }
 
 TEST(Integration, AutoSolverDetachesOnDestruction) {

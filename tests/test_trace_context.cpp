@@ -334,6 +334,18 @@ TEST(TraceTree, AutoSolverMintsOneRootPerTopLevelSolve) {
   ASSERT_EQ(kinds.size(), 2u);
   EXPECT_EQ(kinds[0], "uniform");
   EXPECT_EQ(kinds[1], "ragged");
+  // Every solve — the uniform one and both ragged groups — runs through
+  // the guarded pipeline: one chunked_solve span each, with the screen
+  // and the residual check inside it.
+  std::size_t chunked = 0, screens = 0, postchecks = 0;
+  for (const auto& s : spans) {
+    chunked += s.name == "chunked_solve" ? 1 : 0;
+    screens += s.name == "screen" ? 1 : 0;
+    postchecks += s.name == "postcheck" ? 1 : 0;
+  }
+  EXPECT_EQ(chunked, 3u);
+  EXPECT_EQ(screens, 3u);
+  EXPECT_EQ(postchecks, 3u);
 }
 
 // ---------- snapshot races (the TSan targets) ----------
