@@ -128,8 +128,7 @@ struct FrontDoorConfig {
   double codel_target_ms = 5.0;
   double codel_interval_ms = 100.0;
   /// AIMD per-tenant concurrency window over the service in-flight
-  /// budget. false = every lane may fill the whole window.
-  bool aimd_enabled = true;
+  /// budget (always on).
   double aimd_min = 1.0;      ///< window floor (requests)
   double aimd_backoff = 0.7;  ///< multiplicative decrease factor
 
@@ -152,7 +151,10 @@ struct FrontDoorConfig {
   int inherited_unix_fd = -1;
 };
 
-/// Monotonic counters of the front door (snapshot via counters()).
+/// Monotonic counters of the front door (snapshot via counters()). All
+/// but the five dedup fields are read from the service registry's net.*
+/// counters, so a door's totals and its exported metrics are one
+/// accounting (two doors on one service would share them).
 struct FrontDoorCounters {
   std::uint64_t connections = 0;      ///< accepted
   std::uint64_t closed = 0;           ///< closed (any reason)
@@ -193,7 +195,11 @@ class FrontDoor {
       : svc_(svc),
         cfg_(std::move(cfg)),
         lanes_(cfg_.drr_quantum),
-        dedup_(cfg_.dedup) {}
+        dedup_(cfg_.dedup) {
+    for (const TotalRow& row : kTotalRows) {
+      totals_.*row.handle = metrics().counter_handle(row.metric);
+    }
+  }
 
   ~FrontDoor() { shutdown(); }
 
@@ -306,8 +312,21 @@ class FrontDoor {
   }
 
   [[nodiscard]] FrontDoorCounters counters() const {
-    std::lock_guard lk(counters_mu_);
-    return counters_;
+    FrontDoorCounters c;
+    for (const TotalRow& row : kTotalRows) {
+      if (row.field != nullptr) {
+        c.*row.field =
+            static_cast<std::uint64_t>((totals_.*row.handle).value());
+      }
+    }
+    c.dedup_hits = dedup_mirror_.hits.load(std::memory_order_relaxed);
+    c.dedup_joins = dedup_mirror_.joins.load(std::memory_order_relaxed);
+    c.dedup_evictions =
+        dedup_mirror_.evictions.load(std::memory_order_relaxed);
+    c.duplicate_executions =
+        dedup_mirror_.duplicate_executions.load(std::memory_order_relaxed);
+    c.key_reuse = dedup_mirror_.key_reuse.load(std::memory_order_relaxed);
+    return c;
   }
 
   /// Admitted-but-unanswered systems inside the service window.
@@ -538,23 +557,13 @@ class FrontDoor {
     return std::chrono::duration<double>(Clock::now() - epoch_).count();
   }
 
-  void count(std::uint64_t FrontDoorCounters::* field,
-             std::uint64_t delta = 1) {
-    std::lock_guard lk(counters_mu_);
-    counters_.*field += delta;
-  }
-
   telemetry::MetricsRegistry& metrics() {
     return svc_.telemetry().metrics;
   }
 
   void send_frame(Conn& conn, std::string bytes) {
-    count(&FrontDoorCounters::frames_tx);
-    count(&FrontDoorCounters::bytes_tx, bytes.size());
-    if (metrics().enabled()) {
-      metrics().add("net.frames_tx");
-      metrics().add("net.bytes_tx", static_cast<double>(bytes.size()));
-    }
+    totals_.frames_tx.add();
+    totals_.bytes_tx.add(static_cast<double>(bytes.size()));
     conn.wbuf.append(bytes);
     maybe_pause(conn);
   }
@@ -568,7 +577,7 @@ class FrontDoor {
 
   void reject(Conn& conn, std::uint64_t request_id, ErrorCode code,
               std::string_view msg) {
-    count(&FrontDoorCounters::requests_rejected);
+    totals_.requests_rejected.add();
     if (metrics().enabled()) {
       const std::string tenant =
           conn.tenant != nullptr ? conn.tenant->cfg.name : "-";
@@ -582,8 +591,7 @@ class FrontDoor {
   void maybe_pause(Conn& conn) {
     if (!conn.paused && conn.wbuf.size() > cfg_.write_buffer_limit) {
       conn.paused = true;
-      count(&FrontDoorCounters::backpressure_pauses);
-      if (metrics().enabled()) metrics().add("net.backpressure_pauses");
+      totals_.backpressure_pauses.add();
     }
   }
 
@@ -610,7 +618,7 @@ class FrontDoor {
                       "original request aborted with its connection");
         });
     conns_.erase(it);
-    count(&FrontDoorCounters::closed);
+    totals_.closed.add();
     if (metrics().enabled()) {
       metrics().set("net.connections_now",
                     static_cast<double>(conns_.size()));
@@ -635,9 +643,8 @@ class FrontDoor {
       conn.fd = Fd(fd);
       conn.id = next_conn_id_++;
       conn.last_rx = Clock::now();
-      count(&FrontDoorCounters::connections);
+      totals_.connections.add();
       if (metrics().enabled()) {
-        metrics().add("net.connections");
         metrics().set("net.connections_now",
                       static_cast<double>(conns_.size() + 1));
       }
@@ -653,8 +660,7 @@ class FrontDoor {
     }
     Tenant* t = tenants_.authenticate(hello->token);
     if (t == nullptr) {
-      count(&FrontDoorCounters::auth_failures);
-      if (metrics().enabled()) metrics().add("net.auth_failed");
+      totals_.auth_failures.add();
       send_err(conn, frame.request_id, ErrorCode::AuthFailed,
                "unknown tenant token");
       conn.closing = true;
@@ -712,12 +718,13 @@ class FrontDoor {
 
   void sync_dedup_counters() {
     const DedupStats& s = dedup_.stats();
-    std::lock_guard lk(counters_mu_);
-    counters_.dedup_hits = s.hits;
-    counters_.dedup_joins = s.joins;
-    counters_.dedup_evictions = s.evictions;
-    counters_.duplicate_executions = s.duplicate_executions;
-    counters_.key_reuse = s.mismatches;
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    dedup_mirror_.hits.store(s.hits, kRelaxed);
+    dedup_mirror_.joins.store(s.joins, kRelaxed);
+    dedup_mirror_.evictions.store(s.evictions, kRelaxed);
+    dedup_mirror_.duplicate_executions.store(s.duplicate_executions,
+                                             kRelaxed);
+    dedup_mirror_.key_reuse.store(s.mismatches, kRelaxed);
   }
 
   void handle_solve(Conn& conn, const FrameView& frame) {
@@ -759,7 +766,7 @@ class FrontDoor {
         solve->deadline_unix_ms > 0.0 &&
         std::abs(conn.skew_ms) > cfg_.max_clock_skew_ms) {
       solve->deadline_unix_ms = 0.0;
-      count(&FrontDoorCounters::deadline_skew_clamped);
+      totals_.deadline_skew_clamped.add();
       if (metrics().enabled()) {
         metrics().add(telemetry::labeled(
             "net.deadline_skew_clamped", {{"tenant", tenant->cfg.name}}));
@@ -831,7 +838,7 @@ class FrontDoor {
     if (deadline_unix > 0.0 && unix_now_ms() >= deadline_unix) {
       abort_dedup(tenant, solve->idem_key, ErrorCode::DeadlineExpired,
                   "deadline expired before admission");
-      count(&FrontDoorCounters::deadline_expired_arrival);
+      totals_.deadline_expired_arrival.add();
       if (metrics().enabled()) {
         metrics().add(telemetry::labeled(
             "net.deadline_expired",
@@ -854,7 +861,7 @@ class FrontDoor {
       reject(conn, frame.request_id, code, to_string(verdict));
       return;
     }
-    count(&FrontDoorCounters::requests_admitted);
+    totals_.requests_admitted.add();
     inflight_bytes_ += bytes;
     if (metrics().enabled()) {
       metrics().add(telemetry::labeled("net.requests",
@@ -877,15 +884,13 @@ class FrontDoor {
   }
 
   void bad_frame(Conn& conn, std::string_view why) {
-    count(&FrontDoorCounters::bad_frames);
-    if (metrics().enabled()) metrics().add("net.bad_frames");
+    totals_.bad_frames.add();
     send_err(conn, 0, ErrorCode::BadFrame, why);
     conn.closing = true;
   }
 
   void handle_frame(Conn& conn, const FrameView& frame) {
-    count(&FrontDoorCounters::frames_rx);
-    if (metrics().enabled()) metrics().add("net.frames_rx");
+    totals_.frames_rx.add();
     switch (frame.type) {
       case FrameType::Hello:
         handle_hello(conn, frame);
@@ -916,20 +921,14 @@ class FrontDoor {
       if (n == -2) break;    // drained
       if (n <= 0) return false;
       conn.last_rx = Clock::now();
-      count(&FrontDoorCounters::bytes_rx,
-            static_cast<std::uint64_t>(n));
-      if (metrics().enabled()) {
-        metrics().add("net.bytes_rx", static_cast<double>(n));
-      }
+      totals_.bytes_rx.add(static_cast<double>(n));
       if (inj.fire(faults::Site::NetDrop)) {
-        count(&FrontDoorCounters::injected_drops);
-        if (metrics().enabled()) metrics().add("net.faults.drop");
+        totals_.injected_drops.add();
         return false;
       }
       std::string chunk(tmp, static_cast<std::size_t>(n));
       if (inj.fire(faults::Site::NetCorrupt)) {
-        count(&FrontDoorCounters::injected_corruptions);
-        if (metrics().enabled()) metrics().add("net.faults.corrupt");
+        totals_.injected_corruptions.add();
         faults::corrupt_bytes(chunk, inj.config().seed ^ conn.id, 3);
       }
       conn.rbuf.append(chunk);
@@ -973,7 +972,7 @@ class FrontDoor {
     auto it = conns_.find(q.conn_id);
     if (it == conns_.end()) return;
     if (it->second.inflight > 0) --it->second.inflight;
-    count(&FrontDoorCounters::requests_rejected);
+    totals_.requests_rejected.add();
     if (metrics().enabled()) {
       metrics().add(telemetry::labeled(
           "net.rejects",
@@ -991,7 +990,6 @@ class FrontDoor {
   /// Multiplicative decrease on a congestion signal (shed / timeout /
   /// CoDel drop).
   void aimd_congested(Tenant* t) {
-    if (!cfg_.aimd_enabled) return;
     t->aimd_limit =
         std::max(cfg_.aimd_min, aimd_limit_of(t) * cfg_.aimd_backoff);
     if (metrics().enabled()) {
@@ -1003,7 +1001,6 @@ class FrontDoor {
 
   /// Additive increase (~ +1 per window's worth of completions).
   void aimd_completed(Tenant* t) {
-    if (!cfg_.aimd_enabled) return;
     const double limit = aimd_limit_of(t);
     t->aimd_limit = std::min(
         static_cast<double>(cfg_.max_service_inflight), limit + 1.0 / limit);
@@ -1053,25 +1050,16 @@ class FrontDoor {
     while (service_inflight_.load(std::memory_order_relaxed) <
            cfg_.max_service_inflight) {
       Queued q;
-      const bool got =
-          cfg_.aimd_enabled
-              ? lanes_.dequeue_if(q,
-                                  [this](Tenant* t) {
-                                    return t->inflight_service <
-                                           aimd_limit_of(t);
-                                  })
-              : lanes_.dequeue(q);
-      if (!got) {
-        if (cfg_.aimd_enabled && !lanes_.empty()) {
-          count(&FrontDoorCounters::aimd_throttles);
-          if (metrics().enabled()) metrics().add("net.aimd_throttles");
-        }
+      if (!lanes_.dequeue_if(q, [this](Tenant* t) {
+            return t->inflight_service < aimd_limit_of(t);
+          })) {
+        if (!lanes_.empty()) totals_.aimd_throttles.add();
         break;
       }
       const double now = now_s();
       if (q.deadline_unix_ms > 0.0 &&
           unix_now_ms() >= q.deadline_unix_ms) {
-        count(&FrontDoorCounters::deadline_expired_queued);
+        totals_.deadline_expired_queued.add();
         if (metrics().enabled()) {
           metrics().add(telemetry::labeled(
               "net.deadline_expired",
@@ -1083,7 +1071,7 @@ class FrontDoor {
       }
       const double sojourn_ms = (now - q.enqueue_s) * 1000.0;
       if (codel_should_drop(q.tenant, sojourn_ms, now)) {
-        count(&FrontDoorCounters::shed_codel);
+        totals_.shed_codel.add();
         if (metrics().enabled()) {
           metrics().add(telemetry::labeled(
               "net.shed_codel", {{"tenant", q.tenant->cfg.name}}));
@@ -1101,9 +1089,7 @@ class FrontDoor {
             dedup_.mark_executed(tenant_id(q.tenant), q.idem_key);
         if (prior > 0) {
           sync_dedup_counters();
-          if (metrics().enabled()) {
-            metrics().add("net.duplicate_executions");
-          }
+          totals_.duplicate_executions.add();
         }
       }
       service::SolveRequest<T> req;
@@ -1219,9 +1205,8 @@ class FrontDoor {
       inflight_bytes_ -= d.bytes <= inflight_bytes_ ? d.bytes
                                                     : inflight_bytes_;
       // (saturating: a mismatch here would mean double delivery)
-      count(&FrontDoorCounters::responses_sent);
+      totals_.responses_sent.add();
       if (metrics().enabled()) {
-        metrics().add("net.responses");
         metrics().set("net.inflight_bytes_now",
                       static_cast<double>(inflight_bytes_));
       }
@@ -1277,8 +1262,7 @@ class FrontDoor {
       }
     }
     for (const auto id : victims) {
-      count(&FrontDoorCounters::idle_closes);
-      if (metrics().enabled()) metrics().add("net.idle_closed");
+      totals_.idle_closes.add();
       close_conn(id);
     }
   }
@@ -1320,7 +1304,7 @@ class FrontDoor {
           }
           const std::size_t remaining = conns_.size();
           conns_.clear();
-          count(&FrontDoorCounters::closed, remaining);
+          totals_.closed.add(static_cast<double>(remaining));
           return;
         }
       }
@@ -1414,8 +1398,70 @@ class FrontDoor {
   std::vector<std::function<void()>> tasks_;
   bool unlink_on_shutdown_ = true;  ///< false after a listener handoff
 
-  mutable std::mutex counters_mu_;
-  FrontDoorCounters counters_;
+  /// The unlabeled net.* totals, one service-registry counter slot each.
+  struct Totals {
+    telemetry::Counter connections, closed, frames_rx, frames_tx, bytes_rx,
+        bytes_tx, bad_frames, auth_failures, requests_admitted,
+        requests_rejected, responses_sent, backpressure_pauses, idle_closes,
+        injected_drops, injected_corruptions, deadline_expired_arrival,
+        deadline_expired_queued, shed_codel, aimd_throttles,
+        deadline_skew_clamped, duplicate_executions;
+  };
+
+  /// Which metric each total exports as, and which FrontDoorCounters
+  /// field it backs (nullptr: exported only — duplicate_executions is
+  /// read from the dedup mirror, which the ops snapshot persists).
+  struct TotalRow {
+    telemetry::Counter Totals::*handle;
+    const char* metric;
+    std::uint64_t FrontDoorCounters::*field;
+  };
+  static constexpr TotalRow kTotalRows[] = {
+      {&Totals::connections, "net.connections",
+       &FrontDoorCounters::connections},
+      {&Totals::closed, "net.closed", &FrontDoorCounters::closed},
+      {&Totals::frames_rx, "net.frames_rx", &FrontDoorCounters::frames_rx},
+      {&Totals::frames_tx, "net.frames_tx", &FrontDoorCounters::frames_tx},
+      {&Totals::bytes_rx, "net.bytes_rx", &FrontDoorCounters::bytes_rx},
+      {&Totals::bytes_tx, "net.bytes_tx", &FrontDoorCounters::bytes_tx},
+      {&Totals::bad_frames, "net.bad_frames", &FrontDoorCounters::bad_frames},
+      {&Totals::auth_failures, "net.auth_failed",
+       &FrontDoorCounters::auth_failures},
+      {&Totals::requests_admitted, "net.requests_admitted",
+       &FrontDoorCounters::requests_admitted},
+      {&Totals::requests_rejected, "net.requests_rejected",
+       &FrontDoorCounters::requests_rejected},
+      {&Totals::responses_sent, "net.responses",
+       &FrontDoorCounters::responses_sent},
+      {&Totals::backpressure_pauses, "net.backpressure_pauses",
+       &FrontDoorCounters::backpressure_pauses},
+      {&Totals::idle_closes, "net.idle_closed",
+       &FrontDoorCounters::idle_closes},
+      {&Totals::injected_drops, "net.faults.drop",
+       &FrontDoorCounters::injected_drops},
+      {&Totals::injected_corruptions, "net.faults.corrupt",
+       &FrontDoorCounters::injected_corruptions},
+      {&Totals::deadline_expired_arrival, "net.deadline_expired_arrival",
+       &FrontDoorCounters::deadline_expired_arrival},
+      {&Totals::deadline_expired_queued, "net.deadline_expired_queued",
+       &FrontDoorCounters::deadline_expired_queued},
+      {&Totals::shed_codel, "net.codel_sheds",
+       &FrontDoorCounters::shed_codel},
+      {&Totals::aimd_throttles, "net.aimd_throttles",
+       &FrontDoorCounters::aimd_throttles},
+      {&Totals::deadline_skew_clamped, "net.skew_clamps",
+       &FrontDoorCounters::deadline_skew_clamped},
+      {&Totals::duplicate_executions, "net.duplicate_executions", nullptr},
+  };
+
+  Totals totals_;
+
+  /// DedupStats mirror: the poll thread stores, counters() loads.
+  struct DedupMirror {
+    std::atomic<std::uint64_t> hits{0}, joins{0}, evictions{0},
+        duplicate_executions{0}, key_reuse{0};
+  };
+  DedupMirror dedup_mirror_;
 };
 
 }  // namespace tda::net

@@ -218,39 +218,7 @@ class DrrScheduler {
   /// serving the same lane until its deficit runs out (classic DRR
   /// "serve the quantum through").
   bool dequeue(Item& out) {
-    if (total_ == 0) return false;
-    // Each full sweep tops every non-empty lane up by one quantum, so a
-    // head of cost C is served within ceil(C / (quantum * weight))
-    // sweeps. The cap is a defensive bound for absurd cost/quantum
-    // ratios; past it, the head of the next non-empty lane is served
-    // regardless so the scheduler can never wedge.
-    constexpr int kMaxSweeps = 1 << 14;
-    for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
-      for (std::size_t step = 0; step < lanes_.size(); ++step) {
-        Lane& lane = lanes_[cursor_ % lanes_.size()];
-        if (lane.items.empty()) {
-          lane.tenant->deficit = 0.0;
-          lane.charged_this_visit = false;
-          ++cursor_;
-          continue;
-        }
-        if (!lane.charged_this_visit) {
-          lane.tenant->deficit += quantum_ * lane.tenant->cfg.weight;
-          lane.charged_this_visit = true;
-        }
-        if (lane.tenant->deficit >= lane.items.front().cost) {
-          return serve(lane, out);
-        }
-        lane.charged_this_visit = false;
-        ++cursor_;
-      }
-    }
-    for (std::size_t step = 0; step < lanes_.size(); ++step) {
-      Lane& lane = lanes_[cursor_ % lanes_.size()];
-      if (!lane.items.empty()) return serve(lane, out);
-      ++cursor_;
-    }
-    return false;  // unreachable while total_ > 0; defensive
+    return dequeue_if(out, [](Tenant*) { return true; });
   }
 
   /// dequeue() restricted to lanes whose tenant satisfies `eligible`
@@ -262,6 +230,12 @@ class DrrScheduler {
   template <typename Eligible>
   bool dequeue_if(Item& out, Eligible eligible) {
     if (total_ == 0) return false;
+    // Each full sweep tops every eligible non-empty lane up by one
+    // quantum, so a head of cost C is served within
+    // ceil(C / (quantum * weight)) sweeps. The cap is a defensive bound
+    // for absurd cost/quantum ratios; past it, the head of the next
+    // eligible lane is served regardless so the scheduler can never
+    // wedge.
     constexpr int kMaxSweeps = 1 << 14;
     bool any_eligible = false;
     for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {

@@ -25,48 +25,43 @@ enum class DispatchPolicy {
 const char* to_string(BackpressurePolicy p);
 const char* to_string(DispatchPolicy p);
 
+/// Device-fault retries on the same worker before failing over. When
+/// they are spent, the batch goes to up to (num_workers - 1) other
+/// workers, then to the CPU path if ResilienceConfig::cpu_failover.
+inline constexpr int kMaxRetries = 2;
+/// Ceiling of a single jittered retry backoff sleep (wall-clock ms).
+inline constexpr double kRetryBackoffMaxMs = 8.0;
+/// Consecutive device failures that open a worker's circuit breaker.
+inline constexpr int kBreakerThreshold = 3;
+
 /// Fault-tolerance policy of the service around solver::Pipeline
 /// (docs/ROBUSTNESS.md). Defaults are the production setting: retries
 /// with failover, breaker armed — with injection disabled none of it
-/// touches the hot path.
+/// touches the hot path. The service always arms the TDA_FAULTS
+/// device-level sites on its devices: it has a recovery story for them.
 struct ResilienceConfig {
-  /// Device-fault retries on the same worker before failing over.
-  int max_retries = 2;
   /// Base of the retry backoff (wall-clock ms); 0 retries at once.
   /// Attempt k sleeps a decorrelated-jitter draw from [base, 3 * previous
-  /// sleep] capped at retry_backoff_max_ms, so workers failed by one
+  /// sleep] capped at kRetryBackoffMaxMs, so workers failed by one
   /// flaky device do not retry in lockstep.
   double retry_backoff_ms = 0.25;
-  /// Ceiling of a single jittered backoff sleep (wall-clock ms).
-  double retry_backoff_max_ms = 8.0;
-  /// After retries are exhausted, hand the batch to up to
-  /// (num_workers - 1) other workers before the CPU path.
-  bool device_failover = true;
   /// Last resort: solve the batch with the pivoting CPU solver instead
   /// of failing it when every device attempt was exhausted.
   bool cpu_failover = true;
 
-  /// Consecutive device failures that open a worker's circuit breaker.
-  int breaker_threshold = 3;
   /// How long an open breaker keeps the worker out of dispatch before a
   /// half-open probe is allowed (wall-clock ms).
   double breaker_cooldown_ms = 25.0;
-
-  /// Arm the TDA_FAULTS device-level sites (launch/alloc/oom failures)
-  /// on the service's devices. The service has a recovery story, so it
-  /// opts in by default; bare solver runs stay unarmed.
-  bool arm_device_faults = true;
 };
 
 /// In-flight watchdog policy (docs/ROBUSTNESS.md). The watchdog thread
-/// samples every busy worker: a job past its deadline is cancelled
-/// cooperatively (the solver throws at its next stage boundary and the
-/// expired members finish as TimedOut/in-flight, unexpired members are
-/// requeued); a worker whose heartbeat stops advancing collects strikes
-/// and eventually feeds its circuit breaker, taking the stalled device
-/// out of dispatch.
+/// always runs and samples every busy worker: a job past its deadline
+/// is cancelled cooperatively (the solver throws at its next stage
+/// boundary and the expired members finish as TimedOut/in-flight,
+/// unexpired members are requeued); a worker whose heartbeat stops
+/// advancing collects strikes and eventually feeds its circuit breaker,
+/// taking the stalled device out of dispatch.
 struct WatchdogConfig {
-  bool enable = true;
   /// Sampling period (wall-clock ms).
   double interval_ms = 1.0;
   /// A busy worker whose solve heartbeat has not advanced for this long

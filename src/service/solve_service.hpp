@@ -38,11 +38,14 @@
 // terminal state; the batch/solver/kernel spans a solve emits — across
 // worker threads, retries, failover, chunk splits and the CPU fallback
 // — all nest under that root, so the Chrome-trace export renders one
-// coherent tree per request. Metrics record queue depth, wait time,
-// batch occupancy and solve times, plus per-(shape, dtype, outcome)
-// end-to-end latency histograms whose exemplars carry the trace ids of
-// slow requests. The tracer is internally synchronized; workers record
-// concurrently without service-level serialization.
+// coherent tree per request. Every unlabeled total (Counters, plus the
+// flush-trigger, fault and breaker-transition counts) is an always-on
+// registry counter handle that counters() reads back. Behind enable(),
+// metrics also record queue depth, wait time, batch occupancy and
+// solve times, plus per-(shape, dtype, outcome) end-to-end latency
+// histograms whose exemplars carry the trace ids of slow requests. The
+// tracer is internally synchronized; workers record concurrently
+// without service-level serialization.
 //
 // Thread-safety model: one service mutex guards the buckets, the
 // admission count and every worker's job queue; each simulated Device
@@ -145,6 +148,9 @@ class SolveService {
       gpusim::ThreadPool::global().resize(cfg_.engine_threads);
     }
     telemetry_.tracer.set_clock([this] { return wall_s(Clock::now()); });
+    for (const TotalRow& row : kTotalRows) {
+      totals_.*row.handle = telemetry_.metrics.counter_handle(row.metric);
+    }
     if (telemetry_.metrics.enabled()) {
       telemetry_.metrics.set("service.workers",
                              static_cast<double>(devices.size()));
@@ -158,9 +164,9 @@ class SolveService {
       // NOT adopt the simulated clock: kernel spans need wall timestamps
       // to nest under the service's wall-clock batch spans.
       workers_.back()->dev.set_telemetry(&telemetry_, /*adopt_clock=*/false);
-      if (cfg_.resilience.arm_device_faults) {
-        workers_.back()->dev.arm_faults();
-      }
+      // The service has a recovery story for the TDA_FAULTS device
+      // sites, so it arms them; bare solver runs stay unarmed.
+      workers_.back()->dev.arm_faults();
       if (cfg_.mem_budget_bytes > 0) {
         workers_.back()->dev.set_mem_budget(cfg_.mem_budget_bytes);
       }
@@ -174,9 +180,7 @@ class SolveService {
       w->thread = std::thread([this, wp = w.get()] { worker_loop(*wp); });
     }
     scheduler_ = std::thread([this] { scheduler_loop(); });
-    if (cfg_.watchdog.enable) {
-      watchdog_ = std::thread([this] { watchdog_loop(); });
-    }
+    watchdog_ = std::thread([this] { watchdog_loop(); });
   }
 
   ~SolveService() { shutdown(); }
@@ -232,7 +236,7 @@ class SolveService {
                 "request diagonals must have equal length");
 
     std::unique_lock lk(mu_);
-    counters_submitted_.fetch_add(1, std::memory_order_relaxed);
+    totals_.submitted.add();
     if (!accepting_) {
       lk.unlock();
       count_terminal(SolveStatus::Rejected);
@@ -282,10 +286,7 @@ class SolveService {
         }
       }
       if (projected() > cap) {
-        counters_mem_rejected_.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.mem_rejected");
-        }
+        totals_.mem_rejected.add();
         lk.unlock();
         count_terminal(SolveStatus::Rejected);
         finish(std::move(done), SolveStatus::Rejected,
@@ -326,7 +327,6 @@ class SolveService {
     ++pending_;
     pending_bytes_ += fp;
     if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.add("service.submitted");
       telemetry_.metrics.observe("service.queue_depth",
                                  static_cast<double>(pending_));
     }
@@ -438,49 +438,17 @@ class SolveService {
   /// on-disk numbers are current even if the process is then killed.
   void flush_exports() { env_export_.flush(); }
 
+  /// Reads every total back from its registry slot, so the struct and
+  /// the exported service.* counters are one accounting.
   [[nodiscard]] Counters counters() const {
     Counters c;
-    c.submitted = counters_submitted_.load(std::memory_order_relaxed);
-    c.completed = counters_completed_.load(std::memory_order_relaxed);
-    c.rejected = counters_rejected_.load(std::memory_order_relaxed);
-    c.shed = counters_shed_.load(std::memory_order_relaxed);
-    c.timed_out = counters_timed_out_.load(std::memory_order_relaxed);
-    c.failed = counters_failed_.load(std::memory_order_relaxed);
-    c.flushes = counters_flushes_.load(std::memory_order_relaxed);
-    c.coalesced_systems =
-        counters_coalesced_.load(std::memory_order_relaxed);
-    c.max_batch_systems = counters_max_batch_.load(std::memory_order_relaxed);
-    c.tunes = counters_tunes_.load(std::memory_order_relaxed);
-    c.device_ms = counters_device_ms_.load(std::memory_order_relaxed);
-    c.singular = counters_singular_.load(std::memory_order_relaxed);
-    c.nonfinite = counters_nonfinite_.load(std::memory_order_relaxed);
-    c.fallbacks = counters_fallbacks_.load(std::memory_order_relaxed);
-    c.quarantined = counters_quarantined_.load(std::memory_order_relaxed);
-    c.retries = counters_retries_.load(std::memory_order_relaxed);
-    c.failovers = counters_failovers_.load(std::memory_order_relaxed);
-    c.cpu_failovers =
-        counters_cpu_failovers_.load(std::memory_order_relaxed);
-    c.worker_restarts =
-        counters_worker_restarts_.load(std::memory_order_relaxed);
-    c.breaker_opens =
-        counters_breaker_opens_.load(std::memory_order_relaxed);
-    c.timed_out_queue =
-        counters_timed_out_queue_.load(std::memory_order_relaxed);
-    c.timed_out_inflight =
-        counters_timed_out_inflight_.load(std::memory_order_relaxed);
-    c.timeout_requeues =
-        counters_timeout_requeues_.load(std::memory_order_relaxed);
-    c.mem_rejected = counters_mem_rejected_.load(std::memory_order_relaxed);
-    c.chunked_solves =
-        counters_chunked_solves_.load(std::memory_order_relaxed);
-    c.chunks = counters_chunks_.load(std::memory_order_relaxed);
-    c.oom_events = counters_oom_events_.load(std::memory_order_relaxed);
-    c.oom_fallbacks =
-        counters_oom_fallbacks_.load(std::memory_order_relaxed);
-    c.watchdog_cancels =
-        counters_watchdog_cancels_.load(std::memory_order_relaxed);
-    c.watchdog_stalls =
-        counters_watchdog_stalls_.load(std::memory_order_relaxed);
+    for (const TotalRow& row : kTotalRows) {
+      if (row.field != nullptr) {
+        c.*row.field = static_cast<std::size_t>((totals_.*row.handle).value());
+      }
+    }
+    c.device_ms = totals_.device_ms.value();
+    c.max_batch_systems = max_batch_systems_.load(std::memory_order_relaxed);
     return c;
   }
 
@@ -741,60 +709,25 @@ class SolveService {
     return kernels::DeviceBatch<T>::footprint_bytes(1, n);
   }
 
-  void count_timeout_scope(TimeoutScope scope, std::size_t n = 1) {
-    if (scope == TimeoutScope::Queue) {
-      counters_timed_out_queue_.fetch_add(n, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.timed_out_queue",
-                               static_cast<double>(n));
-      }
-    } else if (scope == TimeoutScope::InFlight) {
-      counters_timed_out_inflight_.fetch_add(n, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.timed_out_inflight",
-                               static_cast<double>(n));
-      }
+  void count_terminal(SolveStatus status, std::size_t n = 1) {
+    const double k = static_cast<double>(n);
+    switch (status) {
+      case SolveStatus::Ok: totals_.completed.add(k); return;
+      case SolveStatus::Rejected: totals_.rejected.add(k); return;
+      case SolveStatus::Shed: totals_.shed.add(k); return;
+      case SolveStatus::TimedOut: totals_.timed_out.add(k); return;
+      case SolveStatus::Failed: totals_.failed.add(k); return;
+      case SolveStatus::Singular: totals_.singular.add(k); return;
+      case SolveStatus::NonFinite: totals_.nonfinite.add(k); return;
     }
   }
 
-  void count_terminal(SolveStatus status, std::size_t n = 1) {
-    switch (status) {
-      case SolveStatus::Ok:
-        counters_completed_.fetch_add(n, std::memory_order_relaxed);
-        break;
-      case SolveStatus::Rejected:
-        counters_rejected_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.rejected", static_cast<double>(n));
-        break;
-      case SolveStatus::Shed:
-        counters_shed_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.shed", static_cast<double>(n));
-        break;
-      case SolveStatus::TimedOut:
-        counters_timed_out_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.timed_out",
-                                 static_cast<double>(n));
-        break;
-      case SolveStatus::Failed:
-        counters_failed_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.failed", static_cast<double>(n));
-        break;
-      case SolveStatus::Singular:
-        counters_singular_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.singular", static_cast<double>(n));
-        break;
-      case SolveStatus::NonFinite:
-        counters_nonfinite_.fetch_add(n, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled())
-          telemetry_.metrics.add("service.nonfinite",
-                                 static_cast<double>(n));
-        break;
-    }
+  /// One request timed out in `scope` (Queue or InFlight).
+  void count_timed_out(TimeoutScope scope) {
+    count_terminal(SolveStatus::TimedOut);
+    (scope == TimeoutScope::Queue ? totals_.timed_out_queue
+                                  : totals_.timed_out_inflight)
+        .add();
   }
 
   /// Evicts the globally oldest queued request. Returns false when the
@@ -828,8 +761,7 @@ class SolveService {
       auto& dq = it->second;
       for (auto p = dq.begin(); p != dq.end();) {
         if (p->deadline_tp <= now) {
-          count_terminal(SolveStatus::TimedOut);
-          count_timeout_scope(TimeoutScope::Queue);
+          count_timed_out(TimeoutScope::Queue);
           conclude(*p, "timed_out", now);
           finish_timeout(std::move(p->done), TimeoutScope::Queue);
           p = dq.erase(p);
@@ -865,9 +797,7 @@ class SolveService {
     if (w.breaker != Breaker::Open) return true;
     if (w.open_until > now) return false;
     w.breaker = Breaker::HalfOpen;
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.add("service.breaker.half_open");
-    }
+    totals_.breaker_half_open.add();
     return true;
   }
 
@@ -914,16 +844,14 @@ class SolveService {
         w.consecutive_failures = 0;
         if (w.breaker != Breaker::Closed) {
           w.breaker = Breaker::Closed;
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.breaker.closed");
-          }
+          totals_.breaker_closed.add();
         }
         return;
       }
       ++w.consecutive_failures;
       if (w.breaker == Breaker::HalfOpen ||
           (w.breaker == Breaker::Closed &&
-           w.consecutive_failures >= cfg_.resilience.breaker_threshold)) {
+           w.consecutive_failures >= kBreakerThreshold)) {
         w.breaker = Breaker::Open;
         w.open_until =
             Clock::now() +
@@ -933,12 +861,7 @@ class SolveService {
         opened = true;
       }
     }
-    if (opened) {
-      counters_breaker_opens_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.breaker.open");
-      }
-    }
+    if (opened) totals_.breaker_opens.add();
   }
 
   /// Any worker thread awaiting revival? Caller holds mu_.
@@ -959,10 +882,7 @@ class SolveService {
       if (w->thread.joinable()) w->thread.join();
       w->crashed = false;
       ++w->restarts;
-      counters_worker_restarts_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.worker_restarts");
-      }
+      totals_.worker_restarts.add();
       w->thread = std::thread([this, wp = w.get()] { worker_loop(*wp); });
       w->cv.notify_one();
     }
@@ -981,14 +901,18 @@ class SolveService {
       // one oversized batch on a single device.
       for (;;) {
         const char* trigger = nullptr;
+        telemetry::Counter trigger_total;
         if (dq.empty()) {
           break;
         } else if (draining_) {
           trigger = "drain";
+          trigger_total = totals_.flush_drain;
         } else if (dq.size() >= cfg_.flush_systems) {
           trigger = "size";
+          trigger_total = totals_.flush_size;
         } else if (dq.front().enqueue_tp + interval <= now) {
           trigger = "interval";
+          trigger_total = totals_.flush_interval;
         }
         if (trigger == nullptr) break;
         Job job;
@@ -1006,16 +930,15 @@ class SolveService {
         pending_bytes_ -=
             std::min(pending_bytes_, take * footprint_of(it->first));
         freed = true;
-        counters_flushes_.fetch_add(1, std::memory_order_relaxed);
-        counters_coalesced_.fetch_add(take, std::memory_order_relaxed);
+        totals_.flushes.add();
+        trigger_total.add();
+        totals_.coalesced_systems.add(static_cast<double>(take));
         std::size_t prev =
-            counters_max_batch_.load(std::memory_order_relaxed);
-        while (prev < take && !counters_max_batch_.compare_exchange_weak(
+            max_batch_systems_.load(std::memory_order_relaxed);
+        while (prev < take && !max_batch_systems_.compare_exchange_weak(
                                   prev, take, std::memory_order_relaxed)) {
         }
         if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.flushes");
-          telemetry_.metrics.add(std::string("service.flush.") + trigger);
           telemetry_.metrics.observe("service.batch_occupancy",
                                      static_cast<double>(take));
           telemetry_.metrics.observe("service.queue_depth",
@@ -1063,9 +986,7 @@ class SolveService {
       if (inj.fire(faults::Site::WorkerCrash)) {
         // Simulated thread death. The job is requeued intact (no promise
         // has been touched yet) and the scheduler revives the thread.
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.faults.worker_crash");
-        }
+        totals_.faults_worker_crash.add();
         w.jobs.push_front(std::move(job));
         w.crashed = true;
         cv_sched_.notify_all();
@@ -1119,11 +1040,7 @@ class SolveService {
         }
         if (w.job_deadline <= now && !w.token->cancelled()) {
           w.token->cancel();
-          counters_watchdog_cancels_.fetch_add(1,
-                                               std::memory_order_relaxed);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.watchdog.cancels");
-          }
+          totals_.watchdog_cancels.add();
         }
         const std::uint64_t beats = w.token->beats();
         if (beats != w.last_beats) {
@@ -1133,11 +1050,7 @@ class SolveService {
         } else if (now - w.last_progress_tp >= stall_threshold) {
           ++w.strikes;
           w.last_progress_tp = now;
-          counters_watchdog_stalls_.fetch_add(1,
-                                              std::memory_order_relaxed);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.watchdog.stalls");
-          }
+          totals_.watchdog_stalls.add();
           if (w.strikes >= cfg_.watchdog.stall_strikes) {
             w.strikes = 0;
             if (w.breaker != Breaker::Open) {
@@ -1146,11 +1059,7 @@ class SolveService {
                   now + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double, std::milli>(
                                 cfg_.resilience.breaker_cooldown_ms));
-              counters_breaker_opens_.fetch_add(
-                  1, std::memory_order_relaxed);
-              if (telemetry_.metrics.enabled()) {
-                telemetry_.metrics.add("service.breaker.open");
-              }
+              totals_.breaker_opens.add();
             }
           }
         }
@@ -1176,8 +1085,7 @@ class SolveService {
     live.reserve(job.members.size());
     for (auto& p : job.members) {
       if (p.deadline_tp <= t_pickup) {
-        count_terminal(SolveStatus::TimedOut);
-        count_timeout_scope(TimeoutScope::Queue);
+        count_timed_out(TimeoutScope::Queue);
         conclude(p, "timed_out", t_pickup);
         finish_timeout(std::move(p.done), TimeoutScope::Queue);
       } else {
@@ -1223,9 +1131,7 @@ class SolveService {
       // Stall mid-job, after the pickup filter: a deadline lapsing
       // during the sleep is the watchdog's to enforce, so an injected
       // stall exercises the in-flight timeout path end to end.
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.add("service.faults.worker_stall");
-      }
+      totals_.faults_worker_stall.add();
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(
               inj.config().stall_ms));
@@ -1263,9 +1169,7 @@ class SolveService {
               batch.a().subspan(i * n, n), batch.b().subspan(i * n, n),
               batch.c().subspan(i * n, n), batch.d().subspan(i * n, n),
               kind);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.faults.poisoned");
-          }
+          totals_.faults_poisoned.add();
         }
       }
     }
@@ -1276,9 +1180,7 @@ class SolveService {
     // runs it with the device's fault sites disarmed, so it cannot fail
     // the way a solve attempt can.
     solver::Pipeline<T> pipeline(w.dev, cache_, {m, n});
-    if (pipeline.tuned_fresh()) {
-      counters_tunes_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (pipeline.tuned_fresh()) totals_.tunes.add();
     // The tuned layout decides which pipeline this coalesced batch takes
     // (staged PCR vs interleaved SIMD Thomas) — surface it on the batch
     // span so a trace shows the choice per flush.
@@ -1309,19 +1211,14 @@ class SolveService {
         break;
       } catch (const faults::DeviceFault& e) {
         record_device_result(w, false);
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.faults.device");
-        }
-        if (attempt < res.max_retries) {
+        totals_.faults_device.add();
+        if (attempt < kMaxRetries) {
           ++batch_retries;
-          counters_retries_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.retries");
-          }
+          totals_.retries.add();
           if (res.retry_backoff_ms > 0.0) {
             backoff_prev_ms = decorrelated_backoff_ms(
-                res.retry_backoff_ms, backoff_prev_ms,
-                res.retry_backoff_max_ms, w.backoff_rng);
+                res.retry_backoff_ms, backoff_prev_ms, kRetryBackoffMaxMs,
+                w.backoff_rng);
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(backoff_prev_ms));
           }
@@ -1353,19 +1250,13 @@ class SolveService {
           // emits a second batch span under the same request tree.
           requeue.push_back(std::move(p));
         } else {
-          count_terminal(SolveStatus::TimedOut);
-          count_timeout_scope(TimeoutScope::InFlight);
+          count_timed_out(TimeoutScope::InFlight);
           conclude(p, "timed_out", now);
           finish_timeout(std::move(p.done), TimeoutScope::InFlight);
         }
       }
       if (!requeue.empty()) {
-        counters_timeout_requeues_.fetch_add(requeue.size(),
-                                             std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.timeout_requeues",
-                                 static_cast<double>(requeue.size()));
-        }
+        totals_.timeout_requeues.add(static_cast<double>(requeue.size()));
         auto& dq = buckets_[n];
         for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
           dq.push_front(std::move(*it));
@@ -1381,8 +1272,7 @@ class SolveService {
       // Retries on this device are spent. Hand the whole job to another
       // worker (bounded by the pool size so it cannot ping-pong
       // forever), or solve it on the CPU as the last resort.
-      if (res.device_failover && workers_.size() > 1 &&
-          job.failovers + 1 < workers_.size()) {
+      if (workers_.size() > 1 && job.failovers + 1 < workers_.size()) {
         std::lock_guard lk(mu_);
         Worker* alt = nullptr;
         const TimePoint now = Clock::now();
@@ -1399,18 +1289,12 @@ class SolveService {
           alt->queued_bytes += job.members.size() * footprint_of(n);
           alt->jobs.push_back(std::move(job));
           alt->cv.notify_one();
-          counters_failovers_.fetch_add(1, std::memory_order_relaxed);
-          if (telemetry_.metrics.enabled()) {
-            telemetry_.metrics.add("service.failovers");
-          }
+          totals_.failovers.add();
           return;
         }
       }
       if (res.cpu_failover) {
-        counters_cpu_failovers_.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.add("service.cpu_failovers");
-        }
+        totals_.cpu_failovers.add();
         out = {};
         out.status.resize(m);
         for (std::size_t i = 0; i < m; ++i) {
@@ -1437,67 +1321,20 @@ class SolveService {
     const std::size_t quarantined = out.quarantined;
     const solver::SolveStats& stats = out.stats;
 
-    counters_device_ms_.fetch_add(stats.total_ms,
-                                  std::memory_order_relaxed);
+    totals_.device_ms.add(stats.total_ms);
     // Account BEFORE fulfilling promises: anyone who has observed a
     // future resolve must see counters that include that request.
     count_terminal(SolveStatus::Ok, tally.solved());
-    if (tally.singular > 0) {
-      count_terminal(SolveStatus::Singular, tally.singular);
-    }
-    if (tally.nonfinite > 0) {
-      count_terminal(SolveStatus::NonFinite, tally.nonfinite);
-    }
-    if (n_fallback > 0) {
-      counters_fallbacks_.fetch_add(n_fallback, std::memory_order_relaxed);
-    }
-    if (quarantined > 0) {
-      counters_quarantined_.fetch_add(quarantined,
-                                      std::memory_order_relaxed);
-    }
-    if (out.chunks > 0) {
-      counters_chunks_.fetch_add(out.chunks,
-                                 std::memory_order_relaxed);
-      if (out.chunks > 1) {
-        counters_chunked_solves_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (out.oom_events > 0) {
-      counters_oom_events_.fetch_add(out.oom_events,
-                                     std::memory_order_relaxed);
-    }
-    if (out.oom_fallback_systems > 0) {
-      counters_oom_fallbacks_.fetch_add(out.oom_fallback_systems,
-                                        std::memory_order_relaxed);
-    }
-    if (telemetry_.metrics.enabled()) {
-      auto& mx = telemetry_.metrics;
-      if (out.chunks > 1) {
-        mx.add("service.chunked_solves");
-        mx.add("service.chunks",
-               static_cast<double>(out.chunks));
-      }
-      if (out.oom_events > 0) {
-        mx.add("service.oom_events",
-               static_cast<double>(out.oom_events));
-      }
-      if (out.oom_fallback_systems > 0) {
-        mx.add("service.oom_fallbacks",
-               static_cast<double>(out.oom_fallback_systems));
-      }
-    }
+    count_terminal(SolveStatus::Singular, tally.singular);
+    count_terminal(SolveStatus::NonFinite, tally.nonfinite);
+    totals_.fallbacks.add(static_cast<double>(n_fallback));
+    totals_.quarantined.add(static_cast<double>(quarantined));
+    totals_.chunks.add(static_cast<double>(out.chunks));
+    if (out.chunks > 1) totals_.chunked_solves.add();
+    totals_.oom_events.add(static_cast<double>(out.oom_events));
+    totals_.oom_fallbacks.add(static_cast<double>(out.oom_fallback_systems));
     if (telemetry_.metrics.enabled()) {
       telemetry_.metrics.observe("service.solve_ms", stats.total_ms);
-      telemetry_.metrics.add("service.solved_systems",
-                             static_cast<double>(tally.solved()));
-      if (n_fallback > 0) {
-        telemetry_.metrics.add("service.fallback_used",
-                               static_cast<double>(n_fallback));
-      }
-      if (quarantined > 0) {
-        telemetry_.metrics.add("service.quarantined",
-                               static_cast<double>(quarantined));
-      }
     }
     for (std::size_t i = 0; i < m; ++i) {
       SolveResponse<T> resp;
@@ -1612,36 +1449,84 @@ class SolveService {
   telemetry::Telemetry telemetry_;
   telemetry::EnvExport env_export_{telemetry_, "service"};
 
-  std::atomic<std::size_t> counters_submitted_{0};
-  std::atomic<std::size_t> counters_completed_{0};
-  std::atomic<std::size_t> counters_rejected_{0};
-  std::atomic<std::size_t> counters_shed_{0};
-  std::atomic<std::size_t> counters_timed_out_{0};
-  std::atomic<std::size_t> counters_failed_{0};
-  std::atomic<std::size_t> counters_flushes_{0};
-  std::atomic<std::size_t> counters_coalesced_{0};
-  std::atomic<std::size_t> counters_max_batch_{0};
-  std::atomic<std::size_t> counters_tunes_{0};
-  std::atomic<double> counters_device_ms_{0.0};
-  std::atomic<std::size_t> counters_singular_{0};
-  std::atomic<std::size_t> counters_nonfinite_{0};
-  std::atomic<std::size_t> counters_fallbacks_{0};
-  std::atomic<std::size_t> counters_quarantined_{0};
-  std::atomic<std::size_t> counters_retries_{0};
-  std::atomic<std::size_t> counters_failovers_{0};
-  std::atomic<std::size_t> counters_cpu_failovers_{0};
-  std::atomic<std::size_t> counters_worker_restarts_{0};
-  std::atomic<std::size_t> counters_breaker_opens_{0};
-  std::atomic<std::size_t> counters_timed_out_queue_{0};
-  std::atomic<std::size_t> counters_timed_out_inflight_{0};
-  std::atomic<std::size_t> counters_timeout_requeues_{0};
-  std::atomic<std::size_t> counters_mem_rejected_{0};
-  std::atomic<std::size_t> counters_chunked_solves_{0};
-  std::atomic<std::size_t> counters_chunks_{0};
-  std::atomic<std::size_t> counters_oom_events_{0};
-  std::atomic<std::size_t> counters_oom_fallbacks_{0};
-  std::atomic<std::size_t> counters_watchdog_cancels_{0};
-  std::atomic<std::size_t> counters_watchdog_stalls_{0};
+  /// The unlabeled service totals, one registry counter slot each.
+  struct Totals {
+    telemetry::Counter submitted, completed, rejected, shed, timed_out,
+        failed, flushes, coalesced_systems, tunes, device_ms, singular,
+        nonfinite, fallbacks, quarantined, retries, failovers,
+        cpu_failovers, worker_restarts, breaker_opens, timed_out_queue,
+        timed_out_inflight, timeout_requeues, mem_rejected, chunked_solves,
+        chunks, oom_events, oom_fallbacks, watchdog_cancels,
+        watchdog_stalls;
+    // Exported only: no Counters field.
+    telemetry::Counter flush_size, flush_interval, flush_drain,
+        breaker_half_open, breaker_closed, faults_worker_crash,
+        faults_worker_stall, faults_poisoned, faults_device;
+  };
+
+  /// Which metric each total exports as, and which Counters field it
+  /// backs (nullptr: exported only; device_ms is read separately because
+  /// it is not a count).
+  struct TotalRow {
+    telemetry::Counter Totals::*handle;
+    const char* metric;
+    std::size_t Counters::*field;
+  };
+  static constexpr TotalRow kTotalRows[] = {
+      {&Totals::submitted, "service.submitted", &Counters::submitted},
+      {&Totals::completed, "service.solved_systems", &Counters::completed},
+      {&Totals::rejected, "service.rejected", &Counters::rejected},
+      {&Totals::shed, "service.shed", &Counters::shed},
+      {&Totals::timed_out, "service.timed_out", &Counters::timed_out},
+      {&Totals::failed, "service.failed", &Counters::failed},
+      {&Totals::flushes, "service.flushes", &Counters::flushes},
+      {&Totals::coalesced_systems, "service.coalesced_systems",
+       &Counters::coalesced_systems},
+      {&Totals::tunes, "service.tunes", &Counters::tunes},
+      {&Totals::device_ms, "service.device_ms", nullptr},
+      {&Totals::singular, "service.singular", &Counters::singular},
+      {&Totals::nonfinite, "service.nonfinite", &Counters::nonfinite},
+      {&Totals::fallbacks, "service.fallback_used", &Counters::fallbacks},
+      {&Totals::quarantined, "service.quarantined", &Counters::quarantined},
+      {&Totals::retries, "service.retries", &Counters::retries},
+      {&Totals::failovers, "service.failovers", &Counters::failovers},
+      {&Totals::cpu_failovers, "service.cpu_failovers",
+       &Counters::cpu_failovers},
+      {&Totals::worker_restarts, "service.worker_restarts",
+       &Counters::worker_restarts},
+      {&Totals::breaker_opens, "service.breaker.open",
+       &Counters::breaker_opens},
+      {&Totals::timed_out_queue, "service.timed_out_queue",
+       &Counters::timed_out_queue},
+      {&Totals::timed_out_inflight, "service.timed_out_inflight",
+       &Counters::timed_out_inflight},
+      {&Totals::timeout_requeues, "service.timeout_requeues",
+       &Counters::timeout_requeues},
+      {&Totals::mem_rejected, "service.mem_rejected", &Counters::mem_rejected},
+      {&Totals::chunked_solves, "service.chunked_solves",
+       &Counters::chunked_solves},
+      {&Totals::chunks, "service.chunks", &Counters::chunks},
+      {&Totals::oom_events, "service.oom_events", &Counters::oom_events},
+      {&Totals::oom_fallbacks, "service.oom_fallbacks",
+       &Counters::oom_fallbacks},
+      {&Totals::watchdog_cancels, "service.watchdog.cancels",
+       &Counters::watchdog_cancels},
+      {&Totals::watchdog_stalls, "service.watchdog.stalls",
+       &Counters::watchdog_stalls},
+      {&Totals::flush_size, "service.flush.size", nullptr},
+      {&Totals::flush_interval, "service.flush.interval", nullptr},
+      {&Totals::flush_drain, "service.flush.drain", nullptr},
+      {&Totals::breaker_half_open, "service.breaker.half_open", nullptr},
+      {&Totals::breaker_closed, "service.breaker.closed", nullptr},
+      {&Totals::faults_worker_crash, "service.faults.worker_crash", nullptr},
+      {&Totals::faults_worker_stall, "service.faults.worker_stall", nullptr},
+      {&Totals::faults_poisoned, "service.faults.poisoned", nullptr},
+      {&Totals::faults_device, "service.faults.device", nullptr},
+  };
+
+  Totals totals_;
+  /// Largest single flush: a running maximum, not a count.
+  std::atomic<std::size_t> max_batch_systems_{0};
 };
 
 }  // namespace tda::service

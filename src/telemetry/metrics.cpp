@@ -91,15 +91,18 @@ std::string labeled(
   return key;
 }
 
-void MetricsRegistry::add(std::string_view name, double delta) {
-  if (!enabled()) return;
+Counter MetricsRegistry::counter_handle(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    counters_.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
+    it = counters_.try_emplace(std::string(name), 0.0).first;
   }
+  return Counter(&it->second);
+}
+
+void MetricsRegistry::add(std::string_view name, double delta) {
+  if (!enabled()) return;
+  counter_handle(name).add(delta);
 }
 
 void MetricsRegistry::set(std::string_view name, double value) {
@@ -148,7 +151,8 @@ void MetricsRegistry::observe_latency(std::string_view name, double ms,
 double MetricsRegistry::counter(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
-  return it == counters_.end() ? 0.0 : it->second;
+  return it == counters_.end() ? 0.0
+                               : it->second.load(std::memory_order_relaxed);
 }
 
 double MetricsRegistry::gauge(std::string_view name) const {
@@ -191,7 +195,11 @@ LatencySnapshot MetricsRegistry::latency(std::string_view name) const {
 
 std::map<std::string, double> MetricsRegistry::counters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {counters_.begin(), counters_.end()};
+  std::map<std::string, double> out;
+  for (const auto& [name, slot] : counters_) {
+    out.emplace(name, slot.load(std::memory_order_relaxed));
+  }
+  return out;
 }
 
 std::map<std::string, double> MetricsRegistry::gauges() const {
@@ -221,13 +229,17 @@ std::map<std::string, LatencySnapshot> MetricsRegistry::latencies() const {
 
 bool MetricsRegistry::empty() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_.empty() && gauges_.empty() && histograms_.empty() &&
-         latencies_.empty();
+  for (const auto& [name, slot] : counters_) {
+    if (slot.load(std::memory_order_relaxed) != 0.0) return false;
+  }
+  return gauges_.empty() && histograms_.empty() && latencies_.empty();
 }
 
 void MetricsRegistry::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
+  for (auto& [name, slot] : counters_) {
+    slot.store(0.0, std::memory_order_relaxed);
+  }
   gauges_.clear();
   histograms_.clear();
   latencies_.clear();

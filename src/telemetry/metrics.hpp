@@ -14,10 +14,18 @@
 // trace id of the last request that landed there, so the p99 straggler
 // bucket names a concrete trace to go look at.
 //
-// Thread-safe behind a single mutex; the enabled flag is atomic (it is
-// read before the lock on every hot-path call and may race a toggle
-// from another thread — a plain bool here is a TSan data race), so a
-// disabled registry costs one relaxed load and allocates nothing.
+// Counters live in one storage of stable atomic slots. A component
+// that counts the same event on every call registers a Counter handle
+// once (counter_handle) and then adds to it with one relaxed atomic,
+// always on; add(name) reaches the same slot by name, behind the
+// enabled flag. Reads (counter, counters, both exporters) see handle
+// and named writes alike.
+//
+// Everything else is thread-safe behind a single mutex; the enabled
+// flag is atomic (it is read before the lock on every hot-path call and
+// may race a toggle from another thread — a plain bool here is a TSan
+// data race), so a disabled registry costs one relaxed load and
+// allocates nothing.
 
 #include <cstddef>
 #include <cstdint>
@@ -79,6 +87,26 @@ std::string labeled(
     std::initializer_list<std::pair<std::string_view, std::string_view>>
         labels);
 
+/// Handle on one registry counter slot (MetricsRegistry::counter_handle).
+/// add() is one relaxed atomic add: no lock, no lookup, no enabled()
+/// test. The slot outlives clear(), which zeroes it. A default-built
+/// handle has no slot and must be assigned before use.
+class Counter {
+ public:
+  Counter() = default;
+  void add(double delta = 1.0) const {
+    slot_->fetch_add(delta, std::memory_order_relaxed);
+  }
+  [[nodiscard]] double value() const {
+    return slot_->load(std::memory_order_relaxed);
+  }
+
+ private:
+  friend class MetricsRegistry;
+  explicit Counter(std::atomic<double>* slot) : slot_(slot) {}
+  std::atomic<double>* slot_ = nullptr;
+};
+
 class MetricsRegistry {
  public:
   void enable(bool on = true) {
@@ -87,6 +115,11 @@ class MetricsRegistry {
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }
+
+  /// Returns the handle on counter `name`, creating the slot at 0.
+  /// Works whether or not the registry is enabled; every call with one
+  /// name yields the same slot.
+  [[nodiscard]] Counter counter_handle(std::string_view name);
 
   /// Adds `delta` to a counter (creating it at 0).
   void add(std::string_view name, double delta = 1.0);
@@ -115,9 +148,11 @@ class MetricsRegistry {
       const;
   [[nodiscard]] std::map<std::string, LatencySnapshot> latencies() const;
 
-  /// True when nothing has been recorded.
+  /// True when nothing has been recorded (every counter slot is 0).
   [[nodiscard]] bool empty() const;
 
+  /// Drops gauges and histograms and zeroes every counter; counter
+  /// slots stay, so handles remain valid.
   void clear();
 
  private:
@@ -130,7 +165,9 @@ class MetricsRegistry {
 
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  std::map<std::string, double, std::less<>> counters_;
+  // Map nodes never move and are never erased, so a slot's address is
+  // stable for the registry's lifetime.
+  std::map<std::string, std::atomic<double>, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
   std::map<std::string, std::vector<double>, std::less<>> histograms_;
   std::map<std::string, LatencyHist, std::less<>> latencies_;

@@ -652,6 +652,66 @@ TEST(NetDoor, UnixSolveRoundTripWithTenantLabels) {
   EXPECT_EQ(c.bad_frames, 0u);
 }
 
+// Each handle-backed FrontDoorCounters field is its unlabeled net.*
+// registry counter, including what was counted before enable().
+TEST(NetDoor, CountersMatchRegistry) {
+  DoorFixture fx;
+  auto& mx = fx.svc->telemetry().metrics;
+  mx.enable(false);
+  ASSERT_TRUE(fx.start());
+
+  Client client;
+  std::string err;
+  ASSERT_TRUE(client.connect("unix:" + fx.sock, "ta", &err)) << err;
+  const auto sys = diag_dominant(64, 5);
+  ASSERT_TRUE(client.solve<double>(sys.a, sys.b, sys.c, sys.d).ok());
+  mx.enable();
+  ASSERT_TRUE(client.solve<double>(sys.a, sys.b, sys.c, sys.d).ok());
+  const std::vector<float> v{1, 2, 3, 4};
+  ASSERT_TRUE(client.send_solve<float>(9, v, v, v, v, 0.0, &err)) << err;
+  WireResult<float> wrong;
+  ASSERT_TRUE(client.recv_result<float>(wrong, &err)) << err;
+  EXPECT_EQ(wrong.code, ErrorCode::Dtype);
+  client.close();
+  Client bad;
+  EXPECT_FALSE(bad.connect("unix:" + fx.sock, "nope", &err));
+  fx.door->shutdown();  // the poll thread is joined: totals are final
+
+  const auto c = fx.door->counters();
+  EXPECT_EQ(c.connections, 2u);
+  EXPECT_EQ(c.requests_admitted, 2u);
+  EXPECT_EQ(c.requests_rejected, 1u);
+  EXPECT_EQ(c.responses_sent, 2u);
+  EXPECT_EQ(c.auth_failures, 1u);
+
+  const std::pair<const char*, std::uint64_t> fields[] = {
+      {"net.connections", c.connections},
+      {"net.closed", c.closed},
+      {"net.frames_rx", c.frames_rx},
+      {"net.frames_tx", c.frames_tx},
+      {"net.bytes_rx", c.bytes_rx},
+      {"net.bytes_tx", c.bytes_tx},
+      {"net.bad_frames", c.bad_frames},
+      {"net.auth_failed", c.auth_failures},
+      {"net.requests_admitted", c.requests_admitted},
+      {"net.requests_rejected", c.requests_rejected},
+      {"net.responses", c.responses_sent},
+      {"net.backpressure_pauses", c.backpressure_pauses},
+      {"net.idle_closed", c.idle_closes},
+      {"net.faults.drop", c.injected_drops},
+      {"net.faults.corrupt", c.injected_corruptions},
+      {"net.deadline_expired_arrival", c.deadline_expired_arrival},
+      {"net.deadline_expired_queued", c.deadline_expired_queued},
+      {"net.codel_sheds", c.shed_codel},
+      {"net.aimd_throttles", c.aimd_throttles},
+      {"net.skew_clamps", c.deadline_skew_clamped},
+      {"net.duplicate_executions", c.duplicate_executions},
+  };
+  for (const auto& [name, value] : fields) {
+    EXPECT_EQ(mx.counter(name), static_cast<double>(value)) << name;
+  }
+}
+
 TEST(NetDoor, TcpSolveRoundTrip) {
   FrontDoorConfig fcfg;
   fcfg.tcp = "127.0.0.1:0";

@@ -377,6 +377,86 @@ TEST(SolveService, ExportsQueueAndOccupancyMetrics) {
   std::remove(path.c_str());
 }
 
+// Each Counters field is one registry counter: counts made before
+// enable() are exported too, and service.chunks counts every chunk,
+// split or not.
+TEST(SolveService, RegistryCountersMatchCounters) {
+  faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
+  ServiceConfig cfg;
+  cfg.queue_capacity = 64;
+  cfg.flush_systems = 8;
+  cfg.flush_interval_ms = 10'000.0;  // only the size trigger flushes
+  // A flush of eight 16-equation systems fits; eight of 1024 must split.
+  cfg.mem_budget_bytes =
+      kernels::DeviceBatch<double>::footprint_bytes(8, 1024) / 3;
+  SolveService<double> svc(one_device(), cfg);
+  auto& mx = svc.telemetry().metrics;
+  ASSERT_FALSE(mx.enabled());
+
+  const auto run_batch = [&](std::size_t n, std::uint64_t seed) {
+    std::vector<std::future<SolveResponse<double>>> futs;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+      futs.push_back(svc.submit(make_request(n, seed + i)));
+    }
+    for (auto& f : futs) ASSERT_EQ(f.get().status, SolveStatus::Ok);
+  };
+  run_batch(16, 100);  // unchunked, before metrics are enabled
+  mx.enable();
+  run_batch(1024, 200);  // chunked under the memory budget
+  EXPECT_EQ(svc.submit(make_request(32, 300, /*deadline_ms=*/2.0))
+                .get()
+                .status,
+            SolveStatus::TimedOut);
+  svc.shutdown();
+  EXPECT_EQ(svc.submit(make_request(16, 400)).get().status,
+            SolveStatus::Rejected);
+
+  const auto c = svc.counters();
+  EXPECT_EQ(c.submitted, 18u);
+  EXPECT_EQ(c.completed, 16u);
+  EXPECT_EQ(c.flushes, 2u);
+  EXPECT_EQ(c.chunked_solves, 1u);
+  EXPECT_GT(c.chunks, 3u);
+  EXPECT_EQ(c.timed_out_queue, 1u);
+  EXPECT_EQ(c.rejected, 1u);
+
+  const std::pair<const char*, std::size_t> fields[] = {
+      {"service.submitted", c.submitted},
+      {"service.solved_systems", c.completed},
+      {"service.rejected", c.rejected},
+      {"service.shed", c.shed},
+      {"service.timed_out", c.timed_out},
+      {"service.failed", c.failed},
+      {"service.flushes", c.flushes},
+      {"service.coalesced_systems", c.coalesced_systems},
+      {"service.tunes", c.tunes},
+      {"service.singular", c.singular},
+      {"service.nonfinite", c.nonfinite},
+      {"service.fallback_used", c.fallbacks},
+      {"service.quarantined", c.quarantined},
+      {"service.retries", c.retries},
+      {"service.failovers", c.failovers},
+      {"service.cpu_failovers", c.cpu_failovers},
+      {"service.worker_restarts", c.worker_restarts},
+      {"service.breaker.open", c.breaker_opens},
+      {"service.timed_out_queue", c.timed_out_queue},
+      {"service.timed_out_inflight", c.timed_out_inflight},
+      {"service.timeout_requeues", c.timeout_requeues},
+      {"service.mem_rejected", c.mem_rejected},
+      {"service.chunked_solves", c.chunked_solves},
+      {"service.chunks", c.chunks},
+      {"service.oom_events", c.oom_events},
+      {"service.oom_fallbacks", c.oom_fallbacks},
+      {"service.watchdog.cancels", c.watchdog_cancels},
+      {"service.watchdog.stalls", c.watchdog_stalls},
+  };
+  for (const auto& [name, value] : fields) {
+    EXPECT_EQ(mx.counter(name), static_cast<double>(value)) << name;
+  }
+  EXPECT_GT(c.device_ms, 0.0);
+  EXPECT_DOUBLE_EQ(mx.counter("service.device_ms"), c.device_ms);
+}
+
 TEST(SolveService, EmitsLifecycleSpans) {
   ServiceConfig cfg;
   cfg.flush_systems = 2;

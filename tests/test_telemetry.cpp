@@ -14,6 +14,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/log.hpp"
 #include "gpusim/launch.hpp"
@@ -171,6 +173,74 @@ TEST(Metrics, DisabledRecordsNothing) {
   mx.set("g", 1.0);
   mx.observe("h", 1.0);
   EXPECT_TRUE(mx.empty());
+}
+
+// ---------- Counter handles ----------
+
+TEST(Metrics, CounterHandleConcurrentAddsSumExactly) {
+  telemetry::MetricsRegistry mx;  // handles count whether enabled or not
+  const telemetry::Counter c = mx.counter_handle("hits");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([c] {
+      for (int i = 0; i < 25'000; ++i) c.add();
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(c.value(), 100'000.0);
+  EXPECT_EQ(mx.counter("hits"), 100'000.0);
+}
+
+TEST(Metrics, CounterHandleSharesSlotWithAdd) {
+  telemetry::MetricsRegistry mx;
+  mx.enable();
+  mx.add("shared", 2.0);
+  const telemetry::Counter c = mx.counter_handle("shared");
+  EXPECT_EQ(c.value(), 2.0);
+  c.add(3.0);
+  mx.add("shared");
+  EXPECT_EQ(c.value(), 6.0);
+  EXPECT_EQ(mx.counter("shared"), 6.0);
+  EXPECT_EQ(mx.counters().at("shared"), 6.0);
+  // A second handle on the same name is the same slot.
+  mx.counter_handle("shared").add();
+  EXPECT_EQ(c.value(), 7.0);
+}
+
+TEST(Metrics, CounterHandleListedByBothExporters) {
+  telemetry::MetricsRegistry mx;
+  mx.counter_handle("door.frames").add(4.0);
+  mx.counter_handle("door.idle");  // registered, never added
+
+  auto doc = telemetry::json_parse(telemetry::to_metrics_json(mx));
+  ASSERT_TRUE(doc.has_value());
+  const JsonValue* counters = doc->find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_NE(counters->find("door.frames"), nullptr);
+  EXPECT_DOUBLE_EQ(counters->find("door.frames")->number, 4.0);
+  ASSERT_NE(counters->find("door.idle"), nullptr);
+  EXPECT_DOUBLE_EQ(counters->find("door.idle")->number, 0.0);
+
+  const std::string om = telemetry::to_openmetrics(mx);
+  EXPECT_NE(om.find("# TYPE tda_door_frames counter\n"), std::string::npos);
+  EXPECT_NE(om.find("tda_door_frames_total 4\n"), std::string::npos);
+  EXPECT_NE(om.find("tda_door_idle_total 0\n"), std::string::npos);
+}
+
+TEST(Metrics, CounterHandleSurvivesClear) {
+  telemetry::MetricsRegistry mx;
+  mx.enable();
+  const telemetry::Counter c = mx.counter_handle("kept");
+  c.add(5.0);
+  mx.set("g", 1.0);
+  mx.clear();
+  EXPECT_EQ(c.value(), 0.0);
+  EXPECT_TRUE(mx.empty());
+  c.add(2.0);
+  EXPECT_EQ(mx.counter("kept"), 2.0);
+  mx.add("kept");
+  EXPECT_EQ(c.value(), 3.0);
+  EXPECT_FALSE(mx.empty());
 }
 
 TEST(Metrics, PercentileNearestRank) {
