@@ -270,7 +270,8 @@ RunResult run(std::size_t systems, int clients, int num_devices,
       c.flushes > 0 ? static_cast<double>(c.coalesced_systems) /
                           static_cast<double>(c.flushes)
                     : 0.0;
-  r.wait_p95_ms = svc.telemetry().metrics.histogram("service.wait_ms").p95;
+  r.wait_p95_ms =
+      svc.telemetry().metrics.histogram("service.wait_ms").quantile(0.95);
   r.retries = c.retries;
   r.failovers = c.failovers;
   r.cpu_failovers = c.cpu_failovers;

@@ -149,8 +149,9 @@ int main(int argc, char** argv) {
   std::cout << "  simulated device time: " << c.device_ms << " ms\n";
   const auto wait = mx.histogram("service.wait_ms");
   const auto depth = mx.histogram("service.queue_depth");
-  std::cout << "  wait ms p50/p95: " << wait.p50 << " / " << wait.p95
-            << ", queue depth p95: " << depth.p95 << "\n";
+  std::cout << "  wait ms p50/p95: " << wait.quantile(0.50) << " / "
+            << wait.quantile(0.95)
+            << ", queue depth p95: " << depth.quantile(0.95) << "\n";
 
   const bool ok = residual_fail.load() == 0 && solved.load() > 0 &&
                   solved.load() + not_solved.load() == clients * requests;

@@ -59,12 +59,11 @@ void print_metrics(const telemetry::MetricsRegistry& metrics) {
   std::cout << "histograms:\n";
   TextTable t;
   t.set_header({"name", "count", "min", "p50", "p95", "max", "mean"});
-  for (const auto& [name, samples] : metrics.histograms()) {
-    (void)samples;
-    const auto h = metrics.histogram(name);
+  for (const auto& [name, h] : metrics.histograms()) {
     t.add_row({name, std::to_string(h.count), TextTable::num(h.min, 4),
-               TextTable::num(h.p50, 4), TextTable::num(h.p95, 4),
-               TextTable::num(h.max, 4), TextTable::num(h.mean, 4)});
+               TextTable::num(h.quantile(0.50), 4),
+               TextTable::num(h.quantile(0.95), 4),
+               TextTable::num(h.max, 4), TextTable::num(h.mean(), 4)});
   }
   t.print(std::cout);
 }

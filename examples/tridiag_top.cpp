@@ -228,11 +228,11 @@ int main(int argc, char** argv) {
     std::uint64_t count = 0;
     double p95 = 0.0;
     const std::string needle = "tenant=\"" + u.name + "\"";
-    for (const auto& [name, snap] : mx.latencies()) {
+    for (const auto& [name, h] : mx.histograms()) {
       if (name.rfind("service.request_latency_ms{", 0) != 0) continue;
       if (name.find(needle) == std::string::npos) continue;
-      count += snap.count;
-      p95 = std::max(p95, snap.quantile(0.95));
+      count += h.count;
+      p95 = std::max(p95, h.quantile(0.95));
     }
     tenants_tbl.add_row(
         {u.name, TextTable::num(u.weight, 1), std::to_string(u.admitted),
@@ -251,16 +251,16 @@ int main(int argc, char** argv) {
   lat.set_header({"tenant", "shape", "dtype", "outcome", "count", "p50",
                   "p95", "p99", "p99 exemplar trace"});
   std::size_t latency_rows = 0;
-  for (const auto& [name, snap] : mx.latencies()) {
+  for (const auto& [name, h] : mx.histograms()) {
     if (name.rfind("service.request_latency_ms{", 0) != 0) continue;
-    const auto ex = snap.exemplar_at(0.99);
+    const auto ex = h.exemplar_at(0.99);
     const std::string tenant = label_of("tenant", name);
     lat.add_row({tenant.empty() ? "-" : tenant, label_of("shape", name),
                  label_of("dtype", name), label_of("outcome", name),
-                 std::to_string(snap.count),
-                 TextTable::num(snap.quantile(0.50), 3),
-                 TextTable::num(snap.quantile(0.95), 3),
-                 TextTable::num(snap.quantile(0.99), 3),
+                 std::to_string(h.count),
+                 TextTable::num(h.quantile(0.50), 3),
+                 TextTable::num(h.quantile(0.95), 3),
+                 TextTable::num(h.quantile(0.99), 3),
                  ex.trace_id != 0 ? telemetry::trace_id_hex(ex.trace_id)
                                   : "-"});
     ++latency_rows;

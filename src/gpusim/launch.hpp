@@ -351,7 +351,7 @@ class Device {
   MemoryReservation mem_reserve(std::size_t bytes, const char* what) {
     if (faults_armed_ &&
         faults::FaultInjector::global().fire(faults::Site::DeviceOOM)) {
-      if (telemetry_ != nullptr && telemetry_->metrics.enabled()) {
+      if (telemetry_ != nullptr) {
         telemetry_->metrics.add("device.oom_injected");
       }
       throw OutOfMemory(std::string("injected oom (") + what + ")");
@@ -379,11 +379,9 @@ class Device {
       tracer.attr(span, "bytes", agg.total.global_bytes_eff);
     }
     auto& metrics = telemetry_->metrics;
-    if (metrics.enabled()) {
-      metrics.add("device.kernel_launches");
-      metrics.add("device.bytes_moved", agg.total.global_bytes_eff);
-      metrics.observe("device.launch_ms", st.seconds * 1e3);
-    }
+    metrics.add("device.kernel_launches");
+    metrics.add("device.bytes_moved", agg.total.global_bytes_eff);
+    metrics.observe("device.launch_ms", st.seconds * 1e3);
   }
 
   static bool default_arena_poison() {

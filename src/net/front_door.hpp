@@ -619,10 +619,8 @@ class FrontDoor {
         });
     conns_.erase(it);
     totals_.closed.add();
-    if (metrics().enabled()) {
-      metrics().set("net.connections_now",
-                    static_cast<double>(conns_.size()));
-    }
+    metrics().set("net.connections_now",
+                  static_cast<double>(conns_.size()));
   }
 
   void accept_from(Fd& listener) {
@@ -644,10 +642,8 @@ class FrontDoor {
       conn.id = next_conn_id_++;
       conn.last_rx = Clock::now();
       totals_.connections.add();
-      if (metrics().enabled()) {
-        metrics().set("net.connections_now",
-                      static_cast<double>(conns_.size() + 1));
-      }
+      metrics().set("net.connections_now",
+                    static_cast<double>(conns_.size() + 1));
       conns_.emplace(conn.id, std::move(conn));
     }
   }
@@ -1206,10 +1202,8 @@ class FrontDoor {
                                                     : inflight_bytes_;
       // (saturating: a mismatch here would mean double delivery)
       totals_.responses_sent.add();
-      if (metrics().enabled()) {
-        metrics().set("net.inflight_bytes_now",
-                      static_cast<double>(inflight_bytes_));
-      }
+      metrics().set("net.inflight_bytes_now",
+                    static_cast<double>(inflight_bytes_));
       std::vector<typename DedupCache<service::SolveResponse<T>>::Waiter>
           waiters;
       if (d.idem_key != 0) {

@@ -151,12 +151,10 @@ class SolveService {
     for (const TotalRow& row : kTotalRows) {
       totals_.*row.handle = telemetry_.metrics.counter_handle(row.metric);
     }
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.set("service.workers",
-                             static_cast<double>(devices.size()));
-      telemetry_.metrics.set("service.queue_capacity",
-                             static_cast<double>(cfg_.queue_capacity));
-    }
+    telemetry_.metrics.set("service.workers",
+                           static_cast<double>(devices.size()));
+    telemetry_.metrics.set("service.queue_capacity",
+                           static_cast<double>(cfg_.queue_capacity));
     workers_.reserve(devices.size());
     for (const auto& spec : devices) {
       workers_.push_back(std::make_unique<Worker>(spec, workers_.size()));
@@ -172,10 +170,8 @@ class SolveService {
       }
       total_mem_budget_ += workers_.back()->dev.memory().budget();
     }
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.set("service.mem_budget_bytes",
-                             static_cast<double>(total_mem_budget_));
-    }
+    telemetry_.metrics.set("service.mem_budget_bytes",
+                           static_cast<double>(total_mem_budget_));
     for (auto& w : workers_) {
       w->thread = std::thread([this, wp = w.get()] { worker_loop(*wp); });
     }
@@ -326,10 +322,8 @@ class SolveService {
     buckets_[n].push_back(std::move(p));
     ++pending_;
     pending_bytes_ += fp;
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.observe("service.queue_depth",
-                                 static_cast<double>(pending_));
-    }
+    telemetry_.metrics.observe("service.queue_depth",
+                               static_cast<double>(pending_));
     lk.unlock();
     cv_sched_.notify_one();
   }
@@ -646,7 +640,7 @@ class SolveService {
                                     {"shape", shape_bucket(p.n)},
                                     {"dtype", dtype_name()},
                                     {"outcome", outcome}});
-      telemetry_.metrics.observe_latency(key, e2e_ms, p.ctx.trace_id);
+      telemetry_.metrics.observe(key, e2e_ms, p.ctx.trace_id);
     }
   }
 
@@ -938,12 +932,10 @@ class SolveService {
         while (prev < take && !max_batch_systems_.compare_exchange_weak(
                                   prev, take, std::memory_order_relaxed)) {
         }
-        if (telemetry_.metrics.enabled()) {
-          telemetry_.metrics.observe("service.batch_occupancy",
-                                     static_cast<double>(take));
-          telemetry_.metrics.observe("service.queue_depth",
-                                     static_cast<double>(pending_));
-        }
+        telemetry_.metrics.observe("service.batch_occupancy",
+                                   static_cast<double>(take));
+        telemetry_.metrics.observe("service.queue_depth",
+                                   static_cast<double>(pending_));
         Worker* w = pick_worker_locked(take);
         w->queued_bytes += take * footprint_of(it->first);
         w->jobs.push_back(std::move(job));
@@ -1333,9 +1325,7 @@ class SolveService {
     if (out.chunks > 1) totals_.chunked_solves.add();
     totals_.oom_events.add(static_cast<double>(out.oom_events));
     totals_.oom_fallbacks.add(static_cast<double>(out.oom_fallback_systems));
-    if (telemetry_.metrics.enabled()) {
-      telemetry_.metrics.observe("service.solve_ms", stats.total_ms);
-    }
+    telemetry_.metrics.observe("service.solve_ms", stats.total_ms);
     for (std::size_t i = 0; i < m; ++i) {
       SolveResponse<T> resp;
       const char* outcome = "ok";
@@ -1372,13 +1362,11 @@ class SolveService {
                          .count();
       resp.solve_ms = stats.total_ms;
       resp.device = w.dev.spec().name;
-      if (telemetry_.metrics.enabled()) {
-        telemetry_.metrics.observe("service.wait_ms", resp.wait_ms);
-        telemetry_.metrics.observe(
-            "service.e2e_ms", std::chrono::duration<double, std::milli>(
-                                  t_solve1 - live[i].enqueue_tp)
-                                  .count());
-      }
+      telemetry_.metrics.observe("service.wait_ms", resp.wait_ms);
+      telemetry_.metrics.observe(
+          "service.e2e_ms", std::chrono::duration<double, std::milli>(
+                                t_solve1 - live[i].enqueue_tp)
+                                .count());
       if (live[i].root != telemetry::kInvalidSpan) {
         tr.attr(live[i].root, "device", w.dev.spec().name);
         if (batch_retries > 0) {

@@ -130,7 +130,7 @@ class Pipeline {
 
     span.attr("chunks", static_cast<double>(r.chunks));
     span.attr("oom_events", static_cast<double>(r.oom_events));
-    if (tel != nullptr && tel->metrics.enabled()) {
+    if (tel != nullptr) {
       auto& mx = tel->metrics;
       mx.add("solver.chunked_solves");
       mx.add("solver.chunks", static_cast<double>(r.chunks));

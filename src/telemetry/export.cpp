@@ -85,31 +85,19 @@ std::string to_metrics_json(const MetricsRegistry& metrics) {
   }
   std::ostringstream hs;
   first = true;
-  for (const auto& [name, samples] : metrics.histograms()) {
-    (void)samples;
-    const HistogramSummary h = metrics.histogram(name);
+  for (const auto& [name, h] : metrics.histograms()) {
     if (!first) hs << ',';
     first = false;
+    const Exemplar ex = h.exemplar_at(0.99);
     hs << '"' << json_escape(name) << "\":{\"count\":"
        << json_number(static_cast<double>(h.count))
+       << ",\"sum\":" << json_number(h.sum)
        << ",\"min\":" << json_number(h.min)
        << ",\"max\":" << json_number(h.max)
-       << ",\"mean\":" << json_number(h.mean)
-       << ",\"p50\":" << json_number(h.p50)
-       << ",\"p95\":" << json_number(h.p95) << '}';
-  }
-  std::ostringstream ls;
-  first = true;
-  for (const auto& [name, snap] : metrics.latencies()) {
-    if (!first) ls << ',';
-    first = false;
-    const LatencyExemplar ex = snap.exemplar_at(0.99);
-    ls << '"' << json_escape(name) << "\":{\"count\":"
-       << json_number(static_cast<double>(snap.count))
-       << ",\"sum\":" << json_number(snap.sum)
-       << ",\"p50\":" << json_number(snap.quantile(0.50))
-       << ",\"p95\":" << json_number(snap.quantile(0.95))
-       << ",\"p99\":" << json_number(snap.quantile(0.99))
+       << ",\"mean\":" << json_number(h.mean())
+       << ",\"p50\":" << json_number(h.quantile(0.50))
+       << ",\"p95\":" << json_number(h.quantile(0.95))
+       << ",\"p99\":" << json_number(h.quantile(0.99))
        << ",\"exemplar_trace_id\":\""
        << (ex.trace_id != 0 ? trace_id_hex(ex.trace_id) : std::string())
        << "\"}";
@@ -131,7 +119,7 @@ std::string to_metrics_json(const MetricsRegistry& metrics) {
        << json_number(static_cast<double>(nonfinite_dropped()));
   }
   os << "},\"gauges\":{" << gs.str() << "},\"histograms\":{" << hs.str()
-     << "},\"latency\":{" << ls.str() << "}}";
+     << "}}";
   return os.str();
 }
 
@@ -249,61 +237,35 @@ std::string to_openmetrics(const MetricsRegistry& metrics) {
     }
   }
 
-  // raw-sample histograms -> summaries (quantile labels)
-  std::map<std::string, std::vector<std::string>> summary_fams;
-  for (const auto& [key, samples] : metrics.histograms()) {
-    (void)samples;
+  // histograms -> cumulative _bucket{le="..."} series with exemplars
+  const auto hists = metrics.histograms();
+  std::map<std::string,
+           std::vector<std::pair<std::string, const HistogramSnapshot*>>>
+      hist_fams;
+  for (const auto& [key, h] : hists) {
     auto [fam, labels] = split_labels(key);
-    summary_fams[fam].push_back(key);
-    (void)labels;
+    hist_fams[fam].emplace_back(labels, &h);
   }
-  for (const auto& [fam, keys] : summary_fams) {
-    const std::string name = w.claim(fam, 's', "_summary");
-    w.os << "# TYPE " << name << " summary\n";
-    for (const auto& key : keys) {
-      const auto labels = split_labels(key).second;
-      const HistogramSummary h = metrics.histogram(key);
-      w.sample(name, merge_labels(labels, "quantile=\"0.5\""), h.p50);
-      w.sample(name, merge_labels(labels, "quantile=\"0.95\""), h.p95);
-      w.sample(name + "_count", labels,
-               static_cast<double>(h.count));
-      w.sample(name + "_sum", labels,
-               h.mean * static_cast<double>(h.count));
-    }
-  }
-
-  // fixed-bucket latency histograms -> real histograms with exemplars
-  std::map<std::string, std::vector<std::string>> latency_fams;
-  const auto latencies = metrics.latencies();
-  for (const auto& [key, snap] : latencies) {
-    (void)snap;
-    latency_fams[split_labels(key).first].push_back(key);
-  }
-  const auto bounds = latency_bucket_bounds();
-  for (const auto& [fam, keys] : latency_fams) {
+  for (const auto& [fam, series] : hist_fams) {
     const std::string name = w.claim(fam, 'h', "_hist");
     w.os << "# TYPE " << name << " histogram\n";
-    for (const auto& key : keys) {
-      const auto labels = split_labels(key).second;
-      const LatencySnapshot& snap = latencies.at(key);
+    for (const auto& [labels, h] : series) {
       std::uint64_t cum = 0;
-      for (std::size_t b = 0; b < snap.counts.size(); ++b) {
-        cum += snap.counts[b];
-        std::string le = "le=\"";
-        le += std::isinf(bounds[b]) ? "+Inf" : om_number(bounds[b]);
-        le += '"';
+      for (std::size_t b = 0; b < h->counts.size(); ++b) {
+        cum += h->counts[b];
+        const std::string le =
+            "le=\"" + om_number(kHistogramBounds[b]) + '"';
         std::string exemplar;
-        if (snap.exemplars[b].trace_id != 0) {
+        if (h->exemplars[b].trace_id != 0) {
           exemplar = "{trace_id=\"" +
-                     trace_id_hex(snap.exemplars[b].trace_id) +
-                     "\"} " + om_number(snap.exemplars[b].value);
+                     trace_id_hex(h->exemplars[b].trace_id) +
+                     "\"} " + om_number(h->exemplars[b].value);
         }
         w.sample(name + "_bucket", merge_labels(labels, le),
                  static_cast<double>(cum), exemplar);
       }
-      w.sample(name + "_count", labels,
-               static_cast<double>(snap.count));
-      w.sample(name + "_sum", labels, snap.sum);
+      w.sample(name + "_count", labels, static_cast<double>(h->count));
+      w.sample(name + "_sum", labels, h->sum);
     }
   }
 

@@ -27,16 +27,16 @@ namespace tda::telemetry {
 std::string to_chrome_trace(const Tracer& tracer);
 
 /// Flat metrics JSON: {"counters":{..},"gauges":{..},"histograms":
-/// {name:{count,min,max,mean,p50,p95}},"latency":{name:{count,sum,
-/// p50,p95,p99,exemplar...}}}.
+/// {name:{count,sum,min,max,mean,p50,p95,p99,exemplar_trace_id}}}.
+/// count/sum/min/max/mean are exact; the quantiles are bucket estimates.
 std::string to_metrics_json(const MetricsRegistry& metrics);
 
 /// OpenMetrics text format (the Prometheus exposition format): counters
-/// as <name>_total, gauges plain, sample histograms as summaries with
-/// quantile labels, latency histograms as cumulative _bucket{le="..."}
-/// series with trace-id exemplars, terminated by "# EOF". Metric names
-/// are sanitized (dots -> underscores) and prefixed "tda_"; labeled()
-/// keys contribute their label sets verbatim.
+/// as <name>_total, gauges plain, histograms as cumulative
+/// _bucket{le="..."} series with trace-id exemplars plus _count and
+/// _sum, terminated by "# EOF". Metric names are sanitized (dots ->
+/// underscores) and prefixed "tda_"; labeled() keys contribute their
+/// label sets verbatim.
 std::string to_openmetrics(const MetricsRegistry& metrics);
 
 /// Writes `content` to `path`; false on I/O failure.

@@ -1,68 +1,50 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <limits>
 
 namespace tda::telemetry {
 
-double percentile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(q * static_cast<double>(samples.size()));
-  const std::size_t idx = static_cast<std::size_t>(
-      std::clamp(rank, 1.0, static_cast<double>(samples.size())));
-  return samples[idx - 1];
-}
-
 namespace {
-// Log-spaced 1-2-5 bounds from 10µs to 5s plus a catch-all: wide enough
-// for queue waits under backpressure, fine enough near the typical
-// sub-millisecond batched solve.
-constexpr std::array<double, 19> kLatencyBounds = {
-    0.01, 0.02, 0.05, 0.1,  0.2,  0.5,  1.0,   2.0,   5.0,  10.0,
-    20.0, 50.0, 100., 200., 500., 1e3,  2e3,   5e3,
-    std::numeric_limits<double>::infinity()};
-
-std::size_t bucket_of(double ms) {
-  const auto it = std::lower_bound(kLatencyBounds.begin(),
-                                   kLatencyBounds.end(), ms);
-  return static_cast<std::size_t>(it - kLatencyBounds.begin());
+std::size_t bucket_of(double v) {
+  const auto it = std::lower_bound(kHistogramBounds.begin(),
+                                   kHistogramBounds.end(), v);
+  return static_cast<std::size_t>(it - kHistogramBounds.begin());
 }
 }  // namespace
 
-std::span<const double> latency_bucket_bounds() { return kLatencyBounds; }
+double HistogramSnapshot::mean() const {
+  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
 
-double LatencySnapshot::quantile(double q) const {
-  if (count == 0 || counts.empty()) return 0.0;
+double HistogramSnapshot::quantile(double q) const {
+  if (count == 0) return 0.0;
   const double target =
       std::clamp(q, 0.0, 1.0) * static_cast<double>(count);
   std::uint64_t cum = 0;
   for (std::size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] == 0) continue;
     const std::uint64_t prev = cum;
     cum += counts[b];
     if (static_cast<double>(cum) < target) continue;
-    const double hi = kLatencyBounds[b];
-    const double lo = b == 0 ? 0.0 : kLatencyBounds[b - 1];
-    if (!std::isfinite(hi)) return lo;  // overflow bucket: report bound
-    const double in_bucket = static_cast<double>(counts[b]);
-    if (in_bucket <= 0.0) return hi;
-    const double frac =
-        (target - static_cast<double>(prev)) / in_bucket;
-    return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+    const double lo = b == 0 ? 0.0 : kHistogramBounds[b - 1];
+    // The overflow bucket has no finite bound; the exact max stands in.
+    const double hi = b + 1 == counts.size() ? max : kHistogramBounds[b];
+    const double frac = (target - static_cast<double>(prev)) /
+                        static_cast<double>(counts[b]);
+    return std::clamp(lo + (hi - lo) * frac, min, max);
   }
-  return kLatencyBounds[kLatencyBounds.size() - 2];
+  return max;
 }
 
-LatencyExemplar LatencySnapshot::exemplar_at(double q) const {
-  if (count == 0 || counts.empty()) return {};
+Exemplar HistogramSnapshot::exemplar_at(double q) const {
+  if (count == 0) return {};
   const double cut = quantile(q);
   // Prefer the highest bucket holding samples at/above the cut; fall
   // back to the highest non-empty bucket with an exemplar.
   for (std::size_t b = counts.size(); b-- > 0;) {
     if (counts[b] == 0 || exemplars[b].trace_id == 0) continue;
-    const double lo = b == 0 ? 0.0 : kLatencyBounds[b - 1];
+    const double lo = b == 0 ? 0.0 : kHistogramBounds[b - 1];
     if (lo >= cut || exemplars[b].value >= cut) return exemplars[b];
   }
   for (std::size_t b = counts.size(); b-- > 0;) {
@@ -116,36 +98,23 @@ void MetricsRegistry::set(std::string_view name, double value) {
   }
 }
 
-void MetricsRegistry::observe(std::string_view name, double sample) {
+void MetricsRegistry::observe(std::string_view name, double sample,
+                              std::uint64_t exemplar_trace_id) {
   if (!enabled()) return;
+  if (!std::isfinite(sample)) return;
+  const std::size_t b = bucket_of(sample);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    histograms_.emplace(std::string(name),
-                        std::vector<double>{sample});
-  } else {
-    it->second.push_back(sample);
+    it = histograms_.emplace(std::string(name), HistogramSnapshot{}).first;
   }
-}
-
-void MetricsRegistry::observe_latency(std::string_view name, double ms,
-                                      std::uint64_t exemplar_trace_id) {
-  if (!enabled()) return;
-  if (!std::isfinite(ms)) return;
-  const std::size_t b = bucket_of(ms);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = latencies_.find(name);
-  if (it == latencies_.end()) {
-    LatencyHist h;
-    h.counts.assign(kLatencyBounds.size(), 0);
-    h.exemplars.assign(kLatencyBounds.size(), {});
-    it = latencies_.emplace(std::string(name), std::move(h)).first;
-  }
-  LatencyHist& h = it->second;
+  HistogramSnapshot& h = it->second;
+  if (h.count == 0 || sample < h.min) h.min = sample;
+  if (h.count == 0 || sample > h.max) h.max = sample;
   ++h.counts[b];
   ++h.count;
-  h.sum += ms;
-  if (exemplar_trace_id != 0) h.exemplars[b] = {exemplar_trace_id, ms};
+  h.sum += sample;
+  if (exemplar_trace_id != 0) h.exemplars[b] = {exemplar_trace_id, sample};
 }
 
 double MetricsRegistry::counter(std::string_view name) const {
@@ -161,36 +130,10 @@ double MetricsRegistry::gauge(std::string_view name) const {
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-HistogramSummary MetricsRegistry::histogram(std::string_view name) const {
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) return {};
-    samples = it->second;
-  }
-  HistogramSummary s;
-  s.count = samples.size();
-  s.min = *std::min_element(samples.begin(), samples.end());
-  s.max = *std::max_element(samples.begin(), samples.end());
-  double sum = 0.0;
-  for (const double v : samples) sum += v;
-  s.mean = sum / static_cast<double>(samples.size());
-  s.p50 = percentile(samples, 0.50);
-  s.p95 = percentile(samples, 0.95);
-  return s;
-}
-
-LatencySnapshot MetricsRegistry::latency(std::string_view name) const {
+HistogramSnapshot MetricsRegistry::histogram(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = latencies_.find(name);
-  if (it == latencies_.end()) return {};
-  LatencySnapshot s;
-  s.counts = it->second.counts;
-  s.exemplars = it->second.exemplars;
-  s.count = it->second.count;
-  s.sum = it->second.sum;
-  return s;
+  auto it = histograms_.find(name);
+  return it == histograms_.end() ? HistogramSnapshot{} : it->second;
 }
 
 std::map<std::string, double> MetricsRegistry::counters() const {
@@ -207,24 +150,10 @@ std::map<std::string, double> MetricsRegistry::gauges() const {
   return {gauges_.begin(), gauges_.end()};
 }
 
-std::map<std::string, std::vector<double>> MetricsRegistry::histograms()
+std::map<std::string, HistogramSnapshot> MetricsRegistry::histograms()
     const {
   std::lock_guard<std::mutex> lock(mu_);
   return {histograms_.begin(), histograms_.end()};
-}
-
-std::map<std::string, LatencySnapshot> MetricsRegistry::latencies() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, LatencySnapshot> out;
-  for (const auto& [name, h] : latencies_) {
-    LatencySnapshot s;
-    s.counts = h.counts;
-    s.exemplars = h.exemplars;
-    s.count = h.count;
-    s.sum = h.sum;
-    out.emplace(name, std::move(s));
-  }
-  return out;
 }
 
 bool MetricsRegistry::empty() const {
@@ -232,7 +161,7 @@ bool MetricsRegistry::empty() const {
   for (const auto& [name, slot] : counters_) {
     if (slot.load(std::memory_order_relaxed) != 0.0) return false;
   }
-  return gauges_.empty() && histograms_.empty() && latencies_.empty();
+  return gauges_.empty() && histograms_.empty();
 }
 
 void MetricsRegistry::clear() {
@@ -242,7 +171,6 @@ void MetricsRegistry::clear() {
   }
   gauges_.clear();
   histograms_.clear();
-  latencies_.clear();
 }
 
 }  // namespace tda::telemetry

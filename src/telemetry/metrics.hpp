@@ -1,18 +1,19 @@
 #pragma once
-// Metrics registry: named counters, gauges, sample histograms and
-// fixed-bucket latency histograms. Counters accumulate (solves, tunes,
-// cache hits, kernel launches, bytes moved), gauges hold the latest
-// value (probe results, lane utilization, pool hit rate), sample
-// histograms keep raw samples and summarize to count/min/max/mean/
-// p50/p95 — the shape of the paper's per-stage timing tables.
+// Metrics registry: named counters, gauges and histograms. Counters
+// accumulate (solves, tunes, cache hits, kernel launches, bytes moved),
+// gauges hold the latest value (probe results, lane utilization, pool
+// hit rate), histograms summarize to count/sum/min/max/mean/quantiles —
+// the shape of the paper's per-stage timing tables.
 //
-// Latency histograms are the always-on aggregation path: log-spaced
-// fixed bucket bounds (so recording is O(log buckets) with zero
-// allocation in steady state), keyed by labeled names built with
-// labeled() — e.g. service.request_latency_ms{shape="le64",
-// dtype="f64",outcome="ok"} — and each bucket keeps an *exemplar*: the
-// trace id of the last request that landed there, so the p99 straggler
-// bucket names a concrete trace to go look at.
+// There is one histogram type, and its state is fixed-size per key:
+// log-spaced bucket counts over kHistogramBounds (so recording is
+// O(log buckets) with zero allocation after a key's first sample), plus
+// exact count, sum, min and max. Quantiles are interpolated inside a
+// bucket and clamped to [min, max]. Keys may be labeled names built with
+// labeled() — e.g. service.request_latency_ms{shape="le64",dtype="f64",
+// outcome="ok"} — and each bucket keeps an *exemplar*: the trace id of
+// the last traced sample that landed there, so the p99 straggler bucket
+// names a concrete trace to go look at.
 //
 // Counters live in one storage of stable atomic slots. A component
 // that counts the same event on every call registers a Counter handle
@@ -27,57 +28,53 @@
 // data race), so a disabled registry costs one relaxed load and
 // allocates nothing.
 
-#include <cstddef>
-#include <cstdint>
+#include <array>
 #include <atomic>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 namespace tda::telemetry {
 
-/// Percentile summary of one histogram.
-struct HistogramSummary {
-  std::size_t count = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double mean = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-};
+/// Upper bounds of the fixed histogram buckets: log-spaced 1-2-5 steps
+/// from 0.01 to 5000 plus a catch-all +Inf, so every finite sample lands
+/// somewhere. Wide enough for queue waits under backpressure and batch
+/// sizes, fine enough near the typical sub-millisecond batched solve.
+inline constexpr std::array<double, 19> kHistogramBounds = {
+    0.01, 0.02, 0.05, 0.1,  0.2,  0.5,  1.0,   2.0,   5.0,  10.0,
+    20.0, 50.0, 100., 200., 500., 1e3,  2e3,   5e3,
+    std::numeric_limits<double>::infinity()};
 
-/// Nearest-rank percentile (q in [0,1]) of an unsorted sample; 0 when
-/// empty. Exposed for tests.
-double percentile(std::vector<double> samples, double q);
-
-/// Upper bounds (ms) of the fixed latency buckets. The last bound is
-/// +Inf, so every sample lands somewhere.
-std::span<const double> latency_bucket_bounds();
-
-/// Trace id of a request that landed in a bucket (0 = none yet).
-struct LatencyExemplar {
+/// Trace id of a sample that landed in a bucket (0 = none yet).
+struct Exemplar {
   std::uint64_t trace_id = 0;
   double value = 0.0;
 };
 
-/// Locked copy of one latency histogram.
-struct LatencySnapshot {
-  std::vector<std::uint64_t> counts;     ///< per bucket, non-cumulative
-  std::vector<LatencyExemplar> exemplars;  ///< per bucket
+/// One histogram: fixed-size per-bucket state plus exact count, sum,
+/// min and max. The registry stores this per key and hands out copies.
+struct HistogramSnapshot {
+  /// Per bucket, non-cumulative.
+  std::array<std::uint64_t, kHistogramBounds.size()> counts{};
+  std::array<Exemplar, kHistogramBounds.size()> exemplars{};
   std::uint64_t count = 0;
   double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
 
+  /// sum / count; 0 when empty.
+  [[nodiscard]] double mean() const;
   /// Quantile estimate (q in [0,1]) by linear interpolation inside the
-  /// owning bucket; 0 when empty.
+  /// owning bucket, clamped to [min, max]; 0 when empty.
   [[nodiscard]] double quantile(double q) const;
   /// Exemplar of the highest non-empty bucket at or above quantile q —
   /// "a p99 straggler's trace id". trace_id 0 when none recorded.
-  [[nodiscard]] LatencyExemplar exemplar_at(double q) const;
+  [[nodiscard]] Exemplar exemplar_at(double q) const;
 };
 
 /// Builds a labeled metric key: name + {k="v",...} with keys in the
@@ -125,28 +122,23 @@ class MetricsRegistry {
   void add(std::string_view name, double delta = 1.0);
   /// Sets a gauge to `value`.
   void set(std::string_view name, double value);
-  /// Appends one sample to a histogram.
-  void observe(std::string_view name, double sample);
-  /// Records one sample (ms) into a fixed-bucket latency histogram,
-  /// stamping `exemplar_trace_id` (when non-zero) on the bucket it
-  /// lands in.
-  void observe_latency(std::string_view name, double ms,
-                       std::uint64_t exemplar_trace_id = 0);
+  /// Records one sample into histogram `name`, stamping
+  /// `exemplar_trace_id` (when non-zero) on the bucket it lands in.
+  /// Non-finite samples are dropped.
+  void observe(std::string_view name, double sample,
+               std::uint64_t exemplar_trace_id = 0);
 
   /// Reads a counter / gauge; 0 for names never written.
   [[nodiscard]] double counter(std::string_view name) const;
   [[nodiscard]] double gauge(std::string_view name) const;
-  /// Summarizes a histogram; all-zero for names never observed.
-  [[nodiscard]] HistogramSummary histogram(std::string_view name) const;
-  /// Snapshot of one latency histogram; empty counts for unknown names.
-  [[nodiscard]] LatencySnapshot latency(std::string_view name) const;
+  /// Copy of one histogram; all-zero for names never observed.
+  [[nodiscard]] HistogramSnapshot histogram(std::string_view name) const;
 
   /// Snapshot accessors (copies, so callers need no lock discipline).
   [[nodiscard]] std::map<std::string, double> counters() const;
   [[nodiscard]] std::map<std::string, double> gauges() const;
-  [[nodiscard]] std::map<std::string, std::vector<double>> histograms()
+  [[nodiscard]] std::map<std::string, HistogramSnapshot> histograms()
       const;
-  [[nodiscard]] std::map<std::string, LatencySnapshot> latencies() const;
 
   /// True when nothing has been recorded (every counter slot is 0).
   [[nodiscard]] bool empty() const;
@@ -156,21 +148,13 @@ class MetricsRegistry {
   void clear();
 
  private:
-  struct LatencyHist {
-    std::vector<std::uint64_t> counts;
-    std::vector<LatencyExemplar> exemplars;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-  };
-
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   // Map nodes never move and are never erased, so a slot's address is
   // stable for the registry's lifetime.
   std::map<std::string, std::atomic<double>, std::less<>> counters_;
   std::map<std::string, double, std::less<>> gauges_;
-  std::map<std::string, std::vector<double>, std::less<>> histograms_;
-  std::map<std::string, LatencyHist, std::less<>> latencies_;
+  std::map<std::string, HistogramSnapshot, std::less<>> histograms_;
 };
 
 }  // namespace tda::telemetry

@@ -634,7 +634,7 @@ TEST(NetDoor, UnixSolveRoundTripWithTenantLabels) {
   // The tenant label must show up on the latency histogram and the
   // front-door request counter.
   std::uint64_t labeled_count = 0;
-  for (const auto& [name, snap] : fx.svc->telemetry().metrics.latencies()) {
+  for (const auto& [name, snap] : fx.svc->telemetry().metrics.histograms()) {
     if (name.find("service.request_latency_ms{") == 0 &&
         name.find("tenant=\"alpha\"") != std::string::npos) {
       labeled_count += snap.count;  // keys split by shape bucket

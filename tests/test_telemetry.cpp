@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -138,9 +139,9 @@ TEST(Metrics, HistogramPercentiles) {
   EXPECT_EQ(h.count, 100u);
   EXPECT_DOUBLE_EQ(h.min, 1.0);
   EXPECT_DOUBLE_EQ(h.max, 100.0);
-  EXPECT_DOUBLE_EQ(h.p50, 50.0);  // nearest-rank
-  EXPECT_DOUBLE_EQ(h.p95, 95.0);
-  EXPECT_DOUBLE_EQ(h.mean, 50.5);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 50.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.95), 95.0);
+  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
 }
 
 TEST(Metrics, SingleSampleAndMissingNames) {
@@ -149,11 +150,98 @@ TEST(Metrics, SingleSampleAndMissingNames) {
   mx.observe("one", 42.0);
   const auto h = mx.histogram("one");
   EXPECT_EQ(h.count, 1u);
-  EXPECT_DOUBLE_EQ(h.p50, 42.0);
-  EXPECT_DOUBLE_EQ(h.p95, 42.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 42.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.95), 42.0);
   EXPECT_EQ(mx.histogram("absent").count, 0u);
   EXPECT_DOUBLE_EQ(mx.counter("absent"), 0.0);
   EXPECT_DOUBLE_EQ(mx.gauge("absent"), 0.0);
+}
+
+TEST(Metrics, HistogramQuantileWithinMinMax) {
+  telemetry::MetricsRegistry mx;
+  mx.enable();
+  for (int i = 0; i < 3; ++i) mx.observe("flat", 100.0);
+  const auto flat = mx.histogram("flat");
+  EXPECT_DOUBLE_EQ(flat.quantile(0.0), 100.0);
+  EXPECT_DOUBLE_EQ(flat.quantile(1.0), 100.0);
+
+  mx.observe("one", 42.0);
+  EXPECT_DOUBLE_EQ(mx.histogram("one").quantile(0.5), 42.0);
+
+  // Beyond the last finite bound, in the overflow bucket.
+  mx.observe("big", 9000.0);
+  const auto big = mx.histogram("big");
+  EXPECT_DOUBLE_EQ(big.quantile(0.5), 9000.0);
+  EXPECT_DOUBLE_EQ(big.quantile(1.0), 9000.0);
+}
+
+TEST(Metrics, HistogramStateIsFixedSize) {
+  telemetry::MetricsRegistry mx;
+  mx.enable();
+  double sum = 0.0;
+  for (int i = 0; i < 100'000; ++i) {
+    const double v = 0.001 * (i % 7919) + 0.5;
+    mx.observe("h", v);
+    sum += v;
+  }
+  const auto h = mx.histogram("h");
+  EXPECT_EQ(h.counts.size(), telemetry::kHistogramBounds.size());
+  EXPECT_EQ(h.exemplars.size(), telemetry::kHistogramBounds.size());
+  EXPECT_EQ(h.count, 100'000u);
+  EXPECT_DOUBLE_EQ(h.sum, sum);
+  EXPECT_DOUBLE_EQ(h.min, 0.5);
+  EXPECT_DOUBLE_EQ(h.max, 0.001 * 7918 + 0.5);
+  std::uint64_t in_buckets = 0;
+  for (const auto c : h.counts) in_buckets += c;
+  EXPECT_EQ(in_buckets, h.count);
+}
+
+TEST(Metrics, HistogramDropsNonFinite) {
+  telemetry::MetricsRegistry mx;
+  mx.enable();
+  mx.observe("h", 1.0);
+  mx.observe("h", std::nan(""));
+  mx.observe("h", std::numeric_limits<double>::infinity());
+  mx.observe("h", 3.0);
+  const auto h = mx.histogram("h");
+  EXPECT_EQ(h.count, 2u);
+  EXPECT_DOUBLE_EQ(h.mean(), 2.0);
+  EXPECT_TRUE(std::isfinite(h.quantile(0.5)));
+  EXPECT_DOUBLE_EQ(h.max, 3.0);
+}
+
+TEST(Metrics, HistogramConcurrentObservesSumExactly) {
+  telemetry::MetricsRegistry mx;
+  mx.enable();
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      for (const auto& [name, h] : mx.histograms()) {
+        (void)h.quantile(0.99);
+        (void)h.exemplar_at(0.99);
+      }
+      (void)telemetry::to_openmetrics(mx);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&mx, t] {
+      const char* key = t % 2 == 0 ? "even" : "odd";
+      for (int i = 0; i < 10'000; ++i) {
+        mx.observe(key, 1.0, static_cast<std::uint64_t>(i + 1));
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true);
+  reader.join();
+  for (const char* key : {"even", "odd"}) {
+    const auto h = mx.histogram(key);
+    EXPECT_EQ(h.count, 20'000u) << key;
+    EXPECT_EQ(h.sum, 20'000.0) << key;
+    EXPECT_EQ(h.min, 1.0) << key;
+    EXPECT_EQ(h.max, 1.0) << key;
+  }
 }
 
 TEST(Metrics, CountersAndGauges) {
@@ -241,13 +329,6 @@ TEST(Metrics, CounterHandleSurvivesClear) {
   mx.add("kept");
   EXPECT_EQ(c.value(), 3.0);
   EXPECT_FALSE(mx.empty());
-}
-
-TEST(Metrics, PercentileNearestRank) {
-  EXPECT_DOUBLE_EQ(telemetry::percentile({3.0, 1.0, 2.0}, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(telemetry::percentile({3.0, 1.0, 2.0}, 1.0), 3.0);
-  EXPECT_DOUBLE_EQ(telemetry::percentile({5.0}, 0.95), 5.0);
-  EXPECT_DOUBLE_EQ(telemetry::percentile({}, 0.5), 0.0);
 }
 
 // ---------- JSON parser ----------
@@ -392,6 +473,23 @@ TEST(Export, MetricsJsonParses) {
   EXPECT_DOUBLE_EQ(h->find("count")->number, 2.0);
   EXPECT_DOUBLE_EQ(h->find("max")->number, 3.0);
   EXPECT_DOUBLE_EQ(h->find("mean")->number, 2.0);
+}
+
+TEST(Export, OpenMetricsHasNoSummary) {
+  telemetry::MetricsRegistry mx;
+  mx.enable();
+  mx.observe("solve.total_ms", 1.0);
+  mx.observe("solve.total_ms", 3.0);
+  const std::string om = telemetry::to_openmetrics(mx);
+  EXPECT_NE(om.find("# TYPE tda_solve_total_ms histogram\n"),
+            std::string::npos)
+      << om;
+  EXPECT_EQ(om.find("summary"), std::string::npos) << om;
+  EXPECT_NE(om.find("tda_solve_total_ms_bucket{le=\"+Inf\"} 2\n"),
+            std::string::npos)
+      << om;
+  EXPECT_NE(om.find("tda_solve_total_ms_count 2\n"), std::string::npos);
+  EXPECT_NE(om.find("tda_solve_total_ms_sum 4\n"), std::string::npos);
 }
 
 // ---------- Device / solver integration ----------

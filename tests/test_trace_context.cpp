@@ -189,7 +189,7 @@ TEST(TraceTree, LatencyExemplarsPointAtRecordedTraces) {
 
   // Each latency bucket's exemplar names a request we actually traced.
   std::size_t exemplars = 0;
-  for (const auto& [name, snap] : svc.telemetry().metrics.latencies()) {
+  for (const auto& [name, snap] : svc.telemetry().metrics.histograms()) {
     if (name.rfind("service.request_latency_ms{", 0) != 0) continue;
     for (const auto& ex : snap.exemplars)
       if (ex.trace_id != 0) {
@@ -362,7 +362,7 @@ TEST(SolveServiceTraceRaces, SnapshotsRaceLiveTraffic) {
       // Every read-side surface a dashboard touches, while workers
       // record: span table, histograms, gauges, OpenMetrics render.
       (void)svc.telemetry().tracer.snapshot();
-      (void)svc.telemetry().metrics.latencies();
+      (void)svc.telemetry().metrics.histograms();
       (void)svc.telemetry().metrics.gauges();
       svc.publish_gauges();
       (void)telemetry::to_openmetrics(svc.telemetry().metrics);
@@ -404,8 +404,8 @@ TEST(SolveServiceTraceRaces, HistogramWritersRaceQuantileReaders) {
            {"dtype", "f64"},
            {"outcome", "ok"}});
       for (int i = 0; i < 4000; ++i) {
-        mx.observe_latency(name, 0.1 * (t + 1) * (i % 50 + 1),
-                           static_cast<std::uint64_t>(t * 10000 + i + 1));
+        mx.observe(name, 0.1 * (t + 1) * (i % 50 + 1),
+                   static_cast<std::uint64_t>(t * 10000 + i + 1));
         mx.set("engine.utilization", 0.5);
         mx.add("service.submitted_total");
       }
@@ -413,7 +413,7 @@ TEST(SolveServiceTraceRaces, HistogramWritersRaceQuantileReaders) {
   }
   std::thread reader([&] {
     while (!stop.load()) {
-      for (const auto& [name, snap] : mx.latencies()) {
+      for (const auto& [name, snap] : mx.histograms()) {
         (void)snap.quantile(0.5);
         (void)snap.quantile(0.99);
         (void)snap.exemplar_at(0.99);
@@ -427,7 +427,7 @@ TEST(SolveServiceTraceRaces, HistogramWritersRaceQuantileReaders) {
   reader.join();
 
   double total = 0;
-  for (const auto& [name, snap] : mx.latencies()) total += snap.count;
+  for (const auto& [name, snap] : mx.histograms()) total += snap.count;
   EXPECT_EQ(total, 4.0 * 4000);  // 4 writers x 4000, across two series
   EXPECT_EQ(mx.counter("service.submitted_total"), 16000.0);
 }
