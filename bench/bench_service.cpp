@@ -85,7 +85,7 @@
 // The workload is many SMALL systems (the regime Gloster et al. show
 // benefits most from interleaved batching): shapes drawn from a pool of
 // five sizes well under the on-chip limit. Every configuration solves
-// the same total number of systems; "coalesced" lets the scheduler
+// the same total number of systems; "coalesced" lets the supervisor
 // batch whatever is pending per shape, "per-request" (flush=1 plus a
 // synchronous client) dispatches each system alone — the cost of NOT
 // having a batching service in front of the solver.

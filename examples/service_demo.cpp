@@ -9,7 +9,7 @@
 //
 // Each client thread submits `requests` random systems with shapes drawn
 // from a small pool, then verifies every solution. The summary shows how
-// much coalescing the scheduler achieved and where requests ended up.
+// much coalescing the supervisor achieved and where requests ended up.
 
 #include <atomic>
 #include <cmath>

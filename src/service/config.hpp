@@ -1,7 +1,8 @@
 #pragma once
 // Solve-service configuration: admission control (bounded queue +
 // backpressure policy), flush triggers for shape-bucketed coalescing,
-// and the multi-device dispatch policy.
+// deadlines, memory budgets and the fault-tolerance settings. Dispatch
+// is always least-loaded over the workers whose breaker admits work.
 
 #include <cstddef>
 #include <cstdint>
@@ -16,23 +17,21 @@ enum class BackpressurePolicy {
   ShedOldest  ///< the oldest queued request is shed to admit the new one
 };
 
-/// How flushed buckets are spread across the worker devices.
-enum class DispatchPolicy {
-  RoundRobin,  ///< workers take turns
-  LeastLoaded  ///< bucket goes to the worker with fewest queued systems
-};
-
 const char* to_string(BackpressurePolicy p);
-const char* to_string(DispatchPolicy p);
 
 /// Device-fault retries on the same worker before failing over. When
 /// they are spent, the batch goes to up to (num_workers - 1) other
-/// workers, then to the CPU path if ResilienceConfig::cpu_failover.
+/// workers, then to the pivoting CPU path, which always finishes it.
 inline constexpr int kMaxRetries = 2;
 /// Ceiling of a single jittered retry backoff sleep (wall-clock ms).
 inline constexpr double kRetryBackoffMaxMs = 8.0;
 /// Consecutive device failures that open a worker's circuit breaker.
 inline constexpr int kBreakerThreshold = 3;
+/// Longest the service supervisor sleeps between passes (wall-clock ms),
+/// and so the watchdog's sampling period and the gauge refresh period.
+inline constexpr double kWatchdogIntervalMs = 1.0;
+/// Consecutive watchdog stall strikes that open a worker's breaker.
+inline constexpr int kStallStrikes = 3;
 
 /// Fault-tolerance policy of the service around solver::Pipeline
 /// (docs/ROBUSTNESS.md). Defaults are the production setting: retries
@@ -45,39 +44,29 @@ struct ResilienceConfig {
   /// sleep] capped at kRetryBackoffMaxMs, so workers failed by one
   /// flaky device do not retry in lockstep.
   double retry_backoff_ms = 0.25;
-  /// Last resort: solve the batch with the pivoting CPU solver instead
-  /// of failing it when every device attempt was exhausted.
-  bool cpu_failover = true;
 
   /// How long an open breaker keeps the worker out of dispatch before a
   /// half-open probe is allowed (wall-clock ms).
   double breaker_cooldown_ms = 25.0;
 };
 
-/// In-flight watchdog policy (docs/ROBUSTNESS.md). The watchdog thread
-/// always runs and samples every busy worker: a job past its deadline
-/// is cancelled cooperatively (the solver throws at its next stage
-/// boundary and the expired members finish as TimedOut/in-flight,
-/// unexpired members are requeued); a worker whose heartbeat stops
-/// advancing collects strikes and eventually feeds its circuit breaker,
-/// taking the stalled device out of dispatch.
+/// In-flight watchdog policy (docs/ROBUSTNESS.md). The service supervisor
+/// samples every busy worker: a job past its deadline is cancelled at its
+/// next stage boundary (expired members finish TimedOut/in-flight, the
+/// rest are requeued); a worker whose heartbeat stands still collects
+/// stall strikes, and kStallStrikes of them open its circuit breaker.
 struct WatchdogConfig {
-  /// Sampling period (wall-clock ms).
-  double interval_ms = 1.0;
   /// A busy worker whose solve heartbeat has not advanced for this long
   /// earns a stall strike. Generous by default: simulated solves beat at
   /// stage boundaries many times per wall millisecond, so only a
   /// genuinely stuck worker (injected stall, runaway kernel) trips it.
   double stall_threshold_ms = 50.0;
-  /// Consecutive strikes that open the worker's circuit breaker.
-  int stall_strikes = 3;
 };
 
 struct ServiceConfig {
   /// Max requests admitted but not yet dispatched to a device.
   std::size_t queue_capacity = 4096;
   BackpressurePolicy backpressure = BackpressurePolicy::Block;
-  DispatchPolicy dispatch = DispatchPolicy::LeastLoaded;
 
   /// Size trigger: a (n, dtype) bucket flushes once it holds this many
   /// systems. 1 disables coalescing (one solve per request).

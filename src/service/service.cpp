@@ -15,16 +15,6 @@ const char* to_string(BackpressurePolicy p) {
   return "?";
 }
 
-const char* to_string(DispatchPolicy p) {
-  switch (p) {
-    case DispatchPolicy::RoundRobin:
-      return "round-robin";
-    case DispatchPolicy::LeastLoaded:
-      return "least-loaded";
-  }
-  return "?";
-}
-
 const char* to_string(SolveStatus s) {
   switch (s) {
     case SolveStatus::Ok:

@@ -8,12 +8,12 @@
 //
 //   * callers submit() single systems (or ragged batches, one request
 //     per system) and get std::futures back;
-//   * a scheduler thread buckets pending requests by (n, dtype) shape
-//     and coalesces each bucket into ONE batched solve per flush —
-//     triggered by size (flush_systems) or deadline (flush_interval_ms);
-//   * flushed buckets are dispatched across one or more simulated
-//     devices (round-robin or least-loaded), each owned by a worker
-//     thread;
+//   * pending requests are bucketed by (n, dtype) shape
+//     (service/pending_queue.hpp) and each bucket is coalesced into ONE
+//     batched solve per flush — triggered by size (flush_systems) or
+//     deadline (flush_interval_ms);
+//   * flushed buckets go to the least-loaded of one or more simulated
+//     devices, each owned by a worker thread;
 //   * all workers share a single thread-safe tuning cache, so a shape
 //     tuned on one device/worker is a cache hit for every later solve;
 //   * admission is bounded (queue_capacity) with a configurable
@@ -27,10 +27,11 @@
 // Device faults (faults::DeviceFault, injectable via TDA_FAULTS) are
 // retried with exponential backoff, then failed over to another worker
 // and finally to the pivoting CPU path; each worker carries a circuit
-// breaker (consecutive-failure threshold, cooldown, half-open probe)
-// that steers dispatch away from a sick device. A worker thread that
-// dies mid-shift is detected by the scheduler, its job is requeued and
-// the thread restarted — a dead worker never strands its queue.
+// breaker (service/breaker.hpp: consecutive-failure threshold,
+// cooldown, half-open probe) that steers dispatch away from a sick
+// device. A worker thread that dies mid-shift is detected by the
+// supervisor, its job is requeued and the thread restarted — a dead
+// worker never strands its queue.
 //
 // Telemetry: the service owns a session. Every admitted request gets a
 // trace id (minted here, or adopted from SolveRequest::trace) and a
@@ -47,11 +48,13 @@
 // tracer is internally synchronized; workers record concurrently
 // without service-level serialization.
 //
-// Thread-safety model: one service mutex guards the buckets, the
-// admission count and every worker's job queue; each simulated Device
-// is touched only by its owning worker thread; the tuning cache and the
-// metrics registry have their own internal locks.
+// Thread model: one supervisor thread (see supervisor_loop) plus one
+// thread per worker. One service mutex guards the pending queue, every
+// breaker and every worker's job queue; each simulated Device is touched
+// only by its owning worker thread; the tuning cache and the metrics
+// registry have their own internal locks.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -61,10 +64,9 @@
 #include <exception>
 #include <functional>
 #include <future>
-#include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -79,7 +81,9 @@
 #include "gpusim/memory.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "kernels/device_batch.hpp"
+#include "service/breaker.hpp"
 #include "service/config.hpp"
+#include "service/pending_queue.hpp"
 #include "service/request.hpp"
 #include "solver/cancel.hpp"
 #include "solver/pipeline.hpp"
@@ -155,9 +159,14 @@ class SolveService {
                            static_cast<double>(devices.size()));
     telemetry_.metrics.set("service.queue_capacity",
                            static_cast<double>(cfg_.queue_capacity));
+    const Breaker::Transitions transitions{totals_.breaker_opens,
+                                           totals_.breaker_half_open,
+                                           totals_.breaker_closed};
     workers_.reserve(devices.size());
     for (const auto& spec : devices) {
-      workers_.push_back(std::make_unique<Worker>(spec, workers_.size()));
+      workers_.push_back(std::make_unique<Worker>(
+          spec, workers_.size(),
+          Breaker(transitions, ms(cfg_.resilience.breaker_cooldown_ms))));
       // Every worker device records into the service session, but must
       // NOT adopt the simulated clock: kernel spans need wall timestamps
       // to nest under the service's wall-clock batch spans.
@@ -175,8 +184,7 @@ class SolveService {
     for (auto& w : workers_) {
       w->thread = std::thread([this, wp = w.get()] { worker_loop(*wp); });
     }
-    scheduler_ = std::thread([this] { scheduler_loop(); });
-    watchdog_ = std::thread([this] { watchdog_loop(); });
+    supervisor_ = std::thread([this] { supervisor_loop(); });
   }
 
   ~SolveService() { shutdown(); }
@@ -184,48 +192,29 @@ class SolveService {
   SolveService(const SolveService&) = delete;
   SolveService& operator=(const SolveService&) = delete;
 
-  /// How a finished request is delivered: through a promise (the
-  /// future-returning submit) or a callback (the wire front door, which
-  /// must not burn a thread per outstanding future). Exactly one is
-  /// armed. A callback may run on a service worker thread — or on the
-  /// submitting thread, under the service mutex, for admission-time
-  /// rejections — so it must be cheap and MUST NOT call back into the
-  /// service (enqueue the response and return).
-  struct Completion {
-    std::promise<SolveResponse<T>> promise;
-    std::function<void(SolveResponse<T>)> callback;
-
-    void deliver(SolveResponse<T> resp) {
-      if (callback) {
-        callback(std::move(resp));
-      } else {
-        promise.set_value(std::move(resp));
-      }
-    }
-  };
+  /// Delivers a request's terminal response, exactly once.
+  using Completion = std::function<void(SolveResponse<T>)>;
 
   /// Submits one system; the future resolves when the request reaches a
   /// terminal state (see SolveStatus). Never blocks except under
   /// BackpressurePolicy::Block with a full queue.
   std::future<SolveResponse<T>> submit(SolveRequest<T> req) {
-    Completion done;
-    auto future = done.promise.get_future();
-    submit_impl(std::move(req), std::move(done));
+    auto promise = std::make_shared<std::promise<SolveResponse<T>>>();
+    auto future = promise->get_future();
+    submit(std::move(req), [promise](SolveResponse<T> resp) {
+      promise->set_value(std::move(resp));
+    });
     return future;
   }
 
-  /// Callback-delivery submit: `on_done` fires exactly once with the
-  /// terminal response (possibly before this call returns, for
-  /// admission rejections). See Completion for the callback contract.
-  void submit(SolveRequest<T> req,
-              std::function<void(SolveResponse<T>)> on_done) {
-    Completion done;
-    done.callback = std::move(on_done);
-    submit_impl(std::move(req), std::move(done));
-  }
-
- private:
-  void submit_impl(SolveRequest<T> req, Completion done) {
+  /// Callback-delivery submit (the wire front door, which must not burn
+  /// a thread per outstanding future): `done` fires exactly once with the
+  /// terminal response, possibly before this call returns. It may run on
+  /// a service thread, or on the submitting thread for admission-time
+  /// rejections and sheds, sometimes under the service mutex, so it must
+  /// be cheap and MUST NOT call back into the service (enqueue the
+  /// response and return).
+  void submit(SolveRequest<T> req, Completion done) {
     const std::size_t n = req.size();
     TDA_REQUIRE(n >= 1, "solve request needs at least one equation");
     TDA_REQUIRE(req.a.size() == n && req.c.size() == n && req.d.size() == n,
@@ -233,34 +222,20 @@ class SolveService {
 
     std::unique_lock lk(mu_);
     totals_.submitted.add();
-    if (!accepting_) {
-      lk.unlock();
-      count_terminal(SolveStatus::Rejected);
-      finish(std::move(done), SolveStatus::Rejected);
-      return;
-    }
-    if (pending_ >= cfg_.queue_capacity) {
-      switch (cfg_.backpressure) {
-        case BackpressurePolicy::Block:
-          cv_space_.wait(lk, [this] {
-            return pending_ < cfg_.queue_capacity || !accepting_;
-          });
-          if (!accepting_) {
-            lk.unlock();
-            count_terminal(SolveStatus::Rejected);
-            finish(std::move(done), SolveStatus::Rejected);
-            return;
-          }
-          break;
-        case BackpressurePolicy::Reject:
-          lk.unlock();
-          count_terminal(SolveStatus::Rejected);
-          finish(std::move(done), SolveStatus::Rejected);
-          return;
-        case BackpressurePolicy::ShedOldest:
-          shed_oldest_locked();
-          break;
+    if (accepting_ && queue_.count() >= cfg_.queue_capacity) {
+      if (cfg_.backpressure == BackpressurePolicy::Block) {
+        cv_space_.wait(lk, [this] {
+          return queue_.count() < cfg_.queue_capacity || !accepting_;
+        });
+      } else if (cfg_.backpressure == BackpressurePolicy::ShedOldest) {
+        shed_oldest_locked();
       }
+    }
+    // Shut down, or still full under BackpressurePolicy::Reject.
+    if (!accepting_ || queue_.count() >= cfg_.queue_capacity) {
+      lk.unlock();
+      reject(std::move(done));
+      return;
     }
 
     // Memory-aware admission: keep the projected device-resident
@@ -268,24 +243,22 @@ class SolveService {
     // configured fraction of the pooled budgets. ShedOldest makes room
     // by evicting; Block degenerates to Reject here (a caller blocked on
     // bytes could wait forever behind one oversized resident batch).
-    const std::size_t fp = footprint_of(n);
     if (cfg_.mem_admission_fraction > 0.0 && total_mem_budget_ > 0) {
       const double cap = cfg_.mem_admission_fraction *
                          static_cast<double>(total_mem_budget_);
       const auto projected = [&] {
         std::size_t inflight = 0;
         for (const auto& w : workers_) inflight += w->queued_bytes;
-        return static_cast<double>(pending_bytes_ + inflight + fp);
+        return static_cast<double>(queue_.bytes() + inflight +
+                                   footprint_of(n));
       };
-      if (cfg_.backpressure == BackpressurePolicy::ShedOldest) {
-        while (projected() > cap && shed_oldest_locked()) {
-        }
+      while (cfg_.backpressure == BackpressurePolicy::ShedOldest &&
+             projected() > cap && shed_oldest_locked()) {
       }
       if (projected() > cap) {
         totals_.mem_rejected.add();
         lk.unlock();
-        count_terminal(SolveStatus::Rejected);
-        finish(std::move(done), SolveStatus::Rejected,
+        reject(std::move(done),
                "memory admission: projected footprint exceeds budget");
         return;
       }
@@ -301,7 +274,6 @@ class SolveService {
     p.tenant = std::move(req.tenant);
     p.enqueue_tp = now;
     p.deadline_tp = deadline_of(now, req.deadline_ms);
-    p.seq = next_seq_++;
     p.n = n;
     if (telemetry_.tracer.enabled()) {
       // Mint the request's identity at admission: adopt the caller's
@@ -319,18 +291,15 @@ class SolveService {
       }
       p.ctx.parent = p.root;
     }
-    buckets_[n].push_back(std::move(p));
-    ++pending_;
-    pending_bytes_ += fp;
+    queue_.push(std::move(p));
     telemetry_.metrics.observe("service.queue_depth",
-                               static_cast<double>(pending_));
+                               static_cast<double>(queue_.count()));
     lk.unlock();
     cv_sched_.notify_one();
   }
 
- public:
   /// Submits every system of a ragged batch (one request each); the
-  /// scheduler re-coalesces equal sizes — possibly together with other
+  /// supervisor re-coalesces equal sizes — possibly together with other
   /// callers' systems. Futures are in system order.
   std::vector<std::future<SolveResponse<T>>> submit_ragged(
       const solver::RaggedBatch<T>& rb) {
@@ -361,37 +330,17 @@ class SolveService {
     }
     cv_sched_.notify_all();
     cv_space_.notify_all();
-    if (scheduler_.joinable()) scheduler_.join();
+    // The supervisor returns only once the drain left nothing pending,
+    // in flight or crashed, so every worker is idle when told to stop.
+    if (supervisor_.joinable()) supervisor_.join();
     {
-      // The scheduler is gone, so shutdown takes over worker supervision:
-      // keep reviving crashed workers until every queue is drained and
-      // nothing is in flight — otherwise a crash during the drain would
-      // strand its requeued job with unfulfilled promises.
-      std::unique_lock lk(mu_);
-      for (;;) {
-        heal_workers_locked();
-        bool busy = false;
-        for (const auto& w : workers_) {
-          if (w->crashed || !w->jobs.empty() || w->queued_systems > 0) {
-            busy = true;
-            break;
-          }
-        }
-        if (!busy) break;
-        cv_sched_.wait_for(lk, std::chrono::milliseconds(1));
-      }
+      std::lock_guard lk(mu_);
       for (auto& w : workers_) w->stop = true;
     }
     for (auto& w : workers_) w->cv.notify_all();
     for (auto& w : workers_) {
       if (w->thread.joinable()) w->thread.join();
     }
-    {
-      std::lock_guard lk(mu_);
-      watchdog_stop_ = true;
-    }
-    cv_watchdog_.notify_all();
-    if (watchdog_.joinable()) watchdog_.join();
     if (!cfg_.cache_path.empty()) cache_.save_merged(cfg_.cache_path);
     std::lock_guard lk(mu_);
     stopped_ = true;
@@ -404,7 +353,7 @@ class SolveService {
   /// Requests admitted but not yet dispatched to a device.
   [[nodiscard]] std::size_t queue_depth() const {
     std::lock_guard lk(mu_);
-    return pending_;
+    return queue_.count();
   }
   [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
@@ -490,12 +439,10 @@ class SolveService {
     for (const auto& w : workers_) {
       WorkerHealth h;
       h.device = w->dev.spec().name;
-      h.breaker = w->breaker == Breaker::Open       ? "open"
-                  : w->breaker == Breaker::HalfOpen ? "half_open"
-                                                    : "closed";
+      h.breaker = w->breaker.name();
       h.restarts = w->restarts;
       h.queued_systems = w->queued_systems;
-      h.busy = w->busy;
+      h.busy = w->token != nullptr;
       out.push_back(std::move(h));
     }
     return out;
@@ -503,15 +450,11 @@ class SolveService {
 
   /// Refreshes the point-in-time gauges: queue depth, per-worker breaker
   /// state and restarts, per-lane engine utilization, buffer-pool hit
-  /// rate and host allocation count. The watchdog calls this every tick;
+  /// rate and host allocation count. The supervisor calls this every tick;
   /// callers exporting metrics mid-run may call it directly.
   void publish_gauges() {
-    if (!telemetry_.metrics.enabled()) return;
-    {
-      std::lock_guard lk(mu_);
-      publish_service_gauges_locked();
-    }
-    publish_engine_gauges();
+    std::lock_guard lk(mu_);
+    publish_gauges_locked();
   }
 
  private:
@@ -533,18 +476,14 @@ class SolveService {
   struct Job {
     std::size_t n = 0;
     std::vector<Pending> members;
-    TimePoint oldest_enqueue_tp{};
     TimePoint flush_tp{};
     const char* trigger = "size";
     std::size_t failovers = 0;  ///< workers that already gave up on it
   };
 
-  /// Per-worker circuit-breaker state (guarded by the service mutex).
-  enum class Breaker { Closed, Open, HalfOpen };
-
   struct Worker {
-    Worker(const gpusim::DeviceSpec& spec, std::size_t index)
-        : dev(spec), backoff_rng(mix64(index)) {}
+    Worker(const gpusim::DeviceSpec& spec, std::size_t index, Breaker b)
+        : dev(spec), breaker(b), backoff_rng(mix64(index)) {}
     gpusim::Device dev;
     std::thread thread;
     std::condition_variable cv;       // waits on the service mutex
@@ -555,18 +494,15 @@ class SolveService {
 
     // --- watchdog view of the in-flight job (guarded by the service
     // mutex; the token's own state is atomic) ---
-    bool busy = false;  ///< a job is being processed right now
-    std::shared_ptr<solver::CancelToken> token;
+    std::shared_ptr<solver::CancelToken> token;  ///< set while busy
     TimePoint job_deadline = TimePoint::max();  ///< earliest member deadline
     std::uint64_t last_beats = 0;
     TimePoint last_progress_tp{};
     int strikes = 0;
 
     // --- health (guarded by the service mutex) ---
-    Breaker breaker = Breaker::Closed;
-    int consecutive_failures = 0;
-    TimePoint open_until{};   ///< when an Open breaker may half-open
-    bool crashed = false;     ///< thread died; scheduler must revive it
+    Breaker breaker;
+    bool crashed = false;     ///< thread died; the supervisor revives it
     std::size_t restarts = 0;
 
     /// Retry-backoff jitter stream (worker thread only), seeded from the
@@ -575,29 +511,31 @@ class SolveService {
     std::uint64_t backoff_rng;
   };
 
+  [[nodiscard]] static Clock::duration ms(double v) {
+    return std::chrono::duration_cast<Clock::duration>(
+        std::chrono::duration<double, std::milli>(v));
+  }
   [[nodiscard]] double wall_s(TimePoint tp) const {
     return std::chrono::duration<double>(tp - start_tp_).count();
   }
   [[nodiscard]] TimePoint deadline_of(TimePoint now, double req_ms) const {
-    const double ms = req_ms > 0.0 ? req_ms : cfg_.default_deadline_ms;
-    if (ms <= 0.0) return TimePoint::max();
-    return now + std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::milli>(ms));
+    const double v = req_ms > 0.0 ? req_ms : cfg_.default_deadline_ms;
+    if (v <= 0.0) return TimePoint::max();
+    return now + ms(v);
   }
 
-  static void finish(Completion done, SolveStatus status,
-                     std::string error = {}) {
+  /// A response that carries only its terminal status.
+  [[nodiscard]] static SolveResponse<T> status_only(
+      SolveStatus status, std::string error = {},
+      TimeoutScope scope = TimeoutScope::None) {
     SolveResponse<T> resp;
     resp.status = status;
     resp.error = std::move(error);
-    done.deliver(std::move(resp));
-  }
-
-  static void finish_timeout(Completion done, TimeoutScope scope) {
-    SolveResponse<T> resp;
-    resp.status = SolveStatus::TimedOut;
     resp.timeout_scope = scope;
-    done.deliver(std::move(resp));
+    return resp;
+  }
+  [[nodiscard]] static SolveResponse<T> timed_out(TimeoutScope scope) {
+    return status_only(SolveStatus::TimedOut, {}, scope);
   }
 
   /// Histogram shape label: smallest power-of-two bucket holding n.
@@ -611,12 +549,34 @@ class SolveService {
     return sizeof(T) == 4 ? "f32" : "f64";
   }
 
-  /// Marks one request terminal for observability: closes its root span
-  /// (stamping the outcome) and records its end-to-end latency into the
-  /// per-(shape, dtype, outcome) histogram with the trace id as the
-  /// exemplar. Idempotent on the span side (root is cleared). Safe to
-  /// call with tracing and/or metrics disabled.
-  void conclude(Pending& p, const char* outcome, TimePoint now) {
+  /// Refuses a request at admission, before it became a Pending: counts
+  /// it and delivers Rejected. Called without mu_.
+  void reject(Completion done, std::string error = {}) {
+    totals_.rejected.add();
+    done(status_only(SolveStatus::Rejected, std::move(error)));
+  }
+
+  /// The one terminal path of an admitted request: counts it by status
+  /// (a timeout also by scope) before delivery, so whoever sees the
+  /// response sees counters that include it; closes its root span with
+  /// `outcome`; records its latency per (shape, dtype, outcome) with the
+  /// trace id as exemplar; delivers. Callable with or without mu_.
+  void settle(Pending& p, SolveResponse<T> resp, const char* outcome,
+              TimePoint now) {
+    switch (resp.status) {
+      case SolveStatus::Ok: totals_.completed.add(); break;
+      case SolveStatus::Rejected: totals_.rejected.add(); break;
+      case SolveStatus::Shed: totals_.shed.add(); break;
+      case SolveStatus::TimedOut:
+        totals_.timed_out.add();
+        (resp.timeout_scope == TimeoutScope::Queue ? totals_.timed_out_queue
+                                                   : totals_.timed_out_inflight)
+            .add();
+        break;
+      case SolveStatus::Failed: totals_.failed.add(); break;
+      case SolveStatus::Singular: totals_.singular.add(); break;
+      case SolveStatus::NonFinite: totals_.nonfinite.add(); break;
+    }
     if (p.root != telemetry::kInvalidSpan) {
       telemetry_.tracer.attr(p.root, "outcome", outcome);
       telemetry_.tracer.close_at(p.root, wall_s(now));
@@ -642,33 +602,25 @@ class SolveService {
                                     {"outcome", outcome}});
       telemetry_.metrics.observe(key, e2e_ms, p.ctx.trace_id);
     }
+    p.done(std::move(resp));
   }
 
-  /// Gauges that read service state. Caller holds mu_.
-  void publish_service_gauges_locked() {
+  /// See publish_gauges(). No-op while metrics are off. Caller holds mu_.
+  void publish_gauges_locked() {
     auto& mx = telemetry_.metrics;
-    mx.set("service.queue_depth_now", static_cast<double>(pending_));
+    if (!mx.enabled()) return;
+    mx.set("service.queue_depth_now", static_cast<double>(queue_.count()));
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       const Worker& w = *workers_[i];
       const std::string lane = std::to_string(i);
-      // 0 = closed, 1 = half-open, 2 = open (matches alert thresholds:
-      // anything above 0 deserves a look).
-      const double state = w.breaker == Breaker::Open       ? 2.0
-                           : w.breaker == Breaker::HalfOpen ? 1.0
-                                                            : 0.0;
       mx.set(telemetry::labeled("service.breaker_state",
                                 {{"worker", lane},
                                  {"device", w.dev.spec().name}}),
-             state);
+             w.breaker.level());
       mx.set(telemetry::labeled("service.worker_restarts_now",
                                 {{"worker", lane}}),
              static_cast<double>(w.restarts));
     }
-  }
-
-  /// Gauges that read global engine/pool state. No service lock needed.
-  void publish_engine_gauges() {
-    auto& mx = telemetry_.metrics;
     const auto lanes = gpusim::ThreadPool::global().lane_stats();
     double busy_ms = 0.0;
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -703,167 +655,37 @@ class SolveService {
     return kernels::DeviceBatch<T>::footprint_bytes(1, n);
   }
 
-  void count_terminal(SolveStatus status, std::size_t n = 1) {
-    const double k = static_cast<double>(n);
-    switch (status) {
-      case SolveStatus::Ok: totals_.completed.add(k); return;
-      case SolveStatus::Rejected: totals_.rejected.add(k); return;
-      case SolveStatus::Shed: totals_.shed.add(k); return;
-      case SolveStatus::TimedOut: totals_.timed_out.add(k); return;
-      case SolveStatus::Failed: totals_.failed.add(k); return;
-      case SolveStatus::Singular: totals_.singular.add(k); return;
-      case SolveStatus::NonFinite: totals_.nonfinite.add(k); return;
-    }
-  }
-
-  /// One request timed out in `scope` (Queue or InFlight).
-  void count_timed_out(TimeoutScope scope) {
-    count_terminal(SolveStatus::TimedOut);
-    (scope == TimeoutScope::Queue ? totals_.timed_out_queue
-                                  : totals_.timed_out_inflight)
-        .add();
-  }
-
   /// Evicts the globally oldest queued request. Returns false when the
   /// queue was already empty. Caller holds mu_.
   bool shed_oldest_locked() {
-    auto oldest_bucket = buckets_.end();
-    std::uint64_t oldest_seq = std::numeric_limits<std::uint64_t>::max();
-    for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
-      if (!it->second.empty() && it->second.front().seq < oldest_seq) {
-        oldest_seq = it->second.front().seq;
-        oldest_bucket = it;
-      }
-    }
-    if (oldest_bucket == buckets_.end()) return false;
-    Pending victim = std::move(oldest_bucket->second.front());
-    oldest_bucket->second.pop_front();
-    pending_bytes_ -= std::min(pending_bytes_,
-                               footprint_of(oldest_bucket->first));
-    if (oldest_bucket->second.empty()) buckets_.erase(oldest_bucket);
-    --pending_;
-    count_terminal(SolveStatus::Shed);
-    conclude(victim, "shed", Clock::now());
-    finish(std::move(victim.done), SolveStatus::Shed);
+    std::optional<Pending> victim = queue_.shed_oldest();
+    if (!victim) return false;
+    settle(*victim, status_only(SolveStatus::Shed), "shed", Clock::now());
     return true;
   }
 
-  /// Times out every queued request whose deadline lapsed. Caller holds
-  /// mu_.
-  void expire_overdue_locked(TimePoint now) {
-    for (auto it = buckets_.begin(); it != buckets_.end();) {
-      auto& dq = it->second;
-      for (auto p = dq.begin(); p != dq.end();) {
-        if (p->deadline_tp <= now) {
-          count_timed_out(TimeoutScope::Queue);
-          conclude(*p, "timed_out", now);
-          finish_timeout(std::move(p->done), TimeoutScope::Queue);
-          p = dq.erase(p);
-          --pending_;
-          pending_bytes_ -= std::min(pending_bytes_,
-                                     footprint_of(it->first));
-        } else {
-          ++p;
-        }
-      }
-      it = dq.empty() ? buckets_.erase(it) : std::next(it);
-    }
-  }
-
-  /// Earliest instant at which a trigger can fire (bucket age reaching
-  /// flush_interval_ms, or a request deadline). Caller holds mu_.
-  [[nodiscard]] TimePoint next_event_locked() const {
-    TimePoint wake = TimePoint::max();
-    const auto interval = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(cfg_.flush_interval_ms));
-    for (const auto& [n, dq] : buckets_) {
-      if (dq.empty()) continue;
-      wake = std::min(wake, dq.front().enqueue_tp + interval);
-      for (const auto& p : dq) wake = std::min(wake, p.deadline_tp);
-    }
-    return wake;
-  }
-
-  /// True when the breaker admits new work on this worker: Closed or
-  /// HalfOpen always; Open flips to HalfOpen (one probe) once the
-  /// cooldown elapsed. Caller holds mu_.
-  [[nodiscard]] bool breaker_admits_locked(Worker& w, TimePoint now) {
-    if (w.breaker != Breaker::Open) return true;
-    if (w.open_until > now) return false;
-    w.breaker = Breaker::HalfOpen;
-    totals_.breaker_half_open.add();
-    return true;
-  }
-
-  /// Picks the worker for a flush of `systems` systems, steering around
-  /// open breakers; when every breaker is open the least-recently
-  /// opened worker takes the job (its queue feeds the eventual probe).
-  /// Caller holds mu_.
-  [[nodiscard]] Worker* pick_worker_locked(std::size_t systems) {
-    const TimePoint now = Clock::now();
+  /// The least-loaded worker whose breaker admits work, skipping
+  /// `exclude`; nullptr when every candidate's breaker is open. Dispatch
+  /// and device failover both choose through here. Caller holds mu_.
+  [[nodiscard]] Worker* pick_worker_locked(TimePoint now,
+                                           const Worker* exclude = nullptr) {
     Worker* chosen = nullptr;
-    if (cfg_.dispatch == DispatchPolicy::RoundRobin) {
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        Worker* cand = workers_[rr_next_ % workers_.size()].get();
-        ++rr_next_;
-        if (breaker_admits_locked(*cand, now)) {
-          chosen = cand;
-          break;
-        }
-      }
-    } else {
-      for (auto& w : workers_) {
-        if (!breaker_admits_locked(*w, now)) continue;
-        if (chosen == nullptr || w->queued_systems < chosen->queued_systems)
-          chosen = w.get();
-      }
+    for (auto& w : workers_) {
+      if (w.get() == exclude || !w->breaker.admits(now)) continue;
+      if (chosen == nullptr || w->queued_systems < chosen->queued_systems)
+        chosen = w.get();
     }
-    if (chosen == nullptr) {
-      for (auto& w : workers_) {
-        if (chosen == nullptr || w->open_until < chosen->open_until)
-          chosen = w.get();
-      }
-    }
-    chosen->queued_systems += systems;
     return chosen;
   }
 
-  /// Breaker bookkeeping after one device attempt. Called by workers
-  /// (which do not hold mu_).
-  void record_device_result(Worker& w, bool success) {
-    bool opened = false;
-    {
-      std::lock_guard lk(mu_);
-      if (success) {
-        w.consecutive_failures = 0;
-        if (w.breaker != Breaker::Closed) {
-          w.breaker = Breaker::Closed;
-          totals_.breaker_closed.add();
-        }
-        return;
-      }
-      ++w.consecutive_failures;
-      if (w.breaker == Breaker::HalfOpen ||
-          (w.breaker == Breaker::Closed &&
-           w.consecutive_failures >= kBreakerThreshold)) {
-        w.breaker = Breaker::Open;
-        w.open_until =
-            Clock::now() +
-            std::chrono::duration_cast<Clock::duration>(
-                std::chrono::duration<double, std::milli>(
-                    cfg_.resilience.breaker_cooldown_ms));
-        opened = true;
-      }
-    }
-    if (opened) totals_.breaker_opens.add();
-  }
-
-  /// Any worker thread awaiting revival? Caller holds mu_.
-  [[nodiscard]] bool any_crashed_locked() const {
-    for (const auto& w : workers_) {
-      if (w->crashed) return true;
-    }
-    return false;
+  /// Queues `job` on `w`, charging its systems and bytes to the worker.
+  /// Caller holds mu_.
+  void assign_locked(Worker& w, Job job) {
+    const std::size_t systems = job.members.size();
+    w.queued_systems += systems;
+    w.queued_bytes += systems * footprint_of(job.n);
+    w.jobs.push_back(std::move(job));
+    w.cv.notify_one();
   }
 
   /// Joins and respawns every crashed worker thread. Its queue (including
@@ -884,46 +706,35 @@ class SolveService {
 
   /// Flushes every triggered bucket to a worker. Caller holds mu_.
   void dispatch_ready_locked(TimePoint now) {
-    const auto interval = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(cfg_.flush_interval_ms));
-    bool freed = false;
-    for (auto it = buckets_.begin(); it != buckets_.end();) {
-      auto& dq = it->second;
+    const auto interval = ms(cfg_.flush_interval_ms);
+    for (const std::size_t n : queue_.shapes()) {
       // Carve jobs of at most flush_systems while a trigger holds:
       // flush_systems is both the size trigger and the batch-size cap, so
       // a deep bucket spreads over the worker pool instead of landing as
       // one oversized batch on a single device.
       for (;;) {
+        const std::size_t queued = queue_.size(n);
         const char* trigger = nullptr;
         telemetry::Counter trigger_total;
-        if (dq.empty()) {
+        if (queued == 0) {
           break;
         } else if (draining_) {
           trigger = "drain";
           trigger_total = totals_.flush_drain;
-        } else if (dq.size() >= cfg_.flush_systems) {
+        } else if (queued >= cfg_.flush_systems) {
           trigger = "size";
           trigger_total = totals_.flush_size;
-        } else if (dq.front().enqueue_tp + interval <= now) {
+        } else if (queue_.front(n).enqueue_tp + interval <= now) {
           trigger = "interval";
           trigger_total = totals_.flush_interval;
         }
         if (trigger == nullptr) break;
         Job job;
-        job.n = it->first;
+        job.n = n;
         job.trigger = trigger;
         job.flush_tp = now;
-        job.oldest_enqueue_tp = dq.front().enqueue_tp;
-        const std::size_t take = std::min(dq.size(), cfg_.flush_systems);
-        job.members.reserve(take);
-        for (std::size_t i = 0; i < take; ++i) {
-          job.members.push_back(std::move(dq.front()));
-          dq.pop_front();
-        }
-        pending_ -= take;
-        pending_bytes_ -=
-            std::min(pending_bytes_, take * footprint_of(it->first));
-        freed = true;
+        job.members = queue_.take(n, cfg_.flush_systems);
+        const std::size_t take = job.members.size();
         totals_.flushes.add();
         trigger_total.add();
         totals_.coalesced_systems.add(static_cast<double>(take));
@@ -935,32 +746,90 @@ class SolveService {
         telemetry_.metrics.observe("service.batch_occupancy",
                                    static_cast<double>(take));
         telemetry_.metrics.observe("service.queue_depth",
-                                   static_cast<double>(pending_));
-        Worker* w = pick_worker_locked(take);
-        w->queued_bytes += take * footprint_of(it->first);
-        w->jobs.push_back(std::move(job));
-        w->cv.notify_one();
+                                   static_cast<double>(queue_.count()));
+        Worker* w = pick_worker_locked(now);
+        if (w == nullptr) {
+          // Every breaker is open: the least-recently opened worker takes
+          // the job (its queue feeds the eventual probe).
+          w = std::min_element(workers_.begin(), workers_.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a->breaker.open_until() <
+                                        b->breaker.open_until();
+                               })
+                  ->get();
+        }
+        assign_locked(*w, std::move(job));
       }
-      it = dq.empty() ? buckets_.erase(it) : std::next(it);
     }
-    if (freed) cv_space_.notify_all();
   }
 
-  void scheduler_loop() {
+  /// The watchdog: cancels a job past its earliest member deadline, and
+  /// strikes a worker whose heartbeat stood still for stall_threshold_ms;
+  /// kStallStrikes in a row trip its breaker. Caller holds mu_.
+  void watch_workers_locked(TimePoint now) {
+    const auto stall_threshold = ms(cfg_.watchdog.stall_threshold_ms);
+    for (auto& wp : workers_) {
+      Worker& w = *wp;
+      if (w.token == nullptr) {
+        w.strikes = 0;
+        continue;
+      }
+      if (w.job_deadline <= now && !w.token->cancelled()) {
+        w.token->cancel();
+        totals_.watchdog_cancels.add();
+      }
+      const std::uint64_t beats = w.token->beats();
+      if (beats != w.last_beats) {
+        w.last_beats = beats;
+        w.last_progress_tp = now;
+        w.strikes = 0;
+      } else if (now - w.last_progress_tp >= stall_threshold) {
+        ++w.strikes;
+        w.last_progress_tp = now;
+        totals_.watchdog_stalls.add();
+        if (w.strikes >= kStallStrikes) {
+          w.strikes = 0;
+          w.breaker.trip(now);
+        }
+      }
+    }
+  }
+
+  /// Each pass heals crashed workers, expires overdue queued requests,
+  /// dispatches ready buckets, samples busy workers and publishes gauges,
+  /// then sleeps until the next flush or deadline event, at most
+  /// kWatchdogIntervalMs. Gauges refresh once per interval, not on every
+  /// submission's wake-up (their labeled keys are not free). Returns once
+  /// a drain is done.
+  void supervisor_loop() {
+    const auto tick = ms(kWatchdogIntervalMs);
+    const auto flush_interval = ms(cfg_.flush_interval_ms);
+    TimePoint next_gauges{};
     std::unique_lock lk(mu_);
     for (;;) {
+      const TimePoint now = Clock::now();
+      const std::size_t queued = queue_.count();
       heal_workers_locked();
-      expire_overdue_locked(Clock::now());
-      dispatch_ready_locked(Clock::now());
-      if (draining_ && pending_ == 0) return;
-      const TimePoint wake = next_event_locked();
-      if (wake == TimePoint::max()) {
-        cv_sched_.wait(lk, [this] {
-          return draining_ || pending_ > 0 || any_crashed_locked();
-        });
-      } else {
-        cv_sched_.wait_until(lk, wake);
+      for (Pending& p : queue_.expire(now)) {
+        settle(p, timed_out(TimeoutScope::Queue), "timed_out", now);
       }
+      dispatch_ready_locked(now);
+      watch_workers_locked(now);
+      if (now >= next_gauges) {
+        publish_gauges_locked();
+        next_gauges = now + tick;
+      }
+      // Whatever shrank the queue, Block submitters get to retry.
+      if (queue_.count() < queued) cv_space_.notify_all();
+      // Drained: nothing pending and no worker holding work (queued_systems
+      // covers queued jobs, the job in flight and a crashed thread's job).
+      if (draining_ && queue_.empty() &&
+          std::all_of(workers_.begin(), workers_.end(),
+                      [](const auto& w) { return w->queued_systems == 0; })) {
+        return;
+      }
+      cv_sched_.wait_until(
+          lk, std::min(queue_.next_wake(flush_interval), now + tick));
     }
   }
 
@@ -977,7 +846,7 @@ class SolveService {
       auto& inj = faults::FaultInjector::global();
       if (inj.fire(faults::Site::WorkerCrash)) {
         // Simulated thread death. The job is requeued intact (no promise
-        // has been touched yet) and the scheduler revives the thread.
+        // has been touched yet) and the supervisor revives the thread.
         totals_.faults_worker_crash.add();
         w.jobs.push_front(std::move(job));
         w.crashed = true;
@@ -987,7 +856,6 @@ class SolveService {
 
       // Publish the in-flight job to the watchdog before dropping the
       // lock: earliest member deadline + a fresh heartbeat token.
-      w.busy = true;
       w.token = std::make_shared<solver::CancelToken>();
       w.job_deadline = TimePoint::max();
       for (const auto& p : job.members) {
@@ -1003,64 +871,8 @@ class SolveService {
       lk.lock();
       w.queued_systems -= systems;
       w.queued_bytes -= std::min(w.queued_bytes, bytes);
-      w.busy = false;
       w.token.reset();
       if (draining_) cv_sched_.notify_all();
-    }
-  }
-
-  /// Samples every busy worker: cancels jobs past their deadline and
-  /// issues stall strikes when a solve's heartbeat stops advancing;
-  /// enough consecutive strikes open the worker's breaker so dispatch
-  /// steers away from the stalled device.
-  void watchdog_loop() {
-    const auto interval = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(
-            std::max(cfg_.watchdog.interval_ms, 0.05)));
-    const auto stall_threshold =
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double, std::milli>(
-                cfg_.watchdog.stall_threshold_ms));
-    std::unique_lock lk(mu_);
-    while (!watchdog_stop_) {
-      const TimePoint now = Clock::now();
-      for (auto& wp : workers_) {
-        Worker& w = *wp;
-        if (w.crashed || !w.busy || w.token == nullptr) {
-          w.strikes = 0;
-          continue;
-        }
-        if (w.job_deadline <= now && !w.token->cancelled()) {
-          w.token->cancel();
-          totals_.watchdog_cancels.add();
-        }
-        const std::uint64_t beats = w.token->beats();
-        if (beats != w.last_beats) {
-          w.last_beats = beats;
-          w.last_progress_tp = now;
-          w.strikes = 0;
-        } else if (now - w.last_progress_tp >= stall_threshold) {
-          ++w.strikes;
-          w.last_progress_tp = now;
-          totals_.watchdog_stalls.add();
-          if (w.strikes >= cfg_.watchdog.stall_strikes) {
-            w.strikes = 0;
-            if (w.breaker != Breaker::Open) {
-              w.breaker = Breaker::Open;
-              w.open_until =
-                  now + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double, std::milli>(
-                                cfg_.resilience.breaker_cooldown_ms));
-              totals_.breaker_opens.add();
-            }
-          }
-        }
-      }
-      if (telemetry_.metrics.enabled()) {
-        publish_service_gauges_locked();
-        publish_engine_gauges();
-      }
-      cv_watchdog_.wait_for(lk, interval);
     }
   }
 
@@ -1077,9 +889,7 @@ class SolveService {
     live.reserve(job.members.size());
     for (auto& p : job.members) {
       if (p.deadline_tp <= t_pickup) {
-        count_timed_out(TimeoutScope::Queue);
-        conclude(p, "timed_out", t_pickup);
-        finish_timeout(std::move(p.done), TimeoutScope::Queue);
+        settle(p, timed_out(TimeoutScope::Queue), "timed_out", t_pickup);
       } else {
         live.push_back(std::move(p));
       }
@@ -1196,13 +1006,17 @@ class SolveService {
         // falls back to the pivoting CPU path: only device faults and
         // cancellation reach the handlers below.
         out = pipeline.solve(batch, token);
-        record_device_result(w, true);
+        std::lock_guard lk(mu_);
+        w.breaker.success();
         solved = true;
       } catch (const solver::SolveCancelled&) {
         cancelled = true;
         break;
-      } catch (const faults::DeviceFault& e) {
-        record_device_result(w, false);
+      } catch (const faults::DeviceFault&) {
+        {
+          std::lock_guard lk(mu_);
+          w.breaker.failure(Clock::now());
+        }
         totals_.faults_device.add();
         if (attempt < kMaxRetries) {
           ++batch_retries;
@@ -1217,7 +1031,6 @@ class SolveService {
           continue;
         }
         device_exhausted = true;
-        error = e.what();
         break;
       } catch (const std::exception& e) {
         // Numerical errors are absorbed by the pipeline; anything else
@@ -1242,85 +1055,58 @@ class SolveService {
           // emits a second batch span under the same request tree.
           requeue.push_back(std::move(p));
         } else {
-          count_timed_out(TimeoutScope::InFlight);
-          conclude(p, "timed_out", now);
-          finish_timeout(std::move(p.done), TimeoutScope::InFlight);
+          settle(p, timed_out(TimeoutScope::InFlight), "timed_out", now);
         }
       }
       if (!requeue.empty()) {
         totals_.timeout_requeues.add(static_cast<double>(requeue.size()));
-        auto& dq = buckets_[n];
-        for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-          dq.push_front(std::move(*it));
-        }
-        pending_ += requeue.size();
-        pending_bytes_ += requeue.size() * footprint_of(n);
+        queue_.requeue_front(std::move(requeue));
         cv_sched_.notify_all();
       }
       return;
     }
 
-    if (!solved && device_exhausted) {
+    if (device_exhausted) {
       // Retries on this device are spent. Hand the whole job to another
       // worker (bounded by the pool size so it cannot ping-pong
       // forever), or solve it on the CPU as the last resort.
-      if (workers_.size() > 1 && job.failovers + 1 < workers_.size()) {
+      if (job.failovers + 1 < workers_.size()) {
         std::lock_guard lk(mu_);
-        Worker* alt = nullptr;
-        const TimePoint now = Clock::now();
-        for (auto& cand : workers_) {
-          if (cand.get() == &w) continue;
-          if (!breaker_admits_locked(*cand, now)) continue;
-          if (alt == nullptr || cand->queued_systems < alt->queued_systems)
-            alt = cand.get();
-        }
-        if (alt != nullptr) {
+        if (Worker* alt = pick_worker_locked(Clock::now(), &w)) {
           ++job.failovers;
           job.members = std::move(live);
-          alt->queued_systems += job.members.size();
-          alt->queued_bytes += job.members.size() * footprint_of(n);
-          alt->jobs.push_back(std::move(job));
-          alt->cv.notify_one();
+          assign_locked(*alt, std::move(job));
           totals_.failovers.add();
           return;
         }
       }
-      if (res.cpu_failover) {
-        totals_.cpu_failovers.add();
-        out = {};
-        out.status.resize(m);
-        for (std::size_t i = 0; i < m; ++i) {
-          out.status[i] = solver::pivoting_fallback<T>(batch.system(i),
-                                                       batch.solution(i));
-        }
-        solved = true;
-        error.clear();
+      totals_.cpu_failovers.add();
+      out = {};
+      out.status.resize(m);
+      for (std::size_t i = 0; i < m; ++i) {
+        out.status[i] = solver::pivoting_fallback<T>(batch.system(i),
+                                                     batch.solution(i));
       }
+      solved = true;
     }
     const TimePoint t_solve1 = Clock::now();
 
     if (!solved) {
-      count_terminal(SolveStatus::Failed, m);
       for (auto& p : live) {
-        conclude(p, "failed", t_solve1);
-        finish(std::move(p.done), SolveStatus::Failed, error);
+        settle(p, status_only(SolveStatus::Failed, error), "failed",
+               t_solve1);
       }
       return;
     }
 
-    const solver::StatusCounts tally = out.counts();
-    const std::size_t n_fallback = tally.fallback_used;
-    const std::size_t quarantined = out.quarantined;
+    const std::size_t n_fallback = out.counts().fallback_used;
     const solver::SolveStats& stats = out.stats;
 
+    // Batch totals land BEFORE the first delivery (settle counts each
+    // request before delivering it).
     totals_.device_ms.add(stats.total_ms);
-    // Account BEFORE fulfilling promises: anyone who has observed a
-    // future resolve must see counters that include that request.
-    count_terminal(SolveStatus::Ok, tally.solved());
-    count_terminal(SolveStatus::Singular, tally.singular);
-    count_terminal(SolveStatus::NonFinite, tally.nonfinite);
     totals_.fallbacks.add(static_cast<double>(n_fallback));
-    totals_.quarantined.add(static_cast<double>(quarantined));
+    totals_.quarantined.add(static_cast<double>(out.quarantined));
     totals_.chunks.add(static_cast<double>(out.chunks));
     if (out.chunks > 1) totals_.chunked_solves.add();
     totals_.oom_events.add(static_cast<double>(out.oom_events));
@@ -1374,8 +1160,7 @@ class SolveService {
                   static_cast<double>(batch_retries));
         }
       }
-      conclude(live[i], outcome, t_solve1);
-      live[i].done.deliver(std::move(resp));
+      settle(live[i], std::move(resp), outcome, t_solve1);
     }
     const TimePoint t_done = Clock::now();
 
@@ -1395,7 +1180,7 @@ class SolveService {
         return id;
       };
       const auto enq =
-          span("enqueue", job.oldest_enqueue_tp, job.flush_tp, bctx);
+          span("enqueue", live.front().enqueue_tp, job.flush_tp, bctx);
       tr.attr(enq, "trigger", job.trigger);
       span("flush", job.flush_tp, t_solve0, under_batch);
       const auto slv = span("solve", t_solve0, t_solve1, under_batch);
@@ -1416,20 +1201,13 @@ class SolveService {
   mutable std::mutex mu_;
   std::condition_variable cv_sched_;
   std::condition_variable cv_space_;
-  std::map<std::size_t, std::deque<Pending>> buckets_;  // keyed by n
-  std::size_t pending_ = 0;
-  std::size_t pending_bytes_ = 0;  ///< device footprint of queued requests
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t rr_next_ = 0;
+  PendingQueue<Pending> queue_{&footprint_of};
   bool accepting_ = true;
   bool draining_ = false;
   bool stopped_ = false;
-  bool watchdog_stop_ = false;  // guarded by mu_
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::thread scheduler_;
-  std::thread watchdog_;
-  std::condition_variable cv_watchdog_;
+  std::thread supervisor_;
   std::size_t total_mem_budget_ = 0;  ///< summed worker budgets (const)
 
   tuning::TuningCache cache_;

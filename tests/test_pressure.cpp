@@ -366,9 +366,7 @@ TEST(ServiceWatchdog, StalledSolveTimesOutInFlight) {
   ServiceConfig cfg;
   cfg.flush_systems = 1;
   cfg.flush_interval_ms = 0.0;  // immediate pickup
-  cfg.watchdog.interval_ms = 1.0;
   cfg.watchdog.stall_threshold_ms = 20.0;
-  cfg.watchdog.stall_strikes = 3;
   SolveService<double> svc(one_device(), cfg);
 
   // Deadline (30 ms) lapses inside the 300 ms injected stall: the
@@ -398,7 +396,6 @@ TEST(ServiceWatchdog, UnexpiredBatchmateIsRequeuedAndCompletes) {
   ServiceConfig cfg;
   cfg.flush_systems = 2;  // both requests coalesce into one job
   cfg.flush_interval_ms = 50.0;  // lets the requeued single re-flush
-  cfg.watchdog.interval_ms = 1.0;
   SolveService<double> svc(one_device(), cfg);
 
   auto doomed = svc.submit(make_request(64, 2, 30.0));

@@ -1,7 +1,8 @@
 // Tests for the solve service: shape-bucketed coalescing, admission
 // control (block / reject / shed-oldest), deadlines, multi-device
-// dispatch, the shared tuning cache, graceful shutdown, and the
-// telemetry wiring. The Hammer tests are the ones the CI TSan job runs.
+// dispatch, the pending queue and the circuit breaker as units, the
+// shared tuning cache, graceful shutdown, and the telemetry wiring. The
+// Hammer tests are the ones the CI TSan job runs.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,8 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <optional>
 #include <set>
 #include <span>
 #include <sstream>
@@ -18,7 +21,10 @@
 #include "common/rng.hpp"
 #include "faults/faults.hpp"
 #include "gpusim/device.hpp"
+#include "service/breaker.hpp"
+#include "service/pending_queue.hpp"
 #include "service/solve_service.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -202,12 +208,36 @@ TEST(SolveService, BlockPolicyWaitsForSpace) {
   cfg.queue_capacity = 1;
   cfg.backpressure = BackpressurePolicy::Block;
   cfg.flush_systems = 1000;
-  cfg.flush_interval_ms = 5.0;  // scheduler frees the slot shortly
+  cfg.flush_interval_ms = 5.0;  // supervisor frees the slot shortly
   SolveService<double> svc(one_device(), cfg);
   auto f1 = svc.submit(make_request(64, 1));
   auto f2 = svc.submit(make_request(64, 2));  // blocks until f1 flushes
   EXPECT_EQ(f1.get().status, SolveStatus::Ok);
   EXPECT_EQ(f2.get().status, SolveStatus::Ok);
+}
+
+TEST(SolveService, BlockedSubmitWakesWhenQueuedRequestExpires) {
+  ServiceConfig cfg;
+  cfg.queue_capacity = 1;
+  cfg.backpressure = BackpressurePolicy::Block;
+  cfg.flush_interval_ms = 10'000.0;  // only the deadline frees the slot
+  SolveService<double> svc(one_device(), cfg);
+  auto a = svc.submit(make_request(64, 1, 5.0));
+
+  std::promise<void> admitted;
+  auto admitted_fut = admitted.get_future();
+  std::future<SolveResponse<double>> b;
+  std::thread submitter([&] {
+    b = svc.submit(make_request(64, 2));  // blocks: the queue is full
+    admitted.set_value();
+  });
+  EXPECT_EQ(a.get().status, SolveStatus::TimedOut);
+  // A's expiry frees the slot, so B is admitted long before shutdown.
+  EXPECT_EQ(admitted_fut.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
+  svc.shutdown();
+  submitter.join();
+  EXPECT_EQ(b.get().status, SolveStatus::Ok);
 }
 
 // ---------- deadlines ----------
@@ -217,7 +247,7 @@ TEST(SolveService, DeadlineTimesOutQueuedRequest) {
   cfg.queue_capacity = 16;
   SolveService<double> svc(one_device(), cfg);
   auto fut = svc.submit(make_request(64, 1, /*deadline_ms=*/2.0));
-  auto resp = fut.get();  // scheduler wakes at the deadline
+  auto resp = fut.get();  // supervisor wakes at the deadline
   EXPECT_EQ(resp.status, SolveStatus::TimedOut);
   EXPECT_EQ(svc.counters().timed_out, 1u);
 }
@@ -233,29 +263,9 @@ TEST(SolveService, DefaultDeadlineApplies) {
 
 // ---------- multi-device dispatch ----------
 
-TEST(SolveService, RoundRobinSpreadsAcrossDevices) {
-  ServiceConfig cfg;
-  cfg.flush_systems = 1;  // every request is its own flush
-  cfg.dispatch = DispatchPolicy::RoundRobin;
-  SolveService<double> svc(
-      {gpusim::geforce_gtx_470(), gpusim::geforce_gtx_280()}, cfg);
-  ASSERT_EQ(svc.num_workers(), 2u);
-  std::set<std::string> devices;
-  std::vector<std::future<SolveResponse<double>>> futs;
-  for (int i = 0; i < 8; ++i)
-    futs.push_back(svc.submit(make_request(64, 400 + i)));
-  for (auto& f : futs) {
-    auto resp = f.get();
-    ASSERT_EQ(resp.status, SolveStatus::Ok);
-    devices.insert(resp.device);
-  }
-  EXPECT_EQ(devices.size(), 2u);
-}
-
 TEST(SolveService, LeastLoadedUsesBothDevices) {
   ServiceConfig cfg;
   cfg.flush_systems = 1;
-  cfg.dispatch = DispatchPolicy::LeastLoaded;
   SolveService<double> svc(
       {gpusim::geforce_gtx_470(), gpusim::geforce_gtx_470()}, cfg);
   std::vector<std::future<SolveResponse<double>>> futs;
@@ -263,6 +273,200 @@ TEST(SolveService, LeastLoadedUsesBothDevices) {
     futs.push_back(svc.submit(make_request(256, 500 + i)));
   for (auto& f : futs) EXPECT_EQ(f.get().status, SolveStatus::Ok);
   EXPECT_EQ(svc.counters().completed, 32u);
+}
+
+// ---------- pending queue (no threads, explicit time points) ----------
+
+using QClock = std::chrono::steady_clock;
+
+struct QItem {
+  std::size_t n = 0;
+  QClock::time_point enqueue_tp{};
+  QClock::time_point deadline_tp = QClock::time_point::max();
+  std::uint64_t seq = 0;
+  int id = 0;
+};
+
+std::size_t q_footprint(std::size_t n) { return 10 * n; }
+
+QItem q_item(std::size_t n, int id, QClock::time_point enq,
+             QClock::time_point deadline = QClock::time_point::max()) {
+  QItem it;
+  it.n = n;
+  it.id = id;
+  it.enqueue_tp = enq;
+  it.deadline_tp = deadline;
+  return it;
+}
+
+std::vector<int> ids(const std::vector<QItem>& items) {
+  std::vector<int> out;
+  for (const auto& it : items) out.push_back(it.id);
+  return out;
+}
+
+TEST(SolveServiceQueue, CountAndBytesStayExact) {
+  const QClock::time_point t0{};
+  const auto ms = [](int v) { return std::chrono::milliseconds(v); };
+  PendingQueue<QItem> q(&q_footprint);
+  q.push(q_item(4, 1, t0));
+  q.push(q_item(4, 2, t0 + ms(1), t0 + ms(5)));
+  q.push(q_item(8, 3, t0 + ms(2)));
+  q.push(q_item(8, 4, t0 + ms(3)));
+  EXPECT_EQ(q.count(), 4u);
+  EXPECT_EQ(q.bytes(), 2 * 40u + 2 * 80u);
+
+  auto taken = q.take(8, 1);  // take
+  EXPECT_EQ(ids(taken), std::vector<int>{3});
+  EXPECT_EQ(q.count(), 3u);
+  EXPECT_EQ(q.bytes(), 2 * 40u + 80u);
+
+  q.requeue_front(std::move(taken));  // requeue
+  EXPECT_EQ(q.count(), 4u);
+  EXPECT_EQ(q.bytes(), 2 * 40u + 2 * 80u);
+
+  EXPECT_EQ(ids(q.expire(t0 + ms(5))), std::vector<int>{2});  // expire
+  EXPECT_EQ(q.count(), 3u);
+  EXPECT_EQ(q.bytes(), 40u + 2 * 80u);
+
+  ASSERT_TRUE(q.shed_oldest().has_value());  // shed
+  EXPECT_EQ(q.count(), 2u);
+  EXPECT_EQ(q.bytes(), 2 * 80u);
+  EXPECT_EQ(q.shapes(), std::vector<std::size_t>{8});
+
+  EXPECT_EQ(q.take(8, 5).size(), 2u);  // k beyond the bucket
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.bytes(), 0u);
+  EXPECT_TRUE(q.shapes().empty());
+  EXPECT_FALSE(q.shed_oldest().has_value());
+  EXPECT_TRUE(q.take(8, 1).empty());
+}
+
+TEST(SolveServiceQueue, ShedOldestPicksGloballyOldest) {
+  const QClock::time_point t0{};
+  PendingQueue<QItem> q(&q_footprint);
+  q.push(q_item(64, 1, t0));
+  q.push(q_item(16, 2, t0));
+  q.push(q_item(64, 3, t0));
+  q.push(q_item(16, 4, t0));
+  // Bucket 16 comes first by key, but request 1 (bucket 64) was
+  // admitted first: admission order decides, not the bucket order.
+  std::vector<int> shed;
+  while (auto victim = q.shed_oldest()) shed.push_back(victim->id);
+  EXPECT_EQ(shed, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(SolveServiceQueue, RequeuedMembersReturnToFrontInOrder) {
+  const QClock::time_point t0{};
+  PendingQueue<QItem> q(&q_footprint);
+  for (int id = 1; id <= 5; ++id) q.push(q_item(32, id, t0));
+  auto job = q.take(32, 3);
+  ASSERT_EQ(ids(job), (std::vector<int>{1, 2, 3}));
+  q.push(q_item(32, 6, t0));
+  q.requeue_front(std::move(job));
+  EXPECT_EQ(q.front(32).id, 1);
+  EXPECT_EQ(ids(q.take(32, 6)), (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  // Requeued requests keep their admission order for shedding too.
+  q.push(q_item(32, 7, t0));
+  q.push(q_item(48, 8, t0));
+  auto again = q.take(32, 1);
+  q.requeue_front(std::move(again));
+  EXPECT_EQ(q.shed_oldest()->id, 7);
+}
+
+TEST(SolveServiceQueue, NextWakeIsEarliestFlushOrDeadline) {
+  const QClock::time_point t0{};
+  const auto ms = [](int v) { return std::chrono::milliseconds(v); };
+  PendingQueue<QItem> q(&q_footprint);
+  EXPECT_EQ(q.next_wake(ms(2)), QClock::time_point::max());
+  q.push(q_item(4, 1, t0 + ms(10)));
+  q.push(q_item(8, 2, t0 + ms(20)));
+  // Oldest head (t0 + 10) plus the interval.
+  EXPECT_EQ(q.next_wake(ms(2)), t0 + ms(12));
+  // A deadline behind a bucket head counts as well.
+  q.push(q_item(8, 3, t0 + ms(21), t0 + ms(11)));
+  EXPECT_EQ(q.next_wake(ms(2)), t0 + ms(11));
+  EXPECT_EQ(q.next_wake(ms(0)), t0 + ms(10));
+}
+
+// ---------- circuit breaker (no threads, explicit time points) ----------
+
+struct BreakerFixture {
+  telemetry::MetricsRegistry reg;
+  Breaker::Transitions counts{reg.counter_handle("open"),
+                              reg.counter_handle("half_open"),
+                              reg.counter_handle("closed")};
+  Breaker breaker{counts, std::chrono::milliseconds(25)};
+  QClock::time_point t0{};
+
+  double opened() const { return counts.opened.value(); }
+  double half_opened() const { return counts.half_opened.value(); }
+  double closed() const { return counts.closed.value(); }
+};
+
+TEST(SolveServiceBreaker, OpensAtThresholdConsecutiveFailures) {
+  BreakerFixture f;
+  for (int i = 0; i < kBreakerThreshold - 1; ++i) f.breaker.failure(f.t0);
+  f.breaker.success();  // a success breaks the run
+  for (int i = 0; i < kBreakerThreshold - 1; ++i) f.breaker.failure(f.t0);
+  EXPECT_EQ(f.breaker.state(), Breaker::State::Closed);
+  EXPECT_TRUE(f.breaker.admits(f.t0));
+  f.breaker.failure(f.t0);
+  EXPECT_EQ(f.breaker.state(), Breaker::State::Open);
+  EXPECT_STREQ(f.breaker.name(), "open");
+  EXPECT_EQ(f.breaker.level(), 2.0);
+  EXPECT_EQ(f.opened(), 1.0);
+  EXPECT_EQ(f.closed(), 0.0);  // success while Closed is no transition
+}
+
+TEST(SolveServiceBreaker, RefusesUntilCooldownThenHalfOpens) {
+  BreakerFixture f;
+  for (int i = 0; i < kBreakerThreshold; ++i) f.breaker.failure(f.t0);
+  const auto cooldown = std::chrono::milliseconds(25);
+  EXPECT_FALSE(f.breaker.admits(f.t0));
+  EXPECT_FALSE(f.breaker.admits(f.t0 + cooldown - std::chrono::microseconds(1)));
+  EXPECT_EQ(f.half_opened(), 0.0);
+  EXPECT_TRUE(f.breaker.admits(f.t0 + cooldown));
+  EXPECT_EQ(f.breaker.state(), Breaker::State::HalfOpen);
+  EXPECT_STREQ(f.breaker.name(), "half_open");
+  EXPECT_EQ(f.breaker.level(), 1.0);
+  EXPECT_EQ(f.half_opened(), 1.0);
+  EXPECT_TRUE(f.breaker.admits(f.t0 + cooldown));  // no second transition
+  EXPECT_EQ(f.half_opened(), 1.0);
+}
+
+TEST(SolveServiceBreaker, HalfOpenFailureReopensSuccessCloses) {
+  BreakerFixture f;
+  const auto cooldown = std::chrono::milliseconds(25);
+  for (int i = 0; i < kBreakerThreshold; ++i) f.breaker.failure(f.t0);
+  ASSERT_TRUE(f.breaker.admits(f.t0 + cooldown));
+  const auto t1 = f.t0 + cooldown;
+  f.breaker.failure(t1);  // one failed probe is enough
+  EXPECT_EQ(f.breaker.state(), Breaker::State::Open);
+  EXPECT_EQ(f.opened(), 2.0);
+  EXPECT_EQ(f.breaker.open_until(), t1 + cooldown);
+  EXPECT_FALSE(f.breaker.admits(t1));
+  ASSERT_TRUE(f.breaker.admits(t1 + cooldown));
+  f.breaker.success();
+  EXPECT_EQ(f.breaker.state(), Breaker::State::Closed);
+  EXPECT_STREQ(f.breaker.name(), "closed");
+  EXPECT_EQ(f.breaker.level(), 0.0);
+  EXPECT_EQ(f.closed(), 1.0);
+}
+
+TEST(SolveServiceBreaker, WatchdogTripOpensUnlessAlreadyOpen) {
+  BreakerFixture f;
+  const auto cooldown = std::chrono::milliseconds(25);
+  f.breaker.trip(f.t0);  // from Closed
+  EXPECT_EQ(f.breaker.state(), Breaker::State::Open);
+  EXPECT_EQ(f.opened(), 1.0);
+  f.breaker.trip(f.t0 + std::chrono::milliseconds(5));  // already Open
+  EXPECT_EQ(f.opened(), 1.0);
+  EXPECT_EQ(f.breaker.open_until(), f.t0 + cooldown);
+  ASSERT_TRUE(f.breaker.admits(f.t0 + cooldown));
+  f.breaker.trip(f.t0 + cooldown);  // from HalfOpen
+  EXPECT_EQ(f.breaker.state(), Breaker::State::Open);
+  EXPECT_EQ(f.opened(), 2.0);
 }
 
 // ---------- shared tuning cache ----------
@@ -529,7 +733,7 @@ TEST(SolveServiceHammer, ManyClientsManyShapes) {
   for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
       // Fire every request before collecting, so same-shape requests
-      // are pending together and the scheduler can coalesce them.
+      // are pending together and the supervisor can coalesce them.
       std::vector<SolveRequest<double>> copies;
       std::vector<std::future<SolveResponse<double>>> futs;
       for (int i = 0; i < kPerClient; ++i) {
