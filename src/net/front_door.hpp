@@ -4,31 +4,38 @@
 //
 // One poll-based event thread owns every connection: it accepts from a
 // TCP and/or unix-domain listener, reads frames into per-connection
-// buffers, authenticates tenants (Hello), enforces tenant quotas at
-// admission with typed SolveErr rejects, and queues admitted requests
-// into per-tenant deficit-round-robin lanes. The pump drains lanes into
+// buffers, authenticates tenants (Hello; a Solve before it is refused
+// with AuthRequired), enforces tenant quotas at admission with typed
+// SolveErr rejects, and queues admitted requests into per-tenant
+// deficit-round-robin lanes. The pump drains lanes into
 // SolveService::submit (callback form) while the service-side in-flight
 // window has room; the service's own shape-bucketed coalescer then
 // merges same-shape systems across tenants into single ragged solves.
 //
-// Completions arrive on service worker threads. The callback encodes
-// the response, parks it on a mutex-guarded queue and writes one byte
-// to the wake pipe — it never touches the service or the poll thread's
+// An admitted request travels as one Ticket (admission -> lane ->
+// service -> completion callback) and every way it can end — served, a
+// lane deadline expiry, a CoDel shed, its connection closing while it
+// waits in a lane — goes through settle(), once.
+//
+// Completions arrive on service worker threads. The callback parks the
+// ticket and response on a mutex-guarded queue and writes one byte to
+// the wake pipe — it never touches the service or the poll thread's
 // state, so the service-mutex -> completions-mutex lock order is the
 // only one that exists. The poll thread swaps the queue out under the
 // lock and does all socket work unlocked.
 //
 // Flow control:
 //   * slow consumers: a connection whose write buffer passes
-//     write_buffer_limit stops being read (POLLIN off) until it drains
+//     kWriteBufferLimit stops being read (POLLIN off) until it drains
 //     below half the limit — one stalled reader cannot balloon memory
 //     or starve the loop;
 //   * idle timeout: a connection with no traffic and nothing in flight
 //     for idle_timeout_ms is closed;
 //   * drain: begin_drain() stops accepting connections, answers new
 //     Solve frames with ErrorCode::Draining, lets everything already
-//     admitted finish through the service, flushes write buffers, says
-//     Goodbye and only then lets shutdown() return — a client
+//     admitted finish through the service, flushes write buffers (for
+//     at most kDrainFlushTimeoutMs), says Goodbye, closes every
+//     connection and only then lets shutdown() return — a client
 //     mid-stream at drain time gets its completed response or a typed
 //     Draining frame, never a silent close.
 //
@@ -49,14 +56,9 @@
 //     resend of one still executing parks as a waiter on it. The device
 //     never executes the same (tenant, key) twice while the entry
 //     lives — net.duplicate_executions counts violations (stays 0).
-//   * overload: a CoDel-style queue-age check sheds from lanes whose
-//     head sojourn stays above codel_target_ms for a full
-//     codel_interval_ms (then at increasing frequency), and a per-
-//     tenant AIMD window throttles how many of a tenant's requests may
-//     be in the service at once — sheds and timeouts shrink it
-//     multiplicatively, completions grow it back. Together they keep
-//     goodput from collapsing when offered load is a multiple of
-//     capacity.
+//   * overload (net/overload.hpp): CoDel queue-age shedding per lane
+//     and a per-tenant AIMD window on the service keep goodput from
+//     collapsing when offered load is a multiple of capacity.
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -79,6 +81,7 @@
 #include "common/hash.hpp"
 #include "faults/faults.hpp"
 #include "net/dedup.hpp"
+#include "net/overload.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "net/tenant.hpp"
@@ -88,7 +91,24 @@
 
 namespace tda::net {
 
-struct FrontDoorConfig {
+/// Per-request equation cap (ErrorCode::TooLarge beyond it).
+inline constexpr std::size_t kMaxSystems = std::size_t{1} << 22;
+/// Decoder payload cap; larger length prefixes are Corrupt.
+inline constexpr std::size_t kMaxPayloadBytes = std::size_t{256} << 20;
+/// Write-buffer high-water mark: past it the connection stops being
+/// read until the buffer drains below half of it.
+inline constexpr std::size_t kWriteBufferLimit = std::size_t{4} << 20;
+/// DRR quantum in equations per weight unit per round.
+inline constexpr double kDrrQuantum = 1024.0;
+/// During drain, force-close connections whose write buffers have not
+/// flushed after this long (a consumer that stopped reading cannot
+/// hold shutdown hostage). Completion callbacks are always awaited.
+inline constexpr double kDrainFlushTimeoutMs = 5000.0;
+
+/// Listener, connection and clock-skew settings, plus the overload
+/// knobs (max_service_inflight, codel_*, aimd_*) inherited from
+/// OverloadConfig.
+struct FrontDoorConfig : OverloadConfig {
   /// TCP listen spec ("127.0.0.1:0" for an ephemeral port); empty = no
   /// TCP listener.
   std::string tcp;
@@ -96,41 +116,14 @@ struct FrontDoorConfig {
   /// listener must be configured.
   std::string unix_path;
 
-  /// Per-request equation cap (ErrorCode::TooLarge beyond it).
-  std::size_t max_systems = std::size_t{1} << 22;
-  /// Decoder payload cap; larger length prefixes are Corrupt.
-  std::size_t max_payload_bytes = std::size_t{256} << 20;
-  /// Write-buffer high-water mark: past it the connection stops being
-  /// read until the buffer drains below half of it.
-  std::size_t write_buffer_limit = std::size_t{4} << 20;
   /// Close connections idle (no traffic, nothing in flight) this long.
   /// 0 disables.
   double idle_timeout_ms = 0.0;
-  /// Systems submitted into the service and not yet completed; the DRR
-  /// pump stops at this window so lanes (where fairness is decided)
-  /// stay the queueing point instead of the service's FIFO buckets.
-  std::size_t max_service_inflight = 256;
-  /// DRR quantum in equations per weight unit per round.
-  double drr_quantum = 1024.0;
-  /// Refuse Solve frames from connections that never authenticated.
-  bool require_auth = true;
   /// Poll timeout (ms) — the cadence of idle/timeout housekeeping.
   double poll_interval_ms = 10.0;
-  /// During drain, force-close connections whose write buffers have not
-  /// flushed after this long (a consumer that stopped reading cannot
-  /// hold shutdown hostage). Completion callbacks are always awaited.
-  double drain_flush_timeout_ms = 5000.0;
 
   /// Idempotency dedup cache bounds (per-tenant keys, shared caps).
   DedupConfig dedup;
-  /// CoDel queue-age shedding: head sojourn above target for a full
-  /// interval starts dropping. codel_target_ms <= 0 disables.
-  double codel_target_ms = 5.0;
-  double codel_interval_ms = 100.0;
-  /// AIMD per-tenant concurrency window over the service in-flight
-  /// budget (always on).
-  double aimd_min = 1.0;      ///< window floor (requests)
-  double aimd_backoff = 0.7;  ///< multiplicative decrease factor
 
   /// Clock-skew guard (docs/OPERATIONS.md): a Hello that carries the
   /// client's wall clock yields a per-connection skew estimate
@@ -194,8 +187,9 @@ class FrontDoor {
   FrontDoor(service::SolveService<T>& svc, FrontDoorConfig cfg)
       : svc_(svc),
         cfg_(std::move(cfg)),
-        lanes_(cfg_.drr_quantum),
-        dedup_(cfg_.dedup) {
+        lanes_(kDrrQuantum),
+        dedup_(cfg_.dedup),
+        overload_(cfg_, metrics()) {
     for (const TotalRow& row : kTotalRows) {
       totals_.*row.handle = metrics().counter_handle(row.metric);
     }
@@ -250,15 +244,6 @@ class FrontDoor {
       unix_listener_ = listen_endpoint(ep, 64, err);
       if (!unix_listener_.valid()) return false;
       set_nonblocking(unix_listener_.get());
-    }
-    if (!cfg_.require_auth && anon_ == nullptr) {
-      // Unauthenticated connections still need a lane and accounting;
-      // the token starts with a NUL so no wire Hello can match it.
-      TenantConfig anon;
-      anon.name = "anon";
-      anon.token = std::string("\0anon", 5);
-      tenants_.add(anon);
-      anon_ = tenants_.authenticate(anon.token);
     }
     int fds[2];
     if (::pipe(fds) != 0) {
@@ -381,7 +366,7 @@ class FrontDoor {
       ts.admitted = row.admitted;
       ts.rejected = row.rejected;
       Tenant* t = tenants_.find(row.cfg.name);
-      if (t != nullptr) ts.aimd_limit = t->aimd_limit;
+      if (t != nullptr) ts.aimd_limit = t->overload.window;
       out.tenants.push_back(std::move(ts));
     }
     // Dedup keys are scoped by Tenant* — map each back to its name so
@@ -395,7 +380,7 @@ class FrontDoor {
                                   const service::SolveResponse<T>& resp,
                                   std::size_t /*bytes*/) {
       auto it = names.find(tid);
-      if (it == names.end()) return;  // anon or dead-tenant entry
+      if (it == names.end()) return;  // dead-tenant entry
       ops::DedupEntryState e;
       e.tenant = it->second;
       e.key = key;
@@ -444,7 +429,7 @@ class FrontDoor {
       tenants_.disable(ts.name, ts.disabled);
       Tenant* t = tenants_.find(ts.name);
       if (t != nullptr) {
-        t->aimd_limit = ts.aimd_limit;
+        t->overload.window = ts.aimd_limit;
         t->admitted = ts.admitted;
         t->rejected = ts.rejected;
       }
@@ -509,30 +494,44 @@ class FrontDoor {
     bool closing = false;      ///< flush wbuf, then close
   };
 
-  /// A request admitted past quotas, parked in its tenant's DRR lane.
-  struct Queued {
+  /// One admitted request, from admission to settle(): who gets the
+  /// reply, whom its quota charge belongs to, and its dedup key.
+  struct Ticket {
     std::uint64_t conn_id = 0;
     std::uint64_t request_id = 0;
     Tenant* tenant = nullptr;
-    std::size_t bytes = 0;
+    std::size_t bytes = 0;       ///< quota charge (decoded payload)
+    std::uint64_t idem_key = 0;  ///< 0 = unkeyed
+  };
+
+  /// A ticket parked in its tenant's DRR lane with its payload.
+  struct Queued {
+    Ticket ticket;
     double deadline_unix_ms = 0.0;  ///< absolute; 0 = none
-    std::uint64_t idem_key = 0;     ///< 0 = unkeyed
     double enqueue_s = 0.0;         ///< now_s() at lane entry (CoDel)
     SolveFrame<T> frame;
   };
 
-  /// A completed response on its way from a worker callback to the poll
-  /// thread, which encodes it per recipient (the original requester may
-  /// have dedup waiters on other connections, each with its own
-  /// negotiated wire version).
+  /// A ticket's service response on its way from a worker callback to
+  /// the poll thread, which settles it.
   struct Done {
-    std::uint64_t conn_id = 0;
-    std::uint64_t request_id = 0;
-    Tenant* tenant = nullptr;
-    std::size_t systems = 0;
-    std::size_t bytes = 0;
-    std::uint64_t idem_key = 0;
+    Ticket ticket;
     service::SolveResponse<T> resp;
+  };
+
+  /// How an admitted request ended. Served carries the service's
+  /// response; the door answers every other ending itself with the
+  /// typed error kEndings names for it.
+  enum class Outcome { Served, Expired, Shed, Dropped };
+  struct Ending {
+    ErrorCode code;
+    std::string_view msg;
+  };
+  static constexpr Ending kEndings[] = {
+      {ErrorCode::None, ""},
+      {ErrorCode::DeadlineExpired, "deadline expired in queue"},
+      {ErrorCode::Shed, "shed: queue age over target"},
+      {ErrorCode::Internal, "original request aborted with its connection"},
   };
 
   void wake() {
@@ -575,28 +574,29 @@ class FrontDoor {
     send_frame(conn, std::move(out));
   }
 
-  void reject(Conn& conn, std::uint64_t request_id, ErrorCode code,
-              std::string_view msg) {
+  /// Every typed reject of a request: counted in requests_rejected and
+  /// net.rejects{tenant,reason} (tenant "-" before auth), then sent.
+  void reject(Conn& conn, const Tenant* tenant, std::uint64_t request_id,
+              ErrorCode code, std::string_view msg) {
     totals_.requests_rejected.add();
     if (metrics().enabled()) {
-      const std::string tenant =
-          conn.tenant != nullptr ? conn.tenant->cfg.name : "-";
       metrics().add(telemetry::labeled(
           "net.rejects",
-          {{"tenant", tenant}, {"reason", to_string(code)}}));
+          {{"tenant", tenant != nullptr ? tenant->cfg.name : "-"},
+           {"reason", to_string(code)}}));
     }
     send_err(conn, request_id, code, msg);
   }
 
   void maybe_pause(Conn& conn) {
-    if (!conn.paused && conn.wbuf.size() > cfg_.write_buffer_limit) {
+    if (!conn.paused && conn.wbuf.size() > kWriteBufferLimit) {
       conn.paused = true;
       totals_.backpressure_pauses.add();
     }
   }
 
   void maybe_resume(Conn& conn) {
-    if (conn.paused && conn.wbuf.size() < cfg_.write_buffer_limit / 2) {
+    if (conn.paused && conn.wbuf.size() < kWriteBufferLimit / 2) {
       conn.paused = false;
     }
   }
@@ -604,23 +604,15 @@ class FrontDoor {
   void close_conn(std::uint64_t id) {
     auto it = conns_.find(id);
     if (it == conns_.end()) return;
-    // Requests still parked in lanes die with the connection; their
-    // quota charge is returned. Requests already inside the service
-    // complete later — delivery just finds the connection gone and
-    // drops the bytes (the charge is returned on delivery as always).
-    lanes_.drop_if(
-        [id](const Queued& q) { return q.conn_id == id; },
-        [this](const Queued& q) {
-          tenants_.release(*q.tenant, 1, q.bytes);
-          // A keyed request dying in a lane un-tracks its key; parked
-          // waiters get a typed error instead of waiting forever.
-          abort_dedup(q.tenant, q.idem_key, ErrorCode::Internal,
-                      "original request aborted with its connection");
-        });
     conns_.erase(it);
     totals_.closed.add();
     metrics().set("net.connections_now",
                   static_cast<double>(conns_.size()));
+    // Requests still parked in lanes die with the connection. Requests
+    // already inside the service settle later and find it gone.
+    lanes_.drop_if(
+        [id](const Queued& q) { return q.ticket.conn_id == id; },
+        [this](const Queued& q) { settle(q.ticket, Outcome::Dropped); });
   }
 
   void accept_from(Fd& listener) {
@@ -682,34 +674,15 @@ class FrontDoor {
 
   [[nodiscard]] double mono_ms() const { return now_s() * 1000.0; }
 
-  /// Replays a finished response to a parked dedup waiter (charged no
-  /// quota — it never went through admission).
-  void answer_waiter(const typename DedupCache<
-                         service::SolveResponse<T>>::Waiter& w,
-                     const service::SolveResponse<T>& resp) {
-    auto it = conns_.find(w.conn_id);
-    if (it == conns_.end()) return;
-    Conn& conn = it->second;
-    if (conn.inflight > 0) --conn.inflight;
-    std::string out;
-    encode_response(w.request_id, resp, out, conn.wire_version);
-    send_frame(conn, std::move(out));
-  }
-
-  /// Drops a keyed entry without caching and answers its waiters with a
-  /// typed error (used when the original dies before producing a
-  /// cacheable result: lane drop, expired deadline, shed, quota).
-  void abort_dedup(Tenant* tenant, std::uint64_t idem_key, ErrorCode code,
-                   std::string_view msg) {
-    if (idem_key == 0) return;
-    const auto waiters = dedup_.abandon(tenant_id(tenant), idem_key);
-    for (const auto& w : waiters) {
-      auto it = conns_.find(w.conn_id);
-      if (it == conns_.end()) continue;
-      if (it->second.inflight > 0) --it->second.inflight;
-      send_err(it->second, w.request_id, code, msg);
-    }
-    sync_dedup_counters();
+  /// Adds one to `metric`{tenant} (and `where`, when given) while
+  /// metrics are on.
+  void count_tenant(std::string_view metric, const Tenant& t,
+                    std::string_view where = {}) {
+    if (!metrics().enabled()) return;
+    metrics().add(where.empty()
+                      ? telemetry::labeled(metric, {{"tenant", t.cfg.name}})
+                      : telemetry::labeled(metric, {{"tenant", t.cfg.name},
+                                                    {"where", where}}));
   }
 
   void sync_dedup_counters() {
@@ -724,20 +697,20 @@ class FrontDoor {
   }
 
   void handle_solve(Conn& conn, const FrameView& frame) {
-    Tenant* tenant = conn.tenant != nullptr ? conn.tenant : anon_;
+    Tenant* tenant = conn.tenant;
     if (tenant == nullptr) {
-      reject(conn, frame.request_id, ErrorCode::AuthRequired,
+      reject(conn, tenant, frame.request_id, ErrorCode::AuthRequired,
              "hello first");
       return;
     }
     if (draining_.load(std::memory_order_relaxed)) {
-      reject(conn, frame.request_id, ErrorCode::Draining,
+      reject(conn, tenant, frame.request_id, ErrorCode::Draining,
              "server is draining");
       return;
     }
     const std::uint8_t width = solve_dtype(frame.payload);
     if (width != 0 && width != sizeof(T)) {
-      reject(conn, frame.request_id, ErrorCode::Dtype,
+      reject(conn, tenant, frame.request_id, ErrorCode::Dtype,
              sizeof(T) == 4 ? "server dtype is f32" : "server dtype is f64");
       return;
     }
@@ -746,8 +719,8 @@ class FrontDoor {
       bad_frame(conn, "unparsable solve payload");
       return;
     }
-    if (solve->n > cfg_.max_systems) {
-      reject(conn, frame.request_id, ErrorCode::TooLarge,
+    if (solve->n > kMaxSystems) {
+      reject(conn, tenant, frame.request_id, ErrorCode::TooLarge,
              "n exceeds server limit");
       return;
     }
@@ -763,10 +736,7 @@ class FrontDoor {
         std::abs(conn.skew_ms) > cfg_.max_clock_skew_ms) {
       solve->deadline_unix_ms = 0.0;
       totals_.deadline_skew_clamped.add();
-      if (metrics().enabled()) {
-        metrics().add(telemetry::labeled(
-            "net.deadline_skew_clamped", {{"tenant", tenant->cfg.name}}));
-      }
+      count_tenant("net.deadline_skew_clamped", *tenant);
     }
 
     // Fold every deadline form into one absolute unix-epoch instant:
@@ -795,21 +765,17 @@ class FrontDoor {
           fnv1a64(frame.payload, kFnv64LegacyBasis);
       const State state =
           dedup_.begin(tid, solve->idem_key, payload_hash, mono_ms());
+      sync_dedup_counters();
       if (state == State::Mismatch) {
-        sync_dedup_counters();
-        reject(conn, frame.request_id, ErrorCode::KeyReuse,
+        reject(conn, tenant, frame.request_id, ErrorCode::KeyReuse,
                "idempotency key reused for a different payload");
         return;
       }
       if (state == State::Completed) {
-        const auto* cached = dedup_.lookup(tid, solve->idem_key);
-        sync_dedup_counters();
-        if (metrics().enabled()) {
-          metrics().add(telemetry::labeled(
-              "net.dedup_hits", {{"tenant", tenant->cfg.name}}));
-        }
+        count_tenant("net.dedup_hits", *tenant);
         std::string out;
-        encode_response(frame.request_id, *cached, out,
+        encode_response(frame.request_id,
+                        *dedup_.lookup(tid, solve->idem_key), out,
                         conn.wire_version);
         send_frame(conn, std::move(out));
         return;
@@ -817,30 +783,26 @@ class FrontDoor {
       if (state == State::InFlight) {
         dedup_.add_waiter(tid, solve->idem_key,
                           {conn.id, frame.request_id});
-        sync_dedup_counters();
-        if (metrics().enabled()) {
-          metrics().add(telemetry::labeled(
-              "net.dedup_joins", {{"tenant", tenant->cfg.name}}));
-        }
+        count_tenant("net.dedup_joins", *tenant);
         ++conn.inflight;  // a response will be replayed on completion
         return;
       }
-      sync_dedup_counters();
     }
 
+    // Refused before admission (expired on arrival, or over a quota):
+    // the fresh dedup entry, if any, is abandoned so a later retry may
+    // legitimately execute. Nothing can have joined it yet.
+    const auto forget_key = [&] {
+      if (solve->idem_key != 0) dedup_.abandon(tid, solve->idem_key);
+    };
+
     // Expired on arrival: typed reject before any quota charge or
-    // device dispatch. The fresh dedup entry (if any) is abandoned so
-    // a later retry with more budget may legitimately execute.
+    // device dispatch.
     if (deadline_unix > 0.0 && unix_now_ms() >= deadline_unix) {
-      abort_dedup(tenant, solve->idem_key, ErrorCode::DeadlineExpired,
-                  "deadline expired before admission");
+      forget_key();
       totals_.deadline_expired_arrival.add();
-      if (metrics().enabled()) {
-        metrics().add(telemetry::labeled(
-            "net.deadline_expired",
-            {{"tenant", tenant->cfg.name}, {"where", "arrival"}}));
-      }
-      reject(conn, frame.request_id, ErrorCode::DeadlineExpired,
+      count_tenant("net.deadline_expired", *tenant, "arrival");
+      reject(conn, tenant, frame.request_id, ErrorCode::DeadlineExpired,
              "deadline expired before admission");
       return;
     }
@@ -848,30 +810,20 @@ class FrontDoor {
     const std::size_t bytes = solve_bytes<T>(solve->n);
     const Admission verdict = tenants_.admit(*tenant, 1, bytes, now_s());
     if (verdict != Admission::Ok) {
-      abort_dedup(tenant, solve->idem_key, ErrorCode::Rejected,
-                  "original request rejected at admission");
+      forget_key();
       const ErrorCode code =
           verdict == Admission::QuotaInflight ? ErrorCode::QuotaInflight
           : verdict == Admission::QuotaBytes  ? ErrorCode::QuotaBytes
                                               : ErrorCode::QuotaRate;
-      reject(conn, frame.request_id, code, to_string(verdict));
+      reject(conn, tenant, frame.request_id, code, to_string(verdict));
       return;
     }
     totals_.requests_admitted.add();
-    inflight_bytes_ += bytes;
-    if (metrics().enabled()) {
-      metrics().add(telemetry::labeled("net.requests",
-                                       {{"tenant", tenant->cfg.name}}));
-      metrics().set("net.inflight_bytes_now",
-                    static_cast<double>(inflight_bytes_));
-    }
+    count_tenant("net.requests", *tenant);
+    publish_inflight_bytes();
     Queued q;
-    q.conn_id = conn.id;
-    q.request_id = frame.request_id;
-    q.tenant = tenant;
-    q.bytes = bytes;
+    q.ticket = {conn.id, frame.request_id, tenant, bytes, solve->idem_key};
     q.deadline_unix_ms = deadline_unix;
-    q.idem_key = solve->idem_key;
     q.enqueue_s = now_s();
     q.frame = std::move(*solve);
     const double cost = static_cast<double>(q.frame.n);
@@ -931,8 +883,7 @@ class FrontDoor {
       if (static_cast<std::size_t>(n) < sizeof(tmp)) break;
     }
     while (!conn.closing) {
-      const DecodeResult r =
-          decode_frame(conn.rbuf, cfg_.max_payload_bytes);
+      const DecodeResult r = decode_frame(conn.rbuf, kMaxPayloadBytes);
       if (r.status == DecodeStatus::NeedMore) break;
       if (r.status == DecodeStatus::Corrupt) {
         bad_frame(conn, r.error);
@@ -958,87 +909,10 @@ class FrontDoor {
     return true;
   }
 
-  /// Answers a dequeued-but-not-submitted request with a typed error,
-  /// returning its quota charge and aborting its dedup tracking.
-  void reject_queued(Queued& q, ErrorCode code, std::string_view msg) {
-    tenants_.release(*q.tenant, 1, q.bytes);
-    inflight_bytes_ -= q.bytes <= inflight_bytes_ ? q.bytes
-                                                  : inflight_bytes_;
-    abort_dedup(q.tenant, q.idem_key, code, msg);
-    auto it = conns_.find(q.conn_id);
-    if (it == conns_.end()) return;
-    if (it->second.inflight > 0) --it->second.inflight;
-    totals_.requests_rejected.add();
-    if (metrics().enabled()) {
-      metrics().add(telemetry::labeled(
-          "net.rejects",
-          {{"tenant", q.tenant->cfg.name}, {"reason", to_string(code)}}));
-    }
-    send_err(it->second, q.request_id, code, msg);
-  }
-
-  [[nodiscard]] double aimd_limit_of(Tenant* t) const {
-    return t->aimd_limit > 0.0
-               ? t->aimd_limit
-               : static_cast<double>(cfg_.max_service_inflight);
-  }
-
-  /// Multiplicative decrease on a congestion signal (shed / timeout /
-  /// CoDel drop).
-  void aimd_congested(Tenant* t) {
-    t->aimd_limit =
-        std::max(cfg_.aimd_min, aimd_limit_of(t) * cfg_.aimd_backoff);
-    if (metrics().enabled()) {
-      metrics().set(telemetry::labeled("net.aimd_limit",
-                                       {{"tenant", t->cfg.name}}),
-                    t->aimd_limit);
-    }
-  }
-
-  /// Additive increase (~ +1 per window's worth of completions).
-  void aimd_completed(Tenant* t) {
-    const double limit = aimd_limit_of(t);
-    t->aimd_limit = std::min(
-        static_cast<double>(cfg_.max_service_inflight), limit + 1.0 / limit);
-  }
-
-  /// CoDel: returns true when this dequeue should shed instead of
-  /// serve. Head sojourn under target resets the episode; staying
-  /// above it for a full interval starts dropping, then drops pace at
-  /// interval / sqrt(count) while the queue stays bad.
-  bool codel_should_drop(Tenant* t, double sojourn_ms, double now) {
-    if (cfg_.codel_target_ms <= 0.0) return false;
-    if (sojourn_ms < cfg_.codel_target_ms) {
-      t->codel_first_above_s = 0.0;
-      t->codel_dropping = false;
-      return false;
-    }
-    const double interval_s = cfg_.codel_interval_ms / 1000.0;
-    if (t->codel_first_above_s == 0.0) {
-      t->codel_first_above_s = now;
-      return false;
-    }
-    if (!t->codel_dropping) {
-      if (now - t->codel_first_above_s < interval_s) return false;
-      t->codel_dropping = true;
-      t->codel_drop_count = 1;
-      t->codel_drop_next_s = now + interval_s;
-      return true;
-    }
-    if (now >= t->codel_drop_next_s) {
-      ++t->codel_drop_count;
-      t->codel_drop_next_s =
-          now + interval_s /
-                    std::sqrt(static_cast<double>(t->codel_drop_count));
-      return true;
-    }
-    return false;
-  }
-
   /// Moves lane heads into the service while the in-flight window has
   /// room. Lanes whose tenant is at its AIMD window pass their turn;
   /// dequeued heads whose deadline lapsed in the lane or whose queue
-  /// age trips CoDel are answered with a typed error right here —
+  /// age trips CoDel are settled with a typed error right here —
   /// before any device dispatch. The completion callback runs on a
   /// worker thread (or inline for admission rejects): it parks the
   /// response and wakes the poll loop — nothing else.
@@ -1047,42 +921,34 @@ class FrontDoor {
            cfg_.max_service_inflight) {
       Queued q;
       if (!lanes_.dequeue_if(q, [this](Tenant* t) {
-            return t->inflight_service < aimd_limit_of(t);
+            return overload_.eligible(t->overload);
           })) {
         if (!lanes_.empty()) totals_.aimd_throttles.add();
         break;
       }
+      Tenant& tenant = *q.ticket.tenant;
       const double now = now_s();
       if (q.deadline_unix_ms > 0.0 &&
           unix_now_ms() >= q.deadline_unix_ms) {
         totals_.deadline_expired_queued.add();
-        if (metrics().enabled()) {
-          metrics().add(telemetry::labeled(
-              "net.deadline_expired",
-              {{"tenant", q.tenant->cfg.name}, {"where", "queued"}}));
-        }
-        reject_queued(q, ErrorCode::DeadlineExpired,
-                      "deadline expired in queue");
+        count_tenant("net.deadline_expired", tenant, "queued");
+        settle(q.ticket, Outcome::Expired);
         continue;
       }
       const double sojourn_ms = (now - q.enqueue_s) * 1000.0;
-      if (codel_should_drop(q.tenant, sojourn_ms, now)) {
+      if (overload_.should_shed(tenant.overload, sojourn_ms, now)) {
         totals_.shed_codel.add();
-        if (metrics().enabled()) {
-          metrics().add(telemetry::labeled(
-              "net.shed_codel", {{"tenant", q.tenant->cfg.name}}));
-        }
-        aimd_congested(q.tenant);
-        reject_queued(q, ErrorCode::Shed, "shed: queue age over target");
+        count_tenant("net.shed_codel", tenant);
+        settle(q.ticket, Outcome::Shed);
         continue;
       }
       service_inflight_.fetch_add(1, std::memory_order_relaxed);
-      q.tenant->inflight_service += 1.0;
-      if (q.idem_key != 0) {
+      overload_.submitted(tenant.overload);
+      if (q.ticket.idem_key != 0) {
         // The exactly-once proof point: a keyed request enters the
         // device path at most once while its entry is tracked.
         const std::uint64_t prior =
-            dedup_.mark_executed(tenant_id(q.tenant), q.idem_key);
+            dedup_.mark_executed(tenant_id(&tenant), q.ticket.idem_key);
         if (prior > 0) {
           sync_dedup_counters();
           totals_.duplicate_executions.add();
@@ -1099,29 +965,92 @@ class FrontDoor {
         req.deadline_ms = q.deadline_unix_ms - unix_now_ms();
         if (req.deadline_ms < 0.01) req.deadline_ms = 0.01;
       }
-      if (q.tenant != nullptr) req.tenant = q.tenant->cfg.name;
-      const std::uint64_t conn_id = q.conn_id;
-      const std::uint64_t request_id = q.request_id;
-      Tenant* tenant = q.tenant;
-      const std::size_t bytes = q.bytes;
-      const std::uint64_t idem_key = q.idem_key;
-      svc_.submit(std::move(req),
-                  [this, conn_id, request_id, tenant, bytes,
-                   idem_key](service::SolveResponse<T> resp) {
-                    Done d;
-                    d.conn_id = conn_id;
-                    d.request_id = request_id;
-                    d.tenant = tenant;
-                    d.systems = 1;
-                    d.bytes = bytes;
-                    d.idem_key = idem_key;
-                    d.resp = std::move(resp);
-                    {
-                      std::lock_guard lk(done_mu_);
-                      done_.push_back(std::move(d));
-                    }
-                    wake();
-                  });
+      req.tenant = tenant.cfg.name;
+      svc_.submit(std::move(req), [this, ticket = q.ticket](
+                                      service::SolveResponse<T> resp) {
+        {
+          std::lock_guard lk(done_mu_);
+          done_.push_back(Done{ticket, std::move(resp)});
+        }
+        wake();
+      });
+    }
+  }
+
+  /// Shed, TimedOut and Rejected say "try again later": they signal
+  /// congestion to AIMD and are never cached, so a keyed retry
+  /// re-executes. Every other status is a deterministic verdict.
+  static bool retryable(service::SolveStatus status) {
+    using service::SolveStatus;
+    return status == SolveStatus::Shed || status == SolveStatus::TimedOut ||
+           status == SolveStatus::Rejected;
+  }
+
+  void publish_inflight_bytes() {
+    if (!metrics().enabled()) return;
+    metrics().set("net.inflight_bytes_now",
+                  static_cast<double>(tenants_.inflight_bytes()));
+  }
+
+  /// The one end of every admitted request. Returns its tenant charge
+  /// and (when served) its service-window slot; feeds AIMD — congested
+  /// on a shed or a retryable service outcome, grown on any other
+  /// service outcome; answers the original requester, then any dedup
+  /// waiters on its key, on whichever connections are still open; and
+  /// caches a deterministic verdict or un-tracks the key.
+  void settle(const Ticket& t, Outcome how,
+              service::SolveResponse<T> resp = {}) {
+    Tenant& tenant = *t.tenant;
+    const bool served = how == Outcome::Served;
+    const bool retry = served && retryable(resp.status);
+    tenants_.release(tenant, 1, t.bytes);
+    publish_inflight_bytes();
+    if (served) {
+      service_inflight_.fetch_sub(1, std::memory_order_relaxed);
+      overload_.finished(tenant.overload);
+    }
+    if (how == Outcome::Shed || retry) {
+      overload_.congested(tenant.overload, tenant.cfg.name);
+    } else if (served) {
+      overload_.completed(tenant.overload, tenant.cfg.name);
+    }
+
+    const Ending& end = kEndings[static_cast<int>(how)];
+    const auto answer = [&](std::uint64_t conn_id, std::uint64_t request_id,
+                            bool original) {
+      auto it = conns_.find(conn_id);
+      if (it == conns_.end()) return;
+      Conn& conn = it->second;
+      if (conn.inflight > 0) --conn.inflight;
+      if (served) {
+        std::string out;
+        encode_response(request_id, resp, out, conn.wire_version);
+        send_frame(conn, std::move(out));
+      } else if (original) {
+        reject(conn, &tenant, request_id, end.code, end.msg);
+      } else {
+        send_err(conn, request_id, end.code, end.msg);
+      }
+    };
+    if (served) totals_.responses_sent.add();
+    answer(t.conn_id, t.request_id, true);
+    if (t.idem_key == 0) return;
+
+    const std::uint64_t tid = tenant_id(&tenant);
+    const bool cache = served && !retry;
+    for (const auto& w : cache ? dedup_.take_waiters(tid, t.idem_key)
+                               : dedup_.abandon(tid, t.idem_key)) {
+      answer(w.conn_id, w.request_id, false);
+    }
+    if (cache) {
+      const std::size_t retained = resp.x.size() * sizeof(T) + 128;
+      dedup_.complete(tid, t.idem_key, std::move(resp), retained,
+                      mono_ms());
+    }
+    sync_dedup_counters();
+    if (metrics().enabled()) {
+      metrics().set("net.dedup_bytes_now",
+                    static_cast<double>(dedup_.stats().bytes));
     }
   }
 
@@ -1172,76 +1101,14 @@ class FrontDoor {
                      "unknown status", wire_version);
   }
 
-  /// Delivers parked completions into write buffers, settles dedup
-  /// entries and feeds the AIMD windows.
+  /// Settles every parked service response.
   void drain_done() {
-    using service::SolveStatus;
     std::vector<Done> batch;
     {
       std::lock_guard lk(done_mu_);
       batch.swap(done_);
     }
-    for (auto& d : batch) {
-      service_inflight_.fetch_sub(d.systems, std::memory_order_relaxed);
-      if (d.tenant != nullptr) {
-        tenants_.release(*d.tenant, d.systems, d.bytes);
-        if (d.tenant->inflight_service >= 1.0) {
-          d.tenant->inflight_service -= 1.0;
-        }
-        // Congestion signals shrink the tenant's window; anything that
-        // actually ran to a verdict grows it back.
-        if (d.resp.status == SolveStatus::Shed ||
-            d.resp.status == SolveStatus::TimedOut ||
-            d.resp.status == SolveStatus::Rejected) {
-          aimd_congested(d.tenant);
-        } else {
-          aimd_completed(d.tenant);
-        }
-      }
-      inflight_bytes_ -= d.bytes <= inflight_bytes_ ? d.bytes
-                                                    : inflight_bytes_;
-      // (saturating: a mismatch here would mean double delivery)
-      totals_.responses_sent.add();
-      metrics().set("net.inflight_bytes_now",
-                    static_cast<double>(inflight_bytes_));
-      std::vector<typename DedupCache<service::SolveResponse<T>>::Waiter>
-          waiters;
-      if (d.idem_key != 0) {
-        waiters = dedup_.take_waiters(tenant_id(d.tenant), d.idem_key);
-      }
-      auto it = conns_.find(d.conn_id);
-      if (it != conns_.end()) {  // original connection still here
-        Conn& conn = it->second;
-        if (conn.inflight > 0) --conn.inflight;
-        std::string out;
-        encode_response(d.request_id, d.resp, out, conn.wire_version);
-        send_frame(conn, std::move(out));
-      }
-      for (const auto& w : waiters) answer_waiter(w, d.resp);
-      if (d.idem_key != 0) {
-        // Deterministic verdicts are cached so a late resend replays
-        // them; retryable outcomes un-track the key — the client's
-        // retry is a fresh attempt and may legitimately re-execute.
-        const bool cacheable = d.resp.status == SolveStatus::Ok ||
-                               d.resp.status == SolveStatus::Failed ||
-                               d.resp.status == SolveStatus::Singular ||
-                               d.resp.status == SolveStatus::NonFinite;
-        const std::uint64_t tid = tenant_id(d.tenant);
-        if (cacheable) {
-          const std::size_t retained =
-              d.resp.x.size() * sizeof(T) + 128;
-          dedup_.complete(tid, d.idem_key, std::move(d.resp), retained,
-                          mono_ms());
-        } else {
-          dedup_.abandon(tid, d.idem_key);
-        }
-        sync_dedup_counters();
-        if (metrics().enabled()) {
-          metrics().set("net.dedup_bytes_now",
-                        static_cast<double>(dedup_.stats().bytes));
-        }
-      }
-    }
+    for (auto& d : batch) settle(d.ticket, Outcome::Served, std::move(d.resp));
   }
 
   void sweep_idle(TimePoint now) {
@@ -1286,19 +1153,16 @@ class FrontDoor {
         const bool flush_expired =
             std::chrono::duration<double, std::milli>(Clock::now() -
                                                       drain_started)
-                .count() > cfg_.drain_flush_timeout_ms;
+                .count() > kDrainFlushTimeoutMs;
         if (!callbacks_pending && (!flushing || flush_expired)) {
           // Every response is out (or its consumer has forfeited its
-          // flush window): say Goodbye and stop.
-          for (auto& [id, conn] : conns_) {
-            std::string out;
-            encode_goodbye(out);
-            conn.wbuf.append(out);
+          // flush window): say Goodbye, close and stop.
+          while (!conns_.empty()) {
+            auto& [id, conn] = *conns_.begin();
+            encode_goodbye(conn.wbuf);
             (void)write_conn(conn);
+            close_conn(id);
           }
-          const std::size_t remaining = conns_.size();
-          conns_.clear();
-          totals_.closed.add(static_cast<double>(remaining));
           return;
         }
       }
@@ -1379,8 +1243,7 @@ class FrontDoor {
   std::uint64_t next_conn_id_ = 1;
   DrrScheduler<Queued> lanes_;
   DedupCache<service::SolveResponse<T>> dedup_;
-  Tenant* anon_ = nullptr;  ///< implicit tenant when require_auth is off
-  std::size_t inflight_bytes_ = 0;
+  Overload overload_;
 
   // --- shared with worker callbacks ---
   std::atomic<std::size_t> service_inflight_{0};

@@ -72,6 +72,13 @@ void TenantRegistry::release(Tenant& t, std::size_t systems,
                                                 : t.inflight_bytes;
 }
 
+std::size_t TenantRegistry::inflight_bytes() const {
+  std::lock_guard lk(mu_);
+  std::size_t total = 0;
+  for (const auto& t : tenants_) total += t->inflight_bytes;
+  return total;
+}
+
 std::vector<TenantRegistry::Usage> TenantRegistry::usage() const {
   std::lock_guard lk(mu_);
   std::vector<Usage> out;

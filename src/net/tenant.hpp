@@ -18,10 +18,11 @@
 // into one ragged solve — isolation happens at admission order, not by
 // partitioning batches.
 //
-// Thread-safety: the registry locks internally. Admission runs on the
-// front door's poll thread while releases arrive from service worker
-// callbacks, so every counter mutation takes the mutex. The DRR lanes
-// themselves are owned (and only touched) by the poll thread.
+// Thread-safety: admission and every release run on the front door's
+// poll thread. The registry still locks internally because the ops
+// admin `stats` command reads configs() off that thread (and callers
+// read usage() from theirs). The DRR lanes themselves are owned (and
+// only touched) by the poll thread.
 
 #include <cstddef>
 #include <cstdint>
@@ -30,6 +31,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "net/overload.hpp"
 
 namespace tda::net {
 
@@ -112,20 +115,8 @@ struct Tenant {
   // --- DRR lane state (poll-thread-owned, not under the mutex) ---
   double deficit = 0.0;
 
-  // --- overload-protection state (poll-thread-owned) ----------------
-  // AIMD concurrency limiter: how many of this tenant's systems may be
-  // inside the service at once. Successful completions grow the window
-  // additively (~ +1 per window's worth of successes); sheds and
-  // timeouts cut it multiplicatively. See FrontDoor::pump.
-  double aimd_limit = 0.0;      ///< 0 = uninitialized (set on first use)
-  double inflight_service = 0.0;  ///< systems submitted, not yet done
-
-  // CoDel queue-age state: tracks how long this lane's head sojourn has
-  // continuously exceeded the target, and paces drops while it does.
-  double codel_first_above_s = 0.0;  ///< 0 = not currently above target
-  double codel_drop_next_s = 0.0;    ///< next scheduled drop time
-  std::uint64_t codel_drop_count = 0;  ///< drops in the current episode
-  bool codel_dropping = false;
+  // --- overload-protection state (poll-thread-owned) ---
+  LaneOverload overload;  ///< CoDel episode + AIMD window (overload.hpp)
 };
 
 class TenantRegistry {
@@ -143,9 +134,12 @@ class TenantRegistry {
   Admission admit(Tenant& t, std::size_t systems, std::size_t bytes,
                   double now_s);
 
-  /// Returns an admitted request's charge (on completion delivery, or
-  /// when a queued lane entry dies with its connection).
+  /// Returns an admitted request's charge (the front door's settle()).
   void release(Tenant& t, std::size_t systems, std::size_t bytes);
+
+  /// Decoded payload bytes charged across every tenant: admitted and
+  /// not yet released (the net.inflight_bytes_now gauge).
+  [[nodiscard]] std::size_t inflight_bytes() const;
 
   /// Snapshot of one tenant's live accounting.
   struct Usage {

@@ -22,10 +22,13 @@
 #include "net/client.hpp"
 #include "net/dedup.hpp"
 #include "net/front_door.hpp"
+#include "net/overload.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "net/tenant.hpp"
+#include "ops/state.hpp"
 #include "service/solve_service.hpp"
+#include "telemetry/metrics.hpp"
 
 using namespace tda;
 using namespace tda::net;
@@ -140,6 +143,64 @@ struct DoorFixture {
   std::unique_ptr<service::SolveService<double>> svc;
   std::unique_ptr<FrontDoor<double>> door;
 };
+
+/// A door on a unix socket over a service whose coalescer holds a lone
+/// request for `flush_ms` (it flushes early only at 8 systems), with
+/// one tenant "alpha" (token "ta").
+struct HeldDoor {
+  HeldDoor(double flush_ms, std::size_t max_service_inflight) {
+    service::ServiceConfig scfg;
+    scfg.flush_systems = 8;
+    scfg.flush_interval_ms = flush_ms;
+    svc = std::make_unique<service::SolveService<double>>(
+        std::vector<gpusim::DeviceSpec>{gpusim::device_registry().back()},
+        scfg);
+    svc->telemetry().metrics.enable();
+    sock = unique_sock("held");
+    FrontDoorConfig fcfg;
+    fcfg.unix_path = sock;
+    fcfg.poll_interval_ms = 2.0;
+    fcfg.max_service_inflight = max_service_inflight;
+    door = std::make_unique<FrontDoor<double>>(*svc, fcfg);
+    TenantConfig a;
+    a.name = "alpha";
+    a.token = "ta";
+    door->add_tenant(a);
+  }
+
+  ~HeldDoor() {
+    door->shutdown();
+    svc->shutdown();
+  }
+
+  bool start() {
+    std::string err;
+    const bool ok = door->start(&err);
+    EXPECT_TRUE(ok) << err;
+    return ok;
+  }
+
+  /// alpha's admitted-but-unsettled systems (the registry charge).
+  std::size_t alpha_inflight() const {
+    return door->tenants().usage().at(0).inflight_systems;
+  }
+
+  std::string sock;
+  std::unique_ptr<service::SolveService<double>> svc;
+  std::unique_ptr<FrontDoor<double>> door;
+};
+
+/// Polls `done` every millisecond for up to five seconds.
+template <typename Pred>
+bool eventually(Pred done) {
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -748,21 +809,6 @@ TEST(NetDoor, AuthFailedAndAuthRequired) {
   EXPECT_EQ(r.code, ErrorCode::AuthRequired);
 }
 
-TEST(NetDoor, NoAuthModeAdmitsAnonymous) {
-  FrontDoorConfig fcfg;
-  fcfg.require_auth = false;
-  DoorFixture fx(fcfg);
-  ASSERT_TRUE(fx.start());
-
-  Client client;
-  std::string err;
-  ASSERT_TRUE(client.connect("unix:" + fx.sock, "", &err)) << err;
-  const auto sys = diag_dominant(64, 3);
-  const auto r = client.solve<double>(sys.a, sys.b, sys.c, sys.d);
-  ASSERT_TRUE(r.ok()) << r.error;
-  EXPECT_LT(residual(sys, r.x), 1e-8);
-}
-
 TEST(NetDoor, DtypeMismatchRejected) {
   DoorFixture fx;  // server is instantiated for double
   ASSERT_TRUE(fx.start());
@@ -961,6 +1007,91 @@ TEST(NetDoor, CrossTenantSameShapeStillCoalesces) {
   EXPECT_EQ(c.completed, 2u * kPerTenant);
   EXPECT_LT(c.flushes, 2u * kPerTenant);
   EXPECT_GT(c.max_batch_systems, 1u);
+}
+
+// Two requests wait in the lane behind one held in the service when
+// their connection closes: dropping them must return their bytes to
+// the gauge, not only to the tenant charge.
+TEST(NetDoor, LaneDropOnCloseReturnsInflightBytes) {
+  HeldDoor fx(10'000.0, 1);
+  ASSERT_TRUE(fx.start());
+  {
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connect("unix:" + fx.sock, "ta", &err)) << err;
+    const auto sys = diag_dominant(64, 13);
+    for (std::uint64_t rid = 1; rid <= 3; ++rid) {
+      ASSERT_TRUE(client.send_solve<double>(rid, sys.a, sys.b, sys.c,
+                                            sys.d, 0.0, &err))
+          << err;
+    }
+    ASSERT_TRUE(eventually([&] {
+      return fx.door->service_inflight() == 1 && fx.alpha_inflight() == 3;
+    }));
+    client.close();
+  }
+  ASSERT_TRUE(eventually([&] { return fx.alpha_inflight() == 1; }));
+  fx.svc->shutdown();  // the drain flushes the held request
+  ASSERT_TRUE(eventually([&] {
+    return fx.alpha_inflight() == 0 && fx.door->service_inflight() == 0;
+  }));
+  fx.door->shutdown();
+  EXPECT_EQ(fx.svc->telemetry().metrics.gauge("net.inflight_bytes_now"),
+            0.0);
+}
+
+TEST(NetDoor, DrainClosesZeroConnectionsGauge) {
+  DoorFixture fx;
+  ASSERT_TRUE(fx.start());
+  Client client;
+  std::string err;
+  ASSERT_TRUE(client.connect("unix:" + fx.sock, "ta", &err)) << err;
+  fx.door->shutdown();  // the client is still connected
+
+  const auto c = fx.door->counters();
+  EXPECT_EQ(c.connections, 1u);
+  EXPECT_EQ(c.closed, c.connections);
+  EXPECT_EQ(fx.svc->telemetry().metrics.gauge("net.connections_now"), 0.0);
+}
+
+// One timeout cuts alpha's AIMD window; completions then grow it back,
+// and the gauge must follow every step, not only the cut.
+TEST(NetDoor, AimdGaugeFollowsWindowRecovery) {
+  HeldDoor fx(30.0, 256);
+  ASSERT_TRUE(fx.start());
+  Client client;
+  std::string err;
+  ASSERT_TRUE(client.connect("unix:" + fx.sock, "ta", &err)) << err;
+  const auto sys = diag_dominant(64, 19);
+  // A 3 ms budget against a 30 ms coalescing window times out.
+  ASSERT_TRUE(client.send_solve<double>(1, sys.a, sys.b, sys.c, sys.d, 3.0,
+                                        &err))
+      << err;
+  WireResult<double> timed_out;
+  ASSERT_TRUE(client.recv_result<double>(timed_out, &err)) << err;
+  EXPECT_EQ(timed_out.code, ErrorCode::TimedOut)
+      << to_string(timed_out.code) << " " << timed_out.error;
+  for (std::uint64_t rid = 2; rid <= 11; ++rid) {
+    ASSERT_TRUE(client.send_solve<double>(rid, sys.a, sys.b, sys.c, sys.d,
+                                          0.0, &err))
+        << err;
+  }
+  for (int i = 0; i < 10; ++i) {
+    WireResult<double> r;
+    ASSERT_TRUE(client.recv_result<double>(r, &err)) << err;
+    ASSERT_TRUE(r.ok()) << to_string(r.code) << " " << r.error;
+  }
+  fx.door->shutdown();  // the poll thread is joined: its state is final
+
+  ops::ServerState st;
+  fx.door->export_state(st);
+  ASSERT_EQ(st.tenants.size(), 1u);
+  const double window = st.tenants[0].aimd_limit;
+  EXPECT_GT(window, 256.0 * 0.7);  // cut once, then grown
+  EXPECT_LT(window, 256.0);
+  EXPECT_EQ(fx.svc->telemetry().metrics.gauge(
+                telemetry::labeled("net.aimd_limit", {{"tenant", "alpha"}})),
+            window);
 }
 
 // ------------------------------------------------------- protocol v2
@@ -1439,4 +1570,123 @@ TEST(NetChaosProxy, TransparentRelayAndDropToggle) {
   again.close();
   proxy.stop();
   ::unlink(psock.c_str());
+}
+
+// ----------------------------------------------------------- overload unit
+
+namespace {
+
+/// One lane under the default overload knobs, explicit time, metrics on.
+struct OverloadRig {
+  OverloadRig() { mx.enable(); }
+
+  double gauge() const {
+    return mx.gauge(
+        telemetry::labeled("net.aimd_limit", {{"tenant", "alpha"}}));
+  }
+
+  OverloadConfig cfg;
+  telemetry::MetricsRegistry mx;
+  Overload ov{cfg, mx};
+  LaneOverload lane;
+};
+
+}  // namespace
+
+TEST(NetOverload, CodelSojournUnderTargetResetsEpisode) {
+  OverloadRig r;  // target 5 ms, interval 100 ms
+  EXPECT_FALSE(r.ov.should_shed(r.lane, 10.0, 1.0));   // episode starts
+  EXPECT_FALSE(r.ov.should_shed(r.lane, 10.0, 1.05));
+  EXPECT_FALSE(r.ov.should_shed(r.lane, 1.0, 1.06));   // under: reset
+  EXPECT_EQ(r.lane.first_above_s, 0.0);
+  EXPECT_FALSE(r.ov.should_shed(r.lane, 10.0, 1.07));  // episode restarts
+  // 120 ms after the first episode began, but 50 ms into this one.
+  EXPECT_FALSE(r.ov.should_shed(r.lane, 10.0, 1.12));
+}
+
+TEST(NetOverload, CodelOverTargetShorterThanIntervalNeverSheds) {
+  OverloadRig r;
+  for (int ms = 0; ms < 100; ++ms) {
+    EXPECT_FALSE(r.ov.should_shed(r.lane, 50.0, 1.0 + ms * 0.00099)) << ms;
+  }
+  EXPECT_FALSE(r.lane.dropping);
+}
+
+TEST(NetOverload, CodelShedsAfterIntervalThenPacesBySqrtCount) {
+  OverloadRig r;
+  EXPECT_FALSE(r.ov.should_shed(r.lane, 10.0, 1.0));
+  EXPECT_TRUE(r.ov.should_shed(r.lane, 10.0, 1.25));  // a full interval
+  EXPECT_EQ(r.lane.drop_count, 1u);
+  EXPECT_EQ(r.lane.drop_next_s, 1.25 + 0.1);
+  for (std::uint64_t count = 2; count <= 4; ++count) {
+    const double next = r.lane.drop_next_s;
+    EXPECT_FALSE(r.ov.should_shed(r.lane, 10.0, next - 1e-6));
+    EXPECT_TRUE(r.ov.should_shed(r.lane, 10.0, next));
+    EXPECT_EQ(r.lane.drop_count, count);
+    EXPECT_EQ(r.lane.drop_next_s,
+              next + 0.1 / std::sqrt(static_cast<double>(count)));
+  }
+}
+
+TEST(NetOverload, CodelNonPositiveTargetDisables) {
+  for (const double target : {0.0, -1.0}) {
+    OverloadRig r;
+    r.cfg.codel_target_ms = target;
+    for (int i = 0; i < 50; ++i) {
+      EXPECT_FALSE(r.ov.should_shed(r.lane, 1e6, 1.0 + i * 0.5));
+    }
+  }
+}
+
+TEST(NetOverload, AimdUninitialisedWindowReadsAsServiceCap) {
+  OverloadRig r;
+  r.cfg.max_service_inflight = 8;
+  EXPECT_EQ(r.lane.window, 0.0);
+  EXPECT_EQ(r.ov.limit(r.lane), 8.0);
+  r.cfg.max_service_inflight = 12;  // follows a reload
+  EXPECT_EQ(r.ov.limit(r.lane), 12.0);
+}
+
+TEST(NetOverload, AimdCutMultipliesByBackoffFlooredAtMin) {
+  OverloadRig r;
+  r.cfg.max_service_inflight = 8;
+  r.cfg.aimd_backoff = 0.5;
+  r.cfg.aimd_min = 3.0;
+  r.ov.congested(r.lane, "alpha");
+  EXPECT_EQ(r.ov.limit(r.lane), 4.0);
+  EXPECT_EQ(r.gauge(), 4.0);
+  r.ov.congested(r.lane, "alpha");
+  EXPECT_EQ(r.ov.limit(r.lane), 3.0);  // 2 floored at aimd_min
+  r.ov.congested(r.lane, "alpha");
+  EXPECT_EQ(r.ov.limit(r.lane), 3.0);
+  EXPECT_EQ(r.gauge(), 3.0);
+}
+
+TEST(NetOverload, AimdGrowthAddsReciprocalCappedAtServiceCap) {
+  OverloadRig r;
+  r.cfg.max_service_inflight = 8;
+  r.cfg.aimd_backoff = 0.5;
+  r.ov.congested(r.lane, "alpha");  // 8 -> 4
+  r.ov.completed(r.lane, "alpha");
+  EXPECT_EQ(r.ov.limit(r.lane), 4.25);
+  EXPECT_EQ(r.gauge(), 4.25);
+  for (int i = 0; i < 100; ++i) {
+    r.ov.completed(r.lane, "alpha");
+    EXPECT_EQ(r.gauge(), r.ov.limit(r.lane));
+  }
+  EXPECT_EQ(r.ov.limit(r.lane), 8.0);  // capped, never past the cap
+}
+
+TEST(NetOverload, AimdLaneAtItsWindowIsIneligible) {
+  OverloadRig r;
+  r.cfg.max_service_inflight = 8;
+  r.cfg.aimd_backoff = 0.25;
+  r.ov.congested(r.lane, "alpha");  // window 2
+  EXPECT_TRUE(r.ov.eligible(r.lane));
+  r.ov.submitted(r.lane);
+  EXPECT_TRUE(r.ov.eligible(r.lane));
+  r.ov.submitted(r.lane);
+  EXPECT_FALSE(r.ov.eligible(r.lane));
+  r.ov.finished(r.lane);
+  EXPECT_TRUE(r.ov.eligible(r.lane));
 }
