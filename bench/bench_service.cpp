@@ -21,12 +21,13 @@
 // that dawdles over its reads. The gate asserts contended p95 <=
 // isolation-factor * baseline p95 + slack for every well-behaved
 // tenant — weighted-fair DRR lanes are what makes it hold — and the
-// bench exits nonzero when it doesn't. Clients survive injected
-// net_drop faults by reconnecting and resending what was in flight, so
-// the gate also runs under TDA_FAULTS in CI. --processes forks every
-// tenant client into its own process (stats come back over a pipe), so
-// the contention is between real OS processes rather than threads
-// sharing one allocator and scheduler.
+// bench exits nonzero when it doesn't, or when any request is lost.
+// Clients survive injected net_drop/net_corrupt faults by reconnecting
+// and resending what was in flight, so the gates also run under
+// TDA_FAULTS in CI. --processes forks every tenant client into its own
+// process (stats come back over a pipe), so the contention is between
+// real OS processes rather than threads sharing one allocator and
+// scheduler.
 //
 // --chaos switches to the end-to-end reliability proof
 // (docs/ROBUSTNESS.md): clients with idempotent retries talk to the
@@ -141,8 +142,10 @@ namespace {
 
 constexpr std::size_t kShapes[] = {32, 48, 64, 96, 128};
 
-SolveRequest<double> random_request(std::size_t n, Rng& rng) {
-  SolveRequest<double> req;
+/// Random diagonally dominant system, as an in-process or a wire request.
+template <typename Req = SolveRequest<double>>
+Req random_request(std::size_t n, Rng& rng) {
+  Req req;
   req.a.resize(n);
   req.b.resize(n);
   req.c.resize(n);
@@ -488,90 +491,52 @@ struct TenantStats {
   }
 };
 
+/// The wire clients' reconnect policy: a connect that fails, or a
+/// connection that drops mid-window, retries under jittered backoff.
+net::RetryPolicy bench_retry(std::uint64_t seed) {
+  return {.max_attempts = 60, .base_backoff_ms = 0.5,
+          .max_backoff_ms = 20.0, .seed = seed};
+}
+
 /// Closed-loop client: keeps `window` requests in flight until
-/// `requests` complete. Survives connection drops (injected net_drop
-/// faults or otherwise) by reconnecting and resending whatever was in
-/// flight — a dropped request is re-solved, never silently lost.
+/// `requests` settle. Connection drops (injected net_drop faults or
+/// otherwise) recover through the client's retry policy, which resends
+/// whatever was in flight — a dropped request is re-solved, never
+/// silently lost.
 TenantStats run_tenant_client(const std::string& sock,
                               const TenantProfile& prof,
                               std::size_t requests, std::uint64_t seed) {
   using Clock = std::chrono::steady_clock;
-  TenantStats st;
   net::Client client;
+  client.set_retry(bench_retry(seed));
   std::string err;
-  const auto connect = [&] {
-    for (int attempt = 0; attempt < 100; ++attempt) {
-      if (client.connect(sock, prof.token, &err)) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return false;
-  };
-  if (!connect()) {
-    st.lost = requests;
-    return st;
-  }
+  TenantStats st;
+  st.lost = requests;  // until the window reports
+  if (!client.connect(sock, prof.token, &err)) return st;
 
   Rng rng(seed);
-  struct InFlight {
-    SolveRequest<double> sys;
-    Clock::time_point sent;
-  };
-  std::map<std::uint64_t, InFlight> outstanding;
-  std::uint64_t next_id = 0;
-  std::size_t launched = 0;
-
-  const auto send_one = [&](std::uint64_t id, const SolveRequest<double>& s) {
-    return client.send_solve<double>(id, s.a, s.b, s.c, s.d, 0.0, &err);
-  };
-  const auto recover = [&] {
-    ++st.reconnects;
-    if (!connect()) return false;
-    for (const auto& [id, rec] : outstanding) {
-      if (!send_one(id, rec.sys)) return false;  // next recv retries
-    }
-    return true;
-  };
-
-  while (launched < requests || !outstanding.empty()) {
-    bool transport_ok = true;
-    while (launched < requests && outstanding.size() < prof.window) {
-      const std::uint64_t id = ++next_id;
-      InFlight rec;
-      rec.sys = random_request(kShapes[(seed + launched) % 5], rng);
-      rec.sent = Clock::now();
-      const bool sent_ok = send_one(id, rec.sys);
-      outstanding.emplace(id, std::move(rec));
-      ++launched;
-      if (!sent_ok) {
-        transport_ok = false;
-        break;
-      }
-    }
-    if (transport_ok && !outstanding.empty()) {
-      net::WireResult<double> r;
-      if (client.recv_result<double>(r, &err)) {
+  std::vector<Clock::time_point> sent(requests);
+  const auto out = client.run_window<double>(
+      prof.window, requests,
+      [&](std::size_t i) {
+        sent[i] = Clock::now();
+        return random_request<net::WindowRequest<double>>(
+            kShapes[(seed + i) % 5], rng);
+      },
+      [&](std::size_t i, const net::WindowRequest<double>&,
+          const net::WireResult<double>& r) {
         if (prof.recv_sleep_ms > 0.0) {
           std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
               prof.recv_sleep_ms));
         }
-        const auto it = outstanding.find(r.request_id);
-        if (it != outstanding.end()) {
-          st.latency_ms.push_back(
-              std::chrono::duration<double, std::milli>(Clock::now() -
-                                                        it->second.sent)
-                  .count());
-          (r.ok() ? st.ok : st.rejected) += 1;
-          outstanding.erase(it);
-        }
-      } else {
-        transport_ok = false;
-      }
-    }
-    if (!transport_ok && !recover()) {
-      st.lost += outstanding.size() + (requests - launched);
-      break;
-    }
-  }
+        st.latency_ms.push_back(
+            std::chrono::duration<double, std::milli>(Clock::now() - sent[i])
+                .count());
+        (r.ok() ? st.ok : st.rejected) += 1;
+        return net::Verdict::Settle;
+      });
+  st.lost = out.lost;
+  st.reconnects = client.stats().reconnects;
   client.close();
   return st;
 }
@@ -797,8 +762,11 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
   table.set_header({"tenant", "ok", "rejected", "lost", "reconnects",
                     "p95_alone_ms", "p95_contended_ms", "ratio", "gate"});
   bool isolated = true;
+  std::size_t lost = 0;
+  for (const auto& [name, st] : baseline) lost += st.lost;
   for (const auto& p : profiles) {
     const auto& c = contended[p.name];
+    lost += c.lost;
     std::string alone = "-", ratio = "-", gate = "-";
     if (p.gated) {
       const double base = baseline[p.name].p95();
@@ -850,7 +818,9 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
   std::cout << "\nwell-behaved tenants held p95 within " << factor
             << "x + " << slack_ms << " ms of their no-contention baseline: "
             << (isolated ? "yes  [OK]" : "NO  [FAIL]") << "\n";
-  return isolated;
+  std::cout << "every request settled (" << lost << " lost): "
+            << (lost == 0 ? "yes  [OK]" : "NO  [FAIL]") << "\n";
+  return isolated && lost == 0;
 }
 
 // ----------------------------------------------------------------- chaos
@@ -859,7 +829,7 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
 /// (|d_i| + 1). The client-side half of the exactly-once gate — an ack
 /// only counts if it carries a genuine solution of the system the
 /// client actually sent.
-double residual_inf(const SolveRequest<double>& s,
+double residual_inf(const net::WindowRequest<double>& s,
                     const std::vector<double>& x) {
   if (x.size() != s.d.size()) return 1e300;
   const std::size_t n = x.size();
@@ -897,97 +867,53 @@ struct ChaosStats {
 ChaosStats run_chaos_client(const std::string& spec, std::size_t requests,
                             std::size_t window, std::uint64_t seed,
                             double deadline_ms, bool retry_errors) {
-  ChaosStats st;
   net::Client client;
-  net::RetryPolicy rp;
-  rp.max_attempts = 60;
-  rp.base_backoff_ms = 0.5;
-  rp.max_backoff_ms = 20.0;
-  rp.seed = seed;
-  client.set_retry(rp);
+  client.set_retry(bench_retry(seed));
   std::string err;
-  bool connected = false;
-  for (int attempt = 0; attempt < 200 && !connected; ++attempt) {
-    connected = client.connect(spec, "tok-chaos", &err);
-    if (!connected)
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  if (!connected) {
-    st.lost = requests;
-    return st;
-  }
+  if (!client.connect(spec, "tok-chaos", &err)) return {.lost = requests};
 
-  struct Pending {
-    SolveRequest<double> sys;
-    std::uint64_t key = 0;
-    int attempts = 0;
-  };
+  ChaosStats st;
   Rng rng(seed);
-  std::map<std::uint64_t, Pending> live;
-  std::uint64_t next_id = 0;
-  std::size_t launched = 0;
+  std::vector<int> attempts(requests, 0);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto send = [&](std::uint64_t rid, const Pending& p) {
-    return client.send_solve2<double>(rid, p.sys.a, p.sys.b, p.sys.c,
-                                      p.sys.d, deadline_ms, p.key, &err);
-  };
-
-  bool dead = false;
-  while (!dead && (launched < requests || !live.empty())) {
-    while (launched < requests && live.size() < window) {
-      const std::uint64_t rid = ++next_id;
-      Pending p;
-      p.sys = random_request(kShapes[(seed + launched) % 5], rng);
-      p.key = client.mint_key();
-      ++launched;
-      const bool sent = send(rid, p);
-      live.emplace(rid, std::move(p));
-      if (!sent) {
-        dead = true;
-        break;
-      }
-    }
-    if (dead || live.empty()) break;
-    net::WireResult<double> r;
-    if (!client.recv_result<double>(r, &err)) {
-      dead = true;
-      break;
-    }
-    const auto it = live.find(r.request_id);
-    if (it == live.end()) continue;  // answer for an already-settled id
-    if (r.ok()) {
-      if (residual_inf(it->second.sys, r.x) > 1e-6) ++st.residual_bad;
-      ++st.ok;
-      live.erase(it);
-      continue;
-    }
-    if (r.code == net::ErrorCode::DeadlineExpired) {
-      ++st.expired;
-      live.erase(it);
-      continue;
-    }
-    if (retry_errors && it->second.attempts < 50) {
-      ++it->second.attempts;
-      ++st.retried;
-      // Draining means a new generation is (or will shortly be)
-      // accepting on the same listener: give the old one a beat to
-      // close this connection so the resend reconnects there instead
-      // of hammering the drain rejection.
-      if (r.code == net::ErrorCode::Draining) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-      if (!send(r.request_id, it->second)) dead = true;
-      continue;
-    }
-    if (r.code == net::ErrorCode::Shed ||
-        r.code == net::ErrorCode::TimedOut) {
-      ++st.shed;
-    } else {
-      ++st.errors;
-    }
-    live.erase(it);
-  }
-  st.lost += live.size() + (requests - launched);
+  const auto out = client.run_window<double>(
+      window, requests,
+      [&](std::size_t i) {
+        auto q = random_request<net::WindowRequest<double>>(
+            kShapes[(seed + i) % 5], rng);
+        q.deadline_ms = deadline_ms;
+        q.idem_key = client.mint_key();
+        return q;
+      },
+      [&](std::size_t i, const net::WindowRequest<double>& q,
+          const net::WireResult<double>& r) {
+        if (r.ok()) {
+          if (residual_inf(q, r.x) > 1e-6) ++st.residual_bad;
+          ++st.ok;
+          return net::Verdict::Settle;
+        }
+        if (r.code == net::ErrorCode::DeadlineExpired) {
+          ++st.expired;
+          return net::Verdict::Settle;
+        }
+        if (retry_errors && attempts[i] < 50) {
+          ++attempts[i];
+          ++st.retried;
+          // Draining means a new generation is (or will shortly be)
+          // accepting on the same listener: give the old one a beat to
+          // close this connection so the resend reconnects there
+          // instead of hammering the drain rejection.
+          if (r.code == net::ErrorCode::Draining) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          }
+          return net::Verdict::Resend;
+        }
+        (r.code == net::ErrorCode::Shed || r.code == net::ErrorCode::TimedOut
+             ? st.shed
+             : st.errors) += 1;
+        return net::Verdict::Settle;
+      });
+  st.lost = out.lost;
   st.wall_s = std::chrono::duration<double>(
                   std::chrono::steady_clock::now() - t0)
                   .count();

@@ -244,39 +244,30 @@ int remote_run(const Cli& cli) {
   };
 
   const auto t0 = std::chrono::steady_clock::now();
-  std::size_t sent = 0, received = 0, solved = 0;
+  std::size_t solved = 0;
   double server_solve_ms = 0.0, server_wait_ms = 0.0;
-  bool transport_ok = true;
-  while (received < m && transport_ok) {
-    while (sent < m && sent - received < window) {
-      if (!client.send_solve<T>(sent + 1, lane(batch.a(), sent),
-                                lane(batch.b(), sent), lane(batch.c(), sent),
-                                lane(batch.d(), sent), 0.0, &err)) {
-        std::cerr << "send failed: " << err << "\n";
-        transport_ok = false;
-        break;
-      }
-      ++sent;
-    }
-    if (!transport_ok) break;
-    net::WireResult<T> r;
-    if (!client.recv_result<T>(r, &err)) {
-      std::cerr << "receive failed: " << err << "\n";
-      transport_ok = false;
-      break;
-    }
-    ++received;
-    if (!r.ok()) {
-      std::cerr << "system " << r.request_id - 1 << ": "
-                << net::to_string(r.code) << " " << r.error << "\n";
-      continue;
-    }
-    ++solved;
-    server_solve_ms += r.solve_ms;
-    server_wait_ms += r.wait_ms;
-    auto x = batch.x();
-    std::copy(r.x.begin(), r.x.end(),
-              x.begin() + static_cast<std::ptrdiff_t>((r.request_id - 1) * n));
+  const auto run = client.run_window<T>(
+      window, m,
+      [&](std::size_t i) {
+        return net::WindowRequest<T>{lane(batch.a(), i), lane(batch.b(), i),
+                                     lane(batch.c(), i), lane(batch.d(), i)};
+      },
+      [&](std::size_t i, const net::WindowRequest<T>&,
+          const net::WireResult<T>& r) {
+        if (!r.ok()) {
+          std::cerr << "system " << i << ": " << net::to_string(r.code) << " "
+                    << r.error << "\n";
+          return net::Verdict::Settle;
+        }
+        ++solved;
+        server_solve_ms += r.solve_ms;
+        server_wait_ms += r.wait_ms;
+        std::copy(r.x.begin(), r.x.end(),
+                  batch.x().begin() + static_cast<std::ptrdiff_t>(i * n));
+        return net::Verdict::Settle;
+      });
+  if (!run.error.empty()) {
+    std::cerr << "transport failed: " << run.error << "\n";
   }
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)

@@ -90,15 +90,15 @@ class ChaosProxy {
 
   void stop() {
     stop_.store(true, std::memory_order_relaxed);
-    if (listener_.valid()) {
-      ::shutdown(listener_.get(), SHUT_RDWR);
-      listener_.reset();
-    }
+    // Wake accept() and wait for accept_loop to leave before the fd it
+    // reads is closed; links it accepted meanwhile are torn down below.
+    if (listener_.valid()) ::shutdown(listener_.get(), SHUT_RDWR);
+    if (accept_thread_.joinable()) accept_thread_.join();
+    listener_.reset();
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (auto& link : links_) link->tear_down();
     }
-    if (accept_thread_.joinable()) accept_thread_.join();
     std::vector<std::thread> threads;
     {
       std::lock_guard<std::mutex> lock(mu_);

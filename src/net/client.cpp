@@ -15,7 +15,11 @@ bool Client::connect(const std::string& spec, const std::string& token,
   token_ = token;
   outstanding_.clear();
   prev_backoff_ms_ = 0.0;
-  return do_connect(err);
+  std::string first;
+  if (do_connect(&first)) return true;
+  if (parse_endpoint(spec_) && recover(nullptr)) return true;
+  if (err != nullptr) *err = first;
+  return false;
 }
 
 bool Client::do_connect(std::string* err) {

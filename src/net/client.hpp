@@ -1,18 +1,20 @@
 #pragma once
 // Client side of the wire protocol (docs/NET.md). Blocking I/O over one
 // connection: connect() runs the Hello handshake, solve() is the
-// one-shot convenience, and send_solve()/recv_result() expose the
-// windowed form — fire several request ids, then collect responses in
-// arrival order — which is what the bench's closed-loop tenants use.
+// one-shot convenience, and run_window() is the windowed driver: up to
+// W requests in flight, one callback per answer, which settles or
+// resends it. send_solve() and recv_result() are the primitives
+// underneath, for callers that pipeline by hand.
 //
-// Resilience (opt-in via set_retry): when a transport failure lands
-// mid-window, the client reconnects with exponential backoff +
-// decorrelated jitter, re-runs the Hello handshake, and resends every
-// request that was sent but not yet answered — byte-identical, so a v2
-// resend carries the same idempotency key and the same absolute
-// deadline (the budget shrinks across retries by construction; the
-// server rejects what expired). The server's dedup cache turns those
-// resends into replays rather than re-executions.
+// Resilience (opt-in via set_retry): when connect() or a transport
+// read/write fails, recover() — the only reconnect path — retries with
+// exponential backoff + decorrelated jitter, re-runs the Hello
+// handshake, and resends every request that was sent but not yet
+// answered — byte-identical, so a v2 resend carries the same
+// idempotency key and the same absolute deadline (the budget shrinks
+// across retries by construction; the server rejects what expired).
+// The server's dedup cache turns those resends into replays rather
+// than re-executions.
 //
 // connect() advertises protocol v2; wire_version() reports what the
 // server agreed to (a legacy server answers 0 → v1, and the client
@@ -20,6 +22,7 @@
 //
 // Not thread-safe; one Client per thread.
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -41,7 +44,7 @@ struct RetryPolicy {
 };
 
 struct ClientStats {
-  std::uint64_t reconnects = 0;  ///< successful reconnect handshakes
+  std::uint64_t reconnects = 0;  ///< handshakes completed by a retry
   std::uint64_t resends = 0;     ///< unacknowledged frames resent
   std::uint64_t gave_up = 0;     ///< recoveries that exhausted attempts
 };
@@ -63,6 +66,26 @@ struct WireResult {
   [[nodiscard]] bool ok() const { return code == ErrorCode::None; }
 };
 
+/// One request for run_window(): the system, a relative deadline budget
+/// (0 = none) and an idempotency key (0 = unkeyed).
+template <typename T>
+struct WindowRequest {
+  std::vector<T> a, b, c, d;
+  double deadline_ms = 0.0;
+  std::uint64_t idem_key = 0;
+};
+
+/// What run_window()'s callback does with an answer.
+enum class Verdict { Settle, Resend };
+
+/// run_window()'s tally. settled + lost == total; `error` is the
+/// transport failure that ended the run early ("" when none did).
+struct WindowOutcome {
+  std::size_t settled = 0;
+  std::size_t lost = 0;
+  std::string error;
+};
+
 class Client {
  public:
   Client() = default;
@@ -74,8 +97,11 @@ class Client {
   Client& operator=(Client&&) = default;
 
   /// Connects to "host:port" or "unix:/path" and, when `token` is
-  /// non-empty, authenticates with a Hello. False (with *err) on
-  /// connect, handshake, or auth failure.
+  /// non-empty, authenticates with a Hello. With a retry policy set, a
+  /// failure other than a malformed spec retries under its backoff
+  /// (auth refusals too: net_corrupt can mangle a token). False on
+  /// connect, handshake, or auth failure, *err holding the first
+  /// attempt's cause.
   bool connect(const std::string& spec, const std::string& token,
                std::string* err);
 
@@ -206,6 +232,52 @@ class Client {
       return r;
     }
     return r;
+  }
+
+  /// The windowed driver: sends requests next(0) .. next(total - 1)
+  /// through send_solve2, keeping up to `window` unanswered. Each answer
+  /// to a live request goes to on_result(i, request, result): Settle
+  /// retires request i, Resend sends it again under the same request id.
+  /// Transport failures recover only through the retry policy; once that
+  /// gives up (or none is set) the run ends and the unsettled are lost.
+  template <typename Tv, typename Next, typename OnResult>
+  WindowOutcome run_window(std::size_t window, std::size_t total,
+                           Next&& next, OnResult&& on_result) {
+    // request id -> (index, request)
+    std::map<std::uint64_t, std::pair<std::size_t, WindowRequest<Tv>>> live;
+    std::size_t launched = 0;
+    WindowOutcome out;
+    std::string err;
+    const auto send = [&](std::uint64_t rid, const WindowRequest<Tv>& q) {
+      return send_solve2<Tv>(rid, q.a, q.b, q.c, q.d, q.deadline_ms,
+                             q.idem_key, &err);
+    };
+    bool alive = true;
+    while (launched < total || !live.empty()) {
+      while (alive && launched < total &&
+             (live.empty() || live.size() < window)) {
+        const std::uint64_t rid = ++next_id_;
+        const auto& slot = live[rid] = {launched, next(launched)};
+        ++launched;
+        alive = send(rid, slot.second);
+      }
+      WireResult<Tv> r;
+      if (!alive || !recv_result<Tv>(r, &err)) {
+        out.error = err;
+        break;
+      }
+      const auto it = live.find(r.request_id);
+      if (it == live.end()) continue;  // id 0 (a connection reject)
+      auto& [index, req] = it->second;
+      if (on_result(index, req, r) == Verdict::Resend) {
+        alive = send(r.request_id, req);
+      } else {
+        live.erase(it);
+        ++out.settled;
+      }
+    }
+    out.lost = total - out.settled;
+    return out;
   }
 
  private:

@@ -31,6 +31,9 @@
 //     or starve the loop;
 //   * idle timeout: a connection with no traffic and nothing in flight
 //     for idle_timeout_ms is closed;
+//   * partial-frame stall: a connection holding an incomplete frame
+//     with no new byte for kPartialFrameStallMs gets a typed BadFrame
+//     and is closed, whatever idle_timeout_ms says;
 //   * drain: begin_drain() stops accepting connections, answers new
 //     Solve frames with ErrorCode::Draining, lets everything already
 //     admitted finish through the service, flushes write buffers (for
@@ -100,6 +103,10 @@ inline constexpr std::size_t kMaxPayloadBytes = std::size_t{256} << 20;
 inline constexpr std::size_t kWriteBufferLimit = std::size_t{4} << 20;
 /// DRR quantum in equations per weight unit per round.
 inline constexpr double kDrrQuantum = 1024.0;
+/// A connection that has held an incomplete frame this long without a
+/// new byte is refused with a typed BadFrame and closed: a corrupted
+/// length prefix, or a peer that stopped mid-frame, never waits forever.
+inline constexpr double kPartialFrameStallMs = 5000.0;
 /// During drain, force-close connections whose write buffers have not
 /// flushed after this long (a consumer that stopped reading cannot
 /// hold shutdown hostage). Completion callbacks are always awaited.
@@ -595,9 +602,12 @@ class FrontDoor {
     }
   }
 
+  /// Resuming restarts the stall clock: while paused the door did not
+  /// read, so the peer's silence says nothing about a partial frame.
   void maybe_resume(Conn& conn) {
     if (conn.paused && conn.wbuf.size() < kWriteBufferLimit / 2) {
       conn.paused = false;
+      conn.last_rx = Clock::now();
     }
   }
 
@@ -1111,14 +1121,25 @@ class FrontDoor {
     for (auto& d : batch) settle(d.ticket, Outcome::Served, std::move(d.resp));
   }
 
+  /// Closes idle connections (when idle_timeout_ms is set) and refuses
+  /// stalled partial frames (always). A paused connection is exempt
+  /// from the stall rule — the door itself stopped reading it — and
+  /// maybe_resume() restarts its clock.
   void sweep_idle(TimePoint now) {
-    if (cfg_.idle_timeout_ms <= 0.0) return;
-    const auto limit = std::chrono::duration_cast<Clock::duration>(
-        std::chrono::duration<double, std::milli>(cfg_.idle_timeout_ms));
+    const auto ms = [](double v) {
+      return std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double, std::milli>(v));
+    };
+    const auto stall = ms(kPartialFrameStallMs);
+    const auto limit = ms(cfg_.idle_timeout_ms);
     std::vector<std::uint64_t> victims;
     for (auto& [id, conn] : conns_) {
-      if (conn.inflight == 0 && conn.wbuf.empty() &&
-          now - conn.last_rx > limit) {
+      const auto quiet = now - conn.last_rx;
+      if (!conn.rbuf.empty() && !conn.closing && !conn.paused &&
+          quiet > stall) {
+        bad_frame(conn, "partial frame stalled");
+      } else if (cfg_.idle_timeout_ms > 0.0 && conn.inflight == 0 &&
+                 conn.wbuf.empty() && quiet > limit) {
         victims.push_back(id);
       }
     }

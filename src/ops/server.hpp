@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -344,9 +345,10 @@ class Server {
   /// disabled) apply to it — an unknown NAME is registered fresh.
   /// Global keys: service.default_deadline_ms, engine_threads,
   /// codel_target_ms, codel_interval_ms, aimd_min, aimd_backoff,
-  /// max_clock_skew_ms, snapshot_interval_ms. Everything is parsed
-  /// first; application runs on the poll thread, so a connection never
-  /// observes a half-applied tenant row.
+  /// max_clock_skew_ms, snapshot_interval_ms. Everything is parsed and
+  /// checked before anything is committed, and the commit runs on the
+  /// poll thread: a reload applies whole or not at all, and a
+  /// connection never observes a half-applied tenant row.
   std::pair<bool, std::string> reload(const std::string& payload) {
     std::vector<std::pair<std::string, std::string>> kvs;
     std::istringstream in(payload);
@@ -369,29 +371,49 @@ class Server {
     return fut.get();
   }
 
-  /// Runs on the poll thread.
+  /// Runs on the poll thread. Every key is first checked into staged
+  /// copies; nothing is committed until all of them pass, so a rejected
+  /// reload changes nothing — not even the registration of a tenant it
+  /// named.
   std::pair<bool, std::string> apply_reload(
       const std::vector<std::pair<std::string, std::string>>& kvs) {
     net::TenantRegistry& reg = door_.tenants();
-    std::string tenant;  // current scope; empty = global
+    struct Staged {
+      net::TenantConfig cfg;
+      bool fresh = false;  ///< not registered yet
+      std::optional<bool> disabled;
+    };
+    std::vector<Staged> tenants;  // in first-mention order
+    std::optional<std::size_t> scope;  // index into `tenants`; none = global
+    net::FrontDoorConfig door = door_.config_mutable();
+    std::optional<double> service_deadline_ms, engine_threads, snapshot_ms;
     std::size_t applied = 0;
     for (const auto& [key, val] : kvs) {
       char* end = nullptr;
       const double num = std::strtod(val.c_str(), &end);
       const bool numeric = end != nullptr && *end == '\0' && !val.empty();
       if (key == "tenant") {
-        tenant = val;
-        if (reg.find(tenant) == nullptr) {
-          net::TenantConfig fresh;
-          fresh.name = tenant;
-          reg.add(fresh);
+        scope.reset();
+        if (val.empty()) continue;
+        for (std::size_t i = 0; i < tenants.size(); ++i) {
+          if (tenants[i].cfg.name == val) scope = i;
+        }
+        if (!scope) {
+          Staged t;
+          if (const net::Tenant* live = reg.find(val)) {
+            t.cfg = live->cfg;
+          } else {
+            t.cfg.name = val;
+            t.fresh = true;
+          }
+          scope = tenants.size();
+          tenants.push_back(std::move(t));
         }
         continue;
       }
-      if (!tenant.empty()) {
-        net::Tenant* t = reg.find(tenant);
-        if (t == nullptr) return {false, "no tenant " + tenant};
-        net::TenantConfig cfg = t->cfg;
+      if (scope) {
+        Staged& t = tenants[*scope];
+        net::TenantConfig& cfg = t.cfg;
         if (key == "token") {
           cfg.token = val;
         } else if (!numeric) {
@@ -410,14 +432,9 @@ class Server {
         } else if (key == "default_deadline_ms") {
           cfg.default_deadline_ms = num;
         } else if (key == "disabled") {
-          reg.disable(tenant, num != 0.0);
-          ++applied;
-          continue;
+          t.disabled = num != 0.0;
         } else {
           return {false, "unknown tenant key: " + key};
-        }
-        if (!reg.update(tenant, cfg)) {
-          return {false, "update failed for " + tenant};
         }
         ++applied;
         continue;
@@ -426,26 +443,43 @@ class Server {
         return {false, "non-numeric value for " + key + ": " + val};
       }
       if (key == "service.default_deadline_ms") {
-        svc_.set_default_deadline_ms(num);
+        service_deadline_ms = num;
       } else if (key == "engine_threads") {
-        svc_.resize_engine_threads(static_cast<int>(num));
+        engine_threads = num;
       } else if (key == "codel_target_ms") {
-        door_.config_mutable().codel_target_ms = num;
+        door.codel_target_ms = num;
       } else if (key == "codel_interval_ms") {
-        door_.config_mutable().codel_interval_ms = num;
+        door.codel_interval_ms = num;
       } else if (key == "aimd_min") {
-        door_.config_mutable().aimd_min = num;
+        door.aimd_min = num;
       } else if (key == "aimd_backoff") {
-        door_.config_mutable().aimd_backoff = num;
+        door.aimd_backoff = num;
       } else if (key == "max_clock_skew_ms") {
-        door_.config_mutable().max_clock_skew_ms = num;
+        door.max_clock_skew_ms = num;
       } else if (key == "snapshot_interval_ms") {
-        snapshot_interval_override_ms_.store(num,
-                                             std::memory_order_relaxed);
+        snapshot_ms = num;
       } else {
         return {false, "unknown key: " + key};
       }
       ++applied;
+    }
+    // Every key passed: commit.
+    for (const auto& t : tenants) {
+      if (t.fresh) {
+        reg.add(t.cfg);
+      } else {
+        reg.update(t.cfg.name, t.cfg);
+      }
+      if (t.disabled) reg.disable(t.cfg.name, *t.disabled);
+    }
+    door_.config_mutable() = door;
+    if (service_deadline_ms) svc_.set_default_deadline_ms(*service_deadline_ms);
+    if (engine_threads) {
+      svc_.resize_engine_threads(static_cast<int>(*engine_threads));
+    }
+    if (snapshot_ms) {
+      snapshot_interval_override_ms_.store(*snapshot_ms,
+                                           std::memory_order_relaxed);
     }
     return {true, "applied=" + std::to_string(applied) + "\n"};
   }

@@ -4,6 +4,7 @@
 // with net::Client.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/hash.hpp"
+#include "common/le_codec.hpp"
 #include "common/rng.hpp"
 #include "faults/faults.hpp"
 #include "golden_hex.hpp"
@@ -809,6 +811,23 @@ TEST(NetDoor, AuthFailedAndAuthRequired) {
   EXPECT_EQ(r.code, ErrorCode::AuthRequired);
 }
 
+// Under a retry policy a refused connect still says why, and a
+// malformed endpoint spec is not retried at all.
+TEST(NetDoor, RetriedConnectKeepsFirstCause) {
+  DoorFixture fx;
+  ASSERT_TRUE(fx.start());
+  Client client;
+  client.set_retry({.max_attempts = 2, .base_backoff_ms = 0.5,
+                    .max_backoff_ms = 1.0, .seed = 1});
+  std::string err;
+  EXPECT_FALSE(client.connect("unix:" + fx.sock, "nope", &err));
+  EXPECT_NE(err.find("auth rejected"), std::string::npos) << err;
+  EXPECT_EQ(client.stats().gave_up, 1u);
+  EXPECT_FALSE(client.connect("no-port-here", "ta", &err));
+  EXPECT_EQ(err, "bad endpoint spec: no-port-here");
+  EXPECT_EQ(client.stats().gave_up, 1u);  // not retried
+}
+
 TEST(NetDoor, DtypeMismatchRejected) {
   DoorFixture fx;  // server is instantiated for double
   ASSERT_TRUE(fx.start());
@@ -1038,6 +1057,134 @@ TEST(NetDoor, LaneDropOnCloseReturnsInflightBytes) {
   fx.door->shutdown();
   EXPECT_EQ(fx.svc->telemetry().metrics.gauge("net.inflight_bytes_now"),
             0.0);
+}
+
+// A corrupted payload_len leaves the decoder waiting for bytes that
+// never come. The door must refuse that frame with a typed BadFrame and
+// close the connection within kPartialFrameStallMs plus one poll.
+TEST(NetDoor, StalledPartialFrameGetsTypedClose) {
+  HeldDoor fx(1.0, 4);
+  ASSERT_TRUE(fx.start());
+  const auto ep = parse_endpoint("unix:" + fx.sock);
+  ASSERT_TRUE(ep.has_value());
+  std::string err;
+  Fd fd = connect_endpoint(*ep, &err);
+  ASSERT_TRUE(fd.valid()) << err;
+
+  const auto sys = diag_dominant(64, 17);
+  std::string frame;
+  encode_solve<double>(frame, 1, sys.a, sys.b, sys.c, sys.d, 0.0);
+  std::string inflated;
+  le::put_u32(inflated, le::get_u32(frame, 16) + 4096);
+  frame.replace(16, 4, inflated);
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(write_all(fd.get(), frame.data(), frame.size()));
+
+  // HeldDoor polls every 2 ms; 100 ms covers a loaded scheduler.
+  const int budget_ms = static_cast<int>(kPartialFrameStallMs) + 2 + 100;
+  pollfd p{fd.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&p, 1, budget_ms), 1) << "no reply to a stalled frame";
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_GE(waited_ms, kPartialFrameStallMs);
+  std::string rbuf, payload;
+  FrameType type{};
+  ASSERT_TRUE(read_frame(fd.get(), rbuf, type, payload));
+  ASSERT_EQ(type, FrameType::SolveErr);
+  const auto e = parse_solve_err(payload);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->code, ErrorCode::BadFrame) << e->message;
+  ASSERT_EQ(::poll(&p, 1, budget_ms), 1);
+  char tmp[64];
+  EXPECT_EQ(read_some(fd.get(), tmp, sizeof(tmp)), 0);  // closed
+  EXPECT_EQ(fx.door->counters().bad_frames, 1u);
+}
+
+// A connection paused for backpressure is not read, so its silence
+// says nothing. A slow reader that leaves a frame half-sent while the
+// door holds more than kWriteBufferLimit of its replies must still be
+// served once it drains them: resuming restarts the stall clock.
+TEST(NetDoor, PausedPartialFrameSurvivesResume) {
+  HeldDoor fx(1.0, 4);
+  ASSERT_TRUE(fx.start());
+  const auto ep = parse_endpoint("unix:" + fx.sock);
+  ASSERT_TRUE(ep.has_value());
+  std::string err;
+  Fd fd = connect_endpoint(*ep, &err);
+  ASSERT_TRUE(fd.valid()) << err;
+  std::string rbuf, payload;
+  FrameType type{};
+  std::string hello;
+  encode_hello(hello, "ta");
+  ASSERT_TRUE(write_all(fd.get(), hello.data(), hello.size()));
+  ASSERT_TRUE(read_frame(fd.get(), rbuf, type, payload));
+  ASSERT_EQ(type, FrameType::HelloOk);
+
+  // 12 replies of 512 KiB overflow the write buffer plus the kernel's.
+  // One key: a single solve answers them all (the rest are dedup joins
+  // and replays), so the pause does not wait on solver speed.
+  constexpr std::size_t kRequests = 12;
+  constexpr std::uint64_t kKey = 0x5eed;
+  const auto sys = diag_dominant(std::size_t{1} << 16, 29);
+  std::string last;
+  encode_solve_v2<double>(last, kRequests + 1, sys.a, sys.b, sys.c, sys.d,
+                          0.0, kKey);
+  const auto paused = [&] {
+    return fx.door->counters().backpressure_pauses >= 1;
+  };
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  std::size_t sent = 0;  // bytes of `last` written; read after the join
+  std::atomic<bool> writes_ok{true};
+  std::thread writer([&] {
+    for (std::size_t i = 1; i <= kRequests; ++i) {
+      std::string frame;
+      encode_solve_v2<double>(frame, i, sys.a, sys.b, sys.c, sys.d, 0.0,
+                              kKey);
+      if (!write_all(fd.get(), frame.data(), frame.size())) {
+        writes_ok = false;
+        return;
+      }
+    }
+    // Half of the last frame, then a byte at a time until the door
+    // pauses: a partial frame sits in its read buffer when it stops
+    // reading, however long the replies took to pile up.
+    sent = last.size() / 2;
+    if (!write_all(fd.get(), last.data(), sent)) writes_ok = false;
+    while (writes_ok && !paused() &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (!write_all(fd.get(), last.data() + sent, 1)) writes_ok = false;
+      ++sent;
+    }
+  });
+
+  while (!paused() && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(paused());
+  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+      kPartialFrameStallMs + 200.0));
+  std::size_t served = 0;
+  while (served < kRequests && read_frame(fd.get(), rbuf, type, payload) &&
+         type == FrameType::SolveOk) {
+    ++served;
+  }
+  if (served < kRequests) {
+    // Read on so the door can flush, close, and fail the blocked writer.
+    char tmp[1 << 16];
+    while (read_some(fd.get(), tmp, sizeof(tmp)) > 0) {
+    }
+  }
+  writer.join();
+  ASSERT_EQ(served, kRequests);
+  ASSERT_TRUE(writes_ok.load());
+  ASSERT_TRUE(write_all(fd.get(), last.data() + sent, last.size() - sent))
+      << "the door closed the resumed connection";
+  ASSERT_TRUE(read_frame(fd.get(), rbuf, type, payload));
+  EXPECT_EQ(type, FrameType::SolveOk);
+  EXPECT_EQ(fx.door->counters().bad_frames, 0u);
 }
 
 TEST(NetDoor, DrainClosesZeroConnectionsGauge) {

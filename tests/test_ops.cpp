@@ -723,11 +723,24 @@ TEST(OpsServer, AdminHealthReadyReloadSnapshot) {
   EXPECT_NE(reply.find("net.duplicate_executions=0\n"),
             std::string::npos);
 
-  // Bad reloads are rejected whole, with a diagnostic.
+  // Bad reloads are rejected whole, with a diagnostic: neither the keys
+  // before the bad one nor the registration of an unknown tenant land.
   EXPECT_FALSE(admin_request(ocfg.admin_path, AdminCmd::Reload,
                              "tenant=alpha\nbogus_key=1\n", &reply,
                              &err));
   EXPECT_NE(reply.find("unknown tenant key"), std::string::npos);
+  EXPECT_FALSE(admin_request(ocfg.admin_path, AdminCmd::Reload,
+                             "tenant=alpha\nweight=9\nbogus_key=1\n",
+                             &reply, &err));
+  EXPECT_NE(reply.find("unknown tenant key"), std::string::npos);
+  EXPECT_FALSE(admin_request(ocfg.admin_path, AdminCmd::Reload,
+                             "tenant=delta\nweight=2\nbogus_key=1\n",
+                             &reply, &err));
+  EXPECT_NE(reply.find("unknown tenant key"), std::string::npos);
+  EXPECT_TRUE(
+      admin_request(ocfg.admin_path, AdminCmd::Stats, "", &reply, &err));
+  EXPECT_NE(reply.find("tenant.alpha.weight=2\n"), std::string::npos);
+  EXPECT_EQ(reply.find("tenant.delta."), std::string::npos);
 
   // Snapshot-on-demand writes the file; ready flips after drain.
   EXPECT_TRUE(admin_request(ocfg.admin_path, AdminCmd::Snapshot, "",
