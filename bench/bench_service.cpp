@@ -160,36 +160,16 @@ Req random_request(std::size_t n, Rng& rng) {
 }
 
 struct RunResult {
+  SolveService<double>::Counters c;  ///< the service's totals after shutdown
   double wall_s = 0.0;
-  double device_ms = 0.0;
   double mean_occupancy = 0.0;
-  std::size_t completed = 0;
   double wait_p95_ms = 0.0;
-  std::size_t retries = 0;
-  std::size_t failovers = 0;
-  std::size_t cpu_failovers = 0;
-  std::size_t fallbacks = 0;
-  std::size_t worker_restarts = 0;
-  std::size_t submitted = 0;
-  std::size_t rejected = 0;
-  std::size_t shed = 0;
-  std::size_t timed_out = 0;
-  std::size_t failed = 0;
-  std::size_t singular = 0;
-  std::size_t nonfinite = 0;
-  std::size_t mem_rejected = 0;
-  std::size_t timed_out_queue = 0;
-  std::size_t timed_out_inflight = 0;
-  std::size_t chunked_solves = 0;
-  std::size_t chunks = 0;
-  std::size_t oom_events = 0;
-  std::size_t oom_fallbacks = 0;
 
-  /// Requests that reached some terminal status. Equal to `submitted`
-  /// exactly when nothing fell through untyped.
+  /// Requests that reached some terminal status. Equal to
+  /// `c.submitted` exactly when nothing fell through untyped.
   [[nodiscard]] std::size_t terminated() const {
-    return completed + rejected + shed + timed_out + failed + singular +
-           nonfinite;
+    return c.completed + c.rejected + c.shed + c.timed_out + c.failed +
+           c.singular + c.nonfinite;
   }
 };
 
@@ -229,7 +209,6 @@ RunResult run(std::size_t systems, int clients, int num_devices,
                                static_cast<std::size_t>(i) % registry.size()]);
 
   SolveService<double> svc(devices, cfg);
-  svc.telemetry().metrics.enable();
   const char* trace_path = std::getenv("TDA_TRACE");
   if (trace_path != nullptr && *trace_path != '\0')
     svc.telemetry().tracer.enable();
@@ -266,34 +245,13 @@ RunResult run(std::size_t systems, int clients, int num_devices,
   r.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  const auto c = svc.counters();
-  r.device_ms = c.device_ms;
-  r.completed = c.completed;
+  r.c = svc.counters();
   r.mean_occupancy =
-      c.flushes > 0 ? static_cast<double>(c.coalesced_systems) /
-                          static_cast<double>(c.flushes)
-                    : 0.0;
+      r.c.flushes > 0 ? static_cast<double>(r.c.coalesced_systems) /
+                            static_cast<double>(r.c.flushes)
+                      : 0.0;
   r.wait_p95_ms =
       svc.telemetry().metrics.histogram("service.wait_ms").quantile(0.95);
-  r.retries = c.retries;
-  r.failovers = c.failovers;
-  r.cpu_failovers = c.cpu_failovers;
-  r.fallbacks = c.fallbacks;
-  r.worker_restarts = c.worker_restarts;
-  r.submitted = c.submitted;
-  r.rejected = c.rejected;
-  r.shed = c.shed;
-  r.timed_out = c.timed_out;
-  r.failed = c.failed;
-  r.singular = c.singular;
-  r.nonfinite = c.nonfinite;
-  r.mem_rejected = c.mem_rejected;
-  r.timed_out_queue = c.timed_out_queue;
-  r.timed_out_inflight = c.timed_out_inflight;
-  r.chunked_solves = c.chunked_solves;
-  r.chunks = c.chunks;
-  r.oom_events = c.oom_events;
-  r.oom_fallbacks = c.oom_fallbacks;
   if (!metrics_path.empty()) {
     svc.publish_gauges();  // snapshot queue/breaker/lane/pool gauges
     svc.export_metrics(metrics_path);
@@ -344,20 +302,21 @@ bool run_faults_sweep(std::size_t systems, int clients, int num_devices,
     const auto r = run(systems, clients, num_devices, flush, flush_ms,
                        /*per_request=*/false,
                        last ? metrics_path : std::string());
-    all_completed = all_completed && r.completed == systems;
+    all_completed = all_completed && r.c.completed == systems;
     const double throughput =
-        r.device_ms > 0.0 ? static_cast<double>(r.completed) / r.device_ms
-                          : 0.0;
+        r.c.device_ms > 0.0
+            ? static_cast<double>(r.c.completed) / r.c.device_ms
+            : 0.0;
     if (rate == 0.0) clean_throughput = throughput;
     const double rel =
         clean_throughput > 0.0 ? throughput / clean_throughput : 0.0;
     table.add_row({TextTable::num(rate, 3),
-                   TextTable::num(static_cast<long long>(r.completed)),
-                   TextTable::num(static_cast<long long>(r.retries)),
-                   TextTable::num(static_cast<long long>(r.failovers)),
-                   TextTable::num(static_cast<long long>(r.cpu_failovers)),
-                   TextTable::num(static_cast<long long>(r.fallbacks)),
-                   TextTable::num(r.device_ms, 2),
+                   TextTable::num(static_cast<long long>(r.c.completed)),
+                   TextTable::num(static_cast<long long>(r.c.retries)),
+                   TextTable::num(static_cast<long long>(r.c.failovers)),
+                   TextTable::num(static_cast<long long>(r.c.cpu_failovers)),
+                   TextTable::num(static_cast<long long>(r.c.fallbacks)),
+                   TextTable::num(r.c.device_ms, 2),
                    TextTable::num(throughput, 2), TextTable::num(rel, 3)});
   }
   table.print(std::cout);
@@ -425,30 +384,31 @@ bool run_pressure_sweep(std::size_t systems, int clients, int num_devices,
         run(systems, clients, num_devices, flush, flush_ms,
             /*per_request=*/false, metrics_path_for(metrics_path, fraction),
             knobs);
-    if (r.terminated() != r.submitted) {
+    if (r.terminated() != r.c.submitted) {
       all_typed = false;
-      std::cout << "[FAIL] budget " << fraction << ": " << r.submitted
+      std::cout << "[FAIL] budget " << fraction << ": " << r.c.submitted
                 << " submitted but only " << r.terminated()
                 << " reached a terminal status\n";
     }
     const double throughput =
-        r.device_ms > 0.0 ? static_cast<double>(r.completed) / r.device_ms
-                          : 0.0;
+        r.c.device_ms > 0.0
+            ? static_cast<double>(r.c.completed) / r.c.device_ms
+            : 0.0;
     if (clean_throughput == 0.0) clean_throughput = throughput;
     const double rel =
         clean_throughput > 0.0 ? throughput / clean_throughput : 0.0;
     table.add_row(
         {TextTable::num(fraction, 2),
-         TextTable::num(static_cast<long long>(r.completed)),
-         TextTable::num(static_cast<long long>(r.shed)),
-         TextTable::num(static_cast<long long>(r.mem_rejected)),
-         TextTable::num(static_cast<long long>(r.timed_out_queue)),
-         TextTable::num(static_cast<long long>(r.timed_out_inflight)),
-         TextTable::num(static_cast<long long>(r.oom_events)),
-         TextTable::num(static_cast<long long>(r.chunks)),
-         TextTable::num(static_cast<long long>(r.chunked_solves)),
-         TextTable::num(static_cast<long long>(r.oom_fallbacks)),
-         TextTable::num(r.device_ms, 2), TextTable::num(throughput, 2),
+         TextTable::num(static_cast<long long>(r.c.completed)),
+         TextTable::num(static_cast<long long>(r.c.shed)),
+         TextTable::num(static_cast<long long>(r.c.mem_rejected)),
+         TextTable::num(static_cast<long long>(r.c.timed_out_queue)),
+         TextTable::num(static_cast<long long>(r.c.timed_out_inflight)),
+         TextTable::num(static_cast<long long>(r.c.oom_events)),
+         TextTable::num(static_cast<long long>(r.c.chunks)),
+         TextTable::num(static_cast<long long>(r.c.chunked_solves)),
+         TextTable::num(static_cast<long long>(r.c.oom_fallbacks)),
+         TextTable::num(r.c.device_ms, 2), TextTable::num(throughput, 2),
          TextTable::num(rel, 3)});
   }
   table.print(std::cout);
@@ -672,7 +632,6 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
     devices.push_back(registry[registry.size() - 1 -
                                static_cast<std::size_t>(i) % registry.size()]);
   SolveService<double> svc(devices, cfg);
-  svc.telemetry().metrics.enable();
   const char* trace_path = std::getenv("TDA_TRACE");
   if (trace_path != nullptr && *trace_path != '\0')
     svc.telemetry().tracer.enable();
@@ -978,7 +937,6 @@ bool run_chaos_bench(int num_devices, std::size_t flush, double flush_ms,
     devices.push_back(registry[registry.size() - 1 -
                                static_cast<std::size_t>(i) % registry.size()]);
   SolveService<double> svc(devices, cfg);
-  svc.telemetry().metrics.enable();
   const char* trace_path = std::getenv("TDA_TRACE");
   if (trace_path != nullptr && *trace_path != '\0')
     svc.telemetry().tracer.enable();
@@ -1186,7 +1144,6 @@ int run_restart_server(const std::string& self, const Cli& cli) {
     devices.push_back(registry[registry.size() - 1 -
                                static_cast<std::size_t>(i) % registry.size()]);
   SolveService<double> svc(devices, cfg);
-  svc.telemetry().metrics.enable();
 
   net::FrontDoorConfig fcfg;
   fcfg.unix_path = sock;
@@ -1616,13 +1573,13 @@ int main(int argc, char** argv) {
     const auto coal = run(systems, clients, num_devices, flush, flush_ms,
                           /*per_request=*/false, metrics_path);
     const double thr_per_req =
-        static_cast<double>(per_req.completed) / per_req.device_ms;
+        static_cast<double>(per_req.c.completed) / per_req.c.device_ms;
     const double thr_coal =
-        static_cast<double>(coal.completed) / coal.device_ms;
+        static_cast<double>(coal.c.completed) / coal.c.device_ms;
     const double gain = thr_coal / thr_per_req;
     coalescing_won = coalescing_won && gain > 1.0 &&
-                     coal.completed == systems &&
-                     per_req.completed == systems;
+                     coal.c.completed == systems &&
+                     per_req.c.completed == systems;
     last_coal = coal;
     last_thr = thr_coal;
     last_gain = gain;
@@ -1630,13 +1587,13 @@ int main(int argc, char** argv) {
     table.add_row({TextTable::num(static_cast<long long>(clients)),
                    "per-request", TextTable::num(per_req.mean_occupancy, 2),
                    TextTable::num(per_req.wait_p95_ms, 3),
-                   TextTable::num(per_req.device_ms, 2),
+                   TextTable::num(per_req.c.device_ms, 2),
                    TextTable::num(thr_per_req, 2),
                    TextTable::num(per_req.wall_s, 2), "1.00"});
     table.add_row({TextTable::num(static_cast<long long>(clients)),
                    "coalesced", TextTable::num(coal.mean_occupancy, 2),
                    TextTable::num(coal.wait_p95_ms, 3),
-                   TextTable::num(coal.device_ms, 2),
+                   TextTable::num(coal.c.device_ms, 2),
                    TextTable::num(thr_coal, 2),
                    TextTable::num(coal.wall_s, 2),
                    TextTable::num(gain, 2)});
@@ -1666,7 +1623,7 @@ int main(int argc, char** argv) {
         << "  \"mean_occupancy\": " << last_coal.mean_occupancy << ",\n"
         << "  \"wait_p95_ms\": " << last_coal.wait_p95_ms << ",\n"
         << "  \"wall_s\": " << last_coal.wall_s << ",\n"
-        << "  \"completed\": " << last_coal.completed << "\n"
+        << "  \"completed\": " << last_coal.c.completed << "\n"
         << "}\n";
     std::cout << "summary JSON written to " << summary_path << "\n";
   }

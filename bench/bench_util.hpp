@@ -49,7 +49,7 @@ class TelemetryScope {
 };
 
 /// Prints the buffer-pool / host-allocation picture of the run and, when
-/// a registry is given and enabled, publishes the same numbers as gauges
+/// a registry is given, publishes the same numbers as gauges
 /// (identical names to SolveService::publish_gauges, so bench sidecars
 /// and service exports line up). Figure benches route their generator
 /// batches through BatchStorage::Pooled — this is where that shows up.
@@ -61,7 +61,7 @@ inline void report_alloc_gauges(std::ostream& os,
       ps.acquires > 0
           ? static_cast<double>(ps.hits) / static_cast<double>(ps.acquires)
           : 0.0;
-  if (mx != nullptr && mx->enabled()) {
+  if (mx != nullptr) {
     mx->set("pool.hit_rate", hit_rate);
     mx->set("pool.cached_bytes", static_cast<double>(ps.cached_bytes));
     mx->set("pool.outstanding_bytes",

@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
   cfg.flush_interval_ms = 1.0;
   std::vector<gpusim::DeviceSpec> devices{gpusim::device_registry().back()};
   service::SolveService<double> svc(devices, cfg);
-  svc.telemetry().metrics.enable();
 
   std::string sock =
       "/tmp/tda_net_demo_" + std::to_string(::getpid()) + ".sock";

@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
             << " processors, " << spec->shared_mem_per_sm / 1024
             << " KB shared)\n";
 
-  // Env-gated telemetry: TDA_TRACE=<path> writes a Chrome trace of the
-  // tune + solve below, TDA_METRICS=<path> a metrics JSON, both when
-  // this scope unwinds at the end of main.
+  // Telemetry: TDA_TRACE=<path> writes a Chrome trace of the tune +
+  // solve below, TDA_METRICS=<path> a metrics JSON, both when this scope
+  // unwinds at the end of main.
   telemetry::Telemetry tel;
   telemetry::EnvExport tel_export(tel);
-  if (tel_export.active()) dev.set_telemetry(&tel);
+  dev.set_telemetry(&tel);
 
   // 2. Build a workload: m diagonally dominant systems of n equations.
   auto batch = tridiag::make_diag_dominant<float>(m, n, /*seed=*/42);
@@ -52,7 +52,8 @@ int main(int argc, char** argv) {
 
   // 4. Solve. The solution lands in batch.x(). --trace prints the
   //    kernel-by-kernel timeline.
-  if (cli.has("trace")) dev.enable_trace();
+  const std::size_t first_span = tel.tracer.spans().size();
+  if (cli.has("trace")) tel.tracer.enable();
   solver::GpuTridiagonalSolver<float> solver(dev, tuned.points);
   auto stats = solver.solve(batch);
   std::cout << "solved in " << stats.total_ms << " simulated ms ("
@@ -62,15 +63,7 @@ int main(int argc, char** argv) {
 
   if (cli.has("trace")) {
     std::cout << "\nkernel trace:\n";
-    for (const auto& rec : dev.trace()) {
-      std::cout << "  " << rec.name << ": " << rec.blocks << " blocks x "
-                << rec.threads_per_block << " threads, "
-                << rec.stats.seconds * 1e3 << " ms (mem "
-                << rec.stats.mem_seconds * 1e3 << ", compute "
-                << rec.stats.compute_seconds * 1e3 << ", occupancy "
-                << rec.stats.occupancy.fraction << ", bw-hiding "
-                << rec.stats.hiding_factor << ")\n";
-    }
+    telemetry::kernel_table(tel.tracer.spans(), first_span).print(std::cout);
     std::cout << "\n";
   }
 

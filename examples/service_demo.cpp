@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
   for (const auto& d : devices) std::cout << "  worker: " << d.name << "\n";
 
   SolveService<double> svc(devices, cfg);
-  svc.telemetry().metrics.enable();
 
   const std::size_t shapes[] = {33, 64, 128, 200, 256};
   std::atomic<int> solved{0}, not_solved{0}, residual_fail{0};

@@ -1,6 +1,6 @@
 // telemetry_report — showcase of the telemetry subsystem: runs the
 // micro-benchmark probes, an auto-tuning search and a solve with full
-// span tracing + metrics enabled, prints the span tree and the metrics
+// span tracing enabled, prints the span tree and the metrics
 // registry, and can export both machine-readable files.
 //
 //   ./telemetry_report [--m=64] [--n=4096] [--device="GeForce GTX 470"]
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
 
   telemetry::Telemetry tel;
   telemetry::EnvExport tel_export(tel);
-  tel.enable_all();  // this binary's whole point is the telemetry
+  tel.tracer.enable();  // this binary's whole point is the telemetry
   dev.set_telemetry(&tel);
 
   std::cout << "device: " << spec->name << "\nworkload: " << m << " x "

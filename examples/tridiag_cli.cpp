@@ -17,7 +17,6 @@
 
 #include "common/cli.hpp"
 #include "net/client.hpp"
-#include "common/table.hpp"
 #include "cpu/batch_solver.hpp"
 #include "gpusim/device_file.hpp"
 #include "gpusim/launch.hpp"
@@ -62,13 +61,12 @@ telemetry:  TDA_TRACE=<path>                write a Chrome trace (Perfetto)
 
 template <typename T>
 int run(const Cli& cli, gpusim::Device& dev) {
-  // Telemetry: activated by TDA_TRACE / TDA_METRICS (files written on
-  // scope exit) and by --json (which needs the metrics registry).
+  // Telemetry: TDA_TRACE / TDA_METRICS write files on scope exit;
+  // --json and --trace read the session directly.
   telemetry::Telemetry tel;
   telemetry::EnvExport tel_export(tel);
+  dev.set_telemetry(&tel);
   const std::string json_path = cli.get("json", "");
-  if (!json_path.empty()) tel.metrics.enable();
-  if (tel.any_enabled()) dev.set_telemetry(&tel);
 
   const std::size_t m = static_cast<std::size_t>(cli.get_int("m", 64));
   const std::size_t n = static_cast<std::size_t>(cli.get_int("n", 4096));
@@ -127,7 +125,8 @@ int run(const Cli& cli, gpusim::Device& dev) {
   std::cout << "points   : " << points_desc << "\n";
 
   // Solve.
-  if (cli.has("trace")) dev.enable_trace();
+  const std::size_t first_span = tel.tracer.spans().size();
+  if (cli.has("trace")) tel.tracer.enable();
   solver::GpuTridiagonalSolver<T> solver(dev, points);
   auto stats = solver.solve(batch);
   std::cout << "plan     : " << stats.plan.stage1_steps
@@ -146,20 +145,7 @@ int run(const Cli& cli, gpusim::Device& dev) {
 
   if (cli.has("trace")) {
     std::cout << "\nkernel trace:\n";
-    TextTable t;
-    t.set_header({"kernel", "phase", "blocks", "threads", "ms", "mem ms",
-                  "compute ms", "occupancy", "bw-hiding"});
-    for (const auto& rec : dev.trace()) {
-      t.add_row({rec.name, rec.label.empty() ? "-" : rec.label,
-                 std::to_string(rec.blocks),
-                 std::to_string(rec.threads_per_block),
-                 TextTable::num(rec.stats.seconds * 1e3, 4),
-                 TextTable::num(rec.stats.mem_seconds * 1e3, 4),
-                 TextTable::num(rec.stats.compute_seconds * 1e3, 4),
-                 TextTable::num(rec.stats.occupancy.fraction, 2),
-                 TextTable::num(rec.stats.hiding_factor, 2)});
-    }
-    t.print(std::cout);
+    telemetry::kernel_table(tel.tracer.spans(), first_span).print(std::cout);
   }
 
   if (!json_path.empty()) {

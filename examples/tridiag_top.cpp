@@ -1,7 +1,7 @@
 // tridiag_top: a one-shot, `top`-style console rendering of the solve
 // service's observability surface. It drives a short burst of traffic
-// through a multi-device SolveService with tracing + metrics enabled,
-// then prints what an operator would want on one screen:
+// through a multi-device SolveService with tracing enabled, then prints
+// what an operator would want on one screen:
 //
 //   * process identity (uptime, hot-restart generation, age of the
 //     last crash-safe ops snapshot, warm/cold start),
@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   cfg.flush_interval_ms = 1.0;
 
   SolveService<double> svc(devices, cfg);
-  svc.telemetry().metrics.enable();
   svc.telemetry().tracer.enable();
 
   // --- the wire side: a front door with two named tenants ---

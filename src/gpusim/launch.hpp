@@ -155,15 +155,6 @@ class BlockContext {
   BlockCost cost_;
 };
 
-/// One record of the optional kernel trace.
-struct TraceRecord {
-  std::string name;
-  std::string label;  ///< span path ("solve/stage1") when telemetry is attached
-  std::size_t blocks = 0;
-  int threads_per_block = 0;
-  KernelStats stats;
-};
-
 /// A simulated GPU: a DeviceSpec plus an accumulating timeline.
 class Device {
  public:
@@ -179,8 +170,8 @@ class Device {
   /// aggregate cost, advances the timeline, and returns the launch
   /// stats. Bitwise deterministic at any thread count: per-block costs
   /// are reduced in block order, and the lowest-indexed failing block's
-  /// exception is the one rethrown. `name` labels the launch in the
-  /// optional trace.
+  /// exception is the one rethrown. `name` labels the launch's tracer
+  /// `kernel` span.
   template <typename F>
   KernelStats launch(const LaunchConfig& cfg, F&& body,
                      const char* name = "kernel") {
@@ -263,13 +254,6 @@ class Device {
     if (telemetry_ != nullptr) {
       record_launch_telemetry(name, cfg, agg, st, t0, wall0);
     }
-    if (tracing_) {
-      TraceRecord rec{name, {}, cfg.blocks, cfg.threads_per_block, st};
-      if (telemetry_ != nullptr && telemetry_->tracer.enabled()) {
-        rec.label = telemetry_->tracer.current_path();
-      }
-      trace_.push_back(std::move(rec));
-    }
     return st;
   }
 
@@ -292,22 +276,6 @@ class Device {
   }
   [[nodiscard]] tda::telemetry::Telemetry* telemetry() const {
     return telemetry_;
-  }
-
-  /// Enables per-launch trace recording (off by default; recording a
-  /// tuning search produces thousands of records). Disabling also frees
-  /// the accumulated records — a tuning sweep with tracing left on
-  /// would otherwise silently retain thousands of them.
-  void enable_trace(bool on = true) {
-    tracing_ = on;
-    if (!on) clear_trace();
-  }
-  [[nodiscard]] const std::vector<TraceRecord>& trace() const {
-    return trace_;
-  }
-  void clear_trace() {
-    trace_.clear();
-    trace_.shrink_to_fit();
   }
 
   /// Total simulated time since construction / last reset.
@@ -376,6 +344,7 @@ class Device {
       tracer.attr(span, "mem_ms", st.mem_seconds * 1e3);
       tracer.attr(span, "compute_ms", st.compute_seconds * 1e3);
       tracer.attr(span, "occupancy", st.occupancy.fraction);
+      tracer.attr(span, "hiding", st.hiding_factor);
       tracer.attr(span, "bytes", agg.total.global_bytes_eff);
     }
     auto& metrics = telemetry_->metrics;
@@ -401,11 +370,9 @@ class Device {
   MemoryTracker mem_;
   double elapsed_seconds_ = 0.0;
   std::size_t kernels_launched_ = 0;
-  bool tracing_ = false;
   bool faults_armed_ = false;
   bool owns_clock_ = false;  ///< tracer clock is this device's timeline
   bool arena_poison_ = default_arena_poison();
-  std::vector<TraceRecord> trace_;
   tda::telemetry::Telemetry* telemetry_ = nullptr;
 };
 

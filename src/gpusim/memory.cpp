@@ -43,9 +43,7 @@ void MemoryTracker::allocate(std::size_t bytes, const char* what) {
     std::lock_guard lk(mu_);
     if (budget_ != 0 && in_use_ + bytes > budget_) {
       ++oom_count_;
-      if (tel_ != nullptr && tel_->metrics.enabled()) {
-        tel_->metrics.add("device.oom");
-      }
+      if (tel_ != nullptr) tel_->metrics.add("device.oom");
       std::ostringstream os;
       os << "device memory budget exceeded: requested " << bytes
          << " B for " << what << ", " << in_use_ << " B in use of "
@@ -57,7 +55,7 @@ void MemoryTracker::allocate(std::size_t bytes, const char* what) {
     ++allocations_;
     tel = tel_;
   }
-  if (tel != nullptr && tel->metrics.enabled()) {
+  if (tel != nullptr) {
     tel->metrics.set("device.mem_in_use", static_cast<double>(in_use()));
     tel->metrics.set("device.mem_high_water",
                      static_cast<double>(high_water()));
@@ -71,7 +69,7 @@ void MemoryTracker::release(std::size_t bytes) {
     in_use_ = bytes < in_use_ ? in_use_ - bytes : 0;
     tel = tel_;
   }
-  if (tel != nullptr && tel->metrics.enabled()) {
+  if (tel != nullptr) {
     tel->metrics.set("device.mem_in_use", static_cast<double>(in_use()));
   }
 }

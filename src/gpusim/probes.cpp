@@ -110,7 +110,7 @@ ProbeReport run_probes(Device& dev, std::size_t elem_bytes) {
     span.attr("penalty", rep.dependency_penalty);
   }
 
-  if (tel != nullptr && tel->metrics.enabled()) {
+  if (tel != nullptr) {
     auto& mx = tel->metrics;
     mx.add("probes.runs");
     mx.set("probe.peak_bandwidth_gb_s", rep.peak_bandwidth_gb_s);

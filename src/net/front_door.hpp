@@ -586,12 +586,10 @@ class FrontDoor {
   void reject(Conn& conn, const Tenant* tenant, std::uint64_t request_id,
               ErrorCode code, std::string_view msg) {
     totals_.requests_rejected.add();
-    if (metrics().enabled()) {
-      metrics().add(telemetry::labeled(
-          "net.rejects",
-          {{"tenant", tenant != nullptr ? tenant->cfg.name : "-"},
-           {"reason", to_string(code)}}));
-    }
+    metrics().add(telemetry::labeled(
+        "net.rejects",
+        {{"tenant", tenant != nullptr ? tenant->cfg.name : "-"},
+         {"reason", to_string(code)}}));
     send_err(conn, request_id, code, msg);
   }
 
@@ -684,11 +682,9 @@ class FrontDoor {
 
   [[nodiscard]] double mono_ms() const { return now_s() * 1000.0; }
 
-  /// Adds one to `metric`{tenant} (and `where`, when given) while
-  /// metrics are on.
+  /// Adds one to `metric`{tenant} (and `where`, when given).
   void count_tenant(std::string_view metric, const Tenant& t,
                     std::string_view where = {}) {
-    if (!metrics().enabled()) return;
     metrics().add(where.empty()
                       ? telemetry::labeled(metric, {{"tenant", t.cfg.name}})
                       : telemetry::labeled(metric, {{"tenant", t.cfg.name},
@@ -997,7 +993,6 @@ class FrontDoor {
   }
 
   void publish_inflight_bytes() {
-    if (!metrics().enabled()) return;
     metrics().set("net.inflight_bytes_now",
                   static_cast<double>(tenants_.inflight_bytes()));
   }
@@ -1058,10 +1053,8 @@ class FrontDoor {
                       mono_ms());
     }
     sync_dedup_counters();
-    if (metrics().enabled()) {
-      metrics().set("net.dedup_bytes_now",
-                    static_cast<double>(dedup_.stats().bytes));
-    }
+    metrics().set("net.dedup_bytes_now",
+                  static_cast<double>(dedup_.stats().bytes));
   }
 
   void encode_response(std::uint64_t request_id,

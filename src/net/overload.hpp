@@ -114,7 +114,7 @@ class Overload {
                   double w) const {
     const bool moved = w != limit(l);
     l.window = w;
-    if (moved && metrics_.enabled()) {
+    if (moved) {
       metrics_.set(
           telemetry::labeled("net.aimd_limit", {{"tenant", tenant}}), w);
     }

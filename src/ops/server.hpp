@@ -215,12 +215,9 @@ class Server {
     st.dedup_stats.evictions += baseline_.evictions;
     st.dedup_stats.duplicate_executions += baseline_.duplicate_executions;
     const bool ok = save_snapshot(cfg_.snapshot_path, st, why);
-    auto& metrics = svc_.telemetry().metrics;
-    if (metrics.enabled()) {
-      metrics.add(telemetry::labeled(
-          "ops.snapshots",
-          {{"generation", gen_str()}, {"result", ok ? "ok" : "fail"}}));
-    }
+    svc_.telemetry().metrics.add(telemetry::labeled(
+        "ops.snapshots",
+        {{"generation", gen_str()}, {"result", ok ? "ok" : "fail"}}));
     if (ok) {
       last_snapshot_ms_.store(net::unix_now_ms(),
                               std::memory_order_relaxed);
@@ -266,12 +263,9 @@ class Server {
   /// poll-thread state goes through door_.post with a future.
   std::pair<bool, std::string> handle(AdminCmd cmd,
                                       const std::string& payload) {
-    auto& metrics = svc_.telemetry().metrics;
-    if (metrics.enabled()) {
-      metrics.add(telemetry::labeled(
-          "ops.admin_commands",
-          {{"generation", gen_str()}, {"cmd", to_string(cmd)}}));
-    }
+    svc_.telemetry().metrics.add(telemetry::labeled(
+        "ops.admin_commands",
+        {{"generation", gen_str()}, {"cmd", to_string(cmd)}}));
     switch (cmd) {
       case AdminCmd::Health:
         return {true, "ok\n"};
@@ -592,15 +586,13 @@ class Server {
         }
       }
       auto& metrics = svc_.telemetry().metrics;
-      if (metrics.enabled()) {
-        const auto labels = [this](const char* name) {
-          return telemetry::labeled(name, {{"generation", gen_str()}});
-        };
-        metrics.set(labels("ops.uptime_s"), uptime_s());
-        const double age = snapshot_age_ms();
-        if (age >= 0.0) {
-          metrics.set(labels("ops.snapshot_age_s"), age / 1000.0);
-        }
+      const auto labels = [this](const char* name) {
+        return telemetry::labeled(name, {{"generation", gen_str()}});
+      };
+      metrics.set(labels("ops.uptime_s"), uptime_s());
+      const double age = snapshot_age_ms();
+      if (age >= 0.0) {
+        metrics.set(labels("ops.snapshot_age_s"), age / 1000.0);
       }
     }
   }

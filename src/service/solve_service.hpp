@@ -39,10 +39,10 @@
 // terminal state; the batch/solver/kernel spans a solve emits — across
 // worker threads, retries, failover, chunk splits and the CPU fallback
 // — all nest under that root, so the Chrome-trace export renders one
-// coherent tree per request. Every unlabeled total (Counters, plus the
-// flush-trigger, fault and breaker-transition counts) is an always-on
-// registry counter handle that counters() reads back. Behind enable(),
-// metrics also record queue depth, wait time, batch occupancy and
+// coherent tree per request. Metrics always record: every unlabeled
+// total (Counters, plus the flush-trigger, fault and breaker-transition
+// counts) is a registry counter handle that counters() reads back, and
+// the registry also holds queue depth, wait time, batch occupancy and
 // solve times, plus per-(shape, dtype, outcome) end-to-end latency
 // histograms whose exemplars carry the trace ids of slow requests. The
 // tracer is internally synchronized; workers record concurrently
@@ -400,9 +400,9 @@ class SolveService {
     return total_mem_budget_;
   }
 
-  /// The service telemetry session (enable via enable_all() before
-  /// submitting, or through TDA_TRACE / TDA_METRICS which export with a
-  /// ".service" suffix at destruction).
+  /// The service telemetry session. Metrics always record; enable the
+  /// tracer before submitting, or set TDA_TRACE. TDA_TRACE / TDA_METRICS
+  /// export with a ".service" suffix at destruction.
   [[nodiscard]] telemetry::Telemetry& telemetry() { return telemetry_; }
   [[nodiscard]] const telemetry::Telemetry& telemetry() const {
     return telemetry_;
@@ -582,33 +582,30 @@ class SolveService {
       telemetry_.tracer.close_at(p.root, wall_s(now));
       p.root = telemetry::kInvalidSpan;
     }
-    if (telemetry_.metrics.enabled()) {
-      const double e2e_ms = std::chrono::duration<double, std::milli>(
-                                now - p.enqueue_tp)
-                                .count();
-      // Wire-submitted requests carry their tenant into the label set;
-      // in-process callers keep the original three labels so existing
-      // dashboards/parsers see an unchanged key shape.
-      const std::string key =
-          p.tenant.empty()
-              ? telemetry::labeled("service.request_latency_ms",
-                                   {{"shape", shape_bucket(p.n)},
-                                    {"dtype", dtype_name()},
-                                    {"outcome", outcome}})
-              : telemetry::labeled("service.request_latency_ms",
-                                   {{"tenant", p.tenant},
-                                    {"shape", shape_bucket(p.n)},
-                                    {"dtype", dtype_name()},
-                                    {"outcome", outcome}});
-      telemetry_.metrics.observe(key, e2e_ms, p.ctx.trace_id);
-    }
+    const double e2e_ms = std::chrono::duration<double, std::milli>(
+                              now - p.enqueue_tp)
+                              .count();
+    // Wire-submitted requests carry their tenant into the label set;
+    // in-process callers keep the original three labels so existing
+    // dashboards/parsers see an unchanged key shape.
+    const std::string key =
+        p.tenant.empty()
+            ? telemetry::labeled("service.request_latency_ms",
+                                 {{"shape", shape_bucket(p.n)},
+                                  {"dtype", dtype_name()},
+                                  {"outcome", outcome}})
+            : telemetry::labeled("service.request_latency_ms",
+                                 {{"tenant", p.tenant},
+                                  {"shape", shape_bucket(p.n)},
+                                  {"dtype", dtype_name()},
+                                  {"outcome", outcome}});
+    telemetry_.metrics.observe(key, e2e_ms, p.ctx.trace_id);
     p.done(std::move(resp));
   }
 
-  /// See publish_gauges(). No-op while metrics are off. Caller holds mu_.
+  /// See publish_gauges(). Caller holds mu_.
   void publish_gauges_locked() {
     auto& mx = telemetry_.metrics;
-    if (!mx.enabled()) return;
     mx.set("service.queue_depth_now", static_cast<double>(queue_.count()));
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       const Worker& w = *workers_[i];

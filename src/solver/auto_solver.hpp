@@ -34,11 +34,11 @@ class AutoSolver {
  public:
   /// `cache_path` (optional) persists tuning results across processes.
   ///
-  /// The solver owns a telemetry session. It activates when the
-  /// TDA_TRACE / TDA_METRICS env vars are set (files written on
-  /// destruction) or programmatically via `telemetry().enable_all()`;
-  /// otherwise it stays disabled and free. The session is attached to
-  /// the device unless the caller already attached their own.
+  /// The solver owns a telemetry session whose metrics always record.
+  /// Tracing turns on with TDA_TRACE or `telemetry().tracer.enable()`;
+  /// TDA_TRACE / TDA_METRICS also write files on destruction. The
+  /// session is attached to the device unless the caller already
+  /// attached their own.
   explicit AutoSolver(gpusim::Device& dev, std::string cache_path = {})
       : dev_(&dev), cache_path_(std::move(cache_path)) {
     if (!cache_path_.empty()) cache_.load(cache_path_);

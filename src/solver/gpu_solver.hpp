@@ -151,7 +151,7 @@ class GpuTridiagonalSolver {
     stats.host_total_ms = host_total.millis();
     solve_span.attr("total_ms", stats.total_ms);
 
-    if (tel != nullptr && tel->metrics.enabled()) {
+    if (tel != nullptr) {
       auto& mx = tel->metrics;
       mx.add(mode == kernels::ExecMode::Full ? "solver.solves"
                                              : "solver.cost_only_runs");

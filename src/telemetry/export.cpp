@@ -273,6 +273,44 @@ std::string to_openmetrics(const MetricsRegistry& metrics) {
   return w.os.str();
 }
 
+std::string ancestor_path(const std::vector<SpanRecord>& spans, SpanId id) {
+  std::vector<std::string_view> names;
+  for (SpanId p = id < spans.size() ? spans[id].parent : kInvalidSpan;
+       p < spans.size(); p = spans[p].parent) {
+    names.push_back(spans[p].name);
+  }
+  std::string path;
+  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+    if (!path.empty()) path += '/';
+    path.append(*it);
+  }
+  return path;
+}
+
+TextTable kernel_table(const std::vector<SpanRecord>& spans,
+                       std::size_t from) {
+  TextTable t;
+  t.set_header({"kernel", "phase", "blocks", "threads", "ms", "mem ms",
+                "compute ms", "occupancy", "bw-hiding"});
+  const auto num = [](const SpanRecord& sp, std::string_view key,
+                      int precision) {
+    return TextTable::num(std::strtod(std::string(sp.attr(key)).c_str(),
+                                      nullptr),
+                          precision);
+  };
+  for (std::size_t i = from; i < spans.size(); ++i) {
+    const SpanRecord& sp = spans[i];
+    if (sp.category != "kernel") continue;
+    const std::string phase = ancestor_path(spans, i);
+    t.add_row({sp.name, phase.empty() ? "-" : phase,
+               std::string(sp.attr("blocks")),
+               std::string(sp.attr("threads")), num(sp, "ms", 4),
+               num(sp, "mem_ms", 4), num(sp, "compute_ms", 4),
+               num(sp, "occupancy", 2), num(sp, "hiding", 2)});
+  }
+  return t;
+}
+
 bool write_text_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) return false;
@@ -322,9 +360,6 @@ EnvExport::EnvExport(Telemetry& tel, std::string suffix)
       openmetrics_path_(with_suffix(openmetrics_env_path(), suffix)),
       interval_s_(metrics_interval_env()) {
   if (!trace_path_.empty()) tel_->tracer.enable();
-  if (!metrics_path_.empty() || !openmetrics_path_.empty()) {
-    tel_->metrics.enable();
-  }
   if (interval_s_ > 0.0 &&
       (!metrics_path_.empty() || !openmetrics_path_.empty())) {
     snapshot_thread_ = std::thread([this] { snapshot_loop(); });

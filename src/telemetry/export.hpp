@@ -4,16 +4,18 @@
 // the metrics registry, and an OpenMetrics/Prometheus text rendering of
 // the same registry. EnvExport is the env-var gate: with
 // TDA_TRACE=<path>, TDA_METRICS=<path> and/or TDA_OPENMETRICS=<path>
-// set it enables the corresponding telemetry half and writes the
-// file(s) when it goes out of scope; TDA_METRICS_INTERVAL=<seconds>
-// additionally rewrites the metrics file(s) periodically while the
-// scope lives, so a long service run can be scraped mid-flight.
+// set it writes the file(s) when it goes out of scope, and TDA_TRACE
+// also enables the tracer (metrics always record).
+// TDA_METRICS_INTERVAL=<seconds> additionally rewrites the metrics
+// file(s) periodically while the scope lives, so a long service run can
+// be scraped mid-flight.
 
 #include <condition_variable>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "common/table.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace tda::telemetry {
@@ -38,6 +40,17 @@ std::string to_metrics_json(const MetricsRegistry& metrics);
 /// underscores) and prefixed "tda_"; labeled() keys contribute their
 /// label sets verbatim.
 std::string to_openmetrics(const MetricsRegistry& metrics);
+
+/// Slash-joined names of span `id`'s ancestors, root first
+/// ("solve/stage1"); empty for a root span.
+std::string ancestor_path(const std::vector<SpanRecord>& spans, SpanId id);
+
+/// The kernel timeline: one row per `kernel` span at index `from` or
+/// later, in launch order, with its phase (ancestor_path), launch shape
+/// and simulated cost. What `--trace` prints in quickstart and
+/// tridiag_cli.
+TextTable kernel_table(const std::vector<SpanRecord>& spans,
+                       std::size_t from = 0);
 
 /// Writes `content` to `path`; false on I/O failure.
 bool write_text_file(const std::string& path, const std::string& content);

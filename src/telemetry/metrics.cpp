@@ -83,12 +83,10 @@ Counter MetricsRegistry::counter_handle(std::string_view name) {
 }
 
 void MetricsRegistry::add(std::string_view name, double delta) {
-  if (!enabled()) return;
   counter_handle(name).add(delta);
 }
 
 void MetricsRegistry::set(std::string_view name, double value) {
-  if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
@@ -100,7 +98,6 @@ void MetricsRegistry::set(std::string_view name, double value) {
 
 void MetricsRegistry::observe(std::string_view name, double sample,
                               std::uint64_t exemplar_trace_id) {
-  if (!enabled()) return;
   if (!std::isfinite(sample)) return;
   const std::size_t b = bucket_of(sample);
   std::lock_guard<std::mutex> lock(mu_);

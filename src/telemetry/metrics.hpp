@@ -15,18 +15,17 @@
 // the last traced sample that landed there, so the p99 straggler bucket
 // names a concrete trace to go look at.
 //
+// The registry is always on: every add, set and observe records. Its
+// size stays bounded because every key is a fixed name or a labeled name
+// whose label values come from bounded sets (tenant, reason, shape
+// bucket, outcome, worker, lane, generation).
+//
 // Counters live in one storage of stable atomic slots. A component
 // that counts the same event on every call registers a Counter handle
-// once (counter_handle) and then adds to it with one relaxed atomic,
-// always on; add(name) reaches the same slot by name, behind the
-// enabled flag. Reads (counter, counters, both exporters) see handle
-// and named writes alike.
-//
-// Everything else is thread-safe behind a single mutex; the enabled
-// flag is atomic (it is read before the lock on every hot-path call and
-// may race a toggle from another thread — a plain bool here is a TSan
-// data race), so a disabled registry costs one relaxed load and
-// allocates nothing.
+// once (counter_handle) and then adds to it with one relaxed atomic;
+// add(name) reaches the same slot by name. Reads (counter, counters,
+// both exporters) see handle and named writes alike. Everything else is
+// thread-safe behind a single mutex.
 
 #include <array>
 #include <atomic>
@@ -85,9 +84,9 @@ std::string labeled(
         labels);
 
 /// Handle on one registry counter slot (MetricsRegistry::counter_handle).
-/// add() is one relaxed atomic add: no lock, no lookup, no enabled()
-/// test. The slot outlives clear(), which zeroes it. A default-built
-/// handle has no slot and must be assigned before use.
+/// add() is one relaxed atomic add: no lock, no lookup. The slot
+/// outlives clear(), which zeroes it. A default-built handle has no slot
+/// and must be assigned before use.
 class Counter {
  public:
   Counter() = default;
@@ -106,16 +105,8 @@ class Counter {
 
 class MetricsRegistry {
  public:
-  void enable(bool on = true) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
   /// Returns the handle on counter `name`, creating the slot at 0.
-  /// Works whether or not the registry is enabled; every call with one
-  /// name yields the same slot.
+  /// Every call with one name yields the same slot.
   [[nodiscard]] Counter counter_handle(std::string_view name);
 
   /// Adds `delta` to a counter (creating it at 0).
@@ -148,7 +139,6 @@ class MetricsRegistry {
   void clear();
 
  private:
-  std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   // Map nodes never move and are never erased, so a slot's address is
   // stable for the registry's lifetime.

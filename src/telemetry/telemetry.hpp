@@ -2,9 +2,9 @@
 // Telemetry session: one Tracer + one MetricsRegistry, attached to a
 // gpusim::Device (Device::set_telemetry) and shared by every component
 // that touches the device — solver stages, the dynamic tuner, the
-// micro-benchmark probes. Both halves are disabled by default; an
-// attached-but-disabled session costs one pointer test per launch and
-// records nothing.
+// micro-benchmark probes. The metrics half always records; tracing is
+// the one switch (tracer.enable()), off by default because spans are
+// unbounded.
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/tracer.hpp"
@@ -15,17 +15,6 @@ struct Telemetry {
   Tracer tracer;
   MetricsRegistry metrics;
 
-  void enable_all() {
-    tracer.enable();
-    metrics.enable();
-  }
-  void disable_all() {
-    tracer.enable(false);
-    metrics.enable(false);
-  }
-  [[nodiscard]] bool any_enabled() const {
-    return tracer.enabled() || metrics.enabled();
-  }
   void clear() {
     tracer.clear();
     metrics.clear();

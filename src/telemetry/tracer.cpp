@@ -189,18 +189,6 @@ std::vector<SpanRecord> Tracer::snapshot() const {
 
 std::size_t Tracer::open_spans() const { return tls().stack.size(); }
 
-std::string Tracer::current_path() const {
-  ThreadState& st = tls();
-  std::lock_guard lk(mu_);
-  std::string path;
-  for (const SpanId id : st.stack) {
-    if (id >= spans_.size()) continue;
-    if (!path.empty()) path += '/';
-    path += spans_[id].name;
-  }
-  return path;
-}
-
 void Tracer::clear() {
   std::lock_guard lk(mu_);
   spans_.clear();

@@ -67,6 +67,14 @@ struct SpanRecord {
   std::uint64_t trace_id = 0;  ///< request the span belongs to (0 = none)
   int depth = 0;  ///< nesting depth at open time (0 = root)
   std::vector<std::pair<std::string, std::string>> attrs;
+
+  /// Value of the first attribute named `key`; empty when absent.
+  [[nodiscard]] std::string_view attr(std::string_view key) const {
+    for (const auto& [k, v] : attrs) {
+      if (k == key) return v;
+    }
+    return {};
+  }
 };
 
 class Tracer {
@@ -138,11 +146,6 @@ class Tracer {
 
   /// Open spans on the calling thread's stack.
   [[nodiscard]] std::size_t open_spans() const;
-
-  /// Slash-joined names of the calling thread's open-span stack
-  /// ("solve/stage1"); what Device::launch stamps on TraceRecords as
-  /// the phase label.
-  [[nodiscard]] std::string current_path() const;
 
   void clear();
 

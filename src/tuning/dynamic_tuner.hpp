@@ -281,7 +281,7 @@ class DynamicTuner {
   /// element-major ms) on the enclosing tune span's metrics.
   static void span_note_layout(telemetry::Telemetry* tel, double system_ms,
                                double element_ms) {
-    if (tel == nullptr || !tel->metrics.enabled()) return;
+    if (tel == nullptr) return;
     tel->metrics.observe("tuner.layout_system_ms", system_ms);
     tel->metrics.observe("tuner.layout_element_ms", element_ms);
     tel->metrics.add(telemetry::labeled(

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "gpusim/cost_model.hpp"
@@ -479,17 +481,21 @@ using namespace tda;
 
 TEST(Trace, DisabledByDefault) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
+  telemetry::Telemetry tel;
+  dev.set_telemetry(&tel);
   gpusim::LaunchConfig cfg;
   cfg.blocks = 2;
   cfg.threads_per_block = 64;
   cfg.regs_per_thread = 16;
   dev.launch(cfg, [](gpusim::BlockContext&) {});
-  EXPECT_TRUE(dev.trace().empty());
+  EXPECT_TRUE(tel.tracer.spans().empty());
 }
 
 TEST(Trace, RecordsNamedLaunches) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  dev.enable_trace();
+  telemetry::Telemetry tel;
+  tel.tracer.enable();
+  dev.set_telemetry(&tel);
   gpusim::LaunchConfig cfg;
   cfg.blocks = 3;
   cfg.threads_per_block = 128;
@@ -498,25 +504,25 @@ TEST(Trace, RecordsNamedLaunches) {
     ctx.charge_global(1e4, 1, 4);
   }, "probe_a");
   dev.launch(cfg, [](gpusim::BlockContext&) {}, "probe_b");
-  ASSERT_EQ(dev.trace().size(), 2u);
-  EXPECT_EQ(dev.trace()[0].name, "probe_a");
-  EXPECT_EQ(dev.trace()[0].blocks, 3u);
-  EXPECT_EQ(dev.trace()[0].threads_per_block, 128);
-  EXPECT_GT(dev.trace()[0].stats.mem_seconds, 0.0);
-  EXPECT_EQ(dev.trace()[1].name, "probe_b");
-  dev.clear_trace();
-  EXPECT_TRUE(dev.trace().empty());
+  const auto& spans = tel.tracer.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "probe_a");
+  EXPECT_EQ(spans[0].category, "kernel");
+  EXPECT_EQ(spans[0].attr("blocks"), "3");
+  EXPECT_EQ(spans[0].attr("threads"), "128");
+  EXPECT_GT(std::stod(std::string(spans[0].attr("mem_ms"))), 0.0);
+  EXPECT_EQ(spans[1].name, "probe_b");
+  tel.tracer.clear();
+  EXPECT_TRUE(tel.tracer.spans().empty());
 }
 
 TEST(Trace, SolverStagesAppearWithTheirNames) {
   gpusim::Device dev(gpusim::geforce_gtx_280());
-  dev.enable_trace();
-  // A solve that exercises all three kernel kinds: 1 system, big n.
-  auto probe_batch = [&] {
-    // inline include-free construction via the kernels layer
-  };
-  (void)probe_batch;
-  // Use the public stage functions directly.
+  telemetry::Telemetry tel;
+  tel.tracer.enable();
+  dev.set_telemetry(&tel);
+  // A solve that exercises all three kernel kinds: 1 system, big n,
+  // through the public stage functions.
   {
     tridiag::TridiagBatch<double> host(1, 4096);
     for (std::size_t i = 0; i < 4096; ++i) {
@@ -532,10 +538,13 @@ TEST(Trace, SolverStagesAppearWithTheirNames) {
     kernels::pcr_thomas_stage(dev, dbatch, st, 64,
                               kernels::LoadVariant::Strided);
   }
-  ASSERT_EQ(dev.trace().size(), 3u);
-  EXPECT_EQ(dev.trace()[0].name, "stage1_coop_split");
-  EXPECT_EQ(dev.trace()[1].name, "stage2_independent_split");
-  EXPECT_EQ(dev.trace()[2].name, "pcr_thomas_strided");
+  std::vector<std::string> names;
+  for (const auto& sp : tel.tracer.spans()) {
+    if (sp.category == "kernel") names.push_back(sp.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"stage1_coop_split",
+                                             "stage2_independent_split",
+                                             "pcr_thomas_strided"}));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -112,7 +113,6 @@ struct DoorFixture {
     svc = std::make_unique<service::SolveService<double>>(
         std::vector<gpusim::DeviceSpec>{gpusim::device_registry().back()},
         scfg);
-    svc->telemetry().metrics.enable();
     svc->telemetry().tracer.enable();
     sock = unique_sock("door");
     fcfg.unix_path = sock;
@@ -157,7 +157,6 @@ struct HeldDoor {
     svc = std::make_unique<service::SolveService<double>>(
         std::vector<gpusim::DeviceSpec>{gpusim::device_registry().back()},
         scfg);
-    svc->telemetry().metrics.enable();
     sock = unique_sock("held");
     FrontDoorConfig fcfg;
     fcfg.unix_path = sock;
@@ -716,11 +715,10 @@ TEST(NetDoor, UnixSolveRoundTripWithTenantLabels) {
 }
 
 // Each handle-backed FrontDoorCounters field is its unlabeled net.*
-// registry counter, including what was counted before enable().
+// registry counter.
 TEST(NetDoor, CountersMatchRegistry) {
   DoorFixture fx;
   auto& mx = fx.svc->telemetry().metrics;
-  mx.enable(false);
   ASSERT_TRUE(fx.start());
 
   Client client;
@@ -728,7 +726,6 @@ TEST(NetDoor, CountersMatchRegistry) {
   ASSERT_TRUE(client.connect("unix:" + fx.sock, "ta", &err)) << err;
   const auto sys = diag_dominant(64, 5);
   ASSERT_TRUE(client.solve<double>(sys.a, sys.b, sys.c, sys.d).ok());
-  mx.enable();
   ASSERT_TRUE(client.solve<double>(sys.a, sys.b, sys.c, sys.d).ok());
   const std::vector<float> v{1, 2, 3, 4};
   ASSERT_TRUE(client.send_solve<float>(9, v, v, v, v, 0.0, &err)) << err;
@@ -773,6 +770,58 @@ TEST(NetDoor, CountersMatchRegistry) {
   for (const auto& [name, value] : fields) {
     EXPECT_EQ(mx.counter(name), static_cast<double>(value)) << name;
   }
+}
+
+// Metrics always record, so every label value must come from a bounded
+// set (tenant, reason, shape bucket, outcome, worker, lane,
+// generation): a second identical round of traffic, with typed rejects
+// and a failed auth, adds no counter, gauge or histogram key.
+TEST(NetDoor, AlwaysOnMetricsStayBounded) {
+  DoorFixture fx;
+  ASSERT_TRUE(fx.start());
+  auto& mx = fx.svc->telemetry().metrics;
+
+  const auto round = [&] {
+    for (const char* token : {"ta", "tb"}) {
+      Client client;
+      std::string err;
+      ASSERT_TRUE(client.connect("unix:" + fx.sock, token, &err)) << err;
+      for (const std::size_t n : {33u, 64u, 200u}) {
+        const auto sys = diag_dominant(n, static_cast<unsigned>(n));
+        ASSERT_TRUE(client.solve<double>(sys.a, sys.b, sys.c, sys.d).ok());
+      }
+      const std::vector<float> v{1, 2, 3, 4};
+      ASSERT_TRUE(client.send_solve<float>(9, v, v, v, v, 0.0, &err))
+          << err;
+      WireResult<float> wrong;
+      ASSERT_TRUE(client.recv_result<float>(wrong, &err)) << err;
+      EXPECT_EQ(wrong.code, ErrorCode::Dtype);
+    }
+    Client bad;
+    std::string err;
+    EXPECT_FALSE(bad.connect("unix:" + fx.sock, "nope", &err));
+    // Every connection's close is counted before the keys are read.
+    ASSERT_TRUE(eventually([&] {
+      const auto c = fx.door->counters();
+      return c.closed == c.connections;
+    }));
+    fx.svc->publish_gauges();
+  };
+  const auto keys = [&mx] {
+    std::set<std::string> out;
+    for (const auto& [k, v] : mx.counters()) out.insert("counter " + k);
+    for (const auto& [k, v] : mx.gauges()) out.insert("gauge " + k);
+    for (const auto& [k, v] : mx.histograms()) out.insert("histogram " + k);
+    return out;
+  };
+
+  round();
+  const std::set<std::string> first = keys();
+  EXPECT_GT(mx.counter(telemetry::labeled(
+                "net.rejects", {{"tenant", "beta"}, {"reason", "dtype"}})),
+            0.0);
+  round();
+  EXPECT_EQ(keys(), first);
 }
 
 TEST(NetDoor, TcpSolveRoundTrip) {
@@ -1723,10 +1772,8 @@ TEST(NetChaosProxy, TransparentRelayAndDropToggle) {
 
 namespace {
 
-/// One lane under the default overload knobs, explicit time, metrics on.
+/// One lane under the default overload knobs, explicit time.
 struct OverloadRig {
-  OverloadRig() { mx.enable(); }
-
   double gauge() const {
     return mx.gauge(
         telemetry::labeled("net.aimd_limit", {{"tenant", "alpha"}}));

@@ -9,7 +9,10 @@
 //     consumed are literally a valid original frame prefix-intact —
 //     "zero accepted-corrupt frames". The FNV-1a checksum makes this
 //     provable: every hash step is a bijection of the state, so any
-//     single corrupted byte in the covered range changes the sum.
+//     single corrupted byte in the covered range changes the sum;
+//   * NeedMore is returned only while the declared bytes have not all
+//     arrived, so a mutant never leaves a connection waiting on a
+//     frame that is already complete.
 //
 // Everything is seeded; a failure reproduces from the iteration index.
 
@@ -19,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/le_codec.hpp"
 #include "net/dedup.hpp"
 #include "net/protocol.hpp"
 
@@ -174,6 +178,14 @@ TEST(NetFuzz, TenThousandMutatedFramesNeverAcceptedCorrupt) {
         ++rejected;
         break;
       case DecodeStatus::NeedMore:
+        // NeedMore only means "the declared bytes are not here yet":
+        // less than a header, or less than header + its payload_len.
+        // Any other wait would hold a connection open on a frame that
+        // can never complete.
+        if (m.size() >= kHeaderSize) {
+          ASSERT_LT(m.size(), kHeaderSize + tda::le::get_u32(m, 16))
+              << "iteration " << i << ": NeedMore on a complete frame";
+        }
         ++need_more;
         break;
     }

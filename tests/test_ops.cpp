@@ -180,7 +180,6 @@ struct OpsFixture {
     svc = std::make_unique<service::SolveService<double>>(
         std::vector<gpusim::DeviceSpec>{gpusim::device_registry().back()},
         scfg);
-    svc->telemetry().metrics.enable();
     sock = unique_path("door", ".sock");
     fcfg.unix_path = sock;
     fcfg.poll_interval_ms = 2.0;

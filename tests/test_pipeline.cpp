@@ -253,7 +253,6 @@ TEST(Pipeline, AutoSolverChunksUnderHalfTheFootprint) {
   dev.set_mem_budget(kernels::DeviceBatch<float>::footprint_bytes(m, n) / 2 +
                      kernels::DeviceBatch<float>::footprint_bytes(1, n));
   AutoSolver<float> autos(dev);
-  autos.telemetry().metrics.enable();
   auto batch = tridiag::make_diag_dominant<float>(m, n, 9);
   const auto pristine = batch;
 

@@ -250,7 +250,7 @@ TEST(ChunkedSolver, EmitsChunkTelemetry) {
   faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
   gpusim::Device dev(gpusim::geforce_gtx_470());
   telemetry::Telemetry tel;
-  tel.enable_all();
+  tel.tracer.enable();
   dev.set_telemetry(&tel);
   solver::Pipeline<double> pipe(dev,
                                 tuning::default_switch_points<double>());

@@ -557,7 +557,7 @@ TEST(SolveService, ExportsQueueAndOccupancyMetrics) {
   cfg.flush_systems = 4;
   cfg.flush_interval_ms = 10'000.0;
   SolveService<double> svc(one_device(), cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
   std::vector<std::future<SolveResponse<double>>> futs;
   for (int i = 0; i < 8; ++i)
     futs.push_back(svc.submit(make_request(128, 800 + i)));
@@ -581,9 +581,8 @@ TEST(SolveService, ExportsQueueAndOccupancyMetrics) {
   std::remove(path.c_str());
 }
 
-// Each Counters field is one registry counter: counts made before
-// enable() are exported too, and service.chunks counts every chunk,
-// split or not.
+// Each Counters field is one registry counter, and service.chunks
+// counts every chunk, split or not.
 TEST(SolveService, RegistryCountersMatchCounters) {
   faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
   ServiceConfig cfg;
@@ -595,7 +594,6 @@ TEST(SolveService, RegistryCountersMatchCounters) {
       kernels::DeviceBatch<double>::footprint_bytes(8, 1024) / 3;
   SolveService<double> svc(one_device(), cfg);
   auto& mx = svc.telemetry().metrics;
-  ASSERT_FALSE(mx.enabled());
 
   const auto run_batch = [&](std::size_t n, std::uint64_t seed) {
     std::vector<std::future<SolveResponse<double>>> futs;
@@ -604,8 +602,7 @@ TEST(SolveService, RegistryCountersMatchCounters) {
     }
     for (auto& f : futs) ASSERT_EQ(f.get().status, SolveStatus::Ok);
   };
-  run_batch(16, 100);  // unchunked, before metrics are enabled
-  mx.enable();
+  run_batch(16, 100);  // unchunked
   run_batch(1024, 200);  // chunked under the memory budget
   EXPECT_EQ(svc.submit(make_request(32, 300, /*deadline_ms=*/2.0))
                 .get()
@@ -666,7 +663,7 @@ TEST(SolveService, EmitsLifecycleSpans) {
   cfg.flush_systems = 2;
   cfg.flush_interval_ms = 10'000.0;
   SolveService<double> svc(one_device(), cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
   auto f1 = svc.submit(make_request(64, 1));
   auto f2 = svc.submit(make_request(64, 2));
   ASSERT_EQ(f1.get().status, SolveStatus::Ok);
@@ -721,7 +718,7 @@ TEST(SolveServiceHammer, ManyClientsManyShapes) {
   cfg.queue_capacity = 256;
   SolveService<double> svc(
       {gpusim::geforce_gtx_470(), gpusim::geforce_gtx_280()}, cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 32;

@@ -109,7 +109,7 @@ TEST(TraceTree, ServiceSpansFormOneTreePerRequest) {
   cfg.flush_systems = 4;
   SolveService<double> svc(
       {gpusim::geforce_gtx_470(), gpusim::geforce_gtx_280()}, cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
 
   std::vector<std::future<SolveResponse<double>>> futs;
   const std::size_t shapes[] = {33, 64, 128};
@@ -154,7 +154,7 @@ TEST(TraceTree, CallerSuppliedContextIsAdopted) {
   ServiceConfig cfg;
   cfg.flush_systems = 1;
   SolveService<double> svc(one_device(), cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
 
   auto req = make_request(64, 7);
   req.trace.trace_id = 0xfeedbeef;
@@ -175,7 +175,7 @@ TEST(TraceTree, LatencyExemplarsPointAtRecordedTraces) {
   ServiceConfig cfg;
   cfg.flush_systems = 4;
   SolveService<double> svc(one_device(), cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
 
   std::vector<std::future<SolveResponse<double>>> futs;
   for (int i = 0; i < 16; ++i)
@@ -213,7 +213,7 @@ TEST(TraceTree, RetriesAndFailoverStayUnderRoot) {
   cfg.flush_systems = 8;
   cfg.resilience.retry_backoff_ms = 0.01;
   SolveService<double> svc(one_device(), cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
 
   std::vector<std::future<SolveResponse<double>>> futs;
   for (int i = 0; i < 32; ++i)
@@ -237,7 +237,7 @@ TEST(TraceTree, CpuFallbackStaysUnderRoot) {
   cfg.flush_systems = 4;
   cfg.resilience.retry_backoff_ms = 0.01;
   SolveService<double> svc(one_device(), cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
 
   std::vector<std::future<SolveResponse<double>>> futs;
   for (int i = 0; i < 8; ++i)
@@ -269,7 +269,7 @@ TEST(TraceTree, PoisonBisectionClosesEveryRootWithTypedOutcome) {
   ServiceConfig cfg;
   cfg.flush_systems = 8;  // multi-member batches, so isolation must bisect
   SolveService<double> svc(one_device(), cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
 
   std::vector<std::future<SolveResponse<double>>> futs;
   for (int i = 0; i < 32; ++i)
@@ -298,7 +298,7 @@ TEST(TraceTree, PoisonBisectionClosesEveryRootWithTypedOutcome) {
 TEST(TraceTree, AutoSolverMintsOneRootPerTopLevelSolve) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
   telemetry::Telemetry tel;
-  tel.enable_all();
+  tel.tracer.enable();
   dev.set_telemetry(&tel);
   solver::AutoSolver<double> autos(dev);
 
@@ -354,7 +354,7 @@ TEST(SolveServiceTraceRaces, SnapshotsRaceLiveTraffic) {
   ServiceConfig cfg;
   cfg.flush_systems = 4;
   SolveService<double> svc(one_device(), cfg);
-  svc.telemetry().enable_all();
+  svc.telemetry().tracer.enable();
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {
@@ -392,7 +392,6 @@ TEST(SolveServiceTraceRaces, SnapshotsRaceLiveTraffic) {
 
 TEST(SolveServiceTraceRaces, HistogramWritersRaceQuantileReaders) {
   telemetry::MetricsRegistry mx;
-  mx.enable();
   std::atomic<bool> stop{false};
 
   std::vector<std::thread> writers;
