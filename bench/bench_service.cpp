@@ -9,7 +9,7 @@
 //                   [--admission=2] [--deadline-ms=0]
 //                   [--tenants] [--tenant-requests=150] [--greedy-window=40]
 //                   [--window=4] [--isolation-factor=2]
-//                   [--isolation-slack-ms=5] [--processes]
+//                   [--isolation-slack-ms=5]
 //                   [--chaos] [--chaos-requests=100] [--chaos-seed=42]
 //                   [--goodput-floor=0.7] [--overload-factor=3]
 //                   [--restart] [--restart-requests=800] [--restart-seed=42]
@@ -24,10 +24,7 @@
 // bench exits nonzero when it doesn't, or when any request is lost.
 // Clients survive injected net_drop/net_corrupt faults by reconnecting
 // and resending what was in flight, so the gates also run under
-// TDA_FAULTS in CI. --processes forks every tenant client into its own
-// process (stats come back over a pipe), so the contention is between
-// real OS processes rather than threads sharing one allocator and
-// scheduler.
+// TDA_FAULTS in CI.
 //
 // --chaos switches to the end-to-end reliability proof
 // (docs/ROBUSTNESS.md): clients with idempotent retries talk to the
@@ -113,7 +110,6 @@
 #include <vector>
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <csignal>
 #include <future>
@@ -157,6 +153,18 @@ Req random_request(std::size_t n, Rng& rng) {
     req.d[i] = rng.uniform(-1, 1);
   }
   return req;
+}
+
+/// Writes the metrics JSON to `metrics_path`, the trace to TDA_TRACE and
+/// OpenMetrics to TDA_OPENMETRICS, each when set. Successive runs
+/// overwrite: the files describe the last configuration.
+void export_run(const SolveService<double>& svc,
+                const std::string& metrics_path) {
+  if (!metrics_path.empty()) svc.export_metrics(metrics_path);
+  if (const std::string p = telemetry::trace_env_path(); !p.empty())
+    svc.export_trace(p);
+  if (const std::string p = telemetry::openmetrics_env_path(); !p.empty())
+    svc.export_openmetrics(p);
 }
 
 struct RunResult {
@@ -209,9 +217,6 @@ RunResult run(std::size_t systems, int clients, int num_devices,
                                static_cast<std::size_t>(i) % registry.size()]);
 
   SolveService<double> svc(devices, cfg);
-  const char* trace_path = std::getenv("TDA_TRACE");
-  if (trace_path != nullptr && *trace_path != '\0')
-    svc.telemetry().tracer.enable();
 
   const std::size_t per_client =
       systems / static_cast<std::size_t>(clients);
@@ -252,19 +257,7 @@ RunResult run(std::size_t systems, int clients, int num_devices,
                       : 0.0;
   r.wait_p95_ms =
       svc.telemetry().metrics.histogram("service.wait_ms").quantile(0.95);
-  if (!metrics_path.empty()) {
-    svc.publish_gauges();  // snapshot queue/breaker/lane/pool gauges
-    svc.export_metrics(metrics_path);
-  }
-  // Successive runs overwrite; the files end up describing the last
-  // (highest-load) configuration, like --metrics does.
-  if (trace_path != nullptr && *trace_path != '\0')
-    svc.export_trace(trace_path);
-  if (const char* om = std::getenv("TDA_OPENMETRICS");
-      om != nullptr && *om != '\0') {
-    svc.publish_gauges();
-    svc.export_openmetrics(om);
-  }
+  export_run(svc, metrics_path);
   return r;
 }
 
@@ -501,127 +494,13 @@ TenantStats run_tenant_client(const std::string& sock,
   return st;
 }
 
-// ------------------------------------------------------- process clients
-
-/// Full-write loop over a pipe fd (socket.hpp's write_all uses send(),
-/// which pipes refuse).
-bool pipe_write(int fd, const void* buf, std::size_t len) {
-  const char* p = static_cast<const char*>(buf);
-  while (len > 0) {
-    const ssize_t n = ::write(fd, p, len);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool pipe_read(int fd, void* buf, std::size_t len) {
-  char* p = static_cast<char*>(buf);
-  while (len > 0) {
-    const ssize_t n = ::read(fd, p, len);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-struct TenantProc {
-  pid_t pid = -1;
-  int rd = -1;
-};
-
-/// Forks one tenant client into its own process — OS-level isolation
-/// (own address space and scheduler entity) instead of a thread. The
-/// child serializes its TenantStats down a pipe (five u64s, then the
-/// raw latency doubles) and _exits without touching parent state.
-TenantProc spawn_tenant_client(const std::string& sock,
-                               const TenantProfile& prof,
-                               std::size_t requests, std::uint64_t seed) {
-  TenantProc proc;
-  int fds[2];
-  if (::pipe(fds) != 0) return proc;
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return proc;
-  }
-  if (pid == 0) {
-    ::close(fds[0]);
-    const TenantStats st = run_tenant_client(sock, prof, requests, seed);
-    const std::uint64_t head[5] = {
-        st.ok, st.rejected, st.lost,
-        static_cast<std::uint64_t>(st.reconnects), st.latency_ms.size()};
-    bool ok = pipe_write(fds[1], head, sizeof(head));
-    if (ok && !st.latency_ms.empty()) {
-      ok = pipe_write(fds[1], st.latency_ms.data(),
-                      st.latency_ms.size() * sizeof(double));
-    }
-    ::close(fds[1]);
-    ::_exit(ok ? 0 : 1);
-  }
-  ::close(fds[1]);
-  proc.pid = pid;
-  proc.rd = fds[0];
-  return proc;
-}
-
-/// Blocks until the child finishes and reads its stats back. A child
-/// that died mid-run (short pipe read) reports every request lost, so
-/// the gate fails loudly instead of silently shrinking the sample.
-TenantStats collect_tenant_client(TenantProc& proc, std::size_t requests) {
-  TenantStats st;
-  if (proc.pid < 0) {
-    st.lost = requests;
-    return st;
-  }
-  std::uint64_t head[5] = {0, 0, 0, 0, 0};
-  bool ok = pipe_read(proc.rd, head, sizeof(head));
-  if (ok) {
-    st.ok = head[0];
-    st.rejected = head[1];
-    st.lost = head[2];
-    st.reconnects = head[3];
-    st.latency_ms.resize(head[4]);
-    if (head[4] > 0) {
-      ok = pipe_read(proc.rd, st.latency_ms.data(),
-                     head[4] * sizeof(double));
-    }
-  }
-  ::close(proc.rd);
-  int wstatus = 0;
-  (void)::waitpid(proc.pid, &wstatus, 0);
-  if (!ok) {
-    st = TenantStats{};
-    st.lost = requests;
-  }
-  return st;
-}
-
-TenantStats run_tenant_client_proc(const std::string& sock,
-                                   const TenantProfile& prof,
-                                   std::size_t requests,
-                                   std::uint64_t seed) {
-  TenantProc proc = spawn_tenant_client(sock, prof, requests, seed);
-  return collect_tenant_client(proc, requests);
-}
-
 /// Multi-tenant isolation proof over the wire front door. Returns false
 /// when any well-behaved tenant's contended p95 blows past the gate.
-/// `processes` forks the clients instead of threading them.
 bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
                        std::size_t requests, std::size_t window,
                        std::size_t greedy_window, double factor,
-                       double slack_ms, bool processes,
-                       const std::string& metrics_path, bool csv) {
+                       double slack_ms, const std::string& metrics_path,
+                       bool csv) {
   ServiceConfig cfg;
   cfg.flush_systems = flush;
   cfg.flush_interval_ms = flush_ms;
@@ -632,9 +511,6 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
     devices.push_back(registry[registry.size() - 1 -
                                static_cast<std::size_t>(i) % registry.size()]);
   SolveService<double> svc(devices, cfg);
-  const char* trace_path = std::getenv("TDA_TRACE");
-  if (trace_path != nullptr && *trace_path != '\0')
-    svc.telemetry().tracer.enable();
 
   const std::string sock = "/tmp/tda_bench_tenants_" +
                            std::to_string(::getpid()) + ".sock";
@@ -672,8 +548,7 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
             << "), 1 greedy (window " << greedy_window
             << "), 1 slow consumer; " << requests
             << " requests each, equal DRR weights, " << num_devices
-            << " device(s), clients as "
-            << (processes ? "processes" : "threads") << "\n\n";
+            << " device(s)\n\n";
 
   // Warm the tuning cache so neither phase pays first-shape tuning.
   (void)run_tenant_client(spec, {"fair-a", "tok-fair-a", 2, 0.0, true},
@@ -683,39 +558,21 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
   std::map<std::string, TenantStats> baseline;
   for (const auto& p : profiles) {
     if (!p.gated) continue;
-    baseline[p.name] = processes
-                           ? run_tenant_client_proc(spec, p, requests, 11)
-                           : run_tenant_client(spec, p, requests, 11);
+    baseline[p.name] = run_tenant_client(spec, p, requests, 11);
   }
 
   // Phase 2: everyone at once.
   std::map<std::string, TenantStats> contended;
-  if (processes) {
-    // Fork first, collect after: the blocking pipe reads happen while
-    // the other children are still running, so contention is preserved.
-    std::vector<TenantProc> procs;
-    procs.reserve(profiles.size());
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-      procs.push_back(
-          spawn_tenant_client(spec, profiles[i], requests, 23 + i));
-    }
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-      contended[profiles[i].name] =
-          collect_tenant_client(procs[i], requests);
-    }
-  } else {
-    std::vector<std::thread> threads;
-    std::mutex mu;
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-      threads.emplace_back([&, i] {
-        auto stats =
-            run_tenant_client(spec, profiles[i], requests, 23 + i);
-        std::lock_guard lk(mu);
-        contended[profiles[i].name] = std::move(stats);
-      });
-    }
-    for (auto& th : threads) th.join();
+  std::vector<std::thread> threads;
+  std::mutex mu;
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    threads.emplace_back([&, i] {
+      auto stats = run_tenant_client(spec, profiles[i], requests, 23 + i);
+      std::lock_guard lk(mu);
+      contended[profiles[i].name] = std::move(stats);
+    });
   }
+  for (auto& th : threads) th.join();
 
   TextTable table("per-tenant p95 latency: alone vs contended");
   table.set_header({"tenant", "ok", "rejected", "lost", "reconnects",
@@ -762,17 +619,7 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
 
   door.shutdown();
   svc.shutdown();
-  if (!metrics_path.empty()) {
-    svc.publish_gauges();
-    svc.export_metrics(metrics_path);
-  }
-  if (trace_path != nullptr && *trace_path != '\0')
-    svc.export_trace(trace_path);
-  if (const char* om = std::getenv("TDA_OPENMETRICS");
-      om != nullptr && *om != '\0') {
-    svc.publish_gauges();
-    svc.export_openmetrics(om);
-  }
+  export_run(svc, metrics_path);
 
   std::cout << "\nwell-behaved tenants held p95 within " << factor
             << "x + " << slack_ms << " ms of their no-contention baseline: "
@@ -937,9 +784,6 @@ bool run_chaos_bench(int num_devices, std::size_t flush, double flush_ms,
     devices.push_back(registry[registry.size() - 1 -
                                static_cast<std::size_t>(i) % registry.size()]);
   SolveService<double> svc(devices, cfg);
-  const char* trace_path = std::getenv("TDA_TRACE");
-  if (trace_path != nullptr && *trace_path != '\0')
-    svc.telemetry().tracer.enable();
 
   const std::string up =
       "/tmp/tda_chaos_up_" + std::to_string(::getpid()) + ".sock";
@@ -1078,17 +922,7 @@ bool run_chaos_bench(int num_devices, std::size_t flush, double flush_ms,
   door.shutdown();
   svc.shutdown();
   ::unlink(px.c_str());
-  if (!metrics_path.empty()) {
-    svc.publish_gauges();
-    svc.export_metrics(metrics_path);
-  }
-  if (trace_path != nullptr && *trace_path != '\0')
-    svc.export_trace(trace_path);
-  if (const char* om = std::getenv("TDA_OPENMETRICS");
-      om != nullptr && *om != '\0') {
-    svc.publish_gauges();
-    svc.export_openmetrics(om);
-  }
+  export_run(svc, metrics_path);
 
   std::cout << "\nbaseline clean (no losses, residuals verified):       "
             << (baseline_ok ? "yes  [OK]" : "NO  [FAIL]") << "\n"
@@ -1520,7 +1354,7 @@ int main(int argc, char** argv) {
                static_cast<std::size_t>(cli.get_int("greedy-window", 40)),
                cli.get_double("isolation-factor", 2.0),
                cli.get_double("isolation-slack-ms", 5.0),
-               cli.has("processes"), metrics_path, cli.has("csv"))
+               metrics_path, cli.has("csv"))
                ? 0
                : 1;
   }

@@ -49,28 +49,17 @@ class TelemetryScope {
 };
 
 /// Prints the buffer-pool / host-allocation picture of the run and, when
-/// a registry is given, publishes the same numbers as gauges
-/// (identical names to SolveService::publish_gauges, so bench sidecars
-/// and service exports line up). Figure benches route their generator
-/// batches through BatchStorage::Pooled — this is where that shows up.
+/// a registry is given, publishes it through the service sampler's
+/// telemetry::sample_process_gauges. Figure benches route their
+/// generator batches through BatchStorage::Pooled — this shows it.
 inline void report_alloc_gauges(std::ostream& os,
                                 tda::telemetry::MetricsRegistry* mx =
                                     nullptr) {
+  if (mx != nullptr) tda::telemetry::sample_process_gauges(*mx);
   const auto ps = tda::BufferPool::global().stats();
-  const double hit_rate =
-      ps.acquires > 0
-          ? static_cast<double>(ps.hits) / static_cast<double>(ps.acquires)
-          : 0.0;
-  if (mx != nullptr) {
-    mx->set("pool.hit_rate", hit_rate);
-    mx->set("pool.cached_bytes", static_cast<double>(ps.cached_bytes));
-    mx->set("pool.outstanding_bytes",
-            static_cast<double>(ps.outstanding_bytes));
-    mx->set("host.alloc_count", static_cast<double>(host_alloc_count()));
-  }
   os << "allocations: pool acquires " << ps.acquires << " (hits " << ps.hits
      << ", misses " << ps.misses << ", hit rate "
-     << TextTable::num(100.0 * hit_rate, 1) << "%), cached "
+     << TextTable::num(100.0 * ps.hit_rate(), 1) << "%), cached "
      << ps.cached_bytes / 1024 << " KiB, host allocs "
      << host_alloc_count() << "\n";
 }

@@ -170,7 +170,6 @@ int main(int argc, char** argv) {
   }
   for (auto& th : threads) th.join();
 
-  svc.publish_gauges();
   std::string save_why;
   const bool snapshot_ok = ops_srv.save_now(&save_why);
   if (!snapshot_ok) std::cerr << "snapshot: " << save_why << "\n";

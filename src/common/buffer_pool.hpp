@@ -88,6 +88,13 @@ class BufferPool {
     std::size_t cached_bytes = 0;
     std::size_t cached_buffers = 0;
     std::size_t outstanding_bytes = 0;  ///< live PoolBlock capacity
+
+    /// hits / acquires; 0 before the first acquire.
+    [[nodiscard]] double hit_rate() const {
+      return acquires > 0 ? static_cast<double>(hits) /
+                                static_cast<double>(acquires)
+                          : 0.0;
+    }
   };
 
   /// The process-wide pool (TDA_POOL_MAX / TDA_POOL_POISON configured;

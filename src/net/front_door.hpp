@@ -582,14 +582,15 @@ class FrontDoor {
   }
 
   /// Every typed reject of a request: counted in requests_rejected and
-  /// net.rejects{tenant,reason} (tenant "-" before auth), then sent.
-  void reject(Conn& conn, const Tenant* tenant, std::uint64_t request_id,
+  /// net.rejects{tenant,reason}, then sent. The one reject before auth
+  /// is AuthRequired, counted in the door's tenant "-" row.
+  void reject(Conn& conn, Tenant* tenant, std::uint64_t request_id,
               ErrorCode code, std::string_view msg) {
     totals_.requests_rejected.add();
-    metrics().add(telemetry::labeled(
-        "net.rejects",
-        {{"tenant", tenant != nullptr ? tenant->cfg.name : "-"},
-         {"reason", to_string(code)}}));
+    count(tenant != nullptr
+              ? tenant->series.rejects[static_cast<std::size_t>(code)]
+              : preauth_rejects_,
+          "net.rejects", tenant, {"reason", to_string(code)});
     send_err(conn, request_id, code, msg);
   }
 
@@ -682,14 +683,22 @@ class FrontDoor {
 
   [[nodiscard]] double mono_ms() const { return now_s() * 1000.0; }
 
-  /// Adds one to `metric`{tenant} (and `where`, when given).
-  void count_tenant(std::string_view metric, const Tenant& t,
-                    std::string_view where = {}) {
-    metrics().add(where.empty()
-                      ? telemetry::labeled(metric, {{"tenant", t.cfg.name}})
-                      : telemetry::labeled(metric, {{"tenant", t.cfg.name},
-                                                    {"where", where}}));
+  /// Adds one to `series`: `family`{tenant[,extra]} (tenant "-" for
+  /// nullptr), registered on its first use.
+  void count(telemetry::Counter& series, std::string_view family,
+             const Tenant* t,
+             std::pair<std::string_view, std::string_view> extra = {}) {
+    if (!series) {
+      const std::string_view name =
+          t != nullptr ? std::string_view(t->cfg.name) : "-";
+      series = metrics().counter_handle(
+          extra.first.empty()
+              ? telemetry::labeled(family, {{"tenant", name}})
+              : telemetry::labeled(family, {{"tenant", name}, extra}));
+    }
+    series.add();
   }
+
 
   void sync_dedup_counters() {
     const DedupStats& s = dedup_.stats();
@@ -742,7 +751,8 @@ class FrontDoor {
         std::abs(conn.skew_ms) > cfg_.max_clock_skew_ms) {
       solve->deadline_unix_ms = 0.0;
       totals_.deadline_skew_clamped.add();
-      count_tenant("net.deadline_skew_clamped", *tenant);
+      count(tenant->series.skew_clamped, "net.deadline_skew_clamped",
+            tenant);
     }
 
     // Fold every deadline form into one absolute unix-epoch instant:
@@ -778,7 +788,7 @@ class FrontDoor {
         return;
       }
       if (state == State::Completed) {
-        count_tenant("net.dedup_hits", *tenant);
+        count(tenant->series.dedup_hits, "net.dedup_hits", tenant);
         std::string out;
         encode_response(frame.request_id,
                         *dedup_.lookup(tid, solve->idem_key), out,
@@ -789,7 +799,7 @@ class FrontDoor {
       if (state == State::InFlight) {
         dedup_.add_waiter(tid, solve->idem_key,
                           {conn.id, frame.request_id});
-        count_tenant("net.dedup_joins", *tenant);
+        count(tenant->series.dedup_joins, "net.dedup_joins", tenant);
         ++conn.inflight;  // a response will be replayed on completion
         return;
       }
@@ -807,7 +817,8 @@ class FrontDoor {
     if (deadline_unix > 0.0 && unix_now_ms() >= deadline_unix) {
       forget_key();
       totals_.deadline_expired_arrival.add();
-      count_tenant("net.deadline_expired", *tenant, "arrival");
+      count(tenant->series.expired_arrival, "net.deadline_expired", tenant,
+            {"where", "arrival"});
       reject(conn, tenant, frame.request_id, ErrorCode::DeadlineExpired,
              "deadline expired before admission");
       return;
@@ -825,7 +836,7 @@ class FrontDoor {
       return;
     }
     totals_.requests_admitted.add();
-    count_tenant("net.requests", *tenant);
+    count(tenant->series.requests, "net.requests", tenant);
     publish_inflight_bytes();
     Queued q;
     q.ticket = {conn.id, frame.request_id, tenant, bytes, solve->idem_key};
@@ -937,14 +948,15 @@ class FrontDoor {
       if (q.deadline_unix_ms > 0.0 &&
           unix_now_ms() >= q.deadline_unix_ms) {
         totals_.deadline_expired_queued.add();
-        count_tenant("net.deadline_expired", tenant, "queued");
+        count(tenant.series.expired_queued, "net.deadline_expired", &tenant,
+              {"where", "queued"});
         settle(q.ticket, Outcome::Expired);
         continue;
       }
       const double sojourn_ms = (now - q.enqueue_s) * 1000.0;
       if (overload_.should_shed(tenant.overload, sojourn_ms, now)) {
         totals_.shed_codel.add();
-        count_tenant("net.shed_codel", tenant);
+        count(tenant.series.shed_codel, "net.shed_codel", &tenant);
         settle(q.ticket, Outcome::Shed);
         continue;
       }
@@ -1258,6 +1270,8 @@ class FrontDoor {
   DrrScheduler<Queued> lanes_;
   DedupCache<service::SolveResponse<T>> dedup_;
   Overload overload_;
+  /// net.rejects{tenant="-",reason="auth_required"}, on first use.
+  telemetry::Counter preauth_rejects_;
 
   // --- shared with worker callbacks ---
   std::atomic<std::size_t> service_inflight_{0};

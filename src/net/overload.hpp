@@ -38,6 +38,7 @@ struct LaneOverload {
   double drop_next_s = 0.0;     ///< CoDel: next scheduled drop
   std::uint64_t drop_count = 0; ///< CoDel: drops this episode
   bool dropping = false;        ///< CoDel: inside a drop episode
+  telemetry::Gauge aimd_limit;  ///< registered when the window first moves
 };
 
 class Overload {
@@ -114,10 +115,12 @@ class Overload {
                   double w) const {
     const bool moved = w != limit(l);
     l.window = w;
-    if (moved) {
-      metrics_.set(
-          telemetry::labeled("net.aimd_limit", {{"tenant", tenant}}), w);
+    if (!moved) return;
+    if (!l.aimd_limit) {
+      l.aimd_limit = metrics_.gauge_handle(
+          telemetry::labeled("net.aimd_limit", {{"tenant", tenant}}));
     }
+    l.aimd_limit.set(w);
   }
 
   const OverloadConfig& cfg_;

@@ -91,6 +91,7 @@ enum class ErrorCode : std::uint16_t {
   DeadlineExpired = 17,  ///< absolute deadline already lapsed on arrival
   KeyReuse = 18,     ///< idempotency key reused for a different payload
 };
+inline constexpr std::size_t kErrorCodes = 19;  ///< one past the largest
 
 /// Version the server agrees to speak given a Hello advertisement.
 /// Legacy clients wrote 0 in the slot; both 0 and 1 negotiate to v1,

@@ -24,6 +24,7 @@
 // read usage() from theirs). The DRR lanes themselves are owned (and
 // only touched) by the poll thread.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -33,6 +34,8 @@
 #include <vector>
 
 #include "net/overload.hpp"
+#include "net/protocol.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace tda::net {
 
@@ -97,6 +100,15 @@ class TokenBucket {
   double last_s_ = 0.0;
 };
 
+/// A tenant's net.*{tenant} counters, each registered by the front door
+/// on its first use. `expired_*` are net.deadline_expired{where}, and
+/// `rejects` is net.rejects{reason} indexed by ErrorCode.
+struct TenantSeries {
+  telemetry::Counter requests, dedup_hits, dedup_joins, shed_codel,
+      skew_clamped, expired_arrival, expired_queued;
+  std::array<telemetry::Counter, kErrorCodes> rejects;
+};
+
 /// One configured tenant plus its live accounting.
 struct Tenant {
   TenantConfig cfg;
@@ -117,6 +129,7 @@ struct Tenant {
 
   // --- overload-protection state (poll-thread-owned) ---
   LaneOverload overload;  ///< CoDel episode + AIMD window (overload.hpp)
+  TenantSeries series;
 };
 
 class TenantRegistry {

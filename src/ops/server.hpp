@@ -41,10 +41,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <future>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -81,10 +85,11 @@ struct OpsConfig {
   /// (argv[0] = binary). The server appends --handoff-fd=<N> and
   /// --generation=<g+1>. Empty disables handoff.
   std::vector<std::string> handoff_argv;
-  /// How long `handoff` waits for the child's ready ack before
-  /// declaring the handoff failed.
-  double handoff_ack_timeout_ms = 20'000.0;
 };
+
+/// How long `handoff` waits for the child's ready ack before declaring
+/// the handoff failed.
+inline constexpr int kHandoffAckTimeoutMs = 20'000;
 
 /// Child-side half of the handoff: receive the listener fds sent by the
 /// previous generation over `handoff_fd`. The tag byte says which
@@ -215,9 +220,9 @@ class Server {
     st.dedup_stats.evictions += baseline_.evictions;
     st.dedup_stats.duplicate_executions += baseline_.duplicate_executions;
     const bool ok = save_snapshot(cfg_.snapshot_path, st, why);
-    svc_.telemetry().metrics.add(telemetry::labeled(
-        "ops.snapshots",
-        {{"generation", gen_str()}, {"result", ok ? "ok" : "fail"}}));
+    series(ok ? snapshots_ok_ : snapshots_fail_, "ops.snapshots",
+           {"result", ok ? "ok" : "fail"})
+        .add();
     if (ok) {
       last_snapshot_ms_.store(net::unix_now_ms(),
                               std::memory_order_relaxed);
@@ -255,17 +260,34 @@ class Server {
   }
 
  private:
-  [[nodiscard]] std::string gen_str() const {
-    return std::to_string(cfg_.generation);
+  /// A copy of `slot`, registered as `family`{generation[,extra]} on its
+  /// first use.
+  template <typename Handle>
+  Handle series(Handle& slot, std::string_view family,
+                std::pair<std::string_view, std::string_view> extra = {}) {
+    std::lock_guard lk(series_mu_);
+    if (slot) return slot;
+    const std::string gen = std::to_string(cfg_.generation);
+    const std::string key =
+        extra.first.empty()
+            ? telemetry::labeled(family, {{"generation", gen}})
+            : telemetry::labeled(family, {{"generation", gen}, extra});
+    auto& mx = svc_.telemetry().metrics;
+    if constexpr (std::is_same_v<Handle, telemetry::Gauge>) {
+      slot = mx.gauge_handle(key);
+    } else {
+      slot = mx.counter_handle(key);
+    }
+    return slot;
   }
 
   /// Admin dispatch — runs on the admin thread. Anything touching
   /// poll-thread state goes through door_.post with a future.
   std::pair<bool, std::string> handle(AdminCmd cmd,
                                       const std::string& payload) {
-    svc_.telemetry().metrics.add(telemetry::labeled(
-        "ops.admin_commands",
-        {{"generation", gen_str()}, {"cmd", to_string(cmd)}}));
+    series(admin_commands_[cmd], "ops.admin_commands",
+           {"cmd", to_string(cmd)})
+        .add();
     switch (cmd) {
       case AdminCmd::Health:
         return {true, "ok\n"};
@@ -551,12 +573,8 @@ class Server {
   }
 
   bool await_ack(int fd) {
-    const int timeout =
-        static_cast<int>(cfg_.handoff_ack_timeout_ms < 1.0
-                             ? 1
-                             : cfg_.handoff_ack_timeout_ms);
     struct pollfd p = {fd, POLLIN, 0};
-    if (::poll(&p, 1, timeout) <= 0) return false;
+    if (::poll(&p, 1, kHandoffAckTimeoutMs) <= 0) return false;
     char b = 0;
     return ::read(fd, &b, 1) == 1 && b == 'R';
   }
@@ -585,14 +603,10 @@ class Server {
           (void)save_now(&why);
         }
       }
-      auto& metrics = svc_.telemetry().metrics;
-      const auto labels = [this](const char* name) {
-        return telemetry::labeled(name, {{"generation", gen_str()}});
-      };
-      metrics.set(labels("ops.uptime_s"), uptime_s());
+      series(uptime_s_, "ops.uptime_s").set(uptime_s());
       const double age = snapshot_age_ms();
       if (age >= 0.0) {
-        metrics.set(labels("ops.snapshot_age_s"), age / 1000.0);
+        series(snapshot_age_s_, "ops.snapshot_age_s").set(age / 1000.0);
       }
     }
   }
@@ -611,6 +625,13 @@ class Server {
   std::atomic<double> snapshot_interval_override_ms_{0.0};
   DedupStatsState baseline_;
   bool loaded_ = false;
+
+  /// The ops.* series (see series()). Snapshots are saved from the admin,
+  /// housekeeping and shutdown threads, hence the lock.
+  std::mutex series_mu_;
+  telemetry::Counter snapshots_ok_, snapshots_fail_;
+  std::map<AdminCmd, telemetry::Counter> admin_commands_;
+  telemetry::Gauge uptime_s_, snapshot_age_s_;
   const std::chrono::steady_clock::time_point started_ =
       std::chrono::steady_clock::now();
 };

@@ -28,7 +28,7 @@ inline constexpr double kRetryBackoffMaxMs = 8.0;
 /// Consecutive device failures that open a worker's circuit breaker.
 inline constexpr int kBreakerThreshold = 3;
 /// Longest the service supervisor sleeps between passes (wall-clock ms),
-/// and so the watchdog's sampling period and the gauge refresh period.
+/// and so the watchdog's sampling period.
 inline constexpr double kWatchdogIntervalMs = 1.0;
 /// Consecutive watchdog stall strikes that open a worker's breaker.
 inline constexpr int kStallStrikes = 3;

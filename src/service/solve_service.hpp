@@ -41,10 +41,11 @@
 // — all nest under that root, so the Chrome-trace export renders one
 // coherent tree per request. Metrics always record: every unlabeled
 // total (Counters, plus the flush-trigger, fault and breaker-transition
-// counts) is a registry counter handle that counters() reads back, and
-// the registry also holds queue depth, wait time, batch occupancy and
-// solve times, plus per-(shape, dtype, outcome) end-to-end latency
-// histograms whose exemplars carry the trace ids of slow requests. The
+// counts) is a counter handle that counters() reads back; queue depth,
+// wait, batch occupancy and solve time are histograms, and so is the
+// per-(shape, dtype, outcome) latency, on handles registered on first
+// use, whose exemplars carry the trace ids of slow requests. Gauges
+// mirroring service state are written by the registry's sampler. The
 // tracer is internally synchronized; workers record concurrently
 // without service-level serialization.
 //
@@ -55,6 +56,7 @@
 // registry have their own internal locks.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -64,16 +66,17 @@
 #include <exception>
 #include <functional>
 #include <future>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/alloc_stats.hpp"
-#include "common/buffer_pool.hpp"
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "faults/faults.hpp"
@@ -152,21 +155,27 @@ class SolveService {
       gpusim::ThreadPool::global().resize(cfg_.engine_threads);
     }
     telemetry_.tracer.set_clock([this] { return wall_s(Clock::now()); });
+    auto& mx = telemetry_.metrics;
     for (const TotalRow& row : kTotalRows) {
-      totals_.*row.handle = telemetry_.metrics.counter_handle(row.metric);
+      totals_.*row.handle = mx.counter_handle(row.metric);
     }
-    telemetry_.metrics.set("service.workers",
-                           static_cast<double>(devices.size()));
-    telemetry_.metrics.set("service.queue_capacity",
-                           static_cast<double>(cfg_.queue_capacity));
+    mx.set("service.workers", static_cast<double>(devices.size()));
+    mx.set("service.queue_capacity",
+           static_cast<double>(cfg_.queue_capacity));
     const Breaker::Transitions transitions{totals_.breaker_opens,
                                            totals_.breaker_half_open,
                                            totals_.breaker_closed};
     workers_.reserve(devices.size());
     for (const auto& spec : devices) {
+      const std::string index = std::to_string(workers_.size());
       workers_.push_back(std::make_unique<Worker>(
           spec, workers_.size(),
           Breaker(transitions, ms(cfg_.resilience.breaker_cooldown_ms))));
+      workers_.back()->breaker_state = mx.gauge_handle(telemetry::labeled(
+          "service.breaker_state",
+          {{"worker", index}, {"device", spec.name}}));
+      workers_.back()->restarts_now = mx.gauge_handle(telemetry::labeled(
+          "service.worker_restarts_now", {{"worker", index}}));
       // Every worker device records into the service session, but must
       // NOT adopt the simulated clock: kernel spans need wall timestamps
       // to nest under the service's wall-clock batch spans.
@@ -179,8 +188,9 @@ class SolveService {
       }
       total_mem_budget_ += workers_.back()->dev.memory().budget();
     }
-    telemetry_.metrics.set("service.mem_budget_bytes",
-                           static_cast<double>(total_mem_budget_));
+    mx.set("service.mem_budget_bytes",
+           static_cast<double>(total_mem_budget_));
+    mx.set_sampler([this] { sample_gauges(); });
     for (auto& w : workers_) {
       w->thread = std::thread([this, wp = w.get()] { worker_loop(*wp); });
     }
@@ -350,11 +360,6 @@ class SolveService {
     std::lock_guard lk(mu_);
     return accepting_;
   }
-  /// Requests admitted but not yet dispatched to a device.
-  [[nodiscard]] std::size_t queue_depth() const {
-    std::lock_guard lk(mu_);
-    return queue_.count();
-  }
   [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
   [[nodiscard]] const tuning::TuningCache& cache() const { return cache_; }
@@ -448,15 +453,6 @@ class SolveService {
     return out;
   }
 
-  /// Refreshes the point-in-time gauges: queue depth, per-worker breaker
-  /// state and restarts, per-lane engine utilization, buffer-pool hit
-  /// rate and host allocation count. The supervisor calls this every tick;
-  /// callers exporting metrics mid-run may call it directly.
-  void publish_gauges() {
-    std::lock_guard lk(mu_);
-    publish_gauges_locked();
-  }
-
  private:
   struct Pending {
     std::vector<T> a, b, c, d;
@@ -504,6 +500,8 @@ class SolveService {
     Breaker breaker;
     bool crashed = false;     ///< thread died; the supervisor revives it
     std::size_t restarts = 0;
+    /// service.breaker_state / worker_restarts_now, set by the sampler.
+    telemetry::Gauge breaker_state, restarts_now;
 
     /// Retry-backoff jitter stream (worker thread only), seeded from the
     /// worker's index: workers hit by one fault desynchronize, and a
@@ -538,11 +536,45 @@ class SolveService {
     return status_only(SolveStatus::TimedOut, {}, scope);
   }
 
-  /// Histogram shape label: smallest power-of-two bucket holding n.
-  [[nodiscard]] static std::string shape_bucket(std::size_t n) {
-    std::size_t b = 16;
-    while (b < n && b < (std::size_t{1} << 24)) b <<= 1;
-    return "le" + std::to_string(b);
+  /// The `outcome` label of a terminal response, by SolveStatus, then
+  /// "fallback" for an Ok answer the CPU fallback produced.
+  static constexpr const char* kOutcomeNames[] = {
+      "ok",     "rejected", "shed",      "timed_out",
+      "failed", "singular", "nonfinite", "fallback"};
+  static constexpr std::size_t kOutcomes = std::size(kOutcomeNames);
+  /// Latency shape buckets: le16, le32, ..., le16777216 (2^24).
+  static constexpr std::size_t kShapeBuckets = 21;
+
+  /// The service.request_latency_ms{[tenant,]shape,dtype,outcome} series
+  /// of a request of `tenant` ("" = in-process caller, no tenant label)
+  /// and size n: looked up by index, registered on its first sample.
+  telemetry::Histogram latency_series(std::string_view tenant,
+                                      std::size_t n, std::size_t outcome) {
+    std::size_t shape = 0;  // smallest power-of-two bucket holding n
+    while ((std::size_t{16} << shape) < n && shape + 1 < kShapeBuckets) ++shape;
+    std::lock_guard lk(latency_mu_);
+    auto row = latency_.find(tenant);
+    if (row == latency_.end()) {
+      row = latency_.try_emplace(std::string(tenant)).first;
+    }
+    telemetry::Histogram& h = row->second[shape][outcome];
+    if (!h) {
+      const std::string bucket =
+          "le" + std::to_string(std::size_t{16} << shape);
+      const char* name = kOutcomeNames[outcome];
+      h = telemetry_.metrics.histogram_handle(
+          tenant.empty()
+              ? telemetry::labeled("service.request_latency_ms",
+                                   {{"shape", bucket},
+                                    {"dtype", dtype_name()},
+                                    {"outcome", name}})
+              : telemetry::labeled("service.request_latency_ms",
+                                   {{"tenant", tenant},
+                                    {"shape", bucket},
+                                    {"dtype", dtype_name()},
+                                    {"outcome", name}}));
+    }
+    return h;
   }
 
   [[nodiscard]] static const char* dtype_name() {
@@ -559,10 +591,9 @@ class SolveService {
   /// The one terminal path of an admitted request: counts it by status
   /// (a timeout also by scope) before delivery, so whoever sees the
   /// response sees counters that include it; closes its root span with
-  /// `outcome`; records its latency per (shape, dtype, outcome) with the
-  /// trace id as exemplar; delivers. Callable with or without mu_.
-  void settle(Pending& p, SolveResponse<T> resp, const char* outcome,
-              TimePoint now) {
+  /// its outcome; records its latency per (shape, dtype, outcome) with
+  /// the trace id as exemplar; delivers. Callable with or without mu_.
+  void settle(Pending& p, SolveResponse<T> resp, TimePoint now) {
     switch (resp.status) {
       case SolveStatus::Ok: totals_.completed.add(); break;
       case SolveStatus::Rejected: totals_.rejected.add(); break;
@@ -577,46 +608,32 @@ class SolveService {
       case SolveStatus::Singular: totals_.singular.add(); break;
       case SolveStatus::NonFinite: totals_.nonfinite.add(); break;
     }
+    const std::size_t outcome = resp.fallback_used
+                                    ? kOutcomes - 1
+                                    : static_cast<std::size_t>(resp.status);
     if (p.root != telemetry::kInvalidSpan) {
-      telemetry_.tracer.attr(p.root, "outcome", outcome);
+      telemetry_.tracer.attr(p.root, "outcome", kOutcomeNames[outcome]);
       telemetry_.tracer.close_at(p.root, wall_s(now));
       p.root = telemetry::kInvalidSpan;
     }
     const double e2e_ms = std::chrono::duration<double, std::milli>(
                               now - p.enqueue_tp)
                               .count();
-    // Wire-submitted requests carry their tenant into the label set;
-    // in-process callers keep the original three labels so existing
-    // dashboards/parsers see an unchanged key shape.
-    const std::string key =
-        p.tenant.empty()
-            ? telemetry::labeled("service.request_latency_ms",
-                                 {{"shape", shape_bucket(p.n)},
-                                  {"dtype", dtype_name()},
-                                  {"outcome", outcome}})
-            : telemetry::labeled("service.request_latency_ms",
-                                 {{"tenant", p.tenant},
-                                  {"shape", shape_bucket(p.n)},
-                                  {"dtype", dtype_name()},
-                                  {"outcome", outcome}});
-    telemetry_.metrics.observe(key, e2e_ms, p.ctx.trace_id);
+    latency_series(p.tenant, p.n, outcome).observe(e2e_ms, p.ctx.trace_id);
     p.done(std::move(resp));
   }
 
-  /// See publish_gauges(). Caller holds mu_.
-  void publish_gauges_locked() {
+  /// The registry's read-time sampler: queue depth, worker breakers and
+  /// restarts (under mu_), then engine lanes and pool (outside it).
+  void sample_gauges() {
     auto& mx = telemetry_.metrics;
-    mx.set("service.queue_depth_now", static_cast<double>(queue_.count()));
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const Worker& w = *workers_[i];
-      const std::string lane = std::to_string(i);
-      mx.set(telemetry::labeled("service.breaker_state",
-                                {{"worker", lane},
-                                 {"device", w.dev.spec().name}}),
-             w.breaker.level());
-      mx.set(telemetry::labeled("service.worker_restarts_now",
-                                {{"worker", lane}}),
-             static_cast<double>(w.restarts));
+    {
+      std::lock_guard lk(mu_);
+      mx.set("service.queue_depth_now", static_cast<double>(queue_.count()));
+      for (const auto& w : workers_) {
+        w->breaker_state.set(w->breaker.level());
+        w->restarts_now.set(static_cast<double>(w->restarts));
+      }
     }
     const auto lanes = gpusim::ThreadPool::global().lane_stats();
     double busy_ms = 0.0;
@@ -635,16 +652,7 @@ class SolveService {
       mx.set("engine.utilization",
              busy_ms / (up_ms * static_cast<double>(lanes.size())));
     }
-    const auto ps = tda::BufferPool::global().stats();
-    mx.set("pool.hit_rate",
-           ps.acquires > 0
-               ? static_cast<double>(ps.hits) /
-                     static_cast<double>(ps.acquires)
-               : 0.0);
-    mx.set("pool.cached_bytes", static_cast<double>(ps.cached_bytes));
-    mx.set("pool.outstanding_bytes",
-           static_cast<double>(ps.outstanding_bytes));
-    mx.set("host.alloc_count", static_cast<double>(host_alloc_count()));
+    telemetry::sample_process_gauges(mx);
   }
 
   /// Device-resident bytes one queued system of size n will need.
@@ -657,7 +665,7 @@ class SolveService {
   bool shed_oldest_locked() {
     std::optional<Pending> victim = queue_.shed_oldest();
     if (!victim) return false;
-    settle(*victim, status_only(SolveStatus::Shed), "shed", Clock::now());
+    settle(*victim, status_only(SolveStatus::Shed), Clock::now());
     return true;
   }
 
@@ -793,29 +801,22 @@ class SolveService {
   }
 
   /// Each pass heals crashed workers, expires overdue queued requests,
-  /// dispatches ready buckets, samples busy workers and publishes gauges,
-  /// then sleeps until the next flush or deadline event, at most
-  /// kWatchdogIntervalMs. Gauges refresh once per interval, not on every
-  /// submission's wake-up (their labeled keys are not free). Returns once
-  /// a drain is done.
+  /// dispatches ready buckets and samples busy workers, then sleeps until
+  /// the next flush or deadline event, at most kWatchdogIntervalMs.
+  /// Returns once a drain is done.
   void supervisor_loop() {
     const auto tick = ms(kWatchdogIntervalMs);
     const auto flush_interval = ms(cfg_.flush_interval_ms);
-    TimePoint next_gauges{};
     std::unique_lock lk(mu_);
     for (;;) {
       const TimePoint now = Clock::now();
       const std::size_t queued = queue_.count();
       heal_workers_locked();
       for (Pending& p : queue_.expire(now)) {
-        settle(p, timed_out(TimeoutScope::Queue), "timed_out", now);
+        settle(p, timed_out(TimeoutScope::Queue), now);
       }
       dispatch_ready_locked(now);
       watch_workers_locked(now);
-      if (now >= next_gauges) {
-        publish_gauges_locked();
-        next_gauges = now + tick;
-      }
       // Whatever shrank the queue, Block submitters get to retry.
       if (queue_.count() < queued) cv_space_.notify_all();
       // Drained: nothing pending and no worker holding work (queued_systems
@@ -886,7 +887,7 @@ class SolveService {
     live.reserve(job.members.size());
     for (auto& p : job.members) {
       if (p.deadline_tp <= t_pickup) {
-        settle(p, timed_out(TimeoutScope::Queue), "timed_out", t_pickup);
+        settle(p, timed_out(TimeoutScope::Queue), t_pickup);
       } else {
         live.push_back(std::move(p));
       }
@@ -1052,7 +1053,7 @@ class SolveService {
           // emits a second batch span under the same request tree.
           requeue.push_back(std::move(p));
         } else {
-          settle(p, timed_out(TimeoutScope::InFlight), "timed_out", now);
+          settle(p, timed_out(TimeoutScope::InFlight), now);
         }
       }
       if (!requeue.empty()) {
@@ -1090,8 +1091,7 @@ class SolveService {
 
     if (!solved) {
       for (auto& p : live) {
-        settle(p, status_only(SolveStatus::Failed, error), "failed",
-               t_solve1);
+        settle(p, status_only(SolveStatus::Failed, error), t_solve1);
       }
       return;
     }
@@ -1111,7 +1111,6 @@ class SolveService {
     telemetry_.metrics.observe("service.solve_ms", stats.total_ms);
     for (std::size_t i = 0; i < m; ++i) {
       SolveResponse<T> resp;
-      const char* outcome = "ok";
       switch (out.status[i]) {
         case solver::SystemStatus::Ok:
           resp.status = SolveStatus::Ok;
@@ -1119,17 +1118,14 @@ class SolveService {
         case solver::SystemStatus::FallbackUsed:
           resp.status = SolveStatus::Ok;
           resp.fallback_used = true;
-          outcome = "fallback";
           break;
         case solver::SystemStatus::Singular:
           resp.status = SolveStatus::Singular;
           resp.error = "system is numerically singular";
-          outcome = "singular";
           break;
         case solver::SystemStatus::NonFinite:
           resp.status = SolveStatus::NonFinite;
           resp.error = "system contains non-finite coefficients";
-          outcome = "nonfinite";
           break;
       }
       if (resp.status == SolveStatus::Ok) {
@@ -1157,7 +1153,7 @@ class SolveService {
                   static_cast<double>(batch_retries));
         }
       }
-      settle(live[i], std::move(resp), outcome, t_solve1);
+      settle(live[i], std::move(resp), t_solve1);
     }
     const TimePoint t_done = Clock::now();
 
@@ -1290,6 +1286,13 @@ class SolveService {
   Totals totals_;
   /// Largest single flush: a running maximum, not a count.
   std::atomic<std::size_t> max_batch_systems_{0};
+
+  /// service.request_latency_ms handles by tenant, then [shape][outcome]
+  /// (see latency_series).
+  using LatencyRow = std::array<std::array<telemetry::Histogram, kOutcomes>,
+                                kShapeBuckets>;
+  std::mutex latency_mu_;
+  std::map<std::string, LatencyRow, std::less<>> latency_;
 };
 
 }  // namespace tda::service

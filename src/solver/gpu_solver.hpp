@@ -156,23 +156,25 @@ class GpuTridiagonalSolver {
       mx.add(mode == kernels::ExecMode::Full ? "solver.solves"
                                              : "solver.cost_only_runs");
       if (mode == kernels::ExecMode::Full) {
-        mx.add(telemetry::labeled(
-            "solver.layout", {{"choice", tridiag::to_string(plan.layout)}}));
+        mx.add(plan.layout == tridiag::BatchLayout::SystemMajor
+                   ? R"(solver.layout{choice="system"})"
+                   : R"(solver.layout{choice="element"})");
       }
       mx.observe("solve.total_ms", stats.total_ms);
-      const auto stage_bw = [&mx](const char* stage, double ms,
-                                  double bytes) {
+      const auto stage_bw = [&mx](const char* ms_key, const char* bw_key,
+                                  double ms, double bytes) {
         if (ms <= 0.0) return;
-        mx.observe(std::string("solve.") + stage + "_ms", ms);
-        if (bytes > 0.0) {
-          mx.observe(std::string("solve.") + stage + ".bandwidth_gb_s",
-                     bytes / (ms * 1e-3) / 1e9);
-        }
+        mx.observe(ms_key, ms);
+        if (bytes > 0.0) mx.observe(bw_key, bytes / (ms * 1e-3) / 1e9);
       };
-      stage_bw("stage1", stats.stage1_ms, stage1_bytes);
-      stage_bw("stage2", stats.stage2_ms, stage2_bytes);
-      stage_bw("stage3", stats.stage3_ms, stage3_bytes);
-      stage_bw("transpose", stats.transpose_ms, transpose_bytes);
+      stage_bw("solve.stage1_ms", "solve.stage1.bandwidth_gb_s",
+               stats.stage1_ms, stage1_bytes);
+      stage_bw("solve.stage2_ms", "solve.stage2.bandwidth_gb_s",
+               stats.stage2_ms, stage2_bytes);
+      stage_bw("solve.stage3_ms", "solve.stage3.bandwidth_gb_s",
+               stats.stage3_ms, stage3_bytes);
+      stage_bw("solve.transpose_ms", "solve.transpose.bandwidth_gb_s",
+               stats.transpose_ms, transpose_bytes);
     }
     return stats;
   }

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/alloc_stats.hpp"
+#include "common/buffer_pool.hpp"
+
 namespace tda::telemetry {
 
 namespace {
@@ -73,13 +76,43 @@ std::string labeled(
   return key;
 }
 
+namespace {
+/// `name`'s slot in `slots`, created empty. Caller holds the mutex.
+template <typename Map>
+auto& slot_of(Map& slots, std::string_view name) {
+  auto it = slots.find(name);
+  if (it == slots.end()) it = slots.try_emplace(std::string(name)).first;
+  return it->second;
+}
+}  // namespace
+
+void Histogram::observe(double sample,
+                        std::uint64_t exemplar_trace_id) const {
+  if (!std::isfinite(sample)) return;
+  const std::size_t b = bucket_of(sample);
+  std::lock_guard<std::mutex> lock(slot_->mu);
+  HistogramSnapshot& h = slot_->h;
+  if (h.count == 0 || sample < h.min) h.min = sample;
+  if (h.count == 0 || sample > h.max) h.max = sample;
+  ++h.counts[b];
+  ++h.count;
+  h.sum += sample;
+  if (exemplar_trace_id != 0) h.exemplars[b] = {exemplar_trace_id, sample};
+}
+
 Counter MetricsRegistry::counter_handle(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.try_emplace(std::string(name), 0.0).first;
-  }
-  return Counter(&it->second);
+  return Counter(&slot_of(counters_, name));
+}
+
+Gauge MetricsRegistry::gauge_handle(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Gauge(&slot_of(gauges_, name));
+}
+
+Histogram MetricsRegistry::histogram_handle(std::string_view name) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return Histogram(&slot_of(histograms_, name));
 }
 
 void MetricsRegistry::add(std::string_view name, double delta) {
@@ -87,31 +120,22 @@ void MetricsRegistry::add(std::string_view name, double delta) {
 }
 
 void MetricsRegistry::set(std::string_view name, double value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    gauges_.emplace(std::string(name), value);
-  } else {
-    it->second = value;
-  }
+  gauge_handle(name).set(value);
 }
 
 void MetricsRegistry::observe(std::string_view name, double sample,
                               std::uint64_t exemplar_trace_id) {
-  if (!std::isfinite(sample)) return;
-  const std::size_t b = bucket_of(sample);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_.emplace(std::string(name), HistogramSnapshot{}).first;
-  }
-  HistogramSnapshot& h = it->second;
-  if (h.count == 0 || sample < h.min) h.min = sample;
-  if (h.count == 0 || sample > h.max) h.max = sample;
-  ++h.counts[b];
-  ++h.count;
-  h.sum += sample;
-  if (exemplar_trace_id != 0) h.exemplars[b] = {exemplar_trace_id, sample};
+  histogram_handle(name).observe(sample, exemplar_trace_id);
+}
+
+void MetricsRegistry::set_sampler(std::function<void()> sampler) {
+  std::lock_guard<std::mutex> lock(sampler_mu_);
+  sampler_ = std::move(sampler);
+}
+
+void MetricsRegistry::sample() const {
+  std::lock_guard<std::mutex> lock(sampler_mu_);
+  if (sampler_) sampler_();
 }
 
 double MetricsRegistry::counter(std::string_view name) const {
@@ -122,15 +146,19 @@ double MetricsRegistry::counter(std::string_view name) const {
 }
 
 double MetricsRegistry::gauge(std::string_view name) const {
+  sample();
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0.0 : it->second;
+  return it == gauges_.end() ? 0.0
+                             : it->second.load(std::memory_order_relaxed);
 }
 
 HistogramSnapshot MetricsRegistry::histogram(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
-  return it == histograms_.end() ? HistogramSnapshot{} : it->second;
+  if (it == histograms_.end()) return {};
+  std::lock_guard<std::mutex> slot_lock(it->second.mu);
+  return it->second.h;
 }
 
 std::map<std::string, double> MetricsRegistry::counters() const {
@@ -143,31 +171,56 @@ std::map<std::string, double> MetricsRegistry::counters() const {
 }
 
 std::map<std::string, double> MetricsRegistry::gauges() const {
+  sample();
   std::lock_guard<std::mutex> lock(mu_);
-  return {gauges_.begin(), gauges_.end()};
+  std::map<std::string, double> out;
+  for (const auto& [name, slot] : gauges_) {
+    out.emplace(name, slot.load(std::memory_order_relaxed));
+  }
+  return out;
 }
 
 std::map<std::string, HistogramSnapshot> MetricsRegistry::histograms()
     const {
   std::lock_guard<std::mutex> lock(mu_);
-  return {histograms_.begin(), histograms_.end()};
+  std::map<std::string, HistogramSnapshot> out;
+  for (const auto& [name, slot] : histograms_) {
+    std::lock_guard<std::mutex> slot_lock(slot.mu);
+    if (slot.h.count > 0) out.emplace(name, slot.h);
+  }
+  return out;
 }
 
 bool MetricsRegistry::empty() const {
+  if (!histograms().empty()) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [name, slot] : counters_) {
-    if (slot.load(std::memory_order_relaxed) != 0.0) return false;
+  for (const auto* slots : {&counters_, &gauges_}) {
+    for (const auto& [name, slot] : *slots) {
+      if (slot.load(std::memory_order_relaxed) != 0.0) return false;
+    }
   }
-  return gauges_.empty() && histograms_.empty();
+  return true;
 }
 
 void MetricsRegistry::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, slot] : counters_) {
-    slot.store(0.0, std::memory_order_relaxed);
+  for (auto* slots : {&counters_, &gauges_}) {
+    for (auto& [name, slot] : *slots) {
+      slot.store(0.0, std::memory_order_relaxed);
+    }
   }
-  gauges_.clear();
-  histograms_.clear();
+  for (auto& [name, slot] : histograms_) {
+    std::lock_guard<std::mutex> slot_lock(slot.mu);
+    slot.h = HistogramSnapshot{};
+  }
+}
+
+void sample_process_gauges(MetricsRegistry& mx) {
+  const BufferPool::Stats ps = BufferPool::global().stats();
+  mx.set("pool.hit_rate", ps.hit_rate());
+  mx.set("pool.cached_bytes", static_cast<double>(ps.cached_bytes));
+  mx.set("pool.outstanding_bytes", static_cast<double>(ps.outstanding_bytes));
+  mx.set("host.alloc_count", static_cast<double>(host_alloc_count()));
 }
 
 }  // namespace tda::telemetry

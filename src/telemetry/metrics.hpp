@@ -20,16 +20,17 @@
 // whose label values come from bounded sets (tenant, reason, shape
 // bucket, outcome, worker, lane, generation).
 //
-// Counters live in one storage of stable atomic slots. A component
-// that counts the same event on every call registers a Counter handle
-// once (counter_handle) and then adds to it with one relaxed atomic;
-// add(name) reaches the same slot by name. Reads (counter, counters,
-// both exporters) see handle and named writes alike. Everything else is
-// thread-safe behind a single mutex.
+// Every series lives in a slot with a stable address. A component
+// registers a handle on it once (a labeled series on its first use) and
+// then records with no registry lock and no lookup; add/set/observe by
+// name reach the same slots. Gauges mirroring state owned elsewhere are
+// written by the registry's one sampler, which every gauge read runs
+// first. The registry's mutex guards only its maps.
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <map>
@@ -83,13 +84,14 @@ std::string labeled(
     std::initializer_list<std::pair<std::string_view, std::string_view>>
         labels);
 
-/// Handle on one registry counter slot (MetricsRegistry::counter_handle).
-/// add() is one relaxed atomic add: no lock, no lookup. The slot
-/// outlives clear(), which zeroes it. A default-built handle has no slot
-/// and must be assigned before use.
+/// Handle on one registry counter (counter_handle) or gauge
+/// (gauge_handle) slot: add() / set() is one relaxed atomic, no lock, no
+/// lookup. The slot outlives clear(), which zeroes it. A default-built
+/// handle has no slot (it tests false) and must be assigned before use.
 class Counter {
  public:
   Counter() = default;
+  explicit operator bool() const { return slot_ != nullptr; }
   void add(double delta = 1.0) const {
     slot_->fetch_add(delta, std::memory_order_relaxed);
   }
@@ -103,48 +105,103 @@ class Counter {
   std::atomic<double>* slot_ = nullptr;
 };
 
+class Gauge {
+ public:
+  Gauge() = default;
+  explicit operator bool() const { return slot_ != nullptr; }
+  void set(double value) const {
+    slot_->store(value, std::memory_order_relaxed);
+  }
+
+ private:
+  friend class MetricsRegistry;
+  explicit Gauge(std::atomic<double>* slot) : slot_(slot) {}
+  std::atomic<double>* slot_ = nullptr;
+};
+
+/// One histogram series behind its own lock.
+struct HistogramSlot {
+  mutable std::mutex mu;
+  HistogramSnapshot h;
+};
+
+/// Handle on one histogram slot (histogram_handle); slot rules as Counter.
+class Histogram {
+ public:
+  Histogram() = default;
+  explicit operator bool() const { return slot_ != nullptr; }
+  /// Records one sample, stamping `exemplar_trace_id` (when non-zero) on
+  /// the bucket it lands in. Non-finite samples are dropped.
+  void observe(double sample, std::uint64_t exemplar_trace_id = 0) const;
+
+ private:
+  friend class MetricsRegistry;
+  explicit Histogram(HistogramSlot* slot) : slot_(slot) {}
+  HistogramSlot* slot_ = nullptr;
+};
+
 class MetricsRegistry {
  public:
-  /// Returns the handle on counter `name`, creating the slot at 0.
-  /// Every call with one name yields the same slot.
+  /// Returns the handle on series `name`, creating its slot empty (0, or
+  /// a histogram with no samples). Every call with one name yields the
+  /// same slot.
   [[nodiscard]] Counter counter_handle(std::string_view name);
+  [[nodiscard]] Gauge gauge_handle(std::string_view name);
+  [[nodiscard]] Histogram histogram_handle(std::string_view name);
 
   /// Adds `delta` to a counter (creating it at 0).
   void add(std::string_view name, double delta = 1.0);
   /// Sets a gauge to `value`.
   void set(std::string_view name, double value);
-  /// Records one sample into histogram `name`, stamping
-  /// `exemplar_trace_id` (when non-zero) on the bucket it lands in.
-  /// Non-finite samples are dropped.
+  /// Records one sample into histogram `name` (see Histogram::observe).
   void observe(std::string_view name, double sample,
                std::uint64_t exemplar_trace_id = 0);
 
-  /// Reads a counter / gauge; 0 for names never written.
+  /// Installs the registry's read-time sampler, replacing any previous
+  /// one (an empty function removes it). It runs before every gauge read
+  /// and must write gauges only: reading gauges from inside it deadlocks.
+  void set_sampler(std::function<void()> sampler);
+
+  /// Reads a counter / gauge; 0 for names never written. gauge() runs
+  /// the sampler first.
   [[nodiscard]] double counter(std::string_view name) const;
   [[nodiscard]] double gauge(std::string_view name) const;
   /// Copy of one histogram; all-zero for names never observed.
   [[nodiscard]] HistogramSnapshot histogram(std::string_view name) const;
 
   /// Snapshot accessors (copies, so callers need no lock discipline).
+  /// gauges() runs the sampler first; histograms() lists only series
+  /// holding at least one sample.
   [[nodiscard]] std::map<std::string, double> counters() const;
   [[nodiscard]] std::map<std::string, double> gauges() const;
   [[nodiscard]] std::map<std::string, HistogramSnapshot> histograms()
       const;
 
-  /// True when nothing has been recorded (every counter slot is 0).
+  /// True when nothing has been recorded (every slot is empty).
   [[nodiscard]] bool empty() const;
 
-  /// Drops gauges and histograms and zeroes every counter; counter
-  /// slots stay, so handles remain valid.
+  /// Empties every slot; slots stay, so handles remain valid.
   void clear();
 
  private:
+  /// Runs the sampler, if any, outside mu_.
+  void sample() const;
+
   mutable std::mutex mu_;
   // Map nodes never move and are never erased, so a slot's address is
   // stable for the registry's lifetime.
   std::map<std::string, std::atomic<double>, std::less<>> counters_;
-  std::map<std::string, double, std::less<>> gauges_;
-  std::map<std::string, HistogramSnapshot, std::less<>> histograms_;
+  std::map<std::string, std::atomic<double>, std::less<>> gauges_;
+  std::map<std::string, HistogramSlot, std::less<>> histograms_;
+
+  /// Held while the sampler runs, so it never runs twice at once and
+  /// set_sampler waits out a running one.
+  mutable std::mutex sampler_mu_;
+  std::function<void()> sampler_;
 };
+
+/// Writes the process-wide allocation gauges: pool.hit_rate,
+/// pool.cached_bytes, pool.outstanding_bytes and host.alloc_count.
+void sample_process_gauges(MetricsRegistry& mx);
 
 }  // namespace tda::telemetry

@@ -284,9 +284,9 @@ class DynamicTuner {
     if (tel == nullptr) return;
     tel->metrics.observe("tuner.layout_system_ms", system_ms);
     tel->metrics.observe("tuner.layout_element_ms", element_ms);
-    tel->metrics.add(telemetry::labeled(
-        "tuner.layout_picked",
-        {{"choice", element_ms < system_ms ? "element" : "system"}}));
+    tel->metrics.add(element_ms < system_ms
+                         ? R"(tuner.layout_picked{choice="element"})"
+                         : R"(tuner.layout_picked{choice="system"})");
   }
 
   gpusim::Device* dev_;

@@ -7,10 +7,13 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "faults/faults.hpp"
 #include "golden_hex.hpp"
 #include "gpusim/device.hpp"
+#include "gpusim/thread_pool.hpp"
 #include "net/chaos_proxy.hpp"
 #include "net/client.hpp"
 #include "net/dedup.hpp"
@@ -31,6 +35,7 @@
 #include "net/tenant.hpp"
 #include "ops/state.hpp"
 #include "service/solve_service.hpp"
+#include "telemetry/export.hpp"
 #include "telemetry/metrics.hpp"
 
 using namespace tda;
@@ -805,7 +810,6 @@ TEST(NetDoor, AlwaysOnMetricsStayBounded) {
       const auto c = fx.door->counters();
       return c.closed == c.connections;
     }));
-    fx.svc->publish_gauges();
   };
   const auto keys = [&mx] {
     std::set<std::string> out;
@@ -822,6 +826,263 @@ TEST(NetDoor, AlwaysOnMetricsStayBounded) {
             0.0);
   round();
   EXPECT_EQ(keys(), first);
+}
+
+// The exported series set is pinned: a fixed door scenario (two
+// tenants, a failed auth, a pre-auth solve, a dtype reject, a rate-quota
+// reject, a dedup join and hit, a lane expiry) plus one in-process
+// submit yields exactly these OpenMetrics series keys. Histogram
+// `_bucket` rows are left out: every `_count` row fans out to the same
+// fixed kHistogramBounds buckets. Engine lanes are listed per lane of
+// the shared pool, whose size depends on the host.
+TEST(NetDoor, ExportedSeriesKeysArePinned) {
+  HeldDoor fx(300.0, 1);
+  TenantConfig b;
+  b.name = "beta";
+  b.token = "tb";
+  b.requests_per_sec = 0.5;
+  b.burst = 1.0;
+  fx.door->add_tenant(b);
+  ASSERT_TRUE(fx.start());
+  const std::string spec = "unix:" + fx.sock;
+  std::string err;
+
+  Client bad;
+  EXPECT_FALSE(bad.connect(spec, "nope", &err));
+  Client anon;
+  ASSERT_TRUE(anon.connect(spec, "", &err)) << err;
+  const auto pre = diag_dominant(32, 1);
+  EXPECT_EQ(anon.solve<double>(pre.a, pre.b, pre.c, pre.d).code,
+            ErrorCode::AuthRequired);
+  anon.close();
+
+  // An in-process request with no tenant, on its own shape.
+  const auto bare = diag_dominant(200, 2);
+  service::SolveRequest<double> req;
+  req.a = bare.a;
+  req.b = bare.b;
+  req.c = bare.c;
+  req.d = bare.d;
+  auto bare_done = fx.svc->submit(std::move(req));
+
+  Client alpha;
+  ASSERT_TRUE(alpha.connect(spec, "ta", &err)) << err;
+  const auto sys = diag_dominant(64, 3);
+  const std::uint64_t key = alpha.mint_key();
+  // 1 holds the one service slot; 2 joins it; 3 expires in the lane.
+  ASSERT_TRUE(alpha.send_solve2<double>(1, sys.a, sys.b, sys.c, sys.d, 0.0,
+                                        key, &err))
+      << err;
+  ASSERT_TRUE(alpha.send_solve2<double>(2, sys.a, sys.b, sys.c, sys.d, 0.0,
+                                        key, &err))
+      << err;
+  ASSERT_TRUE(alpha.send_solve2<double>(3, sys.a, sys.b, sys.c, sys.d, 50.0,
+                                        0, &err))
+      << err;
+  const std::vector<float> v{1, 2, 3, 4};
+  ASSERT_TRUE(alpha.send_solve<float>(4, v, v, v, v, 0.0, &err)) << err;
+
+  Client beta;
+  ASSERT_TRUE(beta.connect(spec, "tb", &err)) << err;
+  const auto bsys = diag_dominant(48, 4);
+  ASSERT_TRUE(beta.send_solve2<double>(1, bsys.a, bsys.b, bsys.c, bsys.d,
+                                       0.0, 0, &err))
+      << err;
+  ASSERT_TRUE(beta.send_solve2<double>(2, bsys.a, bsys.b, bsys.c, bsys.d,
+                                       0.0, 0, &err))
+      << err;
+
+  std::map<std::uint64_t, ErrorCode> alpha_codes;
+  for (int i = 0; i < 4; ++i) {
+    WireResult<double> r;
+    ASSERT_TRUE(alpha.recv_result<double>(r, &err)) << err;
+    alpha_codes[r.request_id] = r.code;
+  }
+  EXPECT_EQ(alpha_codes[1], ErrorCode::None);
+  EXPECT_EQ(alpha_codes[2], ErrorCode::None);
+  EXPECT_EQ(alpha_codes[3], ErrorCode::DeadlineExpired);
+  EXPECT_EQ(alpha_codes[4], ErrorCode::Dtype);
+  // The original completed: the same key now replays from the cache.
+  ASSERT_TRUE(alpha.send_solve2<double>(5, sys.a, sys.b, sys.c, sys.d, 0.0,
+                                        key, &err))
+      << err;
+  WireResult<double> hit;
+  ASSERT_TRUE(alpha.recv_result<double>(hit, &err)) << err;
+  EXPECT_TRUE(hit.ok()) << to_string(hit.code);
+
+  std::map<std::uint64_t, ErrorCode> beta_codes;
+  for (int i = 0; i < 2; ++i) {
+    WireResult<double> r;
+    ASSERT_TRUE(beta.recv_result<double>(r, &err)) << err;
+    beta_codes[r.request_id] = r.code;
+  }
+  EXPECT_EQ(beta_codes[1], ErrorCode::None);
+  EXPECT_EQ(beta_codes[2], ErrorCode::QuotaRate);
+  EXPECT_EQ(bare_done.get().status, service::SolveStatus::Ok);
+  alpha.close();
+  beta.close();
+  ASSERT_TRUE(eventually([&] {
+    const auto c = fx.door->counters();
+    return c.closed == c.connections;
+  }));
+  const auto dc = fx.door->counters();
+  EXPECT_EQ(dc.dedup_joins, 1u);
+  EXPECT_EQ(dc.dedup_hits, 1u);
+  EXPECT_EQ(dc.deadline_expired_queued, 1u);
+
+  std::vector<std::string> keys;
+  std::istringstream om(
+      telemetry::to_openmetrics(fx.svc->telemetry().metrics));
+  for (std::string line; std::getline(om, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t cut = line.find_first_of(" {");
+    const std::size_t end =
+        line[cut] == '{' ? line.find('}', cut) + 1 : cut;
+    const std::string k = line.substr(0, end);
+    if (k.find("_bucket") == std::string::npos) keys.push_back(k);
+  }
+  std::sort(keys.begin(), keys.end());
+
+  std::vector<std::string> want = {
+      "tda_device_bytes_moved_total",
+      "tda_device_kernel_launches_total",
+      "tda_device_launch_ms_count",
+      "tda_device_launch_ms_sum",
+      "tda_device_mem_high_water",
+      "tda_device_mem_in_use",
+      "tda_engine_utilization",
+      "tda_host_alloc_count",
+      "tda_net_aimd_throttles_total",
+      "tda_net_auth_failed_total",
+      "tda_net_backpressure_pauses_total",
+      "tda_net_bad_frames_total",
+      "tda_net_bytes_rx_total",
+      "tda_net_bytes_tx_total",
+      "tda_net_closed_total",
+      "tda_net_codel_sheds_total",
+      "tda_net_connections_now",
+      "tda_net_connections_total",
+      "tda_net_deadline_expired_arrival_total",
+      "tda_net_deadline_expired_queued_total",
+      "tda_net_deadline_expired_total{tenant=\"alpha\",where=\"queued\"}",
+      "tda_net_dedup_bytes_now",
+      "tda_net_dedup_hits_total{tenant=\"alpha\"}",
+      "tda_net_dedup_joins_total{tenant=\"alpha\"}",
+      "tda_net_duplicate_executions_total",
+      "tda_net_faults_corrupt_total",
+      "tda_net_faults_drop_total",
+      "tda_net_frames_rx_total",
+      "tda_net_frames_tx_total",
+      "tda_net_idle_closed_total",
+      "tda_net_inflight_bytes_now",
+      "tda_net_rejects_total{tenant=\"-\",reason=\"auth_required\"}",
+      "tda_net_rejects_total{tenant=\"alpha\",reason=\"deadline_expired\"}",
+      "tda_net_rejects_total{tenant=\"alpha\",reason=\"dtype\"}",
+      "tda_net_rejects_total{tenant=\"beta\",reason=\"quota_rate\"}",
+      "tda_net_requests_admitted_total",
+      "tda_net_requests_rejected_total",
+      "tda_net_requests_total{tenant=\"alpha\"}",
+      "tda_net_requests_total{tenant=\"beta\"}",
+      "tda_net_responses_total",
+      "tda_net_skew_clamps_total",
+      "tda_pool_cached_bytes",
+      "tda_pool_hit_rate",
+      "tda_pool_outstanding_bytes",
+      "tda_service_batch_occupancy_count",
+      "tda_service_batch_occupancy_sum",
+      "tda_service_breaker_closed_total",
+      "tda_service_breaker_half_open_total",
+      "tda_service_breaker_open_total",
+      "tda_service_breaker_state{worker=\"0\",device=\"GeForce GTX 470\"}",
+      "tda_service_chunked_solves_total",
+      "tda_service_chunks_total",
+      "tda_service_coalesced_systems_total",
+      "tda_service_cpu_failovers_total",
+      "tda_service_device_ms_total",
+      "tda_service_e2e_ms_count",
+      "tda_service_e2e_ms_sum",
+      "tda_service_failed_total",
+      "tda_service_failovers_total",
+      "tda_service_fallback_used_total",
+      "tda_service_faults_device_total",
+      "tda_service_faults_poisoned_total",
+      "tda_service_faults_worker_crash_total",
+      "tda_service_faults_worker_stall_total",
+      "tda_service_flush_drain_total",
+      "tda_service_flush_interval_total",
+      "tda_service_flush_size_total",
+      "tda_service_flushes_total",
+      "tda_service_mem_budget_bytes",
+      "tda_service_mem_rejected_total",
+      "tda_service_nonfinite_total",
+      "tda_service_oom_events_total",
+      "tda_service_oom_fallbacks_total",
+      "tda_service_quarantined_total",
+      "tda_service_queue_capacity",
+      "tda_service_queue_depth_count",
+      "tda_service_queue_depth_now",
+      "tda_service_queue_depth_sum",
+      "tda_service_rejected_total",
+      "tda_service_request_latency_ms_count{shape=\"le256\",dtype=\"f64\",outcome=\"ok\"}",
+      "tda_service_request_latency_ms_count{tenant=\"alpha\",shape=\"le64\",dtype=\"f64\",outcome=\"ok\"}",
+      "tda_service_request_latency_ms_count{tenant=\"beta\",shape=\"le64\",dtype=\"f64\",outcome=\"ok\"}",
+      "tda_service_request_latency_ms_sum{shape=\"le256\",dtype=\"f64\",outcome=\"ok\"}",
+      "tda_service_request_latency_ms_sum{tenant=\"alpha\",shape=\"le64\",dtype=\"f64\",outcome=\"ok\"}",
+      "tda_service_request_latency_ms_sum{tenant=\"beta\",shape=\"le64\",dtype=\"f64\",outcome=\"ok\"}",
+      "tda_service_retries_total",
+      "tda_service_shed_total",
+      "tda_service_singular_total",
+      "tda_service_solve_ms_count",
+      "tda_service_solve_ms_sum",
+      "tda_service_solved_systems_total",
+      "tda_service_submitted_total",
+      "tda_service_timed_out_inflight_total",
+      "tda_service_timed_out_queue_total",
+      "tda_service_timed_out_total",
+      "tda_service_timeout_requeues_total",
+      "tda_service_tunes_total",
+      "tda_service_wait_ms_count",
+      "tda_service_wait_ms_sum",
+      "tda_service_watchdog_cancels_total",
+      "tda_service_watchdog_stalls_total",
+      "tda_service_worker_restarts_now{worker=\"0\"}",
+      "tda_service_worker_restarts_total",
+      "tda_service_workers",
+      "tda_solve_stage3_bandwidth_gb_s_count",
+      "tda_solve_stage3_bandwidth_gb_s_sum",
+      "tda_solve_stage3_ms_count",
+      "tda_solve_stage3_ms_sum",
+      "tda_solve_total_ms_count",
+      "tda_solve_total_ms_sum",
+      "tda_solve_transpose_bandwidth_gb_s_count",
+      "tda_solve_transpose_bandwidth_gb_s_sum",
+      "tda_solve_transpose_ms_count",
+      "tda_solve_transpose_ms_sum",
+      "tda_solver_chunked_solves_total",
+      "tda_solver_chunks_total",
+      "tda_solver_cost_only_runs_total",
+      "tda_solver_layout_total{choice=\"system\"}",
+      "tda_solver_solves_total",
+      "tda_tuner_cache_misses_total",
+      "tda_tuner_eval_ms_count",
+      "tda_tuner_eval_ms_sum",
+      "tda_tuner_evaluations_total",
+      "tda_tuner_layout_element_ms_count",
+      "tda_tuner_layout_element_ms_sum",
+      "tda_tuner_layout_picked_total{choice=\"system\"}",
+      "tda_tuner_layout_system_ms_count",
+      "tda_tuner_layout_system_ms_sum",
+      "tda_tuner_tunes_total",
+  };
+  const std::size_t lanes =
+      gpusim::ThreadPool::global().lane_stats().size();
+  for (std::size_t i = 0; i < lanes; ++i) {
+    const std::string lane = "{lane=\"" + std::to_string(i) + "\"}";
+    want.push_back("tda_engine_lane_busy_ms" + lane);
+    want.push_back("tda_engine_lane_chunks" + lane);
+  }
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(keys, want);
 }
 
 TEST(NetDoor, TcpSolveRoundTrip) {

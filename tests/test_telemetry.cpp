@@ -282,7 +282,7 @@ TEST(Metrics, CounterHandleSharesSlotWithAdd) {
 TEST(Metrics, CounterHandleListedByBothExporters) {
   telemetry::MetricsRegistry mx;
   mx.counter_handle("door.frames").add(4.0);
-  mx.counter_handle("door.idle");  // registered, never added
+  (void)mx.counter_handle("door.idle");  // registered, never added
 
   auto doc = telemetry::json_parse(telemetry::to_metrics_json(mx));
   ASSERT_TRUE(doc.has_value());
@@ -312,6 +312,120 @@ TEST(Metrics, CounterHandleSurvivesClear) {
   mx.add("kept");
   EXPECT_EQ(c.value(), 3.0);
   EXPECT_FALSE(mx.empty());
+}
+
+// ---------- Gauge and histogram handles, the sampler ----------
+
+TEST(Metrics, GaugeHandleSharesSlotWithSet) {
+  telemetry::MetricsRegistry mx;
+  telemetry::Gauge unset;
+  EXPECT_FALSE(unset);
+  const telemetry::Gauge g = mx.gauge_handle("depth");
+  EXPECT_TRUE(g);
+  g.set(4.0);
+  EXPECT_EQ(mx.gauge("depth"), 4.0);
+  mx.set("depth", 7.0);
+  EXPECT_EQ(mx.gauges().at("depth"), 7.0);
+  mx.gauge_handle("depth").set(2.0);  // same name, same slot
+  EXPECT_EQ(mx.gauge("depth"), 2.0);
+  mx.clear();
+  EXPECT_EQ(mx.gauges().at("depth"), 0.0);  // zeroed, still listed
+  EXPECT_TRUE(mx.empty());
+  g.set(1.5);
+  EXPECT_EQ(mx.gauge("depth"), 1.5);
+  EXPECT_FALSE(mx.empty());
+}
+
+TEST(Metrics, HistogramHandleSharesSlotWithObserve) {
+  telemetry::MetricsRegistry mx;
+  const telemetry::Histogram h = mx.histogram_handle("lat");
+  EXPECT_TRUE(h);
+  // Registered but empty: no series is listed or exported yet.
+  EXPECT_TRUE(mx.histograms().empty());
+  EXPECT_EQ(telemetry::to_openmetrics(mx).find("tda_lat"),
+            std::string::npos);
+  h.observe(1.0, 0xab);
+  mx.observe("lat", 3.0);
+  h.observe(std::nan(""));
+  const auto snap = mx.histogram("lat");
+  EXPECT_EQ(snap.count, 2u);
+  EXPECT_EQ(snap.sum, 4.0);
+  EXPECT_EQ(snap.min, 1.0);
+  EXPECT_EQ(snap.max, 3.0);
+  EXPECT_EQ(mx.histograms().at("lat").exemplar_at(0.0).trace_id, 0xabu);
+  mx.clear();
+  EXPECT_EQ(mx.histogram("lat").count, 0u);
+  EXPECT_TRUE(mx.histograms().empty());
+  EXPECT_TRUE(mx.empty());
+  h.observe(5.0);
+  EXPECT_EQ(mx.histogram("lat").count, 1u);
+}
+
+TEST(Metrics, SamplerRunsBeforeEveryGaugeRead) {
+  telemetry::MetricsRegistry mx;
+  const telemetry::Gauge g = mx.gauge_handle("sampled");
+  int runs = 0;
+  mx.set_sampler([&] { g.set(static_cast<double>(++runs)); });
+  EXPECT_EQ(mx.gauge("sampled"), 1.0);
+  EXPECT_EQ(mx.gauges().at("sampled"), 2.0);
+  EXPECT_NE(telemetry::to_openmetrics(mx).find("tda_sampled 3\n"),
+            std::string::npos);
+  auto doc = telemetry::json_parse(telemetry::to_metrics_json(mx));
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->find("gauges")->find("sampled")->number, 4.0);
+  // Counter and histogram reads leave the sampler alone.
+  (void)mx.counters();
+  (void)mx.histograms();
+  (void)mx.counter("sampled");
+  EXPECT_EQ(runs, 4);
+  mx.set_sampler({});
+  EXPECT_EQ(mx.gauge("sampled"), 4.0);
+  EXPECT_EQ(runs, 4);
+}
+
+// The TSan target for the handles: relaxed handle writes on several
+// threads race the sampler and both exporters; every write lands.
+TEST(Metrics, HandleWritesRaceSamplerAndExporters) {
+  telemetry::MetricsRegistry mx;
+  const telemetry::Counter c = mx.counter_handle("race.count");
+  const telemetry::Histogram h = mx.histogram_handle("race.ms");
+  const telemetry::Gauge mirror = mx.gauge_handle("race.mirror");
+  std::atomic<int> reads{0};
+  mx.set_sampler([&] {
+    mirror.set(c.value());
+    reads.fetch_add(1);
+  });
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      (void)mx.gauges();
+      (void)telemetry::to_openmetrics(mx);
+      (void)telemetry::to_metrics_json(mx);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&, t] {
+      const telemetry::Gauge own =
+          mx.gauge_handle("race.last{writer=\"" + std::to_string(t) + "\"}");
+      for (int i = 0; i < 5'000; ++i) {
+        c.add();
+        h.observe(1.0, static_cast<std::uint64_t>(i + 1));
+        own.set(static_cast<double>(i));
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  stop.store(true);
+  reader.join();
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(c.value(), 20'000.0);
+  EXPECT_EQ(mx.histogram("race.ms").count, 20'000u);
+  EXPECT_EQ(mx.gauge("race.mirror"), 20'000.0);
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(mx.gauge("race.last{writer=\"" + std::to_string(t) + "\"}"),
+              4'999.0);
+  }
 }
 
 // ---------- JSON parser ----------

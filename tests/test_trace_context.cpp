@@ -364,7 +364,6 @@ TEST(SolveServiceTraceRaces, SnapshotsRaceLiveTraffic) {
       (void)svc.telemetry().tracer.snapshot();
       (void)svc.telemetry().metrics.histograms();
       (void)svc.telemetry().metrics.gauges();
-      svc.publish_gauges();
       (void)telemetry::to_openmetrics(svc.telemetry().metrics);
       (void)svc.worker_health();
     }
