@@ -33,8 +33,7 @@ void run_precision(const char* label, std::size_t m, std::size_t n_req) {
     const std::size_t cap =
         kernels::max_shared_system_size(dev.query(), sizeof(T));
     const std::size_t n = std::min(n_req, cap);
-    auto host = tridiag::make_diag_dominant<T>(
-        m, n, 17, 2.0, tridiag::BatchStorage::Pooled);
+    auto host = tridiag::make_diag_dominant<T>(m, n, 17);
     auto pristine = host;
 
     auto check = [&](const char* who) {

@@ -105,6 +105,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -632,7 +633,8 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
 // ----------------------------------------------------------------- chaos
 
 /// Worst relative residual of one acked solution: max_i |(Ax - d)_i| /
-/// (|d_i| + 1). The client-side half of the exactly-once gate — an ack
+/// (|d_i| + 1), and +inf when any term is not finite (std::max would
+/// skip a NaN). The client-side half of the exactly-once gate — an ack
 /// only counts if it carries a genuine solution of the system the
 /// client actually sent.
 double residual_inf(const net::WindowRequest<double>& s,
@@ -645,6 +647,7 @@ double residual_inf(const net::WindowRequest<double>& s,
     if (i > 0) r += s.a[i] * x[i - 1];
     if (i + 1 < n) r += s.c[i] * x[i + 1];
     const double rel = std::abs(r) / (std::abs(s.d[i]) + 1.0);
+    if (!std::isfinite(rel)) return std::numeric_limits<double>::infinity();
     worst = std::max(worst, rel);
   }
   return worst;

@@ -50,8 +50,7 @@ class TelemetryScope {
 
 /// Prints the buffer-pool / host-allocation picture of the run and, when
 /// a registry is given, publishes it through the service sampler's
-/// telemetry::sample_process_gauges. Figure benches route their
-/// generator batches through BatchStorage::Pooled — this shows it.
+/// telemetry::sample_process_gauges.
 inline void report_alloc_gauges(std::ostream& os,
                                 tda::telemetry::MetricsRegistry* mx =
                                     nullptr) {

@@ -123,8 +123,7 @@ int run_fig7(const Cli& cli) {
     tuning::DynamicTuner<T> tuner(dev);
     auto dyn = tuner.tune({1024, 1024});
     solver::GpuTridiagonalSolver<T> s(dev, dyn.points);
-    auto batch = tridiag::make_diag_dominant<T>(
-        1024, 1024, 4242, 2.0, tridiag::BatchStorage::Pooled);
+    auto batch = tridiag::make_diag_dominant<T>(1024, 1024, 4242);
     auto pristine = batch;
     s.solve(batch);
     const double res = tridiag::batch_residual_inf(pristine, batch.x());

@@ -65,8 +65,7 @@ int main(int argc, char** argv) {
 
     double host_ms = 0.0;
     if (!skip_host) {
-      auto batch = tridiag::make_diag_dominant<float>(
-          r.m, r.n, 777, 2.0, tridiag::BatchStorage::Pooled);
+      auto batch = tridiag::make_diag_dominant<float>(r.m, r.n, 777);
       cpu::BatchCpuSolver host_solver(0);  // paper policy: 2 threads / 1
       host_ms = host_solver.solve(batch).wall_ms;
     }
@@ -84,8 +83,7 @@ int main(int argc, char** argv) {
   // Functional validation: both solvers produce correct answers on a
   // shared workload.
   {
-    auto batch_gpu = tridiag::make_diag_dominant<float>(
-        64, 1024, 99, 2.0, tridiag::BatchStorage::Pooled);
+    auto batch_gpu = tridiag::make_diag_dominant<float>(64, 1024, 99);
     auto batch_cpu = batch_gpu;
     auto pristine = batch_gpu;
     tuning::DynamicTuner<float> tuner(dev);

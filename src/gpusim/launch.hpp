@@ -10,7 +10,8 @@
 // by $TDA_THREADS) yet bitwise deterministic: every block's cost lands
 // in a per-block slot and the slots are reduced in block order after
 // the workers join, so simulated time, solutions and thrown errors are
-// identical to the serial path at any thread count. Each pool lane owns
+// identical at any thread count (one lane runs every block inline, in
+// block order, on the same path). Each pool lane owns
 // its shared-memory arena and kernel scratch (EngineScratch), and every
 // shared allocation is zeroed (or NaN-poisoned) before the block sees
 // it — a block can never observe another block's arena contents.
@@ -198,55 +199,43 @@ class Device {
             ? telemetry_->tracer.now()
             : 0.0;
 
-    KernelCost agg;
-    ThreadPool& pool = ThreadPool::global();
-    if (pool.workers() == 0 || cfg.blocks < 2) {
+    std::vector<BlockCost> slots(cfg.blocks);
+    // Lowest failing block index; later blocks stop early once a
+    // lower one has failed (their work would be discarded anyway).
+    std::atomic<std::size_t> first_error{
+        std::numeric_limits<std::size_t>::max()};
+    std::mutex err_mu;
+    std::exception_ptr err;
+    std::size_t err_block = std::numeric_limits<std::size_t>::max();
+    ThreadPool::global().run(cfg.blocks, [&](std::size_t begin,
+                                             std::size_t end) {
       EngineScratch& es = EngineScratch::local();
       std::byte* arena = es.shared_arena(spec_.shared_mem_per_sm);
-      for (std::size_t b = 0; b < cfg.blocks; ++b) {
+      for (std::size_t b = begin; b < end; ++b) {
+        if (first_error.load(std::memory_order_relaxed) < b) return;
         es.reset_scratch();
         BlockContext ctx(spec_, cfg, b, arena, occ.blocks_per_sm, &es,
                          arena_poison_);
-        body(ctx);
-        agg.add_block(ctx.cost());
-      }
-    } else {
-      std::vector<BlockCost> slots(cfg.blocks);
-      // Lowest failing block index; later blocks stop early once a
-      // lower one has failed (their work would be discarded anyway).
-      std::atomic<std::size_t> first_error{
-          std::numeric_limits<std::size_t>::max()};
-      std::mutex err_mu;
-      std::exception_ptr err;
-      std::size_t err_block = std::numeric_limits<std::size_t>::max();
-      pool.run(cfg.blocks, [&](std::size_t begin, std::size_t end) {
-        EngineScratch& es = EngineScratch::local();
-        std::byte* arena = es.shared_arena(spec_.shared_mem_per_sm);
-        for (std::size_t b = begin; b < end; ++b) {
-          if (first_error.load(std::memory_order_relaxed) < b) return;
-          es.reset_scratch();
-          BlockContext ctx(spec_, cfg, b, arena, occ.blocks_per_sm, &es,
-                           arena_poison_);
-          try {
-            body(ctx);
-          } catch (...) {
-            std::lock_guard lk(err_mu);
-            if (b < err_block) {
-              err_block = b;
-              err = std::current_exception();
-              first_error.store(b, std::memory_order_relaxed);
-            }
-            return;
+        try {
+          body(ctx);
+        } catch (...) {
+          std::lock_guard lk(err_mu);
+          if (b < err_block) {
+            err_block = b;
+            err = std::current_exception();
+            first_error.store(b, std::memory_order_relaxed);
           }
-          slots[b] = ctx.cost();
+          return;
         }
-      });
-      // The chunk owning the overall-lowest failing block always reaches
-      // it (nothing lower can have failed and stopped it), so the
-      // rethrown error is exactly the serial path's.
-      if (err) std::rethrow_exception(err);
-      for (const BlockCost& c : slots) agg.add_block(c);
-    }
+        slots[b] = ctx.cost();
+      }
+    });
+    // The chunk owning the overall-lowest failing block always reaches
+    // it (nothing lower can have failed and stopped it), so the
+    // rethrown error is the one a serial run would raise first.
+    if (err) std::rethrow_exception(err);
+    KernelCost agg;
+    for (const BlockCost& c : slots) agg.add_block(c);
     const double t0 = elapsed_seconds_;
     KernelStats st = kernel_time(spec_, cfg, agg);
     elapsed_seconds_ += st.seconds;
@@ -269,6 +258,13 @@ class Device {
                      bool adopt_clock = true) {
     telemetry_ = tel;
     mem_.set_telemetry(tel);
+    launch_series_ = {};
+    if (tel != nullptr) {
+      auto& mx = tel->metrics;
+      launch_series_ = {mx.counter_handle("device.kernel_launches"),
+                        mx.counter_handle("device.bytes_moved"),
+                        mx.histogram_handle("device.launch_ms")};
+    }
     owns_clock_ = tel != nullptr && adopt_clock;
     if (owns_clock_) {
       tel->tracer.set_clock([this] { return elapsed_seconds_; });
@@ -347,10 +343,9 @@ class Device {
       tracer.attr(span, "hiding", st.hiding_factor);
       tracer.attr(span, "bytes", agg.total.global_bytes_eff);
     }
-    auto& metrics = telemetry_->metrics;
-    metrics.add("device.kernel_launches");
-    metrics.add("device.bytes_moved", agg.total.global_bytes_eff);
-    metrics.observe("device.launch_ms", st.seconds * 1e3);
+    launch_series_.launches.add();
+    launch_series_.bytes_moved.add(agg.total.global_bytes_eff);
+    launch_series_.launch_ms.observe(st.seconds * 1e3);
   }
 
   static bool default_arena_poison() {
@@ -374,6 +369,11 @@ class Device {
   bool owns_clock_ = false;  ///< tracer clock is this device's timeline
   bool arena_poison_ = default_arena_poison();
   tda::telemetry::Telemetry* telemetry_ = nullptr;
+  /// telemetry_'s launch series, registered once by set_telemetry.
+  struct LaunchSeries {
+    tda::telemetry::Counter launches, bytes_moved;
+    tda::telemetry::Histogram launch_ms;
+  } launch_series_;
 };
 
 }  // namespace tda::gpusim

@@ -37,41 +37,42 @@ std::size_t mem_budget_from_env(std::size_t device_default) {
   return parsed;
 }
 
-void MemoryTracker::allocate(std::size_t bytes, const char* what) {
-  telemetry::Telemetry* tel = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    if (budget_ != 0 && in_use_ + bytes > budget_) {
-      ++oom_count_;
-      if (tel_ != nullptr) tel_->metrics.add("device.oom");
-      std::ostringstream os;
-      os << "device memory budget exceeded: requested " << bytes
-         << " B for " << what << ", " << in_use_ << " B in use of "
-         << budget_ << " B budget";
-      throw OutOfMemory(os.str());
-    }
-    in_use_ += bytes;
-    if (in_use_ > high_water_) high_water_ = in_use_;
-    ++allocations_;
-    tel = tel_;
-  }
+void MemoryTracker::set_telemetry(telemetry::Telemetry* tel) {
+  telemetry::Gauge in_use, high_water;
   if (tel != nullptr) {
-    tel->metrics.set("device.mem_in_use", static_cast<double>(in_use()));
-    tel->metrics.set("device.mem_high_water",
-                     static_cast<double>(high_water()));
+    in_use = tel->metrics.gauge_handle("device.mem_in_use");
+    high_water = tel->metrics.gauge_handle("device.mem_high_water");
+  }
+  std::lock_guard lk(mu_);
+  tel_ = tel;
+  in_use_gauge_ = in_use;
+  high_water_gauge_ = high_water;
+}
+
+void MemoryTracker::allocate(std::size_t bytes, const char* what) {
+  std::lock_guard lk(mu_);
+  if (budget_ != 0 && in_use_ + bytes > budget_) {
+    ++oom_count_;
+    if (tel_ != nullptr) tel_->metrics.add("device.oom");
+    std::ostringstream os;
+    os << "device memory budget exceeded: requested " << bytes
+       << " B for " << what << ", " << in_use_ << " B in use of "
+       << budget_ << " B budget";
+    throw OutOfMemory(os.str());
+  }
+  in_use_ += bytes;
+  if (in_use_ > high_water_) high_water_ = in_use_;
+  ++allocations_;
+  if (in_use_gauge_) {
+    in_use_gauge_.set(static_cast<double>(in_use_));
+    high_water_gauge_.set(static_cast<double>(high_water_));
   }
 }
 
 void MemoryTracker::release(std::size_t bytes) {
-  telemetry::Telemetry* tel = nullptr;
-  {
-    std::lock_guard lk(mu_);
-    in_use_ = bytes < in_use_ ? in_use_ - bytes : 0;
-    tel = tel_;
-  }
-  if (tel != nullptr) {
-    tel->metrics.set("device.mem_in_use", static_cast<double>(in_use()));
-  }
+  std::lock_guard lk(mu_);
+  in_use_ = bytes < in_use_ ? in_use_ - bytes : 0;
+  if (in_use_gauge_) in_use_gauge_.set(static_cast<double>(in_use_));
 }
 
 }  // namespace tda::gpusim

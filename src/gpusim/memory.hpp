@@ -92,12 +92,9 @@ class MemoryTracker {
     return allocations_;
   }
 
-  /// Metrics sink for the mem_in_use / mem_high_water gauges and the
-  /// oom counter; nullptr detaches. Not owned.
-  void set_telemetry(telemetry::Telemetry* tel) {
-    std::lock_guard lk(mu_);
-    tel_ = tel;
-  }
+  /// Metrics sink for the mem_in_use / mem_high_water gauges (registered
+  /// once here) and the oom counter; nullptr detaches. Not owned.
+  void set_telemetry(telemetry::Telemetry* tel);
 
   /// Claims `bytes`; throws OutOfMemory (tagged with `what`) when the
   /// budget would be exceeded.
@@ -120,6 +117,8 @@ class MemoryTracker {
   std::size_t oom_count_ = 0;
   std::size_t allocations_ = 0;
   telemetry::Telemetry* tel_ = nullptr;
+  /// tel_'s two gauges, registered by set_telemetry (false if detached).
+  telemetry::Gauge in_use_gauge_, high_water_gauge_;
 };
 
 /// RAII claim on a MemoryTracker: releases its bytes on destruction.

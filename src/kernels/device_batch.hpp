@@ -146,8 +146,6 @@ class DeviceBatch {
 
  private:
   void upload(const TridiagBatch<T>& host) {
-    TDA_REQUIRE(host.layout() == tridiag::BatchLayout::SystemMajor,
-                "upload expects a system-major host batch");
     layout_ = tridiag::BatchLayout::SystemMajor;
     std::copy(host.a().begin(), host.a().end(), arr_[0]);
     std::copy(host.b().begin(), host.b().end(), arr_[1]);

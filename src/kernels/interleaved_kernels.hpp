@@ -19,10 +19,10 @@
 //
 // Every stage decomposes into blocks owning DISJOINT output regions
 // (tiles, or column strips of systems), so there are no cross-block
-// hazards and execution is bitwise deterministic at every TDA_THREADS
-// and every TDA_SIMD_WIDTH: per-system arithmetic is elementwise
-// independent, so the strip width is a pure scheduling/vectorization
-// knob that cannot change a single result bit.
+// hazards and execution is bitwise deterministic at every TDA_THREADS:
+// per-system arithmetic is elementwise independent, so the host strip
+// width is a pure scheduling/vectorization choice that cannot change a
+// single result bit.
 
 #include <algorithm>
 #include <array>
@@ -44,9 +44,9 @@ namespace tda::kernels {
 /// such blocks fill a Fermi SM to full occupancy, which the bandwidth
 /// model rewards). This is a property of the SIMULATED launch — fixed,
 /// so the cost model and every tuner decision derived from it are
-/// identical on every build host — while TDA_SIMD_WIDTH
-/// (simd_strip_width) only strip-mines the HOST traversal inside a
-/// block and cannot change a charge or a bit.
+/// identical on every build host — while simd_strip_width only
+/// strip-mines the HOST traversal inside a block and cannot change a
+/// charge or a bit.
 inline constexpr std::size_t kInterleavedBlockSystems = 256;
 
 /// Warp instructions per equation of the interleaved Thomas sweep:
@@ -65,6 +65,10 @@ inline constexpr double kInterleavedThomasValuesPerEq = 9.0;
 /// arrays: each element is read once and written once.
 inline constexpr double kTransposeValuesPerElem = 2.0;
 
+/// Largest tile side of the transpose kernel: a 64² tile keeps both the
+/// strided and the contiguous side of the host traversal inside L1.
+inline constexpr std::size_t kTransposeTile = 64;
+
 /// Simulated shared tile side of the transpose kernel on a device: the
 /// largest power-of-two tile (≤ kTransposeTile, ≥ 8) whose staged tile
 /// fits in HALF the SM's shared memory, so at least two blocks stay
@@ -72,7 +76,7 @@ inline constexpr double kTransposeValuesPerElem = 2.0;
 /// would make a 64² double tile unlaunchable outright).
 inline std::size_t transpose_tile(const gpusim::DeviceSpec& spec,
                                   std::size_t elem_bytes) {
-  std::size_t tile = tridiag::kTransposeTile;
+  std::size_t tile = kTransposeTile;
   while (tile > 8 && tile * tile * elem_bytes > spec.shared_mem_per_sm / 2) {
     tile /= 2;
   }

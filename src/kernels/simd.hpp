@@ -8,14 +8,11 @@
 // are plain scalar C++ — while the strip width below controls how many
 // systems one simulated GPU block (and one host vector pass) owns.
 //
-// TDA_SIMD_WIDTH (env) overrides the strip width in systems (clamped to
-// a power of two in [1, 1024]); unset/0 picks a default sized to a few
-// hardware vectors of T. The choice is a pure performance knob: every
-// system's arithmetic is independent and elementwise, so the solution is
-// bitwise identical at every strip width and every TDA_THREADS count.
+// The strip width is a pure performance choice: every system's
+// arithmetic is independent and elementwise, so the solution is bitwise
+// identical at every TDA_THREADS count.
 
 #include <cstddef>
-#include <cstdlib>
 
 #include "common/simd_loop.hpp"
 
@@ -41,27 +38,12 @@ inline constexpr std::size_t simd_lanes() {
   return lanes >= 1 ? lanes : 1;
 }
 
-/// Strip width (systems per block) of the interleaved kernels:
-/// $TDA_SIMD_WIDTH when set and valid, else 4 hardware vectors — wide
-/// enough to amortize the serial Thomas recurrence over full vector
-/// issues, narrow enough that a strip's working rows stay cache-warm.
+/// Strip width (systems per block) of the interleaved kernels: 4
+/// hardware vectors — wide enough to amortize the serial Thomas
+/// recurrence over full vector issues, narrow enough that a strip's
+/// working rows stay cache-warm.
 template <typename T>
-inline std::size_t simd_strip_width() {
-  static const std::size_t from_env = [] {
-    if (const char* env = std::getenv("TDA_SIMD_WIDTH");
-        env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != nullptr && *end == '\0' && v >= 1 && v <= 1024) {
-        // Round down to a power of two so strips tile block grids evenly.
-        std::size_t p = 1;
-        while (p * 2 <= static_cast<std::size_t>(v)) p *= 2;
-        return p;
-      }
-    }
-    return std::size_t{0};
-  }();
-  if (from_env != 0) return from_env;
+inline constexpr std::size_t simd_strip_width() {
   return 4 * simd_lanes<T>();
 }
 

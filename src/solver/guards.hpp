@@ -8,20 +8,17 @@
 // time:
 //
 //   * screen_verdict — finiteness and zero-diagonal classification
-//     before the GPU runs (prescreen_system adds the dominance ratio for
-//     diagnostics);
+//     before the GPU runs;
 //   * relative_residual — verification of a candidate solution;
 //   * pivoting_fallback — the pivoting CPU solve (cpu/gtsv.hpp) for
 //     every system the chain cannot be trusted with;
 //
 // plus the typed per-system outcome, SystemStatus, and its one tally.
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -74,29 +71,20 @@ template <typename T>
 /// Pre-solve classification of one system.
 enum class ScreenVerdict {
   Pass,           ///< safe for the pivot-free GPU chain
-  NeedsPivoting,  ///< finite but zero-diagonal / below the dominance floor
+  NeedsPivoting,  ///< finite but with a zero diagonal entry
   NonFinite,      ///< contains NaN or Inf
 };
 
 namespace detail {
-/// Runs fn(stride) with a compile-time 1 when `stride` is 1, so the
-/// scans below vectorize on the contiguous views every batch system has;
-/// any other stride runs the same code with the runtime value.
-template <typename Fn>
-decltype(auto) with_unit_stride(std::size_t stride, const Fn& fn) {
-  if (stride == 1) return fn(std::integral_constant<std::size_t, 1>{});
-  return fn(stride);
-}
-
-/// True when every one of `count` elements (at `stride`) is finite.
+/// True when every one of `count` contiguous elements is finite.
 /// v - v is 0 exactly when v is finite, so the scan is a branch-free
 /// compare-and-or (an unsigned accumulator: a bool one does not
 /// vectorize).
-template <typename T, typename Stride>
-[[nodiscard]] bool all_finite(const T* p, std::size_t count, Stride stride) {
+template <typename T>
+[[nodiscard]] bool all_finite(const T* p, std::size_t count) {
   unsigned bad = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    const T v = p[i * stride];
+    const T v = p[i];
     bad |= v - v != T{0};
   }
   return bad == 0;
@@ -106,67 +94,36 @@ template <typename T, typename Stride>
 /// The pipeline's screen, one O(n) pass per coefficient lane: NonFinite
 /// when any coefficient inside the matrix (a[0] and c[n-1] lie outside
 /// it) is NaN/Inf, NeedsPivoting on a zero diagonal entry, else Pass.
+/// `sys` must be contiguous, as every batch system is.
 template <typename T>
 [[nodiscard]] ScreenVerdict screen_verdict(const tridiag::SystemView<T>& sys) {
+  TDA_REQUIRE(sys.stride() == 1, "screen: system view must be contiguous");
   const std::size_t n = sys.size();
   if (n == 0) return ScreenVerdict::Pass;
-  return detail::with_unit_stride(sys.stride(), [&](auto s) {
-    const T* b = sys.b.data();
-    unsigned bad = 0, zero = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const T v = b[i * s];
-      bad |= v - v != T{0};
-      zero |= v == T{0};
-    }
-    if (bad != 0 || !detail::all_finite(sys.a.data() + s, n - 1, s) ||
-        !detail::all_finite(sys.c.data(), n - 1, s) ||
-        !detail::all_finite(sys.d.data(), n, s)) {
-      return ScreenVerdict::NonFinite;
-    }
-    return zero != 0 ? ScreenVerdict::NeedsPivoting : ScreenVerdict::Pass;
-  });
-}
-
-template <typename T>
-struct ScreenResult {
-  ScreenVerdict verdict = ScreenVerdict::Pass;
-  double dominance = 0.0;  ///< min_i |b_i| / (|a_i| + |c_i|)
-  bool zero_diagonal = false;
-};
-
-/// screen_verdict plus the dominance ratio, for diagnostics: a system
-/// whose ratio falls below `dominance_floor` is also NeedsPivoting.
-template <typename T>
-[[nodiscard]] ScreenResult<T> prescreen_system(
-    const tridiag::SystemView<T>& sys, double dominance_floor = 0.0) {
-  ScreenResult<T> r;
-  r.verdict = screen_verdict(sys);
-  if (r.verdict == ScreenVerdict::NonFinite) return r;
-  r.zero_diagonal = r.verdict == ScreenVerdict::NeedsPivoting;
-  r.dominance = std::numeric_limits<double>::infinity();
-  const std::size_t n = sys.size();
+  const T* b = sys.b.data();
+  unsigned bad = 0, zero = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const double ai = i > 0 ? static_cast<double>(sys.a[i]) : 0.0;
-    const double ci = i + 1 < n ? static_cast<double>(sys.c[i]) : 0.0;
-    const double offsum = std::abs(ai) + std::abs(ci);
-    if (offsum == 0.0) continue;
-    r.dominance =
-        std::min(r.dominance, std::abs(static_cast<double>(sys.b[i])) / offsum);
+    const T v = b[i];
+    bad |= v - v != T{0};
+    zero |= v == T{0};
   }
-  if (r.dominance < dominance_floor) r.verdict = ScreenVerdict::NeedsPivoting;
-  return r;
+  if (bad != 0 || !detail::all_finite(sys.a.data() + 1, n - 1) ||
+      !detail::all_finite(sys.c.data(), n - 1) ||
+      !detail::all_finite(sys.d.data(), n)) {
+    return ScreenVerdict::NonFinite;
+  }
+  return zero != 0 ? ScreenVerdict::NeedsPivoting : ScreenVerdict::Pass;
 }
 
 namespace detail {
-/// relative_residual's scan over n >= 1 rows. Interior rows run in
-/// blocks of kLanes independent accumulators, so the loop vectorizes
-/// without reassociating anything: every row's terms are formed in the
-/// same order as a scalar loop would, and a maximum does not depend on
-/// the order it is taken in.
-template <typename T, typename Stride>
+/// relative_residual's scan over n >= 1 contiguous rows. Interior rows
+/// run in blocks of kLanes independent accumulators, so the loop
+/// vectorizes without reassociating anything: every row's terms are
+/// formed in the same order as a scalar loop would, and a maximum does
+/// not depend on the order it is taken in.
+template <typename T>
 [[nodiscard]] double residual_scan(const tridiag::SystemView<T>& sys,
-                                   const StridedView<T>& x, Stride s,
-                                   Stride xs) {
+                                   const StridedView<T>& x) {
   constexpr std::size_t kLanes = 8;
   const std::size_t n = sys.size();
   const T *A = sys.a.data(), *B = sys.b.data(), *C = sys.c.data(),
@@ -189,27 +146,27 @@ template <typename T, typename Stride>
     keep_max(dmax[lane], std::abs(di));
     nonfinite[lane] += xi - xi;
   };
-  const auto at = [](const T* p, std::size_t i, auto stride) {
-    return static_cast<double>(p[i * stride]);
+  const auto at = [](const T* p, std::size_t i) {
+    return static_cast<double>(p[i]);
   };
   const bool two = n > 1;
-  add_row(0, 0.0, at(B, 0, s), two ? at(C, 0, s) : 0.0, at(D, 0, s), 0.0,
-          at(X, 0, xs), two ? at(X, 1, xs) : 0.0);
+  add_row(0, 0.0, at(B, 0), two ? at(C, 0) : 0.0, at(D, 0), 0.0, at(X, 0),
+          two ? at(X, 1) : 0.0);
   std::size_t i = 1;
   for (; i + kLanes < n; i += kLanes) {
     for (std::size_t l = 0; l < kLanes; ++l) {
       const std::size_t k = i + l;
-      add_row(l, at(A, k, s), at(B, k, s), at(C, k, s), at(D, k, s),
-              at(X, k - 1, xs), at(X, k, xs), at(X, k + 1, xs));
+      add_row(l, at(A, k), at(B, k), at(C, k), at(D, k), at(X, k - 1),
+              at(X, k), at(X, k + 1));
     }
   }
   for (; i + 1 < n; ++i) {
-    add_row(0, at(A, i, s), at(B, i, s), at(C, i, s), at(D, i, s),
-            at(X, i - 1, xs), at(X, i, xs), at(X, i + 1, xs));
+    add_row(0, at(A, i), at(B, i), at(C, i), at(D, i), at(X, i - 1),
+            at(X, i), at(X, i + 1));
   }
   if (two) {
-    add_row(0, at(A, n - 1, s), at(B, n - 1, s), 0.0, at(D, n - 1, s),
-            at(X, n - 2, xs), at(X, n - 1, xs), 0.0);
+    add_row(0, at(A, n - 1), at(B, n - 1), 0.0, at(D, n - 1), at(X, n - 2),
+            at(X, n - 1), 0.0);
   }
   double max_r = 0.0, norm_a = 0.0, norm_x = 0.0, norm_d = 0.0;
   for (std::size_t l = 0; l < kLanes; ++l) {
@@ -227,17 +184,16 @@ template <typename T, typename Stride>
 
 /// Relative infinity-norm residual of a candidate solution:
 /// max_i |d_i - (A x)_i| / (||A||_inf * ||x||_inf + ||d||_inf).
-/// Returns +inf when x contains non-finite entries.
+/// Returns +inf when x contains non-finite entries. Both views must be
+/// contiguous, as every batch system is.
 template <typename T>
 [[nodiscard]] double relative_residual(const tridiag::SystemView<T>& sys,
                                        const StridedView<T>& x) {
   TDA_REQUIRE(x.size() == sys.size(), "residual: solution size mismatch");
+  TDA_REQUIRE(sys.stride() == 1 && x.stride() == 1,
+              "residual: views must be contiguous");
   if (sys.size() == 0) return 0.0;
-  if (sys.stride() == 1 && x.stride() == 1) {
-    const std::integral_constant<std::size_t, 1> unit;
-    return detail::residual_scan(sys, x, unit, unit);
-  }
-  return detail::residual_scan(sys, x, sys.stride(), x.stride());
+  return detail::residual_scan(sys, x);
 }
 
 /// Solves one system with the pivoting CPU solver (cpu/gtsv.hpp). The

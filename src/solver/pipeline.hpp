@@ -104,15 +104,13 @@ class Pipeline {
   /// True when the tune lookup missed and a search ran.
   [[nodiscard]] bool tuned_fresh() const { return tuned_fresh_; }
 
-  /// Solves every system of a system-major batch. batch.x() holds the
-  /// solution of every system whose status is Ok or FallbackUsed; other
-  /// systems' rows are left as they were. `cancel` (optional) is polled
-  /// at every stage boundary. Throws only DeviceFault, SolveCancelled
+  /// Solves every system of the batch. batch.x() holds the solution of
+  /// every system whose status is Ok or FallbackUsed; other systems'
+  /// rows are left as they were. `cancel` (optional) is polled at every
+  /// stage boundary. Throws only DeviceFault, SolveCancelled
   /// and contract violations of the call itself.
   PipelineResult solve(tridiag::TridiagBatch<T>& batch,
                        CancelToken* cancel = nullptr) {
-    TDA_REQUIRE(batch.layout() == tridiag::BatchLayout::SystemMajor,
-                "pipeline expects a system-major batch");
     const std::size_t m = batch.num_systems();
     PipelineResult r;
     r.status.assign(m, SystemStatus::Ok);

@@ -22,10 +22,9 @@ namespace tda::tridiag {
 template <typename T>
 TridiagBatch<T> make_diag_dominant(std::size_t m, std::size_t n,
                                    std::uint64_t seed,
-                                   double dominance = 2.0,
-                                   BatchStorage storage = BatchStorage::Fresh) {
+                                   double dominance = 2.0) {
   TDA_REQUIRE(dominance > 1.0, "dominance must exceed 1");
-  TridiagBatch<T> batch(m, n, storage);
+  TridiagBatch<T> batch(m, n);
   Rng rng(seed);
   auto a = batch.a();
   auto b = batch.b();
@@ -52,9 +51,8 @@ TridiagBatch<T> make_diag_dominant(std::size_t m, std::size_t n,
 /// ADI and spectral Poisson solvers cited in the paper's introduction.
 template <typename T>
 TridiagBatch<T> make_poisson(std::size_t m, std::size_t n,
-                             std::uint64_t seed,
-                             BatchStorage storage = BatchStorage::Fresh) {
-  TridiagBatch<T> batch(m, n, storage);
+                             std::uint64_t seed) {
+  TridiagBatch<T> batch(m, n);
   Rng rng(seed);
   auto a = batch.a();
   auto b = batch.b();
@@ -76,9 +74,8 @@ TridiagBatch<T> make_poisson(std::size_t m, std::size_t n,
 /// right-hand side from random knot values (diagonally dominant).
 template <typename T>
 TridiagBatch<T> make_spline(std::size_t m, std::size_t n,
-                            std::uint64_t seed,
-                            BatchStorage storage = BatchStorage::Fresh) {
-  TridiagBatch<T> batch(m, n, storage);
+                            std::uint64_t seed) {
+  TridiagBatch<T> batch(m, n);
   Rng rng(seed);
   auto a = batch.a();
   auto b = batch.b();
@@ -104,9 +101,8 @@ TridiagBatch<T> make_spline(std::size_t m, std::size_t n,
 /// Constant-coefficient (Toeplitz) batch with user-chosen stencil.
 template <typename T>
 TridiagBatch<T> make_toeplitz(std::size_t m, std::size_t n, T sub, T diag,
-                              T sup, std::uint64_t seed,
-                              BatchStorage storage = BatchStorage::Fresh) {
-  TridiagBatch<T> batch(m, n, storage);
+                              T sup, std::uint64_t seed) {
+  TridiagBatch<T> batch(m, n);
   Rng rng(seed);
   auto a = batch.a();
   auto b = batch.b();
@@ -128,9 +124,8 @@ TridiagBatch<T> make_toeplitz(std::size_t m, std::size_t n, T sub, T diag,
 /// used to exercise the pivoting LU baseline and robustness checks.
 template <typename T>
 TridiagBatch<T> make_random_general(std::size_t m, std::size_t n,
-                                    std::uint64_t seed,
-                                    BatchStorage storage = BatchStorage::Fresh) {
-  TridiagBatch<T> batch(m, n, storage);
+                                    std::uint64_t seed) {
+  TridiagBatch<T> batch(m, n);
   Rng rng(seed);
   auto a = batch.a();
   auto b = batch.b();
@@ -154,9 +149,8 @@ TridiagBatch<T> make_random_general(std::size_t m, std::size_t n,
 template <typename T>
 TridiagBatch<T> make_with_known_solution(std::size_t m, std::size_t n,
                                          std::uint64_t seed,
-                                         std::vector<T>* x_true = nullptr,
-                                         BatchStorage storage = BatchStorage::Fresh) {
-  TridiagBatch<T> batch = make_diag_dominant<T>(m, n, seed, 2.0, storage);
+                                         std::vector<T>* x_true = nullptr) {
+  TridiagBatch<T> batch = make_diag_dominant<T>(m, n, seed);
   Rng rng(seed ^ 0x5eedu);
   std::vector<T> xs(m * n);
   for (auto& v : xs) v = static_cast<T>(rng.uniform(-1.0, 1.0));

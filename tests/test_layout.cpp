@@ -1,5 +1,5 @@
-// Tests for the interleaved (element-major) layout family: host and
-// device transposes, solver equivalence between the two layouts across
+// Tests for the interleaved (element-major) layout family: device
+// transposes, solver equivalence between the two layouts across
 // ragged shapes, bitwise determinism of the SIMD paths under different
 // host lane counts, the tuner's layout decision at the occupancy
 // crossover, and the v2 cache records that persist it.
@@ -27,54 +27,6 @@ namespace {
 using namespace tda;
 using tridiag::BatchLayout;
 using tridiag::make_diag_dominant;
-
-// ---------- host-side layout conversion ----------
-
-TEST(Layout, HostConvertRoundTripIsByteIdentical) {
-  auto batch = make_diag_dominant<double>(7, 13, 11);
-  for (std::size_t i = 0; i < batch.x().size(); ++i) {
-    batch.x()[i] = 0.25 * static_cast<double>(i) - 3.0;
-  }
-  const std::vector<double> a0(batch.a().begin(), batch.a().end());
-  const std::vector<double> b0(batch.b().begin(), batch.b().end());
-  const std::vector<double> c0(batch.c().begin(), batch.c().end());
-  const std::vector<double> d0(batch.d().begin(), batch.d().end());
-  const std::vector<double> x0(batch.x().begin(), batch.x().end());
-
-  batch.convert_layout(BatchLayout::ElementMajor);
-  ASSERT_EQ(batch.layout(), BatchLayout::ElementMajor);
-  const std::size_t m = batch.num_systems();
-  const std::size_t n = batch.system_size();
-  for (std::size_t s = 0; s < m; ++s) {
-    for (std::size_t i = 0; i < n; ++i) {
-      // Element i of system s now lives at column s of row i.
-      EXPECT_EQ(batch.a()[i * m + s], a0[s * n + i]);
-      EXPECT_EQ(batch.d()[i * m + s], d0[s * n + i]);
-    }
-  }
-
-  batch.convert_layout(BatchLayout::SystemMajor);
-  ASSERT_EQ(batch.layout(), BatchLayout::SystemMajor);
-  EXPECT_EQ(std::memcmp(batch.a().data(), a0.data(),
-                        a0.size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(batch.b().data(), b0.data(),
-                        b0.size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(batch.c().data(), c0.data(),
-                        c0.size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(batch.d().data(), d0.data(),
-                        d0.size() * sizeof(double)), 0);
-  EXPECT_EQ(std::memcmp(batch.x().data(), x0.data(),
-                        x0.size() * sizeof(double)), 0);
-}
-
-TEST(Layout, ConvertToSameLayoutIsANoOp) {
-  auto batch = make_diag_dominant<float>(3, 5, 2);
-  const std::vector<float> a0(batch.a().begin(), batch.a().end());
-  batch.convert_layout(BatchLayout::SystemMajor);
-  EXPECT_EQ(batch.layout(), BatchLayout::SystemMajor);
-  EXPECT_EQ(std::memcmp(batch.a().data(), a0.data(),
-                        a0.size() * sizeof(float)), 0);
-}
 
 // ---------- device-side transpose stages ----------
 
@@ -137,8 +89,6 @@ void expect_layout_equivalence(std::size_t m, std::size_t n, double tol) {
     } else {
       EXPECT_EQ(stats.transpose_ms, 0.0);
     }
-    // The element-major pipeline must hand the batch back system-major.
-    EXPECT_EQ(batch.layout(), BatchLayout::SystemMajor);
   }
 }
 

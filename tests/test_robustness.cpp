@@ -39,37 +39,23 @@ double system_residual(tridiag::TridiagBatch<double>& pristine,
   return relative_residual<double>(pristine.system(s), solved.solution(s));
 }
 
-// ---------- prescreen_system ----------
+// ---------- screen_verdict ----------
 
 TEST(Prescreen, PassesDominantSystem) {
   auto batch = tridiag::make_diag_dominant<double>(1, 64, 1);
-  const auto r = prescreen_system<double>(batch.system(0));
-  EXPECT_EQ(r.verdict, ScreenVerdict::Pass);
-  EXPECT_GE(r.dominance, 2.0);
-  EXPECT_FALSE(r.zero_diagonal);
+  EXPECT_EQ(screen_verdict<double>(batch.system(0)), ScreenVerdict::Pass);
 }
 
 TEST(Prescreen, FlagsNonFinite) {
   auto batch = tridiag::make_diag_dominant<double>(1, 64, 2);
   poison(batch, 0, faults::Poison::NaN);
-  const auto r = prescreen_system<double>(batch.system(0));
-  EXPECT_EQ(r.verdict, ScreenVerdict::NonFinite);
+  EXPECT_EQ(screen_verdict<double>(batch.system(0)), ScreenVerdict::NonFinite);
 }
 
 TEST(Prescreen, FlagsZeroDiagonal) {
   auto batch = tridiag::make_diag_dominant<double>(1, 64, 3);
   poison(batch, 0, faults::Poison::ZeroPivot);
-  const auto r = prescreen_system<double>(batch.system(0));
-  EXPECT_EQ(r.verdict, ScreenVerdict::NeedsPivoting);
-  EXPECT_TRUE(r.zero_diagonal);
-}
-
-TEST(Prescreen, DominanceFloorRoutesWeakSystems) {
-  // dominance = 2.0 by construction; a floor above that routes it away.
-  auto batch = tridiag::make_diag_dominant<double>(1, 64, 4);
-  EXPECT_EQ(prescreen_system<double>(batch.system(0), 1.5).verdict,
-            ScreenVerdict::Pass);
-  EXPECT_EQ(prescreen_system<double>(batch.system(0), 3.0).verdict,
+  EXPECT_EQ(screen_verdict<double>(batch.system(0)),
             ScreenVerdict::NeedsPivoting);
 }
 
@@ -95,9 +81,9 @@ TEST(Residual, NonFiniteSolutionIsInfinite) {
 }
 
 // The vectorized scans must reproduce the plain scalar definitions
-// exactly — every verdict and every residual bit — for unit-stride and
-// element-major (stride m) views, short systems and every corrupted
-// position, including the a[0] and c[n-1] slots outside the matrix.
+// exactly — every verdict and every residual bit — for short systems
+// and every corrupted position, including the a[0] and c[n-1] slots
+// outside the matrix.
 
 ScreenVerdict scalar_verdict(const tridiag::SystemView<float>& sys) {
   const std::size_t n = sys.size();
@@ -141,39 +127,45 @@ TEST(Residual, VectorizedScansMatchScalarDefinitions) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   for (const std::size_t n : {1u, 2u, 3u, 9u, 17u, 100u}) {
-    for (const auto layout : {tridiag::BatchLayout::SystemMajor,
-                              tridiag::BatchLayout::ElementMajor}) {
-      auto batch = tridiag::make_random_general<float>(3, n, 30 + n);
-      Rng rng(n);
-      for (auto& v : batch.x()) v = static_cast<float>(rng.uniform(-2, 2));
-      batch.convert_layout(layout);
-      for (std::size_t s = 0; s < 3; ++s) {
-        EXPECT_EQ(screen_verdict<float>(batch.system(s)),
-                  scalar_verdict(batch.system(s)));
-        EXPECT_EQ(relative_residual<float>(batch.system(s),
-                                           batch.solution(s)),
-                  scalar_residual(batch.system(s), batch.solution(s)));
-      }
-      // One bad value at a time, in every lane and row.
-      auto sys = batch.system(1);
-      auto x = batch.solution(1);
-      for (std::size_t i = 0; i < n; ++i) {
-        for (StridedView<float>* lane : {&sys.a, &sys.b, &sys.c, &sys.d, &x}) {
-          for (const float bad : {nan, inf, 0.0f}) {
-            const float keep = (*lane)[i];
-            (*lane)[i] = bad;
-            EXPECT_EQ(screen_verdict<float>(sys), scalar_verdict(sys))
-                << "n=" << n << " row " << i;
-            const double want = scalar_residual(sys, x);
-            const double got = relative_residual<float>(sys, x);
-            EXPECT_TRUE(got == want || (std::isnan(got) && std::isnan(want)))
-                << "n=" << n << " row " << i << ": " << got << " vs " << want;
-            (*lane)[i] = keep;
-          }
+    auto batch = tridiag::make_random_general<float>(3, n, 30 + n);
+    Rng rng(n);
+    for (auto& v : batch.x()) v = static_cast<float>(rng.uniform(-2, 2));
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(screen_verdict<float>(batch.system(s)),
+                scalar_verdict(batch.system(s)));
+      EXPECT_EQ(relative_residual<float>(batch.system(s),
+                                         batch.solution(s)),
+                scalar_residual(batch.system(s), batch.solution(s)));
+    }
+    // One bad value at a time, in every lane and row.
+    auto sys = batch.system(1);
+    auto x = batch.solution(1);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (StridedView<float>* lane : {&sys.a, &sys.b, &sys.c, &sys.d, &x}) {
+        for (const float bad : {nan, inf, 0.0f}) {
+          const float keep = (*lane)[i];
+          (*lane)[i] = bad;
+          EXPECT_EQ(screen_verdict<float>(sys), scalar_verdict(sys))
+              << "n=" << n << " row " << i;
+          const double want = scalar_residual(sys, x);
+          const double got = relative_residual<float>(sys, x);
+          EXPECT_TRUE(got == want || (std::isnan(got) && std::isnan(want)))
+              << "n=" << n << " row " << i << ": " << got << " vs " << want;
+          (*lane)[i] = keep;
         }
       }
     }
   }
+}
+
+// Every batch system is contiguous; the scans reject any other view.
+TEST(Residual, StridedViewsAreRejected) {
+  auto batch = tridiag::make_diag_dominant<float>(1, 8, 4);
+  const auto strided = batch.system(0).split().first;
+  EXPECT_THROW((void)screen_verdict<float>(strided), ContractError);
+  EXPECT_THROW(
+      (void)relative_residual<float>(strided, batch.solution(0).split().first),
+      ContractError);
 }
 
 // ---------- pivoting_fallback ----------

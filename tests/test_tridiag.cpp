@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
@@ -81,6 +82,34 @@ TEST(TridiagBatch, NormalizeBoundaries) {
   EXPECT_EQ(batch.c()[3], 0.0);
   EXPECT_EQ(batch.c()[7], 0.0);
   EXPECT_EQ(batch.a()[1], 1.0);
+}
+
+// The five lanes share one allocation: each starts on a cache line,
+// none overlaps the next, and all start zeroed.
+TEST(TridiagBatch, LanesAreAlignedDisjointAndZeroed) {
+  TridiagBatch<float> batch(3, 7);  // 21 floats: not a whole cache line
+  const std::span<float> lanes[] = {batch.a(), batch.b(), batch.c(),
+                                    batch.d(), batch.x()};
+  for (std::size_t k = 0; k < 5; ++k) {
+    EXPECT_EQ(lanes[k].size(), 21u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lanes[k].data()) % 64, 0u);
+    for (const float v : lanes[k]) EXPECT_EQ(v, 0.0f);
+    if (k > 0) {
+      EXPECT_GE(lanes[k].data(), lanes[k - 1].data() + 21);
+    }
+  }
+}
+
+TEST(TridiagBatch, CopyIsDeepAndMoveEmptiesTheSource) {
+  TridiagBatch<double> batch(2, 3);
+  batch.d()[4] = 7.0;
+  TridiagBatch<double> copy = batch;
+  copy.d()[4] = 1.0;
+  EXPECT_EQ(batch.d()[4], 7.0);
+  TridiagBatch<double> moved = std::move(batch);
+  EXPECT_EQ(moved.d()[4], 7.0);
+  EXPECT_EQ(batch.num_systems(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(batch.x().empty());  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(TridiagBatch, RejectsEmpty) {
