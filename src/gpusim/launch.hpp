@@ -27,10 +27,12 @@
 #include <cstring>
 #include <exception>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <type_traits>
+#include <typeindex>
 #include <utility>
 #include <vector>
 
@@ -199,7 +201,9 @@ class Device {
             ? telemetry_->tracer.now()
             : 0.0;
 
-    std::vector<BlockCost> slots(cfg.blocks);
+    // Every slot is written before the fold reads it (or the launch
+    // rethrows), so the reused buffer needs no clearing.
+    slots_.resize(cfg.blocks);
     // Lowest failing block index; later blocks stop early once a
     // lower one has failed (their work would be discarded anyway).
     std::atomic<std::size_t> first_error{
@@ -227,7 +231,7 @@ class Device {
           }
           return;
         }
-        slots[b] = ctx.cost();
+        slots_[b] = ctx.cost();
       }
     });
     // The chunk owning the overall-lowest failing block always reaches
@@ -235,7 +239,7 @@ class Device {
     // rethrown error is the one a serial run would raise first.
     if (err) std::rethrow_exception(err);
     KernelCost agg;
-    for (const BlockCost& c : slots) agg.add_block(c);
+    for (const BlockCost& c : slots_) agg.add_block(c);
     const double t0 = elapsed_seconds_;
     KernelStats st = kernel_time(spec_, cfg, agg);
     elapsed_seconds_ += st.seconds;
@@ -258,6 +262,7 @@ class Device {
                      bool adopt_clock = true) {
     telemetry_ = tel;
     mem_.set_telemetry(tel);
+    session_series_.clear();
     launch_series_ = {};
     if (tel != nullptr) {
       auto& mx = tel->metrics;
@@ -272,6 +277,22 @@ class Device {
   }
   [[nodiscard]] tda::telemetry::Telemetry* telemetry() const {
     return telemetry_;
+  }
+
+  /// The S a higher layer keeps with this device's telemetry session —
+  /// its series handles — built as S(metrics) on first use and dropped
+  /// by set_telemetry; nullptr with no session. Solver objects come and
+  /// go per solve, so this is what lets a solve record without registry
+  /// lookups.
+  template <typename S>
+  S* session_series() {
+    if (telemetry_ == nullptr) return nullptr;
+    for (const auto& [type, series] : session_series_) {
+      if (type == typeid(S)) return static_cast<S*>(series.get());
+    }
+    auto series = std::make_shared<S>(telemetry_->metrics);
+    session_series_.emplace_back(typeid(S), series);
+    return series.get();
   }
 
   /// Total simulated time since construction / last reset.
@@ -368,7 +389,13 @@ class Device {
   bool faults_armed_ = false;
   bool owns_clock_ = false;  ///< tracer clock is this device's timeline
   bool arena_poison_ = default_arena_poison();
+  /// Per-block cost slots of the launch in flight, kept across launches
+  /// (launches on one Device are serial).
+  std::vector<BlockCost> slots_;
   tda::telemetry::Telemetry* telemetry_ = nullptr;
+  /// session_series() objects of telemetry_.
+  std::vector<std::pair<std::type_index, std::shared_ptr<void>>>
+      session_series_;
   /// telemetry_'s launch series, registered once by set_telemetry.
   struct LaunchSeries {
     tda::telemetry::Counter launches, bytes_moved;

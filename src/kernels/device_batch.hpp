@@ -18,8 +18,13 @@
 // are off the hot path and must stay numerically inert. Device *budget*
 // accounting is unchanged: tracked batches claim footprint_bytes()
 // through the device's MemoryTracker before acquiring the slab.
+//
+// upload() and download() copy each lane in kCopyPieceBytes pieces on
+// the engine's thread pool; a batch whose lanes fit in one piece is
+// copied inline.
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <span>
@@ -28,12 +33,39 @@
 #include "common/buffer_pool.hpp"
 #include "common/check.hpp"
 #include "gpusim/launch.hpp"
+#include "gpusim/thread_pool.hpp"
 #include "tridiag/batch.hpp"
 
 namespace tda::kernels {
 
 using tridiag::SystemView;
 using tridiag::TridiagBatch;
+
+/// Bytes of one host-copy task of DeviceBatch::upload/download.
+inline constexpr std::size_t kCopyPieceBytes = std::size_t{64} << 10;
+
+/// Copies `count` elements from each src[k] to dst[k]: inline when a lane
+/// fits in one kCopyPieceBytes piece, else as lanes x pieces tasks on the
+/// engine's thread pool.
+template <typename T, std::size_t K>
+void copy_lanes(const std::array<const T*, K>& src,
+                const std::array<T*, K>& dst, std::size_t count) {
+  const std::size_t piece = kCopyPieceBytes / sizeof(T);
+  if (count <= piece) {
+    for (std::size_t k = 0; k < K; ++k) std::copy_n(src[k], count, dst[k]);
+    return;
+  }
+  const std::size_t pieces = (count + piece - 1) / piece;
+  gpusim::ThreadPool::global().run(
+      K * pieces, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t t = begin; t < end; ++t) {
+          const std::size_t k = t / pieces;
+          const std::size_t off = t % pieces * piece;
+          std::copy_n(src[k] + off, std::min(piece, count - off),
+                      dst[k] + off);
+        }
+      });
+}
 
 template <typename T>
 class DeviceBatch {
@@ -141,16 +173,15 @@ class DeviceBatch {
   void download(TridiagBatch<T>& host) const {
     TDA_REQUIRE(host.num_systems() == m_ && host.system_size() == n_,
                 "download: shape mismatch");
-    std::copy(arr_[8], arr_[8] + m_ * n_, host.x().begin());
+    copy_lanes<T, 1>({arr_[8]}, {host.x().data()}, m_ * n_);
   }
 
  private:
   void upload(const TridiagBatch<T>& host) {
     layout_ = tridiag::BatchLayout::SystemMajor;
-    std::copy(host.a().begin(), host.a().end(), arr_[0]);
-    std::copy(host.b().begin(), host.b().end(), arr_[1]);
-    std::copy(host.c().begin(), host.c().end(), arr_[2]);
-    std::copy(host.d().begin(), host.d().end(), arr_[3]);
+    copy_lanes<T, 4>(
+        {host.a().data(), host.b().data(), host.c().data(), host.d().data()},
+        {arr_[0], arr_[1], arr_[2], arr_[3]}, m_ * n_);
   }
 
   /// Carves the pooled slab into 9 cache-line-aligned segments:

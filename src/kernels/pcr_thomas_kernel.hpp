@@ -162,16 +162,12 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     }
 
     // --- stage 4: one Thomas thread per interleaved subsystem ---
+    // The host runs the threads as one sweep across the subsystems.
     const std::size_t thomas_parts = std::min(std::size_t{1} << j, len);
     if (mode == ExecMode::Full) {
-      for (std::size_t q = 0; q < thomas_parts; ++q) {
-        auto sub = views[cur].subsystem(j, q);
-        if (sub.size() == 0) continue;
-        auto xshared =
-            tda::StridedView<T>(sx.data(), len, 1).subsystem(j, q);
-        const bool ok = tridiag::thomas_solve_inplace(sub, xshared);
-        TDA_ENSURE(ok, "PCR-Thomas kernel hit a zero pivot");
-      }
+      const bool ok = tridiag::thomas_solve_interleaved(
+          views[cur], tda::StridedView<T>(sx.data(), len, 1), thomas_parts);
+      TDA_ENSURE(ok, "PCR-Thomas kernel hit a zero pivot");
     }
     const double eqs_per_thread = std::ceil(
         static_cast<double>(len) / static_cast<double>(thomas_parts));

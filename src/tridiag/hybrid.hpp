@@ -61,14 +61,9 @@ void pcr_thomas_solve(SystemView<T> sys, SystemView<T> scratch,
     std::swap(src, dst);
   }
 
-  // The system is now 2^j interleaved subsystems; solve each with Thomas.
-  const std::size_t parts = std::size_t{1} << j;
-  for (std::size_t p = 0; p < parts && p < n; ++p) {
-    SystemView<T> sub = src->subsystem(j, p);
-    StridedView<T> xs = x.subsystem(j, p);
-    const bool ok = thomas_solve_inplace(sub, xs);
-    TDA_ENSURE(ok, "PCR-Thomas hit a zero pivot");
-  }
+  // The system is now 2^j interleaved subsystems; solve them with Thomas.
+  const bool ok = thomas_solve_interleaved(*src, x, std::size_t{1} << j);
+  TDA_ENSURE(ok, "PCR-Thomas hit a zero pivot");
 }
 
 /// CR-PCR hybrid solve of one system (Zhang et al. baseline).

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -80,6 +82,31 @@ TEST(DeviceBatch, ShapeOnlyConstructorIsInert) {
   DeviceBatch<float> dev(2, 16);
   EXPECT_EQ(dev.cur_system(0).b[3], 1.0f);  // unit diagonal
   EXPECT_EQ(dev.cur_system(0).a[3], 0.0f);
+}
+
+TEST(DeviceBatch, PooledCopiesRoundTripAcrossPieces) {
+  // Three whole 64-KiB pieces per lane plus a ragged tail.
+  constexpr std::size_t kPiece = kCopyPieceBytes / sizeof(float);
+  const std::size_t m = 5, n = 10'007;
+  ASSERT_GT(m * n, 3 * kPiece);
+  ASSERT_NE(m * n % kPiece, 0u);
+  auto host = make_diag_dominant<float>(m, n, 63);
+  DeviceBatch<float> dev(host);
+  const std::span<const float> lanes[4] = {host.a(), host.b(), host.c(),
+                                           host.d()};
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(std::memcmp(dev.cur_lane(k).data(), lanes[k].data(),
+                          m * n * sizeof(float)),
+              0)
+        << "lane " << k;
+  }
+  for (std::size_t i = 0; i < m * n; ++i) {
+    dev.x()[i] = static_cast<float>(i) * 0.5f - 7.0f;
+  }
+  dev.download(host);
+  EXPECT_EQ(std::memcmp(host.x().data(), dev.x().data(),
+                        m * n * sizeof(float)),
+            0);
 }
 
 // ---------- full split + solve pipeline, all devices ----------

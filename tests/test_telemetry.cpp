@@ -403,6 +403,9 @@ TEST(Metrics, HandleWritesRaceSamplerAndExporters) {
       (void)telemetry::to_metrics_json(mx);
     }
   });
+  // The writers start after the reader's first sampler run, so their
+  // writes always overlap reads however the threads are scheduled.
+  while (reads.load() == 0) std::this_thread::yield();
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
     writers.emplace_back([&, t] {

@@ -266,6 +266,73 @@ TEST(Thomas, WorksOnStridedViews) {
   for (std::size_t i = 0; i < 16; ++i) EXPECT_NEAR(x[2 * i], ref[i], 1e-10);
 }
 
+// The sweep gives every interleaved subsystem exactly
+// thomas_solve_inplace's operations, so x must match a per-subsystem loop
+// bit for bit — on contiguous lanes (the vector path) and on the same
+// lanes embedded at stride 2 (the StridedView path).
+template <typename T>
+void expect_sweep_bitwise(std::size_t len, std::size_t parts) {
+  SCOPED_TRACE(testing::Message() << "len " << len << " parts " << parts);
+  const auto input = make_diag_dominant<T>(1, len, 1000 + len * 7 + parts);
+  std::size_t k = 0;
+  while ((std::size_t{1} << k) < parts) ++k;
+  auto ref = input;
+  for (std::size_t q = 0; q < parts; ++q) {
+    auto sub = ref.system(0).subsystem(k, q);
+    if (sub.size() == 0) continue;
+    ASSERT_TRUE(thomas_solve_inplace(sub, ref.solution(0).subsystem(k, q)));
+  }
+  auto sweep = input;
+  ASSERT_TRUE(
+      thomas_solve_interleaved(sweep.system(0), sweep.solution(0), parts));
+  EXPECT_EQ(std::memcmp(ref.x().data(), sweep.x().data(), len * sizeof(T)),
+            0);
+
+  std::vector<T> lanes(5 * 2 * len);
+  const auto lane = [&](std::size_t l) {
+    return StridedView<T>(lanes.data() + l * 2 * len, len, 2);
+  };
+  const SystemView<T> strided{lane(0), lane(1), lane(2), lane(3)};
+  for (std::size_t i = 0; i < len; ++i) {
+    strided.a[i] = input.a()[i];
+    strided.b[i] = input.b()[i];
+    strided.c[i] = input.c()[i];
+    strided.d[i] = input.d()[i];
+  }
+  ASSERT_TRUE(thomas_solve_interleaved(strided, lane(4), parts));
+  for (std::size_t i = 0; i < len; ++i) {
+    const T got = lane(4)[i];
+    EXPECT_EQ(std::memcmp(&got, &ref.x()[i], sizeof(T)), 0) << "row " << i;
+  }
+}
+
+template <typename T>
+void expect_sweep_bitwise_all() {
+  for (const std::size_t len : {1, 2, 3, 17, 100, 1023, 1024, 1025}) {
+    std::size_t parts = 1;
+    for (; parts <= len; parts *= 2) expect_sweep_bitwise<T>(len, parts);
+    expect_sweep_bitwise<T>(len, parts);  // parts > len: empty subsystems
+  }
+}
+
+TEST(Thomas, InterleavedSweepBitwiseEqualsPerSubsystem) {
+  expect_sweep_bitwise_all<float>();
+  expect_sweep_bitwise_all<double>();
+}
+
+TEST(Thomas, InterleavedSweepFlagsZeroPivot) {
+  // Subsystem 2 of 4, at its third row (row 2 + 2*4): a = b = 0 makes the
+  // pivot b - a*c' exactly zero there and nowhere else.
+  auto batch = make_diag_dominant<double>(1, 17, 9);
+  auto sys = batch.system(0);
+  sys.a[10] = 0.0;
+  sys.b[10] = 0.0;
+  auto scalar = batch;
+  EXPECT_FALSE(thomas_solve_inplace(scalar.system(0).subsystem(2, 2),
+                                    scalar.solution(0).subsystem(2, 2)));
+  EXPECT_FALSE(thomas_solve_interleaved(sys, batch.solution(0), 4));
+}
+
 // ---------- PCR ----------
 
 TEST(Pcr, StepsToDecouple) {
