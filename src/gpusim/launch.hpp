@@ -27,12 +27,10 @@
 #include <cstring>
 #include <exception>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <type_traits>
-#include <typeindex>
 #include <utility>
 #include <vector>
 
@@ -262,7 +260,6 @@ class Device {
                      bool adopt_clock = true) {
     telemetry_ = tel;
     mem_.set_telemetry(tel);
-    session_series_.clear();
     launch_series_ = {};
     if (tel != nullptr) {
       auto& mx = tel->metrics;
@@ -277,22 +274,6 @@ class Device {
   }
   [[nodiscard]] tda::telemetry::Telemetry* telemetry() const {
     return telemetry_;
-  }
-
-  /// The S a higher layer keeps with this device's telemetry session —
-  /// its series handles — built as S(metrics) on first use and dropped
-  /// by set_telemetry; nullptr with no session. Solver objects come and
-  /// go per solve, so this is what lets a solve record without registry
-  /// lookups.
-  template <typename S>
-  S* session_series() {
-    if (telemetry_ == nullptr) return nullptr;
-    for (const auto& [type, series] : session_series_) {
-      if (type == typeid(S)) return static_cast<S*>(series.get());
-    }
-    auto series = std::make_shared<S>(telemetry_->metrics);
-    session_series_.emplace_back(typeid(S), series);
-    return series.get();
   }
 
   /// Total simulated time since construction / last reset.
@@ -393,9 +374,6 @@ class Device {
   /// (launches on one Device are serial).
   std::vector<BlockCost> slots_;
   tda::telemetry::Telemetry* telemetry_ = nullptr;
-  /// session_series() objects of telemetry_.
-  std::vector<std::pair<std::type_index, std::shared_ptr<void>>>
-      session_series_;
   /// telemetry_'s launch series, registered once by set_telemetry.
   struct LaunchSeries {
     tda::telemetry::Counter launches, bytes_moved;

@@ -11,7 +11,6 @@
 //   auto stats = solver.solve(batch);            // batch.x() now holds x
 //   std::cout << stats.total_ms << " simulated ms\n";
 
-#include <array>
 #include <cstddef>
 #include <string>
 
@@ -72,41 +71,6 @@ struct SolveStats {
     kernel_launches += o.kernel_launches;
     return *this;
   }
-};
-
-/// The series a solve records — GpuTridiagonalSolver::run's and
-/// Pipeline::solve's — kept with the device's telemetry session
-/// (Device::session_series), so a solve makes no registry lookup.
-/// Counters register on their first event, as the by-name adds they
-/// replace did.
-struct SolveSeries {
-  explicit SolveSeries(telemetry::MetricsRegistry& mx)
-      : solves(mx, "solver.solves"),
-        cost_only_runs(mx, "solver.cost_only_runs"),
-        layout_system(mx, R"(solver.layout{choice="system"})"),
-        layout_element(mx, R"(solver.layout{choice="element"})"),
-        total_ms(mx.histogram_handle("solve.total_ms")),
-        stage_ms{mx.histogram_handle("solve.stage1_ms"),
-                 mx.histogram_handle("solve.stage2_ms"),
-                 mx.histogram_handle("solve.stage3_ms"),
-                 mx.histogram_handle("solve.transpose_ms")},
-        stage_gb_s{mx.histogram_handle("solve.stage1.bandwidth_gb_s"),
-                   mx.histogram_handle("solve.stage2.bandwidth_gb_s"),
-                   mx.histogram_handle("solve.stage3.bandwidth_gb_s"),
-                   mx.histogram_handle("solve.transpose.bandwidth_gb_s")},
-        chunked_solves(mx, "solver.chunked_solves"),
-        chunks(mx, "solver.chunks"),
-        split_solves(mx, "solver.split_solves"),
-        chunk_oom(mx, "solver.chunk_oom"),
-        oom_fallback_systems(mx, "solver.oom_fallback_systems") {}
-
-  telemetry::LazyCounter solves, cost_only_runs, layout_system,
-      layout_element;
-  telemetry::Histogram total_ms;
-  /// Stage 1, stage 2, stage 3, transpose.
-  std::array<telemetry::Histogram, 4> stage_ms, stage_gb_s;
-  telemetry::LazyCounter chunked_solves, chunks, split_solves, chunk_oom,
-      oom_fallback_systems;
 };
 
 template <typename T>
@@ -187,28 +151,30 @@ class GpuTridiagonalSolver {
     stats.host_total_ms = host_total.millis();
     solve_span.attr("total_ms", stats.total_ms);
 
-    if (SolveSeries* series = dev_->session_series<SolveSeries>()) {
+    if (tel != nullptr) {
+      auto& mx = tel->metrics;
+      mx.add(mode == kernels::ExecMode::Full ? "solver.solves"
+                                             : "solver.cost_only_runs");
       if (mode == kernels::ExecMode::Full) {
-        series->solves.add();
-        (plan.layout == tridiag::BatchLayout::SystemMajor
-             ? series->layout_system
-             : series->layout_element)
-            .add();
-      } else {
-        series->cost_only_runs.add();
+        mx.add(plan.layout == tridiag::BatchLayout::SystemMajor
+                   ? R"(solver.layout{choice="system"})"
+                   : R"(solver.layout{choice="element"})");
       }
-      series->total_ms.observe(stats.total_ms);
-      const std::array<double, 4> ms = {stats.stage1_ms, stats.stage2_ms,
-                                        stats.stage3_ms, stats.transpose_ms};
-      const std::array<double, 4> bytes = {stage1_bytes, stage2_bytes,
-                                           stage3_bytes, transpose_bytes};
-      for (std::size_t k = 0; k < ms.size(); ++k) {
-        if (ms[k] <= 0.0) continue;
-        series->stage_ms[k].observe(ms[k]);
-        if (bytes[k] > 0.0) {
-          series->stage_gb_s[k].observe(bytes[k] / (ms[k] * 1e-3) / 1e9);
-        }
-      }
+      mx.observe("solve.total_ms", stats.total_ms);
+      const auto stage_bw = [&mx](const char* ms_key, const char* bw_key,
+                                  double ms, double bytes) {
+        if (ms <= 0.0) return;
+        mx.observe(ms_key, ms);
+        if (bytes > 0.0) mx.observe(bw_key, bytes / (ms * 1e-3) / 1e9);
+      };
+      stage_bw("solve.stage1_ms", "solve.stage1.bandwidth_gb_s",
+               stats.stage1_ms, stage1_bytes);
+      stage_bw("solve.stage2_ms", "solve.stage2.bandwidth_gb_s",
+               stats.stage2_ms, stage2_bytes);
+      stage_bw("solve.stage3_ms", "solve.stage3.bandwidth_gb_s",
+               stats.stage3_ms, stage3_bytes);
+      stage_bw("solve.transpose_ms", "solve.transpose.bandwidth_gb_s",
+               stats.transpose_ms, transpose_bytes);
     }
     return stats;
   }

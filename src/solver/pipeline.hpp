@@ -128,16 +128,17 @@ class Pipeline {
 
     span.attr("chunks", static_cast<double>(r.chunks));
     span.attr("oom_events", static_cast<double>(r.oom_events));
-    if (SolveSeries* series = dev_->session_series<SolveSeries>()) {
-      series->chunked_solves.add();
-      series->chunks.add(static_cast<double>(r.chunks));
-      if (r.chunks > 1) series->split_solves.add();
+    if (tel != nullptr) {
+      auto& mx = tel->metrics;
+      mx.add("solver.chunked_solves");
+      mx.add("solver.chunks", static_cast<double>(r.chunks));
+      if (r.chunks > 1) mx.add("solver.split_solves");
       if (r.oom_events > 0) {
-        series->chunk_oom.add(static_cast<double>(r.oom_events));
+        mx.add("solver.chunk_oom", static_cast<double>(r.oom_events));
       }
       if (r.oom_fallback_systems > 0) {
-        series->oom_fallback_systems.add(
-            static_cast<double>(r.oom_fallback_systems));
+        mx.add("solver.oom_fallback_systems",
+               static_cast<double>(r.oom_fallback_systems));
       }
     }
     return r;

@@ -200,25 +200,6 @@ class MetricsRegistry {
   std::function<void()> sampler_;
 };
 
-/// A counter registered on its first add(), so the series enters the
-/// exports with its first event, as add() by name would; after that,
-/// add() is Counter::add. `name` must outlive the handle (a literal).
-/// One owner records through it: registration is not synchronized.
-class LazyCounter {
- public:
-  LazyCounter(MetricsRegistry& mx, std::string_view name)
-      : mx_(&mx), name_(name) {}
-  void add(double delta = 1.0) {
-    if (!counter_) counter_ = mx_->counter_handle(name_);
-    counter_.add(delta);
-  }
-
- private:
-  MetricsRegistry* mx_;
-  std::string_view name_;
-  Counter counter_;
-};
-
 /// Writes the process-wide allocation gauges: pool.hit_rate,
 /// pool.cached_bytes, pool.outstanding_bytes and host.alloc_count.
 void sample_process_gauges(MetricsRegistry& mx);

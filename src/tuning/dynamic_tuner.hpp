@@ -44,21 +44,6 @@ struct TuneResult {
   bool stage1_tuned = false;  ///< false when the workload never triggers stage 1
 };
 
-/// The tuner's per-lookup and per-evaluation series, kept with the
-/// device's telemetry session (Device::session_series); counters
-/// register on their first event.
-struct TunerSeries {
-  explicit TunerSeries(telemetry::MetricsRegistry& mx)
-      : cache_hits(mx, "tuner.cache_hits"),
-        cache_misses(mx, "tuner.cache_misses"),
-        tunes(mx, "tuner.tunes"),
-        evaluations(mx, "tuner.evaluations"),
-        eval_ms(mx.histogram_handle("tuner.eval_ms")) {}
-
-  telemetry::LazyCounter cache_hits, cache_misses, tunes, evaluations;
-  telemetry::Histogram eval_ms;
-};
-
 template <typename T>
 class DynamicTuner {
  public:
@@ -68,7 +53,6 @@ class DynamicTuner {
   /// Tunes switch points for the given workload shape.
   TuneResult tune(const solver::Workload& w) {
     telemetry::Telemetry* tel = dev_->telemetry();
-    TunerSeries* series = dev_->session_series<TunerSeries>();
     telemetry::ScopedSpan span(telemetry::tracer_of(tel), "tune", "tuner");
     span.attr("m", static_cast<double>(w.num_systems));
     span.attr("n", static_cast<double>(w.system_size));
@@ -77,7 +61,7 @@ class DynamicTuner {
         dev_->spec().name, sizeof(T), w.num_systems, w.system_size);
     if (cache_ != nullptr) {
       if (auto hit = cache_->find(key)) {
-        if (series != nullptr) series->cache_hits.add();
+        if (tel != nullptr) tel->metrics.add("tuner.cache_hits");
         span.attr("cache", "hit");
         TuneResult r;
         r.points = hit->points;
@@ -86,13 +70,15 @@ class DynamicTuner {
         return r;
       }
     }
-    if (series != nullptr && cache_ != nullptr) series->cache_misses.add();
+    if (tel != nullptr && cache_ != nullptr) {
+      tel->metrics.add("tuner.cache_misses");
+    }
 
     TuneResult r = search(w);
     if (cache_ != nullptr) {
       cache_->store(key, CacheEntry{r.points, r.best_ms});
     }
-    if (series != nullptr) series->tunes.add();
+    if (tel != nullptr) tel->metrics.add("tuner.tunes");
     span.attr("evaluations", static_cast<double>(r.evaluations));
     span.attr("best_ms", r.best_ms);
     span.attr("points", solver::describe(r.points));
@@ -136,7 +122,6 @@ class DynamicTuner {
     kernels::DeviceBatch<T> scratch(w.num_systems, w.system_size);
 
     telemetry::Telemetry* tel = dev_->telemetry();
-    TunerSeries* series = dev_->session_series<TunerSeries>();
     std::map<std::string, double> memo;
     auto eval_on = [&](kernels::DeviceBatch<T>& batch, const char* tag,
                        const solver::SwitchPoints& sp) {
@@ -151,9 +136,9 @@ class DynamicTuner {
       solver::GpuTridiagonalSolver<T> s(*dev_, sp);
       const double ms = s.run(batch, kernels::ExecMode::CostOnly).total_ms;
       span.attr("ms", ms);
-      if (series != nullptr) {
-        series->evaluations.add();
-        series->eval_ms.observe(ms);
+      if (tel != nullptr) {
+        tel->metrics.add("tuner.evaluations");
+        tel->metrics.observe("tuner.eval_ms", ms);
       }
       memo[k] = ms;
       ++r.evaluations;
