@@ -675,7 +675,8 @@ struct ChaosStats {
 /// verdict. DeadlineExpired is always terminal.
 ChaosStats run_chaos_client(const std::string& spec, std::size_t requests,
                             std::size_t window, std::uint64_t seed,
-                            double deadline_ms, bool retry_errors) {
+                            double deadline_ms, bool retry_errors,
+                            std::atomic<std::size_t>* acked) {
   net::Client client;
   client.set_retry(bench_retry(seed));
   std::string err;
@@ -699,6 +700,7 @@ ChaosStats run_chaos_client(const std::string& spec, std::size_t requests,
         if (r.ok()) {
           if (residual_inf(q, r.x) > 1e-6) ++st.residual_bad;
           ++st.ok;
+          if (acked != nullptr) acked->fetch_add(1);
           return net::Verdict::Settle;
         }
         if (r.code == net::ErrorCode::DeadlineExpired) {
@@ -737,10 +739,12 @@ struct ChaosPhase {
   double goodput = 0.0;  ///< verified acks per wall second
 };
 
+/// `acked`, when given, counts the phase's verified acks as they land.
 ChaosPhase run_chaos_phase(const std::string& spec, int clients,
                            std::size_t requests, std::size_t window,
                            std::uint64_t seed, double deadline_ms,
-                           bool retry_errors) {
+                           bool retry_errors,
+                           std::atomic<std::size_t>* acked = nullptr) {
   std::vector<ChaosStats> stats(static_cast<std::size_t>(clients));
   std::vector<std::thread> threads;
   threads.reserve(stats.size());
@@ -748,7 +752,7 @@ ChaosPhase run_chaos_phase(const std::string& spec, int clients,
     threads.emplace_back([&, i] {
       stats[i] = run_chaos_client(spec, requests, window,
                                   seed + 101 * (i + 1), deadline_ms,
-                                  retry_errors);
+                                  retry_errors, acked);
     });
   }
   for (auto& th : threads) th.join();
@@ -1136,6 +1140,10 @@ bool run_restart_bench(const std::string& self, int num_devices,
     }
     ::unlink(sock.c_str());
     ::unlink(snapshot.c_str());
+    // Generation 2 dies by SIGKILL and cannot remove its admin socket.
+    for (int gen = 1; gen <= 3; ++gen) {
+      ::unlink(admin_path_for(admin_base, gen).c_str());
+    }
   };
 
   const pid_t gen1 = spawn_restart_server(self, sock, admin_base, snapshot,
@@ -1242,11 +1250,19 @@ bool run_restart_bench(const std::string& self, int num_devices,
 
   // Phase 3: kill -9 mid-traffic, cold respawn from the snapshot. The
   // clients' reconnect + byte-identical resend machinery carries the
-  // outage; the snapshot carries exactly-once across it.
+  // outage; the snapshot carries exactly-once across it. The kill fires
+  // once the three clients hold a third of their 3 x `requests` acks, so
+  // two thirds of the phase is still in flight or unsent when the server
+  // dies.
+  std::atomic<std::size_t> kill9_acked{0};
   clients = std::async(std::launch::async, [&] {
-    return run_chaos_phase(spec, 3, requests, 8, seed + 3, 0.0, true);
+    return run_chaos_phase(spec, 3, requests, 8, seed + 3, 0.0, true,
+                           &kill9_acked);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  while (kill9_acked.load() < requests &&
+         clients.wait_for(std::chrono::milliseconds(1)) !=
+             std::future_status::ready) {
+  }
   if (gen2 > 0) ::kill(gen2, SIGKILL);
   const pid_t gen3 = spawn_restart_server(
       self, sock, admin_base, snapshot, num_devices, flush, flush_ms, 3);
@@ -1263,6 +1279,7 @@ bool run_restart_bench(const std::string& self, int num_devices,
                     stats_has(reply, "loaded_from_snapshot=1") &&
                     stats_has(reply, "net.duplicate_executions=0");
   }
+  // reconnects > 0 proves the kill hit live traffic.
   const bool kill9_ok = gen3_up && kill9.total.lost == 0 &&
                         kill9.total.residual_bad == 0 &&
                         kill9.total.ok > 0 &&

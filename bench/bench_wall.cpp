@@ -312,6 +312,9 @@ int run_layout_sweep(int repeat, int lanes, const std::string& out) {
     file << js.str();
   }
 
+  // A failed gate throws past main's return: flush first, so a run whose
+  // stdout is a pipe or file still shows the table it failed on.
+  std::fflush(stdout);
   TDA_ENSURE(best_gain >= 1.3,
              "layout gate: auto must beat the system-major pipeline >= "
              "1.3x in at least one regime");

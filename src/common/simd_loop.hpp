@@ -4,11 +4,21 @@
 // unit-stride PCR interior). The loops are correct without it; it only
 // helps the vectorizer past the aliasing analysis (the a/b/c/d arrays
 // often come from one slab). Place it directly before the `for`.
+//
+// TDA_FP_CONTRACT_OFF: keeps a*b+c as a rounded multiply and a rounded
+// add in the enclosing function body, so an FMA-capable target cannot
+// change the bits. Place it first in the body. Clang honours the pragma
+// through inlining; GCC has no statement-level form, so GCC builds get
+// -ffp-contract=off from the build and the ISA variants of
+// tridiag/isa.cpp carry it as a function attribute.
 
 #if defined(__clang__)
 #define TDA_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
+#define TDA_FP_CONTRACT_OFF _Pragma("clang fp contract(off)")
 #elif defined(__GNUC__)
 #define TDA_SIMD_LOOP _Pragma("GCC ivdep")
+#define TDA_FP_CONTRACT_OFF
 #else
 #define TDA_SIMD_LOOP
+#define TDA_FP_CONTRACT_OFF
 #endif

@@ -36,6 +36,7 @@
 #include "kernels/simd.hpp"
 #include "kernels/split_kernels.hpp"
 #include "tridiag/batch.hpp"
+#include "tridiag/transpose.hpp"
 
 namespace tda::kernels {
 
@@ -126,16 +127,11 @@ gpusim::KernelStats transpose_launch(gpusim::Device& dev, std::size_t rows,
                            static_cast<double>(c1 - c0) *
                            static_cast<double>(N);
       if (mode == ExecMode::Full) {
-        // Column-outer order: the inner loop STORES contiguously into
-        // dst (and gather-loads the strided side), which vectorizes —
-        // the host-side analogue of the coalesced shared-staged store.
+        // The host tile stores contiguously into dst: the analogue of
+        // the coalesced shared-staged store.
         for (std::size_t k = 0; k < N; ++k) {
-          for (std::size_t c = c0; c < c1; ++c) {
-            TDA_SIMD_LOOP
-            for (std::size_t r = r0; r < r1; ++r) {
-              dst[k][c * rows + r] = src[k][r * cols + c];
-            }
-          }
+          tridiag::transpose_tile<T>(
+              {src[k], dst[k], rows, cols, r0, r1, c0, c1});
         }
       }
       // Tile staged through shared memory: both global sides coalesced;

@@ -8,6 +8,12 @@
 // are plain scalar C++ — while the strip width below controls how many
 // systems one simulated GPU block (and one host vector pass) owns.
 //
+// The host PCR core and the interleaved Thomas sweep (tridiag/pcr.hpp,
+// tridiag/thomas.hpp) also dispatch at run time to AVX2 and AVX-512
+// variants of that same scalar C++ (tridiag/isa.hpp), still with no
+// intrinsics. The strip width stays a compile-time constant of the
+// build's own target, so block tiling never depends on the CPU.
+//
 // The strip width is a pure performance choice: every system's
 // arithmetic is independent and elementwise, so the solution is bitwise
 // identical at every TDA_THREADS count.

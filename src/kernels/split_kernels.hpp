@@ -129,27 +129,28 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
     // The device kernel ping-pongs the block's stride-entry_parts
     // subsystem between the two global buffers; the subsystem is
     // disjoint from every other block's, so that is hazard-free. The
-    // host stages it contiguously in lane scratch and ping-pongs there,
-    // so every step runs the unit-stride PCR core, then writes the last
-    // step into the global buffer the device's ping-pong ends in. The
-    // charges model the device's strided passes either way.
+    // host runs the first step from the strided global subsystem into
+    // contiguous lane scratch, ping-pongs there, and runs the last step
+    // into the global buffer the device's ping-pong ends in (a single
+    // step goes global to global and needs no scratch). The charges
+    // model the device's strided passes either way.
     const tridiag::SystemView<T> global[2] = {
         batch.cur_system(s).subsystem(st.splits, p),
         batch.alt_system(s).subsystem(st.splits, p)};
     const std::size_t len = global[0].size();
     tridiag::SystemView<T> staged[2];
     if (mode == ExecMode::Full) {
-      staged[0] = scratch_system<T>(ctx, len);
-      staged[1] = scratch_system<T>(ctx, len);
-      tridiag::copy_system(global[0], staged[0]);
+      for (std::size_t k = 0; k < std::min<std::size_t>(steps - 1, 2); ++k) {
+        staged[k] = scratch_system<T>(ctx, len);
+      }
     }
-    int cur = 0;
     for (std::size_t t = 0; t < steps; ++t) {
       const std::size_t shift = std::size_t{1} << t;  // subsystem-local
       if (mode == ExecMode::Full) {
-        tridiag::pcr_step(staged[cur].as_const(), staged[1 - cur], shift);
+        const auto& src = t == 0 ? global[0] : staged[(t - 1) % 2];
+        const auto& dst = t + 1 == steps ? global[steps % 2] : staged[t % 2];
+        tridiag::pcr_step(src.as_const(), dst, shift);
       }
-      cur = 1 - cur;
 
       const double dlen = static_cast<double>(len);
       ctx.charge_global(kPcrStepValuesPerEq * dlen * sizeof(T),
@@ -157,9 +158,6 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
       ctx.charge_phase(ctx.threads(), std::ceil(dlen / ctx.threads()),
                        kPcrStepWarpInsts);
       if (t + 1 < steps) ctx.sync();
-    }
-    if (mode == ExecMode::Full) {
-      tridiag::copy_system(staged[cur], global[cur]);
     }
   }, "stage2_independent_split");
   if (steps % 2 == 1) batch.swap_buffers();

@@ -47,6 +47,11 @@ struct SystemView {
 
   [[nodiscard]] std::size_t size() const { return a.size(); }
   [[nodiscard]] std::size_t stride() const { return a.stride(); }
+  /// True when all four lanes are contiguous.
+  [[nodiscard]] bool unit_stride() const {
+    return a.stride() == 1 && b.stride() == 1 && c.stride() == 1 &&
+           d.stride() == 1;
+  }
 
   /// Even/odd children after one PCR split.
   [[nodiscard]] std::pair<SystemView, SystemView> split() const {
@@ -68,20 +73,6 @@ struct SystemView {
     return {a.as_const(), b.as_const(), c.as_const(), d.as_const()};
   }
 };
-
-/// Copies src's coefficients into dst element by element; the two views
-/// may differ in stride (gathering a strided subsystem into a contiguous
-/// buffer, or scattering it back).
-template <typename T>
-void copy_system(const SystemView<T>& src, const SystemView<T>& dst) {
-  TDA_REQUIRE(src.size() == dst.size(), "copy_system: size mismatch");
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    dst.a[i] = src.a[i];
-    dst.b[i] = src.b[i];
-    dst.c[i] = src.c[i];
-    dst.d[i] = src.d[i];
-  }
-}
 
 /// Owning batch of m tridiagonal systems of size n (SoA, system-major).
 /// The five lanes a, b, c, d, x live in one zero-initialized, 64-byte

@@ -12,9 +12,9 @@
 // All functions operate on SystemView (strided), so the same code serves
 // the CPU reference, the global-memory splitting kernels and the
 // shared-memory stage. A step splits its equations by neighbour set into
-// branch-free loops; when every view is unit-stride those loops run on
-// raw pointers and vectorize, with the same per-equation arithmetic as
-// the strided path.
+// branch-free loops; a unit-stride view's side of those loops runs on raw
+// pointers and vectorizes, with the same per-equation arithmetic as the
+// strided path, compiled per ISA variant (tridiag/isa.hpp).
 
 #include <algorithm>
 #include <cstddef>
@@ -23,6 +23,7 @@
 #include "common/check.hpp"
 #include "common/simd_loop.hpp"
 #include "tridiag/batch.hpp"
+#include "tridiag/isa.hpp"
 
 namespace tda::tridiag {
 
@@ -36,8 +37,11 @@ namespace detail {
 /// so the result is bitwise independent of which loop an equation
 /// lands in.
 template <typename T, bool HasLeft, bool HasRight, typename In, typename Out>
-void pcr_equations(In a, In b, In c, In d, Out oa, Out ob, Out oc, Out od,
-                   std::size_t s, std::size_t i0, std::size_t i1) {
+void pcr_equations(Lanes<In> src, Lanes<Out> dst, std::size_t s,
+                   std::size_t i0, std::size_t i1) {
+  TDA_FP_CONTRACT_OFF
+  const auto [a, b, c, d] = src;
+  const auto [oa, ob, oc, od] = dst;
   TDA_SIMD_LOOP
   for (std::size_t i = i0; i < i1; ++i) {
     T nb = b[i];
@@ -64,24 +68,74 @@ void pcr_equations(In a, In b, In c, In d, Out oa, Out ob, Out oc, Out od,
   }
 }
 
-/// Splits [begin, end) of a PCR step over n equations by neighbour set:
-/// the left edge (i < s: no i-s), the middle (both neighbours when
-/// n > 2s, neither when n < 2s) and the right edge (i >= n-s: no i+s).
+/// Equations [begin, end) of one PCR step with the given shift over an
+/// n-equation system: reads src, writes dst.
+template <typename In, typename Out>
+struct PcrStep {
+  Lanes<In> src;
+  Lanes<Out> dst;
+  std::size_t n, shift, begin, end;
+};
+
+/// Splits a PCR step by neighbour set: the left edge (i < s: no i-s),
+/// the middle (both neighbours when n > 2s, neither when n < 2s) and the
+/// right edge (i >= n-s: no i+s).
 template <typename T, typename In, typename Out>
-void pcr_step_regions(In a, In b, In c, In d, Out oa, Out ob, Out oc,
-                      Out od, std::size_t n, std::size_t s,
-                      std::size_t begin, std::size_t end) {
-  const std::size_t r = n > s ? n - s : 0;  // first equation without i+s
-  const auto clip = [&](std::size_t i) { return std::clamp(i, begin, end); };
+void pcr_step_regions(const PcrStep<In, Out>& p) {
+  const std::size_t s = p.shift;
+  const std::size_t r = p.n > s ? p.n - s : 0;  // first equation without i+s
+  const auto clip = [&](std::size_t i) {
+    return std::clamp(i, p.begin, p.end);
+  };
   const std::size_t lo = clip(std::min(s, r));
   const std::size_t hi = clip(std::max(s, r));
-  pcr_equations<T, false, true>(a, b, c, d, oa, ob, oc, od, s, begin, lo);
+  pcr_equations<T, false, true>(p.src, p.dst, s, p.begin, lo);
   if (s < r) {
-    pcr_equations<T, true, true>(a, b, c, d, oa, ob, oc, od, s, lo, hi);
+    pcr_equations<T, true, true>(p.src, p.dst, s, lo, hi);
   } else {
-    pcr_equations<T, false, false>(a, b, c, d, oa, ob, oc, od, s, lo, hi);
+    pcr_equations<T, false, false>(p.src, p.dst, s, lo, hi);
   }
-  pcr_equations<T, true, false>(a, b, c, d, oa, ob, oc, od, s, hi, end);
+  pcr_equations<T, true, false>(p.src, p.dst, s, hi, p.end);
+}
+
+/// pcr_step_regions compiled for `isa`. Defined in isa.cpp for float and
+/// double over every pairing of unit (const T*, T*) and strided
+/// (StridedView) lanes.
+template <typename T, typename In, typename Out>
+void pcr_step_regions_isa(Isa isa, const PcrStep<In, Out>& p);
+
+/// pcr_step_range on the given variant, which must be supported. Each
+/// side runs on raw pointers when its lanes are contiguous, so a step
+/// between a strided subsystem and contiguous scratch keeps one
+/// unit-stride side.
+template <typename T>
+void pcr_step_range_on(Isa isa, const SystemView<const T>& src,
+                       const SystemView<T>& dst, std::size_t shift,
+                       std::size_t begin, std::size_t end) {
+  const std::size_t n = src.size();
+  TDA_REQUIRE(dst.size() == n, "pcr_step: size mismatch");
+  TDA_REQUIRE(begin <= end && end <= n, "pcr_step: bad range");
+  TDA_REQUIRE(shift >= 1, "pcr_step: shift must be >= 1");
+  const auto run = [&](auto in, auto out) {
+    using Step = PcrStep<decltype(in.a), decltype(out.a)>;
+    const Step p{in, out, n, shift, begin, end};
+    if constexpr (kIsaDispatched<T>) {
+      pcr_step_regions_isa<T>(isa, p);
+    } else {
+      pcr_step_regions<T>(p);
+    }
+  };
+  const bool in_unit = src.unit_stride();
+  const bool out_unit = dst.unit_stride();
+  if (in_unit && out_unit) {
+    run(unit_lanes(src), unit_lanes(dst));
+  } else if (in_unit) {
+    run(unit_lanes(src), view_lanes(dst));
+  } else if (out_unit) {
+    run(view_lanes(src), unit_lanes(dst));
+  } else {
+    run(view_lanes(src), view_lanes(dst));
+  }
 }
 
 }  // namespace detail
@@ -93,26 +147,11 @@ void pcr_step_regions(In a, In b, In c, In d, Out oa, Out ob, Out oc,
 /// absent, which makes the step valid for any n, power of two or not.
 /// Neighbour reads may fall outside [begin, end); they read `src`, which
 /// holds pre-step values, so chunked execution equals a full pcr_step.
+/// Runs on the host's widest ISA variant.
 template <typename T>
 void pcr_step_range(const SystemView<const T>& src, const SystemView<T>& dst,
                     std::size_t shift, std::size_t begin, std::size_t end) {
-  const std::size_t n = src.size();
-  TDA_REQUIRE(dst.size() == n, "pcr_step: size mismatch");
-  TDA_REQUIRE(begin <= end && end <= n, "pcr_step: bad range");
-  TDA_REQUIRE(shift >= 1, "pcr_step: shift must be >= 1");
-  const bool unit = src.a.stride() == 1 && src.b.stride() == 1 &&
-                    src.c.stride() == 1 && src.d.stride() == 1 &&
-                    dst.a.stride() == 1 && dst.b.stride() == 1 &&
-                    dst.c.stride() == 1 && dst.d.stride() == 1;
-  if (unit) {
-    detail::pcr_step_regions<T>(src.a.data(), src.b.data(), src.c.data(),
-                                src.d.data(), dst.a.data(), dst.b.data(),
-                                dst.c.data(), dst.d.data(), n, shift, begin,
-                                end);
-  } else {
-    detail::pcr_step_regions<T>(src.a, src.b, src.c, src.d, dst.a, dst.b,
-                                dst.c, dst.d, n, shift, begin, end);
-  }
+  detail::pcr_step_range_on(detail::host_isa(), src, dst, shift, begin, end);
 }
 
 /// One PCR step with the given shift (in view-local index space) over

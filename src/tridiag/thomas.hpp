@@ -8,7 +8,8 @@
 // thomas_solve_interleaved runs all of a block's interleaved subsystems
 // as one row-by-row sweep whose inner loops are unit-stride across the
 // subsystems (one vector lane per GPU thread), with each subsystem's
-// arithmetic in thomas_solve_inplace's exact order.
+// arithmetic in thomas_solve_inplace's exact order, on the host's widest
+// ISA variant (tridiag/isa.hpp).
 //
 // Requires nonzero pivots (guaranteed for strictly diagonally dominant or
 // symmetric positive definite systems). For general systems use
@@ -22,6 +23,7 @@
 #include "common/simd_loop.hpp"
 #include "common/strided_view.hpp"
 #include "tridiag/batch.hpp"
+#include "tridiag/isa.hpp"
 
 namespace tda::tridiag {
 
@@ -67,6 +69,7 @@ namespace detail {
 template <typename T, bool KeepC, typename V>
 unsigned thomas_forward_rows(V a, V b, V c, V d, std::size_t parts,
                              std::size_t i0, std::size_t i1) {
+  TDA_FP_CONTRACT_OFF
   unsigned bad = 0;
   TDA_SIMD_LOOP
   for (std::size_t i = i0; i < i1; ++i) {
@@ -80,10 +83,23 @@ unsigned thomas_forward_rows(V a, V b, V c, V d, std::size_t parts,
   return bad;
 }
 
-/// The sweep of thomas_solve_interleaved over array-like lanes.
+/// The interleaved sweep of one n-row system of `parts` subsystems over
+/// array-like lanes, writing the unknowns to x.
+template <typename V>
+struct ThomasSweep {
+  Lanes<V> sys;
+  V x;
+  std::size_t n, parts;
+};
+
+/// The sweep of thomas_solve_interleaved.
 template <typename T, typename V>
-bool thomas_interleaved_rows(V a, V b, V c, V d, V x, std::size_t n,
-                             std::size_t parts) {
+bool thomas_interleaved_rows(const ThomasSweep<V>& p) {
+  TDA_FP_CONTRACT_OFF
+  const auto [a, b, c, d] = p.sys;
+  const V x = p.x;
+  const std::size_t n = p.n;
+  const std::size_t parts = p.parts;
   // Rows [0, head) open a subsystem each; rows [last, n) close one.
   const std::size_t head = std::min(parts, n);
   const std::size_t last = n - head;
@@ -118,6 +134,32 @@ bool thomas_interleaved_rows(V a, V b, V c, V d, V x, std::size_t n,
   return true;
 }
 
+/// thomas_interleaved_rows compiled for `isa`. Defined in isa.cpp for
+/// float and double over unit (T*) and strided (StridedView) lanes.
+template <typename T, typename V>
+bool thomas_interleaved_rows_isa(Isa isa, const ThomasSweep<V>& p);
+
+/// thomas_solve_interleaved on the given variant, which must be
+/// supported.
+template <typename T>
+bool thomas_solve_interleaved_on(Isa isa, SystemView<T> sys,
+                                 StridedView<T> x, std::size_t parts) {
+  const std::size_t n = sys.size();
+  TDA_REQUIRE(x.size() == n, "solution view size mismatch");
+  TDA_REQUIRE(parts >= 1, "need at least one subsystem");
+  const auto run = [isa](const auto& p) {
+    if constexpr (kIsaDispatched<T>) {
+      return thomas_interleaved_rows_isa<T>(isa, p);
+    } else {
+      return thomas_interleaved_rows<T>(p);
+    }
+  };
+  if (sys.unit_stride() && x.stride() == 1) {
+    return run(ThomasSweep<T*>{unit_lanes(sys), x.data(), n, parts});
+  }
+  return run(ThomasSweep<StridedView<T>>{view_lanes(sys), x, n, parts});
+}
+
 }  // namespace detail
 
 /// Solves the `parts` interleaved subsystems of sys (subsystem q is rows
@@ -130,19 +172,8 @@ bool thomas_interleaved_rows(V a, V b, V c, V d, V x, std::size_t n,
 template <typename T>
 bool thomas_solve_interleaved(SystemView<T> sys, StridedView<T> x,
                               std::size_t parts) {
-  const std::size_t n = sys.size();
-  TDA_REQUIRE(x.size() == n, "solution view size mismatch");
-  TDA_REQUIRE(parts >= 1, "need at least one subsystem");
-  const bool unit = sys.a.stride() == 1 && sys.b.stride() == 1 &&
-                    sys.c.stride() == 1 && sys.d.stride() == 1 &&
-                    x.stride() == 1;
-  if (unit) {
-    return detail::thomas_interleaved_rows<T>(
-        sys.a.data(), sys.b.data(), sys.c.data(), sys.d.data(), x.data(), n,
-        parts);
-  }
-  return detail::thomas_interleaved_rows<T>(sys.a, sys.b, sys.c, sys.d, x, n,
-                                            parts);
+  return detail::thomas_solve_interleaved_on(detail::host_isa(), sys, x,
+                                             parts);
 }
 
 /// Non-destructive Thomas solve: copies coefficients into caller-provided

@@ -237,6 +237,84 @@ TEST(Stage1And2, ProduceIdenticalCoefficients) {
   }
 }
 
+// Stage 2 runs its first step from the strided global subsystem and its
+// last step into the global buffer the device's ping-pong ends in. Both
+// global buffers must equal, bit for bit, a reference that copies each
+// subsystem into contiguous buffers, splits it there and copies the
+// result back.
+template <typename T>
+void expect_stage2_matches_staged_reference(std::size_t steps) {
+  SCOPED_TRACE(testing::Message() << "steps " << steps);
+  const std::size_t m = 3, n = 197;
+  auto host = make_diag_dominant<T>(m, n, 90 + steps);
+  gpusim::Device dev(gpusim::geforce_gtx_470());
+  DeviceBatch<T> dbatch(host);
+  SplitState st;
+  stage1_split_step(dev, dbatch, st);  // stage 2 enters at stride 2
+
+  // ref[0] holds the current buffer, ref[1] the alternate one.
+  std::vector<T> ref[2][4];
+  for (int k = 0; k < 4; ++k) {
+    ref[0][k].assign(dbatch.cur_lane(k).begin(), dbatch.cur_lane(k).end());
+    ref[1][k].assign(dbatch.alt_lane(k).begin(), dbatch.alt_lane(k).end());
+  }
+  const auto contiguous = [](std::vector<T>* lanes, std::size_t off,
+                             std::size_t len) {
+    const auto lane = [&](int k) {
+      return StridedView<T>(lanes[k].data() + off, len, 1);
+    };
+    return tridiag::SystemView<T>{lane(0), lane(1), lane(2), lane(3)};
+  };
+  const auto copy = [](const tridiag::SystemView<T>& from,
+                       const tridiag::SystemView<T>& to) {
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      to.a[i] = from.a[i];
+      to.b[i] = from.b[i];
+      to.c[i] = from.c[i];
+      to.d[i] = from.d[i];
+    }
+  };
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t p = 0; p < st.parts(); ++p) {
+      const auto global = contiguous(ref[0], s * n, n).subsystem(st.splits, p);
+      const std::size_t len = global.size();
+      std::vector<T> staged[2][4];
+      for (auto& lanes : staged) {
+        for (auto& lane : lanes) lane.assign(len, T{0});
+      }
+      copy(global, contiguous(staged[0], 0, len));
+      for (std::size_t t = 0; t < steps; ++t) {
+        tridiag::pcr_step(contiguous(staged[t % 2], 0, len).as_const(),
+                          contiguous(staged[1 - t % 2], 0, len),
+                          std::size_t{1} << t);
+      }
+      copy(contiguous(staged[steps % 2], 0, len),
+           contiguous(ref[steps % 2], s * n, n).subsystem(st.splits, p));
+    }
+  }
+
+  stage2_split(dev, dbatch, st, steps);
+  // An odd step count swaps the buffers, so cur is then the old alt.
+  const std::size_t fin = steps % 2;
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(std::memcmp(dbatch.cur_lane(k).data(), ref[fin][k].data(),
+                          m * n * sizeof(T)),
+              0)
+        << "cur lane " << k;
+    EXPECT_EQ(std::memcmp(dbatch.alt_lane(k).data(), ref[1 - fin][k].data(),
+                          m * n * sizeof(T)),
+              0)
+        << "alt lane " << k;
+  }
+}
+
+TEST(Stage2, CopyFreeStepsBitwiseEqualStagedReference) {
+  for (const std::size_t steps : {1, 2, 5}) {
+    expect_stage2_matches_staged_reference<float>(steps);
+    expect_stage2_matches_staged_reference<double>(steps);
+  }
+}
+
 // ---------- cost-only mode ----------
 
 TEST(ExecMode, CostOnlyChargesIdenticalTime) {

@@ -22,6 +22,7 @@
 #include "tridiag/hybrid.hpp"
 #include "tridiag/pcr.hpp"
 #include "tridiag/thomas.hpp"
+#include "tridiag/transpose.hpp"
 #include "tridiag/verify.hpp"
 
 namespace {
@@ -505,6 +506,17 @@ struct StridedSystem {
   std::vector<T> buf;
 };
 
+// Random diagonally dominant coefficients.
+template <typename T>
+void fill_dominant(const SystemView<T>& v, Rng& rng) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v.a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+    v.b[i] = static_cast<T>(rng.uniform(2.0, 3.0));
+    v.c[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+    v.d[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+  }
+}
+
 template <typename T>
 void check_pcr_core_bitwise() {
   Rng rng(0x9c7u);
@@ -515,14 +527,8 @@ void check_pcr_core_bitwise() {
   for (std::size_t n : {1u, 2u, 3u, 5u, 17u, 64u, 1000u, 1025u}) {
     for (const auto& [in_stride, out_stride] : strides) {
       StridedSystem<T> src(n, in_stride);
-      auto sv = src.view();
-      for (std::size_t i = 0; i < n; ++i) {
-        sv.a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-        sv.b[i] = static_cast<T>(rng.uniform(2.0, 3.0));
-        sv.c[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-        sv.d[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-      }
-      const auto in = const_view(sv);
+      fill_dominant(src.view(), rng);
+      const auto in = const_view(src.view());
       StridedSystem<T> want(n, out_stride), full(n, out_stride),
           ranged(n, out_stride);
       // Every shift below n (so n < 2*shift is covered) and one at n,
@@ -562,6 +568,221 @@ TEST(Pcr, CoreBitwiseEqualsScalarReferenceFloat) {
 
 TEST(Pcr, CoreBitwiseEqualsScalarReferenceDouble) {
   check_pcr_core_bitwise<double>();
+}
+
+// The PCR and Thomas loop internals and their ISA variants.
+namespace core = tda::tridiag::detail;
+
+// Sizes for the bitwise path and variant checks: tiny systems, one odd
+// size, and both sides of a power of two.
+constexpr std::size_t kBitwiseSizes[] = {1, 2, 3, 17, 1023, 1024, 1025};
+
+// (src, dst) element strides: both contiguous, either side strided, both.
+constexpr std::pair<std::size_t, std::size_t> kStridePairs[] = {
+    {1, 1}, {1, 3}, {3, 1}, {3, 3}};
+
+// pcr_step_range runs a contiguous side on raw pointers and a strided one
+// on StridedViews. Every pairing must equal the StridedView path run on
+// the same views, split into two ranges at a random cut, and must write
+// nothing outside the view.
+template <typename T>
+void check_mixed_stride_step() {
+  Rng rng(0x5eedu);
+  for (const std::size_t n : kBitwiseSizes) {
+    for (const auto& [in_stride, out_stride] : kStridePairs) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " strides "
+                                      << in_stride << "/" << out_stride);
+      StridedSystem<T> src(n, in_stride);
+      fill_dominant(src.view(), rng);
+      const auto in = const_view(src.view());
+      StridedSystem<T> want(n, out_stride), got(n, out_stride);
+      for (std::size_t shift = 1; shift <= n; ++shift) {
+        want.poison_elements();
+        core::pcr_step_regions<T>(
+            core::PcrStep<StridedView<const T>, StridedView<T>>{
+                core::view_lanes(in), core::view_lanes(want.view()), n, shift,
+                0, n});
+        got.poison_elements();
+        const auto cut = static_cast<std::size_t>(rng.below(n + 1));
+        pcr_step_range(in, got.view(), shift, cut, n);
+        pcr_step_range(in, got.view(), shift, 0, cut);
+        ASSERT_TRUE(got.same_elements(want)) << "shift " << shift;
+      }
+      EXPECT_TRUE(got.same_bytes(want)) << "write outside the view";
+    }
+  }
+}
+
+TEST(Pcr, MixedStrideStepBitwise) {
+  check_mixed_stride_step<float>();
+  check_mixed_stride_step<double>();
+}
+
+// ---------- ISA variants: bitwise equal to the default variant ----------
+
+using core::Isa;
+
+constexpr Isa kAllIsas[] = {Isa::Default, Isa::Avx2, Isa::Avx512};
+
+const char* isa_name(Isa isa) {
+  return isa == Isa::Avx512 ? "avx512" : isa == Isa::Avx2 ? "avx2" : "default";
+}
+
+TEST(IsaVariants, HostIsaIsTheWidestSupported) {
+  EXPECT_TRUE(core::isa_supported(Isa::Default));
+  EXPECT_TRUE(core::isa_supported(core::host_isa()));
+  for (const Isa isa : kAllIsas) {
+    if (core::isa_supported(isa)) {
+      EXPECT_GE(static_cast<int>(core::host_isa()), static_cast<int>(isa))
+          << isa_name(isa);
+    }
+  }
+}
+
+// Every variant the CPU runs, on every stride pairing, every shift, the
+// whole range and a random partial one: the destination buffer, gaps
+// included, must match the default variant byte for byte.
+template <typename T>
+void check_pcr_variants() {
+  Rng rng(0x15au);
+  for (const Isa isa : kAllIsas) {
+    if (!core::isa_supported(isa)) continue;
+    for (const std::size_t n : kBitwiseSizes) {
+      for (const auto& [in_stride, out_stride] : kStridePairs) {
+        SCOPED_TRACE(testing::Message()
+                     << isa_name(isa) << " n " << n << " strides "
+                     << in_stride << "/" << out_stride);
+        StridedSystem<T> src(n, in_stride);
+        fill_dominant(src.view(), rng);
+        const auto in = const_view(src.view());
+        StridedSystem<T> want(n, out_stride), got(n, out_stride);
+        for (std::size_t shift = 1; shift <= n; ++shift) {
+          const auto begin = static_cast<std::size_t>(rng.below(n + 1));
+          const auto end =
+              begin + static_cast<std::size_t>(rng.below(n - begin + 1));
+          for (const auto& [lo, hi] :
+               {std::pair<std::size_t, std::size_t>{0, n}, {begin, end}}) {
+            want.poison_elements();
+            got.poison_elements();
+            core::pcr_step_range_on(Isa::Default, in, want.view(), shift,
+                                    lo, hi);
+            core::pcr_step_range_on(isa, in, got.view(), shift, lo, hi);
+            ASSERT_TRUE(got.same_bytes(want))
+                << "shift " << shift << " range [" << lo << ", " << hi
+                << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaVariants, PcrStepBitwiseEqualsDefaultFloat) {
+  check_pcr_variants<float>();
+}
+
+TEST(IsaVariants, PcrStepBitwiseEqualsDefaultDouble) {
+  check_pcr_variants<double>();
+}
+
+// One interleaved Thomas sweep on `isa` over a copy of input laid out at
+// `stride` (contiguous lanes take the raw-pointer path). Returns the
+// zero-pivot flag and the whole five-lane buffer: c and d after the
+// forward sweep, then x.
+template <typename T>
+std::pair<bool, std::vector<T>> isa_sweep(Isa isa,
+                                          const TridiagBatch<T>& input,
+                                          std::size_t stride,
+                                          std::size_t parts) {
+  const std::size_t n = input.system_size();
+  std::vector<T> buf(5 * n * stride, T{-7});
+  const auto lane = [&](std::size_t l) {
+    return StridedView<T>(buf.data() + l * n * stride, n, stride);
+  };
+  const SystemView<T> sys{lane(0), lane(1), lane(2), lane(3)};
+  for (std::size_t i = 0; i < n; ++i) {
+    sys.a[i] = input.a()[i];
+    sys.b[i] = input.b()[i];
+    sys.c[i] = input.c()[i];
+    sys.d[i] = input.d()[i];
+  }
+  const bool ok = core::thomas_solve_interleaved_on(isa, sys, lane(4), parts);
+  return {ok, std::move(buf)};
+}
+
+template <typename T>
+void check_thomas_variants() {
+  for (const Isa isa : kAllIsas) {
+    if (!core::isa_supported(isa)) continue;
+    for (const std::size_t n : kBitwiseSizes) {
+      for (std::size_t parts = 1; parts <= 2 * n; parts *= 2) {
+        for (const std::size_t stride : {1, 3}) {
+          SCOPED_TRACE(testing::Message()
+                       << isa_name(isa) << " n " << n << " parts "
+                       << parts << " stride " << stride);
+          auto input = make_diag_dominant<T>(1, n, 500 + n + parts);
+          const auto want = isa_sweep(Isa::Default, input, stride, parts);
+          const auto got = isa_sweep(isa, input, stride, parts);
+          EXPECT_TRUE(want.first);
+          EXPECT_EQ(got.first, want.first);
+          ASSERT_EQ(std::memcmp(got.second.data(), want.second.data(),
+                                got.second.size() * sizeof(T)),
+                    0);
+          // A zero pivot in the middle row: a = b = 0 makes b - a*c'
+          // exactly zero there, and every variant must flag it.
+          input.a()[n / 2] = T{0};
+          input.b()[n / 2] = T{0};
+          const auto bad_want = isa_sweep(Isa::Default, input, stride, parts);
+          const auto bad_got = isa_sweep(isa, input, stride, parts);
+          EXPECT_FALSE(bad_want.first);
+          EXPECT_FALSE(bad_got.first);
+          ASSERT_EQ(std::memcmp(bad_got.second.data(), bad_want.second.data(),
+                                bad_got.second.size() * sizeof(T)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaVariants, ThomasSweepBitwiseEqualsDefaultFloat) {
+  check_thomas_variants<float>();
+}
+
+TEST(IsaVariants, ThomasSweepBitwiseEqualsDefaultDouble) {
+  check_thomas_variants<double>();
+}
+
+// Whole, partial and empty tiles of an odd-shaped matrix: every variant
+// must write exactly the default variant's bytes, and nothing else.
+template <typename T>
+void check_transpose_variants() {
+  Rng rng(0x7a5u);
+  const std::size_t rows = 67, cols = 45;
+  std::vector<T> src(rows * cols);
+  for (auto& v : src) v = static_cast<T>(rng.uniform(-1.0, 1.0));
+  const std::size_t tiles[][4] = {
+      {0, rows, 0, cols}, {3, 64, 5, 37}, {66, 67, 0, 1}, {10, 10, 0, cols}};
+  for (const Isa isa : kAllIsas) {
+    if (!core::isa_supported(isa)) continue;
+    for (const auto& [r0, r1, c0, c1] : tiles) {
+      SCOPED_TRACE(testing::Message() << isa_name(isa) << " rows [" << r0
+                                      << ", " << r1 << ") cols [" << c0
+                                      << ", " << c1 << ")");
+      std::vector<T> want(rows * cols, T{-7}), got(rows * cols, T{-7});
+      core::transpose_tile_isa<T>(
+          Isa::Default, {src.data(), want.data(), rows, cols, r0, r1, c0, c1});
+      core::transpose_tile_isa<T>(
+          isa, {src.data(), got.data(), rows, cols, r0, r1, c0, c1});
+      ASSERT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(T)),
+                0);
+    }
+  }
+}
+
+TEST(IsaVariants, TransposeTileBitwiseEqualsDefault) {
+  check_transpose_variants<float>();
+  check_transpose_variants<double>();
 }
 
 // ---------- CR ----------
