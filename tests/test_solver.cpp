@@ -255,21 +255,27 @@ std::uint64_t digest(std::span<const T> x) {
                  kFnv64LegacyBasis);
 }
 
+template <typename T>
+GoldenSolve golden_solve(std::size_t m, std::size_t n,
+                         const SwitchPoints& sp) {
+  gpusim::Device dev(gpusim::geforce_gtx_470());
+  GpuTridiagonalSolver<T> solver(dev, sp);
+  auto batch = make_diag_dominant<T>(m, n, 2011);
+  const SolveStats stats = solver.solve(batch);
+  return {digest<T>(batch.x()), stats};
+}
+
 // Fixed switch points so stage 1 (cooperative split), stage 2
 // (independent split) and stage 3/4 (on-chip PCR-Thomas) all run.
 template <typename T>
 GoldenSolve golden_solve(std::size_t m, std::size_t n,
                          kernels::LoadVariant variant) {
-  gpusim::Device dev(gpusim::geforce_gtx_470());
   SwitchPoints sp;
   sp.stage1_target_systems = 16;
   sp.stage3_system_size = 256;
   sp.thomas_switch = 32;
   sp.variant = variant;
-  GpuTridiagonalSolver<T> solver(dev, sp);
-  auto batch = make_diag_dominant<T>(m, n, 2011);
-  const SolveStats stats = solver.solve(batch);
-  return {digest<T>(batch.x()), stats};
+  return golden_solve<T>(m, n, sp);
 }
 
 // Values recorded from the scalar strided PCR path that preceded the
@@ -304,6 +310,49 @@ TEST(SolverGolden, DoubleCoalescedRaggedSolveIsPinned) {
   EXPECT_EQ(g.stats.kernel_launches, 5u);
 }
 
+// Stage 2 alone (three systems already fill the stage-1 target) on a
+// ragged n: five independent splits leave subsystems of 157 and 156
+// equations.
+TEST(SolverGolden, FloatStage2OnlyRaggedSolveIsPinned) {
+  SwitchPoints sp;
+  sp.stage1_target_systems = 3;
+  sp.stage3_system_size = 256;
+  sp.thomas_switch = 32;
+  sp.variant = kernels::LoadVariant::Strided;
+  const auto g = golden_solve<float>(3, 5001, sp);
+  EXPECT_EQ(g.stats.plan.stage1_steps, 0u);
+  EXPECT_EQ(g.stats.plan.stage2_steps, 5u);
+  EXPECT_EQ(g.x_fnv, 0xb69e9cb566e140c9ull);
+  EXPECT_EQ(g.stats.total_ms, 0x1.91327cc8b9403p-2);
+  EXPECT_EQ(g.stats.stage1_ms, 0.0);
+  EXPECT_EQ(g.stats.stage2_ms, 0x1.7f2b451f78bbp-2);
+  EXPECT_EQ(g.stats.stage3_ms, 0x1.20737a9408529p-6);
+  EXPECT_EQ(g.stats.transpose_ms, 0.0);
+  EXPECT_EQ(g.stats.kernel_launches, 2u);
+}
+
+// Nine splits of n = 700 hand stage 3 subsystems of one and two
+// equations: the one-equation ones go straight to Thomas, the others
+// take one on-chip PCR step first.
+TEST(SolverGolden, DoubleTinySubsystemsSolveIsPinned) {
+  SwitchPoints sp;
+  sp.stage1_target_systems = 8;
+  sp.stage3_system_size = 2;
+  sp.thomas_switch = 2;
+  sp.variant = kernels::LoadVariant::Coalesced;
+  const auto g = golden_solve<double>(3, 700, sp);
+  EXPECT_EQ(g.stats.plan.stage1_steps, 2u);
+  EXPECT_EQ(g.stats.plan.stage2_steps, 7u);
+  EXPECT_EQ(g.stats.plan.stage3_sub_size, 2u);
+  EXPECT_EQ(g.x_fnv, 0x3d84286f549334eeull);
+  EXPECT_EQ(g.stats.total_ms, 0x1.f60538520bf64p+2);
+  EXPECT_EQ(g.stats.stage1_ms, 0x1.5de93791f178ap-3);
+  EXPECT_EQ(g.stats.stage2_ms, 0x1.ad5ed0a7f4c79p-3);
+  EXPECT_EQ(g.stats.stage3_ms, 0x1.ddaaf8103cc44p+2);
+  EXPECT_EQ(g.stats.transpose_ms, 0.0);
+  EXPECT_EQ(g.stats.kernel_launches, 4u);
+}
+
 // The public entry point, tuned on the GTX 470 the benches use. These
 // values were recorded from the unguarded AutoSolver::solve; they must
 // not move when the numerical guards run on the same clean batch.
@@ -326,6 +375,23 @@ TEST(SolverGolden, AutoSolverSystemMajorSolveIsPinned) {
   EXPECT_EQ(g.stats.stage3_ms, 0x1.c1da51022b19ap-6);
   EXPECT_EQ(g.stats.transpose_ms, 0.0);
   EXPECT_EQ(g.stats.kernel_launches, 3u);
+}
+
+// 16 systems of 65,536: the large-system shape, where every stage runs.
+TEST(SolverGolden, AutoSolverLargeSolveIsPinned) {
+  const auto g = golden_auto_solve<float>(16, 65536);
+  EXPECT_EQ(g.stats.plan.layout, tridiag::BatchLayout::SystemMajor);
+  EXPECT_EQ(g.stats.plan.stage1_steps, 2u);
+  EXPECT_EQ(g.stats.plan.stage2_steps, 4u);
+  EXPECT_EQ(g.stats.plan.thomas_switch, 512u);
+  EXPECT_EQ(g.stats.plan.variant, kernels::LoadVariant::Strided);
+  EXPECT_EQ(g.x_fnv, 0xaced874adb5ea267ull);
+  EXPECT_EQ(g.stats.total_ms, 0x1.837f5e7864d7ap+3);
+  EXPECT_EQ(g.stats.stage1_ms, 0x1.0506553e80d4dp+2);
+  EXPECT_EQ(g.stats.stage2_ms, 0x1.a4f46eaafab01p+2);
+  EXPECT_EQ(g.stats.stage3_ms, 0x1.740fe41d38a96p+0);
+  EXPECT_EQ(g.stats.transpose_ms, 0.0);
+  EXPECT_EQ(g.stats.kernel_launches, 4u);
 }
 
 // 21,504 systems of 64: the many-small shape, where the tuner picks the
