@@ -1,8 +1,10 @@
 #pragma once
 // Strided views over coefficient arrays.
 //
-// PCR splitting never physically reorders data: after k splits a subsystem
-// is the set of equations {offset, offset+stride, offset+2*stride, ...}.
+// On the device PCR splitting never physically reorders data: after k
+// splits a subsystem is the set of equations {offset, offset+stride,
+// offset+2*stride, ...}. (The simulator's host copy stores each subsystem
+// contiguously instead; see kernels/device_batch.hpp.)
 // StridedView captures exactly that (offset is folded into the pointer), and
 // split() produces the even/odd children — including the uneven ⌈n/2⌉/⌊n/2⌋
 // split for odd sizes, which is what lets the solver handle arbitrary n.
@@ -50,6 +52,12 @@ class StridedView {
     // Element i of subsystem j is original element j + i*parts.
     std::size_t cnt = (count_ > j) ? (count_ - j + parts - 1) / parts : 0;
     return StridedView(data_ + j * stride_, cnt, stride_ * parts);
+  }
+
+  /// Elements [offset, offset + count) of this view.
+  [[nodiscard]] StridedView slice(std::size_t offset, std::size_t count) const {
+    TDA_REQUIRE(offset + count <= count_, "slice out of range");
+    return StridedView(data_ + offset * stride_, count, stride_);
   }
 
   /// Rebind to const.

@@ -7,6 +7,20 @@
 // parity. The solution array x is single-buffered. download() copies x
 // back into a host batch.
 //
+// Host segment layout. On the device a split never moves data: after k
+// splits subsystem p of a system is its rows p, p + 2^k, ..., and the
+// kernels charge those stride-2^k accesses through the cost model. The
+// host stores each current subsystem as a contiguous SEGMENT of its
+// system's range instead: a split writes the even equations of a segment
+// into its first ⌈len/2⌉ rows and the odd ones into the rest, so the two
+// children tile their parent, even half first (SplitState::segment). The
+// geometry is a pure function of (n, SplitState), ragged n included, and
+// every host split step is a shift-1 step over contiguous memory. Stage 3
+// writes the solution of subsystem p as row p of a subsystem-major x
+// (SplitState::solution_offset); download() remembers that and restores
+// natural order with tile transposes. Only host loops see this layout:
+// charges, launch shapes and per-equation arithmetic are the device's.
+//
 // Storage is ONE slab from the process BufferPool (9 segments: the 8
 // double-buffered coefficient arrays plus x, each 64-byte aligned), so
 // repeated service flushes of one shape reuse a warm slab instead of
@@ -35,6 +49,7 @@
 #include "gpusim/launch.hpp"
 #include "gpusim/thread_pool.hpp"
 #include "tridiag/batch.hpp"
+#include "tridiag/transpose.hpp"
 
 namespace tda::kernels {
 
@@ -66,6 +81,69 @@ void copy_lanes(const std::array<const T*, K>& src,
         }
       });
 }
+
+/// One current subsystem of an n-equation system: interleaved index p
+/// (original rows p, p + parts, ...) and the contiguous segment
+/// [offset, offset + size) of the system's range that holds it.
+struct Segment {
+  std::size_t p = 0;
+  std::size_t offset = 0;
+  std::size_t size = 0;
+};
+
+/// Tracks how many split steps a batch has undergone. After `splits`
+/// steps every original system consists of 2^splits independent
+/// subsystems, each stored as one segment (see the header comment).
+struct SplitState {
+  std::size_t splits = 0;
+
+  [[nodiscard]] std::size_t parts() const { return std::size_t{1} << splits; }
+  /// Size of the largest subsystem of an original system of size n.
+  [[nodiscard]] std::size_t max_sub_size(std::size_t n) const {
+    return (n + parts() - 1) / parts();
+  }
+
+  /// Segment of subsystem p (p < parts() <= n). Split t sends p to the
+  /// odd child when bit t of p is set.
+  [[nodiscard]] Segment segment(std::size_t n, std::size_t p) const {
+    TDA_REQUIRE(p < parts(), "subsystem index out of range");
+    Segment seg{p, 0, n};
+    for (std::size_t t = 0; t < splits; ++t) {
+      const std::size_t even = (seg.size + 1) / 2;
+      if ((p >> t) & 1) {
+        seg.offset += even;
+        seg.size -= even;
+      } else {
+        seg.size = even;
+      }
+    }
+    return seg;
+  }
+
+  /// Segment that holds row i (i < n) of the system's range.
+  [[nodiscard]] Segment segment_at(std::size_t n, std::size_t i) const {
+    TDA_REQUIRE(i < n, "row out of range");
+    Segment seg{0, 0, n};
+    for (std::size_t t = 0; t < splits; ++t) {
+      const std::size_t even = (seg.size + 1) / 2;
+      if (i >= seg.offset + even) {
+        seg.p |= std::size_t{1} << t;
+        seg.offset += even;
+        seg.size -= even;
+      } else {
+        seg.size = even;
+      }
+    }
+    return seg;
+  }
+
+  /// Offset of subsystem p's row in the subsystem-major solution: rows
+  /// are in p order, and the first n % parts() rows are one longer.
+  [[nodiscard]] std::size_t solution_offset(std::size_t n,
+                                            std::size_t p) const {
+    return p * (n / parts()) + std::min(p, n % parts());
+  }
+};
 
 template <typename T>
 class DeviceBatch {
@@ -147,33 +225,51 @@ class DeviceBatch {
   [[nodiscard]] SystemView<T> alt_system(std::size_t s) {
     return view_of(1 - cur_, s);
   }
-  /// Const view of the current coefficients of system s.
-  [[nodiscard]] SystemView<const T> cur_system_const(std::size_t s) const {
-    TDA_REQUIRE(s < m_, "system index out of range");
-    const std::size_t off = s * n_;
-    const T* const* arr = arr_ + cur_ * 4;
-    return SystemView<const T>{StridedView<const T>(arr[0] + off, n_, 1),
-                               StridedView<const T>(arr[1] + off, n_, 1),
-                               StridedView<const T>(arr[2] + off, n_, 1),
-                               StridedView<const T>(arr[3] + off, n_, 1)};
+
+  /// Contiguous current / alternate coefficients of one segment of
+  /// system s.
+  [[nodiscard]] SystemView<T> cur_segment(std::size_t s, const Segment& seg) {
+    return view_of(cur_, s).slice(seg.offset, seg.size);
+  }
+  [[nodiscard]] SystemView<T> alt_segment(std::size_t s, const Segment& seg) {
+    return view_of(1 - cur_, s).slice(seg.offset, seg.size);
   }
 
-  /// Solution view of system s.
+  /// Solution view of system s, in natural order.
   [[nodiscard]] StridedView<T> solution(std::size_t s) {
     TDA_REQUIRE(s < m_, "system index out of range");
     return StridedView<T>(arr_[8] + s * n_, n_, 1);
   }
+  /// Contiguous solution row of subsystem p of system s after st's
+  /// splits. A writer of these rows records the layout with
+  /// set_solution_splits(st.splits).
+  [[nodiscard]] StridedView<T> solution_row(std::size_t s,
+                                            const SplitState& st,
+                                            std::size_t p) {
+    TDA_REQUIRE(s < m_, "system index out of range");
+    return StridedView<T>(arr_[8] + s * n_ + st.solution_offset(n_, p),
+                          st.segment(n_, p).size, 1);
+  }
   [[nodiscard]] std::span<T> x() { return {arr_[8], m_ * n_}; }
   [[nodiscard]] std::span<const T> x() const { return {arr_[8], m_ * n_}; }
+
+  /// Records how the last writer laid out x: 0 for natural order, k for
+  /// the 2^k subsystem rows of solution_row. download() reads it.
+  void set_solution_splits(std::size_t splits) { x_splits_ = splits; }
+  [[nodiscard]] std::size_t solution_splits() const { return x_splits_; }
 
   /// Flips the ping-pong parity after a split step.
   void swap_buffers() { cur_ = 1 - cur_; }
 
-  /// Copies the solution into `host.x()`.
+  /// Copies the solution into `host.x()` in natural order.
   void download(TridiagBatch<T>& host) const {
     TDA_REQUIRE(host.num_systems() == m_ && host.system_size() == n_,
                 "download: shape mismatch");
-    copy_lanes<T, 1>({arr_[8]}, {host.x().data()}, m_ * n_);
+    if (x_splits_ == 0) {
+      copy_lanes<T, 1>({arr_[8]}, {host.x().data()}, m_ * n_);
+    } else {
+      download_rows(host.x().data());
+    }
   }
 
  private:
@@ -182,6 +278,51 @@ class DeviceBatch {
     copy_lanes<T, 4>(
         {host.a().data(), host.b().data(), host.c().data(), host.d().data()},
         {arr_[0], arr_[1], arr_[2], arr_[3]}, m_ * n_);
+  }
+
+  /// download() of a subsystem-major x: per system, the parts x ⌈n/parts⌉
+  /// rows transpose into natural order (row p, column i is row
+  /// p + i*parts). The first n % parts rows are one longer, so they
+  /// transpose as one matrix and the rest, read from an offset base, as
+  /// a second. Tasks are (system, column block) pairs of about
+  /// kCopyPieceBytes, walked in tiles of one cache line's worth of rows:
+  /// each column of a tile stores one whole line, and the few rows it
+  /// gathers from stay in L1 even when they lie 4 KiB apart.
+  void download_rows(T* out) const {
+    constexpr std::size_t kTileRows = kCacheLineBytes / sizeof(T);
+    const std::size_t parts = std::size_t{1} << x_splits_;
+    TDA_REQUIRE(parts <= n_, "solution rows exceed the system size");
+    const std::size_t lo = n_ / parts;
+    const std::size_t wide = n_ % parts;  // rows [0, wide) hold lo + 1
+    const std::size_t cols = lo + (wide > 0 ? 1 : 0);
+    const std::size_t block =
+        std::max<std::size_t>(64, kCopyPieceBytes / sizeof(T) / parts);
+    const std::size_t blocks = (cols + block - 1) / block;
+    const auto run = [&](std::size_t begin, std::size_t end) {
+      for (std::size_t t = begin; t < end; ++t) {
+        const T* src = arr_[8] + t / blocks * n_;
+        T* dst = out + t / blocks * n_;
+        const std::size_t c0 = t % blocks * block;
+        const std::size_t c1 = std::min(cols, c0 + block);
+        for (std::size_t r0 = 0; r0 < parts; r0 += kTileRows) {
+          const std::size_t r1 = std::min(parts, r0 + kTileRows);
+          if (r0 < wide) {
+            tridiag::transpose_tile<T>({src, dst, parts, lo + 1, r0,
+                                        std::min(r1, wide), c0, c1});
+          }
+          if (r1 > wide && c0 < lo) {
+            tridiag::transpose_tile<T>({src + wide, dst, parts, lo,
+                                        std::max(r0, wide), r1, c0,
+                                        std::min(c1, lo)});
+          }
+        }
+      }
+    };
+    if (m_ * n_ <= kCopyPieceBytes / sizeof(T)) {
+      run(0, m_ * blocks);
+    } else {
+      gpusim::ThreadPool::global().run(m_ * blocks, run);
+    }
   }
 
   /// Carves the pooled slab into 9 cache-line-aligned segments:
@@ -215,6 +356,7 @@ class DeviceBatch {
   std::size_t m_;
   std::size_t n_;
   int cur_ = 0;
+  std::size_t x_splits_ = 0;
   tridiag::BatchLayout layout_ = tridiag::BatchLayout::SystemMajor;
   gpusim::MemoryReservation mem_;  ///< empty for untracked (tuning) batches
   tda::PoolBlock slab_;

@@ -190,6 +190,7 @@ gpusim::KernelStats transpose_out_stage(gpusim::Device& dev,
       detail::transpose_launch<T, 1>(dev, n, m, src, dst, mode,
                                      "interleaved_transpose_out");
   batch.set_layout(tridiag::BatchLayout::SystemMajor);
+  if (mode == ExecMode::Full) batch.set_solution_splits(0);
   return stats;
 }
 

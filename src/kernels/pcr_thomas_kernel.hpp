@@ -22,7 +22,11 @@
 //    why the self-tuner probes it (§IV-D).
 //
 // Both variants execute identical arithmetic in the simulator; only their
-// charged access patterns differ (DESIGN.md §5).
+// charged access patterns differ (DESIGN.md §5). On the host the block's
+// subsystem is one contiguous segment (DeviceBatch's segment layout): the
+// first PCR step reads it straight from the global buffer, and the
+// Thomas sweep writes x straight into the subsystem's contiguous
+// solution row, so no host loop walks a stride.
 
 #include <algorithm>
 #include <cmath>
@@ -61,7 +65,8 @@ inline constexpr double kThomasWarpInstsPerEq = 10.0;
 inline constexpr double kThomasDepPerEq = 10.0;
 
 /// Solves every current subsystem of `batch` on-chip and writes the
-/// solution into the batch's x array.
+/// solution into the batch's x array, as st.parts() subsystem rows per
+/// system (DeviceBatch::solution_row; download() restores natural order).
 ///
 /// `thomas_switch` — the stage-3→4 switch point: the number of
 /// interleaved subsystems a block creates before handing each to a
@@ -89,20 +94,19 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
   cfg.shared_bytes = pcr_thomas_shared_bytes(n_sub, sizeof(T));
   cfg.regs_per_thread = pcr_thomas_regs_per_thread(dev.query());
 
+  if (mode == ExecMode::Full) batch.set_solution_splits(st.splits);
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
     const std::size_t s = ctx.block_index() / parts;
     const std::size_t p = ctx.block_index() % parts;
-    auto gsub = batch.cur_system(s).subsystem(st.splits, p);
-    auto gx = batch.solution(s).subsystem(st.splits, p);
+    const auto gsub = batch.cur_segment(s, st.segment(n, p));
     const std::size_t len = gsub.size();
     if (len == 0) return;
 
-    // --- shared memory working set: a,b,c,d + x ---
+    // --- shared memory working set: a,b,c,d (x goes straight to global) ---
     auto sa = ctx.shared_alloc<T>(n_sub);
     auto sb = ctx.shared_alloc<T>(n_sub);
     auto sc = ctx.shared_alloc<T>(n_sub);
     auto sd = ctx.shared_alloc<T>(n_sub);
-    auto sx = ctx.shared_alloc<T>(n_sub);
     // Register staging for the PCR steps: on the real device every thread
     // holds its equation's next coefficients in registers between the two
     // syncs of a step, then writes them back to shared. The simulator
@@ -112,16 +116,22 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     // instead of copying back: each step reads the buffer the previous
     // step wrote. The buffer comes from the lane's bump arena — one warm
     // slab per worker thread instead of heap allocations per block.
-    const tridiag::SystemView<T> reg_view = scratch_system<T>(ctx, len);
+    const tridiag::SystemView<T> views[2] = {
+        {tda::StridedView<T>(sa.data(), len, 1),
+         tda::StridedView<T>(sb.data(), len, 1),
+         tda::StridedView<T>(sc.data(), len, 1),
+         tda::StridedView<T>(sd.data(), len, 1)},
+        scratch_system<T>(ctx, len)};
+    const std::size_t j = tridiag::pcr_thomas_split_steps(len, thomas_switch);
 
-    // --- load ---
-    if (mode == ExecMode::Full) {
-      for (std::size_t i = 0; i < len; ++i) {
-        sa[i] = gsub.a[i];
-        sb[i] = gsub.b[i];
-        sc[i] = gsub.c[i];
-        sd[i] = gsub.d[i];
-      }
+    // --- load --- The device loads the subsystem into shared; the host's
+    // first PCR step reads the contiguous global segment instead, so
+    // only a block without PCR steps copies it.
+    if (mode == ExecMode::Full && j == 0) {
+      std::copy_n(gsub.a.data(), len, sa.data());
+      std::copy_n(gsub.b.data(), len, sb.data());
+      std::copy_n(gsub.c.data(), len, sc.data());
+      std::copy_n(gsub.d.data(), len, sd.data());
     }
     const double bytes_loaded = 4.0 * static_cast<double>(len) * sizeof(T);
     if (variant == LoadVariant::Strided) {
@@ -132,18 +142,11 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     ctx.sync();
 
     // --- stage 3: PCR splits in shared memory (register-staged) ---
-    const tridiag::SystemView<T> views[2] = {
-        {tda::StridedView<T>(sa.data(), len, 1),
-         tda::StridedView<T>(sb.data(), len, 1),
-         tda::StridedView<T>(sc.data(), len, 1),
-         tda::StridedView<T>(sd.data(), len, 1)},
-        reg_view};
     int cur = 0;
-    const std::size_t j = tridiag::pcr_thomas_split_steps(len, thomas_switch);
     for (std::size_t t = 0; t < j; ++t) {
       if (mode == ExecMode::Full) {
-        tridiag::pcr_step(views[cur].as_const(), views[1 - cur],
-                          std::size_t{1} << t);
+        tridiag::pcr_step(t == 0 ? gsub.as_const() : views[cur].as_const(),
+                          views[1 - cur], std::size_t{1} << t);
       }
       cur = 1 - cur;
       ctx.charge_phase(static_cast<int>(std::min<std::size_t>(
@@ -162,11 +165,13 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     }
 
     // --- stage 4: one Thomas thread per interleaved subsystem ---
-    // The host runs the threads as one sweep across the subsystems.
+    // The host runs the threads as one sweep across the subsystems and
+    // writes x into the subsystem's solution row, which is the device's
+    // write-back.
     const std::size_t thomas_parts = std::min(std::size_t{1} << j, len);
     if (mode == ExecMode::Full) {
       const bool ok = tridiag::thomas_solve_interleaved(
-          views[cur], tda::StridedView<T>(sx.data(), len, 1), thomas_parts);
+          views[cur], batch.solution_row(s, st, p), thomas_parts);
       TDA_ENSURE(ok, "PCR-Thomas kernel hit a zero pivot");
     }
     const double eqs_per_thread = std::ceil(
@@ -175,10 +180,7 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
                      kThomasWarpInstsPerEq, 1.0, kThomasDepPerEq);
     ctx.sync();
 
-    // --- write back ---
-    if (mode == ExecMode::Full) {
-      for (std::size_t i = 0; i < len; ++i) gx[i] = sx[i];
-    }
+    // --- write back (done by the sweep above) ---
     ctx.charge_global(static_cast<double>(len) * sizeof(T), stride,
                       sizeof(T));
     if (variant == LoadVariant::Coalesced && stride > 1) {

@@ -2,9 +2,13 @@
 // Global-memory splitting kernels (paper Stages 1 and 2).
 //
 // Both stages perform PCR steps with doubling shifts over the original
-// contiguous arrays; neither reorders data, so subsystems stay interleaved
-// and accesses stay coalesced until strides grow. They differ in launch
-// structure and therefore cost:
+// arrays; on the device neither reorders data, so subsystems stay
+// interleaved and accesses stay coalesced until strides grow. That is
+// what the charges model. The host keeps every current subsystem as one
+// contiguous segment instead (DeviceBatch's segment layout), so each of
+// its split steps is the shift-1 splitting step of tridiag/pcr.hpp over
+// contiguous memory, with the device's per-equation arithmetic. The
+// stages differ in launch structure and therefore cost:
 //
 //  * Stage 1 (cooperative split): ONE split per kernel launch. The grid
 //    covers all equations with many small blocks, so even a single system
@@ -18,6 +22,7 @@
 //    subsystems, and accesses inherit the subsystem stride at entry.
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 #include "common/check.hpp"
@@ -27,19 +32,6 @@
 #include "tridiag/pcr.hpp"
 
 namespace tda::kernels {
-
-/// Tracks how many split steps a batch has undergone. After `splits`
-/// steps every original system consists of 2^splits independent
-/// interleaved subsystems.
-struct SplitState {
-  std::size_t splits = 0;
-
-  [[nodiscard]] std::size_t parts() const { return std::size_t{1} << splits; }
-  /// Size of the largest subsystem of an original system of size n.
-  [[nodiscard]] std::size_t max_sub_size(std::size_t n) const {
-    return (n + parts() - 1) / parts();
-  }
-};
 
 /// Flops per equation of one PCR step (warp instructions, incl. address
 /// arithmetic and shared/global moves).
@@ -57,8 +49,7 @@ gpusim::KernelStats stage1_split_step(gpusim::Device& dev,
                                       ExecMode mode = ExecMode::Full) {
   const std::size_t m = batch.num_systems();
   const std::size_t n = batch.system_size();
-  const std::size_t shift = st.parts();  // global-index shift of this step
-  TDA_REQUIRE(shift < n, "system is already fully decoupled");
+  TDA_REQUIRE(st.parts() < n, "system is already fully decoupled");
 
   const int threads = 256;
   const std::size_t total = m * n;
@@ -81,9 +72,16 @@ gpusim::KernelStats stage1_split_step(gpusim::Device& dev,
       const std::size_t hi = std::min(n, g1 - s * n);
       if (lo >= hi) continue;
       if (mode == ExecMode::Full) {
-        auto src = batch.cur_system_const(s);
-        auto dst = batch.alt_system(s);
-        tridiag::pcr_step_range(src, dst, shift, lo, hi);
+        // Split every segment the rows [lo, hi) overlap.
+        for (std::size_t i = lo; i < hi;) {
+          const Segment seg = st.segment_at(n, i);
+          const std::size_t end = std::min(hi, seg.offset + seg.size);
+          tridiag::pcr_split_step_range(
+              batch.cur_segment(s, seg).as_const(),
+              batch.alt_segment(s, seg), i - seg.offset,
+              end - seg.offset);
+          i = end;
+        }
       }
 
       const double len = static_cast<double>(hi - lo);
@@ -125,31 +123,35 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
 
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
     const std::size_t s = ctx.block_index() / entry_parts;
-    const std::size_t p = ctx.block_index() % entry_parts;
+    const Segment seg = st.segment(n, ctx.block_index() % entry_parts);
     // The device kernel ping-pongs the block's stride-entry_parts
     // subsystem between the two global buffers; the subsystem is
     // disjoint from every other block's, so that is hazard-free. The
-    // host runs the first step from the strided global subsystem into
-    // contiguous lane scratch, ping-pongs there, and runs the last step
-    // into the global buffer the device's ping-pong ends in (a single
-    // step goes global to global and needs no scratch). The charges
-    // model the device's strided passes either way.
-    const tridiag::SystemView<T> global[2] = {
-        batch.cur_system(s).subsystem(st.splits, p),
-        batch.alt_system(s).subsystem(st.splits, p)};
-    const std::size_t len = global[0].size();
-    tridiag::SystemView<T> staged[2];
-    if (mode == ExecMode::Full) {
-      for (std::size_t k = 0; k < std::min<std::size_t>(steps - 1, 2); ++k) {
-        staged[k] = scratch_system<T>(ctx, len);
-      }
-    }
+    // host splits the block's segment, each step writing the sub-segments
+    // it splits into the same range of another buffer: contiguous lane
+    // scratch, or the global buffer the device's ping-pong ends in,
+    // alternating so that the last step lands there (a single step goes
+    // global to global). The other global buffer is never written. The
+    // charges model the device's strided passes.
+    const tridiag::SystemView<T> global[2] = {batch.cur_segment(s, seg),
+                                              batch.alt_segment(s, seg)};
+    const std::size_t len = seg.size;
+    const tridiag::SystemView<T> staged =
+        mode == ExecMode::Full && steps > 1 ? scratch_system<T>(ctx, len)
+                                            : tridiag::SystemView<T>{};
+    const auto out = [&](std::size_t t) -> const tridiag::SystemView<T>& {
+      return (steps - 1 - t) % 2 == 0 ? global[steps % 2] : staged;
+    };
     for (std::size_t t = 0; t < steps; ++t) {
-      const std::size_t shift = std::size_t{1} << t;  // subsystem-local
       if (mode == ExecMode::Full) {
-        const auto& src = t == 0 ? global[0] : staged[(t - 1) % 2];
-        const auto& dst = t + 1 == steps ? global[steps % 2] : staged[t % 2];
-        tridiag::pcr_step(src.as_const(), dst, shift);
+        const auto& src = t == 0 ? global[0] : out(t - 1);
+        const auto& dst = out(t);
+        const SplitState level{t};
+        for (std::size_t q = 0; q < level.parts(); ++q) {
+          const Segment sub = level.segment(len, q);
+          tridiag::pcr_split_step(src.slice(sub.offset, sub.size).as_const(),
+                                  dst.slice(sub.offset, sub.size));
+        }
       }
 
       const double dlen = static_cast<double>(len);

@@ -62,6 +62,12 @@ struct SystemView {
     return {SystemView{ae, be, ce, de}, SystemView{ao, bo, co, doo}};
   }
 
+  /// Equations [offset, offset + count).
+  [[nodiscard]] SystemView slice(std::size_t offset, std::size_t count) const {
+    return SystemView{a.slice(offset, count), b.slice(offset, count),
+                      c.slice(offset, count), d.slice(offset, count)};
+  }
+
   /// j-th of 2^k interleaved subsystems.
   [[nodiscard]] SystemView subsystem(std::size_t k, std::size_t j) const {
     return SystemView{a.subsystem(k, j), b.subsystem(k, j),

@@ -39,6 +39,7 @@
   TDA_ENTRY(ATTRS, ScatterStep<T>, pcr_step_regions<T>)                       \
   TDA_ENTRY(ATTRS, GatherStep<T>, pcr_step_regions<T>)                        \
   TDA_ENTRY(ATTRS, StridedStep<T>, pcr_step_regions<T>)                       \
+  TDA_ENTRY(ATTRS, PcrSplit<T>, pcr_split_regions<T>)                         \
   TDA_ENTRY(ATTRS, ThomasSweep<T*>, thomas_interleaved_rows<T>)               \
   TDA_ENTRY(ATTRS, ThomasSweep<StridedView<T>>, thomas_interleaved_rows<T>)   \
   TDA_ENTRY(ATTRS, TransposeTile<T>, transpose_tile_loop<T>)
@@ -127,6 +128,11 @@ void pcr_step_regions_isa(Isa isa, const PcrStep<In, Out>& p) {
   run_on(isa, p);
 }
 
+template <typename T>
+void pcr_split_regions_isa(Isa isa, const PcrSplit<T>& p) {
+  run_on(isa, p);
+}
+
 template <typename T, typename V>
 bool thomas_interleaved_rows_isa(Isa isa, const ThomasSweep<V>& p) {
   return run_on(isa, p);
@@ -142,6 +148,7 @@ void transpose_tile_isa(Isa isa, const TransposeTile<T>& t) {
   template void pcr_step_regions_isa<T>(Isa, const ScatterStep<T>&);      \
   template void pcr_step_regions_isa<T>(Isa, const GatherStep<T>&);       \
   template void pcr_step_regions_isa<T>(Isa, const StridedStep<T>&);      \
+  template void pcr_split_regions_isa<T>(Isa, const PcrSplit<T>&);        \
   template bool thomas_interleaved_rows_isa<T>(Isa,                       \
                                                const ThomasSweep<T*>&);   \
   template bool thomas_interleaved_rows_isa<T>(                           \

@@ -2,8 +2,9 @@
 // Runtime ISA dispatch for the host's hot PCR, Thomas and transpose
 // loops.
 //
-// pcr_step_range and thomas_solve_interleaved run the paper's split core
-// and the stage-4 sweep with one vector lane per GPU thread, and
+// pcr_step_range, pcr_split_step_range and thomas_solve_interleaved run
+// the paper's split core and the stage-4 sweep with one vector lane per
+// GPU thread, and
 // transpose_tile flips a tile between the two batch layouts. A default
 // build targets the ISA baseline (SSE2 on x86-64), so isa.cpp compiles
 // each of those loop nests once per variant below: a non-template

@@ -9,12 +9,15 @@
 // with shifts 1, 2, 4, ... ⌈log2 n⌉ times decouples every unknown:
 // x[i] = d[i] / b[i].
 //
-// All functions operate on SystemView (strided), so the same code serves
-// the CPU reference, the global-memory splitting kernels and the
-// shared-memory stage. A step splits its equations by neighbour set into
-// branch-free loops; a unit-stride view's side of those loops runs on raw
-// pointers and vectorizes, with the same per-equation arithmetic as the
-// strided path, compiled per ISA variant (tridiag/isa.hpp).
+// The steps operate on SystemView (strided), so the same code serves the
+// CPU reference and the shared-memory stage. A step splits its equations
+// by neighbour set into branch-free loops; a unit-stride view's side of
+// those loops runs on raw pointers and vectorizes, with the same
+// per-equation arithmetic as the strided path, compiled per ISA variant
+// (tridiag/isa.hpp). The splitting step (pcr_split_step_range) is the
+// shift-1 step over a contiguous system that also moves each equation
+// into its child, even half first: the host split kernels keep every
+// subsystem contiguous with it (kernels/device_batch.hpp).
 
 #include <algorithm>
 #include <cstddef>
@@ -29,42 +32,62 @@ namespace tda::tridiag {
 
 namespace detail {
 
+/// New coefficients of one equation after a PCR step.
+template <typename T>
+struct PcrEquation {
+  T a, b, c, d;
+};
+
+/// Equation i of a PCR step with shift s: HasLeft says i-s exists,
+/// HasRight says i+s exists. Every loop below evaluates an equation
+/// through this one body, in the same operation order, so the result is
+/// bitwise independent of which loop an equation lands in.
+template <typename T, bool HasLeft, bool HasRight, typename In>
+inline PcrEquation<T> pcr_equation(const Lanes<In>& src, std::size_t s,
+                                   std::size_t i) {
+  TDA_FP_CONTRACT_OFF
+  const auto& [a, b, c, d] = src;
+  T nb = b[i];
+  T na{0}, nc{0};
+  T nd = d[i];
+  if constexpr (HasLeft) {
+    const std::size_t im = i - s;
+    const T alpha = -a[i] / b[im];
+    nb += alpha * c[im];
+    na = alpha * a[im];
+    nd += alpha * d[im];
+  }
+  if constexpr (HasRight) {
+    const std::size_t ip = i + s;
+    const T gamma = -c[i] / b[ip];
+    nb += gamma * a[ip];
+    nc = gamma * c[ip];
+    nd += gamma * d[ip];
+  }
+  return {na, nb, nc, nd};
+}
+
+/// Stores equation e into row r of dst.
+template <typename T, typename Out>
+inline void store_equation(const Lanes<Out>& dst, std::size_t r,
+                           const PcrEquation<T>& e) {
+  dst.a[r] = e.a;
+  dst.b[r] = e.b;
+  dst.c[r] = e.c;
+  dst.d[r] = e.d;
+}
+
 /// Equations [i0, i1) of one PCR step, all of which have the same
-/// neighbour set: HasLeft says i-s exists, HasRight says i+s exists.
-/// The body has no branches, so with raw unit-stride pointers for In/Out
-/// the loop vectorizes; with StridedViews it serves any stride. Every
-/// instantiation evaluates one equation in the same operation order,
-/// so the result is bitwise independent of which loop an equation
-/// lands in.
+/// neighbour set. The body has no branches, so with raw unit-stride
+/// pointers for In/Out the loop vectorizes; with StridedViews it serves
+/// any stride.
 template <typename T, bool HasLeft, bool HasRight, typename In, typename Out>
 void pcr_equations(Lanes<In> src, Lanes<Out> dst, std::size_t s,
                    std::size_t i0, std::size_t i1) {
   TDA_FP_CONTRACT_OFF
-  const auto [a, b, c, d] = src;
-  const auto [oa, ob, oc, od] = dst;
   TDA_SIMD_LOOP
   for (std::size_t i = i0; i < i1; ++i) {
-    T nb = b[i];
-    T na{0}, nc{0};
-    T nd = d[i];
-    if constexpr (HasLeft) {
-      const std::size_t im = i - s;
-      const T alpha = -a[i] / b[im];
-      nb += alpha * c[im];
-      na = alpha * a[im];
-      nd += alpha * d[im];
-    }
-    if constexpr (HasRight) {
-      const std::size_t ip = i + s;
-      const T gamma = -c[i] / b[ip];
-      nb += gamma * a[ip];
-      nc = gamma * c[ip];
-      nd += gamma * d[ip];
-    }
-    oa[i] = na;
-    ob[i] = nb;
-    oc[i] = nc;
-    od[i] = nd;
+    store_equation(dst, i, pcr_equation<T, HasLeft, HasRight>(src, s, i));
   }
 }
 
@@ -96,6 +119,88 @@ void pcr_step_regions(const PcrStep<In, Out>& p) {
     pcr_equations<T, false, false>(p.src, p.dst, s, lo, hi);
   }
   pcr_equations<T, true, false>(p.src, p.dst, s, hi, p.end);
+}
+
+/// Equations [begin, end) of the splitting step over a contiguous
+/// n-equation system (pcr_split_step_range).
+template <typename T>
+struct PcrSplit {
+  Lanes<const T*> src;
+  Lanes<T*> dst;
+  std::size_t n, begin, end;
+};
+
+/// One equation of a splitting step, stored in its child's row.
+template <typename T, bool HasLeft, bool HasRight>
+void pcr_split_equation(const PcrSplit<T>& p, std::size_t i) {
+  const std::size_t row = i / 2 + (i % 2) * ((p.n + 1) / 2);
+  store_equation(p.dst, row, pcr_equation<T, HasLeft, HasRight>(p.src, 1, i));
+}
+
+/// The interior pairs (2j, 2j+1), j in [j0, j1), of a splitting step:
+/// both equations have both neighbours, and they land in row j of the
+/// even and of the odd child.
+template <typename T>
+void pcr_split_pairs(const PcrSplit<T>& p, std::size_t j0, std::size_t j1) {
+  TDA_FP_CONTRACT_OFF
+  const Lanes<T*> even = p.dst;
+  const std::size_t half = (p.n + 1) / 2;
+  const Lanes<T*> odd{even.a + half, even.b + half, even.c + half,
+                      even.d + half};
+  TDA_SIMD_LOOP
+  for (std::size_t j = j0; j < j1; ++j) {
+    store_equation(even, j, pcr_equation<T, true, true>(p.src, 1, 2 * j));
+    store_equation(odd, j, pcr_equation<T, true, true>(p.src, 1, 2 * j + 1));
+  }
+}
+
+/// pcr_split_step_range's loops: row 0 (no left neighbour), the
+/// interior in pairs with single equations at odd edges, row n-1 (no
+/// right neighbour).
+template <typename T>
+void pcr_split_regions(const PcrSplit<T>& p) {
+  std::size_t i = p.begin;
+  if (i >= p.end) return;
+  if (i == 0) {
+    if (p.n == 1) {
+      pcr_split_equation<T, false, false>(p, 0);
+    } else {
+      pcr_split_equation<T, false, true>(p, 0);
+    }
+    ++i;
+  }
+  const std::size_t inner_end = std::min(p.end, p.n - 1);
+  if (i < inner_end && i % 2 == 1) pcr_split_equation<T, true, true>(p, i++);
+  if (i < inner_end) {
+    const std::size_t pairs = (inner_end - i) / 2;
+    pcr_split_pairs<T>(p, i / 2, i / 2 + pairs);
+    i += 2 * pairs;
+  }
+  if (i < inner_end) pcr_split_equation<T, true, true>(p, i++);
+  if (i < p.end) pcr_split_equation<T, true, false>(p, i);
+}
+
+/// pcr_split_regions compiled for `isa`. Defined in isa.cpp for float
+/// and double.
+template <typename T>
+void pcr_split_regions_isa(Isa isa, const PcrSplit<T>& p);
+
+/// pcr_split_step_range on the given variant, which must be supported.
+template <typename T>
+void pcr_split_step_range_on(Isa isa, const SystemView<const T>& src,
+                             const SystemView<T>& dst, std::size_t begin,
+                             std::size_t end) {
+  const std::size_t n = src.size();
+  TDA_REQUIRE(dst.size() == n, "pcr_split_step: size mismatch");
+  TDA_REQUIRE(begin <= end && end <= n, "pcr_split_step: bad range");
+  TDA_REQUIRE(src.unit_stride() && dst.unit_stride(),
+              "pcr_split_step: views must be contiguous");
+  const PcrSplit<T> p{unit_lanes(src), unit_lanes(dst), n, begin, end};
+  if constexpr (kIsaDispatched<T>) {
+    pcr_split_regions_isa<T>(isa, p);
+  } else {
+    pcr_split_regions<T>(p);
+  }
 }
 
 /// pcr_step_regions compiled for `isa`. Defined in isa.cpp for float and
@@ -152,6 +257,26 @@ template <typename T>
 void pcr_step_range(const SystemView<const T>& src, const SystemView<T>& dst,
                     std::size_t shift, std::size_t begin, std::size_t end) {
   detail::pcr_step_range_on(detail::host_isa(), src, dst, shift, begin, end);
+}
+
+/// The splitting step: a shift-1 PCR step over equations [begin, end)
+/// of a contiguous system that writes each equation into the child
+/// subsystem it now belongs to, even equation i to row i/2 and odd i to
+/// row ⌈n/2⌉ + i/2 of dst. So dst holds the even child in rows
+/// [0, ⌈n/2⌉) and the odd child after it, each contiguous, with every
+/// equation's arithmetic exactly that of pcr_step. Neighbour reads may
+/// fall outside [begin, end), as in pcr_step_range.
+template <typename T>
+void pcr_split_step_range(const SystemView<const T>& src,
+                          const SystemView<T>& dst, std::size_t begin,
+                          std::size_t end) {
+  detail::pcr_split_step_range_on(detail::host_isa(), src, dst, begin, end);
+}
+
+/// The splitting step over the whole system.
+template <typename T>
+void pcr_split_step(const SystemView<const T>& src, const SystemView<T>& dst) {
+  pcr_split_step_range(src, dst, 0, src.size());
 }
 
 /// One PCR step with the given shift (in view-local index space) over

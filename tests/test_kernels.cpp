@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <tuple>
@@ -109,6 +110,121 @@ TEST(DeviceBatch, PooledCopiesRoundTripAcrossPieces) {
             0);
 }
 
+// ---------- DeviceBatch segment layout ----------
+
+// System sizes for the geometry checks: tiny, odd, both sides of a power
+// of two, and the ragged size the golden pins use.
+constexpr std::size_t kSegmentSizes[] = {1,    2,    3,    17,  197,
+                                         1023, 1024, 1025, 5001};
+
+// Every split count a system of n equations allows: 0 .. floor(log2 n).
+std::size_t max_splits(std::size_t n) {
+  std::size_t k = 0;
+  while ((std::size_t{2} << k) <= n) ++k;
+  return k;
+}
+
+TEST(DeviceBatch, SegmentsTileTheSystem) {
+  for (const std::size_t n : kSegmentSizes) {
+    for (std::size_t k = 0; k <= max_splits(n); ++k) {
+      SCOPED_TRACE(testing::Message() << "n " << n << " splits " << k);
+      const SplitState st{k};
+      std::vector<Segment> segs;
+      for (std::size_t p = 0; p < st.parts(); ++p) {
+        const Segment seg = st.segment(n, p);
+        EXPECT_EQ(seg.p, p);
+        // Subsystem p holds rows p, p + parts, ...
+        EXPECT_EQ(seg.size, (n - p + st.parts() - 1) / st.parts());
+        segs.push_back(seg);
+      }
+      std::sort(segs.begin(), segs.end(),
+                [](const Segment& x, const Segment& y) {
+                  return x.offset < y.offset;
+                });
+      std::size_t at = 0;
+      for (const Segment& seg : segs) {
+        ASSERT_EQ(seg.offset, at) << "p " << seg.p;
+        ASSERT_GE(seg.size, 1u);
+        for (std::size_t i = at; i < at + seg.size; ++i) {
+          const Segment hit = st.segment_at(n, i);
+          ASSERT_EQ(hit.p, seg.p) << "row " << i;
+          ASSERT_EQ(hit.offset, seg.offset);
+          ASSERT_EQ(hit.size, seg.size);
+        }
+        at += seg.size;
+      }
+      EXPECT_EQ(at, n);
+    }
+  }
+}
+
+TEST(DeviceBatch, ChildrenTileTheirParent) {
+  for (const std::size_t n : kSegmentSizes) {
+    for (std::size_t k = 0; k < max_splits(n); ++k) {
+      const SplitState parent_st{k}, child_st{k + 1};
+      for (std::size_t p = 0; p < parent_st.parts(); ++p) {
+        SCOPED_TRACE(testing::Message()
+                     << "n " << n << " splits " << k << " p " << p);
+        const Segment parent = parent_st.segment(n, p);
+        const Segment even = child_st.segment(n, p);
+        const Segment odd = child_st.segment(n, p + parent_st.parts());
+        EXPECT_EQ(even.offset, parent.offset);
+        EXPECT_EQ(even.size, (parent.size + 1) / 2);
+        EXPECT_EQ(odd.offset, even.offset + even.size);
+        EXPECT_EQ(odd.size, parent.size / 2);
+      }
+    }
+  }
+}
+
+// Writes a distinct value for every natural row through solution_row,
+// downloads, and expects natural order back bit for bit.
+template <typename T>
+void expect_download_round_trip(std::size_t m, std::size_t n,
+                                std::size_t splits) {
+  SCOPED_TRACE(testing::Message() << "m " << m << " n " << n << " splits "
+                                  << splits);
+  const SplitState st{splits};
+  const auto value = [n](std::size_t s, std::size_t i) {
+    return static_cast<T>(static_cast<double>(s * n + i) * 0.5 - 3.0);
+  };
+  DeviceBatch<T> dev(m, n);
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t p = 0; p < st.parts(); ++p) {
+      const auto row = dev.solution_row(s, st, p);
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        row[i] = value(s, p + i * st.parts());
+      }
+    }
+  }
+  dev.set_solution_splits(splits);
+  tridiag::TridiagBatch<T> host(m, n);
+  std::vector<T> want(m * n);
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t i = 0; i < n; ++i) want[s * n + i] = value(s, i);
+  }
+  dev.download(host);
+  EXPECT_EQ(std::memcmp(host.x().data(), want.data(), m * n * sizeof(T)), 0);
+}
+
+TEST(DeviceBatch, DownloadRestoresNaturalOrder) {
+  for (const std::size_t n : kSegmentSizes) {
+    for (std::size_t k = 0; k <= max_splits(n); ++k) {
+      expect_download_round_trip<float>(3, n, k);
+      expect_download_round_trip<double>(2, n, k);
+    }
+  }
+  // More than one kCopyPieceBytes piece: 5 x 5001 floats run one task per
+  // system, 2 x 40,000 several column blocks per system.
+  ASSERT_GT(5 * 5001 * sizeof(float), kCopyPieceBytes);
+  for (std::size_t k = 0; k <= max_splits(5001); ++k) {
+    expect_download_round_trip<float>(5, 5001, k);
+  }
+  for (const std::size_t k : {1, 6, 9, 15}) {
+    expect_download_round_trip<float>(2, 40'000, k);
+  }
+}
+
 // ---------- full split + solve pipeline, all devices ----------
 
 struct PipelineCase {
@@ -210,38 +326,52 @@ TEST(Stage1, RefusesWhenFullyDecoupled) {
   EXPECT_THROW(stage1_split_step(dev, dbatch, st), ContractError);
 }
 
-TEST(Stage1And2, ProduceIdenticalCoefficients) {
-  // The two stages implement the same math with different launch
-  // structure: k splits via stage 1 must equal k splits via stage 2.
-  auto host = make_diag_dominant<double>(2, 64, 85);
+// The two stages implement the same math with different launch
+// structure: k splits via stage 1 must equal k splits via stage 2, bit
+// for bit, subsystem by subsystem.
+template <typename T>
+void expect_stage1_equals_stage2(std::size_t m, std::size_t n,
+                                 std::size_t splits) {
+  SCOPED_TRACE(testing::Message() << "m " << m << " n " << n << " splits "
+                                  << splits);
+  auto host = make_diag_dominant<T>(m, n, 85 + n);
   gpusim::Device dev(gpusim::geforce_gtx_280());
 
-  DeviceBatch<double> d1(host);
+  DeviceBatch<T> d1(host);
   SplitState s1;
-  stage1_split_step(dev, d1, s1);
-  stage1_split_step(dev, d1, s1);
+  for (std::size_t k = 0; k < splits; ++k) stage1_split_step(dev, d1, s1);
 
-  DeviceBatch<double> d2(host);
+  DeviceBatch<T> d2(host);
   SplitState s2;
-  stage2_split(dev, d2, s2, 2);
+  stage2_split(dev, d2, s2, splits);
 
-  for (std::size_t s = 0; s < 2; ++s) {
-    auto v1 = d1.cur_system(s);
-    auto v2 = d2.cur_system(s);
-    for (std::size_t i = 0; i < 64; ++i) {
-      EXPECT_NEAR(v1.b[i], v2.b[i], 1e-12);
-      EXPECT_NEAR(v1.d[i], v2.d[i], 1e-12);
-      EXPECT_NEAR(v1.a[i], v2.a[i], 1e-12);
-      EXPECT_NEAR(v1.c[i], v2.c[i], 1e-12);
+  for (std::size_t s = 0; s < m; ++s) {
+    for (std::size_t p = 0; p < s1.parts(); ++p) {
+      const Segment seg = s1.segment(n, p);
+      const auto v1 = d1.cur_segment(s, seg);
+      const auto v2 = d2.cur_segment(s, seg);
+      const std::size_t bytes = seg.size * sizeof(T);
+      EXPECT_EQ(std::memcmp(v1.a.data(), v2.a.data(), bytes), 0) << "p " << p;
+      EXPECT_EQ(std::memcmp(v1.b.data(), v2.b.data(), bytes), 0) << "p " << p;
+      EXPECT_EQ(std::memcmp(v1.c.data(), v2.c.data(), bytes), 0) << "p " << p;
+      EXPECT_EQ(std::memcmp(v1.d.data(), v2.d.data(), bytes), 0) << "p " << p;
     }
   }
 }
 
-// Stage 2 runs its first step from the strided global subsystem and its
-// last step into the global buffer the device's ping-pong ends in. Both
-// global buffers must equal, bit for bit, a reference that copies each
-// subsystem into contiguous buffers, splits it there and copies the
-// result back.
+TEST(Stage1And2, ProduceIdenticalCoefficients) {
+  expect_stage1_equals_stage2<double>(2, 64, 2);
+  expect_stage1_equals_stage2<float>(2, 64, 2);
+  expect_stage1_equals_stage2<double>(3, 197, 3);
+  expect_stage1_equals_stage2<float>(3, 197, 3);
+}
+
+// Stage 2 splits each block's segment with the splitting step, staging
+// every other step in lane scratch. The reference splits a copy of each
+// entry subsystem in place of the segment with pcr_step's doubling
+// shifts, leaving its 2^steps children interleaved. The output buffer
+// must hold each child, bit for bit, in the segment the layout assigns
+// it, and the other buffer must be exactly as it was.
 template <typename T>
 void expect_stage2_matches_staged_reference(std::size_t steps) {
   SCOPED_TRACE(testing::Message() << "steps " << steps);
@@ -250,13 +380,12 @@ void expect_stage2_matches_staged_reference(std::size_t steps) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
   DeviceBatch<T> dbatch(host);
   SplitState st;
-  stage1_split_step(dev, dbatch, st);  // stage 2 enters at stride 2
+  stage1_split_step(dev, dbatch, st);  // stage 2 enters at two segments
 
-  // ref[0] holds the current buffer, ref[1] the alternate one.
-  std::vector<T> ref[2][4];
+  std::vector<T> before[2][4];
   for (int k = 0; k < 4; ++k) {
-    ref[0][k].assign(dbatch.cur_lane(k).begin(), dbatch.cur_lane(k).end());
-    ref[1][k].assign(dbatch.alt_lane(k).begin(), dbatch.alt_lane(k).end());
+    before[0][k].assign(dbatch.cur_lane(k).begin(), dbatch.cur_lane(k).end());
+    before[1][k].assign(dbatch.alt_lane(k).begin(), dbatch.alt_lane(k).end());
   }
   const auto contiguous = [](std::vector<T>* lanes, std::size_t off,
                              std::size_t len) {
@@ -265,46 +394,49 @@ void expect_stage2_matches_staged_reference(std::size_t steps) {
     };
     return tridiag::SystemView<T>{lane(0), lane(1), lane(2), lane(3)};
   };
-  const auto copy = [](const tridiag::SystemView<T>& from,
-                       const tridiag::SystemView<T>& to) {
-    for (std::size_t i = 0; i < from.size(); ++i) {
-      to.a[i] = from.a[i];
-      to.b[i] = from.b[i];
-      to.c[i] = from.c[i];
-      to.d[i] = from.d[i];
-    }
-  };
+  const SplitState entry = st;
+  stage2_split(dev, dbatch, st, steps);
+
   for (std::size_t s = 0; s < m; ++s) {
-    for (std::size_t p = 0; p < st.parts(); ++p) {
-      const auto global = contiguous(ref[0], s * n, n).subsystem(st.splits, p);
-      const std::size_t len = global.size();
+    for (std::size_t p = 0; p < entry.parts(); ++p) {
+      const Segment seg = entry.segment(n, p);
       std::vector<T> staged[2][4];
-      for (auto& lanes : staged) {
-        for (auto& lane : lanes) lane.assign(len, T{0});
+      for (int k = 0; k < 4; ++k) {
+        staged[0][k].assign(before[0][k].begin() + s * n + seg.offset,
+                            before[0][k].begin() + s * n + seg.offset +
+                                seg.size);
+        staged[1][k].assign(seg.size, T{0});
       }
-      copy(global, contiguous(staged[0], 0, len));
       for (std::size_t t = 0; t < steps; ++t) {
-        tridiag::pcr_step(contiguous(staged[t % 2], 0, len).as_const(),
-                          contiguous(staged[1 - t % 2], 0, len),
+        tridiag::pcr_step(contiguous(staged[t % 2], 0, seg.size).as_const(),
+                          contiguous(staged[1 - t % 2], 0, seg.size),
                           std::size_t{1} << t);
       }
-      copy(contiguous(staged[steps % 2], 0, len),
-           contiguous(ref[steps % 2], s * n, n).subsystem(st.splits, p));
+      const auto result = contiguous(staged[steps % 2], 0, seg.size);
+      for (std::size_t r = 0; r < (std::size_t{1} << steps); ++r) {
+        const std::size_t child = p + r * entry.parts();
+        SCOPED_TRACE(testing::Message() << "system " << s << " child "
+                                        << child);
+        const auto want = result.subsystem(steps, r);
+        const auto got = dbatch.cur_segment(s, st.segment(n, child));
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          ASSERT_EQ(std::memcmp(&got.a[i], &want.a[i], sizeof(T)), 0);
+          ASSERT_EQ(std::memcmp(&got.b[i], &want.b[i], sizeof(T)), 0);
+          ASSERT_EQ(std::memcmp(&got.c[i], &want.c[i], sizeof(T)), 0);
+          ASSERT_EQ(std::memcmp(&got.d[i], &want.d[i], sizeof(T)), 0);
+        }
+      }
     }
   }
-
-  stage2_split(dev, dbatch, st, steps);
-  // An odd step count swaps the buffers, so cur is then the old alt.
-  const std::size_t fin = steps % 2;
+  // An odd step count swaps the buffers; the untouched one is then cur
+  // before the launch, else alt.
+  const std::vector<T>* untouched = before[1 - steps % 2];
   for (int k = 0; k < 4; ++k) {
-    EXPECT_EQ(std::memcmp(dbatch.cur_lane(k).data(), ref[fin][k].data(),
+    EXPECT_EQ(std::memcmp(dbatch.alt_lane(k).data(), untouched[k].data(),
                           m * n * sizeof(T)),
               0)
-        << "cur lane " << k;
-    EXPECT_EQ(std::memcmp(dbatch.alt_lane(k).data(), ref[1 - fin][k].data(),
-                          m * n * sizeof(T)),
-              0)
-        << "alt lane " << k;
+        << "lane " << k;
   }
 }
 

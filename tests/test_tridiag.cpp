@@ -618,6 +618,49 @@ TEST(Pcr, MixedStrideStepBitwise) {
   check_mixed_stride_step<double>();
 }
 
+// The splitting step puts equation i of a shift-1 step into row i/2 of
+// the even child or row ceil(n/2) + i/2 of the odd one. It must equal
+// pcr_step followed by that permutation bit for bit, over the whole range
+// and over ranges cut at random points (odd cuts included) run back to
+// front, and write nothing outside the system.
+template <typename T>
+void check_split_step() {
+  Rng rng(0x5b17u);
+  for (const std::size_t n : kBitwiseSizes) {
+    SCOPED_TRACE(testing::Message() << "n " << n);
+    StridedSystem<T> src(n, 1);
+    fill_dominant(src.view(), rng);
+    const auto in = const_view(src.view());
+    StridedSystem<T> step(n, 1), want(n, 1), got(n, 1);
+    pcr_step(in, step.view(), 1);
+    for (int k = 0; k < 4; ++k) {
+      for (std::size_t i = 0; i < n; ++i) {
+        std::memcpy(want.at(k, i / 2 + i % 2 * ((n + 1) / 2)), step.at(k, i),
+                    sizeof(T));
+      }
+    }
+    pcr_split_step(in, got.view());
+    ASSERT_TRUE(got.same_bytes(want)) << "whole range";
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::size_t> cuts{0, n};
+      for (int c = 0; c < 3; ++c) {
+        cuts.push_back(static_cast<std::size_t>(rng.below(n + 1)));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      got.poison_elements();
+      for (std::size_t k = cuts.size() - 1; k-- > 0;) {
+        pcr_split_step_range(in, got.view(), cuts[k], cuts[k + 1]);
+      }
+      ASSERT_TRUE(got.same_bytes(want)) << "trial " << trial;
+    }
+  }
+}
+
+TEST(Pcr, SplitStepBitwiseEqualsStepThenDeinterleave) {
+  check_split_step<float>();
+  check_split_step<double>();
+}
+
 // ---------- ISA variants: bitwise equal to the default variant ----------
 
 using core::Isa;
@@ -683,6 +726,47 @@ TEST(IsaVariants, PcrStepBitwiseEqualsDefaultFloat) {
 
 TEST(IsaVariants, PcrStepBitwiseEqualsDefaultDouble) {
   check_pcr_variants<double>();
+}
+
+// The splitting step on every variant the CPU runs, whole and random
+// partial ranges: the destination buffer must match the default variant
+// byte for byte.
+template <typename T>
+void check_split_variants() {
+  Rng rng(0x5b18u);
+  for (const Isa isa : kAllIsas) {
+    if (!core::isa_supported(isa)) continue;
+    for (const std::size_t n : kBitwiseSizes) {
+      SCOPED_TRACE(testing::Message() << isa_name(isa) << " n " << n);
+      StridedSystem<T> src(n, 1);
+      fill_dominant(src.view(), rng);
+      const auto in = const_view(src.view());
+      StridedSystem<T> want(n, 1), got(n, 1);
+      for (int trial = 0; trial < 8; ++trial) {
+        const auto begin = static_cast<std::size_t>(rng.below(n + 1));
+        const auto end =
+            begin + static_cast<std::size_t>(rng.below(n - begin + 1));
+        for (const auto& [lo, hi] :
+             {std::pair<std::size_t, std::size_t>{0, n}, {begin, end}}) {
+          want.poison_elements();
+          got.poison_elements();
+          core::pcr_split_step_range_on(Isa::Default, in, want.view(), lo,
+                                        hi);
+          core::pcr_split_step_range_on(isa, in, got.view(), lo, hi);
+          ASSERT_TRUE(got.same_bytes(want))
+              << "range [" << lo << ", " << hi << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaVariants, PcrSplitStepBitwiseEqualsDefaultFloat) {
+  check_split_variants<float>();
+}
+
+TEST(IsaVariants, PcrSplitStepBitwiseEqualsDefaultDouble) {
+  check_split_variants<double>();
 }
 
 // One interleaved Thomas sweep on `isa` over a copy of input laid out at
