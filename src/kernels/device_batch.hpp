@@ -256,7 +256,6 @@ class DeviceBatch {
   /// Records how the last writer laid out x: 0 for natural order, k for
   /// the 2^k subsystem rows of solution_row. download() reads it.
   void set_solution_splits(std::size_t splits) { x_splits_ = splits; }
-  [[nodiscard]] std::size_t solution_splits() const { return x_splits_; }
 
   /// Flips the ping-pong parity after a split step.
   void swap_buffers() { cur_ = 1 - cur_; }
