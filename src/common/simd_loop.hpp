@@ -11,6 +11,13 @@
 // through inlining; GCC has no statement-level form, so GCC builds get
 // -ffp-contract=off from the build and the ISA variants of
 // tridiag/isa.cpp carry it as a function attribute.
+//
+// TDA_FOLD_BARRIER(e): the value of e, kept as its own operation so the
+// compiler does not merge it with the operations around it. tridiag/
+// pcr.hpp wraps the double product of two widened floats in it, which
+// GCC and clang would otherwise fold, together with the narrowing, back
+// into a float multiply. GCC spells it __builtin_assoc_barrier, clang on
+// x86 __arithmetic_fence; elsewhere it is e itself, with the same value.
 
 #if defined(__clang__)
 #define TDA_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
@@ -21,4 +28,16 @@
 #else
 #define TDA_SIMD_LOOP
 #define TDA_FP_CONTRACT_OFF
+#endif
+
+#if defined(__has_builtin)
+#if __has_builtin(__arithmetic_fence) && \
+    (defined(__x86_64__) || defined(__i386__))
+#define TDA_FOLD_BARRIER(e) __arithmetic_fence(e)
+#elif __has_builtin(__builtin_assoc_barrier)
+#define TDA_FOLD_BARRIER(e) __builtin_assoc_barrier(e)
+#endif
+#endif
+#ifndef TDA_FOLD_BARRIER
+#define TDA_FOLD_BARRIER(e) (e)
 #endif

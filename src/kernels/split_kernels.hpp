@@ -7,8 +7,12 @@
 // what the charges model. The host keeps every current subsystem as one
 // contiguous segment instead (DeviceBatch's segment layout), so each of
 // its split steps is the shift-1 splitting step of tridiag/pcr.hpp over
-// contiguous memory, with the device's per-equation arithmetic. The
-// stages differ in launch structure and therefore cost:
+// contiguous memory, with the device's per-equation arithmetic. For
+// float that step forms its coupling products in double and narrows
+// them, which gives the same bits: by stage 2's last splits those
+// products are subnormal, and a float multiply producing one would take
+// an x86 microcode assist. The stages differ in launch structure and
+// therefore cost:
 //
 //  * Stage 1 (cooperative split): ONE split per kernel launch. The grid
 //    covers all equations with many small blocks, so even a single system

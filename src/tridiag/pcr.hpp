@@ -18,9 +18,21 @@
 // shift-1 step over a contiguous system that also moves each equation
 // into its child, even half first: the host split kernels keep every
 // subsystem contiguous with it (kernels/device_batch.hpp).
+//
+// In a diagonally dominant system each split squares the coupling ratio,
+// so after a few splits the couplings of float systems fall into the
+// subnormal range, and every x86 vector multiply that yields a subnormal
+// takes a microcode assist. The splitting step therefore forms its four
+// coupling products of float in double and narrows them once (mul),
+// which gives the bits of the float multiply without the assists.
+// pcr_step keeps the plain multiply. It serves stage 3, the
+// shared-memory kernels and the CPU reference, whose steps run in L1,
+// are compute-bound and meet few subnormals, so the widening would only
+// cost there (docs/PERFORMANCE.md).
 
 #include <algorithm>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -38,11 +50,33 @@ struct PcrEquation {
   T a, b, c, d;
 };
 
+/// x*y rounded to T. With Widen and T = float the product is formed in
+/// double, where it is exact (24 + 24 <= 53 significand bits, and every
+/// float product lies inside double's normal range), and narrowed once.
+/// That single rounding is IEEE float multiplication, gradual underflow
+/// included, so the bits are those of x*y. But where x*y is subnormal
+/// an x86 float multiply takes a microcode assist, and the narrowing
+/// (vcvtpd2ps on AVX-512) takes none. The barrier keeps the compiler
+/// from folding the pair back into a float multiply; without it the
+/// bits are the same and only the speed is lost.
+template <bool Widen, typename T>
+inline T mul(T x, T y) {
+  TDA_FP_CONTRACT_OFF
+  if constexpr (Widen && std::is_same_v<T, float>) {
+    return static_cast<float>(
+        TDA_FOLD_BARRIER(static_cast<double>(x) * static_cast<double>(y)));
+  } else {
+    return x * y;
+  }
+}
+
 /// Equation i of a PCR step with shift s: HasLeft says i-s exists,
-/// HasRight says i+s exists. Every loop below evaluates an equation
-/// through this one body, in the same operation order, so the result is
-/// bitwise independent of which loop an equation lands in.
-template <typename T, bool HasLeft, bool HasRight, typename In>
+/// HasRight says i+s exists, Widen forms the coupling products through
+/// mul's double product (the splitting step). Every loop below evaluates
+/// an equation through this one body, in the same operation order, so
+/// the result is bitwise independent of which loop an equation lands in
+/// and of Widen.
+template <typename T, bool HasLeft, bool HasRight, bool Widen, typename In>
 inline PcrEquation<T> pcr_equation(const Lanes<In>& src, std::size_t s,
                                    std::size_t i) {
   TDA_FP_CONTRACT_OFF
@@ -53,15 +87,15 @@ inline PcrEquation<T> pcr_equation(const Lanes<In>& src, std::size_t s,
   if constexpr (HasLeft) {
     const std::size_t im = i - s;
     const T alpha = -a[i] / b[im];
-    nb += alpha * c[im];
-    na = alpha * a[im];
+    nb += mul<Widen, T>(alpha, c[im]);
+    na = mul<Widen, T>(alpha, a[im]);
     nd += alpha * d[im];
   }
   if constexpr (HasRight) {
     const std::size_t ip = i + s;
     const T gamma = -c[i] / b[ip];
-    nb += gamma * a[ip];
-    nc = gamma * c[ip];
+    nb += mul<Widen, T>(gamma, a[ip]);
+    nc = mul<Widen, T>(gamma, c[ip]);
     nd += gamma * d[ip];
   }
   return {na, nb, nc, nd};
@@ -87,7 +121,8 @@ void pcr_equations(Lanes<In> src, Lanes<Out> dst, std::size_t s,
   TDA_FP_CONTRACT_OFF
   TDA_SIMD_LOOP
   for (std::size_t i = i0; i < i1; ++i) {
-    store_equation(dst, i, pcr_equation<T, HasLeft, HasRight>(src, s, i));
+    store_equation(dst, i,
+                   pcr_equation<T, HasLeft, HasRight, false>(src, s, i));
   }
 }
 
@@ -134,7 +169,8 @@ struct PcrSplit {
 template <typename T, bool HasLeft, bool HasRight>
 void pcr_split_equation(const PcrSplit<T>& p, std::size_t i) {
   const std::size_t row = i / 2 + (i % 2) * ((p.n + 1) / 2);
-  store_equation(p.dst, row, pcr_equation<T, HasLeft, HasRight>(p.src, 1, i));
+  store_equation(p.dst, row,
+                 pcr_equation<T, HasLeft, HasRight, true>(p.src, 1, i));
 }
 
 /// The interior pairs (2j, 2j+1), j in [j0, j1), of a splitting step:
@@ -149,8 +185,10 @@ void pcr_split_pairs(const PcrSplit<T>& p, std::size_t j0, std::size_t j1) {
                       even.d + half};
   TDA_SIMD_LOOP
   for (std::size_t j = j0; j < j1; ++j) {
-    store_equation(even, j, pcr_equation<T, true, true>(p.src, 1, 2 * j));
-    store_equation(odd, j, pcr_equation<T, true, true>(p.src, 1, 2 * j + 1));
+    store_equation(even, j,
+                   pcr_equation<T, true, true, true>(p.src, 1, 2 * j));
+    store_equation(odd, j,
+                   pcr_equation<T, true, true, true>(p.src, 1, 2 * j + 1));
   }
 }
 

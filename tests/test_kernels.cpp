@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <span>
 #include <tuple>
 #include <vector>
@@ -234,6 +237,28 @@ struct PipelineCase {
   std::size_t thomas_switch;
   LoadVariant variant;
 };
+
+// gtest names each case from its printed parameter, and without a
+// PrintTo it dumps the struct's bytes, including the 4 padding bytes
+// after `variant`, which hold whatever the stack held. This prints the
+// same dump with the padding zeroed, so a case's name depends on its
+// fields alone and keeps the form it had in earlier builds.
+void PrintTo(const PipelineCase& pc, std::ostream* os) {
+  constexpr std::size_t kUsed =
+      offsetof(PipelineCase, variant) + sizeof(LoadVariant);
+  static_assert(offsetof(PipelineCase, variant) == 5 * sizeof(std::size_t),
+                "only tail padding");
+  unsigned char bytes[sizeof(PipelineCase)] = {};
+  std::memcpy(bytes, &pc, kUsed);
+  *os << sizeof bytes << "-byte object <";
+  for (std::size_t i = 0; i < sizeof bytes; ++i) {
+    if (i > 0) *os << (i % 2 == 0 ? ' ' : '-');
+    char hex[3];
+    std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+    *os << hex;
+  }
+  *os << '>';
+}
 
 class KernelPipeline
     : public ::testing::TestWithParam<std::tuple<int, PipelineCase>> {};

@@ -517,6 +517,38 @@ void fill_dominant(const SystemView<T>& v, Rng& rng) {
   }
 }
 
+// Diagonally dominant coefficients whose couplings are so small that the
+// coupling products of one PCR step land in T's subnormal range: |a| and
+// |c| log-uniform in [2^-70, 2^-60] for float ([2^-540, 2^-520] for
+// double), either sign; b in [2, 3].
+template <typename T>
+void fill_underflowing(const SystemView<T>& v, Rng& rng) {
+  const double lo = std::is_same_v<T, float> ? -70.0 : -540.0;
+  const double hi = std::is_same_v<T, float> ? -60.0 : -520.0;
+  const auto tiny = [&] {
+    const double mag = std::exp2(rng.uniform(lo, hi));
+    return static_cast<T>(rng.below(2) == 0 ? mag : -mag);
+  };
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v.a[i] = tiny();
+    v.b[i] = static_cast<T>(rng.uniform(2.0, 3.0));
+    v.c[i] = tiny();
+    v.d[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+  }
+}
+
+// Subnormal values in the a and c lanes of v: after one PCR step those
+// are the coupling products themselves.
+template <typename T>
+std::size_t subnormal_couplings(const SystemView<T>& v) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    count += std::fpclassify(v.a[i]) == FP_SUBNORMAL;
+    count += std::fpclassify(v.c[i]) == FP_SUBNORMAL;
+  }
+  return count;
+}
+
 template <typename T>
 void check_pcr_core_bitwise() {
   Rng rng(0x9c7u);
@@ -573,6 +605,14 @@ TEST(Pcr, CoreBitwiseEqualsScalarReferenceDouble) {
 // The PCR and Thomas loop internals and their ISA variants.
 namespace core = tda::tridiag::detail;
 
+using core::Isa;
+
+constexpr Isa kAllIsas[] = {Isa::Default, Isa::Avx2, Isa::Avx512};
+
+const char* isa_name(Isa isa) {
+  return isa == Isa::Avx512 ? "avx512" : isa == Isa::Avx2 ? "avx2" : "default";
+}
+
 // Sizes for the bitwise path and variant checks: tiny systems, one odd
 // size, and both sides of a power of two.
 constexpr std::size_t kBitwiseSizes[] = {1, 2, 3, 17, 1023, 1024, 1025};
@@ -619,57 +659,180 @@ TEST(Pcr, MixedStrideStepBitwise) {
 }
 
 // The splitting step puts equation i of a shift-1 step into row i/2 of
-// the even child or row ceil(n/2) + i/2 of the odd one. It must equal
-// pcr_step followed by that permutation bit for bit, over the whole range
-// and over ranges cut at random points (odd cuts included) run back to
-// front, and write nothing outside the system.
+// the even child or row ceil(n/2) + i/2 of the odd one. On every variant
+// the CPU runs it must equal pcr_step followed by that permutation bit
+// for bit, over the whole range and over ranges cut at random points
+// (odd cuts included) run back to front, and write nothing outside the
+// system. The splitting step forms its coupling products of float in
+// double and pcr_step does not, so the underflowing fill checks the
+// widened products against plain float multiplies; it must produce
+// subnormals.
 template <typename T>
-void check_split_step() {
-  Rng rng(0x5b17u);
-  for (const std::size_t n : kBitwiseSizes) {
-    SCOPED_TRACE(testing::Message() << "n " << n);
-    StridedSystem<T> src(n, 1);
-    fill_dominant(src.view(), rng);
-    const auto in = const_view(src.view());
-    StridedSystem<T> step(n, 1), want(n, 1), got(n, 1);
-    pcr_step(in, step.view(), 1);
-    for (int k = 0; k < 4; ++k) {
-      for (std::size_t i = 0; i < n; ++i) {
-        std::memcpy(want.at(k, i / 2 + i % 2 * ((n + 1) / 2)), step.at(k, i),
-                    sizeof(T));
+void check_split_step(bool underflowing) {
+  Rng rng(underflowing ? 0x5b19u : 0x5b17u);
+  for (const Isa isa : kAllIsas) {
+    if (!core::isa_supported(isa)) continue;
+    std::size_t subnormals = 0;
+    for (const std::size_t n : kBitwiseSizes) {
+      SCOPED_TRACE(testing::Message() << isa_name(isa) << " n " << n);
+      StridedSystem<T> src(n, 1);
+      if (underflowing) {
+        fill_underflowing(src.view(), rng);
+      } else {
+        fill_dominant(src.view(), rng);
+      }
+      const auto in = const_view(src.view());
+      StridedSystem<T> step(n, 1), want(n, 1), got(n, 1);
+      core::pcr_step_range_on(isa, in, step.view(), 1, 0, n);
+      subnormals += subnormal_couplings(step.view());
+      for (int k = 0; k < 4; ++k) {
+        for (std::size_t i = 0; i < n; ++i) {
+          std::memcpy(want.at(k, i / 2 + i % 2 * ((n + 1) / 2)),
+                      step.at(k, i), sizeof(T));
+        }
+      }
+      core::pcr_split_step_range_on(isa, in, got.view(), 0, n);
+      ASSERT_TRUE(got.same_bytes(want)) << "whole range";
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<std::size_t> cuts{0, n};
+        for (int c = 0; c < 3; ++c) {
+          cuts.push_back(static_cast<std::size_t>(rng.below(n + 1)));
+        }
+        std::sort(cuts.begin(), cuts.end());
+        got.poison_elements();
+        for (std::size_t k = cuts.size() - 1; k-- > 0;) {
+          core::pcr_split_step_range_on(isa, in, got.view(), cuts[k],
+                                        cuts[k + 1]);
+        }
+        ASSERT_TRUE(got.same_bytes(want)) << "trial " << trial;
       }
     }
-    pcr_split_step(in, got.view());
-    ASSERT_TRUE(got.same_bytes(want)) << "whole range";
-    for (int trial = 0; trial < 4; ++trial) {
-      std::vector<std::size_t> cuts{0, n};
-      for (int c = 0; c < 3; ++c) {
-        cuts.push_back(static_cast<std::size_t>(rng.below(n + 1)));
-      }
-      std::sort(cuts.begin(), cuts.end());
-      got.poison_elements();
-      for (std::size_t k = cuts.size() - 1; k-- > 0;) {
-        pcr_split_step_range(in, got.view(), cuts[k], cuts[k + 1]);
-      }
-      ASSERT_TRUE(got.same_bytes(want)) << "trial " << trial;
+    if (underflowing) {
+      EXPECT_GT(subnormals, 1000u) << isa_name(isa);
     }
   }
 }
 
 TEST(Pcr, SplitStepBitwiseEqualsStepThenDeinterleave) {
-  check_split_step<float>();
-  check_split_step<double>();
+  for (const bool underflowing : {false, true}) {
+    SCOPED_TRACE(underflowing ? "underflowing couplings" : "ordinary");
+    check_split_step<float>(underflowing);
+    check_split_step<double>(underflowing);
+  }
+}
+
+// The splitting step's widened product, core::mul<true>, must give the
+// bits of a plain float multiply for every pair of floats: the float
+// product is exact in double, so narrowing it rounds once, as IEEE
+// multiplication does, gradual underflow and overflow included. NaN
+// inputs must give a NaN; its payload is not compared.
+float plain_product(float x, float y) { return x * y; }
+
+bool same_float_bits(float x, float y) {
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+TEST(Pcr, ExactProductMatchesFloatMultiply) {
+  const auto exact = [](float x, float y) { return core::mul<true>(x, y); };
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kMinNormal = std::numeric_limits<float>::min();
+  constexpr float kMinSub = std::numeric_limits<float>::denorm_min();
+  const float edges[][2] = {
+      // Exact subnormal ties, rounded to even: 1.5, 2.5 and 0.5 times
+      // the smallest subnormal, each made two ways, and the tie between
+      // the largest subnormal and the smallest normal.
+      {0x1.8p-75f, 0x1p-74f},
+      {0x1.4p-74f, 0x1p-74f},
+      {0x1p-75f, 0x1p-75f},
+      {kMinSub, 1.5f},
+      {kMinSub, 2.5f},
+      {kMinSub, 0.5f},
+      {0x1.fffffep-1f, 0x1p-126f},
+      // Just above half the smallest subnormal, exactly the smallest,
+      // back to normal, and just below the smallest normal.
+      {0x1.000002p-75f, 0x1p-75f},
+      {0x1p-75f, 0x1p-74f},
+      {kMinSub, 0x1p127f},
+      {kMinNormal, 0x1.fffffep-1f},
+      // Underflow to zero and overflow, both signs.
+      {kMinSub, kMinSub},
+      {-kMinSub, 0x1p-30f},
+      {kMax, 0x1.000002p0f},
+      {-kMax, 2.0f},
+      {kMax, 1.0f},
+      // Signed zeros and infinities.
+      {0.0f, 1.0f},
+      {-0.0f, 1.0f},
+      {0.0f, -kMinSub},
+      {-0.0f, -0.0f},
+      {-0.0f, kMax},
+      {kInf, 2.0f},
+      {kInf, -kMinSub},
+      {-kInf, -kInf},
+      {kInf, -kInf},
+  };
+  for (const auto& [x, y] : edges) {
+    for (const auto& [p, q] : {std::pair{x, y}, std::pair{y, x}}) {
+      EXPECT_TRUE(same_float_bits(exact(p, q), plain_product(p, q)))
+          << std::hexfloat << p << " * " << q << ": " << exact(p, q)
+          << " vs " << plain_product(p, q);
+    }
+  }
+
+  // NaN inputs, quiet and signalling, and inf * 0, which makes one.
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const float snan = std::numeric_limits<float>::signaling_NaN();
+  for (const auto& [p, q] : {std::pair{qnan, 1.0f}, {2.0f, -qnan},
+                             {snan, kMinSub}, {qnan, snan}, {kInf, 0.0f},
+                             {-0.0f, kInf}}) {
+    EXPECT_TRUE(std::isnan(exact(p, q))) << p << " * " << q;
+    EXPECT_TRUE(std::isnan(plain_product(p, q))) << p << " * " << q;
+  }
+
+  // Random pairs whose biased exponents span the whole range, subnormal
+  // inputs included, so the products fall in every range: overflow,
+  // normal, subnormal and underflow to zero. Each range must be met.
+  Rng rng(0xe7ac7u);
+  int overflow = 0, normal = 0, subnormal = 0, zero = 0;
+  const auto random_float = [&] {
+    const auto sign = static_cast<std::uint32_t>(rng.below(2)) << 31;
+    const auto exponent = static_cast<std::uint32_t>(rng.below(255)) << 23;
+    const auto mantissa = static_cast<std::uint32_t>(rng.below(1u << 23));
+    const std::uint32_t bits = sign | exponent | mantissa;
+    float f;
+    std::memcpy(&f, &bits, sizeof f);
+    return f;
+  };
+  for (int k = 0; k < 1'000'000; ++k) {
+    const float x = random_float();
+    const float y = random_float();
+    const float want = plain_product(x, y);
+    const float got = exact(x, y);
+    ASSERT_TRUE(same_float_bits(got, want))
+        << std::hexfloat << x << " * " << y << ": " << got << " vs " << want;
+    switch (std::fpclassify(want)) {
+      case FP_INFINITE:
+        ++overflow;
+        break;
+      case FP_NORMAL:
+        ++normal;
+        break;
+      case FP_SUBNORMAL:
+        ++subnormal;
+        break;
+      default:
+        ++zero;
+        break;
+    }
+  }
+  EXPECT_GT(overflow, 1000);
+  EXPECT_GT(normal, 1000);
+  EXPECT_GT(subnormal, 1000);
+  EXPECT_GT(zero, 1000);
 }
 
 // ---------- ISA variants: bitwise equal to the default variant ----------
-
-using core::Isa;
-
-constexpr Isa kAllIsas[] = {Isa::Default, Isa::Avx2, Isa::Avx512};
-
-const char* isa_name(Isa isa) {
-  return isa == Isa::Avx512 ? "avx512" : isa == Isa::Avx2 ? "avx2" : "default";
-}
 
 TEST(IsaVariants, HostIsaIsTheWidestSupported) {
   EXPECT_TRUE(core::isa_supported(Isa::Default));
@@ -729,19 +892,27 @@ TEST(IsaVariants, PcrStepBitwiseEqualsDefaultDouble) {
 }
 
 // The splitting step on every variant the CPU runs, whole and random
-// partial ranges: the destination buffer must match the default variant
-// byte for byte.
+// partial ranges, with ordinary and with underflowing couplings: the
+// destination buffer must match the default variant byte for byte, and
+// the underflowing fill must produce subnormals.
 template <typename T>
-void check_split_variants() {
-  Rng rng(0x5b18u);
+void check_split_variants(bool underflowing) {
+  Rng rng(underflowing ? 0x5b1au : 0x5b18u);
   for (const Isa isa : kAllIsas) {
     if (!core::isa_supported(isa)) continue;
+    std::size_t subnormals = 0;
     for (const std::size_t n : kBitwiseSizes) {
       SCOPED_TRACE(testing::Message() << isa_name(isa) << " n " << n);
       StridedSystem<T> src(n, 1);
-      fill_dominant(src.view(), rng);
+      if (underflowing) {
+        fill_underflowing(src.view(), rng);
+      } else {
+        fill_dominant(src.view(), rng);
+      }
       const auto in = const_view(src.view());
       StridedSystem<T> want(n, 1), got(n, 1);
+      core::pcr_split_step_range_on(Isa::Default, in, want.view(), 0, n);
+      subnormals += subnormal_couplings(want.view());
       for (int trial = 0; trial < 8; ++trial) {
         const auto begin = static_cast<std::size_t>(rng.below(n + 1));
         const auto end =
@@ -758,15 +929,20 @@ void check_split_variants() {
         }
       }
     }
+    if (underflowing) {
+      EXPECT_GT(subnormals, 1000u) << isa_name(isa);
+    }
   }
 }
 
 TEST(IsaVariants, PcrSplitStepBitwiseEqualsDefaultFloat) {
-  check_split_variants<float>();
+  check_split_variants<float>(false);
+  check_split_variants<float>(true);
 }
 
 TEST(IsaVariants, PcrSplitStepBitwiseEqualsDefaultDouble) {
-  check_split_variants<double>();
+  check_split_variants<double>(false);
+  check_split_variants<double>(true);
 }
 
 // One interleaved Thomas sweep on `isa` over a copy of input laid out at
