@@ -18,6 +18,7 @@
 #include "solver/plan.hpp"
 #include "tridiag/cr.hpp"
 #include "tridiag/generators.hpp"
+#include "tridiag/guard_scans.hpp"
 #include "tridiag/hybrid.hpp"
 #include "tridiag/pcr.hpp"
 #include "tridiag/thomas.hpp"
@@ -166,6 +167,42 @@ void BM_CostOnlySolve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16 * static_cast<long>(n));
 }
 BENCHMARK(BM_CostOnlySolve)->Arg(1024)->Arg(8192);
+
+// The solve pipeline's guard scans over solve_large's shape (16 x 65,536
+// float), one system per call on one thread. range(0) picks the ISA
+// variant: 0 the build's default, 1 the host's widest.
+tridiag::detail::Isa guard_isa(const benchmark::State& state) {
+  return state.range(0) == 0 ? tridiag::detail::Isa::Default : tridiag::detail::host_isa();
+}
+
+void BM_GuardScreen(benchmark::State& state) {
+  const auto isa = guard_isa(state);
+  auto host = make_diag_dominant<float>(16, 65536, 8);
+  for (auto _ : state) {
+    for (std::size_t s = 0; s < host.num_systems(); ++s) {
+      benchmark::DoNotOptimize(
+          tridiag::detail::screen_verdict_on(isa, host.system(s).as_const()));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(host.total_equations()));
+}
+BENCHMARK(BM_GuardScreen)->Arg(0)->Arg(1);
+
+void BM_GuardResidual(benchmark::State& state) {
+  const auto isa = guard_isa(state);
+  auto host = make_diag_dominant<float>(16, 65536, 8);
+  for (auto& v : host.x()) v = 0.5f;
+  for (auto _ : state) {
+    for (std::size_t s = 0; s < host.num_systems(); ++s) {
+      benchmark::DoNotOptimize(tridiag::detail::relative_residual_on(
+          isa, host.system(s).as_const(), host.solution(s).as_const()));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(host.total_equations()));
+}
+BENCHMARK(BM_GuardResidual)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -2,10 +2,18 @@
 // Device-resident batch: the coefficient arrays a multi-stage solve works
 // on, double-buffered for PCR's read-old/write-new steps.
 //
-// "Upload" copies a host TridiagBatch into the ping buffer; each split
-// step reads the current buffer and writes the other, then swap() flips
-// parity. The solution array x is single-buffered. download() copies x
-// back into a host batch.
+// "Upload" copies nothing: a batch built from a host TridiagBatch points
+// its current coefficient buffer at the host's a, b, c, d, read-only,
+// until its first swap_buffers(). From then on it ping-pongs between its
+// two owned buffers: each split step reads the current buffer and writes
+// the other, then swap() flips parity. This rests on one invariant: no
+// kernel writes the current buffer. The current-buffer accessors are
+// read-only; the one kernel that rewrites its input in place (the
+// interleaved Thomas sweep, after transpose_in's swap) goes through
+// owned_cur_lane(), which refuses a borrowed buffer. A batch therefore
+// must not outlive the host batch it was built from, and cannot be built
+// from a temporary. The solution array x is single-buffered. download()
+// copies x back into a host batch.
 //
 // Host segment layout. On the device a split never moves data: after k
 // splits subsystem p of a system is its rows p, p + 2^k, ..., and the
@@ -24,18 +32,21 @@
 // Storage is ONE slab from the process BufferPool (9 segments: the 8
 // double-buffered coefficient arrays plus x, each 64-byte aligned), so
 // repeated service flushes of one shape reuse a warm slab instead of
-// paying malloc + zero-fill per solve (docs/PERFORMANCE.md). Pooled
-// memory arrives dirty: the upload path overwrites the ping buffer and
-// the stage pipeline fully writes the pong buffer and x before reading
-// them, which the TDA_POOL_POISON regression tests pin down. The
-// shape-only (cost-only) constructor still zero-fills — tuning batches
-// are off the hot path and must stay numerically inert. Device *budget*
-// accounting is unchanged: tracked batches claim footprint_bytes()
-// through the device's MemoryTracker before acquiring the slab.
+// paying malloc + zero-fill per solve (docs/PERFORMANCE.md). A borrowing
+// batch keeps the whole slab, its first coefficient set included, so its
+// footprint is that of a copying one. Pooled memory arrives dirty, and
+// the stage pipeline writes every buffer before reading it: the first
+// kernel writes the alternate set from the borrowed input, the set the
+// first swap hands back is written by the next split before any read,
+// and x is written by the base kernel or transpose_out. The
+// TDA_POOL_POISON regression tests pin that down. The shape-only
+// (cost-only) constructor still zero-fills — tuning batches are off the
+// hot path and must stay numerically inert. Device *budget* accounting is
+// unchanged: tracked batches claim footprint_bytes() through the device's
+// MemoryTracker before acquiring the slab.
 //
-// upload() and download() copy each lane in kCopyPieceBytes pieces on
-// the engine's thread pool; a batch whose lanes fit in one piece is
-// copied inline.
+// download() copies x in kCopyPieceBytes pieces on the engine's thread
+// pool; a batch whose x fits in one piece is copied inline.
 
 #include <algorithm>
 #include <array>
@@ -56,28 +67,24 @@ namespace tda::kernels {
 using tridiag::SystemView;
 using tridiag::TridiagBatch;
 
-/// Bytes of one host-copy task of DeviceBatch::upload/download.
+/// Bytes of one host-copy task of DeviceBatch::download.
 inline constexpr std::size_t kCopyPieceBytes = std::size_t{64} << 10;
 
-/// Copies `count` elements from each src[k] to dst[k]: inline when a lane
-/// fits in one kCopyPieceBytes piece, else as lanes x pieces tasks on the
-/// engine's thread pool.
-template <typename T, std::size_t K>
-void copy_lanes(const std::array<const T*, K>& src,
-                const std::array<T*, K>& dst, std::size_t count) {
+/// Copies `count` elements from src to dst: inline when they fit in one
+/// kCopyPieceBytes piece, else as one task per piece on the engine's
+/// thread pool.
+template <typename T>
+void copy_pieces(const T* src, T* dst, std::size_t count) {
   const std::size_t piece = kCopyPieceBytes / sizeof(T);
   if (count <= piece) {
-    for (std::size_t k = 0; k < K; ++k) std::copy_n(src[k], count, dst[k]);
+    std::copy_n(src, count, dst);
     return;
   }
-  const std::size_t pieces = (count + piece - 1) / piece;
   gpusim::ThreadPool::global().run(
-      K * pieces, [&](std::size_t begin, std::size_t end) {
+      (count + piece - 1) / piece, [&](std::size_t begin, std::size_t end) {
         for (std::size_t t = begin; t < end; ++t) {
-          const std::size_t k = t / pieces;
-          const std::size_t off = t % pieces * piece;
-          std::copy_n(src[k] + off, std::min(piece, count - off),
-                      dst[k] + off);
+          const std::size_t off = t * piece;
+          std::copy_n(src + off, std::min(piece, count - off), dst + off);
         }
       });
 }
@@ -159,11 +166,16 @@ class DeviceBatch {
     make_inert();
   }
 
+  /// Batch over a host batch: borrows its a, b, c, d as the current
+  /// buffer, read-only, until the first swap_buffers() (see the header
+  /// comment). `host` must outlive the batch.
   explicit DeviceBatch(const TridiagBatch<T>& host)
       : m_(host.num_systems()), n_(host.system_size()) {
     allocate();
-    upload(host);
+    borrow(host);
   }
+  /// A temporary would be gone before the kernels read it.
+  explicit DeviceBatch(const TridiagBatch<T>&&) = delete;
 
   /// Tracked shape-only batch: reserves its footprint against `dev`'s
   /// memory budget before touching any buffer (throws gpusim::OutOfMemory
@@ -177,13 +189,14 @@ class DeviceBatch {
     make_inert();
   }
 
-  /// Tracked upload of a host batch (see above).
+  /// Tracked batch over a host batch (see above).
   DeviceBatch(gpusim::Device& dev, const TridiagBatch<T>& host)
       : m_(host.num_systems()), n_(host.system_size()) {
     mem_ = dev.mem_reserve(footprint_bytes(m_, n_), "device batch");
     allocate();
-    upload(host);
+    borrow(host);
   }
+  DeviceBatch(gpusim::Device& dev, const TridiagBatch<T>&&) = delete;
 
   /// Device-resident bytes of an (m, n) batch: 8 double-buffered
   /// coefficient arrays plus x, each m*n elements.
@@ -196,43 +209,66 @@ class DeviceBatch {
   [[nodiscard]] std::size_t system_size() const { return n_; }
   [[nodiscard]] std::size_t total_equations() const { return m_ * n_; }
 
-  /// Layout of the CURRENT coefficient buffer. upload() always leaves
-  /// system-major data (the host wire layout); the interleaved pipeline
+  /// Layout of the CURRENT coefficient buffer. A fresh batch is always
+  /// system-major (the host wire layout); the interleaved pipeline
   /// flips this to ElementMajor after its transpose-in stage and back
   /// after transpose-out, so a reused batch (chunked solves, tuner
   /// scratch) is always observed system-major between runs.
   [[nodiscard]] tridiag::BatchLayout layout() const { return layout_; }
   void set_layout(tridiag::BatchLayout l) { layout_ = l; }
 
+  /// True while the current buffer is the host batch's (before the
+  /// first swap_buffers()).
+  [[nodiscard]] bool borrowing() const { return borrowed_[0] != nullptr; }
+
   /// Raw lane k (0=a 1=b 2=c 3=d) of the current / alternate buffer —
   /// the interleaved kernels index lanes directly instead of through
   /// per-system views, since in element-major layout a "system" is a
-  /// stride-m column.
-  [[nodiscard]] std::span<T> cur_lane(int k) {
-    TDA_REQUIRE(k >= 0 && k < 4, "lane index out of range");
-    return {arr_[cur_ * 4 + k], m_ * n_};
+  /// stride-m column. The current lane is read-only.
+  [[nodiscard]] std::span<const T> cur_lane(int k) const {
+    return {cur_ptr(k), m_ * n_};
   }
   [[nodiscard]] std::span<T> alt_lane(int k) {
     TDA_REQUIRE(k >= 0 && k < 4, "lane index out of range");
     return {arr_[(1 - cur_) * 4 + k], m_ * n_};
   }
+  /// Writable current lane k, for a kernel that rewrites its input in
+  /// place; the buffer must be owned (not borrowed from the host).
+  [[nodiscard]] std::span<T> owned_cur_lane(int k) {
+    TDA_REQUIRE(!borrowing(),
+                "the current buffer is the caller's batch, not writable");
+    TDA_REQUIRE(k >= 0 && k < 4, "lane index out of range");
+    return {arr_[cur_ * 4 + k], m_ * n_};
+  }
 
-  /// Current (source) coefficient view of system s; stride 1.
-  [[nodiscard]] SystemView<T> cur_system(std::size_t s) {
-    return view_of(cur_, s);
+  /// Current (source) coefficient view of system s; stride 1, read-only.
+  [[nodiscard]] SystemView<const T> cur_system(std::size_t s) const {
+    TDA_REQUIRE(s < m_, "system index out of range");
+    const std::size_t off = s * n_;
+    const auto lane = [&](int k) {
+      return StridedView<const T>(cur_ptr(k) + off, n_, 1);
+    };
+    return {lane(0), lane(1), lane(2), lane(3)};
   }
   /// Alternate (destination) coefficient view of system s.
   [[nodiscard]] SystemView<T> alt_system(std::size_t s) {
-    return view_of(1 - cur_, s);
+    TDA_REQUIRE(s < m_, "system index out of range");
+    const std::size_t off = s * n_;
+    T* const* arr = arr_ + (1 - cur_) * 4;
+    return SystemView<T>{StridedView<T>(arr[0] + off, n_, 1),
+                         StridedView<T>(arr[1] + off, n_, 1),
+                         StridedView<T>(arr[2] + off, n_, 1),
+                         StridedView<T>(arr[3] + off, n_, 1)};
   }
 
   /// Contiguous current / alternate coefficients of one segment of
   /// system s.
-  [[nodiscard]] SystemView<T> cur_segment(std::size_t s, const Segment& seg) {
-    return view_of(cur_, s).slice(seg.offset, seg.size);
+  [[nodiscard]] SystemView<const T> cur_segment(std::size_t s,
+                                                const Segment& seg) const {
+    return cur_system(s).slice(seg.offset, seg.size);
   }
   [[nodiscard]] SystemView<T> alt_segment(std::size_t s, const Segment& seg) {
-    return view_of(1 - cur_, s).slice(seg.offset, seg.size);
+    return alt_system(s).slice(seg.offset, seg.size);
   }
 
   /// Solution view of system s, in natural order.
@@ -257,26 +293,34 @@ class DeviceBatch {
   /// the 2^k subsystem rows of solution_row. download() reads it.
   void set_solution_splits(std::size_t splits) { x_splits_ = splits; }
 
-  /// Flips the ping-pong parity after a split step.
-  void swap_buffers() { cur_ = 1 - cur_; }
+  /// Flips the ping-pong parity after a split step. The first swap ends
+  /// the borrow: both buffers are owned from then on.
+  void swap_buffers() {
+    cur_ = 1 - cur_;
+    borrowed_.fill(nullptr);
+  }
 
   /// Copies the solution into `host.x()` in natural order.
   void download(TridiagBatch<T>& host) const {
     TDA_REQUIRE(host.num_systems() == m_ && host.system_size() == n_,
                 "download: shape mismatch");
     if (x_splits_ == 0) {
-      copy_lanes<T, 1>({arr_[8]}, {host.x().data()}, m_ * n_);
+      copy_pieces<T>(arr_[8], host.x().data(), m_ * n_);
     } else {
       download_rows(host.x().data());
     }
   }
 
  private:
-  void upload(const TridiagBatch<T>& host) {
-    layout_ = tridiag::BatchLayout::SystemMajor;
-    copy_lanes<T, 4>(
-        {host.a().data(), host.b().data(), host.c().data(), host.d().data()},
-        {arr_[0], arr_[1], arr_[2], arr_[3]}, m_ * n_);
+  /// The current buffer's lane k: the host batch's while borrowing.
+  [[nodiscard]] const T* cur_ptr(int k) const {
+    TDA_REQUIRE(k >= 0 && k < 4, "lane index out of range");
+    return borrowing() ? borrowed_[k] : arr_[cur_ * 4 + k];
+  }
+
+  void borrow(const TridiagBatch<T>& host) {
+    borrowed_ = {host.a().data(), host.b().data(), host.c().data(),
+                 host.d().data()};
   }
 
   /// download() of a subsystem-major x: per system, the parts x ⌈n/parts⌉
@@ -342,16 +386,6 @@ class DeviceBatch {
     std::fill(arr_[1], arr_[1] + m_ * n_, T{1});
   }
 
-  [[nodiscard]] SystemView<T> view_of(int which, std::size_t s) {
-    TDA_REQUIRE(s < m_, "system index out of range");
-    const std::size_t off = s * n_;
-    T* const* arr = arr_ + which * 4;
-    return SystemView<T>{StridedView<T>(arr[0] + off, n_, 1),
-                         StridedView<T>(arr[1] + off, n_, 1),
-                         StridedView<T>(arr[2] + off, n_, 1),
-                         StridedView<T>(arr[3] + off, n_, 1)};
-  }
-
   std::size_t m_;
   std::size_t n_;
   int cur_ = 0;
@@ -360,6 +394,8 @@ class DeviceBatch {
   gpusim::MemoryReservation mem_;  ///< empty for untracked (tuning) batches
   tda::PoolBlock slab_;
   T* arr_[9] = {};  ///< a0 b0 c0 d0 a1 b1 c1 d1 x
+  /// The host batch's a, b, c, d while borrowing, else null.
+  std::array<const T*, 4> borrowed_{};
 };
 
 /// A contiguous system of `len` equations in the block's lane scratch

@@ -230,10 +230,12 @@ gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
   cfg.shared_bytes = 0;
   cfg.regs_per_thread = split_kernel_regs_per_thread(dev.query());
 
-  T* const a = batch.cur_lane(0).data();
-  T* const b = batch.cur_lane(1).data();
-  T* const c = batch.cur_lane(2).data();
-  T* const d = batch.cur_lane(3).data();
+  // transpose_in_stage's swap left an owned current buffer, which the
+  // forward sweep may rewrite.
+  const T* const a = batch.cur_lane(0).data();
+  const T* const b = batch.cur_lane(1).data();
+  T* const c = batch.owned_cur_lane(2).data();
+  T* const d = batch.owned_cur_lane(3).data();
   T* const x = batch.alt_lane(3).data();
 
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
@@ -355,9 +357,11 @@ gpusim::KernelStats interleaved_pcr_stage(gpusim::Device& dev,
   cfg.shared_bytes = 0;
   cfg.regs_per_thread = split_kernel_regs_per_thread(dev.query());
 
+  // With an even step count the ping-pong ends in the current buffer,
+  // which transpose_in_stage's swap left owned.
   std::array<T*, 4> bufs[2] = {
-      {batch.cur_lane(0).data(), batch.cur_lane(1).data(),
-       batch.cur_lane(2).data(), batch.cur_lane(3).data()},
+      {batch.owned_cur_lane(0).data(), batch.owned_cur_lane(1).data(),
+       batch.owned_cur_lane(2).data(), batch.owned_cur_lane(3).data()},
       {batch.alt_lane(0).data(), batch.alt_lane(1).data(),
        batch.alt_lane(2).data(), batch.alt_lane(3).data()}};
 

@@ -7,12 +7,13 @@
 // what the charges model. The host keeps every current subsystem as one
 // contiguous segment instead (DeviceBatch's segment layout), so each of
 // its split steps is the shift-1 splitting step of tridiag/pcr.hpp over
-// contiguous memory, with the device's per-equation arithmetic. For
-// float that step forms its coupling products in double and narrows
-// them, which gives the same bits: by stage 2's last splits those
+// contiguous memory, with the device's per-equation arithmetic. In
+// stage 2 that step forms its float coupling products in double and
+// narrows them, which gives the same bits: by stage 2's last splits those
 // products are subnormal, and a float multiply producing one would take
-// an x86 microcode assist. The stages differ in launch structure and
-// therefore cost:
+// an x86 microcode assist. Stage 1's few splits stay far from underflow,
+// so it keeps the plain multiply, which is cheaper there. The stages
+// differ in launch structure and therefore cost:
 //
 //  * Stage 1 (cooperative split): ONE split per kernel launch. The grid
 //    covers all equations with many small blocks, so even a single system
@@ -80,10 +81,9 @@ gpusim::KernelStats stage1_split_step(gpusim::Device& dev,
         for (std::size_t i = lo; i < hi;) {
           const Segment seg = st.segment_at(n, i);
           const std::size_t end = std::min(hi, seg.offset + seg.size);
-          tridiag::pcr_split_step_range(
-              batch.cur_segment(s, seg).as_const(),
-              batch.alt_segment(s, seg), i - seg.offset,
-              end - seg.offset);
+          tridiag::pcr_split_step_range</*Widen=*/false>(
+              batch.cur_segment(s, seg), batch.alt_segment(s, seg),
+              i - seg.offset, end - seg.offset);
           i = end;
         }
       }
@@ -106,7 +106,8 @@ gpusim::KernelStats stage1_split_step(gpusim::Device& dev,
 }
 
 /// Stage 2: every current subsystem gets its own block, which performs
-/// `steps` further splits in a single launch. Advances `st` by `steps`.
+/// `steps` further splits in a single launch. Advances `st` by `steps`;
+/// the result lands in the alternate buffer, which becomes current.
 template <typename T>
 gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
                                  SplitState& st, std::size_t steps,
@@ -133,28 +134,31 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
     // disjoint from every other block's, so that is hazard-free. The
     // host splits the block's segment, each step writing the sub-segments
     // it splits into the same range of another buffer: contiguous lane
-    // scratch, or the global buffer the device's ping-pong ends in,
-    // alternating so that the last step lands there (a single step goes
-    // global to global). The other global buffer is never written. The
-    // charges model the device's strided passes.
-    const tridiag::SystemView<T> global[2] = {batch.cur_segment(s, seg),
-                                              batch.alt_segment(s, seg)};
+    // scratch or the alternate global buffer, alternating so that the
+    // last step lands in the alternate buffer (a single step goes global
+    // to global). So the current buffer is only read, whatever the step
+    // count, and may be the caller's batch (DeviceBatch). The charges
+    // model the device's strided passes, which end in either buffer.
+    const tridiag::SystemView<const T> entry = batch.cur_segment(s, seg);
+    const tridiag::SystemView<T> alt = batch.alt_segment(s, seg);
     const std::size_t len = seg.size;
     const tridiag::SystemView<T> staged =
         mode == ExecMode::Full && steps > 1 ? scratch_system<T>(ctx, len)
                                             : tridiag::SystemView<T>{};
     const auto out = [&](std::size_t t) -> const tridiag::SystemView<T>& {
-      return (steps - 1 - t) % 2 == 0 ? global[steps % 2] : staged;
+      return (steps - 1 - t) % 2 == 0 ? alt : staged;
     };
     for (std::size_t t = 0; t < steps; ++t) {
       if (mode == ExecMode::Full) {
-        const auto& src = t == 0 ? global[0] : out(t - 1);
+        const tridiag::SystemView<const T> src =
+            t == 0 ? entry : out(t - 1).as_const();
         const auto& dst = out(t);
         const SplitState level{t};
         for (std::size_t q = 0; q < level.parts(); ++q) {
           const Segment sub = level.segment(len, q);
-          tridiag::pcr_split_step(src.slice(sub.offset, sub.size).as_const(),
-                                  dst.slice(sub.offset, sub.size));
+          tridiag::pcr_split_step</*Widen=*/true>(
+              src.slice(sub.offset, sub.size),
+              dst.slice(sub.offset, sub.size));
         }
       }
 
@@ -166,7 +170,7 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
       if (t + 1 < steps) ctx.sync();
     }
   }, "stage2_independent_split");
-  if (steps % 2 == 1) batch.swap_buffers();
+  batch.swap_buffers();
   st.splits += steps;
   return stats;
 }

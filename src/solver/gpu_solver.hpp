@@ -106,10 +106,11 @@ class GpuTridiagonalSolver {
   [[nodiscard]] CancelToken* cancel_token() const { return cancel_; }
 
   /// Solves every system of the batch; the solution lands in batch.x().
-  /// Coefficient arrays of `batch` are left untouched (work happens in a
-  /// device-side copy). Returns the simulated timing breakdown. The
-  /// device copy counts against the device's memory budget (throws
-  /// gpusim::OutOfMemory when it does not fit — see solver::Pipeline).
+  /// Coefficient arrays of `batch` are left untouched: the device batch
+  /// reads them in place and writes only its own buffers. Returns the
+  /// simulated timing breakdown. The device batch counts against the
+  /// device's memory budget (throws gpusim::OutOfMemory when it does not
+  /// fit — see solver::Pipeline).
   SolveStats solve(tridiag::TridiagBatch<T>& batch) {
     kernels::DeviceBatch<T> dbatch(*dev_, batch);
     SolveStats stats = run(dbatch, kernels::ExecMode::Full);

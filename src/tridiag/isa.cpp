@@ -1,5 +1,5 @@
-// The ISA variants of the hot PCR, Thomas and transpose loops (see
-// isa.hpp).
+// The ISA variants of the hot PCR, Thomas, transpose and guard-scan
+// loops (see isa.hpp).
 //
 // A variant is a set of non-template wrappers, one per entry point, whose
 // attributes set the target ISA and inline the whole loop nest into the
@@ -13,6 +13,7 @@
 
 #include "tridiag/isa.hpp"
 
+#include "tridiag/guard_scans.hpp"
 #include "tridiag/pcr.hpp"
 #include "tridiag/thomas.hpp"
 #include "tridiag/transpose.hpp"
@@ -39,10 +40,13 @@
   TDA_ENTRY(ATTRS, ScatterStep<T>, pcr_step_regions<T>)                       \
   TDA_ENTRY(ATTRS, GatherStep<T>, pcr_step_regions<T>)                        \
   TDA_ENTRY(ATTRS, StridedStep<T>, pcr_step_regions<T>)                       \
-  TDA_ENTRY(ATTRS, PcrSplit<T>, pcr_split_regions<T>)                         \
+  TDA_ENTRY(ATTRS, WideSplit<T>, pcr_split_regions<T>)                        \
+  TDA_ENTRY(ATTRS, PlainSplit<T>, pcr_split_regions<T>)                       \
   TDA_ENTRY(ATTRS, ThomasSweep<T*>, thomas_interleaved_rows<T>)               \
   TDA_ENTRY(ATTRS, ThomasSweep<StridedView<T>>, thomas_interleaved_rows<T>)   \
-  TDA_ENTRY(ATTRS, TransposeTile<T>, transpose_tile_loop<T>)
+  TDA_ENTRY(ATTRS, TransposeTile<T>, transpose_tile_loop<T>)                  \
+  TDA_ENTRY(ATTRS, ScreenScan<T>, screen_rows<T>)                             \
+  TDA_ENTRY(ATTRS, ResidualScan<T>, residual_rows<T>)
 #define TDA_DEFINE_VARIANT(NS, ATTRS) \
   namespace NS {                      \
   TDA_ENTRIES(ATTRS, float)           \
@@ -62,6 +66,12 @@ template <typename T>
 using GatherStep = PcrStep<StridedView<const T>, T*>;
 template <typename T>
 using StridedStep = PcrStep<StridedView<const T>, StridedView<T>>;
+
+// The splitting step with widened and with plain float products.
+template <typename T>
+using WideSplit = PcrSplit<T, true>;
+template <typename T>
+using PlainSplit = PcrSplit<T, false>;
 
 TDA_DEFINE_VARIANT(base, TDA_BASE_VARIANT)
 #if TDA_ISA_X86
@@ -128,8 +138,8 @@ void pcr_step_regions_isa(Isa isa, const PcrStep<In, Out>& p) {
   run_on(isa, p);
 }
 
-template <typename T>
-void pcr_split_regions_isa(Isa isa, const PcrSplit<T>& p) {
+template <typename T, bool Widen>
+void pcr_split_regions_isa(Isa isa, const PcrSplit<T, Widen>& p) {
   run_on(isa, p);
 }
 
@@ -143,17 +153,30 @@ void transpose_tile_isa(Isa isa, const TransposeTile<T>& t) {
   run_on(isa, t);
 }
 
+template <typename T>
+ScreenVerdict screen_rows_isa(Isa isa, const ScreenScan<T>& p) {
+  return run_on(isa, p);
+}
+
+template <typename T>
+double residual_rows_isa(Isa isa, const ResidualScan<T>& p) {
+  return run_on(isa, p);
+}
+
 #define TDA_INSTANTIATE(T)                                                \
   template void pcr_step_regions_isa<T>(Isa, const UnitStep<T>&);         \
   template void pcr_step_regions_isa<T>(Isa, const ScatterStep<T>&);      \
   template void pcr_step_regions_isa<T>(Isa, const GatherStep<T>&);       \
   template void pcr_step_regions_isa<T>(Isa, const StridedStep<T>&);      \
-  template void pcr_split_regions_isa<T>(Isa, const PcrSplit<T>&);        \
+  template void pcr_split_regions_isa<T>(Isa, const WideSplit<T>&);       \
+  template void pcr_split_regions_isa<T>(Isa, const PlainSplit<T>&);      \
   template bool thomas_interleaved_rows_isa<T>(Isa,                       \
                                                const ThomasSweep<T*>&);   \
   template bool thomas_interleaved_rows_isa<T>(                           \
       Isa, const ThomasSweep<StridedView<T>>&);                           \
-  template void transpose_tile_isa<T>(Isa, const TransposeTile<T>&);
+  template void transpose_tile_isa<T>(Isa, const TransposeTile<T>&);     \
+  template ScreenVerdict screen_rows_isa<T>(Isa, const ScreenScan<T>&);   \
+  template double residual_rows_isa<T>(Isa, const ResidualScan<T>&);
 
 TDA_INSTANTIATE(float)
 TDA_INSTANTIATE(double)

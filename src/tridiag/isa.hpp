@@ -1,11 +1,12 @@
 #pragma once
-// Runtime ISA dispatch for the host's hot PCR, Thomas and transpose
-// loops.
+// Runtime ISA dispatch for the host's hot PCR, Thomas, transpose and
+// guard-scan loops.
 //
 // pcr_step_range, pcr_split_step_range and thomas_solve_interleaved run
 // the paper's split core and the stage-4 sweep with one vector lane per
-// GPU thread, and
-// transpose_tile flips a tile between the two batch layouts. A default
+// GPU thread, transpose_tile flips a tile between the two batch layouts,
+// and screen_verdict and relative_residual (tridiag/guard_scans.hpp)
+// read every coefficient once before and after the kernels. A default
 // build targets the ISA baseline (SSE2 on x86-64), so isa.cpp compiles
 // each of those loop nests once per variant below: a non-template
 // wrapper with a target attribute that inlines the whole nest. The

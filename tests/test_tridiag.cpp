@@ -19,6 +19,7 @@
 #include "tridiag/batch.hpp"
 #include "tridiag/cr.hpp"
 #include "tridiag/generators.hpp"
+#include "tridiag/guard_scans.hpp"
 #include "tridiag/hybrid.hpp"
 #include "tridiag/pcr.hpp"
 #include "tridiag/thomas.hpp"
@@ -663,12 +664,25 @@ TEST(Pcr, MixedStrideStepBitwise) {
 // the CPU runs it must equal pcr_step followed by that permutation bit
 // for bit, over the whole range and over ranges cut at random points
 // (odd cuts included) run back to front, and write nothing outside the
-// system. The splitting step forms its coupling products of float in
-// double and pcr_step does not, so the underflowing fill checks the
-// widened products against plain float multiplies; it must produce
-// subnormals.
+// system, with widened and with plain coupling products alike. The
+// widened step forms its coupling products of float in double and
+// pcr_step does not, so the underflowing fill checks the widened
+// products against plain float multiplies; it must produce subnormals.
+
+// The splitting step over [begin, end) on `isa`, widened or plain.
 template <typename T>
-void check_split_step(bool underflowing) {
+void split_step_on(bool widen, Isa isa, const SystemView<const T>& src,
+                   const SystemView<T>& dst, std::size_t begin,
+                   std::size_t end) {
+  if (widen) {
+    core::pcr_split_step_range_on<true>(isa, src, dst, begin, end);
+  } else {
+    core::pcr_split_step_range_on<false>(isa, src, dst, begin, end);
+  }
+}
+
+template <typename T>
+void check_split_step(bool widen, bool underflowing) {
   Rng rng(underflowing ? 0x5b19u : 0x5b17u);
   for (const Isa isa : kAllIsas) {
     if (!core::isa_supported(isa)) continue;
@@ -691,7 +705,7 @@ void check_split_step(bool underflowing) {
                       step.at(k, i), sizeof(T));
         }
       }
-      core::pcr_split_step_range_on(isa, in, got.view(), 0, n);
+      split_step_on(widen, isa, in, got.view(), 0, n);
       ASSERT_TRUE(got.same_bytes(want)) << "whole range";
       for (int trial = 0; trial < 4; ++trial) {
         std::vector<std::size_t> cuts{0, n};
@@ -701,8 +715,7 @@ void check_split_step(bool underflowing) {
         std::sort(cuts.begin(), cuts.end());
         got.poison_elements();
         for (std::size_t k = cuts.size() - 1; k-- > 0;) {
-          core::pcr_split_step_range_on(isa, in, got.view(), cuts[k],
-                                        cuts[k + 1]);
+          split_step_on(widen, isa, in, got.view(), cuts[k], cuts[k + 1]);
         }
         ASSERT_TRUE(got.same_bytes(want)) << "trial " << trial;
       }
@@ -714,10 +727,14 @@ void check_split_step(bool underflowing) {
 }
 
 TEST(Pcr, SplitStepBitwiseEqualsStepThenDeinterleave) {
-  for (const bool underflowing : {false, true}) {
-    SCOPED_TRACE(underflowing ? "underflowing couplings" : "ordinary");
-    check_split_step<float>(underflowing);
-    check_split_step<double>(underflowing);
+  for (const bool widen : {true, false}) {
+    for (const bool underflowing : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << (widen ? "widened" : "plain") << " products, "
+                   << (underflowing ? "underflowing couplings" : "ordinary"));
+      check_split_step<float>(widen, underflowing);
+      check_split_step<double>(widen, underflowing);
+    }
   }
 }
 
@@ -891,12 +908,13 @@ TEST(IsaVariants, PcrStepBitwiseEqualsDefaultDouble) {
   check_pcr_variants<double>();
 }
 
-// The splitting step on every variant the CPU runs, whole and random
-// partial ranges, with ordinary and with underflowing couplings: the
-// destination buffer must match the default variant byte for byte, and
-// the underflowing fill must produce subnormals.
+// The splitting step on every variant the CPU runs, widened and plain,
+// whole and random partial ranges, with ordinary and with underflowing
+// couplings: the destination buffer must match the default variant's
+// widened step byte for byte, and the underflowing fill must produce
+// subnormals.
 template <typename T>
-void check_split_variants(bool underflowing) {
+void check_split_variants(bool widen, bool underflowing) {
   Rng rng(underflowing ? 0x5b1au : 0x5b18u);
   for (const Isa isa : kAllIsas) {
     if (!core::isa_supported(isa)) continue;
@@ -911,7 +929,8 @@ void check_split_variants(bool underflowing) {
       }
       const auto in = const_view(src.view());
       StridedSystem<T> want(n, 1), got(n, 1);
-      core::pcr_split_step_range_on(Isa::Default, in, want.view(), 0, n);
+      core::pcr_split_step_range_on<true>(Isa::Default, in, want.view(), 0,
+                                          n);
       subnormals += subnormal_couplings(want.view());
       for (int trial = 0; trial < 8; ++trial) {
         const auto begin = static_cast<std::size_t>(rng.below(n + 1));
@@ -921,9 +940,9 @@ void check_split_variants(bool underflowing) {
              {std::pair<std::size_t, std::size_t>{0, n}, {begin, end}}) {
           want.poison_elements();
           got.poison_elements();
-          core::pcr_split_step_range_on(Isa::Default, in, want.view(), lo,
-                                        hi);
-          core::pcr_split_step_range_on(isa, in, got.view(), lo, hi);
+          core::pcr_split_step_range_on<true>(Isa::Default, in,
+                                              want.view(), lo, hi);
+          split_step_on(widen, isa, in, got.view(), lo, hi);
           ASSERT_TRUE(got.same_bytes(want))
               << "range [" << lo << ", " << hi << ")";
         }
@@ -936,13 +955,17 @@ void check_split_variants(bool underflowing) {
 }
 
 TEST(IsaVariants, PcrSplitStepBitwiseEqualsDefaultFloat) {
-  check_split_variants<float>(false);
-  check_split_variants<float>(true);
+  for (const bool widen : {true, false}) {
+    check_split_variants<float>(widen, false);
+    check_split_variants<float>(widen, true);
+  }
 }
 
 TEST(IsaVariants, PcrSplitStepBitwiseEqualsDefaultDouble) {
-  check_split_variants<double>(false);
-  check_split_variants<double>(true);
+  for (const bool widen : {true, false}) {
+    check_split_variants<double>(widen, false);
+    check_split_variants<double>(widen, true);
+  }
 }
 
 // One interleaved Thomas sweep on `isa` over a copy of input laid out at
@@ -1043,6 +1066,62 @@ void check_transpose_variants() {
 TEST(IsaVariants, TransposeTileBitwiseEqualsDefault) {
   check_transpose_variants<float>();
   check_transpose_variants<double>();
+}
+
+// The guard scans on every variant the CPU runs: the screen verdict must
+// equal the default variant's and the residual must match it byte for
+// byte, on clean systems and with a NaN, an Inf or a zero in every lane
+// (x included) at the edges and in the middle.
+template <typename T>
+void check_guard_scan_variants() {
+  const T bad_values[] = {std::numeric_limits<T>::quiet_NaN(),
+                          std::numeric_limits<T>::infinity(),
+                          -std::numeric_limits<T>::infinity(), T{0}};
+  for (const std::size_t n : {1, 2, 3, 8, 9, 17, 1023, 1024, 1025}) {
+    auto batch = make_random_general<T>(1, n, 0x9a4d + n);
+    Rng rng(n);
+    for (auto& v : batch.x()) v = static_cast<T>(rng.uniform(-2.0, 2.0));
+    const auto sys = batch.system(0);
+    const auto x = batch.solution(0);
+    const auto compare = [&](const char* what) {
+      const auto in = const_view(sys);
+      const auto xs = x.as_const();
+      const auto want_verdict = core::screen_verdict_on(Isa::Default, in);
+      const double want = core::relative_residual_on(Isa::Default, in, xs);
+      for (const Isa isa : kAllIsas) {
+        if (!core::isa_supported(isa)) continue;
+        SCOPED_TRACE(testing::Message() << isa_name(isa) << " n " << n
+                                        << " " << what);
+        EXPECT_EQ(core::screen_verdict_on(isa, in), want_verdict);
+        const double got = core::relative_residual_on(isa, in, xs);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << got << " vs " << want;
+      }
+    };
+    compare("clean");
+    std::vector<std::size_t> rows{0, 1, n / 2, n - 2, n - 1};
+    rows.erase(std::remove_if(rows.begin(), rows.end(),
+                              [n](std::size_t i) { return i >= n; }),
+               rows.end());
+    for (StridedView<T> lane : {sys.a, sys.b, sys.c, sys.d, x}) {
+      for (const std::size_t i : rows) {
+        for (const T bad : bad_values) {
+          const T keep = lane[i];
+          lane[i] = bad;
+          compare("bad value");
+          lane[i] = keep;
+        }
+      }
+    }
+  }
+}
+
+TEST(IsaVariants, GuardScansEqualDefaultFloat) {
+  check_guard_scan_variants<float>();
+}
+
+TEST(IsaVariants, GuardScansEqualDefaultDouble) {
+  check_guard_scan_variants<double>();
 }
 
 // ---------- CR ----------
