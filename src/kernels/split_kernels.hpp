@@ -7,13 +7,12 @@
 // what the charges model. The host keeps every current subsystem as one
 // contiguous segment instead (DeviceBatch's segment layout), so each of
 // its split steps is the shift-1 splitting step of tridiag/pcr.hpp over
-// contiguous memory, with the device's per-equation arithmetic. In
-// stage 2 that step forms its float coupling products in double and
-// narrows them, which gives the same bits: by stage 2's last splits those
+// contiguous memory, with the device's per-equation arithmetic. For
+// float that step forms its coupling products in double and narrows
+// them, which gives the same bits: by stage 2's last splits those
 // products are subnormal, and a float multiply producing one would take
-// an x86 microcode assist. Stage 1's few splits stay far from underflow,
-// so it keeps the plain multiply, which is cheaper there. The stages
-// differ in launch structure and therefore cost:
+// an x86 microcode assist. The stages differ in launch structure and
+// therefore cost:
 //
 //  * Stage 1 (cooperative split): ONE split per kernel launch. The grid
 //    covers all equations with many small blocks, so even a single system
@@ -81,7 +80,7 @@ gpusim::KernelStats stage1_split_step(gpusim::Device& dev,
         for (std::size_t i = lo; i < hi;) {
           const Segment seg = st.segment_at(n, i);
           const std::size_t end = std::min(hi, seg.offset + seg.size);
-          tridiag::pcr_split_step_range</*Widen=*/false>(
+          tridiag::pcr_split_step_range(
               batch.cur_segment(s, seg), batch.alt_segment(s, seg),
               i - seg.offset, end - seg.offset);
           i = end;
@@ -156,9 +155,8 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
         const SplitState level{t};
         for (std::size_t q = 0; q < level.parts(); ++q) {
           const Segment sub = level.segment(len, q);
-          tridiag::pcr_split_step</*Widen=*/true>(
-              src.slice(sub.offset, sub.size),
-              dst.slice(sub.offset, sub.size));
+          tridiag::pcr_split_step(src.slice(sub.offset, sub.size),
+                                  dst.slice(sub.offset, sub.size));
         }
       }
 

@@ -69,29 +69,11 @@ template <typename T>
   return 1e4 * static_cast<double>(std::numeric_limits<T>::epsilon());
 }
 
-/// Pre-solve classification of one system.
+// The screen and residual scans (tridiag/guard_scans.hpp), which run on
+// the host's widest ISA variant.
+using tridiag::relative_residual;
+using tridiag::screen_verdict;
 using tridiag::ScreenVerdict;
-
-/// The pipeline's screen: NonFinite when any coefficient inside the
-/// matrix (a[0] and c[n-1] lie outside it) is NaN/Inf, NeedsPivoting on
-/// a zero diagonal entry, else Pass. `sys` must be contiguous, as every
-/// batch system is. The scan runs on the host's vector ISA
-/// (tridiag/guard_scans.hpp).
-template <typename T>
-[[nodiscard]] ScreenVerdict screen_verdict(const tridiag::SystemView<T>& sys) {
-  return tridiag::screen_verdict(sys.as_const());
-}
-
-/// Relative infinity-norm residual of a candidate solution:
-/// max_i |d_i - (A x)_i| / (||A||_inf * ||x||_inf + ||d||_inf).
-/// Returns +inf when x contains non-finite entries. Both views must be
-/// contiguous, as every batch system is. The scan runs on the host's
-/// vector ISA (tridiag/guard_scans.hpp).
-template <typename T>
-[[nodiscard]] double relative_residual(const tridiag::SystemView<T>& sys,
-                                       const StridedView<T>& x) {
-  return tridiag::relative_residual(sys.as_const(), x.as_const());
-}
 
 /// Solves one system with the pivoting CPU solver (cpu/gtsv.hpp). The
 /// inputs are copied (gtsv consumes its coefficients); the solution is

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "common/simd_loop.hpp"
@@ -187,21 +188,23 @@ template <typename T>
 /// The pipeline's screen of one contiguous system, on the host's widest
 /// ISA variant: NonFinite when any coefficient inside the matrix (a[0]
 /// and c[n-1] lie outside it) is NaN/Inf, NeedsPivoting on a zero
-/// diagonal entry, else Pass.
+/// diagonal entry, else Pass. T may be const.
 template <typename T>
-[[nodiscard]] ScreenVerdict screen_verdict(const SystemView<const T>& sys) {
-  return detail::screen_verdict_on(detail::host_isa(), sys);
+[[nodiscard]] ScreenVerdict screen_verdict(const SystemView<T>& sys) {
+  return detail::screen_verdict_on<std::remove_const_t<T>>(detail::host_isa(),
+                                                           sys.as_const());
 }
 
 /// Relative infinity-norm residual of a candidate solution, on the
 /// host's widest ISA variant:
 /// max_i |d_i - (A x)_i| / (||A||_inf * ||x||_inf + ||d||_inf).
 /// Returns +inf when x contains non-finite entries. Both views must be
-/// contiguous.
+/// contiguous. T may be const.
 template <typename T>
-[[nodiscard]] double relative_residual(const SystemView<const T>& sys,
-                                       const StridedView<const T>& x) {
-  return detail::relative_residual_on(detail::host_isa(), sys, x);
+[[nodiscard]] double relative_residual(const SystemView<T>& sys,
+                                       const StridedView<T>& x) {
+  return detail::relative_residual_on<std::remove_const_t<T>>(
+      detail::host_isa(), sys.as_const(), x.as_const());
 }
 
 }  // namespace tda::tridiag

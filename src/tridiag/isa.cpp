@@ -40,8 +40,7 @@
   TDA_ENTRY(ATTRS, ScatterStep<T>, pcr_step_regions<T>)                       \
   TDA_ENTRY(ATTRS, GatherStep<T>, pcr_step_regions<T>)                        \
   TDA_ENTRY(ATTRS, StridedStep<T>, pcr_step_regions<T>)                       \
-  TDA_ENTRY(ATTRS, WideSplit<T>, pcr_split_regions<T>)                        \
-  TDA_ENTRY(ATTRS, PlainSplit<T>, pcr_split_regions<T>)                       \
+  TDA_ENTRY(ATTRS, PcrSplit<T>, pcr_split_regions<T>)                         \
   TDA_ENTRY(ATTRS, ThomasSweep<T*>, thomas_interleaved_rows<T>)               \
   TDA_ENTRY(ATTRS, ThomasSweep<StridedView<T>>, thomas_interleaved_rows<T>)   \
   TDA_ENTRY(ATTRS, TransposeTile<T>, transpose_tile_loop<T>)                  \
@@ -66,12 +65,6 @@ template <typename T>
 using GatherStep = PcrStep<StridedView<const T>, T*>;
 template <typename T>
 using StridedStep = PcrStep<StridedView<const T>, StridedView<T>>;
-
-// The splitting step with widened and with plain float products.
-template <typename T>
-using WideSplit = PcrSplit<T, true>;
-template <typename T>
-using PlainSplit = PcrSplit<T, false>;
 
 TDA_DEFINE_VARIANT(base, TDA_BASE_VARIANT)
 #if TDA_ISA_X86
@@ -138,8 +131,8 @@ void pcr_step_regions_isa(Isa isa, const PcrStep<In, Out>& p) {
   run_on(isa, p);
 }
 
-template <typename T, bool Widen>
-void pcr_split_regions_isa(Isa isa, const PcrSplit<T, Widen>& p) {
+template <typename T>
+void pcr_split_regions_isa(Isa isa, const PcrSplit<T>& p) {
   run_on(isa, p);
 }
 
@@ -168,13 +161,12 @@ double residual_rows_isa(Isa isa, const ResidualScan<T>& p) {
   template void pcr_step_regions_isa<T>(Isa, const ScatterStep<T>&);      \
   template void pcr_step_regions_isa<T>(Isa, const GatherStep<T>&);       \
   template void pcr_step_regions_isa<T>(Isa, const StridedStep<T>&);      \
-  template void pcr_split_regions_isa<T>(Isa, const WideSplit<T>&);       \
-  template void pcr_split_regions_isa<T>(Isa, const PlainSplit<T>&);      \
+  template void pcr_split_regions_isa<T>(Isa, const PcrSplit<T>&);        \
   template bool thomas_interleaved_rows_isa<T>(Isa,                       \
                                                const ThomasSweep<T*>&);   \
   template bool thomas_interleaved_rows_isa<T>(                           \
       Isa, const ThomasSweep<StridedView<T>>&);                           \
-  template void transpose_tile_isa<T>(Isa, const TransposeTile<T>&);     \
+  template void transpose_tile_isa<T>(Isa, const TransposeTile<T>&);      \
   template ScreenVerdict screen_rows_isa<T>(Isa, const ScreenScan<T>&);   \
   template double residual_rows_isa<T>(Isa, const ResidualScan<T>&);
 

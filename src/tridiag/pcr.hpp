@@ -24,12 +24,11 @@
 // subnormal range, and every x86 vector multiply that yields a subnormal
 // takes a microcode assist. The splitting step therefore forms its four
 // coupling products of float in double and narrows them once (mul),
-// which gives the bits of the float multiply without the assists. The
-// caller chooses (Widen): stage 2 widens; stage 1, whose few splits
-// never underflow, keeps the plain multiply. pcr_step always keeps it.
-// It serves stage 3, the shared-memory kernels and the CPU reference,
-// whose steps run in L1, are compute-bound and meet few subnormals, so
-// the widening would only cost there (docs/PERFORMANCE.md).
+// which gives the bits of the float multiply without the assists.
+// pcr_step keeps the plain multiply. It serves stage 3, the
+// shared-memory kernels and the CPU reference, whose steps run in L1,
+// are compute-bound and meet few subnormals, so the widening would only
+// cost there (docs/PERFORMANCE.md).
 
 #include <algorithm>
 #include <cstddef>
@@ -158,8 +157,8 @@ void pcr_step_regions(const PcrStep<In, Out>& p) {
 }
 
 /// Equations [begin, end) of the splitting step over a contiguous
-/// n-equation system (pcr_split_step_range); Widen as in pcr_equation.
-template <typename T, bool Widen>
+/// n-equation system (pcr_split_step_range).
+template <typename T>
 struct PcrSplit {
   Lanes<const T*> src;
   Lanes<T*> dst;
@@ -167,19 +166,18 @@ struct PcrSplit {
 };
 
 /// One equation of a splitting step, stored in its child's row.
-template <typename T, bool HasLeft, bool HasRight, bool Widen>
-void pcr_split_equation(const PcrSplit<T, Widen>& p, std::size_t i) {
+template <typename T, bool HasLeft, bool HasRight>
+void pcr_split_equation(const PcrSplit<T>& p, std::size_t i) {
   const std::size_t row = i / 2 + (i % 2) * ((p.n + 1) / 2);
   store_equation(p.dst, row,
-                 pcr_equation<T, HasLeft, HasRight, Widen>(p.src, 1, i));
+                 pcr_equation<T, HasLeft, HasRight, true>(p.src, 1, i));
 }
 
 /// The interior pairs (2j, 2j+1), j in [j0, j1), of a splitting step:
 /// both equations have both neighbours, and they land in row j of the
 /// even and of the odd child.
-template <typename T, bool Widen>
-void pcr_split_pairs(const PcrSplit<T, Widen>& p, std::size_t j0,
-                     std::size_t j1) {
+template <typename T>
+void pcr_split_pairs(const PcrSplit<T>& p, std::size_t j0, std::size_t j1) {
   TDA_FP_CONTRACT_OFF
   const Lanes<T*> even = p.dst;
   const std::size_t half = (p.n + 1) / 2;
@@ -188,17 +186,17 @@ void pcr_split_pairs(const PcrSplit<T, Widen>& p, std::size_t j0,
   TDA_SIMD_LOOP
   for (std::size_t j = j0; j < j1; ++j) {
     store_equation(even, j,
-                   pcr_equation<T, true, true, Widen>(p.src, 1, 2 * j));
+                   pcr_equation<T, true, true, true>(p.src, 1, 2 * j));
     store_equation(odd, j,
-                   pcr_equation<T, true, true, Widen>(p.src, 1, 2 * j + 1));
+                   pcr_equation<T, true, true, true>(p.src, 1, 2 * j + 1));
   }
 }
 
 /// pcr_split_step_range's loops: row 0 (no left neighbour), the
 /// interior in pairs with single equations at odd edges, row n-1 (no
 /// right neighbour).
-template <typename T, bool Widen>
-void pcr_split_regions(const PcrSplit<T, Widen>& p) {
+template <typename T>
+void pcr_split_regions(const PcrSplit<T>& p) {
   std::size_t i = p.begin;
   if (i >= p.end) return;
   if (i == 0) {
@@ -221,12 +219,12 @@ void pcr_split_regions(const PcrSplit<T, Widen>& p) {
 }
 
 /// pcr_split_regions compiled for `isa`. Defined in isa.cpp for float
-/// and double, widened and plain.
-template <typename T, bool Widen>
-void pcr_split_regions_isa(Isa isa, const PcrSplit<T, Widen>& p);
+/// and double.
+template <typename T>
+void pcr_split_regions_isa(Isa isa, const PcrSplit<T>& p);
 
 /// pcr_split_step_range on the given variant, which must be supported.
-template <bool Widen, typename T>
+template <typename T>
 void pcr_split_step_range_on(Isa isa, const SystemView<const T>& src,
                              const SystemView<T>& dst, std::size_t begin,
                              std::size_t end) {
@@ -235,12 +233,11 @@ void pcr_split_step_range_on(Isa isa, const SystemView<const T>& src,
   TDA_REQUIRE(begin <= end && end <= n, "pcr_split_step: bad range");
   TDA_REQUIRE(src.unit_stride() && dst.unit_stride(),
               "pcr_split_step: views must be contiguous");
-  const PcrSplit<T, Widen> p{unit_lanes(src), unit_lanes(dst), n, begin,
-                             end};
+  const PcrSplit<T> p{unit_lanes(src), unit_lanes(dst), n, begin, end};
   if constexpr (kIsaDispatched<T>) {
-    pcr_split_regions_isa(isa, p);
+    pcr_split_regions_isa<T>(isa, p);
   } else {
-    pcr_split_regions(p);
+    pcr_split_regions<T>(p);
   }
 }
 
@@ -306,21 +303,18 @@ void pcr_step_range(const SystemView<const T>& src, const SystemView<T>& dst,
 /// row ⌈n/2⌉ + i/2 of dst. So dst holds the even child in rows
 /// [0, ⌈n/2⌉) and the odd child after it, each contiguous, with every
 /// equation's arithmetic exactly that of pcr_step. Neighbour reads may
-/// fall outside [begin, end), as in pcr_step_range. Widen forms the
-/// float coupling products through an exact double product; the bits
-/// are the same either way, only the speed differs (see above).
-template <bool Widen, typename T>
+/// fall outside [begin, end), as in pcr_step_range.
+template <typename T>
 void pcr_split_step_range(const SystemView<const T>& src,
                           const SystemView<T>& dst, std::size_t begin,
                           std::size_t end) {
-  detail::pcr_split_step_range_on<Widen>(detail::host_isa(), src, dst, begin,
-                                         end);
+  detail::pcr_split_step_range_on(detail::host_isa(), src, dst, begin, end);
 }
 
 /// The splitting step over the whole system.
-template <bool Widen, typename T>
+template <typename T>
 void pcr_split_step(const SystemView<const T>& src, const SystemView<T>& dst) {
-  pcr_split_step_range<Widen>(src, dst, 0, src.size());
+  pcr_split_step_range(src, dst, 0, src.size());
 }
 
 /// One PCR step with the given shift (in view-local index space) over

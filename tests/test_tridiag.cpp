@@ -664,25 +664,12 @@ TEST(Pcr, MixedStrideStepBitwise) {
 // the CPU runs it must equal pcr_step followed by that permutation bit
 // for bit, over the whole range and over ranges cut at random points
 // (odd cuts included) run back to front, and write nothing outside the
-// system, with widened and with plain coupling products alike. The
-// widened step forms its coupling products of float in double and
-// pcr_step does not, so the underflowing fill checks the widened
-// products against plain float multiplies; it must produce subnormals.
-
-// The splitting step over [begin, end) on `isa`, widened or plain.
+// system. The splitting step forms its coupling products of float in
+// double and pcr_step does not, so the underflowing fill checks the
+// widened products against plain float multiplies; it must produce
+// subnormals.
 template <typename T>
-void split_step_on(bool widen, Isa isa, const SystemView<const T>& src,
-                   const SystemView<T>& dst, std::size_t begin,
-                   std::size_t end) {
-  if (widen) {
-    core::pcr_split_step_range_on<true>(isa, src, dst, begin, end);
-  } else {
-    core::pcr_split_step_range_on<false>(isa, src, dst, begin, end);
-  }
-}
-
-template <typename T>
-void check_split_step(bool widen, bool underflowing) {
+void check_split_step(bool underflowing) {
   Rng rng(underflowing ? 0x5b19u : 0x5b17u);
   for (const Isa isa : kAllIsas) {
     if (!core::isa_supported(isa)) continue;
@@ -705,7 +692,7 @@ void check_split_step(bool widen, bool underflowing) {
                       step.at(k, i), sizeof(T));
         }
       }
-      split_step_on(widen, isa, in, got.view(), 0, n);
+      core::pcr_split_step_range_on(isa, in, got.view(), 0, n);
       ASSERT_TRUE(got.same_bytes(want)) << "whole range";
       for (int trial = 0; trial < 4; ++trial) {
         std::vector<std::size_t> cuts{0, n};
@@ -715,7 +702,8 @@ void check_split_step(bool widen, bool underflowing) {
         std::sort(cuts.begin(), cuts.end());
         got.poison_elements();
         for (std::size_t k = cuts.size() - 1; k-- > 0;) {
-          split_step_on(widen, isa, in, got.view(), cuts[k], cuts[k + 1]);
+          core::pcr_split_step_range_on(isa, in, got.view(), cuts[k],
+                                        cuts[k + 1]);
         }
         ASSERT_TRUE(got.same_bytes(want)) << "trial " << trial;
       }
@@ -727,14 +715,10 @@ void check_split_step(bool widen, bool underflowing) {
 }
 
 TEST(Pcr, SplitStepBitwiseEqualsStepThenDeinterleave) {
-  for (const bool widen : {true, false}) {
-    for (const bool underflowing : {false, true}) {
-      SCOPED_TRACE(testing::Message()
-                   << (widen ? "widened" : "plain") << " products, "
-                   << (underflowing ? "underflowing couplings" : "ordinary"));
-      check_split_step<float>(widen, underflowing);
-      check_split_step<double>(widen, underflowing);
-    }
+  for (const bool underflowing : {false, true}) {
+    SCOPED_TRACE(underflowing ? "underflowing couplings" : "ordinary");
+    check_split_step<float>(underflowing);
+    check_split_step<double>(underflowing);
   }
 }
 
@@ -908,13 +892,12 @@ TEST(IsaVariants, PcrStepBitwiseEqualsDefaultDouble) {
   check_pcr_variants<double>();
 }
 
-// The splitting step on every variant the CPU runs, widened and plain,
-// whole and random partial ranges, with ordinary and with underflowing
-// couplings: the destination buffer must match the default variant's
-// widened step byte for byte, and the underflowing fill must produce
-// subnormals.
+// The splitting step on every variant the CPU runs, whole and random
+// partial ranges, with ordinary and with underflowing couplings: the
+// destination buffer must match the default variant byte for byte, and
+// the underflowing fill must produce subnormals.
 template <typename T>
-void check_split_variants(bool widen, bool underflowing) {
+void check_split_variants(bool underflowing) {
   Rng rng(underflowing ? 0x5b1au : 0x5b18u);
   for (const Isa isa : kAllIsas) {
     if (!core::isa_supported(isa)) continue;
@@ -929,8 +912,7 @@ void check_split_variants(bool widen, bool underflowing) {
       }
       const auto in = const_view(src.view());
       StridedSystem<T> want(n, 1), got(n, 1);
-      core::pcr_split_step_range_on<true>(Isa::Default, in, want.view(), 0,
-                                          n);
+      core::pcr_split_step_range_on(Isa::Default, in, want.view(), 0, n);
       subnormals += subnormal_couplings(want.view());
       for (int trial = 0; trial < 8; ++trial) {
         const auto begin = static_cast<std::size_t>(rng.below(n + 1));
@@ -940,9 +922,9 @@ void check_split_variants(bool widen, bool underflowing) {
              {std::pair<std::size_t, std::size_t>{0, n}, {begin, end}}) {
           want.poison_elements();
           got.poison_elements();
-          core::pcr_split_step_range_on<true>(Isa::Default, in,
-                                              want.view(), lo, hi);
-          split_step_on(widen, isa, in, got.view(), lo, hi);
+          core::pcr_split_step_range_on(Isa::Default, in, want.view(), lo,
+                                        hi);
+          core::pcr_split_step_range_on(isa, in, got.view(), lo, hi);
           ASSERT_TRUE(got.same_bytes(want))
               << "range [" << lo << ", " << hi << ")";
         }
@@ -955,17 +937,13 @@ void check_split_variants(bool widen, bool underflowing) {
 }
 
 TEST(IsaVariants, PcrSplitStepBitwiseEqualsDefaultFloat) {
-  for (const bool widen : {true, false}) {
-    check_split_variants<float>(widen, false);
-    check_split_variants<float>(widen, true);
-  }
+  check_split_variants<float>(false);
+  check_split_variants<float>(true);
 }
 
 TEST(IsaVariants, PcrSplitStepBitwiseEqualsDefaultDouble) {
-  for (const bool widen : {true, false}) {
-    check_split_variants<double>(widen, false);
-    check_split_variants<double>(widen, true);
-  }
+  check_split_variants<double>(false);
+  check_split_variants<double>(true);
 }
 
 // One interleaved Thomas sweep on `isa` over a copy of input laid out at
