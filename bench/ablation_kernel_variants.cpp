@@ -8,10 +8,9 @@
 // (unqueryable) transaction segment size and cache behaviour — the reason
 // the self-tuner must measure rather than model it.
 
-// A second sweep covers the interleaved (element-major) kernel family:
-// transpose + one-thread-per-system Thomas, with and without a few
-// block-local PCR splits in between — the layout dimension the tuner
-// weighs against the staged pipeline (src/kernels/interleaved_kernels.hpp).
+// A second sweep covers the interleaved (element-major) path: transpose
+// + one-thread-per-system Thomas — the layout dimension the tuner weighs
+// against the staged pipeline (src/kernels/interleaved_kernels.hpp).
 
 #include <iostream>
 #include <vector>
@@ -46,20 +45,15 @@ double staged_seconds(gpusim::Device& dev, std::size_t m, std::size_t n) {
   return s;
 }
 
-/// Simulated seconds of the interleaved path: transpose in, `pcr_steps`
-/// element-major PCR splits, the vector Thomas sweep, transpose out.
+/// Simulated seconds of the interleaved path: transpose in, the vector
+/// Thomas sweep, transpose out.
 double interleaved_seconds(gpusim::Device& dev, std::size_t m,
-                           std::size_t n, std::size_t pcr_steps) {
+                           std::size_t n) {
   kernels::DeviceBatch<float> d(m, n);
   double s = 0.0;
   s += kernels::transpose_in_stage(dev, d,
                                    kernels::ExecMode::CostOnly).seconds;
-  kernels::SplitState st;
-  if (pcr_steps > 0) {
-    s += kernels::interleaved_pcr_stage(dev, d, st, pcr_steps,
-                                        kernels::ExecMode::CostOnly).seconds;
-  }
-  s += kernels::interleaved_thomas_stage(dev, d, st,
+  s += kernels::interleaved_thomas_stage(dev, d,
                                          kernels::ExecMode::CostOnly).seconds;
   s += kernels::transpose_out_stage(dev, d,
                                     kernels::ExecMode::CostOnly).seconds;
@@ -123,8 +117,8 @@ int main(int argc, char** argv) {
                "crossover differs per device)\n";
 
   std::cout << "\nAblation — staged pipeline vs interleaved (element-major) "
-               "variants, simulated ms\n(il-thomas = transpose + vector "
-               "Thomas; il-pcr2 adds two element-major PCR splits)\n\n";
+               "path, simulated ms\n(il-thomas = transpose + vector "
+               "Thomas + transpose back)\n\n";
   struct Shape {
     const char* label;
     std::size_t m, n;
@@ -135,24 +129,19 @@ int main(int argc, char** argv) {
       {"512x1024", 512, 1024},
   };
   TextTable itable;
-  itable.set_header({"device", "shape", "staged", "il-thomas", "il-pcr2",
-                     "best"});
+  itable.set_header({"device", "shape", "staged", "il-thomas", "best"});
   for (const auto& spec : gpusim::device_registry()) {
     gpusim::Device dev(spec);
     for (const auto& sh : shapes) {
       const double staged = staged_seconds(dev, sh.m, sh.n) * 1e3;
-      const double il_th = interleaved_seconds(dev, sh.m, sh.n, 0) * 1e3;
-      const double il_pcr = interleaved_seconds(dev, sh.m, sh.n, 2) * 1e3;
-      const char* best = "staged";
-      if (il_th < staged && il_th <= il_pcr) best = "il-thomas";
-      if (il_pcr < staged && il_pcr < il_th) best = "il-pcr2";
+      const double il_th = interleaved_seconds(dev, sh.m, sh.n) * 1e3;
       itable.add_row({bench::short_name(spec.name), sh.label,
                       TextTable::num(staged, 3), TextTable::num(il_th, 3),
-                      TextTable::num(il_pcr, 3), best});
+                      il_th < staged ? "il-thomas" : "staged"});
     }
   }
   itable.print(std::cout);
-  std::cout << "\n(the interleaved family wins where one thread per system "
+  std::cout << "\n(the interleaved path wins where one thread per system "
                "fills the device; the transposes and the half-empty grid "
                "hand smaller batches back to the staged pipeline)\n";
   return 0;

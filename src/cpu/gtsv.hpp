@@ -78,7 +78,4 @@ bool gtsv_solve(std::span<T> a, std::span<T> b, std::span<T> c,
   return true;
 }
 
-/// Flops per equation of a gtsv solve (cost accounting).
-inline double gtsv_flops_per_eq() { return 10.0; }
-
 }  // namespace tda::cpu

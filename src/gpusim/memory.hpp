@@ -104,11 +104,6 @@ class MemoryTracker {
   /// cannot underflow the gauge during unwinding).
   void release(std::size_t bytes);
 
-  void reset_high_water() {
-    std::lock_guard lk(mu_);
-    high_water_ = in_use_;
-  }
-
  private:
   mutable std::mutex mu_;
   std::size_t budget_;

@@ -84,14 +84,6 @@ inline std::size_t transpose_tile(const gpusim::DeviceSpec& spec,
   return tile;
 }
 
-/// Shared-memory tile bytes of the transpose kernel (one tile staged
-/// on-chip so both the load and the store sides stay coalesced).
-inline std::size_t transpose_shared_bytes(const gpusim::DeviceSpec& spec,
-                                          std::size_t elem_bytes) {
-  const std::size_t tile = transpose_tile(spec, elem_bytes);
-  return tile * tile * elem_bytes;
-}
-
 namespace detail {
 
 /// Shared launch skeleton of the transpose stages: grid over
@@ -194,29 +186,22 @@ gpusim::KernelStats transpose_out_stage(gpusim::Device& dev,
   return stats;
 }
 
-/// Solves every current subsystem of an element-major batch with one
-/// Thomas lane per system. Blocks own disjoint strips of
-/// kInterleavedBlockSystems adjacent systems; the host walks each strip
-/// in sub-strips of simd_strip_width<T>() whose inner loops run
-/// stride-1 across systems, so they vectorize with no intrinsics
-/// (TDA_SIMD_LOOP is only a hint). With a non-trivial SplitState each
-/// system consists of st.parts() interleaved subsystems (rows p,
-/// p+parts, ...), which the strip sweeps one after another — the
-/// composition the interleaved-PCR ablation variant uses; the
-/// production path passes the default (no splits, one sweep).
+/// Solves every system of an element-major batch with one Thomas lane
+/// per system. Blocks own disjoint strips of kInterleavedBlockSystems
+/// adjacent systems; the host walks each strip in sub-strips of
+/// simd_strip_width<T>() whose inner loops run stride-1 across systems,
+/// so they vectorize with no intrinsics (TDA_SIMD_LOOP is only a hint).
 /// The forward sweep rewrites the current c/d lanes in place; the
 /// solution is written element-major into the ALTERNATE d lane, where
 /// transpose_out_stage picks it up.
 template <typename T>
 gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
                                              DeviceBatch<T>& batch,
-                                             const SplitState& st = {},
                                              ExecMode mode = ExecMode::Full) {
   TDA_REQUIRE(batch.layout() == tridiag::BatchLayout::ElementMajor,
               "interleaved Thomas needs an element-major batch");
   const std::size_t m = batch.num_systems();
   const std::size_t n = batch.system_size();
-  const std::size_t parts = st.parts();
   const std::size_t width = kInterleavedBlockSystems;
   const std::size_t vec = simd_strip_width<T>();
   const std::size_t strips = (m + width - 1) / width;
@@ -251,71 +236,60 @@ gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
         // hardware vector's worth of rows hot while the sweeps walk n.
         for (std::size_t v0 = s0; v0 < s1; v0 += vec) {
           const std::size_t v1 = std::min(s1, v0 + vec);
-          for (std::size_t p = 0; p < parts && p < n; ++p) {
-            // Subsystem p of every system in the sub-strip: rows p,
-            // p+parts, ... — `len` of them. Row t of lane k is
-            // k[(p+t*parts)*m+s]: consecutive s are consecutive
-            // addresses, so every inner loop is a contiguous vector op.
-            // Divisions by a zero pivot are masked to 1 (never fed
-            // back) and flagged instead of computed, keeping the loop
-            // select-only and ubsan-clean.
-            const std::size_t len = (n - p + parts - 1) / parts;
-            {
-              const std::size_t row = p * m;
-              TDA_SIMD_LOOP
-              for (std::size_t s = v0; s < v1; ++s) {
-                const T denom = b[row + s];
-                const unsigned zero = denom == T{0} ? 1u : 0u;
-                bad |= zero;
-                const T inv = T{1} / (zero != 0u ? T{1} : denom);
-                c[row + s] = c[row + s] * inv;
-                d[row + s] = d[row + s] * inv;
-              }
+          // Row i of lane k is k[i*m+s]: consecutive s are consecutive
+          // addresses, so every inner loop is a contiguous vector op.
+          // Divisions by a zero pivot are masked to 1 (never fed back)
+          // and flagged instead of computed, keeping the loop
+          // select-only and ubsan-clean.
+          TDA_SIMD_LOOP
+          for (std::size_t s = v0; s < v1; ++s) {
+            const T denom = b[s];
+            const unsigned zero = denom == T{0} ? 1u : 0u;
+            bad |= zero;
+            const T inv = T{1} / (zero != 0u ? T{1} : denom);
+            c[s] = c[s] * inv;
+            d[s] = d[s] * inv;
+          }
+          for (std::size_t i = 1; i < n; ++i) {
+            const std::size_t row = i * m;
+            const std::size_t prev = row - m;
+            const bool keep_c = i + 1 < n;
+            TDA_SIMD_LOOP
+            for (std::size_t s = v0; s < v1; ++s) {
+              const T denom = b[row + s] - a[row + s] * c[prev + s];
+              const unsigned zero = denom == T{0} ? 1u : 0u;
+              bad |= zero;
+              const T inv = T{1} / (zero != 0u ? T{1} : denom);
+              if (keep_c) c[row + s] = c[row + s] * inv;
+              d[row + s] = (d[row + s] - a[row + s] * d[prev + s]) * inv;
             }
-            for (std::size_t t = 1; t < len; ++t) {
-              const std::size_t row = (p + t * parts) * m;
-              const std::size_t prev = row - parts * m;
-              const bool keep_c = t + 1 < len;
-              TDA_SIMD_LOOP
-              for (std::size_t s = v0; s < v1; ++s) {
-                const T denom = b[row + s] - a[row + s] * c[prev + s];
-                const unsigned zero = denom == T{0} ? 1u : 0u;
-                bad |= zero;
-                const T inv = T{1} / (zero != 0u ? T{1} : denom);
-                if (keep_c) c[row + s] = c[row + s] * inv;
-                d[row + s] = (d[row + s] - a[row + s] * d[prev + s]) * inv;
-              }
-            }
-            // Back substitution into the alternate d lane (element-major
-            // x).
-            {
-              const std::size_t last = (p + (len - 1) * parts) * m;
-              TDA_SIMD_LOOP
-              for (std::size_t s = v0; s < v1; ++s) {
-                x[last + s] = d[last + s];
-              }
-            }
-            for (std::size_t t = len - 1; t-- > 0;) {
-              const std::size_t row = (p + t * parts) * m;
-              const std::size_t next = row + parts * m;
-              TDA_SIMD_LOOP
-              for (std::size_t s = v0; s < v1; ++s) {
-                x[row + s] = d[row + s] - c[row + s] * x[next + s];
-              }
+          }
+          // Back substitution into the alternate d lane (element-major
+          // x).
+          const std::size_t last = (n - 1) * m;
+          TDA_SIMD_LOOP
+          for (std::size_t s = v0; s < v1; ++s) {
+            x[last + s] = d[last + s];
+          }
+          for (std::size_t i = n - 1; i-- > 0;) {
+            const std::size_t row = i * m;
+            const std::size_t next = row + m;
+            TDA_SIMD_LOOP
+            for (std::size_t s = v0; s < v1; ++s) {
+              x[row + s] = d[row + s] - c[row + s] * x[next + s];
             }
           }
         }
         TDA_ENSURE(bad == 0u, "interleaved Thomas kernel hit a zero pivot");
       }
 
-      // Every row is touched exactly once regardless of `parts`.
+      // Every row is touched exactly once.
       const double eqs = static_cast<double>(n);
       const double vals = kInterleavedThomasValuesPerEq * eqs *
                           static_cast<double>(w) * sizeof(T);
       ctx.charge_global(vals, 1, sizeof(T));
       // Two dependent chains covering n equations each, one thread per
-      // system (subsystems of one system run back to back on the same
-      // lane, so the chain length is n rows either way).
+      // system.
       ctx.charge_phase(static_cast<int>(w), eqs,
                        kInterleavedThomasWarpInstsPerEq * 2.0 / 3.0, 1.0,
                        kInterleavedFwdDepPerEq);
@@ -324,99 +298,6 @@ gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
                        kInterleavedBwdDepPerEq);
     }
   }, "interleaved_thomas");
-  return stats;
-}
-
-/// Element-major PCR: each block performs `steps` splits on its strip of
-/// systems entirely block-locally (neighbour rows i±shift of a system
-/// live in the block's own columns), ping-ponging between the two slab
-/// buffers. Exists as the second interleaved variant for the kernel
-/// ablation — the production element-major path uses the single-pass
-/// Thomas above, but the ablation keeps every kernel family honest.
-template <typename T>
-gpusim::KernelStats interleaved_pcr_stage(gpusim::Device& dev,
-                                          DeviceBatch<T>& batch,
-                                          SplitState& st, std::size_t steps,
-                                          ExecMode mode = ExecMode::Full) {
-  TDA_REQUIRE(batch.layout() == tridiag::BatchLayout::ElementMajor,
-              "interleaved PCR needs an element-major batch");
-  TDA_REQUIRE(steps >= 1, "interleaved PCR must perform at least one step");
-  const std::size_t m = batch.num_systems();
-  const std::size_t n = batch.system_size();
-  TDA_REQUIRE((st.parts() << steps) <= n,
-              "split would go below one equation per subsystem");
-  const std::size_t width = kInterleavedBlockSystems;
-  const std::size_t strips = (m + width - 1) / width;
-  const auto& spec = dev.spec();
-
-  gpusim::LaunchConfig cfg;
-  cfg.blocks = std::min<std::size_t>(
-      strips, static_cast<std::size_t>(spec.max_grid_blocks));
-  cfg.threads_per_block = static_cast<int>(std::min<std::size_t>(
-      width, static_cast<std::size_t>(spec.max_threads_per_block)));
-  cfg.shared_bytes = 0;
-  cfg.regs_per_thread = split_kernel_regs_per_thread(dev.query());
-
-  // With an even step count the ping-pong ends in the current buffer,
-  // which transpose_in_stage's swap left owned.
-  std::array<T*, 4> bufs[2] = {
-      {batch.owned_cur_lane(0).data(), batch.owned_cur_lane(1).data(),
-       batch.owned_cur_lane(2).data(), batch.owned_cur_lane(3).data()},
-      {batch.alt_lane(0).data(), batch.alt_lane(1).data(),
-       batch.alt_lane(2).data(), batch.alt_lane(3).data()}};
-
-  auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
-    for (std::size_t strip = ctx.block_index(); strip < strips;
-         strip += cfg.blocks) {
-      const std::size_t s0 = strip * width;
-      const std::size_t s1 = std::min(m, s0 + width);
-      const std::size_t w = s1 - s0;
-      int cur = 0;
-      for (std::size_t t = 0; t < steps; ++t) {
-        const std::size_t shift = st.parts() << t;  // rows, not elements
-        if (mode == ExecMode::Full) {
-          const T* a = bufs[cur][0];
-          const T* b = bufs[cur][1];
-          const T* c = bufs[cur][2];
-          const T* d = bufs[cur][3];
-          T* na = bufs[1 - cur][0];
-          T* nb = bufs[1 - cur][1];
-          T* nc = bufs[1 - cur][2];
-          T* nd = bufs[1 - cur][3];
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t row = i * m;
-            const bool has_lo = i >= shift;
-            const bool has_hi = i + shift < n;
-            const std::size_t lo = has_lo ? row - shift * m : 0;
-            const std::size_t hi = has_hi ? row + shift * m : 0;
-            TDA_SIMD_LOOP
-            for (std::size_t s = s0; s < s1; ++s) {
-              const T alpha =
-                  has_lo ? -a[row + s] / b[lo + s] : T{0};
-              const T beta = has_hi ? -c[row + s] / b[hi + s] : T{0};
-              nb[row + s] = b[row + s] +
-                            (has_lo ? alpha * c[lo + s] : T{0}) +
-                            (has_hi ? beta * a[hi + s] : T{0});
-              nd[row + s] = d[row + s] +
-                            (has_lo ? alpha * d[lo + s] : T{0}) +
-                            (has_hi ? beta * d[hi + s] : T{0});
-              na[row + s] = has_lo ? alpha * a[lo + s] : T{0};
-              nc[row + s] = has_hi ? beta * c[hi + s] : T{0};
-            }
-          }
-        }
-        cur = 1 - cur;
-        const double dn = static_cast<double>(n) * static_cast<double>(w);
-        ctx.charge_global(kPcrStepValuesPerEq * dn * sizeof(T), 1,
-                          sizeof(T));
-        ctx.charge_phase(static_cast<int>(w),
-                         static_cast<double>(n), kPcrStepWarpInsts);
-        if (t + 1 < steps) ctx.sync();
-      }
-    }
-  }, "interleaved_pcr_split");
-  if (steps % 2 == 1) batch.swap_buffers();
-  st.splits += steps;
   return stats;
 }
 

@@ -269,8 +269,7 @@ class GpuTridiagonalSolver {
       telemetry::ScopedSpan span(telemetry::tracer_of(tel),
                                  "interleaved_thomas", "solver");
       WallTimer host;
-      auto ks = kernels::interleaved_thomas_stage(
-          *dev_, dbatch, kernels::SplitState{}, mode);
+      auto ks = kernels::interleaved_thomas_stage(*dev_, dbatch, mode);
       stats.stage3_ms += ks.seconds * 1e3;
       stage3_bytes += ks.bytes_moved;
       ++stats.kernel_launches;

@@ -77,7 +77,4 @@ void cr_solve(SystemView<T> sys, StridedView<T> x) {
   }
 }
 
-/// Flops of one CR forward update (cost accounting).
-inline std::size_t cr_update_flops() { return 14; }
-
 }  // namespace tda::tridiag

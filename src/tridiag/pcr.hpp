@@ -337,9 +337,6 @@ inline std::size_t pcr_steps_to_decouple(std::size_t n) {
   return steps;
 }
 
-/// Flop count of one PCR step over n equations (for cost accounting).
-inline std::size_t pcr_step_flops(std::size_t n) { return 14 * n; }
-
 /// Full PCR solve of a single system using caller-visible scratch of the
 /// same shape. Overwrites both sys and scratch; writes unknowns to x.
 /// This is the CPU reference for the pure-PCR GPU kernel.

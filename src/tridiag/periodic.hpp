@@ -7,11 +7,14 @@
 // to x[0]. The Sherman-Morrison formula reduces such a system to two
 // solves of an ordinary tridiagonal system, so ANY solver in this library
 // (CPU Thomas/gtsv or the multi-stage GPU solver) can serve as the inner
-// engine:
+// engine. With the corner entries alpha = A[0][n-1], beta = A[n-1][0]:
 //
-//   A_cyclic = A + u v^T,   u = (-b0*gamma_scale, 0, .., a0?),  classic
-//   construction: choose gamma, modify b[0] and b[n-1], solve A y = d and
-//   A z = u, then x = y - (v^T y / (1 + v^T z)) z.
+//   gamma = -b[0],  u = (gamma, 0, ..., 0, beta)^T,
+//   v = (1, 0, ..., 0, alpha/gamma)^T,  A_cyclic = A' + u v^T,
+//
+// where A' is the ordinary tridiagonal part with b[0] -= gamma and
+// b[n-1] -= alpha*beta/gamma. Solve A' y = d and A' z = u, then
+// x = y - (v^T y / (1 + v^T z)) z.
 
 #include <cstddef>
 #include <functional>
@@ -21,19 +24,6 @@
 #include "tridiag/batch.hpp"
 
 namespace tda::tridiag {
-
-/// A periodic tridiagonal system: `alpha` couples equation 0 to x[n-1]
-/// (top-right corner) and `beta` couples equation n-1 to x[0]
-/// (bottom-left corner). The a/b/c/d arrays describe the ordinary
-/// tridiagonal part with the usual a[0] = c[n-1] = 0 convention.
-template <typename T>
-struct PeriodicSystem {
-  std::vector<T> a, b, c, d;
-  T alpha{};  ///< A[0][n-1]
-  T beta{};   ///< A[n-1][0]
-
-  [[nodiscard]] std::size_t size() const { return b.size(); }
-};
 
 /// Batch of periodic systems sharing one size.
 template <typename T>

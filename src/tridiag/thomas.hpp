@@ -201,11 +201,4 @@ bool thomas_solve(const SystemView<const T>& sys, StridedView<T> x,
   return true;
 }
 
-/// Number of floating point operations a Thomas solve of size n performs
-/// (used by the simulator's compute-cost accounting).
-inline std::size_t thomas_flops(std::size_t n) {
-  if (n == 0) return 0;
-  return 8 * n;  // ~5 flops forward + ~2 backward + divisions, rounded
-}
-
 }  // namespace tda::tridiag

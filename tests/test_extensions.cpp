@@ -1,19 +1,16 @@
-// Tests for the extension modules: periodic (cyclic) tridiagonal systems
-// via Sherman-Morrison, and the banded / pentadiagonal LU solver — the
-// paper's §VII "next challenge" features.
+// Tests for periodic (cyclic) tridiagonal systems solved via
+// Sherman-Morrison around an ordinary inner solver, CPU or GPU — the
+// §VII extension that examples/heat_ring drives.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
-#include "cpu/banded.hpp"
 #include "cpu/batch_solver.hpp"
 #include "gpusim/launch.hpp"
 #include "solver/gpu_solver.hpp"
 #include "tridiag/generators.hpp"
 #include "tridiag/periodic.hpp"
-#include "tridiag/verify.hpp"
 #include "tuning/tuners.hpp"
 
 namespace {
@@ -111,342 +108,6 @@ TEST(Periodic, FloatPath) {
     solver.solve(b);
   });
   EXPECT_LT(periodic_residual_inf(batch, std::span<const float>(x)), 1e-4);
-}
-
-// ---------- banded LU ----------
-
-// Dense reference for banded tests.
-std::vector<double> dense_banded_solve(const cpu::BandedMatrix<double>& A0,
-                                       std::span<const double> d) {
-  const std::size_t n = A0.size();
-  std::vector<double> mat(n * n, 0.0), rhs(d.begin(), d.end());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (A0.in_band(i, j)) mat[i * n + j] = A0.at(i, j);
-    }
-  }
-  for (std::size_t k = 0; k < n; ++k) {
-    std::size_t piv = k;
-    for (std::size_t r = k + 1; r < n; ++r) {
-      if (std::abs(mat[r * n + k]) > std::abs(mat[piv * n + k])) piv = r;
-    }
-    for (std::size_t j = 0; j < n; ++j)
-      std::swap(mat[k * n + j], mat[piv * n + j]);
-    std::swap(rhs[k], rhs[piv]);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double f = mat[r * n + k] / mat[k * n + k];
-      for (std::size_t j = k; j < n; ++j) mat[r * n + j] -= f * mat[k * n + j];
-      rhs[r] -= f * rhs[k];
-    }
-  }
-  std::vector<double> x(n);
-  for (std::size_t i = n; i-- > 0;) {
-    double acc = rhs[i];
-    for (std::size_t j = i + 1; j < n; ++j) acc -= mat[i * n + j] * x[j];
-    x[i] = acc / mat[i * n + i];
-  }
-  return x;
-}
-
-cpu::BandedMatrix<double> random_banded(std::size_t n, std::size_t kl,
-                                        std::size_t ku, std::uint64_t seed,
-                                        bool dominant) {
-  cpu::BandedMatrix<double> A(n, kl, ku);
-  Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    double offsum = 0.0;
-    for (std::size_t j = (i > kl ? i - kl : 0);
-         j <= std::min(n - 1, i + ku); ++j) {
-      if (j == i) continue;
-      const double v = rng.uniform(-1.0, 1.0);
-      A.at(i, j) = v;
-      offsum += std::abs(v);
-    }
-    A.at(i, i) = dominant ? (offsum + rng.uniform(0.5, 1.5)) * rng.sign()
-                          : rng.uniform(-1.0, 1.0);
-  }
-  return A;
-}
-
-TEST(Banded, MatchesDenseOnRandomBands) {
-  for (auto [kl, ku] : {std::pair<std::size_t, std::size_t>{1, 1},
-                        {2, 2},
-                        {3, 1},
-                        {1, 3},
-                        {4, 4}}) {
-    const std::size_t n = 40;
-    auto A = random_banded(n, kl, ku, 31 * kl + ku, true);
-    auto Acopy = A;
-    std::vector<double> d(n);
-    Rng rng(5);
-    for (auto& v : d) v = rng.uniform(-1.0, 1.0);
-    auto ref = dense_banded_solve(A, d);
-    std::vector<double> x(n);
-    ASSERT_TRUE(cpu::gbsv_solve(Acopy, std::span<const double>(d),
-                                std::span<double>(x)));
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(x[i], ref[i], 1e-9) << "kl=" << kl << " ku=" << ku;
-  }
-}
-
-TEST(Banded, PivotingHandlesNonDominantMatrices) {
-  int solved = 0;
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    const std::size_t n = 24;
-    auto A = random_banded(n, 2, 2, seed, false);
-    auto Aref = A;
-    std::vector<double> d(n, 1.0);
-    std::vector<double> x(n);
-    if (cpu::gbsv_solve(A, std::span<const double>(d),
-                        std::span<double>(x))) {
-      ++solved;
-      auto ref = dense_banded_solve(Aref, d);
-      for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], ref[i], 1e-6);
-    }
-  }
-  EXPECT_GT(solved, 20);
-}
-
-TEST(Banded, TridiagonalSpecialCaseMatchesThomas) {
-  const std::size_t n = 64;
-  auto batch = make_diag_dominant<double>(1, n, 404);
-  cpu::BandedMatrix<double> A(n, 1, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) A.at(i, i - 1) = batch.a()[i];
-    A.at(i, i) = batch.b()[i];
-    if (i + 1 < n) A.at(i, i + 1) = batch.c()[i];
-  }
-  std::vector<double> d(batch.d().begin(), batch.d().end());
-  std::vector<double> x(n);
-  ASSERT_TRUE(
-      cpu::gbsv_solve(A, std::span<const double>(d), std::span<double>(x)));
-
-  auto work = batch;
-  ASSERT_TRUE(thomas_solve_inplace(work.system(0), work.solution(0)));
-  for (std::size_t i = 0; i < n; ++i)
-    EXPECT_NEAR(x[i], work.x()[i], 1e-10);
-}
-
-TEST(Banded, SingularReported) {
-  cpu::BandedMatrix<double> A(4, 1, 1);  // all zeros
-  std::vector<double> d(4, 1.0), x(4);
-  EXPECT_FALSE(
-      cpu::gbsv_solve(A, std::span<const double>(d), std::span<double>(x)));
-}
-
-TEST(Banded, RejectsBadBandwidths) {
-  EXPECT_THROW(cpu::BandedMatrix<double>(4, 4, 1), ContractError);
-  EXPECT_THROW(cpu::BandedMatrix<double>(0, 0, 0), ContractError);
-}
-
-TEST(Penta, SolvesDominantSystem) {
-  const std::size_t n = 50;
-  Rng rng(606);
-  std::vector<double> a2(n), a1(n), b(n), c1(n), c2(n), d(n), x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    a2[i] = (i >= 2) ? rng.uniform(-1, 1) : 0.0;
-    a1[i] = (i >= 1) ? rng.uniform(-1, 1) : 0.0;
-    c1[i] = (i + 1 < n) ? rng.uniform(-1, 1) : 0.0;
-    c2[i] = (i + 2 < n) ? rng.uniform(-1, 1) : 0.0;
-    b[i] = std::abs(a2[i]) + std::abs(a1[i]) + std::abs(c1[i]) +
-           std::abs(c2[i]) + rng.uniform(0.5, 1.5);
-    d[i] = rng.uniform(-1, 1);
-  }
-  ASSERT_TRUE(cpu::penta_solve<double>(a2, a1, b, c1, c2, d, x));
-  // Residual check.
-  double worst = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i] * x[i];
-    if (i >= 2) acc += a2[i] * x[i - 2];
-    if (i >= 1) acc += a1[i] * x[i - 1];
-    if (i + 1 < n) acc += c1[i] * x[i + 1];
-    if (i + 2 < n) acc += c2[i] * x[i + 2];
-    worst = std::max(worst, std::abs(acc - d[i]));
-  }
-  EXPECT_LT(worst, 1e-11);
-}
-
-TEST(Penta, FourthDifferenceOperator) {
-  // The biharmonic stencil [1 -4 6 -4 1] + identity: solve against a
-  // known smooth solution.
-  const std::size_t n = 80;
-  std::vector<double> a2(n, 1.0), a1(n, -4.0), b(n, 7.0), c1(n, -4.0),
-      c2(n, 1.0), d(n), x(n), xtrue(n);
-  Rng rng(707);
-  for (auto& v : xtrue) v = rng.uniform(-1.0, 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    a2[i] = (i >= 2) ? 1.0 : 0.0;
-    a1[i] = (i >= 1) ? -4.0 : 0.0;
-    c1[i] = (i + 1 < n) ? -4.0 : 0.0;
-    c2[i] = (i + 2 < n) ? 1.0 : 0.0;
-    double acc = b[i] * xtrue[i];
-    if (i >= 2) acc += a2[i] * xtrue[i - 2];
-    if (i >= 1) acc += a1[i] * xtrue[i - 1];
-    if (i + 1 < n) acc += c1[i] * xtrue[i + 1];
-    if (i + 2 < n) acc += c2[i] * xtrue[i + 2];
-    d[i] = acc;
-  }
-  ASSERT_TRUE(cpu::penta_solve<double>(a2, a1, b, c1, c2, d, x));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], xtrue[i], 1e-8);
-}
-
-}  // namespace
-
-// ---------- block tridiagonal (paper §VII "blocked tridiagonal") ----------
-
-#include "cpu/block_tridiag.hpp"
-
-namespace {
-
-using namespace tda;
-
-cpu::BlockTridiagSystem<double> random_block_system(std::size_t n,
-                                                    std::size_t k,
-                                                    std::uint64_t seed) {
-  cpu::BlockTridiagSystem<double> sys(n, k);
-  Rng rng(seed);
-  for (std::size_t i = 0; i < n; ++i) {
-    double offsum = 0.0;
-    for (std::size_t e = 0; e < k * k; ++e) {
-      if (i > 0) {
-        sys.A(i)[e] = rng.uniform(-1, 1);
-        offsum += std::abs(sys.A(i)[e]);
-      }
-      if (i + 1 < n) {
-        sys.C(i)[e] = rng.uniform(-1, 1);
-        offsum += std::abs(sys.C(i)[e]);
-      }
-      sys.B(i)[e] = rng.uniform(-1, 1);
-    }
-    // Make the diagonal blocks strongly dominant so block Thomas is safe.
-    for (std::size_t r = 0; r < k; ++r) {
-      sys.B(i)[r * k + r] += (offsum + 2.0) * rng.sign();
-    }
-    for (std::size_t r = 0; r < k; ++r) sys.D(i)[r] = rng.uniform(-1, 1);
-  }
-  return sys;
-}
-
-TEST(SmallLU, FactorsAndSolves3x3) {
-  std::vector<double> m{2, 1, 0, 1, 3, 1, 0, 1, 2};
-  cpu::SmallLU<double> lu;
-  ASSERT_TRUE(lu.factor(std::span<double>(m), 3));
-  std::vector<double> b{3, 5, 3};  // solution: [1,1,1]
-  lu.solve_vec(std::span<double>(b));
-  EXPECT_NEAR(b[0], 1.0, 1e-12);
-  EXPECT_NEAR(b[1], 1.0, 1e-12);
-  EXPECT_NEAR(b[2], 1.0, 1e-12);
-}
-
-TEST(SmallLU, PivotsZeroLeadingEntry) {
-  std::vector<double> m{0, 1, 1, 0};  // requires a row swap
-  cpu::SmallLU<double> lu;
-  ASSERT_TRUE(lu.factor(std::span<double>(m), 2));
-  std::vector<double> b{2, 3};  // x = [3, 2]
-  lu.solve_vec(std::span<double>(b));
-  EXPECT_NEAR(b[0], 3.0, 1e-12);
-  EXPECT_NEAR(b[1], 2.0, 1e-12);
-}
-
-TEST(SmallLU, DetectsSingular) {
-  std::vector<double> m{1, 2, 2, 4};
-  cpu::SmallLU<double> lu;
-  EXPECT_FALSE(lu.factor(std::span<double>(m), 2));
-}
-
-TEST(SmallLU, SolveMatInvertsAgainstIdentity) {
-  std::vector<double> m{4, 1, 2, 3};
-  cpu::SmallLU<double> lu;
-  std::vector<double> mcopy = m;
-  ASSERT_TRUE(lu.factor(std::span<double>(mcopy), 2));
-  std::vector<double> eye{1, 0, 0, 1};
-  lu.solve_mat(std::span<double>(eye));  // eye = M^{-1}
-  // M * M^{-1} must be identity.
-  std::vector<double> prod(4, 0.0);
-  for (int r = 0; r < 2; ++r)
-    for (int c = 0; c < 2; ++c)
-      for (int t = 0; t < 2; ++t)
-        prod[r * 2 + c] += m[r * 2 + t] * eye[t * 2 + c];
-  EXPECT_NEAR(prod[0], 1.0, 1e-12);
-  EXPECT_NEAR(prod[1], 0.0, 1e-12);
-  EXPECT_NEAR(prod[2], 0.0, 1e-12);
-  EXPECT_NEAR(prod[3], 1.0, 1e-12);
-}
-
-class BlockThomasSweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
-};
-
-TEST_P(BlockThomasSweep, ResidualTiny) {
-  const auto [n, k] = GetParam();
-  auto sys = random_block_system(n, k, 17 * n + k);
-  auto pristine = sys;
-  std::vector<double> x(n * k);
-  ASSERT_TRUE(cpu::block_thomas_solve(sys, std::span<double>(x)));
-  EXPECT_LT(cpu::block_residual_inf(pristine, std::span<const double>(x)),
-            1e-10)
-      << "n=" << n << " k=" << k;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ShapeGrid, BlockThomasSweep,
-    ::testing::Combine(::testing::Values(1, 2, 3, 10, 64),
-                       ::testing::Values(1, 2, 3, 5)));
-
-TEST(BlockThomas, BlockSizeOneMatchesScalarThomas) {
-  const std::size_t n = 50;
-  auto batch = tridiag::make_diag_dominant<double>(1, n, 4242);
-  cpu::BlockTridiagSystem<double> sys(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    sys.A(i)[0] = batch.a()[i];
-    sys.B(i)[0] = batch.b()[i];
-    sys.C(i)[0] = batch.c()[i];
-    sys.D(i)[0] = batch.d()[i];
-  }
-  std::vector<double> x(n);
-  ASSERT_TRUE(cpu::block_thomas_solve(sys, std::span<double>(x)));
-
-  auto work = batch;
-  ASSERT_TRUE(
-      tridiag::thomas_solve_inplace(work.system(0), work.solution(0)));
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], work.x()[i], 1e-11);
-}
-
-TEST(BlockThomas, MatchesBandedSolverOnExpandedMatrix) {
-  // A block-tridiagonal matrix with k×k blocks IS a banded matrix with
-  // kl = ku = 2k-1: cross-validate against gbsv.
-  const std::size_t n = 12, k = 3, N = n * k;
-  auto sys = random_block_system(n, k, 99);
-  auto pristine = sys;
-
-  cpu::BandedMatrix<double> A(N, 2 * k - 1, 2 * k - 1);
-  std::vector<double> d(N);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < k; ++r) {
-      d[i * k + r] = sys.D(i)[r];
-      for (std::size_t c = 0; c < k; ++c) {
-        A.at(i * k + r, i * k + c) = sys.B(i)[r * k + c];
-        if (i > 0) A.at(i * k + r, (i - 1) * k + c) = sys.A(i)[r * k + c];
-        if (i + 1 < n)
-          A.at(i * k + r, (i + 1) * k + c) = sys.C(i)[r * k + c];
-      }
-    }
-  }
-  std::vector<double> x_band(N), x_block(N);
-  ASSERT_TRUE(cpu::gbsv_solve(A, std::span<const double>(d),
-                              std::span<double>(x_band)));
-  ASSERT_TRUE(cpu::block_thomas_solve(sys, std::span<double>(x_block)));
-  for (std::size_t i = 0; i < N; ++i)
-    EXPECT_NEAR(x_block[i], x_band[i], 1e-9);
-  EXPECT_LT(
-      cpu::block_residual_inf(pristine, std::span<const double>(x_block)),
-      1e-10);
-}
-
-TEST(BlockThomas, SingularDiagonalBlockReported) {
-  cpu::BlockTridiagSystem<double> sys(3, 2);  // all-zero B blocks
-  std::vector<double> x(6);
-  EXPECT_FALSE(cpu::block_thomas_solve(sys, std::span<double>(x)));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "cpu/batch_solver.hpp"
@@ -71,15 +72,31 @@ TEST_P(SolverFuzz, GpuMatchesPivotingCpu) {
   ASSERT_EQ(st.failures, 0u);
 
   // Both residuals tiny; solutions agree to solver tolerance.
+  const auto max_diff = [&](std::span<const double> x) {
+    double worst = 0.0;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      worst = std::max(worst, std::abs(x[k] - cpu_batch.x()[k]));
+    }
+    return worst;
+  };
   EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-8)
       << "seed=" << GetParam() << " m=" << m << " n=" << n << " "
       << solver::describe(sp) << " dev=" << dev.spec().name;
   EXPECT_LT(tridiag::batch_residual_inf(pristine, cpu_batch.x()), 1e-8);
-  double worst = 0.0;
-  for (std::size_t k = 0; k < batch.total_equations(); ++k) {
-    worst = std::max(worst, std::abs(batch.x()[k] - cpu_batch.x()[k]));
-  }
-  EXPECT_LT(worst, 1e-6) << "seed=" << GetParam();
+  EXPECT_LT(max_diff(batch.x()), 1e-6) << "seed=" << GetParam();
+
+  // The same pristine batch through the element-major path (transpose,
+  // one Thomas lane per system, transpose back), held to the same bounds.
+  auto element_batch = pristine;
+  solver::SwitchPoints element_sp = sp;
+  element_sp.layout = tridiag::BatchLayout::ElementMajor;
+  solver::GpuTridiagonalSolver<double> element_gpu(dev, element_sp);
+  element_gpu.solve(element_batch);
+  EXPECT_LT(tridiag::batch_residual_inf(pristine, element_batch.x()), 1e-8)
+      << "seed=" << GetParam() << " m=" << m << " n=" << n
+      << " element-major dev=" << dev.spec().name;
+  EXPECT_LT(max_diff(element_batch.x()), 1e-6)
+      << "seed=" << GetParam() << " element-major";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverFuzz,
