@@ -20,9 +20,9 @@
 // Every stage decomposes into blocks owning DISJOINT output regions
 // (tiles, or column strips of systems), so there are no cross-block
 // hazards and execution is bitwise deterministic at every TDA_THREADS:
-// per-system arithmetic is elementwise independent, so the host strip
-// width is a pure scheduling/vectorization choice that cannot change a
-// single result bit.
+// per-system arithmetic is elementwise independent, so how the host
+// walks a strip is a pure scheduling choice that cannot change a single
+// result bit.
 
 #include <algorithm>
 #include <array>
@@ -33,9 +33,9 @@
 #include "gpusim/launch.hpp"
 #include "kernels/config.hpp"
 #include "kernels/device_batch.hpp"
-#include "kernels/simd.hpp"
 #include "kernels/split_kernels.hpp"
 #include "tridiag/batch.hpp"
+#include "tridiag/thomas.hpp"
 #include "tridiag/transpose.hpp"
 
 namespace tda::kernels {
@@ -45,9 +45,7 @@ namespace tda::kernels {
 /// such blocks fill a Fermi SM to full occupancy, which the bandwidth
 /// model rewards). This is a property of the SIMULATED launch — fixed,
 /// so the cost model and every tuner decision derived from it are
-/// identical on every build host — while simd_strip_width only
-/// strip-mines the HOST traversal inside a block and cannot change a
-/// charge or a bit.
+/// identical on every build host.
 inline constexpr std::size_t kInterleavedBlockSystems = 256;
 
 /// Warp instructions per equation of the interleaved Thomas sweep:
@@ -188,11 +186,11 @@ gpusim::KernelStats transpose_out_stage(gpusim::Device& dev,
 
 /// Solves every system of an element-major batch with one Thomas lane
 /// per system. Blocks own disjoint strips of kInterleavedBlockSystems
-/// adjacent systems; the host walks each strip in sub-strips of
-/// simd_strip_width<T>() whose inner loops run stride-1 across systems,
-/// so they vectorize with no intrinsics (TDA_SIMD_LOOP is only a hint).
-/// The forward sweep rewrites the current c/d lanes in place; the
-/// solution is written element-major into the ALTERNATE d lane, where
+/// adjacent systems. The batch is one n*m-row system whose m interleaved
+/// subsystems are the batch's systems, so the host solves a strip as
+/// the window of tridiag::thomas_solve_interleaved over its columns. The
+/// forward sweep rewrites the current c/d lanes in place; the solution
+/// is written element-major into the ALTERNATE d lane, where
 /// transpose_out_stage picks it up.
 template <typename T>
 gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
@@ -203,7 +201,6 @@ gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
   const std::size_t m = batch.num_systems();
   const std::size_t n = batch.system_size();
   const std::size_t width = kInterleavedBlockSystems;
-  const std::size_t vec = simd_strip_width<T>();
   const std::size_t strips = (m + width - 1) / width;
   const auto& spec = dev.spec();
 
@@ -217,11 +214,10 @@ gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
 
   // transpose_in_stage's swap left an owned current buffer, which the
   // forward sweep may rewrite.
-  const T* const a = batch.cur_lane(0).data();
-  const T* const b = batch.cur_lane(1).data();
-  T* const c = batch.owned_cur_lane(2).data();
-  T* const d = batch.owned_cur_lane(3).data();
-  T* const x = batch.alt_lane(3).data();
+  T* const lanes[5] = {
+      batch.owned_cur_lane(0).data(), batch.owned_cur_lane(1).data(),
+      batch.owned_cur_lane(2).data(), batch.owned_cur_lane(3).data(),
+      batch.alt_lane(3).data()};
 
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
     for (std::size_t strip = ctx.block_index(); strip < strips;
@@ -231,56 +227,14 @@ gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
       const std::size_t w = s1 - s0;
 
       if (mode == ExecMode::Full) {
-        unsigned bad = 0;
-        // Host strip-mining: sub-strips of `vec` systems keep one
-        // hardware vector's worth of rows hot while the sweeps walk n.
-        for (std::size_t v0 = s0; v0 < s1; v0 += vec) {
-          const std::size_t v1 = std::min(s1, v0 + vec);
-          // Row i of lane k is k[i*m+s]: consecutive s are consecutive
-          // addresses, so every inner loop is a contiguous vector op.
-          // Divisions by a zero pivot are masked to 1 (never fed back)
-          // and flagged instead of computed, keeping the loop
-          // select-only and ubsan-clean.
-          TDA_SIMD_LOOP
-          for (std::size_t s = v0; s < v1; ++s) {
-            const T denom = b[s];
-            const unsigned zero = denom == T{0} ? 1u : 0u;
-            bad |= zero;
-            const T inv = T{1} / (zero != 0u ? T{1} : denom);
-            c[s] = c[s] * inv;
-            d[s] = d[s] * inv;
-          }
-          for (std::size_t i = 1; i < n; ++i) {
-            const std::size_t row = i * m;
-            const std::size_t prev = row - m;
-            const bool keep_c = i + 1 < n;
-            TDA_SIMD_LOOP
-            for (std::size_t s = v0; s < v1; ++s) {
-              const T denom = b[row + s] - a[row + s] * c[prev + s];
-              const unsigned zero = denom == T{0} ? 1u : 0u;
-              bad |= zero;
-              const T inv = T{1} / (zero != 0u ? T{1} : denom);
-              if (keep_c) c[row + s] = c[row + s] * inv;
-              d[row + s] = (d[row + s] - a[row + s] * d[prev + s]) * inv;
-            }
-          }
-          // Back substitution into the alternate d lane (element-major
-          // x).
-          const std::size_t last = (n - 1) * m;
-          TDA_SIMD_LOOP
-          for (std::size_t s = v0; s < v1; ++s) {
-            x[last + s] = d[last + s];
-          }
-          for (std::size_t i = n - 1; i-- > 0;) {
-            const std::size_t row = i * m;
-            const std::size_t next = row + m;
-            TDA_SIMD_LOOP
-            for (std::size_t s = v0; s < v1; ++s) {
-              x[row + s] = d[row + s] - c[row + s] * x[next + s];
-            }
-          }
-        }
-        TDA_ENSURE(bad == 0u, "interleaved Thomas kernel hit a zero pivot");
+        // Rows s0 .. n*m-1, whose subsystems 0, 1, ... are systems s0,
+        // s0+1, ...
+        const auto lane = [&](int k) {
+          return tda::StridedView<T>(lanes[k] + s0, n * m - s0, 1);
+        };
+        const bool ok = tridiag::thomas_solve_interleaved(
+            {lane(0), lane(1), lane(2), lane(3)}, lane(4), m, w);
+        TDA_ENSURE(ok, "interleaved Thomas kernel hit a zero pivot");
       }
 
       // Every row is touched exactly once.

@@ -171,7 +171,8 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     const std::size_t thomas_parts = std::min(std::size_t{1} << j, len);
     if (mode == ExecMode::Full) {
       const bool ok = tridiag::thomas_solve_interleaved(
-          views[cur], batch.solution_row(s, st, p), thomas_parts);
+          views[cur], batch.solution_row(s, st, p), thomas_parts,
+          thomas_parts);
       TDA_ENSURE(ok, "PCR-Thomas kernel hit a zero pivot");
     }
     const double eqs_per_thread = std::ceil(

@@ -10,6 +10,7 @@
 //
 // The formulation below supports arbitrary n via boundary guards.
 
+#include <bit>
 #include <cstddef>
 
 #include "common/check.hpp"
@@ -46,6 +47,36 @@ void cr_forward_update(const SystemView<T>& sys, std::size_t i,
   sys.d[i] = nd;
 }
 
+/// One CR forward level with stride s: every equation i = 2s-1, 4s-1,
+/// ... eliminates its couplings to i-s and i+s. Returns how many
+/// equations it updated.
+template <typename T>
+std::size_t cr_forward_level(const SystemView<T>& sys, std::size_t s) {
+  std::size_t active = 0;
+  for (std::size_t i = 2 * s - 1; i < sys.size(); i += 2 * s, ++active) {
+    cr_forward_update(sys, i, s);
+  }
+  return active;
+}
+
+/// One CR back-substitution level s: the unknowns i = s-1, 3s-1, 5s-1,
+/// ..., each of which couples only to i±s, whose unknowns belong to
+/// higher levels and are already solved (or fall outside the system).
+/// Returns how many unknowns it solved.
+template <typename T>
+std::size_t cr_backward_level(const SystemView<T>& sys, StridedView<T> x,
+                              std::size_t s) {
+  const std::size_t n = sys.size();
+  std::size_t active = 0;
+  for (std::size_t i = s - 1; i < n; i += 2 * s, ++active) {
+    T acc = sys.d[i];
+    if (i >= s) acc -= sys.a[i] * x[i - s];
+    if (i + s < n) acc -= sys.c[i] * x[i + s];
+    x[i] = acc / sys.b[i];
+  }
+  return active;
+}
+
 /// Full cyclic reduction solve of one system (in place; x gets the
 /// unknowns). Works for any n >= 1.
 template <typename T>
@@ -54,26 +85,9 @@ void cr_solve(SystemView<T> sys, StridedView<T> x) {
   TDA_REQUIRE(x.size() == n, "cr_solve: solution size mismatch");
   if (n == 0) return;
 
-  // Forward reduction.
-  std::size_t smax = 1;
-  while (smax < n) smax *= 2;
-  for (std::size_t s = 1; s < n; s *= 2) {
-    for (std::size_t i = 2 * s - 1; i < n; i += 2 * s) {
-      cr_forward_update(sys, i, s);
-    }
-  }
-
-  // Back substitution. Indices at level s are i = s-1, 3s-1, 5s-1, ...;
-  // each couples only to i±s, whose unknowns belong to higher levels and
-  // are already solved (or fall outside the system).
-  for (std::size_t s = smax; s >= 1; s /= 2) {
-    for (std::size_t i = s - 1; i < n; i += 2 * s) {
-      T acc = sys.d[i];
-      if (i >= s) acc -= sys.a[i] * x[i - s];
-      if (i + s < n) acc -= sys.c[i] * x[i + s];
-      x[i] = acc / sys.b[i];
-    }
-    if (s == 1) break;
+  for (std::size_t s = 1; s < n; s *= 2) cr_forward_level(sys, s);
+  for (std::size_t s = std::bit_ceil(n); s >= 1; s /= 2) {
+    cr_backward_level(sys, x, s);
   }
 }
 

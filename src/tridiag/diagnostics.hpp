@@ -94,7 +94,10 @@ double estimate_condition(const SystemView<const T>& sys,
   // Power iteration on A^{-1}: repeatedly solve A x = v with v a
   // (sign-refined) probe; ||A^{-1}||_1 >= ||x||_1 / ||v||_1.
   std::vector<double> v(n, 1.0 / static_cast<double>(n));
-  std::vector<double> x(n), cs(n), ds(n), av(n), bv(n), cv(n);
+  std::vector<double> x(n), av(n), bv(n), cv(n);
+  const auto view = [n](std::vector<double>& lane) {
+    return StridedView<double>(lane.data(), n, 1);
+  };
   double best = 0.0;
   for (int it = 0; it < iterations; ++it) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -102,14 +105,10 @@ double estimate_condition(const SystemView<const T>& sys,
       bv[i] = static_cast<double>(sys.b[i]);
       cv[i] = static_cast<double>(sys.c[i]);
     }
-    SystemView<const double> dsys{
-        StridedView<const double>(av.data(), n, 1),
-        StridedView<const double>(bv.data(), n, 1),
-        StridedView<const double>(cv.data(), n, 1),
-        StridedView<const double>(v.data(), n, 1)};
-    if (!thomas_solve(dsys, StridedView<double>(x.data(), n, 1),
-                      StridedView<double>(cs.data(), n, 1),
-                      StridedView<double>(ds.data(), n, 1))) {
+    // The solve overwrites cv and the probe v, which is refined from x
+    // below anyway.
+    if (!thomas_solve_inplace<double>({view(av), view(bv), view(cv), view(v)},
+                                      view(x))) {
       return std::numeric_limits<double>::infinity();
     }
     double norm_x = 0.0;

@@ -8,9 +8,11 @@
 //    forward steps until the reduced system is small, solve it with PCR,
 //    then CR back-substitution.
 //
-// The GPU-sim kernels in src/kernels mirror these step for step; tests pin
-// the kernels against these references.
+// The GPU-sim kernels in src/kernels run the same PCR steps, Thomas sweep
+// and CR levels, charging between them; tests pin each kernel's x to
+// these references bit for bit.
 
+#include <bit>
 #include <cstddef>
 #include <utility>
 
@@ -62,8 +64,29 @@ void pcr_thomas_solve(SystemView<T> sys, SystemView<T> scratch,
   }
 
   // The system is now 2^j interleaved subsystems; solve them with Thomas.
-  const bool ok = thomas_solve_interleaved(*src, x, std::size_t{1} << j);
+  const std::size_t parts = std::size_t{1} << j;
+  const bool ok = thomas_solve_interleaved(*src, x, parts, parts);
   TDA_ENSURE(ok, "PCR-Thomas hit a zero pivot");
+}
+
+/// Stride of the reduced system the CR-PCR hybrid hands to PCR: CR
+/// forward levels with strides 1, 2, 4, ... run while more than
+/// `pcr_threshold` (>= 1) equations stay active, and after the level
+/// with stride s the n/(2s) equations 2s-1, 4s-1, ... do. 1 means no CR
+/// level runs.
+inline std::size_t cr_pcr_stride(std::size_t n, std::size_t pcr_threshold) {
+  std::size_t stride = 1;
+  while (n / stride > pcr_threshold) stride *= 2;
+  return stride;
+}
+
+/// The active system after the CR forward levels below `stride` (a power
+/// of two): equations stride-1, 2*stride-1, ..., coupled at distance
+/// stride, as a view into sys (or x).
+template <typename V>
+V cr_reduced(const V& v, std::size_t stride) {
+  return v.subsystem(static_cast<std::size_t>(std::countr_zero(stride)),
+                     stride - 1);
 }
 
 /// CR-PCR hybrid solve of one system (Zhang et al. baseline).
@@ -79,63 +102,20 @@ void cr_pcr_solve(SystemView<T> sys, StridedView<T> x,
   TDA_REQUIRE(pcr_threshold >= 1, "threshold must be >= 1");
   if (n == 0) return;
 
-  // CR forward. After completing the step with stride s, the active
-  // (reduced) system is the indices 2s-1, 4s-1, ... coupling at distance
-  // 2s. `stride` below always holds the stride of the NEXT forward step;
-  // the current active system starts at stride-1 with step `stride`.
-  std::size_t stride = 1;
-  std::size_t active_count = n;
-  while (active_count > pcr_threshold && active_count >= 2) {
-    for (std::size_t i = 2 * stride - 1; i < n; i += 2 * stride) {
-      cr_forward_update(sys, i, stride);
-    }
-    stride *= 2;
-    const std::size_t start = stride - 1;
-    active_count = (n > start) ? (n - start + stride - 1) / stride : 0;
+  const std::size_t top = cr_pcr_stride(n, pcr_threshold);
+  for (std::size_t s = 1; s < top; s *= 2) cr_forward_level(sys, s);
+
+  const SystemView<T> red = cr_reduced(sys, top);
+  const std::size_t r = red.size();
+  if (r > 0) {
+    AlignedBuffer<T> buf(4 * r);
+    const auto lane = [&](std::size_t k) {
+      return StridedView<T>(buf.data() + k * r, r, 1);
+    };
+    pcr_solve(red, {lane(0), lane(1), lane(2), lane(3)}, cr_reduced(x, top));
   }
 
-  if (stride == 1) {
-    // No reduction happened: solve the whole system with PCR.
-    AlignedBuffer<T> buf(4 * n);
-    SystemView<T> scratch{StridedView<T>(buf.data(), n, 1),
-                          StridedView<T>(buf.data() + n, n, 1),
-                          StridedView<T>(buf.data() + 2 * n, n, 1),
-                          StridedView<T>(buf.data() + 3 * n, n, 1)};
-    pcr_solve(sys, scratch, x);
-    return;
-  }
-
-  // Solve the reduced strided system with PCR.
-  const std::size_t start = stride - 1;
-  if (start < n && active_count > 0) {
-    const std::size_t es = sys.a.stride();  // element stride of the view
-    SystemView<T> red{
-        StridedView<T>(&sys.a[start], active_count, es * stride),
-        StridedView<T>(&sys.b[start], active_count, es * stride),
-        StridedView<T>(&sys.c[start], active_count, es * stride),
-        StridedView<T>(&sys.d[start], active_count, es * stride)};
-    AlignedBuffer<T> buf(4 * active_count);
-    SystemView<T> scratch{
-        StridedView<T>(buf.data(), active_count, 1),
-        StridedView<T>(buf.data() + active_count, active_count, 1),
-        StridedView<T>(buf.data() + 2 * active_count, active_count, 1),
-        StridedView<T>(buf.data() + 3 * active_count, active_count, 1)};
-    StridedView<T> xr(&x[start], active_count, x.stride() * stride);
-    pcr_solve(red, scratch, xr);
-  }
-
-  // CR back substitution for the remaining levels. Level `lvl` holds the
-  // indices lvl-1, 3·lvl-1, 5·lvl-1, ... whose equations couple at
-  // distance lvl to unknowns of strictly higher levels (already solved).
-  for (std::size_t lvl = stride / 2; lvl >= 1; lvl /= 2) {
-    for (std::size_t i = lvl - 1; i < n; i += 2 * lvl) {
-      T acc = sys.d[i];
-      if (i >= lvl) acc -= sys.a[i] * x[i - lvl];
-      if (i + lvl < n) acc -= sys.c[i] * x[i + lvl];
-      x[i] = acc / sys.b[i];
-    }
-    if (lvl == 1) break;
-  }
+  for (std::size_t s = top / 2; s >= 1; s /= 2) cr_backward_level(sys, x, s);
 }
 
 }  // namespace tda::tridiag

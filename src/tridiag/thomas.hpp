@@ -5,11 +5,13 @@
 // GPU thread on an interleaved shared-memory subsystem, which is why the
 // implementation below works on StridedView rather than raw arrays.
 //
-// thomas_solve_interleaved runs all of a block's interleaved subsystems
-// as one row-by-row sweep whose inner loops are unit-stride across the
-// subsystems (one vector lane per GPU thread), with each subsystem's
-// arithmetic in thomas_solve_inplace's exact order, on the host's widest
-// ISA variant (tridiag/isa.hpp).
+// thomas_solve_interleaved runs a window of a block's interleaved
+// subsystems as one row-by-row sweep whose inner loops are unit-stride
+// across the subsystems (one vector lane per GPU thread), with each
+// subsystem's arithmetic in thomas_solve_inplace's exact order, on the
+// host's widest ISA variant (tridiag/isa.hpp). Stage 4 sweeps all of a
+// block's subsystems; the element-major kernel sweeps one strip of an
+// element-major batch, whose systems are its interleaved subsystems.
 //
 // Requires nonzero pivots (guaranteed for strictly diagonally dominant or
 // symmetric positive definite systems). For general systems use
@@ -83,16 +85,18 @@ unsigned thomas_forward_rows(V a, V b, V c, V d, std::size_t parts,
   return bad;
 }
 
-/// The interleaved sweep of one n-row system of `parts` subsystems over
-/// array-like lanes, writing the unknowns to x.
+/// The interleaved sweep of subsystems [0, width) of the `parts`
+/// interleaved subsystems of one n-row system over array-like lanes,
+/// writing their unknowns to x.
 template <typename V>
 struct ThomasSweep {
   Lanes<V> sys;
   V x;
-  std::size_t n, parts;
+  std::size_t n, parts, width;
 };
 
-/// The sweep of thomas_solve_interleaved.
+/// The sweep of thomas_solve_interleaved. Row r is the equations
+/// [r*parts, r*parts + width) below n, one of each swept subsystem.
 template <typename T, typename V>
 bool thomas_interleaved_rows(const ThomasSweep<V>& p) {
   TDA_FP_CONTRACT_OFF
@@ -100,9 +104,10 @@ bool thomas_interleaved_rows(const ThomasSweep<V>& p) {
   const V x = p.x;
   const std::size_t n = p.n;
   const std::size_t parts = p.parts;
-  // Rows [0, head) open a subsystem each; rows [last, n) close one.
-  const std::size_t head = std::min(parts, n);
-  const std::size_t last = n - head;
+  const std::size_t width = p.width;
+  // Row 0 opens every subsystem; equations from `last` on close one.
+  const std::size_t head = std::min(width, n);
+  const std::size_t last = n - std::min(parts, n);
   unsigned bad = 0;
   TDA_SIMD_LOOP
   for (std::size_t i = 0; i < head; ++i) {
@@ -113,23 +118,24 @@ bool thomas_interleaved_rows(const ThomasSweep<V>& p) {
     c[i] = c[i] / pivot;
     d[i] = d[i] / pivot;
   }
-  for (std::size_t lo = head; lo < n; lo += parts) {
-    const std::size_t hi = std::min(lo + parts, n);
+  for (std::size_t lo = parts; lo < n; lo += parts) {
+    const std::size_t hi = std::min(lo + width, n);
     const std::size_t mid = std::clamp(last, lo, hi);
     bad |= thomas_forward_rows<T, true>(a, b, c, d, parts, lo, mid);
     bad |= thomas_forward_rows<T, false>(a, b, c, d, parts, mid, hi);
   }
   if (bad != 0u) return false;
 
-  // Back substitution, one block of `parts` rows at a time walking
-  // toward row 0; every row reads the block below it.
-  TDA_SIMD_LOOP
-  for (std::size_t i = last; i < n; ++i) x[i] = d[i];
-  for (std::size_t hi = last; hi > 0;) {
-    const std::size_t lo = hi > parts ? hi - parts : 0;
+  // Back substitution, one row at a time walking toward row 0; every
+  // equation that does not close its subsystem reads the row below it.
+  for (std::size_t r = (n + parts - 1) / parts; r-- > 0;) {
+    const std::size_t lo = r * parts;
+    const std::size_t hi = std::min(lo + width, n);
+    const std::size_t mid = std::clamp(last, lo, hi);
     TDA_SIMD_LOOP
-    for (std::size_t i = lo; i < hi; ++i) x[i] = d[i] - c[i] * x[i + parts];
-    hi = lo;
+    for (std::size_t i = lo; i < mid; ++i) x[i] = d[i] - c[i] * x[i + parts];
+    TDA_SIMD_LOOP
+    for (std::size_t i = mid; i < hi; ++i) x[i] = d[i];
   }
   return true;
 }
@@ -143,10 +149,12 @@ bool thomas_interleaved_rows_isa(Isa isa, const ThomasSweep<V>& p);
 /// supported.
 template <typename T>
 bool thomas_solve_interleaved_on(Isa isa, SystemView<T> sys,
-                                 StridedView<T> x, std::size_t parts) {
+                                 StridedView<T> x, std::size_t parts,
+                                 std::size_t width) {
   const std::size_t n = sys.size();
   TDA_REQUIRE(x.size() == n, "solution view size mismatch");
   TDA_REQUIRE(parts >= 1, "need at least one subsystem");
+  TDA_REQUIRE(width <= parts, "window wider than the subsystem count");
   const auto run = [isa](const auto& p) {
     if constexpr (kIsaDispatched<T>) {
       return thomas_interleaved_rows_isa<T>(isa, p);
@@ -155,50 +163,27 @@ bool thomas_solve_interleaved_on(Isa isa, SystemView<T> sys,
     }
   };
   if (sys.unit_stride() && x.stride() == 1) {
-    return run(ThomasSweep<T*>{unit_lanes(sys), x.data(), n, parts});
+    return run(ThomasSweep<T*>{unit_lanes(sys), x.data(), n, parts, width});
   }
-  return run(ThomasSweep<StridedView<T>>{view_lanes(sys), x, n, parts});
+  return run(
+      ThomasSweep<StridedView<T>>{view_lanes(sys), x, n, parts, width});
 }
 
 }  // namespace detail
 
-/// Solves the `parts` interleaved subsystems of sys (subsystem q is rows
-/// q, q+parts, q+2*parts, ...; any parts >= 1, subsystems past n are
-/// empty) in one pass, walking the rows in order so every inner loop
-/// runs across the subsystems. Each subsystem sees exactly the
-/// operations of thomas_solve_inplace on sys.subsystem(log2 parts, q),
-/// so x is bitwise the same. Overwrites c and d; x may alias d. Returns
-/// false if any subsystem hit a zero pivot (x is then invalid).
+/// Solves subsystems [0, width) of the `parts` interleaved subsystems of
+/// sys (subsystem q is rows q, q+parts, q+2*parts, ...; any parts >= 1,
+/// width <= parts, subsystems past n are empty) in one pass, walking the
+/// rows in order so every inner loop runs across the subsystems; the
+/// other subsystems are not touched. Each swept subsystem sees exactly
+/// the operations of thomas_solve_inplace on it, so x is bitwise the
+/// same. Overwrites c and d; x may alias d. Returns false if any swept
+/// subsystem hit a zero pivot (x is then invalid).
 template <typename T>
 bool thomas_solve_interleaved(SystemView<T> sys, StridedView<T> x,
-                              std::size_t parts) {
+                              std::size_t parts, std::size_t width) {
   return detail::thomas_solve_interleaved_on(detail::host_isa(), sys, x,
-                                             parts);
-}
-
-/// Non-destructive Thomas solve: copies coefficients into caller-provided
-/// scratch (cs, ds; each of size n) first.
-template <typename T>
-bool thomas_solve(const SystemView<const T>& sys, StridedView<T> x,
-                  StridedView<T> cs, StridedView<T> ds) {
-  const std::size_t n = sys.size();
-  TDA_REQUIRE(cs.size() == n && ds.size() == n, "scratch size mismatch");
-  if (n == 0) return true;
-
-  T denom = sys.b[0];
-  if (denom == T{0}) return false;
-  cs[0] = sys.c[0] / denom;
-  ds[0] = sys.d[0] / denom;
-  for (std::size_t i = 1; i < n; ++i) {
-    denom = sys.b[i] - sys.a[i] * cs[i - 1];
-    if (denom == T{0}) return false;
-    const T inv = T{1} / denom;
-    cs[i] = (i + 1 < n) ? sys.c[i] * inv : T{0};
-    ds[i] = (sys.d[i] - sys.a[i] * ds[i - 1]) * inv;
-  }
-  x[n - 1] = ds[n - 1];
-  for (std::size_t i = n - 1; i-- > 0;) x[i] = ds[i] - cs[i] * x[i + 1];
-  return true;
+                                             parts, width);
 }
 
 }  // namespace tda::tridiag

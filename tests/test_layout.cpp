@@ -15,9 +15,9 @@
 #include "gpusim/thread_pool.hpp"
 #include "kernels/device_batch.hpp"
 #include "kernels/interleaved_kernels.hpp"
-#include "kernels/simd.hpp"
 #include "solver/gpu_solver.hpp"
 #include "tridiag/generators.hpp"
+#include "tridiag/thomas.hpp"
 #include "tridiag/verify.hpp"
 #include "tuning/cache.hpp"
 #include "tuning/dynamic_tuner.hpp"
@@ -140,6 +140,31 @@ TEST(Layout, ElementMajorPathIsBitwiseDeterministicAcrossLanes) {
   pool.resize(saved);
 }
 
+// The element-major kernel sweeps each strip with
+// tridiag::thomas_solve_interleaved, so every system's x is its own
+// thomas_solve_inplace, bit for bit. m = 300 leaves a partial block
+// strip of 44 systems.
+template <typename T>
+void expect_element_major_is_per_system_thomas() {
+  const std::size_t m = 300;
+  ASSERT_NE(m % kernels::kInterleavedBlockSystems, 0u);
+  for (const std::size_t n : {1, 2, 3, 64, 100}) {
+    const auto got = solve_element_major<T>(m, n);
+    auto ref = make_diag_dominant<T>(m, n, 7);
+    for (std::size_t s = 0; s < m; ++s) {
+      ASSERT_TRUE(
+          tridiag::thomas_solve_inplace(ref.system(s), ref.solution(s)));
+    }
+    EXPECT_EQ(std::memcmp(got.data(), ref.x().data(), m * n * sizeof(T)), 0)
+        << "n " << n;
+  }
+}
+
+TEST(Layout, ElementMajorBitwiseEqualsPerSystemThomas) {
+  expect_element_major_is_per_system_thomas<float>();
+  expect_element_major_is_per_system_thomas<double>();
+}
+
 TEST(Layout, SystemMajorPathStaysDeterministicAcrossLanes) {
   auto& pool = gpusim::ThreadPool::global();
   const int saved = pool.lanes();
@@ -227,18 +252,7 @@ TEST(Layout, LegacyRecordsWithoutLayoutTokenDefaultToSystemMajor) {
   std::remove(path.c_str());
 }
 
-// ---------- SIMD strip width & lane pinning knobs ----------
-
-TEST(Layout, SimdStripWidthIsAPowerOfTwo) {
-  const std::size_t wf = kernels::simd_strip_width<float>();
-  const std::size_t wd = kernels::simd_strip_width<double>();
-  EXPECT_GE(wf, 1u);
-  EXPECT_GE(wd, 1u);
-  EXPECT_EQ(wf & (wf - 1), 0u);
-  EXPECT_EQ(wd & (wd - 1), 0u);
-  // float lanes are at least as wide as double lanes on every ISA.
-  EXPECT_GE(wf, wd);
-}
+// ---------- lane pinning ----------
 
 TEST(Layout, PinnedLanesSolveCorrectly) {
   // TDA_PIN is best-effort affinity; the observable contract is simply

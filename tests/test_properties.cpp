@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "cpu/batch_solver.hpp"
 #include "gpusim/launch.hpp"
 #include "solver/gpu_solver.hpp"
+#include "solver/guards.hpp"
 #include "tridiag/diagnostics.hpp"
 #include "tridiag/generators.hpp"
 #include "tridiag/verify.hpp"
@@ -20,8 +22,64 @@ namespace {
 
 using namespace tda;
 
+// A fuzz case's batch in precision T from generator `family` (0-3).
+template <typename T>
+tridiag::TridiagBatch<T> fuzz_batch(std::uint64_t family, std::size_t m,
+                                    std::size_t n, std::uint64_t seed) {
+  switch (family) {
+    case 0:
+      return tridiag::make_diag_dominant<T>(m, n, seed, 1.5);
+    case 1:
+      return tridiag::make_poisson<T>(m, n, seed);
+    case 2:
+      return tridiag::make_spline<T>(m, n, seed);
+    default:
+      return tridiag::make_toeplitz<T>(m, n, -1.0, 3.0, -1.5, seed);
+  }
+}
+
+// Every GPU path of one fuzz case in precision T: the staged path with
+// both load variants, and the element-major path (transpose, one Thomas
+// lane per system, transpose back). Each is held to the residual bound
+// `tol`; with a pivoting CPU solution `cpu` of the same batch, also to
+// 1e-6 of it.
+template <typename T>
+void check_gpu_paths(gpusim::Device& dev, const solver::SwitchPoints& sp,
+                     const tridiag::TridiagBatch<T>& pristine, double tol,
+                     std::span<const T> cpu, const std::string& what) {
+  const auto max_diff = [&](std::span<const T> x) {
+    double worst = 0.0;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      worst = std::max(worst, static_cast<double>(std::abs(x[k] - cpu[k])));
+    }
+    return worst;
+  };
+  const auto check = [&](const solver::SwitchPoints& path) {
+    auto batch = pristine;
+    solver::GpuTridiagonalSolver<T> gpu(dev, path);
+    gpu.solve(batch);
+    const std::string where = what + " " + solver::describe(path) + " " +
+                              tridiag::to_string(path.layout) + "-major";
+    EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), tol)
+        << where;
+    if (!cpu.empty()) {
+      EXPECT_LT(max_diff(batch.x()), 1e-6) << where;
+    }
+  };
+  for (const auto variant :
+       {kernels::LoadVariant::Strided, kernels::LoadVariant::Coalesced}) {
+    solver::SwitchPoints staged = sp;
+    staged.variant = variant;
+    check(staged);
+  }
+  solver::SwitchPoints element = sp;
+  element.layout = tridiag::BatchLayout::ElementMajor;
+  check(element);
+}
+
 // One fuzz iteration: random shape, random generator, random legal
-// switch points, random device; GPU and CPU must agree.
+// switch points, random device; every GPU path in double and in float
+// must pass its residual bound, and in double agree with the CPU.
 class SolverFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SolverFuzz, GpuMatchesPivotingCpu) {
@@ -30,26 +88,7 @@ TEST_P(SolverFuzz, GpuMatchesPivotingCpu) {
   // Shape: n in [1, 5000], m in [1, 40], skewed toward interesting sizes.
   const std::size_t n = 1 + rng.below(rng.below(2) ? 300 : 5000);
   const std::size_t m = 1 + rng.below(40);
-
-  // Generator.
-  tridiag::TridiagBatch<double> batch(1, 1);
-  switch (rng.below(4)) {
-    case 0:
-      batch = tridiag::make_diag_dominant<double>(m, n, GetParam(), 1.5);
-      break;
-    case 1:
-      batch = tridiag::make_poisson<double>(m, n, GetParam());
-      break;
-    case 2:
-      batch = tridiag::make_spline<double>(m, n, GetParam());
-      break;
-    default:
-      batch = tridiag::make_toeplitz<double>(m, n, -1.0, 3.0, -1.5,
-                                             GetParam());
-      break;
-  }
-  auto pristine = batch;
-  auto cpu_batch = batch;
+  const std::uint64_t family = rng.below(4);
 
   // Device + legal random switch points.
   auto specs = gpusim::device_registry();
@@ -61,42 +100,24 @@ TEST_P(SolverFuzz, GpuMatchesPivotingCpu) {
   while (sp.stage3_system_size > cap) sp.stage3_system_size /= 2;
   sp.thomas_switch = std::size_t{1} << rng.below(10);
   sp.stage1_target_systems = std::size_t{1} << rng.below(9);
-  sp.variant = rng.below(2) ? kernels::LoadVariant::Strided
-                            : kernels::LoadVariant::Coalesced;
 
-  solver::GpuTridiagonalSolver<double> gpu(dev, sp);
-  gpu.solve(batch);
-
+  const auto pristine = fuzz_batch<double>(family, m, n, GetParam());
+  auto cpu_batch = pristine;
   cpu::BatchCpuSolver host(1);
   auto st = host.solve(cpu_batch);
   ASSERT_EQ(st.failures, 0u);
-
-  // Both residuals tiny; solutions agree to solver tolerance.
-  const auto max_diff = [&](std::span<const double> x) {
-    double worst = 0.0;
-    for (std::size_t k = 0; k < x.size(); ++k) {
-      worst = std::max(worst, std::abs(x[k] - cpu_batch.x()[k]));
-    }
-    return worst;
-  };
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-8)
-      << "seed=" << GetParam() << " m=" << m << " n=" << n << " "
-      << solver::describe(sp) << " dev=" << dev.spec().name;
   EXPECT_LT(tridiag::batch_residual_inf(pristine, cpu_batch.x()), 1e-8);
-  EXPECT_LT(max_diff(batch.x()), 1e-6) << "seed=" << GetParam();
 
-  // The same pristine batch through the element-major path (transpose,
-  // one Thomas lane per system, transpose back), held to the same bounds.
-  auto element_batch = pristine;
-  solver::SwitchPoints element_sp = sp;
-  element_sp.layout = tridiag::BatchLayout::ElementMajor;
-  solver::GpuTridiagonalSolver<double> element_gpu(dev, element_sp);
-  element_gpu.solve(element_batch);
-  EXPECT_LT(tridiag::batch_residual_inf(pristine, element_batch.x()), 1e-8)
-      << "seed=" << GetParam() << " m=" << m << " n=" << n
-      << " element-major dev=" << dev.spec().name;
-  EXPECT_LT(max_diff(element_batch.x()), 1e-6)
-      << "seed=" << GetParam() << " element-major";
+  const std::string what = "seed=" + std::to_string(GetParam()) +
+                           " m=" + std::to_string(m) +
+                           " n=" + std::to_string(n) +
+                           " dev=" + dev.spec().name;
+  check_gpu_paths<double>(dev, sp, pristine, 1e-8, cpu_batch.x(),
+                          what + " double");
+  check_gpu_paths<float>(dev, sp,
+                         fuzz_batch<float>(family, m, n, GetParam()),
+                         solver::auto_residual_tol<float>(), {},
+                         what + " float");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverFuzz,

@@ -230,21 +230,6 @@ TEST(Thomas, DetectsZeroPivot) {
   EXPECT_FALSE(thomas_solve_inplace(v, StridedView<double>(x.data(), 2, 1)));
 }
 
-TEST(Thomas, NonDestructiveVariantPreservesInput) {
-  auto batch = make_diag_dominant<double>(1, 16, 6);
-  auto sys = batch.system(0);
-  std::vector<double> c_before(16), cs(16), ds(16), x(16);
-  for (std::size_t i = 0; i < 16; ++i) c_before[i] = sys.c[i];
-  ASSERT_TRUE(thomas_solve(const_view(sys),
-                           StridedView<double>(x.data(), 16, 1),
-                           StridedView<double>(cs.data(), 16, 1),
-                           StridedView<double>(ds.data(), 16, 1)));
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(sys.c[i], c_before[i]);
-  EXPECT_LT(residual_inf(const_view(sys),
-                         StridedView<const double>(x.data(), 16, 1)),
-            1e-12);
-}
-
 TEST(Thomas, WorksOnStridedViews) {
   // Solve the even-indexed half of an interleaved layout.
   auto batch = make_diag_dominant<double>(1, 16, 7);
@@ -268,27 +253,42 @@ TEST(Thomas, WorksOnStridedViews) {
   for (std::size_t i = 0; i < 16; ++i) EXPECT_NEAR(x[2 * i], ref[i], 1e-10);
 }
 
-// The sweep gives every interleaved subsystem exactly
-// thomas_solve_inplace's operations, so x must match a per-subsystem loop
-// bit for bit — on contiguous lanes (the vector path) and on the same
-// lanes embedded at stride 2 (the StridedView path).
+// Windows of the interleaved sweep: every subsystem, all but the last,
+// and the first half (none when parts is 1).
+std::vector<std::size_t> sweep_widths(std::size_t parts) {
+  std::vector<std::size_t> widths{parts, parts - 1, parts / 2};
+  widths.erase(std::unique(widths.begin(), widths.end()), widths.end());
+  return widths;
+}
+
+// The sweep gives every subsystem of its window exactly
+// thomas_solve_inplace's operations and leaves the others alone, so c,
+// d and x must match a per-subsystem loop bit for bit — on contiguous
+// lanes (the vector path) and on the same lanes embedded at stride 2
+// (the StridedView path).
 template <typename T>
-void expect_sweep_bitwise(std::size_t len, std::size_t parts) {
-  SCOPED_TRACE(testing::Message() << "len " << len << " parts " << parts);
+void expect_sweep_bitwise(std::size_t len, std::size_t parts,
+                          std::size_t width) {
+  SCOPED_TRACE(testing::Message() << "len " << len << " parts " << parts
+                                  << " width " << width);
   const auto input = make_diag_dominant<T>(1, len, 1000 + len * 7 + parts);
   std::size_t k = 0;
   while ((std::size_t{1} << k) < parts) ++k;
   auto ref = input;
-  for (std::size_t q = 0; q < parts; ++q) {
+  for (std::size_t q = 0; q < width; ++q) {
     auto sub = ref.system(0).subsystem(k, q);
     if (sub.size() == 0) continue;
     ASSERT_TRUE(thomas_solve_inplace(sub, ref.solution(0).subsystem(k, q)));
   }
   auto sweep = input;
-  ASSERT_TRUE(
-      thomas_solve_interleaved(sweep.system(0), sweep.solution(0), parts));
-  EXPECT_EQ(std::memcmp(ref.x().data(), sweep.x().data(), len * sizeof(T)),
-            0);
+  ASSERT_TRUE(thomas_solve_interleaved(sweep.system(0), sweep.solution(0),
+                                       parts, width));
+  const auto same = [&](std::span<const T> got, std::span<const T> want) {
+    return std::memcmp(got.data(), want.data(), len * sizeof(T)) == 0;
+  };
+  EXPECT_TRUE(same(sweep.c(), ref.c()));
+  EXPECT_TRUE(same(sweep.d(), ref.d()));
+  EXPECT_TRUE(same(sweep.x(), ref.x()));
 
   std::vector<T> lanes(5 * 2 * len);
   const auto lane = [&](std::size_t l) {
@@ -301,7 +301,7 @@ void expect_sweep_bitwise(std::size_t len, std::size_t parts) {
     strided.c[i] = input.c()[i];
     strided.d[i] = input.d()[i];
   }
-  ASSERT_TRUE(thomas_solve_interleaved(strided, lane(4), parts));
+  ASSERT_TRUE(thomas_solve_interleaved(strided, lane(4), parts, width));
   for (std::size_t i = 0; i < len; ++i) {
     const T got = lane(4)[i];
     EXPECT_EQ(std::memcmp(&got, &ref.x()[i], sizeof(T)), 0) << "row " << i;
@@ -311,9 +311,12 @@ void expect_sweep_bitwise(std::size_t len, std::size_t parts) {
 template <typename T>
 void expect_sweep_bitwise_all() {
   for (const std::size_t len : {1, 2, 3, 17, 100, 1023, 1024, 1025}) {
-    std::size_t parts = 1;
-    for (; parts <= len; parts *= 2) expect_sweep_bitwise<T>(len, parts);
-    expect_sweep_bitwise<T>(len, parts);  // parts > len: empty subsystems
+    // The last parts exceeds len: empty subsystems.
+    for (std::size_t parts = 1; parts <= 2 * len; parts *= 2) {
+      for (const std::size_t width : sweep_widths(parts)) {
+        expect_sweep_bitwise<T>(len, parts, width);
+      }
+    }
   }
 }
 
@@ -332,7 +335,7 @@ TEST(Thomas, InterleavedSweepFlagsZeroPivot) {
   auto scalar = batch;
   EXPECT_FALSE(thomas_solve_inplace(scalar.system(0).subsystem(2, 2),
                                     scalar.solution(0).subsystem(2, 2)));
-  EXPECT_FALSE(thomas_solve_interleaved(sys, batch.solution(0), 4));
+  EXPECT_FALSE(thomas_solve_interleaved(sys, batch.solution(0), 4, 4));
 }
 
 // ---------- PCR ----------
@@ -954,7 +957,8 @@ template <typename T>
 std::pair<bool, std::vector<T>> isa_sweep(Isa isa,
                                           const TridiagBatch<T>& input,
                                           std::size_t stride,
-                                          std::size_t parts) {
+                                          std::size_t parts,
+                                          std::size_t width) {
   const std::size_t n = input.system_size();
   std::vector<T> buf(5 * n * stride, T{-7});
   const auto lane = [&](std::size_t l) {
@@ -967,7 +971,8 @@ std::pair<bool, std::vector<T>> isa_sweep(Isa isa,
     sys.c[i] = input.c()[i];
     sys.d[i] = input.d()[i];
   }
-  const bool ok = core::thomas_solve_interleaved_on(isa, sys, lane(4), parts);
+  const bool ok =
+      core::thomas_solve_interleaved_on(isa, sys, lane(4), parts, width);
   return {ok, std::move(buf)};
 }
 
@@ -977,29 +982,37 @@ void check_thomas_variants() {
     if (!core::isa_supported(isa)) continue;
     for (const std::size_t n : kBitwiseSizes) {
       for (std::size_t parts = 1; parts <= 2 * n; parts *= 2) {
-        for (const std::size_t stride : {1, 3}) {
-          SCOPED_TRACE(testing::Message()
-                       << isa_name(isa) << " n " << n << " parts "
-                       << parts << " stride " << stride);
-          auto input = make_diag_dominant<T>(1, n, 500 + n + parts);
-          const auto want = isa_sweep(Isa::Default, input, stride, parts);
-          const auto got = isa_sweep(isa, input, stride, parts);
-          EXPECT_TRUE(want.first);
-          EXPECT_EQ(got.first, want.first);
-          ASSERT_EQ(std::memcmp(got.second.data(), want.second.data(),
-                                got.second.size() * sizeof(T)),
-                    0);
-          // A zero pivot in the middle row: a = b = 0 makes b - a*c'
-          // exactly zero there, and every variant must flag it.
-          input.a()[n / 2] = T{0};
-          input.b()[n / 2] = T{0};
-          const auto bad_want = isa_sweep(Isa::Default, input, stride, parts);
-          const auto bad_got = isa_sweep(isa, input, stride, parts);
-          EXPECT_FALSE(bad_want.first);
-          EXPECT_FALSE(bad_got.first);
-          ASSERT_EQ(std::memcmp(bad_got.second.data(), bad_want.second.data(),
-                                bad_got.second.size() * sizeof(T)),
-                    0);
+        for (const std::size_t width : sweep_widths(parts)) {
+          for (const std::size_t stride : {1, 3}) {
+            SCOPED_TRACE(testing::Message()
+                         << isa_name(isa) << " n " << n << " parts " << parts
+                         << " width " << width << " stride " << stride);
+            auto input = make_diag_dominant<T>(1, n, 500 + n + parts);
+            const auto sweep = [&](Isa on) {
+              return isa_sweep(on, input, stride, parts, width);
+            };
+            const auto want = sweep(Isa::Default);
+            const auto got = sweep(isa);
+            EXPECT_TRUE(want.first);
+            EXPECT_EQ(got.first, want.first);
+            ASSERT_EQ(std::memcmp(got.second.data(), want.second.data(),
+                                  got.second.size() * sizeof(T)),
+                      0);
+            // A zero pivot in the middle row: a = b = 0 makes b - a*c'
+            // exactly zero there, and every variant must flag it when
+            // the window holds that row's subsystem.
+            input.a()[n / 2] = T{0};
+            input.b()[n / 2] = T{0};
+            const bool swept = (n / 2) % parts < width;
+            const auto bad_want = sweep(Isa::Default);
+            const auto bad_got = sweep(isa);
+            EXPECT_EQ(bad_want.first, !swept);
+            EXPECT_EQ(bad_got.first, !swept);
+            ASSERT_EQ(std::memcmp(bad_got.second.data(),
+                                  bad_want.second.data(),
+                                  bad_got.second.size() * sizeof(T)),
+                      0);
+          }
         }
       }
     }
