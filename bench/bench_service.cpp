@@ -613,8 +613,8 @@ bool run_tenants_bench(int num_devices, std::size_t flush, double flush_ms,
             << " rejected, " << dc.injected_drops << " injected drops, "
             << dc.injected_corruptions << " injected corruptions, "
             << dc.bad_frames << " bad frames\n";
-  for (const auto& u : door.tenants().usage()) {
-    std::cout << "  " << u.name << ": admitted " << u.admitted
+  for (const auto& u : door.tenants().rows()) {
+    std::cout << "  " << u.cfg.name << ": admitted " << u.admitted
               << ", rejected " << u.rejected << "\n";
   }
 

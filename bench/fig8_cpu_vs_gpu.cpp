@@ -11,6 +11,8 @@
 // The CPU column is the calibrated Core-i5/MKL model (DESIGN.md §2); the
 // measured wall-clock of our own LU solver on the build host is printed
 // alongside for reference (different machine, different absolute scale).
+// That wall-clock column differs from run to run, so a byte-for-byte
+// comparison of two runs' output needs --no-host-measure, which skips it.
 
 #include <iostream>
 #include <vector>

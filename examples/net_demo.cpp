@@ -192,8 +192,8 @@ int main(int argc, char** argv) {
   svc.shutdown();
 
   std::cout << "\nper-tenant accounting:\n";
-  for (const auto& u : door.tenants().usage()) {
-    std::cout << "  " << u.name << ": admitted " << u.admitted
+  for (const auto& u : door.tenants().rows()) {
+    std::cout << "  " << u.cfg.name << ": admitted " << u.admitted
               << ", rejected " << u.rejected << "\n";
   }
   const auto c = door.counters();

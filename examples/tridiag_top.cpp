@@ -220,12 +220,12 @@ int main(int argc, char** argv) {
   tenants_tbl.set_header({"tenant", "weight", "admitted", "rejected",
                           "requests", "count", "p95 (ms)"});
   std::size_t tenant_rows = 0;
-  for (const auto& u : door.tenants().usage()) {
+  for (const auto& u : door.tenants().rows()) {
     // Aggregate the tenant's labeled latency keys (they split by shape
     // bucket); report the total count and the worst per-key p95.
     std::uint64_t count = 0;
     double p95 = 0.0;
-    const std::string needle = "tenant=\"" + u.name + "\"";
+    const std::string needle = "tenant=\"" + u.cfg.name + "\"";
     for (const auto& [name, h] : mx.histograms()) {
       if (name.rfind("service.request_latency_ms{", 0) != 0) continue;
       if (name.find(needle) == std::string::npos) continue;
@@ -233,10 +233,10 @@ int main(int argc, char** argv) {
       p95 = std::max(p95, h.quantile(0.95));
     }
     tenants_tbl.add_row(
-        {u.name, TextTable::num(u.weight, 1), std::to_string(u.admitted),
-         std::to_string(u.rejected),
+        {u.cfg.name, TextTable::num(u.cfg.weight, 1),
+         std::to_string(u.admitted), std::to_string(u.rejected),
          TextTable::num(mx.counter(telemetry::labeled(
-                            "net.requests", {{"tenant", u.name}})),
+                            "net.requests", {{"tenant", u.cfg.name}})),
                         0),
          std::to_string(count), TextTable::num(p95, 3)});
     ++tenant_rows;

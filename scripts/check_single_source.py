@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Fail when a hashing primitive is written out again under src/.
+"""Fail when a shared primitive is written out again under src/.
 
-FNV-1a and SplitMix64 each have one definition: FNV-1a (32- and 64-bit)
-in src/common/hash.hpp, the SplitMix64 step and finalizer in
-src/common/rng.hpp. A second copy shows up as one of their constants,
-so this script searches every source file under src/ for the FNV offset
-bases and primes (hex or decimal) and the SplitMix64 multipliers, and
-reports each hit outside the file allowed to hold it.
+Each shared primitive has one definition: FNV-1a (32- and 64-bit) in
+src/common/hash.hpp, the SplitMix64 step and finalizer in
+src/common/rng.hpp, and the k/m/g byte-size grammar
+(gpusim::parse_mem_bytes) in src/gpusim/memory.cpp. A second copy shows
+up as one of their constants, so this script searches every source file
+under src/ for the FNV offset bases and primes (hex or decimal), the
+SplitMix64 multipliers and the g-suffix scale, and reports each hit
+outside the file allowed to hold it.
 
 Usage: python3 scripts/check_single_source.py [--root REPO_ROOT]
 Exit status: 0 when clean, 1 when any constant appears elsewhere.
@@ -33,6 +35,8 @@ HOMES = {
     # SplitMix64 finalizer multipliers.
     "BF58476D1CE4E5B9": "common/rng.hpp",
     "94D049BB133111EB": "common/rng.hpp",
+    # The g suffix of the byte-size grammar.
+    "1024.0 * 1024.0 * 1024.0": "gpusim/memory.cpp",
 }
 
 SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc", ".cu", ".cuh"}

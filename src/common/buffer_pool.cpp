@@ -3,36 +3,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
-#include <string>
 
 #include "common/alloc_stats.hpp"
 #include "common/aligned_buffer.hpp"
+#include "common/cli.hpp"
 
 namespace tda {
-
-namespace {
-
-/// Local copy of gpusim::parse_mem_bytes' grammar (kept dependency-free:
-/// common sits below gpusim). Returns 0 for empty/malformed input.
-std::size_t parse_pool_bytes(const char* text) {
-  if (text == nullptr || *text == '\0') return 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || v < 0.0) return 0;
-  double scale = 1.0;
-  if (end != nullptr && *end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': scale = 1024.0; break;
-      case 'm': case 'M': scale = 1024.0 * 1024.0; break;
-      case 'g': case 'G': scale = 1024.0 * 1024.0 * 1024.0; break;
-      default: return 0;
-    }
-    if (end[1] != '\0') return 0;
-  }
-  return static_cast<std::size_t>(v * scale);
-}
-
-}  // namespace
 
 void PoolBlock::reset() {
   if (pool_ != nullptr) pool_->release(data_, capacity_);
@@ -44,14 +20,7 @@ void PoolBlock::reset() {
 BufferPool& BufferPool::global() {
   static BufferPool* pool = [] {
     auto* p = new BufferPool();
-    if (const char* env = std::getenv("TDA_POOL_MAX");
-        env != nullptr && *env != '\0') {
-      p->set_max_cached_bytes(parse_pool_bytes(env));
-    }
-    if (const char* env = std::getenv("TDA_POOL_POISON");
-        env != nullptr && *env != '\0' && std::string(env) != "0") {
-      p->set_poison(true);
-    }
+    p->set_poison(env_flag("TDA_POOL_POISON"));
     return p;
   }();
   return *pool;
@@ -132,30 +101,6 @@ void BufferPool::trim() {
 BufferPool::Stats BufferPool::stats() const {
   std::lock_guard lk(mu_);
   return stats_;
-}
-
-void BufferPool::reset_stats() {
-  std::lock_guard lk(mu_);
-  const std::size_t cached_bytes = stats_.cached_bytes;
-  const std::size_t cached_buffers = stats_.cached_buffers;
-  const std::size_t outstanding = stats_.outstanding_bytes;
-  stats_ = Stats{};
-  stats_.cached_bytes = cached_bytes;
-  stats_.cached_buffers = cached_buffers;
-  stats_.outstanding_bytes = outstanding;
-}
-
-void BufferPool::set_max_cached_bytes(std::size_t bytes) {
-  {
-    std::lock_guard lk(mu_);
-    max_cached_bytes_ = bytes;
-  }
-  if (bytes == 0) trim();
-}
-
-std::size_t BufferPool::max_cached_bytes() const {
-  std::lock_guard lk(mu_);
-  return max_cached_bytes_;
 }
 
 void BufferPool::set_poison(bool on) {

@@ -16,8 +16,8 @@
 // the churn this kills); acquirers that need cleared memory clear it
 // themselves. TDA_POOL_POISON=1 fills every acquired block with 0xFF
 // (a NaN pattern for float/double) so tests can prove the solve
-// pipeline fully overwrites what it reads. TDA_POOL_MAX bounds cached
-// bytes (k/m/g suffixes; default 512m; 0 disables pooling entirely).
+// pipeline fully overwrites what it reads. Cached idle bytes are capped
+// at kDefaultMaxCachedBytes (512 MiB).
 
 #include <cstddef>
 #include <cstdint>
@@ -97,10 +97,11 @@ class BufferPool {
     }
   };
 
-  /// The process-wide pool (TDA_POOL_MAX / TDA_POOL_POISON configured;
-  /// intentionally immortal so teardown order cannot strand blocks).
+  /// The process-wide pool (TDA_POOL_POISON configured; intentionally
+  /// immortal so teardown order cannot strand blocks).
   static BufferPool& global();
 
+  /// Caps cached (idle) bytes; 0 caches nothing (every release frees).
   explicit BufferPool(std::size_t max_cached_bytes = kDefaultMaxCachedBytes);
   ~BufferPool();
   BufferPool(const BufferPool&) = delete;
@@ -114,11 +115,6 @@ class BufferPool {
   void trim();
 
   [[nodiscard]] Stats stats() const;
-  void reset_stats();
-
-  /// Caps cached (idle) bytes; 0 disables caching (every release frees).
-  void set_max_cached_bytes(std::size_t bytes);
-  [[nodiscard]] std::size_t max_cached_bytes() const;
 
   /// Fill acquired blocks with 0xFF (test instrumentation).
   void set_poison(bool on);
@@ -136,7 +132,7 @@ class BufferPool {
 
   mutable std::mutex mu_;
   std::unordered_map<std::size_t, std::vector<std::byte*>> free_;
-  std::size_t max_cached_bytes_;
+  const std::size_t max_cached_bytes_;
   bool poison_ = false;
   Stats stats_;
 };

@@ -46,4 +46,10 @@ bool Cli::has(const std::string& key) const {
   return false;
 }
 
+bool env_flag(const char* name, bool fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr || *env == '\0') return fallback;
+  return env[0] != '0';
+}
+
 }  // namespace tda

@@ -1,5 +1,6 @@
 #pragma once
-// Minimal --key=value command-line parsing for examples and benches.
+// Minimal --key=value command-line parsing for examples and benches,
+// and the one reader of on/off environment flags.
 
 #include <string>
 #include <vector>
@@ -29,5 +30,10 @@ class Cli {
   std::vector<std::pair<std::string, std::string>> flags_;
   std::vector<std::string> positional_;
 };
+
+/// Reads the on/off environment flag `name`: on when it is set,
+/// non-empty and its first character is not '0' ("1", "yes" on; "0",
+/// "00" off). Unset or empty returns `fallback`.
+[[nodiscard]] bool env_flag(const char* name, bool fallback = false);
 
 }  // namespace tda

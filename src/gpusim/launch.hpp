@@ -36,6 +36,7 @@
 
 #include "common/aligned_buffer.hpp"
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "faults/faults.hpp"
 #include "gpusim/cost_model.hpp"
 #include "gpusim/device.hpp"
@@ -294,7 +295,6 @@ class Device {
   /// tests catch loudly, instead of silently reusing stale values.
   /// Defaults to on in debug builds or when $TDA_ARENA_POISON is set.
   void set_arena_poison(bool on = true) { arena_poison_ = on; }
-  [[nodiscard]] bool arena_poison() const { return arena_poison_; }
 
   /// Arms the device-level fault sites (DeviceLaunch/DeviceAlloc) on this
   /// device. Off by default: only callers with a recovery story — the
@@ -356,11 +356,7 @@ class Device {
 #else
     const bool dbg = true;
 #endif
-    if (const char* env = std::getenv("TDA_ARENA_POISON");
-        env != nullptr && *env != '\0') {
-      return env[0] != '0';
-    }
-    return dbg;
+    return env_flag("TDA_ARENA_POISON", dbg);
   }
 
   DeviceSpec spec_;

@@ -11,6 +11,7 @@
 #endif
 
 #include "common/check.hpp"
+#include "common/cli.hpp"
 
 namespace tda::gpusim {
 
@@ -24,10 +25,7 @@ thread_local bool t_in_pool_job = false;
 /// arena and scratch chunks on the NUMA node that first touched them
 /// and stops the scheduler migrating lanes mid-launch. Off by default;
 /// a no-op (never an error) on platforms without pthread affinity.
-bool pin_from_env() {
-  const char* env = std::getenv("TDA_PIN");
-  return env != nullptr && *env != '\0' && env[0] != '0';
-}
+bool pin_from_env() { return env_flag("TDA_PIN"); }
 
 void pin_lane_to_cpu(std::thread& t, std::size_t lane) {
 #if defined(__linux__)

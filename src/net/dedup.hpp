@@ -220,7 +220,6 @@ class DedupCache {
   }
 
   const DedupStats& stats() const { return stats_; }
-  const DedupConfig& config() const { return cfg_; }
 
  private:
   struct Key {

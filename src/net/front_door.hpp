@@ -129,9 +129,6 @@ struct FrontDoorConfig : OverloadConfig {
   /// Poll timeout (ms) — the cadence of idle/timeout housekeeping.
   double poll_interval_ms = 10.0;
 
-  /// Idempotency dedup cache bounds (per-tenant keys, shared caps).
-  DedupConfig dedup;
-
   /// Clock-skew guard (docs/OPERATIONS.md): a Hello that carries the
   /// client's wall clock yields a per-connection skew estimate
   /// (arrival time minus client stamp, so it overestimates by one-way
@@ -195,7 +192,6 @@ class FrontDoor {
       : svc_(svc),
         cfg_(std::move(cfg)),
         lanes_(kDrrQuantum),
-        dedup_(cfg_.dedup),
         overload_(cfg_, metrics()) {
     for (const TotalRow& row : kTotalRows) {
       totals_.*row.handle = metrics().counter_handle(row.metric);
@@ -359,20 +355,13 @@ class FrontDoor {
   void export_state(ops::ServerState& out) {
     out.tenants.clear();
     out.entries.clear();
-    for (const auto& row : tenants_.configs()) {
+    for (auto& row : tenants_.rows()) {
       ops::TenantState ts;
-      ts.name = row.cfg.name;
-      ts.token = row.cfg.token;
-      ts.weight = row.cfg.weight;
-      ts.max_inflight = row.cfg.max_inflight;
-      ts.max_inflight_bytes = row.cfg.max_inflight_bytes;
-      ts.requests_per_sec = row.cfg.requests_per_sec;
-      ts.burst = row.cfg.burst;
-      ts.default_deadline_ms = row.cfg.default_deadline_ms;
+      ts.cfg = std::move(row.cfg);
       ts.disabled = row.disabled;
       ts.admitted = row.admitted;
       ts.rejected = row.rejected;
-      Tenant* t = tenants_.find(row.cfg.name);
+      Tenant* t = tenants_.find(ts.cfg.name);
       if (t != nullptr) ts.aimd_limit = t->overload.window;
       out.tenants.push_back(std::move(ts));
     }
@@ -380,7 +369,7 @@ class FrontDoor {
     // the next generation (different addresses) can re-scope them.
     std::map<std::uint64_t, std::string> names;
     for (const auto& ts : out.tenants) {
-      names[tenant_id(tenants_.find(ts.name))] = ts.name;
+      names[tenant_id(tenants_.find(ts.cfg.name))] = ts.cfg.name;
     }
     dedup_.for_each_completed([&](std::uint64_t tid, std::uint64_t key,
                                   std::uint64_t payload_hash,
@@ -419,22 +408,14 @@ class FrontDoor {
   /// before start() — it touches poll-thread state without the thread.
   void import_state(const ops::ServerState& st) {
     for (const auto& ts : st.tenants) {
-      TenantConfig cfg;
-      cfg.name = ts.name;
-      cfg.token = ts.token;
-      cfg.weight = ts.weight;
-      cfg.max_inflight = ts.max_inflight;
-      cfg.max_inflight_bytes = ts.max_inflight_bytes;
-      cfg.requests_per_sec = ts.requests_per_sec;
-      cfg.burst = ts.burst;
-      cfg.default_deadline_ms = ts.default_deadline_ms;
-      if (tenants_.find(ts.name) == nullptr) {
-        tenants_.add(cfg);
+      const std::string& name = ts.cfg.name;
+      if (tenants_.find(name) == nullptr) {
+        tenants_.add(ts.cfg);
       } else {
-        tenants_.update(ts.name, cfg);
+        tenants_.update(name, ts.cfg);
       }
-      tenants_.disable(ts.name, ts.disabled);
-      Tenant* t = tenants_.find(ts.name);
+      tenants_.disable(name, ts.disabled);
+      Tenant* t = tenants_.find(name);
       if (t != nullptr) {
         t->overload.window = ts.aimd_limit;
         t->admitted = ts.admitted;
@@ -1268,6 +1249,7 @@ class FrontDoor {
   std::map<std::uint64_t, Conn> conns_;
   std::uint64_t next_conn_id_ = 1;
   DrrScheduler<Queued> lanes_;
+  /// Idempotency cache, bounded by the DedupConfig defaults.
   DedupCache<service::SolveResponse<T>> dedup_;
   Overload overload_;
   /// net.rejects{tenant="-",reason="auth_required"}, on first use.

@@ -79,17 +79,6 @@ std::size_t TenantRegistry::inflight_bytes() const {
   return total;
 }
 
-std::vector<TenantRegistry::Usage> TenantRegistry::usage() const {
-  std::lock_guard lk(mu_);
-  std::vector<Usage> out;
-  out.reserve(tenants_.size());
-  for (const auto& t : tenants_) {
-    out.push_back(Usage{t->cfg.name, t->cfg.weight, t->inflight_systems,
-                        t->inflight_bytes, t->admitted, t->rejected});
-  }
-  return out;
-}
-
 std::size_t TenantRegistry::size() const {
   std::lock_guard lk(mu_);
   return tenants_.size();
@@ -137,13 +126,11 @@ bool TenantRegistry::disable(const std::string& name, bool disabled) {
   return false;
 }
 
-std::vector<TenantRegistry::ConfigRow> TenantRegistry::configs() const {
+std::vector<TenantRegistry::Row> TenantRegistry::rows() const {
   std::lock_guard lk(mu_);
-  std::vector<ConfigRow> out;
+  std::vector<Row> out;
   out.reserve(tenants_.size());
-  for (const auto& t : tenants_) {
-    out.push_back(ConfigRow{t->cfg, t->disabled, t->admitted, t->rejected});
-  }
+  for (const auto& t : tenants_) out.push_back(*t);
   return out;
 }
 

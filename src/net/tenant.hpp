@@ -20,8 +20,8 @@
 //
 // Thread-safety: admission and every release run on the front door's
 // poll thread. The registry still locks internally because the ops
-// admin `stats` command reads configs() off that thread (and callers
-// read usage() from theirs). The DRR lanes themselves are owned (and
+// admin `stats` command reads rows() off that thread (and callers read
+// them from theirs). The DRR lanes themselves are owned (and
 // only touched) by the poll thread.
 
 #include <array>
@@ -109,20 +109,25 @@ struct TenantSeries {
   std::array<telemetry::Counter, kErrorCodes> rejects;
 };
 
-/// One configured tenant plus its live accounting.
-struct Tenant {
+/// One tenant's registry row: its config, removal tombstone and live
+/// accounting (guarded by the registry mutex). TenantRegistry::rows()
+/// copies these out for the ops snapshot, `stats` and the benches.
+struct TenantRow {
   TenantConfig cfg;
-  TokenBucket bucket;
-
-  // --- live state (guarded by the registry mutex) ---
-  std::size_t inflight_systems = 0;
-  std::size_t inflight_bytes = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
   /// Removal tombstone: a disabled tenant fails authenticate() and
   /// admit() but its Tenant* stays valid — lane entries and connections
   /// hold the pointer, so removal must never free it.
   bool disabled = false;
+  std::size_t inflight_systems = 0;
+  std::size_t inflight_bytes = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t rejected = 0;
+};
+
+/// One configured tenant: its registry row plus its admission bucket and
+/// poll-thread scheduling state.
+struct Tenant : TenantRow {
+  TokenBucket bucket;
 
   // --- DRR lane state (poll-thread-owned, not under the mutex) ---
   double deficit = 0.0;
@@ -154,17 +159,6 @@ class TenantRegistry {
   /// not yet released (the net.inflight_bytes_now gauge).
   [[nodiscard]] std::size_t inflight_bytes() const;
 
-  /// Snapshot of one tenant's live accounting.
-  struct Usage {
-    std::string name;
-    double weight = 1.0;
-    std::size_t inflight_systems = 0;
-    std::size_t inflight_bytes = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected = 0;
-  };
-  [[nodiscard]] std::vector<Usage> usage() const;
-
   [[nodiscard]] std::size_t size() const;
 
   // --- live-reconfiguration surface (ops admin socket / snapshots) ---
@@ -184,15 +178,9 @@ class TenantRegistry {
   /// False when unknown. enable() reverses it.
   bool disable(const std::string& name, bool disabled = true);
 
-  /// Copies of every tenant's config plus its disabled flag and usage
-  /// counters — what the ops snapshot persists.
-  struct ConfigRow {
-    TenantConfig cfg;
-    bool disabled = false;
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected = 0;
-  };
-  [[nodiscard]] std::vector<ConfigRow> configs() const;
+  /// Copies of every tenant's row, in registration order.
+  using Row = TenantRow;
+  [[nodiscard]] std::vector<Row> rows() const;
 
  private:
   mutable std::mutex mu_;

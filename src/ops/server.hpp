@@ -193,12 +193,6 @@ class Server {
            detail::g_sigterm.load(std::memory_order_relaxed) != 0;
   }
 
-  /// True after a successful handoff: the next generation owns the
-  /// listeners and the snapshot file now.
-  [[nodiscard]] bool handed_off() const {
-    return handed_off_.load(std::memory_order_relaxed);
-  }
-
   /// Writes a snapshot now (state exported on the poll thread, file
   /// written on the calling thread). No-op (true) when persistence is
   /// off or the snapshot file was handed to the next generation.
@@ -339,7 +333,7 @@ class Server {
     out << "net.key_reuse=" << c.key_reuse << "\n";
     out << "net.deadline_skew_clamped=" << c.deadline_skew_clamped
         << "\n";
-    for (const auto& row : door_.tenants().configs()) {
+    for (const auto& row : door_.tenants().rows()) {
       const std::string p = "tenant." + row.cfg.name + ".";
       out << p << "requests_per_sec=" << row.cfg.requests_per_sec << "\n";
       out << p << "weight=" << row.cfg.weight << "\n";

@@ -117,14 +117,15 @@ std::string serialize_snapshot(const ServerState& state) {
   for (const auto& t : state.tenants) tenants.push_back(&t);
   std::sort(tenants.begin(), tenants.end(),
             [](const TenantState* a, const TenantState* b) {
-              return a->name < b->name;
+              return a->cfg.name < b->cfg.name;
             });
   for (const TenantState* t : tenants) {
-    body += "tenant\t" + escape(t->name) + "\t" + escape(t->token) + "\t" +
-            fmt_f64(t->weight) + "\t" + fmt_u64(t->max_inflight) + "\t" +
-            fmt_u64(t->max_inflight_bytes) + "\t" +
-            fmt_f64(t->requests_per_sec) + "\t" + fmt_f64(t->burst) + "\t" +
-            fmt_f64(t->default_deadline_ms) + "\t" +
+    const net::TenantConfig& c = t->cfg;
+    body += "tenant\t" + escape(c.name) + "\t" + escape(c.token) + "\t" +
+            fmt_f64(c.weight) + "\t" + fmt_u64(c.max_inflight) + "\t" +
+            fmt_u64(c.max_inflight_bytes) + "\t" +
+            fmt_f64(c.requests_per_sec) + "\t" + fmt_f64(c.burst) + "\t" +
+            fmt_f64(c.default_deadline_ms) + "\t" +
             (t->disabled ? "1" : "0") + "\t" + fmt_f64(t->aimd_limit) +
             "\t" + fmt_u64(t->admitted) + "\t" + fmt_u64(t->rejected) + "\n";
   }
@@ -183,20 +184,21 @@ bool parse_snapshot(const std::string& bytes, ServerState* out,
       }
     } else if (f[0] == "tenant") {
       TenantState t;
+      net::TenantConfig& c = t.cfg;
       std::uint64_t max_if = 0, max_ib = 0, adm = 0, rej = 0;
-      if (f.size() != 13 || !unescape(f[1], &t.name) ||
-          !unescape(f[2], &t.token) || !parse_f64(f[3], &t.weight) ||
+      if (f.size() != 13 || !unescape(f[1], &c.name) ||
+          !unescape(f[2], &c.token) || !parse_f64(f[3], &c.weight) ||
           !parse_u64(f[4], &max_if) || !parse_u64(f[5], &max_ib) ||
-          !parse_f64(f[6], &t.requests_per_sec) ||
-          !parse_f64(f[7], &t.burst) ||
-          !parse_f64(f[8], &t.default_deadline_ms) ||
+          !parse_f64(f[6], &c.requests_per_sec) ||
+          !parse_f64(f[7], &c.burst) ||
+          !parse_f64(f[8], &c.default_deadline_ms) ||
           (f[9] != "0" && f[9] != "1") ||
           !parse_f64(f[10], &t.aimd_limit) || !parse_u64(f[11], &adm) ||
           !parse_u64(f[12], &rej)) {
         return fail(why, "bad tenant record");
       }
-      t.max_inflight = static_cast<std::size_t>(max_if);
-      t.max_inflight_bytes = static_cast<std::size_t>(max_ib);
+      c.max_inflight = static_cast<std::size_t>(max_if);
+      c.max_inflight_bytes = static_cast<std::size_t>(max_ib);
       t.disabled = f[9] == "1";
       t.admitted = adm;
       t.rejected = rej;

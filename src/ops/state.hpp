@@ -17,19 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "net/tenant.hpp"
+
 namespace tda::ops {
 
-/// One tenant's full registry row: static config, live quota usage
+/// One tenant's persisted registry row: static config, tombstone, usage
 /// counters, and the poll-thread AIMD window.
 struct TenantState {
-  std::string name;
-  std::string token;
-  double weight = 1.0;
-  std::size_t max_inflight = 0;
-  std::size_t max_inflight_bytes = 0;
-  double requests_per_sec = 0.0;
-  double burst = 0.0;
-  double default_deadline_ms = 0.0;
+  net::TenantConfig cfg;
   bool disabled = false;
   double aimd_limit = 0.0;  ///< 0 = leave the lane's window at default
   std::uint64_t admitted = 0;

@@ -23,45 +23,28 @@ const char* to_string(BackpressurePolicy p);
 /// they are spent, the batch goes to up to (num_workers - 1) other
 /// workers, then to the pivoting CPU path, which always finishes it.
 inline constexpr int kMaxRetries = 2;
+/// Base of the retry backoff (wall-clock ms). Attempt k sleeps a
+/// decorrelated-jitter draw from [base, 3 * previous sleep] capped at
+/// kRetryBackoffMaxMs, so workers failed by one flaky device do not
+/// retry in lockstep.
+inline constexpr double kRetryBackoffBaseMs = 0.25;
 /// Ceiling of a single jittered retry backoff sleep (wall-clock ms).
 inline constexpr double kRetryBackoffMaxMs = 8.0;
 /// Consecutive device failures that open a worker's circuit breaker.
 inline constexpr int kBreakerThreshold = 3;
+/// How long an open breaker keeps the worker out of dispatch before a
+/// half-open probe is allowed (wall-clock ms).
+inline constexpr double kBreakerCooldownMs = 25.0;
 /// Longest the service supervisor sleeps between passes (wall-clock ms),
 /// and so the watchdog's sampling period.
 inline constexpr double kWatchdogIntervalMs = 1.0;
+/// A busy worker whose solve heartbeat has not advanced for this long
+/// (wall-clock ms) earns a stall strike. Generous: simulated solves beat
+/// at stage boundaries many times per wall millisecond, so only a
+/// genuinely stuck worker (injected stall, runaway kernel) trips it.
+inline constexpr double kStallThresholdMs = 50.0;
 /// Consecutive watchdog stall strikes that open a worker's breaker.
 inline constexpr int kStallStrikes = 3;
-
-/// Fault-tolerance policy of the service around solver::Pipeline
-/// (docs/ROBUSTNESS.md). Defaults are the production setting: retries
-/// with failover, breaker armed — with injection disabled none of it
-/// touches the hot path. The service always arms the TDA_FAULTS
-/// device-level sites on its devices: it has a recovery story for them.
-struct ResilienceConfig {
-  /// Base of the retry backoff (wall-clock ms); 0 retries at once.
-  /// Attempt k sleeps a decorrelated-jitter draw from [base, 3 * previous
-  /// sleep] capped at kRetryBackoffMaxMs, so workers failed by one
-  /// flaky device do not retry in lockstep.
-  double retry_backoff_ms = 0.25;
-
-  /// How long an open breaker keeps the worker out of dispatch before a
-  /// half-open probe is allowed (wall-clock ms).
-  double breaker_cooldown_ms = 25.0;
-};
-
-/// In-flight watchdog policy (docs/ROBUSTNESS.md). The service supervisor
-/// samples every busy worker: a job past its deadline is cancelled at its
-/// next stage boundary (expired members finish TimedOut/in-flight, the
-/// rest are requeued); a worker whose heartbeat stands still collects
-/// stall strikes, and kStallStrikes of them open its circuit breaker.
-struct WatchdogConfig {
-  /// A busy worker whose solve heartbeat has not advanced for this long
-  /// earns a stall strike. Generous by default: simulated solves beat at
-  /// stage boundaries many times per wall millisecond, so only a
-  /// genuinely stuck worker (injected stall, runaway kernel) trips it.
-  double stall_threshold_ms = 50.0;
-};
 
 struct ServiceConfig {
   /// Max requests admitted but not yet dispatched to a device.
@@ -104,13 +87,9 @@ struct ServiceConfig {
   /// absorbs transient overshoot).
   double mem_admission_fraction = 0.0;
 
-  WatchdogConfig watchdog;
-
   /// Shared persistent tuning cache: loaded at start-up, merge-saved on
   /// shutdown. Empty = in-memory only.
   std::string cache_path;
-
-  ResilienceConfig resilience;
 };
 
 }  // namespace tda::service

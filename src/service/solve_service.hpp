@@ -170,7 +170,7 @@ class SolveService {
       const std::string index = std::to_string(workers_.size());
       workers_.push_back(std::make_unique<Worker>(
           spec, workers_.size(),
-          Breaker(transitions, ms(cfg_.resilience.breaker_cooldown_ms))));
+          Breaker(transitions, ms(kBreakerCooldownMs))));
       workers_.back()->breaker_state = mx.gauge_handle(telemetry::labeled(
           "service.breaker_state",
           {{"worker", index}, {"device", spec.name}}));
@@ -360,8 +360,6 @@ class SolveService {
     std::lock_guard lk(mu_);
     return accepting_;
   }
-  [[nodiscard]] std::size_t num_workers() const { return workers_.size(); }
-  [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
   [[nodiscard]] const tuning::TuningCache& cache() const { return cache_; }
 
   // --- live reconfiguration (ops admin socket, docs/OPERATIONS.md) ---
@@ -769,10 +767,10 @@ class SolveService {
   }
 
   /// The watchdog: cancels a job past its earliest member deadline, and
-  /// strikes a worker whose heartbeat stood still for stall_threshold_ms;
+  /// strikes a worker whose heartbeat stood still for kStallThresholdMs;
   /// kStallStrikes in a row trip its breaker. Caller holds mu_.
   void watch_workers_locked(TimePoint now) {
-    const auto stall_threshold = ms(cfg_.watchdog.stall_threshold_ms);
+    const auto stall_threshold = ms(kStallThresholdMs);
     for (auto& wp : workers_) {
       Worker& w = *wp;
       if (w.token == nullptr) {
@@ -974,7 +972,6 @@ class SolveService {
       }
     }
 
-    const auto& res = cfg_.resilience;
     const TimePoint t_solve0 = Clock::now();
     // Tuning happens once per batch, before the retry loop: the pipeline
     // runs it with the device's fault sites disarmed, so it cannot fail
@@ -1019,13 +1016,11 @@ class SolveService {
         if (attempt < kMaxRetries) {
           ++batch_retries;
           totals_.retries.add();
-          if (res.retry_backoff_ms > 0.0) {
-            backoff_prev_ms = decorrelated_backoff_ms(
-                res.retry_backoff_ms, backoff_prev_ms, kRetryBackoffMaxMs,
-                w.backoff_rng);
-            std::this_thread::sleep_for(
-                std::chrono::duration<double, std::milli>(backoff_prev_ms));
-          }
+          backoff_prev_ms = decorrelated_backoff_ms(
+              kRetryBackoffBaseMs, backoff_prev_ms, kRetryBackoffMaxMs,
+              w.backoff_rng);
+          std::this_thread::sleep_for(
+              std::chrono::duration<double, std::milli>(backoff_prev_ms));
           continue;
         }
         device_exhausted = true;

@@ -59,11 +59,6 @@ class AutoSolver {
   AutoSolver(const AutoSolver&) = delete;
   AutoSolver& operator=(const AutoSolver&) = delete;
 
-  /// Tuned switch points for a workload shape (tunes on first use).
-  SwitchPoints points_for(const Workload& w) {
-    return pipeline_for(w).points();
-  }
-
   /// Solves a uniform batch with per-shape tuned parameters. Systems the
   /// pivot-free GPU chain cannot be trusted with (zero diagonal, failed
   /// residual check, a zero pivot mid-chain) are solved by the pivoting

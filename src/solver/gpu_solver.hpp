@@ -83,11 +83,6 @@ class GpuTridiagonalSolver {
 
   [[nodiscard]] const SwitchPoints& switch_points() const { return points_; }
 
-  void set_switch_points(SwitchPoints points) {
-    points_ = points;
-    validate();
-  }
-
   /// Largest stage-3 system size this device supports for element type T.
   [[nodiscard]] std::size_t max_on_chip_size() const {
     return kernels::max_shared_system_size(dev_->query(), sizeof(T));
@@ -103,7 +98,6 @@ class GpuTridiagonalSolver {
   /// SolveCancelled once cancel() has been called. Not owned; nullptr
   /// detaches. The service's watchdog drives this.
   void set_cancel_token(CancelToken* token) { cancel_ = token; }
-  [[nodiscard]] CancelToken* cancel_token() const { return cancel_; }
 
   /// Solves every system of the batch; the solution lands in batch.x().
   /// Coefficient arrays of `batch` are left untouched: the device batch

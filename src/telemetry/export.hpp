@@ -78,17 +78,6 @@ class EnvExport {
     return !trace_path_.empty() || !metrics_path_.empty() ||
            !openmetrics_path_.empty();
   }
-  [[nodiscard]] const std::string& trace_path() const {
-    return trace_path_;
-  }
-  [[nodiscard]] const std::string& metrics_path() const {
-    return metrics_path_;
-  }
-  [[nodiscard]] const std::string& openmetrics_path() const {
-    return openmetrics_path_;
-  }
-  /// Seconds between periodic metrics snapshots (0 = disabled).
-  [[nodiscard]] double snapshot_interval_s() const { return interval_s_; }
 
   /// Writes the export files now. Safe to call any number of times —
   /// the destructor unconditionally writes a final snapshot anyway, so

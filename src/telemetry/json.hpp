@@ -42,7 +42,6 @@ struct JsonValue {
 
   [[nodiscard]] bool is_object() const { return kind == Kind::Object; }
   [[nodiscard]] bool is_array() const { return kind == Kind::Array; }
-  [[nodiscard]] bool is_string() const { return kind == Kind::String; }
   [[nodiscard]] bool is_number() const { return kind == Kind::Number; }
 
   /// Member lookup on objects; nullptr when absent or not an object.

@@ -470,4 +470,25 @@ TEST(Cli, FallbacksWhenMissing) {
   EXPECT_EQ(cli.get("s", "dflt"), "dflt");
 }
 
+TEST(EnvFlag, OnWhenSetNonEmptyAndNotLeadingZero) {
+  const char* name = "TDA_TEST_ENV_FLAG";
+  ::unsetenv(name);
+  EXPECT_FALSE(env_flag(name));
+  EXPECT_TRUE(env_flag(name, /*fallback=*/true));
+  const struct {
+    const char* value;
+    bool on;
+  } cases[] = {{"", false}, {"0", false}, {"00", false}, {"1", true},
+               {"yes", true}};
+  for (const auto& c : cases) {
+    ::setenv(name, c.value, 1);
+    EXPECT_EQ(env_flag(name), c.on) << '"' << c.value << '"';
+    // Set and non-empty decides; empty reads as unset.
+    const bool unset = *c.value == '\0';
+    EXPECT_EQ(env_flag(name, /*fallback=*/true), unset || c.on)
+        << '"' << c.value << '"';
+  }
+  ::unsetenv(name);
+}
+
 }  // namespace

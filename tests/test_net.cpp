@@ -188,7 +188,7 @@ struct HeldDoor {
 
   /// alpha's admitted-but-unsettled systems (the registry charge).
   std::size_t alpha_inflight() const {
-    return door->tenants().usage().at(0).inflight_systems;
+    return door->tenants().rows().at(0).inflight_systems;
   }
 
   std::string sock;
@@ -586,10 +586,61 @@ TEST(NetTenant, RegistryAuthAndQuotas) {
   }
   EXPECT_EQ(reg.admit(*t, 1, 1, 0.0), Admission::QuotaRate);
 
-  const auto usage = reg.usage();
-  ASSERT_EQ(usage.size(), 1u);
-  EXPECT_EQ(usage[0].name, "t");
-  EXPECT_GT(usage[0].rejected, 0u);
+  const auto rows = reg.rows();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].cfg.name, "t");
+  EXPECT_GT(rows[0].rejected, 0u);
+}
+
+TEST(NetTenant, RowsShowAdmitReleaseUpdateAndDisable) {
+  TenantRegistry reg;
+  TenantConfig other;
+  other.name = "other";
+  other.token = "o";
+  reg.add(other);
+  TenantConfig cfg;
+  cfg.name = "t";
+  cfg.token = "tok";
+  reg.add(cfg);
+  Tenant* t = reg.find("t");
+  ASSERT_NE(t, nullptr);
+  // Each step must land in t's one row (index 1) and leave "other" alone.
+  const auto row = [&] {
+    const auto rows = reg.rows();
+    EXPECT_EQ(rows.size(), 2u);
+    EXPECT_EQ(rows[0].cfg.name, "other");
+    EXPECT_EQ(rows[0].admitted + rows[0].rejected, 0u);
+    return rows.at(1);
+  };
+
+  ASSERT_EQ(reg.admit(*t, 3, 300, 0.0), Admission::Ok);
+  auto r = row();
+  EXPECT_EQ(r.cfg.name, "t");
+  EXPECT_EQ(r.inflight_systems, 3u);
+  EXPECT_EQ(r.inflight_bytes, 300u);
+  EXPECT_EQ(r.admitted, 1u);
+
+  reg.release(*t, 3, 300);
+  r = row();
+  EXPECT_EQ(r.inflight_systems, 0u);
+  EXPECT_EQ(r.inflight_bytes, 0u);
+  EXPECT_EQ(r.admitted, 1u);
+
+  cfg.weight = 3.0;
+  cfg.max_inflight = 5;
+  ASSERT_TRUE(reg.update("t", cfg));
+  r = row();
+  EXPECT_EQ(r.cfg.weight, 3.0);
+  EXPECT_EQ(r.cfg.max_inflight, 5u);
+  EXPECT_EQ(r.admitted, 1u);  // usage survives a config update
+  EXPECT_FALSE(r.disabled);
+
+  ASSERT_TRUE(reg.disable("t"));
+  EXPECT_NE(reg.admit(*t, 1, 1, 0.0), Admission::Ok);
+  r = row();
+  EXPECT_TRUE(r.disabled);
+  EXPECT_EQ(r.rejected, 1u);
+  EXPECT_EQ(r.admitted, 1u);
 }
 
 TEST(NetTenant, DrrWeightedFairness) {

@@ -56,22 +56,22 @@ ServerState sample_state() {
   st.dedup_stats = {101, 42, 7, 3, 0};
 
   TenantState a;
-  a.name = "alpha";
-  a.token = "se cret%with\tweird\nbytes";
-  a.weight = 2.5;
-  a.max_inflight = 64;
-  a.max_inflight_bytes = 1 << 20;
-  a.requests_per_sec = 12.5;
-  a.burst = 25.0;
-  a.default_deadline_ms = 150.0;
+  a.cfg.name = "alpha";
+  a.cfg.token = "se cret%with\tweird\nbytes";
+  a.cfg.weight = 2.5;
+  a.cfg.max_inflight = 64;
+  a.cfg.max_inflight_bytes = 1 << 20;
+  a.cfg.requests_per_sec = 12.5;
+  a.cfg.burst = 25.0;
+  a.cfg.default_deadline_ms = 150.0;
   a.aimd_limit = 17.5;
   a.admitted = 9001;
   a.rejected = 17;
   st.tenants.push_back(a);
 
   TenantState b;
-  b.name = "beta";
-  b.token = "tb";
+  b.cfg.name = "beta";
+  b.cfg.token = "tb";
   b.disabled = true;
   st.tenants.push_back(b);
 
@@ -113,14 +113,14 @@ void expect_states_equal(const ServerState& a, const ServerState& b) {
   for (std::size_t i = 0; i < a.tenants.size(); ++i) {
     const TenantState& x = a.tenants[i];
     const TenantState& y = b.tenants[i];
-    EXPECT_EQ(x.name, y.name);
-    EXPECT_EQ(x.token, y.token);
-    EXPECT_EQ(x.weight, y.weight);
-    EXPECT_EQ(x.max_inflight, y.max_inflight);
-    EXPECT_EQ(x.max_inflight_bytes, y.max_inflight_bytes);
-    EXPECT_EQ(x.requests_per_sec, y.requests_per_sec);
-    EXPECT_EQ(x.burst, y.burst);
-    EXPECT_EQ(x.default_deadline_ms, y.default_deadline_ms);
+    EXPECT_EQ(x.cfg.name, y.cfg.name);
+    EXPECT_EQ(x.cfg.token, y.cfg.token);
+    EXPECT_EQ(x.cfg.weight, y.cfg.weight);
+    EXPECT_EQ(x.cfg.max_inflight, y.cfg.max_inflight);
+    EXPECT_EQ(x.cfg.max_inflight_bytes, y.cfg.max_inflight_bytes);
+    EXPECT_EQ(x.cfg.requests_per_sec, y.cfg.requests_per_sec);
+    EXPECT_EQ(x.cfg.burst, y.cfg.burst);
+    EXPECT_EQ(x.cfg.default_deadline_ms, y.cfg.default_deadline_ms);
     EXPECT_EQ(x.disabled, y.disabled);
     EXPECT_EQ(x.aimd_limit, y.aimd_limit);
     EXPECT_EQ(x.admitted, y.admitted);
@@ -340,14 +340,14 @@ TEST(OpsSnapshot, GoldenBytesArePinned) {
   st.saved_unix_ms = 1754650000123.25;
   st.dedup_stats = {5, 4, 3, 2, 0};
   TenantState t;
-  t.name = "alpha";
-  t.token = "tok en";
-  t.weight = 1.5;
-  t.max_inflight = 8;
-  t.max_inflight_bytes = 4096;
-  t.requests_per_sec = 10.0;
-  t.burst = 20.0;
-  t.default_deadline_ms = 100.0;
+  t.cfg.name = "alpha";
+  t.cfg.token = "tok en";
+  t.cfg.weight = 1.5;
+  t.cfg.max_inflight = 8;
+  t.cfg.max_inflight_bytes = 4096;
+  t.cfg.requests_per_sec = 10.0;
+  t.cfg.burst = 20.0;
+  t.cfg.default_deadline_ms = 100.0;
   t.aimd_limit = 6.0;
   t.admitted = 12;
   t.rejected = 1;
@@ -661,16 +661,16 @@ TEST(OpsDoor, ExportImportRoundTripPreservesTenantsAndWindows) {
   ASSERT_EQ(out.tenants.size(), 2u);
   const auto find = [&](const std::string& name) -> const TenantState* {
     for (const auto& t : out.tenants) {
-      if (t.name == name) return &t;
+      if (t.cfg.name == name) return &t;
     }
     return nullptr;
   };
   const TenantState* a = find("alpha");
   ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->token, st.tenants[0].token);
-  EXPECT_EQ(a->weight, 2.5);
-  EXPECT_EQ(a->requests_per_sec, 12.5);
-  EXPECT_EQ(a->default_deadline_ms, 150.0);
+  EXPECT_EQ(a->cfg.token, st.tenants[0].cfg.token);
+  EXPECT_EQ(a->cfg.weight, 2.5);
+  EXPECT_EQ(a->cfg.requests_per_sec, 12.5);
+  EXPECT_EQ(a->cfg.default_deadline_ms, 150.0);
   EXPECT_EQ(a->aimd_limit, 17.5);
   EXPECT_EQ(a->admitted, 9001u);
   EXPECT_EQ(a->rejected, 17u);

@@ -366,7 +366,6 @@ TEST(ServiceWatchdog, StalledSolveTimesOutInFlight) {
   ServiceConfig cfg;
   cfg.flush_systems = 1;
   cfg.flush_interval_ms = 0.0;  // immediate pickup
-  cfg.watchdog.stall_threshold_ms = 20.0;
   SolveService<double> svc(one_device(), cfg);
 
   // Deadline (30 ms) lapses inside the 300 ms injected stall: the
@@ -381,8 +380,8 @@ TEST(ServiceWatchdog, StalledSolveTimesOutInFlight) {
   EXPECT_EQ(c.timed_out_inflight, 1u);
   EXPECT_EQ(c.timed_out_queue, 0u);
   EXPECT_GE(c.watchdog_cancels, 1u);
-  // 300 ms of silence at a 20 ms threshold: strikes accrue and the
-  // breaker opens, feeding dispatch steering.
+  // 300 ms of silence at kStallThresholdMs (50 ms): strikes accrue and
+  // the breaker opens, feeding dispatch steering.
   EXPECT_GE(c.watchdog_stalls, 3u);
   EXPECT_GE(c.breaker_opens, 1u);
 }

@@ -903,7 +903,6 @@ TEST(SolveServiceResilience, TotalDeviceFailureFailsOverToCpu) {
 
   ServiceConfig cfg;
   cfg.flush_systems = 4;
-  cfg.resilience.retry_backoff_ms = 0.01;
   SolveService<double> svc(one_device(), cfg);
   std::vector<SolveRequest<double>> copies;
   std::vector<std::future<SolveResponse<double>>> futs;
@@ -928,8 +927,6 @@ TEST(SolveServiceResilience, TotalDeviceFailureFailsOverToCpu) {
 TEST(SolveServiceResilience, BreakerReclosesAfterFaultsClear) {
   ServiceConfig cfg;
   cfg.flush_systems = 2;
-  cfg.resilience.retry_backoff_ms = 0.01;
-  cfg.resilience.breaker_cooldown_ms = 1.0;
   SolveService<double> svc(one_device(), cfg);
 
   {
@@ -946,9 +943,11 @@ TEST(SolveServiceResilience, BreakerReclosesAfterFaultsClear) {
 
   // Faults gone (explicitly zeroed — an ambient TDA_FAULTS must not
   // leak in): the half-open probe must admit traffic again and the GPU
-  // path must come back (no new CPU failovers for clean solves).
+  // path must come back (no new CPU failovers for clean solves) once the
+  // breaker's cooldown has passed.
   faults::ScopedFaultConfig quiet{faults::FaultConfig{}};
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::this_thread::sleep_for(
+      std::chrono::duration<double, std::milli>(2.0 * kBreakerCooldownMs));
   const auto cpu_before = svc.counters().cpu_failovers;
   std::vector<std::future<SolveResponse<double>>> futs;
   for (int i = 0; i < 6; ++i)
@@ -996,7 +995,6 @@ TEST(SolveServiceHammer, SurvivesCombinedFaultStorm) {
   ServiceConfig cfg;
   cfg.flush_systems = 8;
   cfg.flush_interval_ms = 0.5;
-  cfg.resilience.retry_backoff_ms = 0.01;
   SolveService<double> svc(
       {gpusim::geforce_gtx_470(), gpusim::geforce_gtx_280()}, cfg);
 

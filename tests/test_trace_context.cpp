@@ -211,7 +211,6 @@ TEST(TraceTree, RetriesAndFailoverStayUnderRoot) {
 
   ServiceConfig cfg;
   cfg.flush_systems = 8;
-  cfg.resilience.retry_backoff_ms = 0.01;
   SolveService<double> svc(one_device(), cfg);
   svc.telemetry().tracer.enable();
 
@@ -235,7 +234,6 @@ TEST(TraceTree, CpuFallbackStaysUnderRoot) {
 
   ServiceConfig cfg;
   cfg.flush_systems = 4;
-  cfg.resilience.retry_backoff_ms = 0.01;
   SolveService<double> svc(one_device(), cfg);
   svc.telemetry().tracer.enable();
 
