@@ -12,7 +12,6 @@
 #include "common/table.hpp"
 #include "gpusim/device.hpp"
 #include "gpusim/launch.hpp"
-#include "kernels/device_batch.hpp"
 #include "solver/gpu_solver.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
@@ -71,22 +70,13 @@ inline std::string short_name(const std::string& full) {
   return full;
 }
 
-/// Simulated solve time for a workload under given switch points
-/// (cost-only run on a reusable scratch batch).
-template <typename T>
-double timed_ms(gpusim::Device& dev, kernels::DeviceBatch<T>& scratch,
-                const solver::SwitchPoints& sp) {
-  solver::GpuTridiagonalSolver<T> s(dev, sp);
-  return s.run(scratch, kernels::ExecMode::CostOnly).total_ms;
-}
-
 /// Best Thomas switch / variant for a fixed stage-3 size (the "tune for
 /// the ideal stage-3 to stage-4 switch point for each setting" step the
 /// paper prescribes before comparing stage-3 sizes).
 template <typename T>
 std::pair<solver::SwitchPoints, double> best_inner(
-    gpusim::Device& dev, kernels::DeviceBatch<T>& scratch,
-    solver::SwitchPoints base, std::size_t stage3_size) {
+    gpusim::Device& dev, const solver::Workload& w, solver::SwitchPoints base,
+    std::size_t stage3_size) {
   base.stage3_system_size = stage3_size;
   solver::SwitchPoints best = base;
   double best_ms = std::numeric_limits<double>::infinity();
@@ -96,7 +86,8 @@ std::pair<solver::SwitchPoints, double> best_inner(
       solver::SwitchPoints sp = base;
       sp.variant = variant;
       sp.thomas_switch = th;
-      const double ms = timed_ms(dev, scratch, sp);
+      const double ms =
+          solver::GpuTridiagonalSolver<T>(dev, sp).simulate_ms(w);
       if (ms < best_ms) {
         best_ms = ms;
         best = sp;

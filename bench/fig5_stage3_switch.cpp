@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
   for (const auto& spec : gpusim::device_registry()) {
     gpusim::Device dev(spec);
     bench::TelemetryScope telemetry_scope(dev, spec.name);
-    kernels::DeviceBatch<float> scratch(m, n);
     const std::size_t cap =
         kernels::max_shared_system_size(dev.query(), sizeof(float));
     auto base = tuning::static_switch_points<float>(dev.query());
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
     std::size_t best_size = 0;
     for (std::size_t i = 0; i < sweep.size(); ++i) {
       if (sweep[i] > cap) continue;  // unlaunchable on this device
-      auto [sp, t] = bench::best_inner(dev, scratch, base, sweep[i]);
+      auto [sp, t] = bench::best_inner<float>(dev, {m, n}, base, sweep[i]);
       ms[i] = t;
       if (t < best_ms) {
         best_ms = t;

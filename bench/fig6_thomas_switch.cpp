@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
     auto tuned = tuner.tune({m, 2048});
     const std::size_t n = tuned.points.stage3_system_size;
 
-    kernels::DeviceBatch<float> scratch(m, n);
     auto base = tuned.points;
 
     std::vector<double> ms(sweep.size(),
@@ -54,7 +53,8 @@ int main(int argc, char** argv) {
       if (sweep[i] > n) continue;
       auto sp = base;
       sp.thomas_switch = sweep[i];
-      ms[i] = bench::timed_ms(dev, scratch, sp);
+      ms[i] = solver::GpuTridiagonalSolver<float>(dev, sp).simulate_ms(
+          {m, n});
       if (ms[i] < best_ms) {
         best_ms = ms[i];
         best_th = sweep[i];

@@ -82,16 +82,18 @@ int run_fig7(const Cli& cli) {
         ++wi;
         continue;
       }
-      kernels::DeviceBatch<T> scratch(w.m, w.n);
-
       const auto def = tuning::default_switch_points<T>();
       const auto sta = tuning::static_switch_points<T>(dev.query());
       tuning::DynamicTuner<T> tuner(dev);
       const auto dyn = tuner.tune({w.m, w.n});
 
-      const double t_def = bench::timed_ms(dev, scratch, def);
-      const double t_sta = bench::timed_ms(dev, scratch, sta);
-      const double t_dyn = bench::timed_ms(dev, scratch, dyn.points);
+      const auto sim_ms = [&](const solver::SwitchPoints& sp) {
+        return solver::GpuTridiagonalSolver<T>(dev, sp).simulate_ms(
+            {w.m, w.n});
+      };
+      const double t_def = sim_ms(def);
+      const double t_sta = sim_ms(sta);
+      const double t_dyn = sim_ms(dyn.points);
 
       table.add_row({bench::short_name(spec.name), w.label,
                      TextTable::num(t_def, 2), TextTable::num(t_sta / t_def, 3),

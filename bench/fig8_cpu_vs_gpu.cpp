@@ -61,8 +61,9 @@ int main(int argc, char** argv) {
   for (const auto& r : rows) {
     tuning::DynamicTuner<float> tuner(dev);
     auto dyn = tuner.tune({r.m, r.n});
-    kernels::DeviceBatch<float> scratch(r.m, r.n);
-    const double gpu_ms = bench::timed_ms(dev, scratch, dyn.points);
+    const double gpu_ms =
+        solver::GpuTridiagonalSolver<float>(dev, dyn.points)
+            .simulate_ms({r.m, r.n});
     const double cpu_ms = cpu::mkl_model_ms(cpu_spec, r.m, r.n, 4);
 
     double host_ms = 0.0;

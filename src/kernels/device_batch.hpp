@@ -39,11 +39,15 @@
 // kernel writes the alternate set from the borrowed input, the set the
 // first swap hands back is written by the next split before any read,
 // and x is written by the base kernel or transpose_out. The
-// TDA_POOL_POISON regression tests pin that down. The shape-only
-// (cost-only) constructor still zero-fills — tuning batches are off the
-// hot path and must stay numerically inert. Device *budget* accounting is
-// unchanged: tracked batches claim footprint_bytes() through the device's
-// MemoryTracker before acquiring the slab.
+// TDA_POOL_POISON regression tests pin that down. Device *budget*
+// accounting is unchanged: tracked batches claim footprint_bytes()
+// through the device's MemoryTracker before acquiring the slab.
+//
+// A shape-only batch DeviceBatch(m, n) owns no storage: its data
+// accessors, download() and every Full-mode stage throw ContractError.
+// It serves ExecMode::CostOnly runs, whose charges depend only on the
+// shape and whose kernels form no view and take no arena slice. (Filling
+// shapes took 77-83 ms and 162 MiB of a cold 16 x 65,536 float tune.)
 //
 // download() copies x in kCopyPieceBytes pieces on the engine's thread
 // pool; a batch whose x fits in one piece is copied inline.
@@ -51,7 +55,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <cstring>
 #include <span>
 #include <utility>
 
@@ -59,6 +62,7 @@
 #include "common/check.hpp"
 #include "gpusim/launch.hpp"
 #include "gpusim/thread_pool.hpp"
+#include "kernels/config.hpp"
 #include "tridiag/batch.hpp"
 #include "tridiag/transpose.hpp"
 
@@ -155,15 +159,11 @@ struct SplitState {
 template <typename T>
 class DeviceBatch {
  public:
-  /// Shape-only batch (zero coefficients) — used for cost-only tuning
-  /// runs, where only sizes and access patterns matter. The all-zero
-  /// diagonal would break real arithmetic; set b to 1 so a cost-only
-  /// batch is also numerically inert if accidentally executed fully.
+  /// Shape-only batch: owns no storage, so only ExecMode::CostOnly runs
+  /// accept it (see the header comment).
   DeviceBatch(std::size_t num_systems, std::size_t system_size)
       : m_(num_systems), n_(system_size) {
     TDA_REQUIRE(m_ >= 1 && n_ >= 1, "empty batch");
-    allocate();
-    make_inert();
   }
 
   /// Batch over a host batch: borrows its a, b, c, d as the current
@@ -177,19 +177,8 @@ class DeviceBatch {
   /// A temporary would be gone before the kernels read it.
   explicit DeviceBatch(const TridiagBatch<T>&&) = delete;
 
-  /// Tracked shape-only batch: reserves its footprint against `dev`'s
-  /// memory budget before touching any buffer (throws gpusim::OutOfMemory
-  /// without allocating when the budget cannot cover it).
-  DeviceBatch(gpusim::Device& dev, std::size_t num_systems,
-              std::size_t system_size)
-      : m_(num_systems), n_(system_size) {
-    TDA_REQUIRE(m_ >= 1 && n_ >= 1, "empty batch");
-    mem_ = dev.mem_reserve(footprint_bytes(m_, n_), "device batch");
-    allocate();
-    make_inert();
-  }
-
-  /// Tracked batch over a host batch (see above).
+  /// Tracked batch over a host batch: reserves its footprint against
+  /// `dev`'s memory budget first (throws gpusim::OutOfMemory if it can't).
   DeviceBatch(gpusim::Device& dev, const TridiagBatch<T>& host)
       : m_(host.num_systems()), n_(host.system_size()) {
     mem_ = dev.mem_reserve(footprint_bytes(m_, n_), "device batch");
@@ -212,8 +201,8 @@ class DeviceBatch {
   /// Layout of the CURRENT coefficient buffer. A fresh batch is always
   /// system-major (the host wire layout); the interleaved pipeline
   /// flips this to ElementMajor after its transpose-in stage and back
-  /// after transpose-out, so a reused batch (chunked solves, tuner
-  /// scratch) is always observed system-major between runs.
+  /// after transpose-out, so a reused batch is always observed
+  /// system-major between runs.
   [[nodiscard]] tridiag::BatchLayout layout() const { return layout_; }
   void set_layout(tridiag::BatchLayout l) { layout_ = l; }
 
@@ -230,7 +219,7 @@ class DeviceBatch {
   }
   [[nodiscard]] std::span<T> alt_lane(int k) {
     TDA_REQUIRE(k >= 0 && k < 4, "lane index out of range");
-    return {arr_[(1 - cur_) * 4 + k], m_ * n_};
+    return {buf((1 - cur_) * 4 + k), m_ * n_};
   }
   /// Writable current lane k, for a kernel that rewrites its input in
   /// place; the buffer must be owned (not borrowed from the host).
@@ -238,7 +227,7 @@ class DeviceBatch {
     TDA_REQUIRE(!borrowing(),
                 "the current buffer is the caller's batch, not writable");
     TDA_REQUIRE(k >= 0 && k < 4, "lane index out of range");
-    return {arr_[cur_ * 4 + k], m_ * n_};
+    return {buf(cur_ * 4 + k), m_ * n_};
   }
 
   /// Current (source) coefficient view of system s; stride 1, read-only.
@@ -254,11 +243,10 @@ class DeviceBatch {
   [[nodiscard]] SystemView<T> alt_system(std::size_t s) {
     TDA_REQUIRE(s < m_, "system index out of range");
     const std::size_t off = s * n_;
-    T* const* arr = arr_ + (1 - cur_) * 4;
-    return SystemView<T>{StridedView<T>(arr[0] + off, n_, 1),
-                         StridedView<T>(arr[1] + off, n_, 1),
-                         StridedView<T>(arr[2] + off, n_, 1),
-                         StridedView<T>(arr[3] + off, n_, 1)};
+    const auto lane = [&](int k) {
+      return StridedView<T>(buf((1 - cur_) * 4 + k) + off, n_, 1);
+    };
+    return {lane(0), lane(1), lane(2), lane(3)};
   }
 
   /// Contiguous current / alternate coefficients of one segment of
@@ -274,7 +262,7 @@ class DeviceBatch {
   /// Solution view of system s, in natural order.
   [[nodiscard]] StridedView<T> solution(std::size_t s) {
     TDA_REQUIRE(s < m_, "system index out of range");
-    return StridedView<T>(arr_[8] + s * n_, n_, 1);
+    return StridedView<T>(buf(8) + s * n_, n_, 1);
   }
   /// Contiguous solution row of subsystem p of system s after st's
   /// splits. A writer of these rows records the layout with
@@ -283,11 +271,11 @@ class DeviceBatch {
                                             const SplitState& st,
                                             std::size_t p) {
     TDA_REQUIRE(s < m_, "system index out of range");
-    return StridedView<T>(arr_[8] + s * n_ + st.solution_offset(n_, p),
+    return StridedView<T>(buf(8) + s * n_ + st.solution_offset(n_, p),
                           st.segment(n_, p).size, 1);
   }
-  [[nodiscard]] std::span<T> x() { return {arr_[8], m_ * n_}; }
-  [[nodiscard]] std::span<const T> x() const { return {arr_[8], m_ * n_}; }
+  [[nodiscard]] std::span<T> x() { return {buf(8), m_ * n_}; }
+  [[nodiscard]] std::span<const T> x() const { return {buf(8), m_ * n_}; }
 
   /// Records how the last writer laid out x: 0 for natural order, k for
   /// the 2^k subsystem rows of solution_row. download() reads it.
@@ -305,17 +293,29 @@ class DeviceBatch {
     TDA_REQUIRE(host.num_systems() == m_ && host.system_size() == n_,
                 "download: shape mismatch");
     if (x_splits_ == 0) {
-      copy_pieces<T>(arr_[8], host.x().data(), m_ * n_);
+      copy_pieces<T>(buf(8), host.x().data(), m_ * n_);
     } else {
-      download_rows(host.x().data());
+      download_rows(buf(8), host.x().data());
     }
   }
 
+  /// Entry check of every stage: a Full run reads and writes storage,
+  /// which a shape-only batch does not have.
+  void require_storage(ExecMode mode) const {
+    if (mode == ExecMode::Full) (void)buf(8);
+  }
+
  private:
+  /// Owned segment k of the slab: a0 b0 c0 d0 a1 b1 c1 d1 x.
+  [[nodiscard]] T* buf(int k) const {
+    TDA_REQUIRE(arr_[k] != nullptr, "shape-only device batch has no storage");
+    return arr_[k];
+  }
+
   /// The current buffer's lane k: the host batch's while borrowing.
   [[nodiscard]] const T* cur_ptr(int k) const {
     TDA_REQUIRE(k >= 0 && k < 4, "lane index out of range");
-    return borrowing() ? borrowed_[k] : arr_[cur_ * 4 + k];
+    return borrowing() ? borrowed_[k] : buf(cur_ * 4 + k);
   }
 
   void borrow(const TridiagBatch<T>& host) {
@@ -331,7 +331,7 @@ class DeviceBatch {
   /// kCopyPieceBytes, walked in tiles of one cache line's worth of rows:
   /// each column of a tile stores one whole line, and the few rows it
   /// gathers from stay in L1 even when they lie 4 KiB apart.
-  void download_rows(T* out) const {
+  void download_rows(const T* x, T* out) const {
     constexpr std::size_t kTileRows = kCacheLineBytes / sizeof(T);
     const std::size_t parts = std::size_t{1} << x_splits_;
     TDA_REQUIRE(parts <= n_, "solution rows exceed the system size");
@@ -343,7 +343,7 @@ class DeviceBatch {
     const std::size_t blocks = (cols + block - 1) / block;
     const auto run = [&](std::size_t begin, std::size_t end) {
       for (std::size_t t = begin; t < end; ++t) {
-        const T* src = arr_[8] + t / blocks * n_;
+        const T* src = x + t / blocks * n_;
         T* dst = out + t / blocks * n_;
         const std::size_t c0 = t % blocks * block;
         const std::size_t c1 = std::min(cols, c0 + block);
@@ -380,20 +380,14 @@ class DeviceBatch {
     for (int k = 0; k < 9; ++k) arr_[k] = base + k * seg_elems;
   }
 
-  /// Zero everything, then a unit diagonal (shape-only batches).
-  void make_inert() {
-    std::memset(slab_.data(), 0, slab_.capacity());
-    std::fill(arr_[1], arr_[1] + m_ * n_, T{1});
-  }
-
   std::size_t m_;
   std::size_t n_;
   int cur_ = 0;
   std::size_t x_splits_ = 0;
   tridiag::BatchLayout layout_ = tridiag::BatchLayout::SystemMajor;
-  gpusim::MemoryReservation mem_;  ///< empty for untracked (tuning) batches
-  tda::PoolBlock slab_;
-  T* arr_[9] = {};  ///< a0 b0 c0 d0 a1 b1 c1 d1 x
+  gpusim::MemoryReservation mem_;  ///< empty for untracked batches
+  tda::PoolBlock slab_;  ///< empty for a shape-only batch
+  T* arr_[9] = {};  ///< a0 b0 c0 d0 a1 b1 c1 d1 x; null without a slab
   /// The host batch's a, b, c, d while borrowing, else null.
   std::array<const T*, 4> borrowed_{};
 };

@@ -146,14 +146,17 @@ gpusim::KernelStats transpose_in_stage(gpusim::Device& dev,
                                        ExecMode mode = ExecMode::Full) {
   TDA_REQUIRE(batch.layout() == tridiag::BatchLayout::SystemMajor,
               "transpose_in: batch is already element-major");
+  batch.require_storage(mode);
   const std::size_t m = batch.num_systems();
   const std::size_t n = batch.system_size();
-  const std::array<const T*, 4> src{
-      batch.cur_lane(0).data(), batch.cur_lane(1).data(),
-      batch.cur_lane(2).data(), batch.cur_lane(3).data()};
-  const std::array<T*, 4> dst{
-      batch.alt_lane(0).data(), batch.alt_lane(1).data(),
-      batch.alt_lane(2).data(), batch.alt_lane(3).data()};
+  std::array<const T*, 4> src{};
+  std::array<T*, 4> dst{};
+  if (mode == ExecMode::Full) {
+    for (int k = 0; k < 4; ++k) {
+      src[k] = batch.cur_lane(k).data();
+      dst[k] = batch.alt_lane(k).data();
+    }
+  }
   auto stats =
       detail::transpose_launch<T, 4>(dev, m, n, src, dst, mode,
                                      "interleaved_transpose_in");
@@ -172,10 +175,12 @@ gpusim::KernelStats transpose_out_stage(gpusim::Device& dev,
                                         ExecMode mode = ExecMode::Full) {
   TDA_REQUIRE(batch.layout() == tridiag::BatchLayout::ElementMajor,
               "transpose_out: batch is not element-major");
+  batch.require_storage(mode);
   const std::size_t m = batch.num_systems();
   const std::size_t n = batch.system_size();
-  const std::array<const T*, 1> src{batch.alt_lane(3).data()};
-  const std::array<T*, 1> dst{batch.x().data()};
+  const bool full = mode == ExecMode::Full;
+  const std::array<const T*, 1> src{full ? batch.alt_lane(3).data() : nullptr};
+  const std::array<T*, 1> dst{full ? batch.x().data() : nullptr};
   auto stats =
       detail::transpose_launch<T, 1>(dev, n, m, src, dst, mode,
                                      "interleaved_transpose_out");
@@ -198,6 +203,7 @@ gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
                                              ExecMode mode = ExecMode::Full) {
   TDA_REQUIRE(batch.layout() == tridiag::BatchLayout::ElementMajor,
               "interleaved Thomas needs an element-major batch");
+  batch.require_storage(mode);
   const std::size_t m = batch.num_systems();
   const std::size_t n = batch.system_size();
   const std::size_t width = kInterleavedBlockSystems;
@@ -214,10 +220,11 @@ gpusim::KernelStats interleaved_thomas_stage(gpusim::Device& dev,
 
   // transpose_in_stage's swap left an owned current buffer, which the
   // forward sweep may rewrite.
-  T* const lanes[5] = {
-      batch.owned_cur_lane(0).data(), batch.owned_cur_lane(1).data(),
-      batch.owned_cur_lane(2).data(), batch.owned_cur_lane(3).data(),
-      batch.alt_lane(3).data()};
+  T* lanes[5] = {};
+  if (mode == ExecMode::Full) {
+    for (int k = 0; k < 4; ++k) lanes[k] = batch.owned_cur_lane(k).data();
+    lanes[4] = batch.alt_lane(3).data();
+  }
 
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
     for (std::size_t strip = ctx.block_index(); strip < strips;

@@ -94,45 +94,62 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
   cfg.shared_bytes = pcr_thomas_shared_bytes(n_sub, sizeof(T));
   cfg.regs_per_thread = pcr_thomas_regs_per_thread(dev.query());
 
+  batch.require_storage(mode);
   if (mode == ExecMode::Full) batch.set_solution_splits(st.splits);
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
     const std::size_t s = ctx.block_index() / parts;
-    const std::size_t p = ctx.block_index() % parts;
-    const auto gsub = batch.cur_segment(s, st.segment(n, p));
-    const std::size_t len = gsub.size();
+    const Segment seg = st.segment(n, ctx.block_index() % parts);
+    const std::size_t len = seg.size;
     if (len == 0) return;
-
-    // --- shared memory working set: a,b,c,d (x goes straight to global) ---
-    auto sa = ctx.shared_alloc<T>(n_sub);
-    auto sb = ctx.shared_alloc<T>(n_sub);
-    auto sc = ctx.shared_alloc<T>(n_sub);
-    auto sd = ctx.shared_alloc<T>(n_sub);
-    // Register staging for the PCR steps: on the real device every thread
-    // holds its equation's next coefficients in registers between the two
-    // syncs of a step, then writes them back to shared. The simulator
-    // models that register file with a host-side buffer (its capacity is
-    // enforced through regs_per_thread in the launch configuration, not
-    // through the shared budget) and lets it ping-pong with shared
-    // instead of copying back: each step reads the buffer the previous
-    // step wrote. The buffer comes from the lane's bump arena — one warm
-    // slab per worker thread instead of heap allocations per block.
-    const tridiag::SystemView<T> views[2] = {
-        {tda::StridedView<T>(sa.data(), len, 1),
-         tda::StridedView<T>(sb.data(), len, 1),
-         tda::StridedView<T>(sc.data(), len, 1),
-         tda::StridedView<T>(sd.data(), len, 1)},
-        scratch_system<T>(ctx, len)};
     const std::size_t j = tridiag::pcr_thomas_split_steps(len, thomas_switch);
+    const std::size_t thomas_parts = std::min(std::size_t{1} << j, len);
 
-    // --- load --- The device loads the subsystem into shared; the host's
-    // first PCR step reads the contiguous global segment instead, so
-    // only a block without PCR steps copies it.
-    if (mode == ExecMode::Full && j == 0) {
-      std::copy_n(gsub.a.data(), len, sa.data());
-      std::copy_n(gsub.b.data(), len, sb.data());
-      std::copy_n(gsub.c.data(), len, sc.data());
-      std::copy_n(gsub.d.data(), len, sd.data());
+    if (mode == ExecMode::Full) {
+      const auto gsub = batch.cur_segment(s, seg);
+      // views[0] is the shared working set a,b,c,d (x goes straight to
+      // global). views[1] is the register staging of the PCR steps: on
+      // the real device every thread holds its equation's next
+      // coefficients in registers between the two syncs of a step, then
+      // writes them back to shared. The simulator models that register
+      // file with a host-side buffer (its capacity is enforced through
+      // regs_per_thread in the launch configuration, not through the
+      // shared budget) and lets it ping-pong with shared instead of
+      // copying back: each step reads the buffer the previous step
+      // wrote. The buffer comes from the lane's bump arena — one warm
+      // slab per worker thread instead of heap allocations per block.
+      const auto shared_lane = [&] {
+        return tda::StridedView<T>(ctx.shared_alloc<T>(n_sub).data(), len, 1);
+      };
+      const tridiag::SystemView<T> views[2] = {
+          {shared_lane(), shared_lane(), shared_lane(), shared_lane()},
+          scratch_system<T>(ctx, len)};
+      // The device loads the subsystem into shared; the host's first PCR
+      // step reads the contiguous global segment instead, so only a block
+      // without PCR steps copies it.
+      if (j == 0) {
+        std::copy_n(gsub.a.data(), len, views[0].a.data());
+        std::copy_n(gsub.b.data(), len, views[0].b.data());
+        std::copy_n(gsub.c.data(), len, views[0].c.data());
+        std::copy_n(gsub.d.data(), len, views[0].d.data());
+      }
+      // Stage 3: PCR splits in shared memory (register-staged).
+      int cur = 0;
+      for (std::size_t t = 0; t < j; ++t) {
+        tridiag::pcr_step(t == 0 ? gsub.as_const() : views[cur].as_const(),
+                          views[1 - cur], std::size_t{1} << t);
+        cur = 1 - cur;
+      }
+      // Stage 4: one Thomas thread per interleaved subsystem. The host
+      // runs the threads as one sweep across the subsystems and writes x
+      // into the subsystem's solution row, which is the device's
+      // write-back.
+      const bool ok = tridiag::thomas_solve_interleaved(
+          views[cur], batch.solution_row(s, st, seg.p), thomas_parts,
+          thomas_parts);
+      TDA_ENSURE(ok, "PCR-Thomas kernel hit a zero pivot");
     }
+
+    // --- load ---
     const double bytes_loaded = 4.0 * static_cast<double>(len) * sizeof(T);
     if (variant == LoadVariant::Strided) {
       ctx.charge_global(bytes_loaded, stride, sizeof(T));
@@ -141,14 +158,8 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     }
     ctx.sync();
 
-    // --- stage 3: PCR splits in shared memory (register-staged) ---
-    int cur = 0;
+    // --- stage 3: PCR splits in shared memory ---
     for (std::size_t t = 0; t < j; ++t) {
-      if (mode == ExecMode::Full) {
-        tridiag::pcr_step(t == 0 ? gsub.as_const() : views[cur].as_const(),
-                          views[1 - cur], std::size_t{1} << t);
-      }
-      cur = 1 - cur;
       ctx.charge_phase(static_cast<int>(std::min<std::size_t>(
                            len, ctx.threads())),
                        std::ceil(static_cast<double>(len) / ctx.threads()),
@@ -165,16 +176,6 @@ gpusim::KernelStats pcr_thomas_stage(gpusim::Device& dev,
     }
 
     // --- stage 4: one Thomas thread per interleaved subsystem ---
-    // The host runs the threads as one sweep across the subsystems and
-    // writes x into the subsystem's solution row, which is the device's
-    // write-back.
-    const std::size_t thomas_parts = std::min(std::size_t{1} << j, len);
-    if (mode == ExecMode::Full) {
-      const bool ok = tridiag::thomas_solve_interleaved(
-          views[cur], batch.solution_row(s, st, p), thomas_parts,
-          thomas_parts);
-      TDA_ENSURE(ok, "PCR-Thomas kernel hit a zero pivot");
-    }
     const double eqs_per_thread = std::ceil(
         static_cast<double>(len) / static_cast<double>(thomas_parts));
     ctx.charge_phase(static_cast<int>(thomas_parts), eqs_per_thread,

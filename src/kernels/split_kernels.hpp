@@ -54,6 +54,7 @@ gpusim::KernelStats stage1_split_step(gpusim::Device& dev,
   const std::size_t m = batch.num_systems();
   const std::size_t n = batch.system_size();
   TDA_REQUIRE(st.parts() < n, "system is already fully decoupled");
+  batch.require_storage(mode);
 
   const int threads = 256;
   const std::size_t total = m * n;
@@ -112,6 +113,7 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
                                  SplitState& st, std::size_t steps,
                                  ExecMode mode = ExecMode::Full) {
   TDA_REQUIRE(steps >= 1, "stage 2 must perform at least one step");
+  batch.require_storage(mode);
   const std::size_t m = batch.num_systems();
   const std::size_t n = batch.system_size();
   const std::size_t entry_parts = st.parts();
@@ -128,27 +130,27 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
   auto stats = dev.launch(cfg, [&](gpusim::BlockContext& ctx) {
     const std::size_t s = ctx.block_index() / entry_parts;
     const Segment seg = st.segment(n, ctx.block_index() % entry_parts);
-    // The device kernel ping-pongs the block's stride-entry_parts
-    // subsystem between the two global buffers; the subsystem is
-    // disjoint from every other block's, so that is hazard-free. The
-    // host splits the block's segment, each step writing the sub-segments
-    // it splits into the same range of another buffer: contiguous lane
-    // scratch or the alternate global buffer, alternating so that the
-    // last step lands in the alternate buffer (a single step goes global
-    // to global). So the current buffer is only read, whatever the step
-    // count, and may be the caller's batch (DeviceBatch). The charges
-    // model the device's strided passes, which end in either buffer.
-    const tridiag::SystemView<const T> entry = batch.cur_segment(s, seg);
-    const tridiag::SystemView<T> alt = batch.alt_segment(s, seg);
     const std::size_t len = seg.size;
-    const tridiag::SystemView<T> staged =
-        mode == ExecMode::Full && steps > 1 ? scratch_system<T>(ctx, len)
-                                            : tridiag::SystemView<T>{};
-    const auto out = [&](std::size_t t) -> const tridiag::SystemView<T>& {
-      return (steps - 1 - t) % 2 == 0 ? alt : staged;
-    };
-    for (std::size_t t = 0; t < steps; ++t) {
-      if (mode == ExecMode::Full) {
+    if (mode == ExecMode::Full) {
+      // The device kernel ping-pongs the block's stride-entry_parts
+      // subsystem between the two global buffers; the subsystem is
+      // disjoint from every other block's, so that is hazard-free. The
+      // host splits the block's segment, each step writing the
+      // sub-segments it splits into the same range of another buffer:
+      // contiguous lane scratch or the alternate global buffer,
+      // alternating so that the last step lands in the alternate buffer
+      // (a single step goes global to global). So the current buffer is
+      // only read, whatever the step count, and may be the caller's batch
+      // (DeviceBatch). The charges model the device's strided passes,
+      // which end in either buffer.
+      const tridiag::SystemView<const T> entry = batch.cur_segment(s, seg);
+      const tridiag::SystemView<T> alt = batch.alt_segment(s, seg);
+      const tridiag::SystemView<T> staged =
+          steps > 1 ? scratch_system<T>(ctx, len) : tridiag::SystemView<T>{};
+      const auto out = [&](std::size_t t) -> const tridiag::SystemView<T>& {
+        return (steps - 1 - t) % 2 == 0 ? alt : staged;
+      };
+      for (std::size_t t = 0; t < steps; ++t) {
         const tridiag::SystemView<const T> src =
             t == 0 ? entry : out(t - 1).as_const();
         const auto& dst = out(t);
@@ -159,8 +161,10 @@ gpusim::KernelStats stage2_split(gpusim::Device& dev, DeviceBatch<T>& batch,
                                   dst.slice(sub.offset, sub.size));
         }
       }
+    }
 
-      const double dlen = static_cast<double>(len);
+    const double dlen = static_cast<double>(len);
+    for (std::size_t t = 0; t < steps; ++t) {
       ctx.charge_global(kPcrStepValuesPerEq * dlen * sizeof(T),
                         entry_stride, sizeof(T));
       ctx.charge_phase(ctx.threads(), std::ceil(dlen / ctx.threads()),

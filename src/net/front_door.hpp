@@ -10,7 +10,8 @@
 // deficit-round-robin lanes. The pump drains lanes into
 // SolveService::submit (callback form) while the service-side in-flight
 // window has room; the service's own shape-bucketed coalescer then
-// merges same-shape systems across tenants into single ragged solves.
+// merges same-shape systems across tenants into single uniform (m, n)
+// batch solves.
 //
 // An admitted request travels as one Ticket (admission -> lane ->
 // service -> completion callback) and every way it can end — served, a

@@ -174,9 +174,8 @@ class GpuTridiagonalSolver {
     return stats;
   }
 
-  /// Simulated solve time (ms) for a workload shape, without real data.
-  /// Allocates a shape-only device batch; prefer run(&batch, CostOnly)
-  /// with a reused batch inside search loops.
+  /// Simulated solve time (ms) for a workload shape, without real data:
+  /// a cost-only run on a shape-only device batch, which owns no memory.
   double simulate_ms(const Workload& w) {
     kernels::DeviceBatch<T> dbatch(w.num_systems, w.system_size);
     return run(dbatch, kernels::ExecMode::CostOnly).total_ms;
@@ -241,8 +240,8 @@ class GpuTridiagonalSolver {
   /// solution back. The transposes land in stats.transpose_ms so the
   /// crossover against the staged pipeline is visible per solve; the
   /// kernel itself is accounted as stage3 (it plays the base kernel's
-  /// role). The batch is re-tagged system-major on exit, so chunked
-  /// solves and tuner scratch can reuse it safely.
+  /// role). The batch is re-tagged system-major on exit, so it can be
+  /// reused safely.
   void run_element_major(kernels::DeviceBatch<T>& dbatch,
                          kernels::ExecMode mode, telemetry::Telemetry* tel,
                          SolveStats& stats, double& stage3_bytes,

@@ -112,18 +112,14 @@ class DynamicTuner {
     // the coalescing model ("repeat increasing the stride count — this
     // simulates solving larger systems"); beyond that, larger n adds no
     // new stride regimes, only cost.
-    const std::size_t m_fill = std::max<std::size_t>(
-        w.num_systems, 8 * static_cast<std::size_t>(q.sm_count));
-    const std::size_t n_fill =
-        std::min<std::size_t>(w.system_size, 32 * cap);
-    kernels::DeviceBatch<T> fill_scratch(m_fill, n_fill);
-
-    // Real-workload scratch for group B / final scoring.
-    kernels::DeviceBatch<T> scratch(w.num_systems, w.system_size);
+    const solver::Workload fill{
+        std::max<std::size_t>(w.num_systems,
+                              8 * static_cast<std::size_t>(q.sm_count)),
+        std::min<std::size_t>(w.system_size, 32 * cap)};
 
     telemetry::Telemetry* tel = dev_->telemetry();
     std::map<std::string, double> memo;
-    auto eval_on = [&](kernels::DeviceBatch<T>& batch, const char* tag,
+    auto eval_on = [&](const solver::Workload& on, const char* tag,
                        const solver::SwitchPoints& sp) {
       const std::string k = std::string(tag) + "|" + solver::describe(sp);
       if (auto it = memo.find(k); it != memo.end()) return it->second;
@@ -133,8 +129,8 @@ class DynamicTuner {
                                  "tuner");
       span.attr("workload", tag);
       span.attr("points", solver::describe(sp));
-      solver::GpuTridiagonalSolver<T> s(*dev_, sp);
-      const double ms = s.run(batch, kernels::ExecMode::CostOnly).total_ms;
+      const double ms =
+          solver::GpuTridiagonalSolver<T>(*dev_, sp).simulate_ms(on);
       span.attr("ms", ms);
       if (tel != nullptr) {
         tel->metrics.add("tuner.evaluations");
@@ -150,10 +146,10 @@ class DynamicTuner {
       // stage 1 so group A measures pure stage-2/3/4 behaviour.
       solver::SwitchPoints p = sp;
       p.stage1_target_systems = 1;
-      return eval_on(fill_scratch, "fill", p);
+      return eval_on(fill, "fill", p);
     };
     auto evaluate = [&](const solver::SwitchPoints& sp) {
-      return eval_on(scratch, "real", sp);
+      return eval_on(w, "real", sp);
     };
 
     // ---- group A: {stage3 size, thomas switch, variant} ----
@@ -300,7 +296,14 @@ TuneResult exhaustive_tune(gpusim::Device& dev, const solver::Workload& w) {
   TuneResult r;
   const auto q = dev.query();
   const std::size_t cap = kernels::max_shared_system_size(q, sizeof(T));
-  kernels::DeviceBatch<T> scratch(w.num_systems, w.system_size);
+  const auto consider = [&](const solver::SwitchPoints& sp) {
+    const double ms = solver::GpuTridiagonalSolver<T>(dev, sp).simulate_ms(w);
+    ++r.evaluations;
+    if (ms < r.best_ms) {
+      r.best_ms = ms;
+      r.points = sp;
+    }
+  };
 
   for (std::size_t s3 = 2; s3 <= cap; s3 *= 2) {
     for (std::size_t th = 1; th <= s3; th *= 2) {
@@ -312,31 +315,16 @@ TuneResult exhaustive_tune(gpusim::Device& dev, const solver::Workload& w) {
           sp.thomas_switch = th;
           sp.variant = variant;
           sp.stage1_target_systems = t1;
-          solver::GpuTridiagonalSolver<T> s(dev, sp);
-          const double ms =
-              s.run(scratch, kernels::ExecMode::CostOnly).total_ms;
-          ++r.evaluations;
-          if (ms < r.best_ms) {
-            r.best_ms = ms;
-            r.points = sp;
-          }
+          consider(sp);
         }
       }
     }
   }
   // The element-major variant is a single extra point of the space (its
   // path ignores the staged switch points).
-  {
-    solver::SwitchPoints sp;
-    sp.layout = tridiag::BatchLayout::ElementMajor;
-    solver::GpuTridiagonalSolver<T> s(dev, sp);
-    const double ms = s.run(scratch, kernels::ExecMode::CostOnly).total_ms;
-    ++r.evaluations;
-    if (ms < r.best_ms) {
-      r.best_ms = ms;
-      r.points = sp;
-    }
-  }
+  solver::SwitchPoints element;
+  element.layout = tridiag::BatchLayout::ElementMajor;
+  consider(element);
   return r;
 }
 

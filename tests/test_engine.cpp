@@ -476,21 +476,6 @@ TEST(PooledDeviceBatch, PoisonedPoolSolveIsCorrect) {
   EXPECT_LT(tridiag::batch_residual_inf(pristine, batch.x()), 1e-9);
 }
 
-TEST(PooledDeviceBatch, ShapeOnlyBatchStillInertWithPoisonedPool) {
-  auto& pool = BufferPool::global();
-  pool.trim();
-  pool.set_poison(true);
-  kernels::DeviceBatch<float> b(2, 8);
-  pool.set_poison(false);
-  auto sys = b.cur_system(0);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(sys.a[i], 0.0f);
-    EXPECT_EQ(sys.b[i], 1.0f);
-    EXPECT_EQ(sys.c[i], 0.0f);
-    EXPECT_EQ(sys.d[i], 0.0f);
-  }
-}
-
 // ---------- service integration ----------
 
 TEST(ServiceEngine, EngineThreadsKnobResizesSharedPool) {

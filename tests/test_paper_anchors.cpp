@@ -10,7 +10,6 @@
 
 #include "cpu/cost_model.hpp"
 #include "gpusim/launch.hpp"
-#include "kernels/device_batch.hpp"
 #include "solver/gpu_solver.hpp"
 #include "tuning/dynamic_tuner.hpp"
 #include "tuning/tuners.hpp"
@@ -19,17 +18,14 @@ namespace {
 
 using namespace tda;
 
-double timed_ms(gpusim::Device& dev, kernels::DeviceBatch<float>& scratch,
+double timed_ms(gpusim::Device& dev, const solver::Workload& w,
                 const solver::SwitchPoints& sp) {
-  solver::GpuTridiagonalSolver<float> s(dev, sp);
-  return s.run(scratch, kernels::ExecMode::CostOnly).total_ms;
+  return solver::GpuTridiagonalSolver<float>(dev, sp).simulate_ms(w);
 }
 
 // Best (stage3, thomas, variant) for a fixed stage-3 size over the
 // standard Fig-5 workload.
-double best_at_stage3(gpusim::Device& dev,
-                      kernels::DeviceBatch<float>& scratch,
-                      std::size_t stage3) {
+double best_at_stage3(gpusim::Device& dev, std::size_t stage3) {
   double best = std::numeric_limits<double>::infinity();
   for (auto variant :
        {kernels::LoadVariant::Strided, kernels::LoadVariant::Coalesced}) {
@@ -39,7 +35,7 @@ double best_at_stage3(gpusim::Device& dev,
       sp.stage3_system_size = stage3;
       sp.thomas_switch = th;
       sp.variant = variant;
-      best = std::min(best, timed_ms(dev, scratch, sp));
+      best = std::min(best, timed_ms(dev, {2048, 2048}, sp));
     }
   }
   return best;
@@ -49,26 +45,21 @@ double best_at_stage3(gpusim::Device& dev,
 
 TEST(PaperAnchors, Fig5_8800Prefers256Over128) {
   gpusim::Device dev(gpusim::geforce_8800_gtx());
-  kernels::DeviceBatch<float> scratch(2048, 2048);
-  EXPECT_LT(best_at_stage3(dev, scratch, 256),
-            best_at_stage3(dev, scratch, 128));
+  EXPECT_LT(best_at_stage3(dev, 256), best_at_stage3(dev, 128));
 }
 
 TEST(PaperAnchors, Fig5_280TopTwoComparable) {
   gpusim::Device dev(gpusim::geforce_gtx_280());
-  kernels::DeviceBatch<float> scratch(2048, 2048);
-  const double at256 = best_at_stage3(dev, scratch, 256);
-  const double at512 = best_at_stage3(dev, scratch, 512);
+  const double at256 = best_at_stage3(dev, 256);
+  const double at512 = best_at_stage3(dev, 512);
   // "switching at system sizes 256 and 512 have comparable performance"
   EXPECT_LT(std::abs(at256 - at512) / std::min(at256, at512), 0.25);
 }
 
 TEST(PaperAnchors, Fig5_470Prefers512EvenThough1024Fits) {
   gpusim::Device dev(gpusim::geforce_gtx_470());
-  kernels::DeviceBatch<float> scratch(2048, 2048);
   ASSERT_EQ(kernels::max_shared_system_size(dev.query(), 4), 1024u);
-  EXPECT_LT(best_at_stage3(dev, scratch, 512),
-            best_at_stage3(dev, scratch, 1024));
+  EXPECT_LT(best_at_stage3(dev, 512), best_at_stage3(dev, 1024));
 }
 
 // ---------- Figure 6 anchors ----------
@@ -76,7 +67,6 @@ TEST(PaperAnchors, Fig5_470Prefers512EvenThough1024Fits) {
 std::size_t best_thomas_switch(const gpusim::DeviceSpec& spec,
                                std::size_t n_onchip) {
   gpusim::Device dev(spec);
-  kernels::DeviceBatch<float> scratch(4096, n_onchip);
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_th = 0;
   for (std::size_t th = 16; th <= 512 && th <= n_onchip; th *= 2) {
@@ -84,7 +74,7 @@ std::size_t best_thomas_switch(const gpusim::DeviceSpec& spec,
         tuning::static_switch_points<float>(dev.query());
     sp.stage3_system_size = n_onchip;
     sp.thomas_switch = th;
-    const double ms = timed_ms(dev, scratch, sp);
+    const double ms = timed_ms(dev, {4096, n_onchip}, sp);
     if (ms < best) {
       best = ms;
       best_th = th;
@@ -110,12 +100,11 @@ TEST(PaperAnchors, Fig7_DynamicBeatsUntunedSubstantially) {
   int count = 0;
   for (const auto& spec : gpusim::device_registry()) {
     gpusim::Device dev(spec);
-    kernels::DeviceBatch<float> scratch(2048, 2048);
     tuning::DynamicTuner<float> tuner(dev);
     auto dyn = tuner.tune({2048, 2048});
-    const double t_def =
-        timed_ms(dev, scratch, tuning::default_switch_points<float>());
-    const double t_dyn = timed_ms(dev, scratch, dyn.points);
+    const double t_def = timed_ms(dev, {2048, 2048},
+                                  tuning::default_switch_points<float>());
+    const double t_dyn = timed_ms(dev, {2048, 2048}, dyn.points);
     gain_sum += 1.0 - t_dyn / t_def;
     ++count;
   }
@@ -133,8 +122,7 @@ TEST(PaperAnchors, Fig8_GpuWinsBatchesCpuWinsOneHugeSystem) {
   auto gpu_ms = [&](std::size_t m, std::size_t n) {
     tuning::DynamicTuner<float> tuner(dev);
     auto dyn = tuner.tune({m, n});
-    kernels::DeviceBatch<float> scratch(m, n);
-    return timed_ms(dev, scratch, dyn.points);
+    return timed_ms(dev, {m, n}, dyn.points);
   };
 
   // 1Kx1K: paper 11x; accept a generous band around it.
@@ -158,9 +146,8 @@ TEST(PaperAnchors, Fig8_SpeedupShrinksAsBatchesGrow) {
   auto speedup = [&](std::size_t mn) {
     tuning::DynamicTuner<float> tuner(dev);
     auto dyn = tuner.tune({mn, mn});
-    kernels::DeviceBatch<float> scratch(mn, mn);
     return cpu::mkl_model_ms(cpu_spec, mn, mn, 4) /
-           timed_ms(dev, scratch, dyn.points);
+           timed_ms(dev, {mn, mn}, dyn.points);
   };
   const double s1 = speedup(1024);
   const double s2 = speedup(2048);

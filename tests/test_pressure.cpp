@@ -91,10 +91,11 @@ TEST(DeviceMemory, TrackedBatchCountsAgainstBudget) {
   const std::size_t fp = kernels::DeviceBatch<double>::footprint_bytes(4, 64);
   EXPECT_EQ(fp, 9u * 4 * 64 * sizeof(double));
   dev.set_mem_budget(fp);
+  const tridiag::TridiagBatch<double> host(4, 64), one(1, 64);
   {
-    kernels::DeviceBatch<double> b(dev, 4, 64);
+    kernels::DeviceBatch<double> b(dev, host);
     EXPECT_EQ(dev.memory().in_use(), fp);
-    EXPECT_THROW((kernels::DeviceBatch<double>(dev, 1, 64)),
+    EXPECT_THROW((kernels::DeviceBatch<double>(dev, one)),
                  gpusim::OutOfMemory);
   }
   EXPECT_EQ(dev.memory().in_use(), 0u);

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/buffer_pool.hpp"
 #include "faults/faults.hpp"
 #include "golden_hex.hpp"
 #include "gpusim/launch.hpp"
@@ -130,6 +131,20 @@ TEST(DynamicTuner, DecoupledSearchIsAdditive) {
   // And the hill descent must land within a few percent of the global
   // optimum over the same space.
   EXPECT_LE(dyn.best_ms, exh.best_ms * 1.05);
+}
+
+TEST(DynamicTuner, SearchAcquiresNoPoolMemory) {
+  // Every evaluation is a cost-only run on a shape, which owns no
+  // memory: a cold tune of solve_large's shape and an exhaustive search
+  // take nothing from the buffer pool.
+  gpusim::Device dev(gpusim::geforce_gtx_470());
+  const auto before = BufferPool::global().stats();
+  const auto tuned = DynamicTuner<float>(dev).tune({16, 65536});
+  EXPECT_GT(tuned.evaluations, 0u);
+  EXPECT_EQ(BufferPool::global().stats().acquires, before.acquires);
+  const auto exh = exhaustive_tune<float>(dev, {8, 8192});
+  EXPECT_GT(exh.evaluations, 0u);
+  EXPECT_EQ(BufferPool::global().stats().acquires, before.acquires);
 }
 
 TEST(DynamicTuner, TunedPointsAreValidForDevice) {
